@@ -114,7 +114,7 @@ void BM_ChurnEvent(benchmark::State& state) {
   const Member extra{members_of_size(1, 1234)[0], 9999, MemberRole::kBoth};
   for (auto _ : state) {
     controller.join(id, extra);
-    controller.leave(id, extra.host);
+    controller.leave(id, extra.host, extra.vm);
   }
 }
 BENCHMARK(BM_ChurnEvent);

@@ -92,7 +92,7 @@ bool IgmpAgent::handle_vm_message(std::uint32_t vm,
       auto& joined = memberships_[key(vm, msg.group)];
       if (!joined) return false;  // leave without join: ignore
       const auto id = directory_->group_for(msg.group);
-      directory_->controller().leave(id, host_);
+      directory_->controller().leave(id, host_, vm);
       joined = false;
       return true;
     }

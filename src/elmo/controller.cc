@@ -359,23 +359,12 @@ void Controller::join(GroupId group, const Member& member) {
   }
 }
 
-Member Controller::leave(GroupId group, topo::HostId host) {
-  return leave_matching(group, host, [&](const Member& m) {
-    return m.host == host;
-  });
-}
-
 Member Controller::leave(GroupId group, topo::HostId host, std::uint32_t vm) {
-  return leave_matching(group, host, [&](const Member& m) {
-    return m.host == host && m.vm == vm;
-  });
-}
-
-template <typename Pred>
-Member Controller::leave_matching(GroupId group, topo::HostId host,
-                                  Pred&& pred) {
   auto& g = state(group);
-  const auto it = std::find_if(g.members.begin(), g.members.end(), pred);
+  const auto it =
+      std::find_if(g.members.begin(), g.members.end(), [&](const Member& m) {
+        return m.host == host && m.vm == vm;
+      });
   if (it == g.members.end()) {
     throw std::invalid_argument{"Controller::leave: host not a member"};
   }

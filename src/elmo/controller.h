@@ -117,12 +117,8 @@ class Controller {
 
   void remove_group(GroupId group);
   void join(GroupId group, const Member& member);
-  // Removes the first member found on `host` and returns it. Ambiguous when
-  // several members of the group share a host — prefer the (host, vm)
-  // overload anywhere co-location is possible.
-  Member leave(GroupId group, topo::HostId host);
-  // Removes exactly the member (host, vm); throws std::invalid_argument if
-  // that pair is not in the group.
+  // Removes exactly the member (host, vm) and returns it; throws
+  // std::invalid_argument if that pair is not in the group.
   Member leave(GroupId group, topo::HostId host, std::uint32_t vm);
 
   // --- failure handling (§3.3) --------------------------------------------
@@ -153,8 +149,6 @@ class Controller {
 
  private:
   GroupState& state(GroupId group);
-  template <typename Pred>
-  Member leave_matching(GroupId group, topo::HostId host, Pred&& pred);
   void reencode(GroupState& g);  // recompute tree+encoding, s-rule diffs
   void emit_srule_diffs(const GroupEncoding& before,
                         const GroupEncoding& after);

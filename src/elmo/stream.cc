@@ -40,6 +40,27 @@ std::uint64_t bitmap_hash(const net::PortBitmap& bitmap) {
   return hash.h;
 }
 
+bool is_flow(const p4rt::Update& u) {
+  return u.kind == p4rt::UpdateKind::kHypervisorFlowAdd ||
+         u.kind == p4rt::UpdateKind::kHypervisorFlowDel;
+}
+
+// The delete for a slot its group no longer has.
+p4rt::Update removal(std::uint32_t group, topo::Layer layer,
+                     std::uint32_t target) {
+  p4rt::Update u;
+  u.group.value = group;
+  if (layer == topo::Layer::kHost) {
+    u.kind = p4rt::UpdateKind::kHypervisorFlowDel;
+    u.host = target;
+  } else {
+    u.kind = p4rt::UpdateKind::kSRuleDel;
+    u.layer = layer;
+    u.switch_id = target;
+  }
+  return u;
+}
+
 struct StreamMetricIds {
   obs::MetricsRegistry::Id events;
   obs::MetricsRegistry::Id updates;
@@ -93,10 +114,8 @@ const char* install_span_name(p4rt::UpdateKind kind) {
 
 // Install target: the host for flows, the physical switch for s-rules.
 double install_target(const p4rt::Update& u) {
-  const bool is_flow = u.kind == p4rt::UpdateKind::kHypervisorFlowAdd ||
-                       u.kind == p4rt::UpdateKind::kHypervisorFlowDel;
-  return is_flow ? static_cast<double>(u.host)
-                 : static_cast<double>(u.switch_id);
+  return is_flow(u) ? static_cast<double>(u.host)
+                    : static_cast<double>(u.switch_id);
 }
 
 }  // namespace
@@ -176,18 +195,7 @@ Member ControlPlane::leave(GroupId group, topo::HostId host, std::uint32_t vm) {
   if (stats_.updates_coalesced + pending_.size() == queued_before) {
     ++stats_.clean_events;
   }
-  if (tracer_ != nullptr && addr != 0) {
-    // Watch only when this leave takes the host's flow out entirely — that
-    // is the removal whose time-to-effect (stale deliveries until the
-    // FlowDel lands) is measurable at the fabric.
-    const auto mit = mirror_.find(group);
-    const bool flow_gone =
-        mit == mirror_.end() || !mit->second.flow_hash.contains(host);
-    if (flow_gone) {
-      fabric_->trace_watch(net::Ipv4Address{addr}, host, root,
-                           /*leave=*/true);
-    }
-  }
+  watch_leave(group, addr, host, root);
   trace_event_end(root);
   maybe_auto_flush();
   return removed;
@@ -227,15 +235,7 @@ std::size_t ControlPlane::host_fail(topo::HostId host) {
       span = trace_child_begin("delta_diff", root);
       diff_group(group, /*seed_only=*/false);
       trace_end(span);
-      if (tracer_ != nullptr && addr != 0) {
-        const auto mit = mirror_.find(group);
-        const bool flow_gone =
-            mit == mirror_.end() || !mit->second.flow_hash.contains(host);
-        if (flow_gone) {
-          fabric_->trace_watch(net::Ipv4Address{addr}, host, root,
-                               /*leave=*/true);
-        }
-      }
+      watch_leave(group, addr, host, root);
     }
   }
   trace_event_end(root);
@@ -268,6 +268,18 @@ void ControlPlane::trace_event_end(const obs::TraceContext& root) {
   event_ctx_ = {};
 }
 
+void ControlPlane::watch_leave(GroupId group, std::uint32_t addr,
+                               topo::HostId host,
+                               const obs::TraceContext& root) {
+  if (tracer_ == nullptr || addr == 0) return;
+  const auto mit = mirror_.find(group);
+  if (mit != mirror_.end() &&
+      mit->second.rule_hash.contains({topo::Layer::kHost, host})) {
+    return;
+  }
+  fabric_->trace_watch(net::Ipv4Address{addr}, host, root, /*leave=*/true);
+}
+
 void ControlPlane::track_group(GroupId group) {
   diff_group(group, /*seed_only=*/true);
 }
@@ -290,120 +302,40 @@ void ControlPlane::refresh_all() {
 void ControlPlane::diff_group(GroupId group, bool seed_only) {
   auto& mirror = mirror_[group];
   const bool live = controller_->has_group(group);
-
-  // Desired hypervisor flows, built exactly like Fabric::install_group.
-  std::map<topo::HostId, p4rt::Update> flows;
-  std::map<std::pair<std::uint8_t, std::uint32_t>, p4rt::Update> srules;
+  std::vector<p4rt::Update> desired;
   if (live) {
-    const auto& g = controller_->group(group);
-    mirror.address = g.address.value;
-    for (const auto& member : g.members) {
-      const auto [it, inserted] = flows.try_emplace(member.host);
-      auto& u = it->second;
-      if (inserted) {
-        u.kind = p4rt::UpdateKind::kHypervisorFlowAdd;
-        u.host = member.host;
-        u.group = g.address;
-        u.vni = g.tenant;
-      }
-      if (can_receive(member.role)) u.local_vms.push_back(member.vm);
-      if (can_send(member.role) && u.elmo_header.empty()) {
-        u.elmo_header = controller_->header_for(group, member.host);
-      }
-    }
-    for (const auto& [leaf, bitmap] : g.encoding.leaf.s_rules) {
-      p4rt::Update u;
-      u.kind = p4rt::UpdateKind::kSRuleAdd;
-      u.layer = topo::Layer::kLeaf;
-      u.switch_id = leaf;
-      u.group = g.address;
-      u.ports = bitmap;
-      srules.emplace(
-          std::pair{static_cast<std::uint8_t>(topo::Layer::kLeaf), leaf},
-          std::move(u));
-    }
-    const auto& t = controller_->topology();
-    for (const auto& [pod, bitmap] : g.encoding.spine.s_rules) {
-      for (std::size_t plane = 0; plane < t.params().spines_per_pod; ++plane) {
-        const auto spine = t.spine_at(pod, plane);
-        p4rt::Update u;
-        u.kind = p4rt::UpdateKind::kSRuleAdd;
-        u.layer = topo::Layer::kSpine;
-        u.switch_id = spine;
-        u.group = g.address;
-        u.ports = bitmap;
-        srules.emplace(
-            std::pair{static_cast<std::uint8_t>(topo::Layer::kSpine), spine},
-            std::move(u));
-      }
+    mirror.address = controller_->group(group).address.value;
+    desired = p4rt::compile_install(*controller_, group);
+  }
+
+  // Adds and changes, then deletes for slots the group no longer has.
+  std::map<RuleSlot, std::uint64_t> desired_hash;
+  for (auto& u : desired) {
+    const bool flow = is_flow(u);
+    const auto slot = flow ? RuleSlot{topo::Layer::kHost, u.host}
+                           : RuleSlot{u.layer, u.switch_id};
+    const auto hash = flow ? flow_hash(u) : bitmap_hash(u.ports);
+    desired_hash.emplace(slot, hash);
+    const auto it = mirror.rule_hash.find(slot);
+    if (it != mirror.rule_hash.end() && it->second == hash) continue;
+    if (flow) index_membership(group, u.host, true);
+    if (!seed_only) queue(PendingKey{mirror.address, slot}, std::move(u));
+  }
+  for (const auto& [slot, hash] : mirror.rule_hash) {
+    if (desired_hash.contains(slot)) continue;
+    const auto [layer, target] = slot;
+    if (layer == topo::Layer::kHost) index_membership(group, target, false);
+    if (!seed_only) {
+      queue(PendingKey{mirror.address, slot},
+            removal(mirror.address, layer, target));
     }
   }
 
-  const net::Ipv4Address address{mirror.address};
-
-  // Flows: adds/changes, then removals of hosts no longer holding a flow.
-  for (auto& [host, update] : flows) {
-    const auto hash = flow_hash(update);
-    const auto it = mirror.flow_hash.find(host);
-    if (it != mirror.flow_hash.end() && it->second == hash) continue;
-    mirror.flow_hash[host] = hash;
-    index_membership(group, host, true);
-    if (!seed_only) {
-      queue(PendingKey{true, FlowKey{address.value, host}, {}},
-            std::move(update));
-    }
-  }
-  for (auto it = mirror.flow_hash.begin(); it != mirror.flow_hash.end();) {
-    const auto host = it->first;
-    if (flows.contains(host)) {
-      ++it;
-      continue;
-    }
-    it = mirror.flow_hash.erase(it);
-    index_membership(group, host, false);
-    if (!seed_only) {
-      p4rt::Update del;
-      del.kind = p4rt::UpdateKind::kHypervisorFlowDel;
-      del.host = host;
-      del.group = address;
-      queue(PendingKey{true, FlowKey{address.value, host}, {}},
-            std::move(del));
-    }
-  }
-
-  // S-rules, same shape.
-  for (auto& [key, update] : srules) {
-    const auto hash = bitmap_hash(update.ports);
-    const auto it = mirror.srule_hash.find(key);
-    if (it != mirror.srule_hash.end() && it->second == hash) continue;
-    mirror.srule_hash[key] = hash;
-    if (!seed_only) {
-      queue(PendingKey{false, {}, SRuleKey{address.value, key.first,
-                                           key.second}},
-            std::move(update));
-    }
-  }
-  for (auto it = mirror.srule_hash.begin(); it != mirror.srule_hash.end();) {
-    if (srules.contains(it->first)) {
-      ++it;
-      continue;
-    }
-    const auto [layer, switch_id] = it->first;
-    it = mirror.srule_hash.erase(it);
-    if (!seed_only) {
-      p4rt::Update del;
-      del.kind = p4rt::UpdateKind::kSRuleDel;
-      del.layer = static_cast<topo::Layer>(layer);
-      del.switch_id = switch_id;
-      del.group = address;
-      queue(PendingKey{false, {}, SRuleKey{address.value, layer, switch_id}},
-            std::move(del));
-    }
-  }
-
-  if (!live && mirror.flow_hash.empty() && mirror.srule_hash.empty()) {
+  if (!live) {
     mirror_.erase(group);
+    return;
   }
+  mirror.rule_hash = std::move(desired_hash);
 }
 
 void ControlPlane::queue(PendingKey key, p4rt::Update update) {
@@ -505,41 +437,40 @@ std::size_t ControlPlane::flush() {
       span = tracer_->begin_span("p4rt_decode", obs::TraceLane::kWire,
                                  flush_ctx);
     }
-    const auto decoded = p4rt::decode(wire);
+    auto decoded = p4rt::decode(wire);
     if (traced) tracer_->end_span(span);
 
-    if (!traced) {
-      p4rt::apply_updates(*fabric_, decoded);
-    } else {
-      // Per-update install spans. decode preserves batch order, so
-      // decoded[i] pairs with ctxs[i]; flow installs also poke the fabric's
-      // time-to-effect watches.
-      for (std::size_t i = 0; i < decoded.size(); ++i) {
-        const auto& u = decoded[i];
-        const auto ictx = tracer_->begin_span(
-            install_span_name(u.kind), obs::TraceLane::kInstall, flush_ctx,
-            {{"group", static_cast<double>(u.group.value)},
-             {"target", install_target(u)}});
-        p4rt::apply_update(*fabric_, u);
-        tracer_->end_span(ictx);
-        if (i < ctxs.size() && ctxs[i].trace_id != 0) {
-          tracer_->flow(ctxs[i], obs::TraceLane::kControl, ictx,
-                        obs::TraceLane::kInstall);
-        }
-        if (u.kind == p4rt::UpdateKind::kHypervisorFlowAdd ||
-            u.kind == p4rt::UpdateKind::kHypervisorFlowDel) {
-          fabric_->trace_rule_installed(
-              u.group, u.host, ictx,
-              u.kind == p4rt::UpdateKind::kHypervisorFlowDel);
-        }
+    // Traced, each update gets an install span. decode preserves batch
+    // order, so decoded[i] pairs with ctxs[i]; flow installs also poke the
+    // fabric's time-to-effect watches.
+    for (std::size_t i = 0; i < decoded.size(); ++i) {
+      auto& u = decoded[i];
+      note_applied(u);
+      if (!traced) {
+        fabric_->apply(std::move(u));
+        continue;
       }
+      const auto ictx = tracer_->begin_span(
+          install_span_name(u.kind), obs::TraceLane::kInstall, flush_ctx,
+          {{"group", static_cast<double>(u.group.value)},
+           {"target", install_target(u)}});
+      const auto group = u.group;
+      const auto host = u.host;
+      const bool flow = is_flow(u);
+      const bool removed = u.kind == p4rt::UpdateKind::kHypervisorFlowDel;
+      fabric_->apply(std::move(u));
+      tracer_->end_span(ictx);
+      if (i < ctxs.size() && ctxs[i].trace_id != 0) {
+        tracer_->flow(ctxs[i], obs::TraceLane::kControl, ictx,
+                      obs::TraceLane::kInstall);
+      }
+      if (flow) fabric_->trace_rule_installed(group, host, ictx, removed);
     }
 
     applied = decoded.size();
     stats_.wire_bytes += wire.size();
     stats_.updates_applied += applied;
     ++stats_.batches_encoded;
-    for (const auto& u : decoded) note_applied(u);
     ELMO_METRIC({
       reg.add(stream_metric_ids().wire_bytes, wire.size());
       reg.add(stream_metric_ids().updates, applied);

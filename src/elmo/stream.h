@@ -3,19 +3,20 @@
 // group (Controller::join/leave are already incremental), and pushes the
 // *delta* between the previously-installed rules and the new encoding over
 // the p4rt wire channel into a live sim::Fabric — instead of re-pushing
-// whole-group state per event like compile_install.
+// whole-group state per event.
 //
 // Delta computation keeps a compact mirror of what the fabric holds: one
-// 64-bit content hash per installed hypervisor flow (group, host) and per
-// installed s-rule (group, layer, physical switch). After each event the
-// affected group's desired state is rebuilt from the controller (exactly
-// mirroring Fabric::install_group semantics) and diffed against the mirror;
-// only changed entries become rule updates.
+// 64-bit content hash per installed rule, keyed by the rule's slot in its
+// group — (host) for a hypervisor flow, (layer, physical switch) for an
+// s-rule. After each event the affected group's desired rules come from
+// p4rt::compile_install (the same compiler Fabric::install_group applies),
+// are keyed by slot and diffed against the mirror; only changed slots
+// become rule updates, and slots the group no longer has become deletes.
 //
 // Updates are coalesced and batched: pending updates are keyed by rule
 // location, a newer update for the same key overwrites the older one (the
 // wire sees only the final state), and the batch is flushed through
-// p4rt::encode/decode/apply_updates when it reaches
+// p4rt::encode/decode into Fabric::apply when it reaches
 // ControlPlaneOptions::flush_threshold (or on an explicit flush()). Per-
 // event ingest-to-install lag is recorded at flush time.
 #pragma once
@@ -23,6 +24,7 @@
 #include <chrono>
 #include <cstdint>
 #include <map>
+#include <tuple>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -121,7 +123,7 @@ class ControlPlane final : public MembershipDriver {
   // gets a wire-lane trace with p4rt framing children and per-update install
   // spans, cross-linked by flow events, and join/leave events arm the
   // fabric's time-to-effect watches. Detached (the default), ingest pays one
-  // null test per event and flush keeps its single apply_updates call.
+  // null test per event and flush applies updates without spans.
   void set_tracer(obs::Tracer* tracer) noexcept {
     tracer_ = tracer;
     fabric_->set_tracer(tracer);
@@ -129,35 +131,38 @@ class ControlPlane final : public MembershipDriver {
   obs::Tracer* tracer() const noexcept { return tracer_; }
 
  private:
-  // Rule location keys; std::map keeps flush order deterministic.
-  using FlowKey = std::pair<std::uint32_t, topo::HostId>;  // (group addr, host)
-  // (group addr, layer, physical switch)
-  using SRuleKey = std::tuple<std::uint32_t, std::uint8_t, std::uint32_t>;
+  // A rule's slot within its group: (kHost, host) for a hypervisor flow,
+  // (layer, physical switch) for an s-rule.
+  using RuleSlot = std::pair<topo::Layer, std::uint32_t>;
+  // Rule location; std::map keeps flush order deterministic: flows first,
+  // then s-rules, each by (group address, slot).
   struct PendingKey {
-    bool is_flow = true;
-    FlowKey flow{};
-    SRuleKey srule{};
+    std::uint32_t group = 0;  // group address
+    RuleSlot slot;
     bool operator<(const PendingKey& other) const {
-      if (is_flow != other.is_flow) return is_flow;  // flows first
-      if (is_flow) return flow < other.flow;
-      return srule < other.srule;
+      return std::tuple{slot.first != topo::Layer::kHost, group, slot} <
+             std::tuple{other.slot.first != topo::Layer::kHost, other.group,
+                        other.slot};
     }
   };
 
   struct GroupMirror {
     std::uint32_t address = 0;  // group IPv4, captured at first install
-    std::map<topo::HostId, std::uint64_t> flow_hash;
-    std::map<std::pair<std::uint8_t, std::uint32_t>, std::uint64_t> srule_hash;
+    std::map<RuleSlot, std::uint64_t> rule_hash;  // content hash per slot
   };
 
-  // Rebuilds `group`'s desired rules from the controller and queues the
-  // delta against the mirror. `seed_only` populates the mirror without
-  // queueing (track_group).
+  // Diffs `group`'s compiled rules against the mirror and queues the delta.
+  // `seed_only` populates the mirror without queueing (track_group).
   void diff_group(GroupId group, bool seed_only);
   void queue(PendingKey key, p4rt::Update update);
   void note_applied(const p4rt::Update& update);
   void maybe_auto_flush();
   void index_membership(GroupId group, topo::HostId host, bool present);
+  // After a leave's diff: arms a leave watch for (group address `addr`,
+  // `host`) when the host's flow is gone — the removal whose time-to-effect
+  // (stale deliveries until the FlowDel lands) is measurable at the fabric.
+  void watch_leave(GroupId group, std::uint32_t addr, topo::HostId host,
+                   const obs::TraceContext& root);
 
   // Tracing helpers; all no-ops when tracer_ is null.
   obs::TraceContext trace_event_begin(

@@ -139,79 +139,70 @@ FrameChoice choose_frame(const Update& u) {
   return choice;
 }
 
-}  // namespace
-
-std::vector<Update> compile_install(const Controller& controller,
-                                    elmo::GroupId group) {
+// Every rule of `group`, in the order documented at compile_install: adds
+// with full content when `install`, otherwise deletes carrying only the rule
+// location.
+std::vector<Update> compile(const Controller& controller, elmo::GroupId group,
+                            bool install) {
   const auto& g = controller.group(group);
-  std::vector<Update> updates;
+  const auto& t = controller.topology();
+  const std::size_t planes = t.params().spines_per_pod;
+  auto rule = [&](UpdateKind add, UpdateKind del) {
+    Update u;
+    u.kind = install ? add : del;
+    u.group = g.address;
+    return u;
+  };
 
-  // One flow per host, merged across co-located members (mirrors
-  // Fabric::install_group): a per-member update stream would overwrite the
-  // host's flow on apply, dropping the earlier member's local VM (and its
-  // header template) whenever two VMs of the group share a host.
   std::map<topo::HostId, Update> flows;
   for (const auto& member : g.members) {
     const auto [it, inserted] = flows.try_emplace(member.host);
     auto& u = it->second;
     if (inserted) {
-      u.kind = UpdateKind::kHypervisorFlowAdd;
+      u = rule(UpdateKind::kHypervisorFlowAdd, UpdateKind::kHypervisorFlowDel);
       u.host = member.host;
-      u.group = g.address;
-      u.vni = g.tenant;
+      if (install) u.vni = g.tenant;
     }
+    if (!install) continue;
     if (can_receive(member.role)) u.local_vms.push_back(member.vm);
     if (can_send(member.role) && u.elmo_header.empty()) {
       u.elmo_header = controller.header_for(group, member.host);
     }
   }
-  for (auto& [host, u] : flows) {
-    (void)host;
-    updates.push_back(std::move(u));
-  }
+
+  std::vector<Update> updates;
+  updates.reserve(flows.size() + g.encoding.leaf.s_rules.size() +
+                  g.encoding.spine.s_rules.size() * planes);
+  for (auto& [host, u] : flows) updates.push_back(std::move(u));
   for (const auto& [leaf, bitmap] : g.encoding.leaf.s_rules) {
-    Update u;
-    u.kind = UpdateKind::kSRuleAdd;
+    auto& u = updates.emplace_back(
+        rule(UpdateKind::kSRuleAdd, UpdateKind::kSRuleDel));
     u.layer = topo::Layer::kLeaf;
     u.switch_id = leaf;
-    u.group = g.address;
-    u.ports = bitmap;
-    updates.push_back(std::move(u));
+    if (install) u.ports = bitmap;
   }
-  const auto& t = controller.topology();
   for (const auto& [pod, bitmap] : g.encoding.spine.s_rules) {
-    for (std::size_t plane = 0; plane < t.params().spines_per_pod; ++plane) {
-      Update u;
-      u.kind = UpdateKind::kSRuleAdd;
+    for (std::size_t plane = 0; plane < planes; ++plane) {
+      auto& u = updates.emplace_back(
+          rule(UpdateKind::kSRuleAdd, UpdateKind::kSRuleDel));
       u.layer = topo::Layer::kSpine;
       u.switch_id = t.spine_at(pod, plane);
-      u.group = g.address;
-      u.ports = bitmap;
-      updates.push_back(std::move(u));
+      if (install) u.ports = bitmap;
     }
   }
   return updates;
 }
 
+}  // namespace
+
+std::vector<Update> compile_install(const Controller& controller,
+                                    elmo::GroupId group) {
+  return compile(controller, group, /*install=*/true);
+}
+
 std::vector<Update> compile_uninstall(const Controller& controller,
                                       elmo::GroupId group) {
-  auto updates = compile_install(controller, group);
-  for (auto& u : updates) {
-    switch (u.kind) {
-      case UpdateKind::kHypervisorFlowAdd:
-        u.kind = UpdateKind::kHypervisorFlowDel;
-        u.local_vms.clear();
-        u.elmo_header.clear();
-        break;
-      case UpdateKind::kSRuleAdd:
-        u.kind = UpdateKind::kSRuleDel;
-        u.ports = net::PortBitmap{};
-        break;
-      default:
-        break;
-    }
-  }
-  return updates;
+  return compile(controller, group, /*install=*/false);
 }
 
 std::vector<std::uint8_t> encode(std::span<const Update> updates) {
@@ -333,51 +324,6 @@ std::vector<Update> decode(std::span<const std::uint8_t> wire) {
   }
   if (!in.done()) throw std::invalid_argument{"p4rt: trailing bytes"};
   return updates;
-}
-
-void apply_update(sim::Fabric& fabric, const Update& u) {
-  switch (u.kind) {
-    case UpdateKind::kHypervisorFlowAdd: {
-      dp::HypervisorSwitch::GroupFlow flow;
-      flow.vni = u.vni;
-      flow.local_vms = u.local_vms;
-      flow.elmo_header = u.elmo_header;
-      fabric.hypervisor(u.host).install_flow(u.group, std::move(flow));
-      break;
-    }
-    case UpdateKind::kHypervisorFlowDel:
-      fabric.hypervisor(u.host).remove_flow(u.group);
-      break;
-    case UpdateKind::kSRuleAdd:
-      if (u.layer == topo::Layer::kLeaf) {
-        fabric.leaf(u.switch_id).install_srule(u.group, u.ports);
-      } else if (u.layer == topo::Layer::kSpine) {
-        fabric.spine(u.switch_id).install_srule(u.group, u.ports);
-      } else {
-        throw std::invalid_argument{"p4rt: s-rule at unsupported layer"};
-      }
-      break;
-    case UpdateKind::kSRuleDel:
-      if (u.layer == topo::Layer::kLeaf) {
-        fabric.leaf(u.switch_id).remove_srule(u.group);
-      } else if (u.layer == topo::Layer::kSpine) {
-        fabric.spine(u.switch_id).remove_srule(u.group);
-      } else {
-        throw std::invalid_argument{"p4rt: s-rule at unsupported layer"};
-      }
-      break;
-  }
-}
-
-void apply_updates(sim::Fabric& fabric, std::span<const Update> updates) {
-  for (const auto& u : updates) apply_update(fabric, u);
-}
-
-std::size_t install_via_channel(const Controller& controller,
-                                elmo::GroupId group, sim::Fabric& fabric) {
-  const auto wire = encode(compile_install(controller, group));
-  apply_updates(fabric, decode(wire));
-  return wire.size();
 }
 
 }  // namespace elmo::p4rt

@@ -2,12 +2,13 @@
 // interface (like P4Runtime) to install match-action rules in the switches
 // at run time").
 //
-// Rule updates are serialized into framed, self-describing binary messages
-// so that the controller and the switches can live in different processes
-// (as they do in a real deployment). A RuleChannel decodes the stream and
-// applies it to the packet-level fabric; tests verify that driving the data
-// plane exclusively through the wire protocol reproduces direct
-// installation byte-for-byte.
+// compile_install / compile_uninstall are the one place that turns a group
+// into rules: every install path (sim::Fabric::install_group, the streaming
+// control plane's delta diff) consumes their output, and sim::Fabric::apply
+// is the one place that applies an Update to the data plane. Rule updates
+// are serialized into framed, self-describing binary messages so that the
+// controller and the switches can live in different processes (as they do
+// in a real deployment).
 //
 // Message framing (big-endian):
 //   batch   := magic(u32 "P4EL") count(u32) message*
@@ -37,7 +38,6 @@
 #include <vector>
 
 #include "elmo/controller.h"
-#include "sim/fabric.h"
 
 namespace elmo::p4rt {
 
@@ -70,13 +70,15 @@ struct Update {
 };
 
 // Compiles the full installation of `group` into an update batch (what the
-// controller would push when the group is created or refreshed). Flows are
-// merged per host across co-located members — one HYPERVISOR_FLOW_ADD per
-// distinct member host, exactly mirroring Fabric::install_group (a
-// per-member update stream would overwrite the host's flow and drop the
-// earlier members' local VMs).
+// controller pushes when the group is created or refreshed): one
+// HYPERVISOR_FLOW_ADD per distinct member host, ascending by host, merged
+// across co-located members (a flow per member would overwrite the host's
+// flow on apply and drop the earlier members' VMs); then the leaf s-rules;
+// then one spine s-rule per plane of every pod s-rule.
 std::vector<Update> compile_install(const Controller& controller,
                                     elmo::GroupId group);
+// The matching deletes, in the same order. They carry only the rule
+// location (what the wire carries for a delete), so no header is built.
 std::vector<Update> compile_uninstall(const Controller& controller,
                                       elmo::GroupId group);
 
@@ -85,18 +87,5 @@ std::vector<Update> compile_uninstall(const Controller& controller,
 std::vector<std::uint8_t> encode(std::span<const Update> updates);
 // Throws std::invalid_argument on malformed input.
 std::vector<Update> decode(std::span<const std::uint8_t> wire);
-
-// Applies a decoded batch to the fabric (the "switch side" of the channel).
-// (Named apply_updates to avoid ADL collisions with std::apply.)
-void apply_updates(sim::Fabric& fabric, std::span<const Update> updates);
-// Single-update variant, for callers that wrap each install in its own
-// trace span (stream::ControlPlane::flush, DESIGN.md §15). Semantically
-// identical to one iteration of apply_updates.
-void apply_update(sim::Fabric& fabric, const Update& update);
-
-// Convenience: controller -> wire -> fabric in one call, returning the
-// number of wire bytes that crossed the channel.
-std::size_t install_via_channel(const Controller& controller,
-                                elmo::GroupId group, sim::Fabric& fabric);
 
 }  // namespace elmo::p4rt

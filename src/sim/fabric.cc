@@ -210,52 +210,38 @@ void Fabric::tte_on_delivery(std::uint32_t group, std::uint32_t host) {
 
 void Fabric::install_group(const elmo::Controller& controller,
                            elmo::GroupId group) {
-  const auto& g = controller.group(group);
-
-  // One flow per host, merged across co-located members: installing per
-  // member would overwrite the host's flow, dropping the earlier member's
-  // local VM (and its header template) whenever two VMs of the group share
-  // a host.
-  std::map<topo::HostId, dp::HypervisorSwitch::GroupFlow> flows;
-  for (const auto& member : g.members) {
-    auto& flow = flows[member.host];
-    flow.vni = g.tenant;
-    if (elmo::can_receive(member.role)) flow.local_vms.push_back(member.vm);
-    if (elmo::can_send(member.role) && flow.elmo_header.empty()) {
-      flow.elmo_header = controller.header_for(group, member.host);
-    }
-  }
-  for (auto& [host, flow] : flows) {
-    hypervisor(host).install_flow(g.address, std::move(flow));
-  }
-
-  for (const auto& [leaf_id, bitmap] : g.encoding.leaf.s_rules) {
-    leaf(leaf_id).install_srule(g.address, bitmap);
-  }
-  for (const auto& [pod, bitmap] : g.encoding.spine.s_rules) {
-    for (std::size_t plane = 0; plane < topo_->params().spines_per_pod;
-         ++plane) {
-      spine(topo_->spine_at(pod, plane)).install_srule(g.address, bitmap);
-    }
-  }
+  for (auto& u : p4rt::compile_install(controller, group)) apply(std::move(u));
 }
 
 void Fabric::uninstall_group(const elmo::Controller& controller,
                              elmo::GroupId group) {
-  const auto& g = controller.group(group);
-  for (const auto& member : g.members) {
-    hypervisor(member.host).remove_flow(g.address);
+  for (auto& u : p4rt::compile_uninstall(controller, group)) {
+    apply(std::move(u));
   }
-  for (const auto& [leaf_id, bitmap] : g.encoding.leaf.s_rules) {
-    (void)bitmap;
-    leaf(leaf_id).remove_srule(g.address);
-  }
-  for (const auto& [pod, bitmap] : g.encoding.spine.s_rules) {
-    (void)bitmap;
-    for (std::size_t plane = 0; plane < topo_->params().spines_per_pod;
-         ++plane) {
-      spine(topo_->spine_at(pod, plane)).remove_srule(g.address);
-    }
+}
+
+void Fabric::apply(p4rt::Update u) {
+  auto srule_switch = [&]() -> dp::NetworkSwitch& {
+    if (u.layer == topo::Layer::kLeaf) return leaf(u.switch_id);
+    if (u.layer == topo::Layer::kSpine) return spine(u.switch_id);
+    throw std::invalid_argument{"Fabric: s-rule at unsupported layer"};
+  };
+  switch (u.kind) {
+    case p4rt::UpdateKind::kHypervisorFlowAdd:
+      hypervisor(u.host).install_flow(
+          u.group, {.vni = u.vni,
+                    .elmo_header = std::move(u.elmo_header),
+                    .local_vms = std::move(u.local_vms)});
+      break;
+    case p4rt::UpdateKind::kHypervisorFlowDel:
+      hypervisor(u.host).remove_flow(u.group);
+      break;
+    case p4rt::UpdateKind::kSRuleAdd:
+      srule_switch().install_srule(u.group, std::move(u.ports));
+      break;
+    case p4rt::UpdateKind::kSRuleDel:
+      srule_switch().remove_srule(u.group);
+      break;
   }
 }
 

@@ -48,6 +48,7 @@
 #include "net/headers.h"
 #include "net/packet.h"
 #include "net/packet_view.h"
+#include "p4rt/runtime.h"
 #include "topology/clos.h"
 
 namespace elmo::obs {
@@ -149,10 +150,17 @@ class Fabric {
 
   // Installs a controller-managed group into the data plane: flow rules (with
   // header templates for senders) at member hypervisors, s-rules at network
-  // switches. Re-invoking refreshes existing state.
+  // switches. Re-invoking refreshes existing state. Both apply the updates
+  // p4rt::compile_install / compile_uninstall build.
   void install_group(const elmo::Controller& controller, elmo::GroupId group);
   void uninstall_group(const elmo::Controller& controller,
                        elmo::GroupId group);
+
+  // Applies one rule update (the switch side of the p4rt channel). Taken by
+  // value so the flow's VM list, header and s-rule bitmap move into the
+  // data plane. Throws std::invalid_argument for an s-rule outside the leaf
+  // and spine layers.
+  void apply(p4rt::Update update);
 
   // A VM on `src` sends `payload` to `group`; the packet is encapsulated by
   // the source hypervisor and walked through the fabric.
@@ -230,8 +238,12 @@ class Fabric {
   // Optional tracer (nullptr detaches; not owned, must outlive the fabric's
   // use of it). The tracer itself is passive here; it powers the TTE watches
   // below. With no watches armed the walk pays one empty() test per
-  // host-copy delivery.
-  void set_tracer(obs::Tracer* tracer) noexcept { tracer_ = tracer; }
+  // host-copy delivery. Changing the tracer drops every open watch: their
+  // timestamps are on the old tracer's clock.
+  void set_tracer(obs::Tracer* tracer) noexcept {
+    if (tracer != tracer_) tte_watches_.clear();
+    tracer_ = tracer;
+  }
   obs::Tracer* tracer() const noexcept { return tracer_; }
 
   // Registers a time-to-effect watch for (group address, host) on behalf of

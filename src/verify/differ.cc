@@ -220,10 +220,9 @@ class Runner {
           const auto first = std::find_if(
               members.begin(), members.end(),
               [&](const Member& m) { return m.host == ev.member.host; });
-          if (first != members.end() && first->vm != ev.member.vm) {
-            applied_ = true;
-          }
-          controller_.leave(id, ev.member.host);
+          const Member victim = first != members.end() ? *first : ev.member;
+          if (victim.vm != ev.member.vm) applied_ = true;
+          controller_.leave(id, victim.host, victim.vm);
           // Delta mode: stream whatever the (wrong) controller state now
           // encodes, so the harness fault stays upstream of the plane.
           if (plane_.has_value()) plane_->refresh(id);

@@ -100,6 +100,23 @@ TEST_F(IgmpFixture, LeaveRemovesMembership) {
   EXPECT_FALSE(agent.handle_vm_message(0, leave("239.1.1.1")));
 }
 
+TEST_F(IgmpFixture, ColocatedVmLeaveRemovesOnlyThatVm) {
+  // Two VMs on one host join the same group; the second one leaving must
+  // remove exactly that VM, not the first member found on the host.
+  IgmpAgent agent{directory, 3};
+  agent.handle_vm_message(0, report("239.1.1.1"));
+  agent.handle_vm_message(1, report("239.1.1.1"));
+  EXPECT_TRUE(agent.handle_vm_message(1, leave("239.1.1.1")));
+  EXPECT_TRUE(agent.is_member(0, mcast("239.1.1.1")));
+  EXPECT_FALSE(agent.is_member(1, mcast("239.1.1.1")));
+
+  const auto id = directory.group_for(mcast("239.1.1.1"));
+  const auto& g = controller.group(id);
+  ASSERT_EQ(g.members.size(), 1u);
+  EXPECT_EQ(g.members[0].host, 3u);
+  EXPECT_EQ(g.members[0].vm, 0u);
+}
+
 TEST_F(IgmpFixture, MultipleAgentsBuildOneGroup) {
   IgmpAgent a{directory, 0};
   IgmpAgent b{directory, 17};

@@ -69,7 +69,7 @@ TEST(Controller, JoinExtendsTreeAndLeaveShrinksIt) {
   EXPECT_EQ(controller.group(id).tree->num_members(), 3u);
   EXPECT_GT(controller.group(id).tree->num_leaves(), 1u);
 
-  controller.leave(id, 20);
+  controller.leave(id, 20, 9);
   EXPECT_EQ(controller.group(id).tree->num_members(), 2u);
   EXPECT_EQ(controller.group(id).tree->num_leaves(), 1u);
 }
@@ -78,7 +78,7 @@ TEST(Controller, LeaveUnknownMemberThrows) {
   const auto t = small();
   Controller controller{t, EncoderConfig{}};
   const auto id = controller.create_group(0, members_of({0, 1}));
-  EXPECT_THROW(controller.leave(id, 42), std::invalid_argument);
+  EXPECT_THROW(controller.leave(id, 42, 0), std::invalid_argument);
 }
 
 TEST(Controller, SenderOnlyJoinUpdatesOneHypervisor) {

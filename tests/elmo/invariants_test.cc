@@ -56,7 +56,8 @@ TEST_P(RandomOps, SRuleAccountingMatchesLiveGroups) {
       const auto id = live[rng.index(live.size())];
       const auto& g = controller.group(id);
       if (g.members.size() > 2) {
-        controller.leave(id, g.members[rng.index(g.members.size())].host);
+        const auto victim = g.members[rng.index(g.members.size())];
+        controller.leave(id, victim.host, victim.vm);
       }
     }
 
@@ -100,7 +101,8 @@ TEST_P(RandomOps, EverySenderDeliversExactlyOnceAfterMutations) {
     // Mutate.
     const auto& g = controller.group(id);
     if (rng.bernoulli(0.5) && g.members.size() > 3) {
-      controller.leave(id, g.members[rng.index(g.members.size())].host);
+      const auto victim = g.members[rng.index(g.members.size())];
+      controller.leave(id, victim.host, victim.vm);
     } else {
       for (int attempt = 0; attempt < 20; ++attempt) {
         const auto host =
@@ -175,9 +177,9 @@ TEST(Integration, ChurnThenReinstallKeepsDataPlaneConsistent) {
   std::uint32_t next_vm = 50;
   for (int round = 0; round < 10; ++round) {
     const auto& before = controller.group(id);
-    const auto victim = before.members[rng.index(before.members.size())].host;
+    const auto victim = before.members[rng.index(before.members.size())];
     fabric.uninstall_group(controller, id);  // uninstall with OLD state
-    controller.leave(id, victim);
+    controller.leave(id, victim.host, victim.vm);
     for (int attempt = 0; attempt < 30; ++attempt) {
       const auto host = static_cast<topo::HostId>(rng.index(t.num_hosts()));
       const auto& g = controller.group(id);

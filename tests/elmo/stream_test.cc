@@ -113,6 +113,31 @@ TEST(ControlPlane, LeaveRemovesVacatedHostFlow) {
   EXPECT_EQ(fabric_state_digest(w.fabric), fabric_state_digest(batch));
 }
 
+TEST(ControlPlane, DetachingTracerDropsOpenWatches) {
+  // Watch timestamps are on the attached tracer's clock. Detaching it while
+  // a join watch is open must drop the watch, so the next delivery to the
+  // watched host does not reach for a tracer that is gone.
+  StreamWorld w;
+  const std::vector<std::uint32_t> vms{0, 4, 8};
+  const auto id = w.make_group(vms);
+  w.fabric.install_group(w.controller, id);
+
+  obs::Tracer tracer;
+  ControlPlane cp{w.controller, w.fabric, ControlPlaneOptions{1}};
+  cp.track_group(id);
+  cp.set_tracer(&tracer);
+  const Member joiner{w.tenants[0].vm_hosts[12], 12, MemberRole::kBoth};
+  cp.join(id, joiner);  // installed at once; open until the first delivery
+  ASSERT_EQ(w.fabric.open_trace_watches(), 1u);
+
+  cp.set_tracer(nullptr);
+  const auto result = w.fabric.send(w.tenants[0].vm_hosts[0],
+                                    w.controller.group(id).address, 64);
+  EXPECT_TRUE(result.host_copies.contains(joiner.host));
+  EXPECT_EQ(w.fabric.open_trace_watches(), 0u);
+  EXPECT_TRUE(w.fabric.tte_records().empty());
+}
+
 TEST(ControlPlane, CoalescingCollapsesRepeatedTouchesToOneRule) {
   StreamWorld w;
   const std::vector<std::uint32_t> vms{0, 4, 8};

@@ -4,6 +4,7 @@
 
 #include <set>
 
+#include "sim/fabric.h"
 #include "testutil.h"
 #include "util/rng.h"
 
@@ -22,7 +23,8 @@ struct P4rtFixture : ::testing::Test {
     return cfg;
   }
 
-  elmo::GroupId make_group(std::size_t size, std::uint64_t seed) {
+  elmo::GroupId make_group(std::size_t size, std::uint64_t seed,
+                           std::uint32_t tenant = 0) {
     util::Rng rng{seed};
     const auto hosts = test::random_hosts(topology, size, rng);
     std::vector<Member> members;
@@ -30,7 +32,15 @@ struct P4rtFixture : ::testing::Test {
       members.push_back(Member{hosts[i], static_cast<std::uint32_t>(i),
                                MemberRole::kBoth});
     }
-    return controller.create_group(0, members);
+    return controller.create_group(tenant, members);
+  }
+
+  // Pushes `updates` through the wire codec into `fabric`, returning the
+  // number of wire bytes that crossed the channel.
+  std::size_t send_over_wire(std::span<const Update> updates) {
+    const auto wire = encode(updates);
+    for (auto& u : decode(wire)) fabric.apply(std::move(u));
+    return wire.size();
   }
 
   topo::ClosTopology topology;
@@ -83,7 +93,7 @@ TEST_F(P4rtFixture, ColocatedMembersShareOneFlowUpdate) {
   }
   EXPECT_EQ(flow_adds, 2u);  // one per distinct host, not one per member
 
-  apply_updates(fabric, decode(encode(updates)));
+  send_over_wire(updates);
   sim::Fabric direct{topology};
   direct.install_group(controller, id);
 
@@ -113,7 +123,7 @@ TEST_F(P4rtFixture, ChannelInstallEqualsDirectInstall) {
   const auto& g = controller.group(id);
 
   // Install exclusively through the wire protocol.
-  const auto wire_bytes = install_via_channel(controller, id, fabric);
+  const auto wire_bytes = send_over_wire(compile_install(controller, id));
   EXPECT_GT(wire_bytes, 0u);
 
   // A second fabric installed directly must behave identically.
@@ -134,14 +144,35 @@ TEST_F(P4rtFixture, ChannelInstallEqualsDirectInstall) {
 TEST_F(P4rtFixture, UninstallRemovesEverything) {
   const auto id = make_group(12, 11);
   const auto& g = controller.group(id);
-  install_via_channel(controller, id, fabric);
-  apply_updates(fabric, decode(encode(compile_uninstall(controller, id))));
+  send_over_wire(compile_install(controller, id));
+  send_over_wire(compile_uninstall(controller, id));
 
   const auto result = fabric.send(g.members[0].host, g.address, 64);
   EXPECT_TRUE(result.host_copies.empty());
   for (topo::LeafId l = 0; l < topology.num_leaves(); ++l) {
     EXPECT_EQ(fabric.leaf(l).srule_count(), 0u);
   }
+}
+
+TEST_F(P4rtFixture, UninstallDeletesCarryOnlyTheRuleLocation) {
+  const auto id = make_group(16, 15, /*tenant=*/7);  // FLOW_ADDs carry vni 7
+  const auto installs = compile_install(controller, id);
+  const auto deletes = compile_uninstall(controller, id);
+  ASSERT_EQ(deletes.size(), installs.size());
+  for (std::size_t i = 0; i < deletes.size(); ++i) {
+    Update expected;  // the matching add's location, nothing else
+    expected.group = installs[i].group;
+    if (installs[i].kind == UpdateKind::kHypervisorFlowAdd) {
+      expected.kind = UpdateKind::kHypervisorFlowDel;
+      expected.host = installs[i].host;
+    } else {
+      expected.kind = UpdateKind::kSRuleDel;
+      expected.layer = installs[i].layer;
+      expected.switch_id = installs[i].switch_id;
+    }
+    EXPECT_EQ(deletes[i], expected) << "update " << i;
+  }
+  EXPECT_EQ(decode(encode(deletes)), deletes);  // the wire drops nothing
 }
 
 TEST_F(P4rtFixture, DecodeRejectsMalformedStreams) {
