@@ -12,9 +12,10 @@
 //   stuck_spine  every spine silently downed: ingress continues, egress zero
 //   churn_lag    synthetic install-lag p99 series stepping past its budget
 //
-// The sweep also times the sampling hot path itself: a batched fanout-512
-// walk with and without a per-batch Fabric::sample_into + advance, reported
-// as sampling_overhead_pct against the existing ±8% telemetry budget.
+// The sweep also times the sampling hot path itself: the fanout-512 send()
+// loop with and without a Fabric::sample_into + advance every 64 sends,
+// reported as sampling_overhead_pct against the existing ±8% telemetry
+// budget.
 //
 // Output is JSON on stdout (recorded as bench/results/BENCH_health_sweep.json)
 // closed by a `RUN {...}` metadata line on stderr so a stdout redirect
@@ -159,21 +160,18 @@ SeedOutcome run_seed(Arm arm, std::uint64_t seed, std::size_t fanout,
   return out;
 }
 
-// Sampling-overhead referee: the batched fanout-512 walk with a per-batch
-// sample_into + advance versus without. Must stay within the ±8% budget the
-// metrics-on walk already honors.
-double sampling_overhead_pct(std::size_t iterations, std::size_t batch) {
+// Sampling-overhead referee: the fanout-512 send() loop with a
+// sample_into + advance every `sample_every` sends versus without. Must stay
+// within the ±8% budget the metrics-on walk already honors.
+double sampling_overhead_pct(std::size_t iterations, std::size_t sample_every) {
   Bench b{512};
-  const std::vector<sim::SendRequest> requests(
-      batch, sim::SendRequest{0, b.group, 64});
-  const sim::BatchOptions options{1};
   obs::TimeSeriesStore store{64};
 
   auto timed = [&](bool sample) {
     const auto start = std::chrono::steady_clock::now();
-    for (std::size_t done = 0; done < iterations; done += batch) {
-      (void)b.fabric.send_batch(std::span{requests}, options);
-      if (sample) {
+    for (std::size_t i = 0; i < iterations; ++i) {
+      (void)b.fabric.send(0, b.group, std::size_t{64});
+      if (sample && (i + 1) % sample_every == 0) {
         b.fabric.sample_into(store);
         store.advance();
       }

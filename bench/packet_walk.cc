@@ -13,18 +13,14 @@
 // JSON reports both throughputs plus the relative overhead. The budget is
 // <= 2% metrics-off vs a build without the telemetry layer, <= 8% on.
 //
-// Walk-mode knobs (DESIGN.md §12): --batch=N drains sends through the
-// batched, sharded walk (sim::Fabric::send_batch) N at a time instead of
-// the serial send() loop, and --threads=T shards each wave across T
-// workers. Every batched run self-checks one batch against the serial
-// reference ("matches_serial") — the batched walk is bit-identical at any
-// thread count, so on a 1-core host the determinism check is the result
-// (see hardware_threads in the output header and RUN line).
+// hardware_threads in the output header and RUN line records the core
+// count of the producing host; the walk itself is single-threaded
+// (DESIGN.md §12).
 //
 // --sample=1 (DESIGN.md §14) additionally ticks Fabric::sample_into into a
-// health TimeSeriesStore once per batch (or per 64 serial sends) during the
-// metrics-on leg, so metrics_on_overhead_pct doubles as the live-sampling
-// overhead referee; bench/health_sweep measures the same path in isolation.
+// health TimeSeriesStore once per 64 sends during the metrics-on leg, so
+// metrics_on_overhead_pct doubles as the live-sampling overhead referee;
+// bench/health_sweep measures the same path in isolation.
 //
 // Output is JSON on stdout, one object per fanout, closed by a `RUN {...}`
 // metadata line; recorded snapshots live in bench/results/
@@ -36,7 +32,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -62,21 +57,12 @@ struct RunResult {
   std::uint64_t wire_bytes_per_send = 0;
   std::uint64_t link_transmissions_per_send = 0;
   std::size_t hosts_reached = 0;
-  bool matches_serial = true;  // batched mode: one batch vs serial reference
   std::uint64_t sampled_windows = 0;  // --sample=1: health windows closed
   std::size_t sampled_series = 0;     //             distinct series stored
 };
 
-bool same_send(const sim::SendResult& a, const sim::SendResult& b) {
-  return a.host_copies == b.host_copies && a.vm_deliveries == b.vm_deliveries &&
-         a.total_wire_bytes == b.total_wire_bytes &&
-         a.total_link_transmissions == b.total_link_transmissions &&
-         a.max_hops == b.max_hops;
-}
-
 RunResult run_fanout(std::size_t fanout, std::size_t payload_bytes,
-                     std::size_t iterations, std::size_t batch,
-                     std::size_t threads, bool sample,
+                     std::size_t iterations, bool sample,
                      sim::FlightRecorder* recorder) {
   // Two-tier leaf-spine: 32 leaves x 32 hosts = 1,024 hosts, enough for the
   // widest fanout while keeping fabric construction cheap.
@@ -103,45 +89,19 @@ RunResult run_fanout(std::size_t fanout, std::size_t payload_bytes,
   const auto probe = fabric.send(0, group, payload);
   for (int i = 0; i < 3; ++i) (void)fabric.send(0, group, payload);
 
-  RunResult r;
-  const std::vector<sim::SendRequest> requests(
-      std::max<std::size_t>(batch, 1),
-      sim::SendRequest{0, group, payload_bytes});
-  const sim::BatchOptions options{threads};
-  std::size_t loop_sends = iterations;
-  if (batch > 0) {
-    // Self-check: the batched walk must reproduce the serial reference
-    // bit-exactly (DESIGN.md §12) — also warms the shard scratch.
-    for (const auto& result :
-         fabric.send_batch(std::span{requests}, options)) {
-      r.matches_serial = r.matches_serial && same_send(result, probe);
-    }
-    loop_sends = (iterations + batch - 1) / batch * batch;
-  }
-
   auto& reg = obs::MetricsRegistry::global();
   const bool metrics_requested = reg.enabled();
-  // Health sampling cadence: one window per batch, or per 64 serial sends
-  // (a "wave" of the serial loop). Only the metrics-on leg samples.
+  // Health sampling cadence: one window per 64 sends. Only the metrics-on
+  // leg samples.
   obs::TimeSeriesStore store{64};
-  constexpr std::size_t kSerialWave = 64;
+  constexpr std::size_t kSampleEvery = 64;
   auto timed_loop = [&](obs::TimeSeriesStore* ts) {
     const auto start = std::chrono::steady_clock::now();
-    if (batch == 0) {
-      for (std::size_t i = 0; i < iterations; ++i) {
-        (void)fabric.send(0, group, payload);
-        if (ts != nullptr && (i + 1) % kSerialWave == 0) {
-          fabric.sample_into(*ts);
-          ts->advance();
-        }
-      }
-    } else {
-      for (std::size_t done = 0; done < loop_sends; done += batch) {
-        (void)fabric.send_batch(std::span{requests}, options);
-        if (ts != nullptr) {
-          fabric.sample_into(*ts);
-          ts->advance();
-        }
+    for (std::size_t i = 0; i < iterations; ++i) {
+      (void)fabric.send(0, group, payload);
+      if (ts != nullptr && (i + 1) % kSampleEvery == 0) {
+        fabric.sample_into(*ts);
+        ts->advance();
       }
     }
     return std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -156,12 +116,12 @@ RunResult run_fanout(std::size_t fanout, std::size_t payload_bytes,
   const double off_elapsed = timed_loop(nullptr);
   const auto copies = net::copy_stats();
   const double bytes_copied =
-      static_cast<double>(copies.bytes) / static_cast<double>(loop_sends);
+      static_cast<double>(copies.bytes) / static_cast<double>(iterations);
   const double copy_count =
-      static_cast<double>(copies.copies) / static_cast<double>(loop_sends);
+      static_cast<double>(copies.copies) / static_cast<double>(iterations);
 
   // Leg 2: telemetry enabled — same loop, counters and spans live, plus the
-  // per-wave health sampling tick when --sample=1.
+  // health sampling tick when --sample=1.
   reg.set_enabled(true);
   const double on_elapsed = timed_loop(sample ? &store : nullptr);
   if (metrics_requested) {
@@ -176,8 +136,9 @@ RunResult run_fanout(std::size_t fanout, std::size_t payload_bytes,
     fabric.set_recorder(nullptr);
   }
 
-  r.sends_per_sec = static_cast<double>(loop_sends) / off_elapsed;
-  r.sends_per_sec_metrics_on = static_cast<double>(loop_sends) / on_elapsed;
+  RunResult r;
+  r.sends_per_sec = static_cast<double>(iterations) / off_elapsed;
+  r.sends_per_sec_metrics_on = static_cast<double>(iterations) / on_elapsed;
   r.metrics_on_overhead_pct =
       (off_elapsed > 0 ? (on_elapsed / off_elapsed - 1.0) * 100.0 : 0.0);
   r.bytes_copied_per_send = bytes_copied;
@@ -198,10 +159,6 @@ int main(int argc, char** argv) {
       0, flags.get_int("PAYLOAD", 256)));  // ELMO_PAYLOAD / PAYLOAD=...
   const auto scale = static_cast<std::size_t>(
       std::max<std::int64_t>(1, flags.get_int("SCALE", 1)));
-  const auto batch = static_cast<std::size_t>(
-      std::max<std::int64_t>(0, flags.get_int("BATCH", 0)));
-  const auto threads = static_cast<std::size_t>(
-      std::max<std::int64_t>(1, flags.get_int("THREADS", 1)));
   const bool sample = flags.get_bool("SAMPLE", false);
   const auto metrics_path = flags.get_string("METRICS", "");
   const auto trace_path = flags.get_string("TRACE", "");
@@ -212,38 +169,33 @@ int main(int argc, char** argv) {
   elmo::sim::FlightRecorder recorder;
 
   std::printf("{\n  \"bench\": \"packet_walk\",\n  \"payload_bytes\": %zu,\n"
-              "  \"batch\": %zu,\n  \"threads\": %zu,\n"
               "  \"hardware_threads\": %u,\n  \"results\": [\n",
-              payload, batch, threads, hardware_threads);
+              payload, hardware_threads);
   const std::size_t fanouts[] = {8, 64, 512};
   const std::size_t iters[] = {4000 * scale, 1000 * scale, 200 * scale};
-  bool all_match = true;
   for (std::size_t i = 0; i < 3; ++i) {
-    const auto r =
-        run_fanout(fanouts[i], payload, iters[i], batch, threads, sample,
-                   trace_path.empty() ? nullptr : &recorder);
-    all_match = all_match && r.matches_serial;
+    const auto r = run_fanout(fanouts[i], payload, iters[i], sample,
+                              trace_path.empty() ? nullptr : &recorder);
     std::printf(
         "    {\"fanout\": %zu, \"sends_per_sec\": %.0f, "
         "\"sends_per_sec_metrics_on\": %.0f, "
         "\"metrics_on_overhead_pct\": %.1f, "
         "\"bytes_copied_per_send\": %.1f, \"copies_per_send\": %.2f, "
         "\"wire_bytes_per_send\": %llu, \"link_transmissions_per_send\": "
-        "%llu, \"hosts_reached\": %zu, \"matches_serial\": %s, "
+        "%llu, \"hosts_reached\": %zu, "
         "\"sampled_windows\": %llu, \"sampled_series\": %zu}%s\n",
         fanouts[i], r.sends_per_sec, r.sends_per_sec_metrics_on,
         r.metrics_on_overhead_pct, r.bytes_copied_per_send, r.copies_per_send,
         static_cast<unsigned long long>(r.wire_bytes_per_send),
         static_cast<unsigned long long>(r.link_transmissions_per_send),
-        r.hosts_reached, r.matches_serial ? "true" : "false",
+        r.hosts_reached,
         static_cast<unsigned long long>(r.sampled_windows), r.sampled_series,
         i + 1 < 3 ? "," : "");
   }
   std::printf("  ]\n}\n");
   std::printf("RUN {\"bench\": \"packet_walk\", \"payload_bytes\": %zu, "
-              "\"scale\": %zu, \"batch\": %zu, \"threads\": %zu, "
-              "\"hardware_threads\": %u}\n",
-              payload, scale, batch, threads, hardware_threads);
+              "\"scale\": %zu, \"hardware_threads\": %u}\n",
+              payload, scale, hardware_threads);
 
   if (!metrics_path.empty()) {
     elmo::obs::write_metrics(metrics_path, reg.snapshot());
@@ -251,5 +203,5 @@ int main(int argc, char** argv) {
   if (!trace_path.empty()) {
     recorder.write(trace_path);
   }
-  return all_match ? 0 : 1;
+  return 0;
 }

@@ -22,9 +22,10 @@
 namespace elmo::net {
 
 // Global accounting of deep packet-byte copies (copy construction/assignment
-// of Packet, PacketView materialization). Counted with relaxed atomics so the
-// sharded fabric walk (DESIGN.md §12) can deep-copy from worker threads;
-// benches reset the counters around a measured section and read a snapshot.
+// of Packet, PacketView materialization). Counted with relaxed atomics: the
+// counters are process-global, and fabrics walked on different threads
+// (DESIGN.md §12) share them; benches reset the counters around a measured
+// section and read a snapshot.
 struct CopyStats {
   std::uint64_t copies = 0;
   std::uint64_t bytes = 0;

@@ -28,22 +28,11 @@ const char* to_string(RuleClass rule) {
   return "?";
 }
 
-SendTrace make_trace(std::uint32_t group, std::uint32_t src_host,
-                     std::size_t bytes) {
-  SendTrace trace;
-  trace.group = group;
-  trace.src_host = src_host;
-  ProvHop root;
-  root.layer = topo::Layer::kHost;
-  root.node = src_host;
-  root.bytes_in = bytes;
-  root.decision.rule = RuleClass::kSource;
-  trace.hops.push_back(std::move(root));
-  return trace;
-}
+namespace {
 
+// Appends a hop to `trace` and links it under `parent`; returns its index.
 std::size_t add_hop(SendTrace& trace, topo::Layer layer, std::uint32_t node,
-                    std::size_t parent, std::size_t bytes_in) {
+                    std::size_t parent, std::size_t bytes_in, bool lost) {
   auto& hops = trace.hops;
   const std::size_t index = hops.size();
   ProvHop hop;
@@ -51,52 +40,42 @@ std::size_t add_hop(SendTrace& trace, topo::Layer layer, std::uint32_t node,
   hop.node = node;
   hop.parent = parent;
   hop.bytes_in = bytes_in;
+  hop.lost = lost;
   hops.push_back(std::move(hop));
   if (parent != kNoProvParent) hops[parent].children.push_back(index);
   return index;
 }
 
-void add_lost(SendTrace& trace, topo::Layer layer, std::uint32_t node,
-              std::size_t parent) {
-  auto& hops = trace.hops;
-  const std::size_t index = hops.size();
-  ProvHop hop;
-  hop.layer = layer;
-  hop.node = node;
-  hop.parent = parent;
-  hop.lost = true;
-  hops.push_back(std::move(hop));
-  if (parent != kNoProvParent) hops[parent].children.push_back(index);
-}
+}  // namespace
 
 std::size_t ProvenanceLog::begin_send(std::uint32_t group,
                                       std::uint32_t src_host,
                                       std::size_t bytes) {
-  sends_.push_back(make_trace(group, src_host, bytes));
+  auto& trace = sends_.emplace_back();
+  trace.group = group;
+  trace.src_host = src_host;
+  const auto root =
+      add_hop(trace, topo::Layer::kHost, src_host, kNoProvParent, bytes, false);
+  trace.hops[root].decision.rule = RuleClass::kSource;
   open_ = kNoProvParent;
-  return 0;
+  return root;
 }
 
 std::size_t ProvenanceLog::begin_hop(topo::Layer layer, std::uint32_t node,
                                      std::size_t parent,
                                      std::size_t bytes_in) {
-  open_ = add_hop(sends_.back(), layer, node, parent, bytes_in);
+  open_ = add_hop(sends_.back(), layer, node, parent, bytes_in, false);
   return open_;
 }
 
 void ProvenanceLog::lost_copy(topo::Layer layer, std::uint32_t node,
                               std::size_t parent) {
-  add_lost(sends_.back(), layer, node, parent);
+  add_hop(sends_.back(), layer, node, parent, 0, true);
 }
 
 void ProvenanceLog::record_decision(const HopDecision& decision) {
   if (sends_.empty() || open_ == kNoProvParent) return;
   sends_.back().hops[open_].decision = decision;
-}
-
-void ProvenanceLog::append_trace(SendTrace&& trace) {
-  sends_.push_back(std::move(trace));
-  open_ = kNoProvParent;
 }
 
 void ProvenanceLog::clear() {

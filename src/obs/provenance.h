@@ -89,16 +89,6 @@ struct SendTrace {
   std::vector<ProvHop> hops;
 };
 
-// Trace-building primitives shared by ProvenanceLog's live cursor and the
-// batched walk, which assembles one SendTrace per send off to the side and
-// appends finished traces in send order (DESIGN.md §12).
-SendTrace make_trace(std::uint32_t group, std::uint32_t src_host,
-                     std::size_t bytes);
-std::size_t add_hop(SendTrace& trace, topo::Layer layer, std::uint32_t node,
-                    std::size_t parent, std::size_t bytes_in);
-void add_lost(SendTrace& trace, topo::Layer layer, std::uint32_t node,
-              std::size_t parent);
-
 class ProvenanceLog final : public ProvenanceSink {
  public:
   // Starts a new trace rooted at the sending host; returns the root index.
@@ -116,10 +106,6 @@ class ProvenanceLog final : public ProvenanceSink {
   // Writes into the hop most recently opened by begin_hop(). Ignored when
   // no trace or hop is open (elements driven outside a fabric walk).
   void record_decision(const HopDecision& decision) override;
-
-  // Appends a trace assembled elsewhere (the batched walk builds per-send
-  // traces locally and commits them in send order). Closes any open hop.
-  void append_trace(SendTrace&& trace);
 
   const std::vector<SendTrace>& sends() const noexcept { return sends_; }
   bool empty() const noexcept { return sends_.empty(); }

@@ -16,7 +16,6 @@ namespace {
 // registry lock; the per-send hot path must not).
 struct FabricMetricIds {
   obs::MetricsRegistry::Id send_seconds;
-  obs::MetricsRegistry::Id batch_seconds;
   obs::MetricsRegistry::Id tte_join_seconds;
   obs::MetricsRegistry::Id tte_leave_seconds;
   FabricMetricIds() {
@@ -24,10 +23,6 @@ struct FabricMetricIds {
     send_seconds = reg.histogram(
         "elmo_fabric_send_seconds", obs::latency_bounds(),
         "Wall-clock time of one multicast fabric walk (event-queue drain)");
-    batch_seconds = reg.histogram(
-        "elmo_fabric_batch_seconds", obs::latency_bounds(),
-        "Wall-clock time of one batched fabric walk (all waves of one "
-        "send_batch call)");
     tte_join_seconds = reg.histogram(
         "elmo_tte_join_seconds", obs::latency_bounds(),
         "Time-to-effect of a join: churn-event ingest to the first "
@@ -453,231 +448,6 @@ SendResult Fabric::send(topo::HostId src, net::Ipv4Address group,
   return send(src, group, payload);
 }
 
-std::vector<SendResult> Fabric::send_batch(std::span<const SendRequest> requests,
-                                           const BatchOptions& options) {
-  std::vector<SendResult> results(requests.size());
-  if (requests.empty()) return results;
-
-  const std::size_t threads =
-      options.threads == 0 ? util::default_thread_count() : options.threads;
-  if (pool_ == nullptr || pool_->threads() != threads) {
-    pool_ = std::make_unique<util::ThreadPool>(threads);
-  }
-  const std::size_t nshards = pool_->threads();
-  if (shards_.size() < nshards) shards_.resize(nshards);
-
-  std::optional<obs::Span> span;
-  ELMO_METRIC(span.emplace(reg, fabric_metric_ids().batch_seconds));
-  ++walk_stats_.batch_walks;
-
-  // Per-send scratch: loss stream and (when a log is attached) the decision
-  // trace, assembled locally and committed in send order at the end.
-  std::vector<util::Rng> rngs(requests.size(), util::Rng{0});
-  std::vector<obs::SendTrace> traces;
-  if (prov_ != nullptr) traces.resize(requests.size());
-
-  wave_.clear();
-  next_wave_.clear();
-
-  // Phase A (serial): encapsulate every request and seed wave 0 with the
-  // exact effects a serial send() would produce up to its first enqueue.
-  std::vector<std::uint8_t> payload;  // reused scratch across requests
-  for (std::size_t r = 0; r < requests.size(); ++r) {
-    const auto& request = requests[r];
-    payload.assign(request.payload_bytes, 0xab);
-    auto encapsulated =
-        hypervisor(request.src).encapsulate(request.group, payload);
-    if (!encapsulated) continue;
-    net::PacketView packet{std::move(*encapsulated)};
-
-    if (recorder_ != nullptr) {
-      recorder_->send_begin(walk_stats_.sends, request.group.value,
-                            request.src);
-    }
-    ++walk_stats_.sends;
-    rngs[r] = util::Rng::stream(loss_seed_, send_ordinal_++);
-
-    const NodeRef src_node{topo::Layer::kHost, request.src};
-    const NodeRef first_leaf{topo::Layer::kLeaf,
-                             topo_->leaf_of_host(request.src)};
-    account(src_node, first_leaf, packet.size(), results[r]);
-
-    std::size_t prov_root = obs::kNoProvParent;
-    if (prov_ != nullptr) {
-      traces[r] =
-          obs::make_trace(request.group.value, request.src, packet.size());
-      prov_root = 0;
-    }
-    if (!lost_on(rngs[r], node_index(src_node), 0)) {
-      wave_.push_back(BatchItem{first_leaf, std::move(packet), 1, prov_root,
-                                static_cast<std::uint32_t>(r)});
-      ++walk_stats_.enqueues;
-    } else {
-      ++walk_stats_.lost_copies;
-      if (prov_ != nullptr) {
-        obs::add_lost(traces[r], first_leaf.layer, first_leaf.id, prov_root);
-      }
-    }
-  }
-
-  // While a log is attached, elements must write decisions into the shard
-  // that processes them; remember which elements were re-pointed so their
-  // sinks can be restored afterwards.
-  std::vector<dp::ForwardingElement*> swapped_elements;
-  std::vector<std::uint8_t> sink_swapped;
-  if (prov_ != nullptr) sink_swapped.assign(elements_.size(), 0);
-  auto restore_sinks = [&] {
-    for (auto* e : swapped_elements) e->set_provenance(prov_);
-    swapped_elements.clear();
-  };
-
-  std::vector<std::uint32_t> item_shard;
-  std::vector<std::uint32_t> item_local;
-
-  try {
-    while (!wave_.empty()) {
-      ++walk_stats_.batch_waves;
-      walk_stats_.max_queue_depth = std::max<std::uint64_t>(
-          walk_stats_.max_queue_depth, wave_.size());
-
-      for (std::size_t s = 0; s < nshards; ++s) {
-        shards_[s].arena.clear();
-        shards_[s].capture.decisions.clear();
-        shards_[s].items.clear();
-        shards_[s].spans.clear();
-      }
-      item_shard.resize(wave_.size());
-      item_local.resize(wave_.size());
-
-      // Shard by node: every element is processed by exactly one shard, and
-      // within it in global wave order — so per-element effect order (and
-      // with it every counter and multipath decision) does not depend on the
-      // thread count.
-      for (std::size_t i = 0; i < wave_.size(); ++i) {
-        const auto idx = node_index(wave_[i].at);
-        const auto s = static_cast<std::uint32_t>(idx % nshards);
-        item_shard[i] = s;
-        item_local[i] = static_cast<std::uint32_t>(shards_[s].items.size());
-        shards_[s].items.push_back(static_cast<std::uint32_t>(i));
-        if (prov_ != nullptr) {
-          if (!sink_swapped[idx]) {
-            sink_swapped[idx] = 1;
-            swapped_elements.push_back(elements_[idx]);
-          }
-          elements_[idx]->set_provenance(&shards_[s].capture);
-        }
-      }
-
-      // Parallel phase: run process() for every item into its shard's arena.
-      // Nothing shared is mutated: per-element counters belong to one shard,
-      // packet buffers are atomically refcounted, copy stats are atomic.
-      pool_->parallel_for(0, nshards, [&](std::size_t s) {
-        auto& shard = shards_[s];
-        for (const auto wi : shard.items) {
-          auto& item = wave_[wi];
-          if (item.at.layer != topo::Layer::kHost && item.hops > kMaxHops) {
-            throw std::runtime_error{
-                "Fabric: packet exceeded max hops (loop?)"};
-          }
-          const auto mark = shard.arena.mark();
-          (void)element(item.at).process(item.packet, 0, shard.arena);
-          shard.spans.emplace_back(
-              static_cast<std::uint32_t>(mark),
-              static_cast<std::uint32_t>(shard.arena.mark() - mark));
-        }
-      });
-
-      // Merge phase (serial, global wave order): apply accounting, loss
-      // draws, host deliveries, provenance and recorder effects exactly as
-      // the serial walk would, and build the next wave in order.
-      next_wave_.clear();
-      for (std::size_t i = 0; i < wave_.size(); ++i) {
-        auto& item = wave_[i];
-        auto& shard = shards_[item_shard[i]];
-        const auto [mark, count] = shard.spans[item_local[i]];
-        const auto emissions = shard.arena.since(mark).first(count);
-        auto& result = results[item.send];
-        auto& loss_rng = rngs[item.send];
-
-        ++walk_stats_.work_items;
-        const bool at_host = item.at.layer == topo::Layer::kHost;
-        if (!at_host) result.max_hops = std::max(result.max_hops, item.hops);
-
-        double item_start_us = 0;
-        if (recorder_ != nullptr) item_start_us = recorder_->now_us();
-
-        std::size_t prov_hop = obs::kNoProvParent;
-        if (prov_ != nullptr) {
-          auto& trace = traces[item.send];
-          prov_hop = obs::add_hop(trace, item.at.layer, item.at.id, item.prov,
-                                  item.packet.size());
-          trace.hops[prov_hop].decision =
-              shard.capture.decisions[item_local[i]];
-        }
-
-        auto pending = [&] {
-          return static_cast<std::uint32_t>(wave_.size() - i - 1 +
-                                            next_wave_.size());
-        };
-        if (at_host) {
-          result.vm_deliveries += emissions.size();
-          walk_stats_.vm_deliveries += emissions.size();
-          if (recorder_ != nullptr) {
-            recorder_->process(item.at, item_start_us,
-                               static_cast<std::uint32_t>(emissions.size()),
-                               pending(), static_cast<std::uint32_t>(item.hops));
-          }
-          continue;
-        }
-        const auto from_index = node_index(item.at);
-        for (auto& emission : emissions) {
-          const auto next = neighbor_of(item.at, emission.out_port);
-          account_port(from_index, emission.out_port, emission.packet.size(),
-                       result);
-          if (lost_on(loss_rng, from_index, emission.out_port)) {
-            ++walk_stats_.lost_copies;
-            if (prov_ != nullptr) {
-              obs::add_lost(traces[item.send], next.layer, next.id, prov_hop);
-            }
-            continue;
-          }
-          if (next.layer == topo::Layer::kHost) {
-            ++result.host_copies[next.id];
-            ++walk_stats_.host_copies;
-            if (!tte_watches_.empty()) {
-              tte_on_delivery(requests[item.send].group.value, next.id);
-            }
-            next_wave_.push_back(BatchItem{next, std::move(emission.packet),
-                                           item.hops, prov_hop, item.send});
-          } else {
-            next_wave_.push_back(BatchItem{next, std::move(emission.packet),
-                                           item.hops + 1, prov_hop,
-                                           item.send});
-          }
-          ++walk_stats_.enqueues;
-        }
-        if (recorder_ != nullptr) {
-          recorder_->process(item.at, item_start_us,
-                             static_cast<std::uint32_t>(emissions.size()),
-                             pending(), static_cast<std::uint32_t>(item.hops));
-        }
-      }
-      std::swap(wave_, next_wave_);
-    }
-  } catch (...) {
-    restore_sinks();
-    throw;
-  }
-  restore_sinks();
-
-  if (prov_ != nullptr) {
-    for (auto& trace : traces) {
-      if (!trace.hops.empty()) prov_->append_trace(std::move(trace));
-    }
-  }
-  return results;
-}
-
 SendResult Fabric::send_unicast(topo::HostId src, topo::HostId dst,
                                 std::size_t payload_bytes) {
   SendResult result;
@@ -914,10 +684,6 @@ void accumulate_fabric_metrics(const Fabric& fabric,
       "Bytes placed on the wire");
   add("elmo_fabric_lost_copies_total", w.lost_copies,
       "Copies dropped by the loss model");
-  add("elmo_fabric_batch_walks_total", w.batch_walks,
-      "Batched walk passes (send_batch calls)");
-  add("elmo_fabric_batch_waves_total", w.batch_waves,
-      "Level-synchronous waves run by batched walks");
   const auto depth_id = reg.gauge(
       "elmo_fabric_max_queue_depth",
       "High-water mark of pending event-queue items");

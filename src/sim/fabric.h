@@ -13,14 +13,9 @@
 // performs no steady-state allocation and no per-link deep copies (see
 // DESIGN.md, "Forwarding pipeline").
 //
-// Two walk modes share that pipeline (DESIGN.md §12):
-//   * send() — the serial reference: one FIFO drain per send.
-//   * send_batch() — batched + sharded: many sends advance together in
-//     level-synchronous waves; within a wave, elements are sharded across a
-//     util::ThreadPool and their emissions merged back serially in global
-//     wave order, so results (deliveries, link bytes, element counters,
-//     provenance traces, loss draws) are bit-identical to looping send() at
-//     any thread count.
+// send() is the only multicast walk: one FIFO drain per send. A fabric is
+// single-threaded; work that wants cores runs independent fabrics, one per
+// thread (DESIGN.md §12).
 //
 // Per-node and per-link state is flat and index-addressed: elements live in
 // one contiguous table and link counters in one contiguous array indexed by
@@ -43,7 +38,6 @@
 #include "obs/provenance.h"
 #include "obs/trace.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 #include "elmo/controller.h"
 #include "net/headers.h"
 #include "net/packet.h"
@@ -86,9 +80,7 @@ struct SendResult {
 
 // Aggregate event-queue activity across every send since construction (or
 // reset_walk_stats()). Complements per-element SwitchStats/HypervisorStats
-// with walk-level totals the queue itself observes. All fields except
-// max_queue_depth are identical between the serial and batched walk modes;
-// max_queue_depth is mode-specific (FIFO high-water vs widest wave).
+// with walk-level totals the queue itself observes.
 struct FabricWalkStats {
   std::uint64_t sends = 0;              // multicast walks started
   std::uint64_t unicast_sends = 0;
@@ -100,22 +92,6 @@ struct FabricWalkStats {
   std::uint64_t link_transmissions = 0;
   std::uint64_t wire_bytes = 0;
   std::uint64_t lost_copies = 0;        // dropped by the loss model
-  std::uint64_t batch_walks = 0;        // send_batch invocations
-  std::uint64_t batch_waves = 0;        // level-synchronous passes run
-};
-
-// One multicast send for Fabric::send_batch.
-struct SendRequest {
-  topo::HostId src = 0;
-  net::Ipv4Address group;
-  std::size_t payload_bytes = 0;
-};
-
-// Knobs for the batched walk. `threads == 1` runs the wave pipeline inline
-// (no worker threads); `0` means util::default_thread_count(). Output is
-// bit-identical at any value (DESIGN.md §12).
-struct BatchOptions {
-  std::size_t threads = 1;
 };
 
 class Fabric {
@@ -170,17 +146,6 @@ class Fabric {
   SendResult send(topo::HostId src, net::Ipv4Address group,
                   std::size_t payload_bytes);
 
-  // Walks a batch of sends together in level-synchronous waves, sharding
-  // each wave's elements across `options.threads` workers with per-shard
-  // emission arenas and a deterministic in-order merge. One result per
-  // request, bit-identical to calling send() per request in order — at any
-  // thread count (DESIGN.md §12).
-  std::vector<SendResult> send_batch(std::span<const SendRequest> requests,
-                                     const BatchOptions& options);
-  std::vector<SendResult> send_batch(std::span<const SendRequest> requests) {
-    return send_batch(requests, BatchOptions{});
-  }
-
   // Unicast VXLAN path between two hosts (baseline traffic and app-layer
   // replication). Standard IP routing is not the system under test, so this
   // walks the ECMP path directly and accounts bytes per link.
@@ -198,7 +163,7 @@ class Fabric {
   // each transmitted copy is independently dropped with probability `rate`
   // after being accounted on the wire. Draws come from a per-send stream
   // Rng::stream(seed, ordinal) — ordinal counts sends since set_loss — so a
-  // batched walk draws exactly what the serial walk would (DESIGN.md §12).
+  // send's draws do not depend on how many copies earlier sends made.
   void set_loss(double rate, std::uint64_t seed = 1) {
     loss_rate_ = rate;
     loss_seed_ = seed;
@@ -207,10 +172,10 @@ class Fabric {
 
   // Directed per-link loss override for gray-failure injection: copies
   // transmitted from `from` towards `to` are dropped with probability
-  // max(rate, global loss rate). Draws share the global loss stream, so the
-  // serial/batched equivalence of DESIGN.md §12 still holds (the draw order
-  // is identical; only the acceptance threshold differs per link). Does NOT
-  // reset the send ordinal — injection mid-run keeps the stream aligned.
+  // max(rate, global loss rate). Draws share the global loss stream: an
+  // override changes only the acceptance threshold, not the draw order.
+  // Does NOT reset the send ordinal — injection mid-run keeps the stream
+  // aligned.
   void set_link_loss(const NodeRef& from, const NodeRef& to, double rate);
   void clear_link_loss();
 
@@ -290,34 +255,6 @@ class Fabric {
     std::size_t prov = obs::kNoProvParent;  // parent hop in the decision tree
   };
 
-  // Batched-walk wave entry: a WorkItem tagged with its request index.
-  struct BatchItem {
-    NodeRef at;
-    net::PacketView packet;
-    std::size_t hops = 0;
-    std::size_t prov = obs::kNoProvParent;
-    std::uint32_t send = 0;  // index into the request batch
-  };
-
-  // Captures the one HopDecision each process() call records, in shard-local
-  // processing order (== global wave order restricted to the shard).
-  struct DecisionCapture final : obs::ProvenanceSink {
-    std::vector<obs::HopDecision> decisions;
-    void record_decision(const obs::HopDecision& decision) override {
-      decisions.push_back(decision);
-    }
-  };
-
-  // Per-shard scratch for one wave's parallel phase. Arenas persist across
-  // waves and batches so steady state allocates nothing.
-  struct ShardScratch {
-    dp::EmissionArena arena;
-    DecisionCapture capture;
-    std::vector<std::uint32_t> items;  // wave indices owned by this shard
-    // Per owned item: (arena mark, emission count).
-    std::vector<std::pair<std::uint32_t, std::uint32_t>> spans;
-  };
-
   // Contiguous node numbering: hosts, then leaves, spines, cores.
   std::size_t node_index(const NodeRef& node) const noexcept {
     return layer_base_[static_cast<std::size_t>(node.layer)] + node.id;
@@ -387,12 +324,6 @@ class Fabric {
   // Walk state, reused across sends (capacity persists, contents do not).
   std::deque<WorkItem> queue_;
   dp::EmissionArena arena_;
-
-  // Batched-walk state (lazily sized; capacity persists across batches).
-  std::unique_ptr<util::ThreadPool> pool_;
-  std::vector<ShardScratch> shards_;
-  std::vector<BatchItem> wave_;
-  std::vector<BatchItem> next_wave_;
 };
 
 // One-shot export: registers the telemetry names (idempotent) and adds the

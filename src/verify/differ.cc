@@ -398,17 +398,7 @@ class Runner {
         at + ": send group " + str(gi) + " from host " + str(sender);
 
     prov_log_.clear();
-    sim::SendResult res;
-    if (options_.walk_threads == 0) {
-      res = fabric_.send(sender, g.address, std::size_t{64});
-    } else {
-      // Batched-walk mode: the same send through send_batch, so every oracle
-      // diff doubles as a serial/batched equivalence check (DESIGN.md §12).
-      const sim::SendRequest request{sender, g.address, std::size_t{64}};
-      auto batch = fabric_.send_batch(
-          std::span{&request, 1}, sim::BatchOptions{options_.walk_threads});
-      res = std::move(batch.front());
-    }
+    const auto res = fabric_.send(sender, g.address, std::size_t{64});
     ++report_.sends_checked;
 
     // The analytic evaluator's view of the same send (same flow hash and

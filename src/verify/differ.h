@@ -121,12 +121,8 @@ struct RunObservability {
   obs::Tracer* tracer = nullptr;
 };
 
-// Execution knobs for one run. `walk_threads == 0` checks sends through the
-// serial Fabric::send() reference; any other value routes them through the
-// batched walk (Fabric::send_batch, DESIGN.md §12) with that worker count —
-// every oracle diff then doubles as a serial/batched equivalence check.
+// Execution knobs for one run.
 struct RunOptions {
-  std::size_t walk_threads = 0;
   // Route membership churn through the streaming control plane
   // (elmo::stream::ControlPlane): each join/leave is re-encoded
   // incrementally and installed as coalesced rule DELTAS over the p4rt wire

@@ -10,7 +10,6 @@
 #include <atomic>
 #include <memory>
 #include <set>
-#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -439,11 +438,11 @@ TEST(HealthTsan, ConcurrentRegistryScrapeAndTick) {
   EXPECT_TRUE(mon.incidents().empty());
 }
 
-// Detectors sampling concurrently with a batched walk: the walk's worker
-// threads publish spans into the global registry while the sampler thread
+// Detectors sampling concurrently with a fabric walk: the walker thread
+// publishes send spans into the global registry while the sampler thread
 // snapshots, ingests, and ticks. The registry's per-thread shards are the
 // only shared state — the walk's fabric is never read by the sampler.
-TEST(HealthTsan, SamplerRunsConcurrentlyWithBatchedWalk) {
+TEST(HealthTsan, SamplerRunsConcurrentlyWithWalk) {
   topo::ClosTopology topology{topo::ClosParams::small_test()};
   Controller controller{topology, EncoderConfig{}};
   std::vector<Member> members;
@@ -462,11 +461,8 @@ TEST(HealthTsan, SamplerRunsConcurrentlyWithBatchedWalk) {
 
   std::atomic<bool> done{false};
   std::thread walker{[&] {
-    const std::vector<sim::SendRequest> requests(
-        32, sim::SendRequest{0, address, 64});
-    const sim::BatchOptions options{2};
-    for (int i = 0; i < 40; ++i) {
-      (void)fabric.send_batch(std::span{requests}, options);
+    for (int i = 0; i < 40 * 32; ++i) {
+      (void)fabric.send(0, address, std::size_t{64});
     }
     done.store(true, std::memory_order_release);
   }};
@@ -479,12 +475,12 @@ TEST(HealthTsan, SamplerRunsConcurrentlyWithBatchedWalk) {
     (void)mon.tick();
   }
   walker.join();
-  store.ingest(reg.snapshot());  // final scrape sees every batch
+  store.ingest(reg.snapshot());  // final scrape sees every send
   (void)mon.tick();
   reg.set_enabled(was_enabled);
 
-  EXPECT_GE(store.samples("elmo_fabric_batch_seconds"), 1u);
-  EXPECT_EQ(store.last("elmo_fabric_batch_seconds")->value, 40.0);
+  EXPECT_GE(store.samples("elmo_fabric_send_seconds"), 1u);
+  EXPECT_EQ(store.last("elmo_fabric_send_seconds")->value, 1280.0);
   // The global registry carries no elmo_link_*/elmo_dp_* series here, so a
   // clean concurrent run must stay incident-free.
   EXPECT_TRUE(mon.incidents().empty());

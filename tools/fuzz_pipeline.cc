@@ -29,9 +29,6 @@
 //   --trace=<path>   single-seed replay only: record the fabric walk as
 //                    chrome://tracing JSON
 //   --artifacts=DIR  where failing-seed dumps land (default ".")
-//   --walk_threads=N diff sends through the batched fabric walk
-//                    (send_batch) with N workers instead of the serial
-//                    send() reference (default 0 = serial)
 //   --churn_events=N append N extra churn events (join/leave-biased, with
 //                    periodic sends) to every scenario and run it through
 //                    the STREAMING control plane: incremental re-encode +
@@ -67,9 +64,6 @@ using elmo::verify::Scenario;
 struct Options {
   bool do_shrink = true;
   bool verbose = false;
-  // 0 = serial Fabric::send(); N >= 1 = batched walk with N workers, so the
-  // whole campaign doubles as a serial/batched equivalence sweep.
-  std::size_t walk_threads = 0;
   std::string metrics;    // campaign-wide exposition path; empty = off
   std::string trace;      // single-seed replay trace path; empty = off
   std::string artifacts = ".";
@@ -191,7 +185,6 @@ int run_plain(std::uint64_t base, std::size_t seeds, const Options& opt) {
     RunObservability observability{registry, trace_on ? &recorder : nullptr};
     if (trace_on) observability.tracer = &tracer;
     elmo::verify::RunOptions run_options;
-    run_options.walk_threads = opt.walk_threads;
     run_options.delta_installs = opt.delta_installs;
     const auto report = elmo::verify::run_scenario(
         scenario, Mutation::kNone,
@@ -275,8 +268,6 @@ int main(int argc, char** argv) {
   opt.metrics = flags.get_string("METRICS", "");
   opt.trace = flags.get_string("TRACE", "");
   opt.artifacts = flags.get_string("ARTIFACTS", ".");
-  opt.walk_threads =
-      static_cast<std::size_t>(flags.get_int("WALK_THREADS", 0));
   opt.churn_events =
       static_cast<std::size_t>(flags.get_int("CHURN_EVENTS", 0));
   opt.delta_installs = flags.get_bool("DELTA", false) || opt.churn_events > 0;
