@@ -70,12 +70,12 @@ std::size_t NetworkSwitch::upstream_ports() const noexcept {
   }
 }
 
-NetworkSwitch::ParseResult NetworkSwitch::parse(
-    const net::PacketView& packet) const {
+const NetworkSwitch::ParseResult& NetworkSwitch::parse(
+    const net::PacketView& packet) {
   if (packet.size() < net::kOuterHeaderBytes) {
     throw std::invalid_argument{"NetworkSwitch: runt packet"};
   }
-  ParseResult result;
+  ParseResult& result = parsed_;
 
   // The outer encapsulation is always the contiguous front of the view; the
   // Elmo sections are the contiguous tail behind it (any popped sections are
@@ -90,49 +90,10 @@ NetworkSwitch::ParseResult NetworkSwitch::parse(
   result.outer_dst = ip.dst;
   // (UDP/VXLAN validated structurally by the offsets below.)
 
-  const auto elmo_span = packet.from(net::kOuterHeaderBytes);
-  result.sections = codec_.scan_sections(elmo_span);
-  const auto header = codec_.parse(elmo_span);
-
-  switch (layer_) {
-    case topo::Layer::kLeaf:
-      result.upstream = header.u_leaf;
-      result.default_rule = header.leaf_default;
-      for (std::size_t ri = 0; ri < header.leaf_rules.size(); ++ri) {
-        const auto& rule = header.leaf_rules[ri];
-        for (const auto rid : rule.switch_ids) {
-          if (rid == match_id_) {
-            result.matched = rule.bitmap;
-            result.matched_index = static_cast<int>(ri);
-            result.matched_shared = rule.switch_ids.size() > 1;
-            break;
-          }
-        }
-        if (result.matched) break;  // parser skips remaining p-rules
-      }
-      break;
-    case topo::Layer::kSpine:
-      result.upstream = header.u_spine;
-      result.default_rule = header.spine_default;
-      for (std::size_t ri = 0; ri < header.spine_rules.size(); ++ri) {
-        const auto& rule = header.spine_rules[ri];
-        for (const auto rid : rule.switch_ids) {
-          if (rid == match_id_) {
-            result.matched = rule.bitmap;
-            result.matched_index = static_cast<int>(ri);
-            result.matched_shared = rule.switch_ids.size() > 1;
-            break;
-          }
-        }
-        if (result.matched) break;
-      }
-      break;
-    case topo::Layer::kCore:
-      result.core_bitmap = header.core_pods;
-      break;
-    case topo::Layer::kHost:
-      break;
-  }
+  // One scan of the Elmo sections: p-rule ids are compared in place and
+  // only this layer's bitmaps are decoded; the rest are stepped over.
+  codec_.parse_layer(packet.from(net::kOuterHeaderBytes), layer_, match_id_,
+                     result);
   return result;
 }
 
@@ -232,7 +193,7 @@ std::span<Emission> NetworkSwitch::process(const net::PacketView& packet,
     return out;
   }
 
-  const auto pr = parse(packet);
+  const auto& pr = parse(packet);
   const auto hash = flow_hash(pr.outer_src, pr.outer_dst);
 
   // Where do downstream copies point, and which section does the next hop

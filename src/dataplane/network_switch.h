@@ -26,7 +26,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -145,19 +144,15 @@ class NetworkSwitch : public ForwardingElement {
   void reset_stats() noexcept { stats_ = SwitchStats{}; }
 
  private:
-  struct ParseResult {
-    std::optional<elmo::UpstreamRule> upstream;  // this layer's u-rule
-    std::optional<net::PortBitmap> matched;      // p-rule bitmap for this switch
-    int matched_index = -1;      // index of the matched p-rule in its section
-    bool matched_shared = false;  // matched p-rule lists >1 switch id
-    std::optional<net::PortBitmap> default_rule;
-    std::optional<net::PortBitmap> core_bitmap;  // core layer only
-    std::vector<elmo::SectionExtent> sections;   // relative to elmo offset
+  // The parser's metadata for one packet: this switch's layer of the Elmo
+  // header (HeaderCodec::parse_layer) plus the outer addresses.
+  struct ParseResult : elmo::LayerParse {
     net::Ipv4Address outer_src;
     net::Ipv4Address outer_dst;
   };
 
-  ParseResult parse(const net::PacketView& packet) const;
+  // Parses into parsed_, which is reused so that a hop allocates nothing.
+  const ParseResult& parse(const net::PacketView& packet);
 
   // Bytes (from the start of the Elmo header) to drop so the copy starts at
   // the first section the receiver still needs.
@@ -187,6 +182,7 @@ class NetworkSwitch : public ForwardingElement {
   MultipathMode multipath_mode_ = MultipathMode::kEcmp;
   std::vector<std::uint64_t> uplink_load_;
   EmissionArena compat_arena_;  // scratch for the Packet wrapper
+  ParseResult parsed_;          // scratch for parse()
 };
 
 }  // namespace elmo::dp

@@ -1,6 +1,8 @@
 #include "elmo/header.h"
 
+#include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 namespace elmo {
 namespace {
@@ -10,29 +12,128 @@ constexpr unsigned kCountBits = 7;
 static_assert(kMaxRulesPerLayer == (1u << kCountBits) - 1,
               "kMaxRulesPerLayer must match the wire count field width");
 
-void write_upstream(net::BitWriter& out, const UpstreamRule& rule) {
-  out.write_bool(rule.multipath);
-  for (std::size_t p = 0; p < rule.up.size(); ++p) out.write_bool(rule.up.test(p));
-  for (std::size_t p = 0; p < rule.down.size(); ++p) {
-    out.write_bool(rule.down.test(p));
+// Port bitmaps go on the wire port 0 first, one 64-port word per call:
+// a PortBitmap word holds port 0 in its LSB, so each word is bit-reversed.
+void write_bitmap(net::BitWriter& out, const net::PortBitmap& bitmap) {
+  std::size_t left = bitmap.size();
+  for (const auto word : bitmap.words()) {
+    const auto n = static_cast<unsigned>(std::min<std::size_t>(left, 64));
+    out.write(net::reverse_bits(word) >> (64 - n), n);
+    left -= n;
   }
 }
 
-}  // namespace
-
-void HeaderCodec::write_bitmap(net::BitWriter& out,
-                               const net::PortBitmap& bitmap) const {
-  for (std::size_t p = 0; p < bitmap.size(); ++p) out.write_bool(bitmap.test(p));
-}
-
-net::PortBitmap HeaderCodec::read_bitmap(net::BitReader& in,
-                                         std::size_t ports) const {
+net::PortBitmap read_bitmap(net::BitReader& in, std::size_t ports) {
   net::PortBitmap bitmap{ports};
-  for (std::size_t p = 0; p < ports; ++p) {
-    if (in.read_bool()) bitmap.set(p);
+  for (std::size_t wi = 0; ports > 0; ++wi) {
+    const auto n = static_cast<unsigned>(std::min<std::size_t>(ports, 64));
+    bitmap.set_word(wi, net::reverse_bits(in.read(n) << (64 - n)));
+    ports -= n;
   }
   return bitmap;
 }
+
+void write_upstream(net::BitWriter& out, const UpstreamRule& rule) {
+  out.write_bool(rule.multipath);
+  write_bitmap(out, rule.up);
+  write_bitmap(out, rule.down);
+}
+
+// A bitmap the walker stepped over; decoded only if a visitor asks.
+struct BitmapAt {
+  net::BitReader at;  // positioned at the bitmap's first bit
+  std::size_t ports;
+
+  net::PortBitmap decode() const {
+    auto in = at;
+    return read_bitmap(in, ports);
+  }
+};
+
+// Visitor that ignores everything; visitors derive from it and hide the
+// callbacks they care about.
+struct SkipAll {
+  void upstream(SectionTag, bool /*multipath*/, const BitmapAt& /*up*/,
+                const BitmapAt& /*down*/) {}
+  void core(const BitmapAt&) {}
+  void rule_id(SectionTag, std::uint32_t) {}              // each id of a p-rule
+  void rule_end(SectionTag, const BitmapAt& /*bitmap*/) {}  // after its last id
+  void default_rule(SectionTag, const BitmapAt&) {}
+  void extent(const SectionExtent&) {}
+};
+
+// The one reader of the section grammar (header.h). It steps over every
+// bitmap without decoding it, tells the visitor what it passed, and
+// returns the header length in bytes. A truncated header throws
+// std::out_of_range, an unknown tag std::invalid_argument.
+template <typename Visitor>
+std::size_t walk(const topo::ClosTopology& t,
+                 std::span<const std::uint8_t> data, Visitor& visit) {
+  net::BitReader in{data};
+  auto bitmap = [&](std::size_t ports) {
+    const BitmapAt at{in, ports};
+    in.skip(ports);
+    return at;
+  };
+  while (true) {
+    SectionExtent extent;
+    extent.begin = in.byte_position();
+    if (in.bits_remaining() < kTagBits) {
+      throw std::out_of_range{"ElmoHeader: missing END section"};
+    }
+    extent.tag = static_cast<SectionTag>(in.read(kTagBits));
+    switch (extent.tag) {
+      case SectionTag::kEnd:
+        break;
+      case SectionTag::kULeaf:
+      case SectionTag::kUSpine: {
+        const bool leaf = extent.tag == SectionTag::kULeaf;
+        const bool multipath = in.read_bool();
+        const auto up = bitmap(leaf ? t.leaf_up_ports() : t.spine_up_ports());
+        const auto down =
+            bitmap(leaf ? t.leaf_down_ports() : t.spine_down_ports());
+        visit.upstream(extent.tag, multipath, up, down);
+        break;
+      }
+      case SectionTag::kCore:
+        visit.core(bitmap(t.core_ports()));
+        break;
+      case SectionTag::kSpineRules:
+      case SectionTag::kLeafRules: {
+        const bool leaf = extent.tag == SectionTag::kLeafRules;
+        const std::size_t ports =
+            leaf ? t.leaf_down_ports() : t.spine_down_ports();
+        const unsigned id_bits = leaf ? t.leaf_id_bits() : t.pod_id_bits();
+        const bool has_default = in.read_bool();
+        const auto count = in.read(kCountBits);
+        for (std::uint64_t r = 0; r < count; ++r) {
+          const auto rule = bitmap(ports);
+          do {
+            visit.rule_id(extent.tag,
+                          static_cast<std::uint32_t>(in.read(id_bits)));
+          } while (in.read_bool());
+          visit.rule_end(extent.tag, rule);
+        }
+        if (has_default) visit.default_rule(extent.tag, bitmap(ports));
+        break;
+      }
+      default:
+        throw std::invalid_argument{"ElmoHeader: unknown section tag"};
+    }
+    in.align_to_byte();
+    extent.end = in.byte_position();
+    visit.extent(extent);
+    if (extent.tag == SectionTag::kEnd) return extent.end;
+  }
+}
+
+UpstreamRule decode_upstream(bool multipath, const BitmapAt& up,
+                             const BitmapAt& down) {
+  return UpstreamRule{
+      .down = down.decode(), .up = up.decode(), .multipath = multipath};
+}
+
+}  // namespace
 
 void HeaderCodec::write_rule_layer(
     net::BitWriter& out, SectionTag tag, const std::vector<PRule>& rules,
@@ -90,131 +191,118 @@ std::vector<std::uint8_t> HeaderCodec::serialize(
 }
 
 ParsedHeader HeaderCodec::parse(std::span<const std::uint8_t> data) const {
-  ParsedHeader header;
-  net::BitReader in{data};
+  struct Decoder : SkipAll {
+    ParsedHeader header;
+    PRule rule;  // p-rule whose ids are being read
 
-  auto read_upstream = [&](std::size_t up_ports, std::size_t down_ports) {
-    UpstreamRule rule;
-    rule.multipath = in.read_bool();
-    rule.up = read_bitmap(in, up_ports);
-    rule.down = read_bitmap(in, down_ports);
-    return rule;
-  };
+    void upstream(SectionTag tag, bool multipath, const BitmapAt& up,
+                  const BitmapAt& down) {
+      (tag == SectionTag::kULeaf ? header.u_leaf : header.u_spine) =
+          decode_upstream(multipath, up, down);
+    }
+    void core(const BitmapAt& pods) { header.core_pods = pods.decode(); }
+    void rule_id(SectionTag, std::uint32_t id) {
+      rule.switch_ids.push_back(id);
+    }
+    void rule_end(SectionTag tag, const BitmapAt& bitmap) {
+      rule.bitmap = bitmap.decode();
+      (tag == SectionTag::kLeafRules ? header.leaf_rules : header.spine_rules)
+          .push_back(std::exchange(rule, PRule{}));
+    }
+    void default_rule(SectionTag tag, const BitmapAt& bitmap) {
+      (tag == SectionTag::kLeafRules ? header.leaf_default
+                                     : header.spine_default) = bitmap.decode();
+    }
+  } decoder;
+  walk(*topo_, data, decoder);
+  return std::move(decoder.header);
+}
 
-  auto read_rule_layer = [&](std::size_t ports, unsigned id_bits,
-                             std::vector<PRule>& rules,
-                             std::optional<net::PortBitmap>& default_rule) {
-    const bool has_default = in.read_bool();
-    const auto count = in.read(kCountBits);
-    for (std::uint64_t r = 0; r < count; ++r) {
-      PRule rule;
-      rule.bitmap = read_bitmap(in, ports);
-      bool more = true;
-      while (more) {
-        rule.switch_ids.push_back(static_cast<std::uint32_t>(in.read(id_bits)));
-        more = in.read_bool();
+void HeaderCodec::parse_layer(std::span<const std::uint8_t> data,
+                              topo::Layer layer, std::uint32_t match_id,
+                              LayerParse& out) const {
+  // Decodes the sections of one layer; kEnd marks "this layer has none".
+  struct OwnLayer : SkipAll {
+    LayerParse& out;
+    SectionTag upstream_tag;
+    SectionTag rules_tag;
+    bool decode_core;
+    std::uint32_t match_id;
+    int rule_index = 0;  // own-layer p-rules passed, across sections
+    std::size_t ids = 0;  // ids of the current p-rule
+    bool hit = false;     // the current p-rule names match_id
+
+    void upstream(SectionTag tag, bool multipath, const BitmapAt& up,
+                  const BitmapAt& down) {
+      if (tag == upstream_tag) {
+        out.upstream = decode_upstream(multipath, up, down);
       }
-      rules.push_back(std::move(rule));
     }
-    if (has_default) default_rule = read_bitmap(in, ports);
+    void core(const BitmapAt& pods) {
+      if (decode_core) out.core_bitmap = pods.decode();
+    }
+    void rule_id(SectionTag tag, std::uint32_t id) {
+      if (tag != rules_tag) return;
+      ++ids;
+      hit = hit || id == match_id;
+    }
+    void rule_end(SectionTag tag, const BitmapAt& bitmap) {
+      if (tag != rules_tag) return;
+      if (hit && !out.matched) {  // the parser keeps the first match
+        out.matched = bitmap.decode();
+        out.matched_index = rule_index;
+        out.matched_shared = ids > 1;
+      }
+      ++rule_index;
+      ids = 0;
+      hit = false;
+    }
+    void default_rule(SectionTag tag, const BitmapAt& bitmap) {
+      if (tag == rules_tag) out.default_rule = bitmap.decode();
+    }
+    void extent(const SectionExtent& e) { out.sections.push_back(e); }
   };
 
-  while (true) {
-    if (in.bits_remaining() < kTagBits) {
-      throw std::out_of_range{"ElmoHeader: missing END section"};
-    }
-    const auto tag = static_cast<SectionTag>(in.read(kTagBits));
-    switch (tag) {
-      case SectionTag::kEnd:
-        in.align_to_byte();
-        return header;
-      case SectionTag::kULeaf:
-        header.u_leaf =
-            read_upstream(topo_->leaf_up_ports(), topo_->leaf_down_ports());
-        break;
-      case SectionTag::kUSpine:
-        header.u_spine =
-            read_upstream(topo_->spine_up_ports(), topo_->spine_down_ports());
-        break;
-      case SectionTag::kCore:
-        header.core_pods = read_bitmap(in, topo_->core_ports());
-        break;
-      case SectionTag::kSpineRules:
-        read_rule_layer(topo_->spine_down_ports(), topo_->pod_id_bits(),
-                        header.spine_rules, header.spine_default);
-        break;
-      case SectionTag::kLeafRules:
-        read_rule_layer(topo_->leaf_down_ports(), topo_->leaf_id_bits(),
-                        header.leaf_rules, header.leaf_default);
-        break;
-      default:
-        throw std::invalid_argument{"ElmoHeader: unknown section tag"};
-    }
-    in.align_to_byte();
+  out.upstream.reset();
+  out.matched.reset();
+  out.matched_index = -1;
+  out.matched_shared = false;
+  out.default_rule.reset();
+  out.core_bitmap.reset();
+  out.sections.clear();
+  OwnLayer own{{}, out, SectionTag::kEnd, SectionTag::kEnd, false, match_id};
+  switch (layer) {
+    case topo::Layer::kLeaf:
+      own.upstream_tag = SectionTag::kULeaf;
+      own.rules_tag = SectionTag::kLeafRules;
+      break;
+    case topo::Layer::kSpine:
+      own.upstream_tag = SectionTag::kUSpine;
+      own.rules_tag = SectionTag::kSpineRules;
+      break;
+    case topo::Layer::kCore:
+      own.decode_core = true;
+      break;
+    case topo::Layer::kHost:
+      break;
   }
+  walk(*topo_, data, own);
 }
 
 std::vector<SectionExtent> HeaderCodec::scan_sections(
     std::span<const std::uint8_t> data) const {
-  std::vector<SectionExtent> extents;
-  net::BitReader in{data};
-
-  auto skip_bitmap = [&](std::size_t ports) { in.read(static_cast<unsigned>(ports)); };
-  auto skip_rule_layer = [&](std::size_t ports, unsigned id_bits) {
-    const bool has_default = in.read_bool();
-    const auto count = in.read(kCountBits);
-    for (std::uint64_t r = 0; r < count; ++r) {
-      skip_bitmap(ports);
-      while (true) {
-        in.read(id_bits);
-        if (!in.read_bool()) break;
-      }
-    }
-    if (has_default) skip_bitmap(ports);
-  };
-
-  while (true) {
-    SectionExtent extent;
-    extent.begin = in.byte_position();
-    if (in.bits_remaining() < kTagBits) {
-      throw std::out_of_range{"ElmoHeader: missing END section"};
-    }
-    extent.tag = static_cast<SectionTag>(in.read(kTagBits));
-    switch (extent.tag) {
-      case SectionTag::kEnd:
-        break;
-      case SectionTag::kULeaf:
-        in.read(1);
-        skip_bitmap(topo_->leaf_up_ports());
-        skip_bitmap(topo_->leaf_down_ports());
-        break;
-      case SectionTag::kUSpine:
-        in.read(1);
-        skip_bitmap(topo_->spine_up_ports());
-        skip_bitmap(topo_->spine_down_ports());
-        break;
-      case SectionTag::kCore:
-        skip_bitmap(topo_->core_ports());
-        break;
-      case SectionTag::kSpineRules:
-        skip_rule_layer(topo_->spine_down_ports(), topo_->pod_id_bits());
-        break;
-      case SectionTag::kLeafRules:
-        skip_rule_layer(topo_->leaf_down_ports(), topo_->leaf_id_bits());
-        break;
-      default:
-        throw std::invalid_argument{"ElmoHeader: unknown section tag"};
-    }
-    in.align_to_byte();
-    extent.end = in.byte_position();
-    extents.push_back(extent);
-    if (extent.tag == SectionTag::kEnd) return extents;
-  }
+  struct Extents : SkipAll {
+    std::vector<SectionExtent> list;
+    void extent(const SectionExtent& e) { list.push_back(e); }
+  } extents;
+  walk(*topo_, data, extents);
+  return std::move(extents.list);
 }
 
 std::size_t HeaderCodec::header_length(
     std::span<const std::uint8_t> data) const {
-  return scan_sections(data).back().end;
+  SkipAll nothing;
+  return walk(*topo_, data, nothing);
 }
 
 std::size_t HeaderCodec::max_header_bytes(std::size_t hmax_spine,

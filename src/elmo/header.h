@@ -61,6 +61,21 @@ struct SectionExtent {
   std::size_t end = 0;    // one past the section's last byte
 };
 
+// What one network switch's parser takes from a header (paper §4.1): its
+// own layer's rules, plus every section's extent for the egress pops. The
+// values equal those a full parse() would yield for that layer; repeated
+// sections behave as in parse() (the last upstream, core and default
+// section wins, p-rules are numbered across sections, first match wins).
+struct LayerParse {
+  std::optional<UpstreamRule> upstream;        // this layer's u-rule
+  std::optional<net::PortBitmap> matched;      // first p-rule naming match_id
+  int matched_index = -1;                      // its index in the layer
+  bool matched_shared = false;                 // it lists >1 switch id
+  std::optional<net::PortBitmap> default_rule;
+  std::optional<net::PortBitmap> core_bitmap;  // core layer only
+  std::vector<SectionExtent> sections;         // END last
+};
+
 class HeaderCodec {
  public:
   explicit HeaderCodec(const topo::ClosTopology& topology)
@@ -72,8 +87,15 @@ class HeaderCodec {
 
   ParsedHeader parse(std::span<const std::uint8_t> data) const;
 
-  // Section boundaries (used by switches to pop consumed layers). The END
-  // tag is included as the final extent.
+  // One pass for a switch at `layer` whose p-rule identifier is
+  // `match_id` (leaf id, pod id, or 0 at the core). Other layers' bitmaps
+  // are skipped undecoded and no PRule is built; only the switch's own
+  // upstream rule, core bitmap, matched p-rule and default are decoded.
+  // `out` is overwritten (its section vector keeps its capacity).
+  void parse_layer(std::span<const std::uint8_t> data, topo::Layer layer,
+                   std::uint32_t match_id, LayerParse& out) const;
+
+  // Section boundaries. The END tag is included as the final extent.
   std::vector<SectionExtent> scan_sections(
       std::span<const std::uint8_t> data) const;
 
@@ -96,8 +118,6 @@ class HeaderCodec {
   std::size_t section_bits(std::size_t body_bits) const noexcept {
     return ((3 + body_bits + 7) / 8) * 8;  // tag + body, byte padded
   }
-  void write_bitmap(net::BitWriter& out, const net::PortBitmap& bitmap) const;
-  net::PortBitmap read_bitmap(net::BitReader& in, std::size_t ports) const;
   void write_rule_layer(net::BitWriter& out, SectionTag tag,
                         const std::vector<PRule>& rules,
                         const std::optional<net::PortBitmap>& default_rule,

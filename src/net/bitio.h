@@ -43,6 +43,9 @@ class BitReader {
 
   std::uint64_t read(unsigned bits);
   bool read_bool() { return read(1) != 0; }
+  // Advances past `bits` bits without decoding them; throws
+  // std::out_of_range, as read() does, if fewer remain.
+  void skip(std::size_t bits);
   void align_to_byte() noexcept { position_ = (position_ + 7) / 8 * 8; }
 
   std::size_t bit_position() const noexcept { return position_; }
@@ -56,6 +59,15 @@ class BitReader {
   std::span<const std::uint8_t> data_;
   std::size_t position_ = 0;  // in bits
 };
+
+// Mirror image of a 64-bit word: bit i moves to bit 63 - i. Converts
+// between PortBitmap words (port 0 in the LSB) and the MSB-first wire order.
+constexpr std::uint64_t reverse_bits(std::uint64_t x) noexcept {
+  x = ((x >> 1) & 0x5555555555555555ULL) | ((x & 0x5555555555555555ULL) << 1);
+  x = ((x >> 2) & 0x3333333333333333ULL) | ((x & 0x3333333333333333ULL) << 2);
+  x = ((x >> 4) & 0x0f0f0f0f0f0f0f0fULL) | ((x & 0x0f0f0f0f0f0f0f0fULL) << 4);
+  return __builtin_bswap64(x);
+}
 
 // Number of bits needed to represent values in [0, n); at least 1.
 constexpr unsigned bits_for(std::uint64_t n) noexcept {

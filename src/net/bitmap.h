@@ -17,6 +17,7 @@
 #include <functional>
 #include <memory>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -149,6 +150,15 @@ class PortBitmap {
   // Raw word access for serialization (word 0 holds ports 0..63).
   std::span<const std::uint64_t> words() const noexcept {
     return {data(), num_words_};
+  }
+  // Overwrites word `index`; bits past the last port are dropped.
+  void set_word(std::size_t index, std::uint64_t word) {
+    if (index >= num_words_) {
+      throw std::out_of_range{"PortBitmap: word index out of range"};
+    }
+    const std::size_t tail = num_ports_ - index * 64;
+    if (tail < 64) word &= (1ULL << tail) - 1;
+    data()[index] = word;
   }
 
  private:

@@ -4,11 +4,9 @@
 // parser still must be total over byte strings).
 #include <gtest/gtest.h>
 
-#include "dataplane/hypervisor_switch.h"
 #include "dataplane/network_switch.h"
-#include "elmo/controller.h"
 #include "elmo/header.h"
-#include "net/packet.h"
+#include "elmo/header_corpus.h"
 #include "util/rng.h"
 
 namespace elmo {
@@ -48,22 +46,7 @@ TEST(Fuzz, TruncatedValidHeadersThrowCleanly) {
   const auto t = small();
   const HeaderCodec codec{t};
   // A real header, truncated at every possible byte length.
-  SenderEncoding sender;
-  sender.u_leaf.down = net::PortBitmap{t.leaf_down_ports()};
-  sender.u_leaf.down.set(1);
-  sender.u_leaf.up = net::PortBitmap{t.leaf_up_ports()};
-  sender.u_leaf.multipath = true;
-  UpstreamRule u_spine;
-  u_spine.down = net::PortBitmap{t.spine_down_ports()};
-  u_spine.up = net::PortBitmap{t.spine_up_ports()};
-  u_spine.multipath = true;
-  sender.u_spine = u_spine;
-  sender.core_pods = net::PortBitmap{t.core_ports()};
-  sender.core_pods->set(2);
-  GroupEncoding group;
-  group.leaf.p_rules.push_back(PRule{sender.u_leaf.down, {3, 9}});
-  const auto full = codec.serialize(sender, group);
-
+  const auto full = test::full_header(t);
   for (std::size_t len = 0; len < full.size(); ++len) {
     const std::vector<std::uint8_t> cut{full.begin(), full.begin() + len};
     EXPECT_THROW((void)codec.parse(cut), std::out_of_range) << "len " << len;
@@ -73,31 +56,9 @@ TEST(Fuzz, TruncatedValidHeadersThrowCleanly) {
 
 TEST(Fuzz, BitflippedHeadersNeverCrashTheSwitchParser) {
   const auto t = small();
-  Controller controller{t, EncoderConfig{}};
-  const std::vector<Member> members{{0, 0, MemberRole::kBoth},
-                                    {17, 1, MemberRole::kBoth}};
-  const auto id = controller.create_group(0, members);
-  const auto& g = controller.group(id);
-
-  dp::HypervisorSwitch hv{t, 0};
-  dp::HypervisorSwitch::GroupFlow flow;
-  flow.elmo_header = controller.header_for(id, 0);
-  hv.install_flow(g.address, flow);
-  const auto clean =
-      *hv.encapsulate(g.address, std::vector<std::uint8_t>(32, 0));
-
   dp::NetworkSwitch leaf{t, topo::Layer::kLeaf, 0};
-  util::Rng rng{4242};
   int survived = 0;
-  for (int trial = 0; trial < 2000; ++trial) {
-    net::Packet mutated = clean;
-    // Flip 1-4 bits anywhere beyond the outer Ethernet/IP version bytes.
-    const auto flips = 1 + rng.index(4);
-    for (std::size_t f = 0; f < flips; ++f) {
-      const auto at = 34 + rng.index(mutated.size() - 34);
-      mutated.mutable_bytes()[at] ^=
-          static_cast<std::uint8_t>(1u << rng.index(8));
-    }
+  for (const auto& mutated : test::bitflipped(test::encapsulated_probe(t))) {
     try {
       const auto copies = leaf.process(mutated);
       ++survived;

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "util/rng.h"
+#include "elmo/header_corpus.h"
 
 namespace elmo {
 namespace {
@@ -196,38 +196,14 @@ TEST(HeaderCodec, DeriveHmaxHonorsOverride) {
 TEST(HeaderCodec, RandomEncodingsRoundTrip) {
   const topo::ClosTopology fabric{topo::ClosParams::small_test()};
   const HeaderCodec codec{fabric};
-  util::Rng rng{404};
-  for (int trial = 0; trial < 200; ++trial) {
-    SenderEncoding sender;
-    sender.u_leaf.down = net::PortBitmap{fabric.leaf_down_ports()};
-    sender.u_leaf.up = net::PortBitmap{fabric.leaf_up_ports()};
-    for (std::size_t p = 0; p < fabric.leaf_down_ports(); ++p) {
-      if (rng.bernoulli(0.3)) sender.u_leaf.down.set(p);
-    }
-    sender.u_leaf.multipath = rng.bernoulli(0.5);
-
-    GroupEncoding group;
-    const auto nrules = rng.index(5);
-    for (std::size_t r = 0; r < nrules; ++r) {
-      PRule rule;
-      rule.bitmap = net::PortBitmap{fabric.leaf_down_ports()};
-      for (std::size_t p = 0; p < fabric.leaf_down_ports(); ++p) {
-        if (rng.bernoulli(0.4)) rule.bitmap.set(p);
-      }
-      const auto nids = 1 + rng.index(3);
-      for (std::size_t i = 0; i < nids; ++i) {
-        rule.switch_ids.push_back(
-            static_cast<std::uint32_t>(rng.index(fabric.num_leaves())));
-      }
-      group.leaf.p_rules.push_back(std::move(rule));
-    }
+  for (const auto& [sender, group] : test::random_encodings(fabric)) {
     const auto bytes = codec.serialize(sender, group);
     const auto parsed = codec.parse(bytes);
     ASSERT_TRUE(parsed.u_leaf);
     EXPECT_EQ(parsed.u_leaf->down, sender.u_leaf.down);
     EXPECT_EQ(parsed.u_leaf->multipath, sender.u_leaf.multipath);
     ASSERT_EQ(parsed.leaf_rules.size(), group.leaf.p_rules.size());
-    for (std::size_t r = 0; r < nrules; ++r) {
+    for (std::size_t r = 0; r < group.leaf.p_rules.size(); ++r) {
       EXPECT_EQ(parsed.leaf_rules[r], group.leaf.p_rules[r]);
     }
   }

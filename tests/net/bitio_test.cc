@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "util/rng.h"
 
 namespace elmo::net {
@@ -73,6 +75,77 @@ TEST(BitReader, PositionTracking) {
   EXPECT_EQ(in.bits_remaining(), 16u);
 }
 
+// Every width at every bit offset inside a byte: the byte-per-step codec
+// cuts fields at different places depending on where they start.
+TEST(BitIo, EveryWidthAtEveryOffsetRoundTrips) {
+  util::Rng rng{20190819};
+  for (unsigned offset = 0; offset < 8; ++offset) {
+    for (unsigned width = 1; width <= 64; ++width) {
+      const std::uint64_t mask = width == 64 ? ~0ULL : ((1ULL << width) - 1);
+      const auto lead = rng() & ((1ULL << offset) - 1);
+      const auto value = rng() & mask;
+      const auto trail = rng() & 0x1f;
+      BitWriter out;
+      out.write(lead, offset);
+      out.write(value, width);
+      out.write(trail, 5);
+      EXPECT_EQ(out.bit_count(), offset + width + 5u);
+      const auto bytes = out.take();
+      BitReader in{bytes};
+      EXPECT_EQ(in.read(offset), lead);
+      EXPECT_EQ(in.read(width), value)
+          << "offset " << offset << " width " << width;
+      EXPECT_EQ(in.read(5), trail);
+      EXPECT_LT(in.bits_remaining(), 8u);
+    }
+  }
+}
+
+TEST(BitWriter, IgnoresBitsAboveWidth) {
+  for (unsigned width = 1; width < 64; ++width) {
+    BitWriter masked;
+    BitWriter dirty;
+    masked.write(1, 1);
+    dirty.write(1, 1);
+    const std::uint64_t value = 0x5a5a5a5a5a5a5a5aULL;
+    masked.write(value & ((1ULL << width) - 1), width);
+    dirty.write(value | ~((1ULL << width) - 1), width);
+    EXPECT_EQ(dirty.take(), masked.take()) << "width " << width;
+  }
+}
+
+TEST(BitReader, SkipPastEndThrows) {
+  const std::vector<std::uint8_t> two{0xab, 0xcd};
+  BitReader in{two};
+  in.skip(3);
+  EXPECT_THROW(in.skip(14), std::out_of_range);
+  EXPECT_EQ(in.bit_position(), 3u);  // a failed skip does not move
+  in.skip(13);
+  EXPECT_EQ(in.bits_remaining(), 0u);
+  EXPECT_THROW(in.skip(1), std::out_of_range);
+  EXPECT_NO_THROW(in.skip(0));
+  BitReader wide{two};
+  EXPECT_THROW(wide.skip(100), std::out_of_range);  // wider than 64 bits
+}
+
+TEST(BitReader, SkipMatchesReadAndDiscard) {
+  util::Rng rng{7};
+  std::vector<std::uint8_t> data(64);
+  for (auto& b : data) b = static_cast<std::uint8_t>(rng());
+  for (std::size_t gap = 0; gap <= 200; ++gap) {
+    BitReader skipped{data};
+    BitReader read{data};
+    skipped.skip(gap);
+    for (auto left = gap; left > 0;) {
+      const auto n = static_cast<unsigned>(std::min<std::size_t>(left, 64));
+      read.read(n);
+      left -= n;
+    }
+    EXPECT_EQ(skipped.bit_position(), read.bit_position());
+    EXPECT_EQ(skipped.read(37), read.read(37)) << "gap " << gap;
+  }
+}
+
 // Property: random field sequences round-trip for all widths.
 class BitIoRoundTrip : public ::testing::TestWithParam<unsigned> {};
 
@@ -98,6 +171,17 @@ TEST_P(BitIoRoundTrip, RandomValuesSurvive) {
 INSTANTIATE_TEST_SUITE_P(AllWidths, BitIoRoundTrip,
                          ::testing::Values(1u, 2u, 3u, 5u, 7u, 8u, 11u, 13u,
                                            16u, 24u, 31u, 32u, 48u, 63u, 64u));
+
+TEST(ReverseBits, MirrorsTheWord) {
+  EXPECT_EQ(reverse_bits(1), 1ULL << 63);
+  EXPECT_EQ(reverse_bits(0x00000000000000f0ULL), 0x0f00000000000000ULL);
+  util::Rng rng{11};
+  for (int i = 0; i < 100; ++i) {
+    const auto x = rng();
+    EXPECT_EQ(reverse_bits(reverse_bits(x)), x);
+    EXPECT_EQ(reverse_bits(x) >> 63, x & 1);
+  }
+}
 
 TEST(BitsFor, KnownValues) {
   EXPECT_EQ(bits_for(1), 1u);

@@ -144,5 +144,14 @@ TEST(PortBitmap, HashRarelyCollidesOnRandomBitmaps) {
   EXPECT_EQ(collisions, 0);
 }
 
+TEST(PortBitmap, SetWordKeepsTheDomain) {
+  PortBitmap b{70};
+  b.set_word(0, ~0ULL);
+  b.set_word(1, ~0ULL);  // only ports 64..69 exist in word 1
+  EXPECT_EQ(b.popcount(), 70u);
+  EXPECT_EQ(b.words()[1], 0x3fULL);
+  EXPECT_THROW(b.set_word(2, 1), std::out_of_range);
+}
+
 }  // namespace
 }  // namespace elmo::net

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "elmo/header.h"
 #include "testutil.h"
 
 namespace elmo::sim {
@@ -149,6 +150,47 @@ TEST_F(FabricFixture, VmDeliveriesFollowLocalMembership) {
   fabric.install_group(controller, id);
   const auto result = fabric.send(0, controller.group(id).address, 64);
   EXPECT_EQ(result.vm_deliveries, 1u);
+}
+
+// Bitmaps wider than one 64-bit word: 96 hosts per leaf. The header scan
+// must step over them (it used to read each as one >64-bit field and
+// throw), and every member must still get exactly one copy.
+TEST(FabricWideLeaf, BitmapsOver64PortsScanAndDeliver) {
+  const topo::ClosTopology topology{topo::ClosParams{.pods = 2,
+                                                     .leaves_per_pod = 2,
+                                                     .spines_per_pod = 2,
+                                                     .cores_per_plane = 2,
+                                                     .hosts_per_leaf = 96}};
+  ASSERT_GT(topology.leaf_down_ports(), 64u);
+  elmo::Controller controller{topology, elmo::EncoderConfig{}};
+  Fabric fabric{topology};
+  // Members on every leaf, on both sides of the 64-port word boundary.
+  const std::vector<topo::HostId> hosts{0,   5,   63,  64,  95,  96,  160,
+                                        191, 200, 287, 300, 350, 383};
+  std::vector<elmo::Member> members;
+  for (std::size_t i = 0; i < hosts.size(); ++i) {
+    members.push_back(elmo::Member{hosts[i], static_cast<std::uint32_t>(i),
+                                   elmo::MemberRole::kBoth});
+  }
+  const auto id = controller.create_group(0, members);
+  fabric.install_group(controller, id);
+
+  const elmo::HeaderCodec codec{topology};
+  for (const auto sender : hosts) {
+    const auto header = controller.header_for(id, sender);
+    EXPECT_EQ(codec.header_length(header), header.size())
+        << "sender " << sender;
+    const auto result = fabric.send(sender, controller.group(id).address, 64);
+    EXPECT_EQ(result.host_copies.size(), hosts.size() - 1)
+        << "sender " << sender;
+    for (const auto receiver : hosts) {
+      if (receiver == sender) continue;
+      const auto it = result.host_copies.find(receiver);
+      ASSERT_NE(it, result.host_copies.end())
+          << "sender " << sender << " -> " << receiver;
+      EXPECT_EQ(it->second, 1u) << "sender " << sender << " -> " << receiver;
+    }
+  }
 }
 
 }  // namespace
