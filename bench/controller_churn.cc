@@ -15,11 +15,31 @@
 #include <chrono>
 #include <fstream>
 #include <iostream>
+#include <thread>
 
 #include "elmo/churn.h"
 #include "elmo/stream.h"
 #include "figlib.h"
 #include "sim/fabric.h"
+
+// The compiler and build type are recorded next to the timings so an A/B
+// can be matched to its build (bench/CMakeLists.txt sets ELMO_BUILD_TYPE).
+#ifndef ELMO_BUILD_TYPE
+#define ELMO_BUILD_TYPE "unknown"
+#endif
+
+namespace {
+
+constexpr const char* kCompiler =
+#if defined(__clang__)
+    "clang " __clang_version__;
+#elif defined(__GNUC__)
+    "gcc " __VERSION__;
+#else
+    "unknown";
+#endif
+
+}  // namespace
 
 int main(int argc, char** argv) {
   using namespace elmo;
@@ -85,10 +105,14 @@ int main(int argc, char** argv) {
   }
   phases.stop();
 
-  phases.start("fabric install");
   sim::Fabric fabric{topology};
+  const auto install_start = std::chrono::steady_clock::now();
   for (const auto id : ids) fabric.install_group(controller, id);
-  phases.stop();
+  const double install_seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                    install_start)
+          .count();
+  phases.add("fabric install", install_seconds);
 
   phases.start("churn");
   stream::ControlPlane plane{controller, fabric,
@@ -131,6 +155,7 @@ int main(int argc, char** argv) {
                                       std::to_string(st.spine_srule_dels));
   row("wire batches / bytes", std::to_string(st.batches_encoded) + " / " +
                                   std::to_string(st.wire_bytes));
+  row("fabric install seconds", TextTable::fmt(install_seconds, 3));
   row("wall seconds", TextTable::fmt(wall, 3));
   row("sustained events/sec", TextTable::fmt(ev_rate, 0));
   row("sustained updates/sec", TextTable::fmt(upd_rate, 0));
@@ -160,7 +185,10 @@ int main(int argc, char** argv) {
          << ", \"groups\": " << churn_groups << ", \"events\": " << events
          << ", \"flush_threshold\": " << flush_threshold
          << ", \"encoder\": \"" << scale.encoder << "\", \"seed\": "
-         << scale.seed << ",\n \"results\": {"
+         << scale.seed
+         << ", \"hardware_threads\": " << std::thread::hardware_concurrency()
+         << ", \"compiler\": \"" << kCompiler << "\", \"build_type\": \""
+         << ELMO_BUILD_TYPE << "\",\n \"results\": {"
          << "\"events_ingested\": " << st.events
          << ", \"clean_events\": " << st.clean_events
          << ", \"updates_applied\": " << st.updates_applied
@@ -173,6 +201,8 @@ int main(int argc, char** argv) {
          << ", \"spine_srule_dels\": " << st.spine_srule_dels
          << ", \"wire_batches\": " << st.batches_encoded
          << ", \"wire_bytes\": " << st.wire_bytes
+         << ", \"fabric_install_seconds\": "
+         << TextTable::fmt(install_seconds, 3)
          << ", \"wall_seconds\": " << TextTable::fmt(wall, 3)
          << ", \"events_per_sec\": " << TextTable::fmt(ev_rate, 0)
          << ", \"updates_per_sec\": " << TextTable::fmt(upd_rate, 0)

@@ -97,16 +97,20 @@ Controller::Controller(const topo::ClosTopology& topology,
       srule_space_{topology, config.srule_capacity},
       sink_{sink} {}
 
-GroupState& Controller::state(GroupId group) {
+std::size_t Controller::live_index(GroupId group) const {
   if (group >= groups_.size() || !groups_[group]) {
     throw std::out_of_range{"Controller: unknown group " +
                             std::to_string(group)};
   }
-  return *groups_[group];
+  return group;
+}
+
+GroupState& Controller::state(GroupId group) {
+  return *groups_[live_index(group)];
 }
 
 const GroupState& Controller::group(GroupId group) const {
-  return const_cast<Controller*>(this)->state(group);
+  return *groups_[live_index(group)];
 }
 
 bool Controller::has_group(GroupId group) const {
@@ -456,7 +460,7 @@ void Controller::restore_core(topo::CoreId core) {
 
 std::vector<std::uint8_t> Controller::header_for(GroupId group,
                                                  topo::HostId sender) const {
-  const auto& g = const_cast<Controller*>(this)->state(group);
+  const auto& g = this->group(group);
   const auto route = g.tree->sender_route(sender, failures_);
   return encoder_->codec().serialize(route.encoding, g.encoding);
 }

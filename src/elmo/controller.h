@@ -148,6 +148,8 @@ class Controller {
                                        topo::HostId sender) const;
 
  private:
+  // `group` if it names a live group; throws std::out_of_range otherwise.
+  std::size_t live_index(GroupId group) const;
   GroupState& state(GroupId group);
   void reencode(GroupState& g);  // recompute tree+encoding, s-rule diffs
   void emit_srule_diffs(const GroupEncoding& before,

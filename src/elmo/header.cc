@@ -162,7 +162,32 @@ void HeaderCodec::write_rule_layer(
 
 std::vector<std::uint8_t> HeaderCodec::serialize(
     const SenderEncoding& sender, const GroupEncoding& group) const {
+  return serialize(sender, serialize_shared(group));
+}
+
+std::vector<std::uint8_t> HeaderCodec::serialize_shared(
+    const GroupEncoding& group) const {
   net::BitWriter out;
+  write_rule_layer(out, SectionTag::kSpineRules, group.spine.p_rules,
+                   group.spine.default_rule, topo_->pod_id_bits());
+  write_rule_layer(out, SectionTag::kLeafRules, group.leaf.p_rules,
+                   group.leaf.default_rule, topo_->leaf_id_bits());
+  out.write(static_cast<std::uint64_t>(SectionTag::kEnd), kTagBits);
+  out.align_to_byte();
+  return out.take();
+}
+
+std::vector<std::uint8_t> HeaderCodec::serialize(
+    const SenderEncoding& sender, std::span<const std::uint8_t> shared) const {
+  auto upstream_bits = [&](const UpstreamRule& rule) {
+    return section_bits(1 + rule.up.size() + rule.down.size());
+  };
+  std::size_t bits = upstream_bits(sender.u_leaf);
+  if (sender.u_spine) bits += upstream_bits(*sender.u_spine);
+  if (sender.core_pods) bits += section_bits(sender.core_pods->size());
+
+  net::BitWriter out;
+  out.reserve(bits / 8 + shared.size());
 
   out.write(static_cast<std::uint64_t>(SectionTag::kULeaf), kTagBits);
   write_upstream(out, sender.u_leaf);
@@ -180,14 +205,11 @@ std::vector<std::uint8_t> HeaderCodec::serialize(
     out.align_to_byte();
   }
 
-  write_rule_layer(out, SectionTag::kSpineRules, group.spine.p_rules,
-                   group.spine.default_rule, topo_->pod_id_bits());
-  write_rule_layer(out, SectionTag::kLeafRules, group.leaf.p_rules,
-                   group.leaf.default_rule, topo_->leaf_id_bits());
-
-  out.write(static_cast<std::uint64_t>(SectionTag::kEnd), kTagBits);
-  out.align_to_byte();
-  return out.take();
+  // Every section above ends byte-aligned, so the shared tail is appended
+  // as bytes; the reserve above makes this append allocation-free.
+  auto header = out.take();
+  header.insert(header.end(), shared.begin(), shared.end());
+  return header;
 }
 
 ParsedHeader HeaderCodec::parse(std::span<const std::uint8_t> data) const {

@@ -14,6 +14,14 @@
 //   LEAF_RULES (5):= has_default(1) count(7) rule* [default_bitmap]
 //   rule          := bitmap(layer ports) ( id(id_bits) next_id(1) )+
 //
+// Upstream / shared split (paper §3). U_LEAF, U_SPINE and CORE depend on
+// the sender; SPINE_RULES, LEAF_RULES and END depend only on the group's
+// encoding and are the same for every sender. Because every section ends on
+// a byte boundary, a sender's header is its upstream sections followed by
+// the group's shared bytes verbatim: serialize_shared() writes the shared
+// tail once, and serialize(sender, tail) splices it behind each sender's
+// upstream sections without re-encoding a bit.
+//
 // Identifier widths derive from the topology: pod ids at the spine layer,
 // global leaf ids at the leaf layer. All size numbers reported by benches
 // come from this codec, not from closed-form estimates.
@@ -82,8 +90,19 @@ class HeaderCodec {
       : topo_{&topology} {}
 
   // ---- serialization ---------------------------------------------------
+  // The full header of `sender`: serialize(sender, serialize_shared(group)).
   std::vector<std::uint8_t> serialize(const SenderEncoding& sender,
                                       const GroupEncoding& group) const;
+
+  // SPINE_RULES + LEAF_RULES + END of `group`: the bytes every sender's
+  // header ends with.
+  std::vector<std::uint8_t> serialize_shared(const GroupEncoding& group) const;
+
+  // `sender`'s upstream sections followed by `shared` (the output of
+  // serialize_shared), in one allocation.
+  std::vector<std::uint8_t> serialize(
+      const SenderEncoding& sender,
+      std::span<const std::uint8_t> shared) const;
 
   ParsedHeader parse(std::span<const std::uint8_t> data) const;
 

@@ -23,6 +23,9 @@ class BitWriter {
   // Pads to a byte boundary with zero bits.
   void align_to_byte();
 
+  // Pre-sizes the buffer for `bytes` bytes of output.
+  void reserve(std::size_t bytes) { buffer_.reserve(bytes); }
+
   std::size_t bit_count() const noexcept { return bit_count_; }
   std::size_t byte_count() const noexcept { return (bit_count_ + 7) / 8; }
 

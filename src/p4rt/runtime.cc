@@ -154,6 +154,11 @@ std::vector<Update> compile(const Controller& controller, elmo::GroupId group,
     return u;
   };
 
+  // Every sender's header ends with the same tail; it is serialized at the
+  // first sender and spliced into the rest.
+  const auto& codec = controller.encoder().codec();
+  std::vector<std::uint8_t> shared_tail;
+
   std::map<topo::HostId, Update> flows;
   for (const auto& member : g.members) {
     const auto [it, inserted] = flows.try_emplace(member.host);
@@ -166,7 +171,10 @@ std::vector<Update> compile(const Controller& controller, elmo::GroupId group,
     if (!install) continue;
     if (can_receive(member.role)) u.local_vms.push_back(member.vm);
     if (can_send(member.role) && u.elmo_header.empty()) {
-      u.elmo_header = controller.header_for(group, member.host);
+      if (shared_tail.empty()) shared_tail = codec.serialize_shared(g.encoding);
+      const auto route =
+          g.tree->sender_route(member.host, controller.failures());
+      u.elmo_header = codec.serialize(route.encoding, shared_tail);
     }
   }
 

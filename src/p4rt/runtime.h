@@ -74,7 +74,10 @@ struct Update {
 // HYPERVISOR_FLOW_ADD per distinct member host, ascending by host, merged
 // across co-located members (a flow per member would overwrite the host's
 // flow on apply and drop the earlier members' VMs); then the leaf s-rules;
-// then one spine s-rule per plane of every pod s-rule.
+// then one spine s-rule per plane of every pod s-rule. Each flow's header
+// equals Controller::header_for(group, host); the group's shared header tail
+// is serialized once per call and spliced behind each sender's upstream
+// sections (HeaderCodec::serialize_shared).
 std::vector<Update> compile_install(const Controller& controller,
                                     elmo::GroupId group);
 // The matching deletes, in the same order. They carry only the rule

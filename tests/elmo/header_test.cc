@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "elmo/header_corpus.h"
+#include "testutil.h"
 
 namespace elmo {
 namespace {
@@ -206,6 +209,90 @@ TEST(HeaderCodec, RandomEncodingsRoundTrip) {
     for (std::size_t r = 0; r < group.leaf.p_rules.size(); ++r) {
       EXPECT_EQ(parsed.leaf_rules[r], group.leaf.p_rules[r]);
     }
+  }
+}
+
+// Checks that `shared` spliced behind `sender`'s upstream sections is the
+// full header, and that `shared` is that header's suffix from its first
+// downstream section (SPINE_RULES, LEAF_RULES or END).
+void expect_splice_exact(const HeaderCodec& codec,
+                         const SenderEncoding& sender,
+                         const GroupEncoding& group) {
+  const auto shared = codec.serialize_shared(group);
+  const auto header = codec.serialize(sender, group);
+  EXPECT_EQ(codec.serialize(sender, shared), header);
+
+  const auto extents = codec.scan_sections(header);
+  const auto first = std::find_if(
+      extents.begin(), extents.end(), [](const SectionExtent& e) {
+        return e.tag == SectionTag::kSpineRules ||
+               e.tag == SectionTag::kLeafRules || e.tag == SectionTag::kEnd;
+      });
+  ASSERT_NE(first, extents.end());
+  EXPECT_EQ(std::vector<std::uint8_t>(
+                header.begin() + static_cast<std::ptrdiff_t>(first->begin),
+                header.end()),
+            shared);
+}
+
+TEST(HeaderCodec, SharedTailSpliceMatchesSerializeOnRandomEncodings) {
+  const topo::ClosTopology fabric{topo::ClosParams::small_test()};
+  const HeaderCodec codec{fabric};
+  for (const auto& [sender, group] : test::random_encodings(fabric)) {
+    expect_splice_exact(codec, sender, group);
+  }
+  // And on the hand-built header with every section kind.
+  const auto t = example_topo();
+  expect_splice_exact(HeaderCodec{t}, simple_sender(t), simple_group(t));
+}
+
+TEST(HeaderCodec, SharedTailSpliceMatchesSerializeForControllerGroups) {
+  const topo::ClosTopology fabric{topo::ClosParams::small_test()};
+  for (const auto kind : kAllEncoderKinds) {
+    SCOPED_TRACE(to_string(kind));
+    EncoderConfig cfg;
+    cfg.encoder = kind;
+    Controller controller{fabric, cfg};
+    util::Rng rng{77};
+    std::vector<GroupId> ids;
+    for (const std::size_t size : {2, 6, 12, 24, 40}) {
+      const auto hosts = test::random_hosts(fabric, size, rng);
+      std::vector<Member> members;
+      for (std::size_t i = 0; i < hosts.size(); ++i) {
+        members.push_back(Member{hosts[i], static_cast<std::uint32_t>(i),
+                                 MemberRole::kBoth});
+      }
+      ids.push_back(controller.create_group(0, members));
+    }
+
+    const auto& codec = controller.encoder().codec();
+    bool u_spine = false;
+    bool core = false;
+    bool spine_rules = false;
+    bool explicit_up = false;
+    auto check_all = [&] {
+      for (const auto id : ids) {
+        const auto& g = controller.group(id);
+        for (const auto host : g.sender_hosts()) {
+          const auto route =
+              g.tree->sender_route(host, controller.failures());
+          expect_splice_exact(codec, route.encoding, g.encoding);
+          u_spine = u_spine || route.encoding.u_spine.has_value();
+          core = core || route.encoding.core_pods.has_value();
+          spine_rules = spine_rules || !g.encoding.spine.p_rules.empty();
+          explicit_up = explicit_up || (route.encoding.u_spine &&
+                                        !route.encoding.u_leaf.multipath);
+        }
+      }
+    };
+    check_all();
+    // A failed spine turns multipath off: explicit upstream ports.
+    controller.fail_spine(fabric.spine_at(0, 0));
+    check_all();
+    EXPECT_TRUE(u_spine);
+    EXPECT_TRUE(core);
+    EXPECT_TRUE(spine_rules);
+    EXPECT_TRUE(explicit_up);
   }
 }
 

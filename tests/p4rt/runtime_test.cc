@@ -4,6 +4,7 @@
 
 #include <set>
 
+#include "elmo/stream.h"
 #include "sim/fabric.h"
 #include "testutil.h"
 #include "util/rng.h"
@@ -198,6 +199,71 @@ TEST_F(P4rtFixture, DecodeRejectsMalformedStreams) {
     auto bad = wire;
     bad[8] = 99;  // first message kind
     EXPECT_THROW(decode(bad), std::invalid_argument);
+  }
+}
+
+// compile_install serializes a group's shared header tail once and splices
+// it behind each sender's upstream sections; Controller::header_for builds
+// the header on its own. The two must agree after churn and after a failure
+// (explicit upstream ports), and the fabric must hold the same bytes.
+TEST(P4rtCompile, FlowHeadersEqualHeaderForAcrossChurnAndFailure) {
+  const topo::ClosTopology topology{topo::ClosParams::small_test()};
+  for (const auto kind : kAllEncoderKinds) {
+    SCOPED_TRACE(to_string(kind));
+    EncoderConfig cfg;
+    cfg.encoder = kind;
+    cfg.hmax_leaf_override = 2;
+    Controller controller{topology, cfg};
+    sim::Fabric fabric{topology};
+    stream::ControlPlane plane{controller, fabric};
+
+    util::Rng rng{31};
+    std::vector<elmo::GroupId> ids;
+    for (const std::size_t size : {3, 10, 24}) {
+      const auto hosts = test::random_hosts(topology, size, rng);
+      std::vector<Member> members;
+      for (std::size_t i = 0; i < hosts.size(); ++i) {
+        const auto role = i % 3 == 2 ? MemberRole::kReceiver
+                                     : MemberRole::kBoth;
+        members.push_back(
+            Member{hosts[i], static_cast<std::uint32_t>(i), role});
+      }
+      ids.push_back(controller.create_group(0, members));
+      fabric.install_group(controller, ids.back());
+      plane.track_group(ids.back());
+    }
+
+    auto check = [&](const char* step) {
+      SCOPED_TRACE(step);
+      std::size_t headers = 0;
+      for (const auto id : ids) {
+        const auto address = controller.group(id).address;
+        for (const auto& u : compile_install(controller, id)) {
+          if (u.kind != UpdateKind::kHypervisorFlowAdd) continue;
+          const auto* installed = fabric.hypervisor(u.host).flow(address);
+          ASSERT_NE(installed, nullptr);
+          EXPECT_EQ(installed->elmo_header, u.elmo_header);
+          if (u.elmo_header.empty()) continue;  // receive-only host
+          EXPECT_EQ(u.elmo_header, controller.header_for(id, u.host));
+          ++headers;
+        }
+      }
+      EXPECT_GT(headers, 0u);
+    };
+
+    check("install");
+    plane.join(ids[0], Member{topology.num_hosts() - 1, 100,
+                              MemberRole::kBoth});
+    plane.flush();
+    check("join");
+    const auto leaving = controller.group(ids[1]).members.front();
+    plane.leave(ids[1], leaving.host, leaving.vm);
+    plane.flush();
+    check("leave");
+    controller.fail_spine(topology.spine_at(0, 0));
+    plane.refresh_all();
+    plane.flush();
+    check("fail_spine + refresh_all");
   }
 }
 
