@@ -19,10 +19,13 @@
 #pragma once
 
 #include <cstddef>
+#include <memory>
 #include <span>
 #include <vector>
 
+#include "elmo/header.h"
 #include "net/packet_view.h"
+#include "topology/clos.h"
 
 namespace elmo::obs {
 class ProvenanceSink;
@@ -35,9 +38,43 @@ struct Emission {
   net::PacketView packet;
 };
 
+// Per-walk memo of HeaderCodec::index_layer: every switch of a layer that
+// a send reaches sees the same frozen Elmo tail (the sender's buffer, popped
+// to the same section), so the first one indexes it and the rest look their
+// p-rule up. An entry is keyed by (buffer, the tail's offset and length in
+// it, layer); one cache serves the switches of one topology. It holds the
+// buffer by weak_ptr: caching never changes a view's use_count(), and since
+// a weak_ptr keeps its buffer's control block allocated, an entry whose
+// buffer died never matches, even a new buffer at the same address.
+class SectionCache {
+ public:
+  // The index of the Elmo tail of `packet` (its bytes behind the outer
+  // header) for `layer`, built on first use. Throws what index_layer throws,
+  // leaving no entry behind. Valid until the next index() or clear().
+  const elmo::SectionIndex& index(const elmo::HeaderCodec& codec,
+                                  const net::PacketView& packet,
+                                  topo::Layer layer);
+
+  // Drops every entry; the entries' storage is kept for reuse.
+  void clear() noexcept;
+  std::size_t size() const noexcept { return size_; }
+
+ private:
+  struct Entry {
+    std::weak_ptr<const net::PacketBuffer> buffer;
+    std::size_t offset = 0;
+    std::size_t length = 0;
+    topo::Layer layer = topo::Layer::kHost;
+    elmo::SectionIndex index;
+  };
+  std::vector<Entry> entries_;  // [0, size_) are live
+  std::size_t size_ = 0;
+};
+
 // Append-only scratch space for one fabric walk. The walk clears it before
 // each hop; `resize` down keeps capacity, so a long walk allocates only
-// until the widest hop has been seen once.
+// until the widest hop has been seen once. Its SectionCache lives for the
+// whole walk: the walk clears it once, at the start.
 class EmissionArena {
  public:
   std::size_t mark() const noexcept { return emissions_.size(); }
@@ -55,8 +92,11 @@ class EmissionArena {
   void clear() { emissions_.clear(); }
   std::size_t size() const noexcept { return emissions_.size(); }
 
+  SectionCache& section_cache() noexcept { return sections_; }
+
  private:
   std::vector<Emission> emissions_;
+  SectionCache sections_;
 };
 
 class ForwardingElement {

@@ -71,7 +71,7 @@ std::size_t NetworkSwitch::upstream_ports() const noexcept {
 }
 
 const NetworkSwitch::ParseResult& NetworkSwitch::parse(
-    const net::PacketView& packet) {
+    const net::PacketView& packet, EmissionArena& arena) {
   if (packet.size() < net::kOuterHeaderBytes) {
     throw std::invalid_argument{"NetworkSwitch: runt packet"};
   }
@@ -90,10 +90,10 @@ const NetworkSwitch::ParseResult& NetworkSwitch::parse(
   result.outer_dst = ip.dst;
   // (UDP/VXLAN validated structurally by the offsets below.)
 
-  // One scan of the Elmo sections: p-rule ids are compared in place and
-  // only this layer's bitmaps are decoded; the rest are stepped over.
-  codec_.parse_layer(packet.from(net::kOuterHeaderBytes), layer_, match_id_,
-                     result);
+  // The Elmo sections are scanned by the first switch of this layer the
+  // walk reaches; the rest find their p-rule in that scan's index.
+  arena.section_cache().index(codec_, packet, layer_).lookup(match_id_,
+                                                             result);
   return result;
 }
 
@@ -193,7 +193,7 @@ std::span<Emission> NetworkSwitch::process(const net::PacketView& packet,
     return out;
   }
 
-  const auto& pr = parse(packet);
+  const auto& pr = parse(packet, arena);
   const auto hash = flow_hash(pr.outer_src, pr.outer_dst);
 
   // Where do downstream copies point, and which section does the next hop
@@ -296,6 +296,7 @@ std::span<Emission> NetworkSwitch::process(const net::PacketView& packet,
 
 std::vector<OutputCopy> NetworkSwitch::process(const net::Packet& packet) {
   compat_arena_.clear();
+  compat_arena_.section_cache().clear();
   const net::PacketView view{packet.bytes()};
   const auto emissions = process(view, 0, compat_arena_);
   std::vector<OutputCopy> out;

@@ -8,6 +8,15 @@
 //      storing the matched bitmap (and the default bitmap) as metadata. No
 //      match-action stage is spent on p-rule lookup (see Appendix A for why
 //      that would be prohibitively expensive).
+//      In software the section walk is done once per (Elmo tail, layer) per
+//      fabric walk, not once per hop: the first switch of a layer indexes
+//      the tail (HeaderCodec::index_layer) into the walk's SectionCache and
+//      every later one looks its p-rule up (SectionIndex::lookup). The
+//      cache is keyed by the buffer held as a weak_ptr, so it never pins a
+//      buffer or moves a view's use_count(). A memo on the buffer itself was
+//      rejected: it allocated per tail and decoded every bitmap eagerly,
+//      which costs more than it saves when a tail is read once (DESIGN.md
+//      §4).
 //   2. *Ingress* — control flow: upstream rule if the packet still carries
 //      this layer's upstream section; otherwise matched p-rule bitmap;
 //      otherwise group-table (s-rule) lookup on the outer destination IP;
@@ -145,14 +154,16 @@ class NetworkSwitch : public ForwardingElement {
 
  private:
   // The parser's metadata for one packet: this switch's layer of the Elmo
-  // header (HeaderCodec::parse_layer) plus the outer addresses.
+  // header (SectionIndex::lookup) plus the outer addresses.
   struct ParseResult : elmo::LayerParse {
     net::Ipv4Address outer_src;
     net::Ipv4Address outer_dst;
   };
 
   // Parses into parsed_, which is reused so that a hop allocates nothing.
-  const ParseResult& parse(const net::PacketView& packet);
+  // The Elmo tail's index comes from the walk's SectionCache in `arena`.
+  const ParseResult& parse(const net::PacketView& packet,
+                           EmissionArena& arena);
 
   // Bytes (from the start of the Elmo header) to drop so the copy starts at
   // the first section the receiver still needs.

@@ -240,75 +240,102 @@ ParsedHeader HeaderCodec::parse(std::span<const std::uint8_t> data) const {
   return std::move(decoder.header);
 }
 
-void HeaderCodec::parse_layer(std::span<const std::uint8_t> data,
-                              topo::Layer layer, std::uint32_t match_id,
-                              LayerParse& out) const {
-  // Decodes the sections of one layer; kEnd marks "this layer has none".
+void HeaderCodec::index_layer(std::span<const std::uint8_t> data,
+                              topo::Layer layer, SectionIndex& out) const {
+  // Keeps the sections of one layer; kEnd marks "this layer has none".
   struct OwnLayer : SkipAll {
-    LayerParse& out;
-    SectionTag upstream_tag;
-    SectionTag rules_tag;
-    bool decode_core;
-    std::uint32_t match_id;
-    int rule_index = 0;  // own-layer p-rules passed, across sections
-    std::size_t ids = 0;  // ids of the current p-rule
-    bool hit = false;     // the current p-rule names match_id
+    SectionIndex& out;
+    SectionTag upstream_tag = SectionTag::kEnd;
+    SectionTag rules_tag = SectionTag::kEnd;
+    bool decode_core = false;
+    std::uint32_t rule = 0;    // own-layer p-rules passed, across sections
+    std::size_t first_id = 0;  // out.ids_ index of the current rule's first id
 
     void upstream(SectionTag tag, bool multipath, const BitmapAt& up,
                   const BitmapAt& down) {
       if (tag == upstream_tag) {
-        out.upstream = decode_upstream(multipath, up, down);
+        out.upstream_ = decode_upstream(multipath, up, down);
       }
     }
     void core(const BitmapAt& pods) {
-      if (decode_core) out.core_bitmap = pods.decode();
+      if (decode_core) out.core_bitmap_ = pods.decode();
     }
     void rule_id(SectionTag tag, std::uint32_t id) {
-      if (tag != rules_tag) return;
-      ++ids;
-      hit = hit || id == match_id;
+      if (tag == rules_tag) out.ids_.push_back(id);
     }
     void rule_end(SectionTag tag, const BitmapAt& bitmap) {
       if (tag != rules_tag) return;
-      if (hit && !out.matched) {  // the parser keeps the first match
-        out.matched = bitmap.decode();
-        out.matched_index = rule_index;
-        out.matched_shared = ids > 1;
-      }
-      ++rule_index;
-      ids = 0;
-      hit = false;
+      const std::size_t n = out.ids_.size() - first_id;
+      out.refs_.resize(out.ids_.size(),
+                       SectionIndex::RuleRef{bitmap.at.bit_position(), rule,
+                                             n > 1});
+      first_id = out.ids_.size();
+      ++rule;
     }
     void default_rule(SectionTag tag, const BitmapAt& bitmap) {
-      if (tag == rules_tag) out.default_rule = bitmap.decode();
+      if (tag == rules_tag) out.default_rule_ = bitmap.decode();
     }
-    void extent(const SectionExtent& e) { out.sections.push_back(e); }
+    void extent(const SectionExtent& e) { out.sections_.push_back(e); }
   };
 
-  out.upstream.reset();
-  out.matched.reset();
-  out.matched_index = -1;
-  out.matched_shared = false;
-  out.default_rule.reset();
-  out.core_bitmap.reset();
-  out.sections.clear();
-  OwnLayer own{{}, out, SectionTag::kEnd, SectionTag::kEnd, false, match_id};
+  out.data_ = data;
+  out.upstream_.reset();
+  out.default_rule_.reset();
+  out.core_bitmap_.reset();
+  out.sections_.clear();
+  out.ids_.clear();
+  out.refs_.clear();
+  OwnLayer own{{}, out};
   switch (layer) {
     case topo::Layer::kLeaf:
       own.upstream_tag = SectionTag::kULeaf;
       own.rules_tag = SectionTag::kLeafRules;
+      out.rule_ports_ = topo_->leaf_down_ports();
       break;
     case topo::Layer::kSpine:
       own.upstream_tag = SectionTag::kUSpine;
       own.rules_tag = SectionTag::kSpineRules;
+      out.rule_ports_ = topo_->spine_down_ports();
       break;
     case topo::Layer::kCore:
       own.decode_core = true;
+      out.rule_ports_ = 0;
       break;
     case topo::Layer::kHost:
+      out.rule_ports_ = 0;
       break;
   }
   walk(*topo_, data, own);
+}
+
+void SectionIndex::lookup(std::uint32_t match_id, LayerParse& out) const {
+  out.upstream = upstream_;
+  out.default_rule = default_rule_;
+  out.core_bitmap = core_bitmap_;
+  out.sections = sections_;
+  // The first id in header order belongs to the first p-rule naming
+  // match_id: the parser keeps the first match.
+  const auto it = std::find(ids_.begin(), ids_.end(), match_id);
+  if (it == ids_.end()) {
+    out.matched.reset();
+    out.matched_index = -1;
+    out.matched_shared = false;
+    return;
+  }
+  const auto& ref = refs_[static_cast<std::size_t>(it - ids_.begin())];
+  net::BitReader in{data_};
+  in.skip(ref.bitmap_bit);
+  out.matched = read_bitmap(in, rule_ports_);
+  out.matched_index = static_cast<int>(ref.rule);
+  out.matched_shared = ref.shared;
+}
+
+void HeaderCodec::parse_layer(std::span<const std::uint8_t> data,
+                              topo::Layer layer, std::uint32_t match_id,
+                              LayerParse& out) const {
+  SectionIndex index;
+  index_layer(data, layer, index);
+  index.lookup(match_id, out);
 }
 
 std::vector<SectionExtent> HeaderCodec::scan_sections(

@@ -84,6 +84,40 @@ struct LayerParse {
   std::vector<SectionExtent> sections;         // END last
 };
 
+// One layer's view of a header, indexed by a single pass of the section
+// grammar (HeaderCodec::index_layer): the layer's upstream rule, default
+// and core bitmap decoded, every section's extent, and each p-rule id of the
+// layer in header order with where its bitmap starts. A switch then finds
+// its p-rule with lookup() instead of re-reading the header; only the
+// matched bitmap is decoded, and only when asked. The index refers to the
+// bytes it was built from, which must outlive it (or be re-indexed).
+class SectionIndex {
+ public:
+  // Fills `out` as parse_layer(data, layer, match_id, out) would.
+  void lookup(std::uint32_t match_id, LayerParse& out) const;
+
+ private:
+  friend class HeaderCodec;
+
+  // Where one p-rule id sits: its rule's number within the layer (across
+  // sections), the rule bitmap's first bit, and whether the rule lists
+  // more than one switch id.
+  struct RuleRef {
+    std::size_t bitmap_bit = 0;
+    std::uint32_t rule = 0;
+    bool shared = false;
+  };
+
+  std::span<const std::uint8_t> data_;
+  std::size_t rule_ports_ = 0;  // bitmap width of this layer's p-rules
+  std::optional<UpstreamRule> upstream_;
+  std::optional<net::PortBitmap> default_rule_;
+  std::optional<net::PortBitmap> core_bitmap_;
+  std::vector<SectionExtent> sections_;
+  std::vector<std::uint32_t> ids_;  // p-rule ids in header order
+  std::vector<RuleRef> refs_;       // refs_[i] locates ids_[i]'s rule
+};
+
 class HeaderCodec {
  public:
   explicit HeaderCodec(const topo::ClosTopology& topology)
@@ -106,11 +140,17 @@ class HeaderCodec {
 
   ParsedHeader parse(std::span<const std::uint8_t> data) const;
 
-  // One pass for a switch at `layer` whose p-rule identifier is
-  // `match_id` (leaf id, pod id, or 0 at the core). Other layers' bitmaps
-  // are skipped undecoded and no PRule is built; only the switch's own
-  // upstream rule, core bitmap, matched p-rule and default are decoded.
-  // `out` is overwritten (its section vector keeps its capacity).
+  // One pass over `data` for the switches at `layer`: other layers'
+  // bitmaps are skipped undecoded and no PRule is built. Throws what
+  // parse() throws on the same bytes. `out` is refilled; its vectors keep
+  // their capacity.
+  void index_layer(std::span<const std::uint8_t> data, topo::Layer layer,
+                   SectionIndex& out) const;
+
+  // What a switch at `layer` whose p-rule identifier is `match_id` (leaf
+  // id, pod id, or 0 at the core) takes from the header:
+  // index_layer(data, layer, idx) then idx.lookup(match_id, out). `out` is
+  // overwritten (its section vector keeps its capacity).
   void parse_layer(std::span<const std::uint8_t> data, topo::Layer layer,
                    std::uint32_t match_id, LayerParse& out) const;
 

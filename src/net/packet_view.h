@@ -93,6 +93,12 @@ class PacketView {
   // How many views (including this one) share the underlying buffer.
   long use_count() const noexcept { return buffer_.use_count(); }
 
+  // The buffer the logical bytes live in. Its identity (with a byte's
+  // offset in it) names those bytes for as long as the buffer lives.
+  const std::shared_ptr<const PacketBuffer>& buffer() const noexcept {
+    return buffer_;
+  }
+
  private:
   void check_range(std::size_t offset, std::size_t count,
                    const char* what) const;

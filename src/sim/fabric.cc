@@ -333,6 +333,37 @@ NodeRef Fabric::neighbor_of(const NodeRef& node, std::size_t out_port) const {
   throw std::logic_error{"Fabric: hosts have no switch ports"};
 }
 
+void HostCopies::assign_counts(std::span<topo::HostId> hosts) {
+  // A walk delivers leaf by leaf in port order, so `hosts` is usually
+  // sorted already.
+  if (!std::is_sorted(hosts.begin(), hosts.end())) {
+    std::sort(hosts.begin(), hosts.end());
+  }
+  entries_.clear();
+  for (const auto host : hosts) {
+    if (!entries_.empty() && entries_.back().first == host) {
+      ++entries_.back().second;
+    } else {
+      entries_.emplace_back(host, 1);
+    }
+  }
+}
+
+std::size_t HostCopies::at(topo::HostId host) const {
+  const auto it = find(host);
+  if (it == end()) throw std::out_of_range{"HostCopies::at: host not reached"};
+  return it->second;
+}
+
+std::size_t& HostCopies::operator[](topo::HostId host) {
+  const auto it = lower_bound(host);
+  const auto i = static_cast<std::size_t>(it - entries_.begin());
+  if (it == entries_.end() || it->first != host) {
+    entries_.emplace(it, host, 0);
+  }
+  return entries_[i].second;
+}
+
 SendResult Fabric::send(topo::HostId src, net::Ipv4Address group,
                         std::span<const std::uint8_t> payload) {
   SendResult result;
@@ -358,11 +389,17 @@ SendResult Fabric::send(topo::HostId src, net::Ipv4Address group,
   }
 
   queue_.clear();
+  std::size_t head = 0;
+  delivered_.clear();
+  arena_.section_cache().clear();
+  const auto pending = [&] {
+    return static_cast<std::uint32_t>(queue_.size() - head);
+  };
   if (!lost_on(loss_rng, node_index(src_node), 0)) {
     queue_.push_back(WorkItem{first_leaf, std::move(packet), 1, prov_root});
     ++walk_stats_.enqueues;
-    walk_stats_.max_queue_depth = std::max<std::uint64_t>(
-        walk_stats_.max_queue_depth, queue_.size());
+    walk_stats_.max_queue_depth =
+        std::max<std::uint64_t>(walk_stats_.max_queue_depth, pending());
   } else {
     ++walk_stats_.lost_copies;
     if (prov_ != nullptr) {
@@ -370,9 +407,8 @@ SendResult Fabric::send(topo::HostId src, net::Ipv4Address group,
     }
   }
 
-  while (!queue_.empty()) {
-    auto item = std::move(queue_.front());
-    queue_.pop_front();
+  while (head < queue_.size()) {
+    auto item = std::move(queue_[head++]);
     ++walk_stats_.work_items;
     const bool at_host = item.at.layer == topo::Layer::kHost;
     if (!at_host) {
@@ -401,8 +437,7 @@ SendResult Fabric::send(topo::HostId src, net::Ipv4Address group,
       if (recorder_ != nullptr) {
         recorder_->process(item.at, item_start_us,
                            static_cast<std::uint32_t>(emissions.size()),
-                           static_cast<std::uint32_t>(queue_.size()),
-                           static_cast<std::uint32_t>(item.hops));
+                           pending(), static_cast<std::uint32_t>(item.hops));
       }
       continue;
     }
@@ -419,7 +454,7 @@ SendResult Fabric::send(topo::HostId src, net::Ipv4Address group,
         continue;
       }
       if (next.layer == topo::Layer::kHost) {
-        ++result.host_copies[next.id];
+        delivered_.push_back(next.id);
         ++walk_stats_.host_copies;
         if (!tte_watches_.empty()) tte_on_delivery(group.value, next.id);
         queue_.push_back(
@@ -430,15 +465,15 @@ SendResult Fabric::send(topo::HostId src, net::Ipv4Address group,
       }
       ++walk_stats_.enqueues;
     }
-    walk_stats_.max_queue_depth = std::max<std::uint64_t>(
-        walk_stats_.max_queue_depth, queue_.size());
+    walk_stats_.max_queue_depth =
+        std::max<std::uint64_t>(walk_stats_.max_queue_depth, pending());
     if (recorder_ != nullptr) {
       recorder_->process(item.at, item_start_us,
                          static_cast<std::uint32_t>(emissions.size()),
-                         static_cast<std::uint32_t>(queue_.size()),
-                         static_cast<std::uint32_t>(item.hops));
+                         pending(), static_cast<std::uint32_t>(item.hops));
     }
   }
+  result.host_copies.assign_counts(delivered_);
   return result;
 }
 

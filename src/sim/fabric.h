@@ -24,7 +24,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <span>
@@ -68,9 +67,56 @@ struct LinkStats {
   auto operator<=>(const LinkStats&) const = default;
 };
 
+// Hosts a send reached, with the number of copies each saw: a flat vector
+// of (host, count) sorted by host, read like the std::map it replaced
+// (ascending iteration, find/contains/count/at, operator[]).
+class HostCopies {
+ public:
+  using key_type = topo::HostId;
+  using mapped_type = std::size_t;
+  using value_type = std::pair<topo::HostId, std::size_t>;
+  using iterator = std::vector<value_type>::const_iterator;
+  using const_iterator = iterator;
+
+  // Replaces the contents with the multiplicities of `hosts` (reordered).
+  void assign_counts(std::span<topo::HostId> hosts);
+
+  const_iterator begin() const noexcept { return entries_.begin(); }
+  const_iterator end() const noexcept { return entries_.end(); }
+  std::size_t size() const noexcept { return entries_.size(); }
+  bool empty() const noexcept { return entries_.empty(); }
+
+  const_iterator find(topo::HostId host) const noexcept {
+    const auto it = lower_bound(host);
+    return it != entries_.end() && it->first == host ? it : entries_.end();
+  }
+  bool contains(topo::HostId host) const noexcept {
+    return find(host) != end();
+  }
+  std::size_t count(topo::HostId host) const noexcept {
+    return contains(host) ? 1 : 0;
+  }
+  // Throws std::out_of_range for a host the send did not reach.
+  std::size_t at(topo::HostId host) const;
+  // The host's count, inserted as 0 if absent.
+  std::size_t& operator[](topo::HostId host);
+
+  bool operator==(const HostCopies&) const = default;
+
+ private:
+  std::vector<value_type>::const_iterator lower_bound(
+      topo::HostId host) const noexcept {
+    return std::lower_bound(
+        entries_.begin(), entries_.end(), host,
+        [](const value_type& e, topo::HostId h) { return e.first < h; });
+  }
+
+  std::vector<value_type> entries_;
+};
+
 struct SendResult {
   // Hosts that received the packet, with the number of copies each saw.
-  std::map<topo::HostId, std::size_t> host_copies;
+  HostCopies host_copies;
   // Per-VM deliveries performed by receiving hypervisors.
   std::size_t vm_deliveries = 0;
   std::uint64_t total_wire_bytes = 0;
@@ -321,8 +367,11 @@ class Fabric {
   std::map<std::pair<std::uint32_t, std::uint32_t>, TteWatch> tte_watches_;
   std::vector<obs::TteRecord> tte_records_;
 
-  // Walk state, reused across sends (capacity persists, contents do not).
-  std::deque<WorkItem> queue_;
+  // Walk state, reused across sends (capacity persists, contents do not):
+  // the FIFO (drained through a head index), and one host id per host copy,
+  // counted into SendResult::host_copies when the walk ends.
+  std::vector<WorkItem> queue_;
+  std::vector<topo::HostId> delivered_;
   dp::EmissionArena arena_;
 };
 

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "dataplane/hypervisor_switch.h"
 #include "dataplane/network_switch.h"
 #include "elmo/encoder.h"
@@ -26,17 +29,54 @@ class ForwardingTest : public ::testing::Test {
     return encoder.encode(tree, nullptr);
   }
 
-  net::PacketView packet_from(topo::HostId sender, const MulticastTree& tree,
-                              std::size_t payload_bytes = 64) {
+  net::Packet encapsulate(topo::HostId sender, const MulticastTree& tree,
+                          std::size_t payload_bytes = 64) {
     const auto enc = encode(tree);
     HypervisorSwitch hv{topo_, sender};
     HypervisorSwitch::GroupFlow flow;
     flow.vni = 1;
     flow.elmo_header = codec_.serialize(tree.sender_encoding(sender), enc);
     hv.install_flow(group_addr_, flow);
-    auto packet = hv.encapsulate(
-        group_addr_, std::vector<std::uint8_t>(payload_bytes, 0x77));
-    return net::PacketView{std::move(*packet)};
+    return *hv.encapsulate(group_addr_,
+                           std::vector<std::uint8_t>(payload_bytes, 0x77));
+  }
+
+  net::PacketView packet_from(topo::HostId sender, const MulticastTree& tree,
+                              std::size_t payload_bytes = 64) {
+    return net::PacketView{encapsulate(sender, tree, payload_bytes)};
+  }
+
+  // Sender 0's packet as it arrives at leaf 1: leaf 0 -> spine -> leaf 1,
+  // each hop with its own arena. Its Elmo tail is the popped LEAF_RULES
+  // section of the sender's buffer.
+  net::PacketView arriving_at_leaf1(const net::PacketView& sent) {
+    NetworkSwitch leaf0{topo_, topo::Layer::kLeaf, 0};
+    EmissionArena arena;
+    const auto up = leaf0.process(sent, 0, arena);
+    EXPECT_EQ(up.size(), 1u);
+    if (up.empty()) return {};
+    const auto up_port = up[0].out_port;
+    EXPECT_GE(up_port, topo_.leaf_down_ports());
+    NetworkSwitch spine{topo_, topo::Layer::kSpine,
+                        topo_.spine_at(0, up_port - topo_.leaf_down_ports())};
+    EmissionArena arena2;
+    const auto down = spine.process(up[0].packet, 0, arena2);
+    EXPECT_EQ(down.size(), 1u);
+    if (down.empty()) return {};
+    EXPECT_EQ(down[0].out_port, 1u);  // leaf 1
+    return down[0].packet;
+  }
+
+  // Where a view's Elmo tail starts in its buffer.
+  static std::size_t tail_offset(const net::PacketView& view) {
+    return static_cast<std::size_t>(view.from(net::kOuterHeaderBytes).data() -
+                                    view.buffer()->bytes().data());
+  }
+
+  static std::vector<std::size_t> ports_of(std::span<const Emission> out) {
+    std::vector<std::size_t> ports;
+    for (const auto& e : out) ports.push_back(e.out_port);
+    return ports;
   }
 
   topo::ClosTopology topo_;
@@ -163,6 +203,87 @@ TEST_F(ForwardingTest, EmissionsOutliveTheInputView) {
     const auto flat = e.packet.materialize();
     EXPECT_EQ(flat.size(), e.packet.size());
   }
+}
+
+// Two live buffers whose Elmo tails sit at the same offset and have the
+// same length: one arena's section cache keeps an index for each, and each
+// packet is forwarded by its own p-rule. Hosts 2 and 3 are leaf 1's ports
+// 0 and 1.
+TEST_F(ForwardingTest, SectionCacheKeepsSameOffsetBuffersApart) {
+  const auto a = arriving_at_leaf1(
+      packet_from(0, MulticastTree{topo_, std::vector<topo::HostId>{0, 2}}));
+  const auto b = arriving_at_leaf1(
+      packet_from(0, MulticastTree{topo_, std::vector<topo::HostId>{0, 3}}));
+  ASSERT_NE(a.buffer(), b.buffer());
+  ASSERT_EQ(tail_offset(a), tail_offset(b));
+  ASSERT_EQ(a.size(), b.size());
+
+  NetworkSwitch leaf1{topo_, topo::Layer::kLeaf, 1};
+  EmissionArena arena;
+  EXPECT_EQ(ports_of(leaf1.process(a, 0, arena)),
+            std::vector<std::size_t>{0});
+  arena.clear();
+  EXPECT_EQ(ports_of(leaf1.process(b, 0, arena)),
+            std::vector<std::size_t>{1});
+  EXPECT_EQ(arena.section_cache().size(), 2u);
+  arena.clear();
+  EXPECT_EQ(ports_of(leaf1.process(a, 0, arena)),
+            std::vector<std::size_t>{0});  // a's entry, still live
+  EXPECT_EQ(leaf1.stats().prule_matches, 3u);
+  // The cache holds no reference: only the test's views own the buffers.
+  EXPECT_EQ(a.use_count(), 1);
+  EXPECT_EQ(b.use_count(), 1);
+}
+
+// A packet freed while the arena still has its entry, then a new one built
+// without clearing the arena: the expired entry never matches. The new
+// buffer is made right after the old one is freed, so an allocator that
+// reuses the freed block hands it the old buffer's address.
+TEST_F(ForwardingTest, SectionCacheEntryOfAFreedBufferNeverMatches) {
+  NetworkSwitch leaf1{topo_, topo::Layer::kLeaf, 1};
+  EmissionArena arena;
+  for (int round = 0; round < 4; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    const bool to_host2 = round % 2 == 0;
+    auto next = encapsulate(
+        0, MulticastTree{topo_, std::vector<topo::HostId>{
+                                    0, to_host2 ? topo::HostId{3} : 2}});
+    {
+      const auto a = arriving_at_leaf1(packet_from(
+          0, MulticastTree{topo_, std::vector<topo::HostId>{
+                                      0, to_host2 ? topo::HostId{2} : 3}}));
+      EXPECT_EQ(ports_of(leaf1.process(a, 0, arena)),
+                std::vector<std::size_t>{to_host2 ? 0u : 1u});
+      arena.clear();  // the emissions hold nothing of `a` past this
+    }
+    const net::PacketView sent{std::move(next)};
+    const auto b = arriving_at_leaf1(sent);
+    EXPECT_EQ(ports_of(leaf1.process(b, 0, arena)),
+              std::vector<std::size_t>{to_host2 ? 1u : 0u});
+    arena.clear();
+  }
+}
+
+// A truncated Elmo header throws what the codec throws on those bytes and
+// leaves no cache entry; the same arena then forwards a good packet.
+TEST_F(ForwardingTest, TruncatedHeaderLeavesNoSectionCacheEntry) {
+  const MulticastTree tree{topo_, std::vector<topo::HostId>{0, 1, 2}};
+  const auto good = packet_from(0, tree, /*payload_bytes=*/0);
+  auto bytes = good.materialize();
+  const auto flat = bytes.bytes();
+  const std::vector<std::uint8_t> cut{flat.begin(), flat.end() - 1};  // END
+  EXPECT_THROW(codec_.header_length(std::span{cut}.subspan(
+                   net::kOuterHeaderBytes)),
+               std::out_of_range);
+
+  NetworkSwitch leaf0{topo_, topo::Layer::kLeaf, 0};
+  EmissionArena arena;
+  EXPECT_THROW(leaf0.process(net::PacketView{std::span{cut}}, 0, arena),
+               std::out_of_range);
+  EXPECT_EQ(arena.section_cache().size(), 0u);
+  arena.clear();
+  EXPECT_EQ(leaf0.process(good, 0, arena).size(), 2u);  // host 1 + uplink
+  EXPECT_EQ(arena.section_cache().size(), 1u);
 }
 
 TEST(EmissionArena, MarkSinceRewind) {

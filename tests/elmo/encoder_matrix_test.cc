@@ -133,7 +133,9 @@ void expect_layer_contract(const LayerEncoding& layer,
       }
     } else if (s) {
       for (const auto& [id, bitmap] : layer.s_rules) {
-        if (id == input.switch_id) EXPECT_EQ(bitmap, input.bitmap);
+        if (id == input.switch_id) {
+          EXPECT_EQ(bitmap, input.bitmap);
+        }
       }
     } else {
       EXPECT_TRUE(input.bitmap.is_subset_of(*layer.default_rule));

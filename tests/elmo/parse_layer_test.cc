@@ -1,4 +1,5 @@
-// The switch's one-pass parse (HeaderCodec::parse_layer) against its
+// The switch's one-pass parse (HeaderCodec::parse_layer) and the per-layer
+// index behind it (index_layer + SectionIndex::lookup) against their
 // specification: the values a full parse() plus scan_sections() yield for
 // that switch's layer, and the same exception type on the same input.
 #include <gtest/gtest.h>
@@ -86,18 +87,24 @@ void expect_same(const LayerParse& got, const LayerParse& want) {
   }
 }
 
-// Every layer, every identifier the id fields can carry. `out` is reused
-// across calls, as a switch reuses it across packets.
+// Every layer, every identifier the id fields can carry, through both
+// parse_layer() and one SectionIndex per layer that every id then looks up
+// in (as every switch of a layer shares one index per walk). `out` and
+// `index` are reused across calls, as a switch and a walk reuse them.
 void check_all_layers(const HeaderCodec& codec,
                       std::span<const std::uint8_t> data,
                       const std::string& what) {
   const auto& t = codec.topology();
   LayerParse out;
+  LayerParse looked_up;
+  SectionIndex index;
   const std::pair<topo::Layer, unsigned> layers[] = {
       {topo::Layer::kLeaf, t.leaf_id_bits()},
       {topo::Layer::kSpine, t.pod_id_bits()},
       {topo::Layer::kCore, 0}};
   for (const auto& [layer, id_bits] : layers) {
+    const auto index_error =
+        thrown_by([&] { codec.index_layer(data, layer, index); });
     for (std::uint32_t id = 0; id < (1u << id_bits); ++id) {
       SCOPED_TRACE(what + " layer " + std::to_string(static_cast<int>(layer)) +
                    " id " + std::to_string(id));
@@ -107,7 +114,11 @@ void check_all_layers(const HeaderCodec& codec,
       const auto got_error =
           thrown_by([&] { codec.parse_layer(data, layer, id, out); });
       ASSERT_EQ(got_error, want_error);
-      if (want_error.empty()) expect_same(out, want);
+      ASSERT_EQ(index_error, want_error);
+      if (!want_error.empty()) continue;
+      expect_same(out, want);
+      index.lookup(id, looked_up);
+      expect_same(looked_up, want);
     }
   }
 }
@@ -188,6 +199,67 @@ TEST(ParseLayer, RepeatedRuleSectionsNumberAcrossSections) {
   EXPECT_EQ(out.matched_index, 1);  // first section's shared rule wins
   EXPECT_TRUE(out.matched_shared);
   EXPECT_EQ(out.matched, ports({2}));
+}
+
+// Refilling an index drops everything the previous header put in it: a
+// long header (every section kind, several p-rules, a default) indexed
+// first, then a short one (U_LEAF + END), into the same SectionIndex.
+TEST(SectionIndex, RefillLeavesNothingStale) {
+  const topo::ClosTopology t{topo::ClosParams::small_test()};
+  const HeaderCodec codec{t};
+  auto ports = [&](std::initializer_list<std::size_t> set) {
+    net::PortBitmap b{t.leaf_down_ports()};
+    for (const auto p : set) b.set(p);
+    return b;
+  };
+  auto long_header = test::full_header(t);
+  {
+    // full_header plus more leaf p-rules and a leaf default.
+    SenderEncoding sender;
+    sender.u_leaf.down = ports({1});
+    sender.u_leaf.up = net::PortBitmap{t.leaf_up_ports()};
+    GroupEncoding group;
+    group.leaf.p_rules = {PRule{ports({0}), {0, 1}}, PRule{ports({2}), {2}},
+                          PRule{ports({3}), {4, 5, 6}}};
+    group.leaf.default_rule = ports({0, 3});
+    const auto extra = codec.serialize(sender, group);
+    const auto sections = codec.scan_sections(extra);
+    ASSERT_EQ(sections[1].tag, SectionTag::kLeafRules);
+    long_header.pop_back();  // END
+    long_header.insert(long_header.end(), extra.begin() + sections[1].begin,
+                       extra.end());
+  }
+  SenderEncoding short_sender;
+  short_sender.u_leaf.down = ports({2});
+  short_sender.u_leaf.up = net::PortBitmap{t.leaf_up_ports()};
+  short_sender.u_leaf.multipath = false;
+  const auto short_header = codec.serialize(short_sender, GroupEncoding{});
+  ASSERT_LT(short_header.size(), long_header.size());
+
+  for (const auto layer :
+       {topo::Layer::kLeaf, topo::Layer::kSpine, topo::Layer::kCore}) {
+    SCOPED_TRACE("layer " + std::to_string(static_cast<int>(layer)));
+    SectionIndex index;
+    LayerParse got;
+    codec.index_layer(long_header, layer, index);
+    index.lookup(5, got);
+    expect_same(got, reference(codec, long_header, layer, 5));
+    if (layer == topo::Layer::kLeaf) {
+      ASSERT_TRUE(got.matched.has_value());  // the long header's rules hit
+      ASSERT_TRUE(got.default_rule.has_value());
+    }
+
+    codec.index_layer(short_header, layer, index);
+    for (std::uint32_t id = 0; id < (1u << t.leaf_id_bits()); ++id) {
+      SCOPED_TRACE("id " + std::to_string(id));
+      index.lookup(id, got);
+      expect_same(got, reference(codec, short_header, layer, id));
+      EXPECT_EQ(got.sections.size(), 2u);  // U_LEAF, END
+      EXPECT_FALSE(got.matched.has_value());
+      EXPECT_FALSE(got.default_rule.has_value());
+      EXPECT_FALSE(got.core_bitmap.has_value());
+    }
+  }
 }
 
 }  // namespace

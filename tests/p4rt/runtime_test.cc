@@ -252,8 +252,9 @@ TEST(P4rtCompile, FlowHeadersEqualHeaderForAcrossChurnAndFailure) {
     };
 
     check("install");
-    plane.join(ids[0], Member{topology.num_hosts() - 1, 100,
-                              MemberRole::kBoth});
+    plane.join(ids[0],
+               Member{static_cast<topo::HostId>(topology.num_hosts() - 1),
+                      100, MemberRole::kBoth});
     plane.flush();
     check("join");
     const auto leaving = controller.group(ids[1]).members.front();

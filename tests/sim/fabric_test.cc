@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <vector>
+
 #include "elmo/header.h"
 #include "testutil.h"
 
@@ -155,6 +159,91 @@ TEST_F(FabricFixture, VmDeliveriesFollowLocalMembership) {
 // Bitmaps wider than one 64-bit word: 96 hosts per leaf. The header scan
 // must step over them (it used to read each as one >64-bit field and
 // throw), and every member must still get exactly one copy.
+// The walk's section cache never carries one send's p-rule match into
+// another: two groups with same-shaped headers, sent back to back from one
+// host, each reach exactly their own members.
+TEST_F(FabricFixture, SameShapeHeadersKeepTheirOwnMatches) {
+  const auto a = controller.group(make_group({0, 17, 33})).address;
+  const auto b = controller.group(make_group({0, 18, 34})).address;
+  ASSERT_EQ(fabric.hypervisor(0).flow(a)->elmo_header.size(),
+            fabric.hypervisor(0).flow(b)->elmo_header.size());
+  for (int round = 0; round < 2; ++round) {
+    const auto ra = fabric.send(0, a, 64);
+    const auto rb = fabric.send(0, b, 64);
+    EXPECT_EQ(ra.host_copies.size(), 2u);
+    EXPECT_EQ(ra.host_copies.at(17), 1u);
+    EXPECT_EQ(ra.host_copies.at(33), 1u);
+    EXPECT_EQ(rb.host_copies.size(), 2u);
+    EXPECT_EQ(rb.host_copies.at(18), 1u);
+    EXPECT_EQ(rb.host_copies.at(34), 1u);
+  }
+}
+
+// A sender whose header template lost its END byte: the send throws what
+// the codec throws on those bytes, and the next send delivers correctly.
+TEST_F(FabricFixture, TruncatedHeaderThrowsAndTheNextSendDelivers) {
+  const auto group = controller.group(make_group({0, 17, 33})).address;
+  auto& hv = fabric.hypervisor(0);
+  const auto good = *hv.flow(group);
+  auto cut = good;
+  cut.elmo_header.pop_back();
+  EXPECT_THROW(elmo::HeaderCodec{topology}.header_length(cut.elmo_header),
+               std::out_of_range);
+  hv.install_flow(group, cut);
+  EXPECT_THROW(fabric.send(0, group, 0), std::out_of_range);
+
+  hv.install_flow(group, good);
+  const auto result = fabric.send(0, group, 64);
+  EXPECT_EQ(result.host_copies.size(), 2u);
+  EXPECT_EQ(result.host_copies.at(17), 1u);
+  EXPECT_EQ(result.host_copies.at(33), 1u);
+  EXPECT_EQ(result.vm_deliveries, 2u);
+}
+
+// SendResult::host_copies reads like the std::map it replaced, fed the
+// same host sequence (a host reached twice counts 2).
+TEST(HostCopies, ReadsLikeAMapOfTheSameHosts) {
+  std::vector<topo::HostId> hosts{9, 3, 7, 3, 12, 0, 9, 3};
+  std::map<topo::HostId, std::size_t> want;
+  for (const auto h : hosts) ++want[h];
+  HostCopies got;
+  got.assign_counts(hosts);
+
+  ASSERT_EQ(got.size(), want.size());
+  EXPECT_FALSE(got.empty());
+  EXPECT_EQ(std::vector(got.begin(), got.end()),
+            (std::vector<std::pair<topo::HostId, std::size_t>>(want.begin(),
+                                                               want.end())));
+  EXPECT_EQ(got.at(3), 3u);
+  EXPECT_EQ(got.at(9), 2u);
+  for (topo::HostId h = 0; h < 14; ++h) {
+    SCOPED_TRACE("host " + std::to_string(h));
+    EXPECT_EQ(got.contains(h), want.contains(h));
+    EXPECT_EQ(got.count(h), want.count(h));
+    const auto it = got.find(h);
+    ASSERT_EQ(it == got.end(), !want.contains(h));
+    if (it != got.end()) {
+      EXPECT_EQ(it->first, h);
+      EXPECT_EQ(it->second, want.at(h));
+      EXPECT_EQ(got.at(h), want.at(h));
+    } else {
+      EXPECT_THROW((void)got.at(h), std::out_of_range);
+    }
+  }
+
+  // operator[] inserts in order, as std::map's does.
+  HostCopies built;
+  for (const auto h : hosts) ++built[h];
+  EXPECT_EQ(built, got);
+  EXPECT_EQ(built[5], 0u);
+  want[5];
+  EXPECT_NE(built, got);
+  EXPECT_EQ(std::vector(built.begin(), built.end()),
+            (std::vector<std::pair<topo::HostId, std::size_t>>(want.begin(),
+                                                               want.end())));
+  EXPECT_TRUE(HostCopies{}.empty());
+}
+
 TEST(FabricWideLeaf, BitmapsOver64PortsScanAndDeliver) {
   const topo::ClosTopology topology{topo::ClosParams{.pods = 2,
                                                      .leaves_per_pod = 2,
