@@ -27,8 +27,8 @@
 // (BENCH_packet_walk_baseline.json = the seed deep-copy walk,
 // BENCH_packet_walk.json = the CoW PacketView pipeline).
 // --metrics=<path> writes the metrics-on exposition ("-" = stderr);
-// --trace=<path> records one probe send per fanout into a chrome://tracing
-// JSON file.
+// --trace=<path> records one probe send per fanout (a "send" span with one
+// child span per hop) into a chrome://tracing JSON file.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -39,8 +39,8 @@
 #include "elmo/controller.h"
 #include "obs/metrics.h"
 #include "obs/timeseries.h"
+#include "obs/trace.h"
 #include "sim/fabric.h"
-#include "sim/flight_recorder.h"
 #include "topology/clos.h"
 #include "util/flags.h"
 
@@ -63,7 +63,7 @@ struct RunResult {
 
 RunResult run_fanout(std::size_t fanout, std::size_t payload_bytes,
                      std::size_t iterations, bool sample,
-                     sim::FlightRecorder* recorder) {
+                     obs::Tracer* tracer) {
   // Two-tier leaf-spine: 32 leaves x 32 hosts = 1,024 hosts, enough for the
   // widest fanout while keeping fabric construction cheap.
   const topo::ClosTopology topology{topo::ClosParams::two_tier_leaf_spine()};
@@ -129,9 +129,9 @@ RunResult run_fanout(std::size_t fanout, std::size_t payload_bytes,
   }
   reg.set_enabled(metrics_requested);
 
-  // One recorded probe per fanout for the flight-recorder trace.
-  if (recorder != nullptr) {
-    fabric.set_recorder(recorder);
+  // One traced probe per fanout for the --trace timeline.
+  if (tracer != nullptr) {
+    fabric.set_recorder(tracer);
     (void)fabric.send(0, group, payload);
     fabric.set_recorder(nullptr);
   }
@@ -166,7 +166,7 @@ int main(int argc, char** argv) {
 
   auto& reg = elmo::obs::MetricsRegistry::global();
   if (!metrics_path.empty()) reg.set_enabled(true);
-  elmo::sim::FlightRecorder recorder;
+  elmo::obs::Tracer tracer;
 
   std::printf("{\n  \"bench\": \"packet_walk\",\n  \"payload_bytes\": %zu,\n"
               "  \"hardware_threads\": %u,\n  \"results\": [\n",
@@ -175,7 +175,7 @@ int main(int argc, char** argv) {
   const std::size_t iters[] = {4000 * scale, 1000 * scale, 200 * scale};
   for (std::size_t i = 0; i < 3; ++i) {
     const auto r = run_fanout(fanouts[i], payload, iters[i], sample,
-                              trace_path.empty() ? nullptr : &recorder);
+                              trace_path.empty() ? nullptr : &tracer);
     std::printf(
         "    {\"fanout\": %zu, \"sends_per_sec\": %.0f, "
         "\"sends_per_sec_metrics_on\": %.0f, "
@@ -201,7 +201,7 @@ int main(int argc, char** argv) {
     elmo::obs::write_metrics(metrics_path, reg.snapshot());
   }
   if (!trace_path.empty()) {
-    recorder.write(trace_path);
+    tracer.write(trace_path);
   }
   return 0;
 }

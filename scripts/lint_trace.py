@@ -1,36 +1,31 @@
 #!/usr/bin/env python3
-"""Strict linter for the chrome://tracing JSON the observability stores emit.
+"""Strict linter for the chrome://tracing JSON obs::Tracer exports.
 
 Usage: scripts/lint_trace.py <file> [<file> ...]   ("-" reads stdin)
 
-Validates the contract CI smoke jobs rely on (DESIGN.md §9 and §15), for
-both the FlightRecorder (pid 1), the causal Tracer (pid 2), and the merged
-unified export that carries both:
+Validates the contract CI smoke jobs rely on (DESIGN.md §9 and §15):
 
   * the file parses as JSON with a `traceEvents` list;
   * every event carries `name`, `ph`, and `pid`, with `ph` one of
-    M / X / C / i / s / f;
+    M / X / i / s / f;
   * X (duration) events carry numeric `ts`, a non-negative `dur`, and a
-    `tid`; i (instant) events carry `ts` and a scope `s`; C (counter)
-    events carry `ts` and a numeric `args` payload; f (flow end) events
-    carry `bp` == "e";
+    `tid`; i (instant) events carry `ts` and a scope `s`; f (flow end)
+    events carry `bp` == "e";
   * timestamps are monotonic (non-decreasing) within each (pid, tid) lane —
-    each store appends chronologically, so regressions mean clock misuse;
+    the store appends chronologically, so regressions mean clock misuse;
   * every s/f flow pair matches exactly once by (pid, id), with the "f"
     endpoint not earlier than its "s" source;
   * causal structure (events with a numeric `args.span`): a closed child
     span lies inside its closed parent span's interval (same pid, any
-    lane — installs parent under the wire-lane flush), and every non-zero
-    `parent` / `from_span` / `to_span` reference resolves to a recorded
-    span or instant unless the event is flagged `orphan`;
-  * per-pid accounting metadata is present and consistent:
-      - `elmo_recorder_stats` (the FlightRecorder): `events` equals the
-        recorded X + i count on its pid;
-      - `elmo_tracer_stats` (the Tracer): `spans` equals the X count,
-        `instants` the i count, and `flows` both the s and the f count on
-        its pid;
-      - for both, `dropped` > 0 is only legal when the buffer filled
-        (recorded events == max_events).
+    lane — installs parent under the wire-lane flush, hops under their
+    send), and every non-zero `parent` / `from_span` / `to_span` reference
+    resolves to a recorded span or instant unless the event is flagged
+    `orphan`;
+  * every pid that carries events has `elmo_tracer_stats` accounting
+    metadata, consistent with what it holds: `spans` equals the X count,
+    `instants` the i count, and `flows` both the s and the f count; and
+    `dropped` > 0 is only legal when the buffer filled (recorded events ==
+    max_events).
 
 Exit status 0 when every file is clean, 1 otherwise.
 """
@@ -38,7 +33,7 @@ Exit status 0 when every file is clean, 1 otherwise.
 import json
 import sys
 
-VALID_PHASES = {"M", "X", "C", "i", "s", "f"}
+VALID_PHASES = {"M", "X", "i", "s", "f"}
 
 # %.3f microsecond timestamps round each endpoint independently; a closed
 # child may overhang its parent by up to one rounding step per endpoint.
@@ -62,7 +57,6 @@ def lint(path, text):
     if not isinstance(doc, dict) or not isinstance(doc.get("traceEvents"), list):
         return [f"{path}: missing traceEvents list"]
 
-    recorder_stats = {}     # pid -> args of elmo_recorder_stats
     tracer_stats = {}       # pid -> args of elmo_tracer_stats
     counts = {}             # pid -> {"X": n, "i": n, "s": n, "f": n}
     last_ts = {}            # (pid, tid) -> last seen ts
@@ -84,9 +78,7 @@ def lint(path, text):
         pid = ev.get("pid")
 
         if ph == "M":
-            if ev.get("name") == "elmo_recorder_stats":
-                recorder_stats[pid] = ev.get("args")
-            elif ev.get("name") == "elmo_tracer_stats":
+            if ev.get("name") == "elmo_tracer_stats":
                 tracer_stats[pid] = ev.get("args")
             continue
 
@@ -115,9 +107,6 @@ def lint(path, text):
                 err(i, f"instant event has bad scope {ev.get('s')!r}")
             if is_number(args.get("span")):
                 spans[(pid, args["span"])] = (i, ts, ts)
-        elif ph == "C":
-            if not args or not all(is_number(v) for v in args.values()):
-                err(i, "counter event args must be numeric")
         elif ph in ("s", "f"):
             counts[pid][ph] += 1
             if not is_number(ev.get("id")):
@@ -172,64 +161,42 @@ def lint(path, text):
                 f"{ends['f'][0][1]} before its source {ends['s'][0][1]}")
 
     # --- per-pid accounting --------------------------------------------------
-    def check_bounds(label, pid, stats, recorded):
-        ok = True
-        for field in ("dropped", "max_events"):
-            if not is_number(stats.get(field)):
-                errors.append(f"{path}: {label} lacks numeric {field!r}")
-                ok = False
-        if not ok:
-            return
-        if recorded > stats["max_events"]:
+    for pid, n in counts.items():
+        trc = tracer_stats.get(pid)
+        if not isinstance(trc, dict):
+            errors.append(f"{path}: pid {pid} carries events but no "
+                          f"elmo_tracer_stats metadata")
+            continue
+        clean = True
+        for field in ("spans", "instants", "flows", "orphans", "dropped",
+                      "max_events"):
+            if not is_number(trc.get(field)):
+                errors.append(
+                    f"{path}: elmo_tracer_stats lacks numeric {field!r}")
+                clean = False
+        if not clean:
+            continue
+        for field, have in (("spans", n["X"]), ("instants", n["i"])):
+            if trc[field] != have:
+                errors.append(
+                    f"{path}: elmo_tracer_stats says {trc[field]} "
+                    f"{field}, pid {pid} holds {have}")
+        for ph in ("s", "f"):
+            if trc["flows"] != n[ph]:
+                errors.append(
+                    f"{path}: elmo_tracer_stats says {trc['flows']} "
+                    f"flows, pid {pid} holds {n[ph]} {ph!r} events")
+        recorded = trc["spans"] + trc["instants"] + trc["flows"]
+        if recorded > trc["max_events"]:
             errors.append(
                 f"{path}: pid {pid} holds {recorded} events, exceeding the "
-                f"declared bound {stats['max_events']}")
-        if stats["dropped"] > 0 and recorded != stats["max_events"]:
+                f"declared bound {trc['max_events']}")
+        if trc["dropped"] > 0 and recorded != trc["max_events"]:
             errors.append(
-                f"{path}: pid {pid} dropped {stats['dropped']} events but "
-                f"the buffer never filled ({recorded}/{stats['max_events']})")
+                f"{path}: pid {pid} dropped {trc['dropped']} events but "
+                f"the buffer never filled ({recorded}/{trc['max_events']})")
 
-    for pid, n in counts.items():
-        rec, trc = recorder_stats.get(pid), tracer_stats.get(pid)
-        if rec is not None:
-            if not is_number(rec.get("events")):
-                errors.append(
-                    f"{path}: elmo_recorder_stats lacks numeric 'events'")
-            else:
-                if rec["events"] != n["X"] + n["i"]:
-                    errors.append(
-                        f"{path}: elmo_recorder_stats says {rec['events']} "
-                        f"events, pid {pid} holds {n['X'] + n['i']}")
-                check_bounds("elmo_recorder_stats", pid, rec, rec["events"])
-            if n["s"] or n["f"]:
-                errors.append(
-                    f"{path}: pid {pid} is a recorder but carries flow events")
-        elif trc is not None:
-            clean = True
-            for field in ("spans", "instants", "flows", "orphans"):
-                if not is_number(trc.get(field)):
-                    errors.append(
-                        f"{path}: elmo_tracer_stats lacks numeric {field!r}")
-                    clean = False
-            if clean:
-                for field, have in (("spans", n["X"]), ("instants", n["i"])):
-                    if trc[field] != have:
-                        errors.append(
-                            f"{path}: elmo_tracer_stats says {trc[field]} "
-                            f"{field}, pid {pid} holds {have}")
-                for ph in ("s", "f"):
-                    if trc["flows"] != n[ph]:
-                        errors.append(
-                            f"{path}: elmo_tracer_stats says {trc['flows']} "
-                            f"flows, pid {pid} holds {n[ph]} {ph!r} events")
-                recorded = trc["spans"] + trc["instants"] + trc["flows"]
-                check_bounds("elmo_tracer_stats", pid, trc, recorded)
-        else:
-            errors.append(
-                f"{path}: pid {pid} carries events but no "
-                f"elmo_recorder_stats / elmo_tracer_stats metadata")
-
-    if not counts and not recorder_stats and not tracer_stats:
+    if not counts and not tracer_stats:
         errors.append(f"{path}: trace holds no events and no accounting")
     return errors
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdio>
 
 namespace elmo::obs {
@@ -11,7 +12,7 @@ namespace {
 std::atomic<Tracer*> g_tracer{nullptr};
 
 // chrome://tracing wants decimal microseconds; fixed 3 digits keeps the
-// files diffable (same convention as the FlightRecorder).
+// files diffable.
 void append_us(std::string& out, double us) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.3f", us);
@@ -24,9 +25,12 @@ void append_u64(std::string& out, std::uint64_t v) {
   out += buf;
 }
 
+// Integral attrs (ids, group addresses, counts) print exactly; %g alone
+// would round a 32-bit group address to six digits.
 void append_attr_value(std::string& out, double v) {
   char buf[32];
-  std::snprintf(buf, sizeof(buf), "%g", v);
+  const bool integral = std::fabs(v) < 1e15 && v == std::trunc(v);
+  std::snprintf(buf, sizeof(buf), integral ? "%.0f" : "%g", v);
   out += buf;
 }
 
@@ -58,8 +62,10 @@ double Tracer::now_us() const noexcept {
 TraceContext Tracer::record(SpanRecord::Kind kind, const char* name,
                             TraceLane lane, TraceContext parent,
                             std::initializer_list<TraceAttr> attrs) {
-  const double now = now_us();
   std::lock_guard<std::mutex> lock{mu_};
+  // Clock read under the lock: records append in timestamp order even when
+  // pool workers and the main thread record concurrently.
+  const double now = now_us();
   const std::uint64_t trace =
       parent.trace_id != 0 ? parent.trace_id : ++next_trace_;
   if (records_.size() >= max_events_) {
@@ -100,16 +106,21 @@ TraceContext Tracer::begin_span(const char* name, TraceLane lane,
   return record(SpanRecord::Kind::kSpan, name, lane, parent, attrs);
 }
 
-void Tracer::end_span(const TraceContext& span) {
+void Tracer::end_span(const TraceContext& span,
+                      std::initializer_list<TraceAttr> attrs) {
   if (span.span_id == 0) return;  // dropped at begin; already accounted
-  const double now = now_us();
   std::lock_guard<std::mutex> lock{mu_};
+  const double now = now_us();
   // Spans close in near-LIFO order; scan from the tail.
   for (auto it = records_.rbegin(); it != records_.rend(); ++it) {
     if (it->span_id == span.span_id) {
       if (it->kind == SpanRecord::Kind::kSpan && it->dur_us < 0) {
         it->dur_us = now - it->ts_us;
         --open_;
+        for (const auto& a : attrs) {
+          if (it->nattrs >= kMaxTraceAttrs) break;
+          it->attrs[it->nattrs++] = a;
+        }
       }
       return;
     }
@@ -124,8 +135,8 @@ TraceContext Tracer::instant(const char* name, TraceLane lane,
 
 void Tracer::flow(const TraceContext& from, TraceLane from_lane,
                   const TraceContext& to, TraceLane to_lane) {
-  const double now = now_us();
   std::lock_guard<std::mutex> lock{mu_};
+  const double now = now_us();
   if (records_.size() >= max_events_) {
     ++dropped_;
     return;
@@ -173,10 +184,11 @@ void Tracer::clear() {
   spans_ = instants_ = flows_ = dropped_ = orphans_ = open_ = 0;
 }
 
-void Tracer::append_chrome_events(std::string& out, bool& first,
-                                  double ts_offset_us) const {
+std::string Tracer::chrome_trace_json() const {
   std::lock_guard<std::mutex> lock{mu_};
   const double now = now_us();
+  std::string out = "{\"displayTimeUnit\": \"ns\", \"traceEvents\": [\n";
+  bool first = true;
   auto emit = [&](const std::string& event) {
     if (!first) out += ",\n";
     first = false;
@@ -184,10 +196,10 @@ void Tracer::append_chrome_events(std::string& out, bool& first,
     out += event;
   };
 
-  emit("{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": 2, "
+  emit("{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": 1, "
        "\"args\": {\"name\": \"elmo_trace\"}}");
   for (std::size_t lane = 0; lane < kTraceLaneCount; ++lane) {
-    std::string ev = "{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 2, "
+    std::string ev = "{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 1, "
                      "\"tid\": ";
     append_u64(ev, lane);
     ev += ", \"args\": {\"name\": \"";
@@ -199,7 +211,7 @@ void Tracer::append_chrome_events(std::string& out, bool& first,
     // Accounting record the trace linter reconciles against the exported
     // event counts (scripts/lint_trace.py).
     std::string ev =
-        "{\"name\": \"elmo_tracer_stats\", \"ph\": \"M\", \"pid\": 2, "
+        "{\"name\": \"elmo_tracer_stats\", \"ph\": \"M\", \"pid\": 1, "
         "\"args\": {\"spans\": ";
     append_u64(ev, spans_);
     ev += ", \"instants\": ";
@@ -241,10 +253,10 @@ void Tracer::append_chrome_events(std::string& out, bool& first,
     switch (rec.kind) {
       case SpanRecord::Kind::kSpan: {
         const bool open = rec.dur_us < 0;
-        ev += "\"ph\": \"X\", \"pid\": 2, \"tid\": ";
+        ev += "\"ph\": \"X\", \"pid\": 1, \"tid\": ";
         append_u64(ev, static_cast<std::uint64_t>(rec.lane));
         ev += ", \"ts\": ";
-        append_us(ev, rec.ts_us + ts_offset_us);
+        append_us(ev, rec.ts_us);
         ev += ", \"dur\": ";
         append_us(ev, open ? now - rec.ts_us : rec.dur_us);
         ev += ", \"args\": {";
@@ -254,10 +266,10 @@ void Tracer::append_chrome_events(std::string& out, bool& first,
         break;
       }
       case SpanRecord::Kind::kInstant: {
-        ev += "\"ph\": \"i\", \"s\": \"t\", \"pid\": 2, \"tid\": ";
+        ev += "\"ph\": \"i\", \"s\": \"t\", \"pid\": 1, \"tid\": ";
         append_u64(ev, static_cast<std::uint64_t>(rec.lane));
         ev += ", \"ts\": ";
-        append_us(ev, rec.ts_us + ts_offset_us);
+        append_us(ev, rec.ts_us);
         ev += ", \"args\": {";
         common_args(ev, rec);
         ev += "}}";
@@ -268,8 +280,8 @@ void Tracer::append_chrome_events(std::string& out, bool& first,
         // paired by id (= the flow record's span id).
         std::string base = "\"cat\": \"causal\", \"id\": ";
         append_u64(base, rec.span_id);
-        base += ", \"pid\": 2, \"ts\": ";
-        append_us(base, rec.ts_us + ts_offset_us);
+        base += ", \"pid\": 1, \"ts\": ";
+        append_us(base, rec.ts_us);
         base += ", \"args\": {\"trace\": ";
         append_u64(base, rec.trace_id);
         base += ", \"from_span\": ";
@@ -295,14 +307,24 @@ void Tracer::append_chrome_events(std::string& out, bool& first,
     }
     emit(ev);
   }
-}
-
-std::string Tracer::chrome_trace_json() const {
-  std::string out = "{\"traceEvents\": [\n";
-  bool first = true;
-  append_chrome_events(out, first, 0.0);
   out += "\n]}\n";
   return out;
+}
+
+bool Tracer::write(const std::string& path) const {
+  const auto text = chrome_trace_json();
+  if (path == "-") {
+    std::fwrite(text.data(), 1, text.size(), stderr);
+    return true;
+  }
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  if (f == nullptr) {
+    std::fprintf(stderr, "Tracer: cannot open %s\n", path.c_str());
+    return false;
+  }
+  std::fwrite(text.data(), 1, text.size(), f);
+  std::fclose(f);
+  return true;
 }
 
 void set_global_tracer(Tracer* tracer) noexcept {

@@ -1,14 +1,15 @@
 // Causal tracing across the control and data planes (DESIGN.md §15).
 //
-// obs::Tracer is a bounded, mutex-guarded span store with explicit causal
-// structure: every record carries a trace ID (one per churn event / flush /
-// tool phase), a span ID, and a parent-span link, so a join can be followed
-// from ingest through incremental re-encode, delta diff, p4rt framing and
-// per-switch install to the first data-plane delivery that proves the new
-// tree is live (the join-to-first-packet "time-to-effect" loop closed by
-// sim::Fabric).
+// obs::Tracer is the repo's one span store: a bounded, mutex-guarded buffer
+// with explicit causal structure. Every record carries a trace ID (one per
+// churn event / flush / tool phase / fabric send), a span ID, and a
+// parent-span link, so a join can be followed from ingest through
+// incremental re-encode, delta diff, p4rt framing and per-switch install to
+// the first data-plane delivery that proves the new tree is live (the
+// join-to-first-packet "time-to-effect" loop closed by sim::Fabric), and a
+// fabric send down to every hop it took (Fabric::set_recorder).
 //
-// Design constraints, mirroring the FlightRecorder (DESIGN.md §9):
+// Design constraints:
 //   * Opt-in observer: producers hold a raw `Tracer*` and test it for null
 //     before doing any work — a detached tracer costs one branch.
 //   * Bounded: at most `max_events` records are kept. A begin_span on a
@@ -19,11 +20,11 @@
 //   * Names and attribute keys are `const char*` string literals; attrs are
 //     numeric and capped at kMaxTraceAttrs per record — recording never
 //     allocates beyond the (reserved) record vector.
+//   * One clock: timestamps are read under the store's lock, so records
+//     append in timestamp order even with concurrent producers.
 //
-// Export is chrome://tracing JSON on process id 2 (the FlightRecorder owns
-// pid 1), one thread lane per TraceLane, with "s"/"f" flow events carrying
-// the cross-lane causal edges. sim::unified_trace_json (flight_recorder.h)
-// merges both stores onto a shared clock for the single-timeline view.
+// Export is chrome://tracing JSON on one process id, one thread lane per
+// TraceLane, with "s"/"f" flow events carrying the cross-lane causal edges.
 #pragma once
 
 #include <chrono>
@@ -46,9 +47,9 @@ struct TraceContext {
   explicit operator bool() const noexcept { return trace_id != 0; }
 };
 
-// Timeline lanes (chrome://tracing tids under pid 2). Control-plane event
-// handling, wire framing, per-switch installs, data-plane effects, and the
-// pre-existing obs::Span phase spans each get their own swimlane.
+// Timeline lanes (chrome://tracing tids). Control-plane event handling,
+// wire framing, per-switch installs, data-plane sends, hops and effects,
+// and the obs::Span phase spans each get their own swimlane.
 enum class TraceLane : std::uint8_t {
   kControl = 0,
   kWire = 1,
@@ -114,9 +115,6 @@ class Tracer {
 
   // Microseconds since this tracer was constructed (steady clock).
   double now_us() const noexcept;
-  std::chrono::steady_clock::time_point origin() const noexcept {
-    return origin_;
-  }
 
   // Opens a span. With a null parent (trace_id == 0) a fresh trace is
   // minted and the span is its root; otherwise the span joins the parent's
@@ -124,7 +122,10 @@ class Tracer {
   TraceContext begin_span(const char* name, TraceLane lane,
                           TraceContext parent = {},
                           std::initializer_list<TraceAttr> attrs = {});
-  void end_span(const TraceContext& span);
+  // Closes `span`; `attrs` are appended to the ones given at begin (still
+  // capped at kMaxTraceAttrs) for values only known once the work is done.
+  void end_span(const TraceContext& span,
+                std::initializer_list<TraceAttr> attrs = {});
 
   // Point-in-time event in `parent`'s trace (or a fresh trace if null).
   // Returns a context usable as a flow endpoint.
@@ -142,14 +143,12 @@ class Tracer {
   std::vector<SpanRecord> snapshot() const;
   void clear();
 
-  // Tracer-only chrome://tracing document (pid 2). For the merged
-  // control+data timeline use sim::unified_trace_json.
+  // chrome://tracing document: lane names, the elmo_tracer_stats
+  // accounting record, then every record in buffer order.
   std::string chrome_trace_json() const;
-  // Appends this tracer's metadata + events (pid 2) to an in-progress
-  // chrome JSON event array; `first` tracks comma placement and `ts_offset_us`
-  // shifts every timestamp (clock alignment for merged exports).
-  void append_chrome_events(std::string& out, bool& first,
-                            double ts_offset_us) const;
+  // Writes chrome_trace_json() to `path` ("-" = stderr); false if the file
+  // cannot be opened.
+  bool write(const std::string& path) const;
 
   static constexpr std::size_t kDefaultMaxEvents = 1 << 16;
 
@@ -174,7 +173,7 @@ class Tracer {
 
 // Process-wide tracer hook for obs::Span's tracer-emitting constructor
 // (span.h): tools that want controller/cluster/pool phase spans on the
-// unified timeline install their Tracer here for the run. Null by default;
+// timeline install their Tracer here for the run. Null by default;
 // the disabled path stays one relaxed atomic load.
 void set_global_tracer(Tracer* tracer) noexcept;
 Tracer* global_tracer() noexcept;

@@ -6,11 +6,14 @@
 
 #include "obs/span.h"
 #include "obs/timeseries.h"
-#include "sim/flight_recorder.h"
 
 namespace elmo::sim {
 
 namespace {
+
+// Hop span names by topo::Layer (obs::Tracer keeps the pointer, so these
+// must be literals).
+constexpr const char* kHopSpanNames[] = {"host", "leaf", "spine", "core"};
 
 // Global-registry ids, registered once on first use (registration takes the
 // registry lock; the per-send hot path must not).
@@ -373,8 +376,13 @@ SendResult Fabric::send(topo::HostId src, net::Ipv4Address group,
 
   std::optional<obs::Span> span;
   ELMO_METRIC(span.emplace(reg, fabric_metric_ids().send_seconds));
+  obs::TraceContext send_span;
   if (recorder_ != nullptr) {
-    recorder_->send_begin(walk_stats_.sends, group.value, src);
+    send_span = recorder_->begin_span(
+        "send", obs::TraceLane::kData, {},
+        {{"group", static_cast<double>(group.value)},
+         {"src_host", static_cast<double>(src)},
+         {"send_index", static_cast<double>(walk_stats_.sends)}});
   }
   ++walk_stats_.sends;
   auto loss_rng = util::Rng::stream(loss_seed_, send_ordinal_++);
@@ -394,6 +402,12 @@ SendResult Fabric::send(topo::HostId src, net::Ipv4Address group,
   arena_.section_cache().clear();
   const auto pending = [&] {
     return static_cast<std::uint32_t>(queue_.size() - head);
+  };
+  const auto end_hop_span = [&](const obs::TraceContext& span,
+                                std::size_t fanout) {
+    recorder_->end_span(span,
+                        {{"fanout", static_cast<double>(fanout)},
+                         {"queue_depth", static_cast<double>(pending())}});
   };
   if (!lost_on(loss_rng, node_index(src_node), 0)) {
     queue_.push_back(WorkItem{first_leaf, std::move(packet), 1, prov_root});
@@ -418,8 +432,14 @@ SendResult Fabric::send(topo::HostId src, net::Ipv4Address group,
       }
     }
 
-    double item_start_us = 0;
-    if (recorder_ != nullptr) item_start_us = recorder_->now_us();
+    obs::TraceContext hop_span;
+    if (recorder_ != nullptr) {
+      hop_span = recorder_->begin_span(
+          kHopSpanNames[static_cast<std::size_t>(item.at.layer)],
+          obs::TraceLane::kData, send_span,
+          {{"node", static_cast<double>(item.at.id)},
+           {"hop", static_cast<double>(item.hops)}});
+    }
 
     std::size_t prov_hop = obs::kNoProvParent;
     if (prov_ != nullptr) {
@@ -434,11 +454,7 @@ SendResult Fabric::send(topo::HostId src, net::Ipv4Address group,
       // Hypervisor emissions are per-VM payload deliveries, not wire hops.
       result.vm_deliveries += emissions.size();
       walk_stats_.vm_deliveries += emissions.size();
-      if (recorder_ != nullptr) {
-        recorder_->process(item.at, item_start_us,
-                           static_cast<std::uint32_t>(emissions.size()),
-                           pending(), static_cast<std::uint32_t>(item.hops));
-      }
+      if (recorder_ != nullptr) end_hop_span(hop_span, emissions.size());
       continue;
     }
     const auto from_index = node_index(item.at);
@@ -467,12 +483,9 @@ SendResult Fabric::send(topo::HostId src, net::Ipv4Address group,
     }
     walk_stats_.max_queue_depth =
         std::max<std::uint64_t>(walk_stats_.max_queue_depth, pending());
-    if (recorder_ != nullptr) {
-      recorder_->process(item.at, item_start_us,
-                         static_cast<std::uint32_t>(emissions.size()),
-                         pending(), static_cast<std::uint32_t>(item.hops));
-    }
+    if (recorder_ != nullptr) end_hop_span(hop_span, emissions.size());
   }
+  if (recorder_ != nullptr) recorder_->end_span(send_span);
   result.host_copies.assign_counts(delivered_);
   return result;
 }

@@ -50,8 +50,6 @@ class TimeSeriesStore;
 
 namespace elmo::sim {
 
-class FlightRecorder;
-
 // One endpoint of the walk: either a network switch or a host hypervisor.
 struct NodeRef {
   topo::Layer layer = topo::Layer::kHost;
@@ -232,12 +230,17 @@ class Fabric {
   // window closes. Allocation-free after the first call (DESIGN.md §14).
   void sample_into(obs::TimeSeriesStore& store) const;
 
-  // Optional flight recorder (nullptr detaches). Not owned; must outlive the
-  // sends it observes. A detached fabric pays one pointer test per work item.
-  void set_recorder(FlightRecorder* recorder) noexcept {
-    recorder_ = recorder;
-  }
-  FlightRecorder* recorder() const noexcept { return recorder_; }
+  // Optional hop tracer (nullptr detaches). Each send() then records a root
+  // "send" span {group, src_host, send_index} on TraceLane::kData and, per
+  // work item, a child span named by the node's layer ("host", "leaf",
+  // "spine", "core") {node, hop, fanout, queue_depth} that closes after the
+  // node processed the packet. A walk that throws leaves its spans open.
+  // Kept apart from set_tracer() so a tracer can watch time-to-effect
+  // without also holding every hop; pass the same tracer to both for one
+  // timeline. Not owned; must outlive the sends it observes. A detached
+  // fabric pays one pointer test per work item.
+  void set_recorder(obs::Tracer* recorder) noexcept { recorder_ = recorder; }
+  obs::Tracer* recorder() const noexcept { return recorder_; }
 
   // Optional decision-provenance log (nullptr detaches). Attaches the log to
   // every forwarding element so each send() grows one decision tree in it
@@ -349,7 +352,7 @@ class Fabric {
   void ensure_link_classes() const;
   mutable std::vector<std::uint8_t> link_class_;
   FabricWalkStats walk_stats_;
-  FlightRecorder* recorder_ = nullptr;
+  obs::Tracer* recorder_ = nullptr;
   obs::ProvenanceLog* prov_ = nullptr;
 
   // Time-to-effect watches keyed by (group address, host). Non-empty only

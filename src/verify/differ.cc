@@ -14,7 +14,6 @@
 #include "obs/provenance.h"
 #include "obs/timeseries.h"
 #include "sim/fabric.h"
-#include "sim/flight_recorder.h"
 #include "verify/explain.h"
 #include "verify/oracle.h"
 
@@ -78,12 +77,12 @@ class Runner {
     if (!legacy_.empty()) legacy_.resize(topo_.num_leaves(), false);
     if (observability != nullptr) {
       registry_ = observability->registry;
-      fabric_.set_recorder(observability->recorder);
       captures_ = observability->captures;
       ts_ = observability->timeseries;
       health_ = observability->health;
       tracer_ = observability->tracer;
       fabric_.set_tracer(tracer_);
+      fabric_.set_recorder(tracer_);
     }
     // The runner always walks with provenance attached: every diff it
     // reports carries the send's annotated decision tree (DESIGN.md §10).

@@ -30,9 +30,6 @@ class MetricsRegistry;
 class TimeSeriesStore;
 class Tracer;
 }
-namespace elmo::sim {
-class FlightRecorder;
-}
 
 namespace elmo::verify {
 
@@ -99,13 +96,11 @@ struct SendCapture {
 };
 
 // Optional telemetry taps for one run (DESIGN.md §9). All may be null.
-// `recorder` is attached to the scenario's fabric for the whole run; the
-// registry receives the fabric's per-element and walk totals when the run
-// finishes (accumulate_fabric_metrics — one shot per run); `captures`
+// The registry receives the fabric's per-element and walk totals when the
+// run finishes (accumulate_fabric_metrics — one shot per run); `captures`
 // receives one SendCapture per send the differ checks.
 struct RunObservability {
   obs::MetricsRegistry* registry = nullptr;
-  sim::FlightRecorder* recorder = nullptr;
   std::vector<SendCapture>* captures = nullptr;
   // Live health taps (DESIGN.md §14): when `timeseries` is set, the runner
   // closes one sampling window per scenario event (fabric counters, the
@@ -115,9 +110,10 @@ struct RunObservability {
   // zero-false-positive check for the detectors.
   obs::TimeSeriesStore* timeseries = nullptr;
   obs::HealthMonitor* health = nullptr;
-  // Causal tracer (DESIGN.md §15): attached to the fabric and — in delta
-  // mode — to the streaming control plane, so churn events, installs, and
-  // time-to-effect closures land on the unified timeline.
+  // Causal tracer (DESIGN.md §15): attached to the fabric as both its
+  // time-to-effect tracer and its hop tracer and — in delta mode — to the
+  // streaming control plane, so churn events, installs, every send's hops
+  // and time-to-effect closures land on one timeline.
   obs::Tracer* tracer = nullptr;
 };
 

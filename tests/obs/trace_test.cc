@@ -59,6 +59,15 @@ TEST(TraceSpans, AttrsAreCappedAtMax) {
   EXPECT_EQ(records[0].nattrs, kMaxTraceAttrs);
   EXPECT_STREQ(records[0].attrs[0].key, "a");
   EXPECT_EQ(records[0].attrs[3].value, 4.0);
+
+  // Attrs given at end_span append after the begin ones, under the same cap.
+  const auto late = tracer.begin_span("late", TraceLane::kControl, {},
+                                      {{"a", 1}, {"b", 2}, {"c", 3}});
+  tracer.end_span(late, {{"d", 4}, {"e", 5}});
+  const auto closed = tracer.snapshot().back();
+  EXPECT_EQ(closed.nattrs, kMaxTraceAttrs);
+  EXPECT_STREQ(closed.attrs[3].key, "d");
+  EXPECT_EQ(closed.attrs[3].value, 4.0);
 }
 
 TEST(TraceDrops, FullBufferDropsAndOrphansChildren) {
@@ -141,8 +150,9 @@ TEST(TraceFlows, DroppedEndpointMarksOrphan) {
 
 TEST(TraceExport, ChromeJsonCarriesLanesStatsAndFlowPairs) {
   Tracer tracer;
+  // A 32-bit group address must print exactly, not rounded by %g.
   const auto root = tracer.begin_span("churn:join", TraceLane::kControl, {},
-                                      {{"group", 7}});
+                                      {{"group", 4009754624.0}});
   const auto inst = tracer.instant("tte:first_delivery", TraceLane::kData,
                                    root);
   tracer.flow(root, TraceLane::kControl, inst, TraceLane::kData);
@@ -154,6 +164,7 @@ TEST(TraceExport, ChromeJsonCarriesLanesStatsAndFlowPairs) {
   EXPECT_NE(json.find("\"elmo_trace\""), std::string::npos);
   EXPECT_NE(json.find("\"elmo_tracer_stats\""), std::string::npos);
   EXPECT_NE(json.find("\"churn:join\""), std::string::npos);
+  EXPECT_NE(json.find("\"group\": 4009754624"), std::string::npos);
   EXPECT_NE(json.find("\"ph\": \"X\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\": \"i\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\": \"s\""), std::string::npos);
@@ -177,21 +188,36 @@ TEST(TraceConcurrency, ParallelProducersStayAccounted) {
   for (std::uint64_t t = 0; t < kThreads; ++t) {
     workers.emplace_back([&tracer] {
       for (std::uint64_t i = 0; i < kPer; ++i) {
+        const auto phase = tracer.begin_span("phase", TraceLane::kPhase);
         const auto root = tracer.begin_span("root", TraceLane::kControl);
         const auto effect = tracer.instant("effect", TraceLane::kData, root);
         tracer.flow(root, TraceLane::kControl, effect, TraceLane::kData);
         tracer.end_span(root);
+        tracer.end_span(phase);
       }
     });
   }
   for (auto& w : workers) w.join();
   const auto stats = tracer.stats();
-  EXPECT_EQ(stats.spans, kThreads * kPer);
+  EXPECT_EQ(stats.spans, 2 * kThreads * kPer);
   EXPECT_EQ(stats.instants, kThreads * kPer);
   EXPECT_EQ(stats.flows, kThreads * kPer);
   EXPECT_EQ(stats.open_spans, 0u);
   EXPECT_EQ(stats.dropped, 0u);
   EXPECT_EQ(stats.orphans, 0u);
+
+  // The export keeps buffer order, and its linter wants timestamps that
+  // never decrease within a lane (a flow prints on both of its lanes).
+  double last[kTraceLaneCount] = {};
+  auto in_order = [&last](TraceLane lane, const SpanRecord& rec) {
+    auto& prev = last[static_cast<std::size_t>(lane)];
+    EXPECT_GE(rec.ts_us, prev) << rec.name << " on " << to_string(lane);
+    prev = rec.ts_us;
+  };
+  for (const auto& rec : tracer.snapshot()) {
+    in_order(rec.lane, rec);
+    if (rec.kind == SpanRecord::Kind::kFlow) in_order(rec.link_lane, rec);
+  }
 }
 
 TEST(TraceSpanIntegration, GlobalTracerMirrorsPhaseSpans) {

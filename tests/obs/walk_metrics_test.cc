@@ -8,9 +8,10 @@
 #include <cstddef>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "obs/metrics.h"
-#include "sim/flight_recorder.h"
+#include "obs/trace.h"
 #include "topology/clos.h"
 #include "verify/differ.h"
 #include "verify/oracle.h"
@@ -97,8 +98,7 @@ TEST(WalkMetricsTest, CountersMatchDeliveryOracleFanout) {
   ASSERT_GT(expected.sends, 0u);
 
   obs::MetricsRegistry registry{/*enabled=*/true};
-  sim::FlightRecorder recorder;
-  verify::RunObservability observability{&registry, &recorder};
+  verify::RunObservability observability{&registry};
   const auto report =
       verify::run_scenario(sc, verify::Mutation::kNone, &observability);
   ASSERT_TRUE(report.ok) << report.failure;
@@ -134,38 +134,55 @@ TEST(WalkMetricsTest, CountersMatchDeliveryOracleFanout) {
             64.0 * static_cast<double>(expected.vm_deliveries));
 }
 
-TEST(WalkMetricsTest, FlightRecorderCapturesTheWalk) {
+TEST(WalkMetricsTest, HopTracerCapturesTheWalk) {
   const auto sc = clean_scenario();
   obs::MetricsRegistry registry{/*enabled=*/true};
-  sim::FlightRecorder recorder;
-  verify::RunObservability observability{&registry, &recorder};
+  obs::Tracer tracer;
+  verify::RunObservability observability{&registry};
+  observability.tracer = &tracer;
   const auto report =
       verify::run_scenario(sc, verify::Mutation::kNone, &observability);
   ASSERT_TRUE(report.ok) << report.failure;
 
-  EXPECT_GT(recorder.size(), 0u);
-  EXPECT_EQ(recorder.dropped(), 0u);
-  const auto trace = recorder.chrome_trace_json();
+  // One "send" span per fabric walk, one hop span per work item.
+  const auto snap = registry.snapshot();
+  std::size_t sends = 0, hops = 0;
+  for (const auto& rec : tracer.snapshot()) {
+    if (rec.kind != obs::SpanRecord::Kind::kSpan) continue;
+    if (std::string_view{rec.name} == "send") {
+      ++sends;
+    } else {
+      ++hops;
+    }
+  }
+  EXPECT_EQ(static_cast<double>(sends), snap.value("elmo_fabric_sends_total"));
+  EXPECT_EQ(static_cast<double>(hops),
+            snap.value("elmo_fabric_work_items_total"));
+  const auto stats = tracer.stats();
+  EXPECT_EQ(stats.dropped, 0u);
+  EXPECT_EQ(stats.open_spans, 0u);
+
+  const auto trace = tracer.chrome_trace_json();
   EXPECT_EQ(trace.rfind("{\"displayTimeUnit\"", 0), 0u);
   EXPECT_NE(trace.find("\"traceEvents\": ["), std::string::npos);
   EXPECT_EQ(trace.back(), '\n');
-  // Process/thread metadata for the layer lanes plus at least one duration
-  // event per hypervisor delivery.
+  // Lane metadata plus a duration event per hypervisor delivery.
   EXPECT_NE(trace.find("\"ph\": \"M\""), std::string::npos);
   EXPECT_NE(trace.find("\"ph\": \"X\""), std::string::npos);
-  EXPECT_NE(trace.find("hosts"), std::string::npos);
+  EXPECT_NE(trace.find("\"name\": \"host\""), std::string::npos);
 }
 
 TEST(WalkMetricsTest, RecorderCapBoundsMemory) {
   const auto sc = clean_scenario();
   obs::MetricsRegistry registry{/*enabled=*/false};
-  sim::FlightRecorder recorder{/*max_events=*/4};
-  verify::RunObservability observability{&registry, &recorder};
+  obs::Tracer tracer{/*max_events=*/4};
+  verify::RunObservability observability{&registry};
+  observability.tracer = &tracer;
   const auto report =
       verify::run_scenario(sc, verify::Mutation::kNone, &observability);
   ASSERT_TRUE(report.ok) << report.failure;
-  EXPECT_LE(recorder.size(), 4u);
-  EXPECT_GT(recorder.dropped(), 0u);
+  EXPECT_LE(tracer.snapshot().size(), 4u);
+  EXPECT_GT(tracer.stats().dropped, 0u);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -198,6 +199,97 @@ TEST_F(FabricFixture, TruncatedHeaderThrowsAndTheNextSendDelivers) {
   EXPECT_EQ(result.host_copies.at(17), 1u);
   EXPECT_EQ(result.host_copies.at(33), 1u);
   EXPECT_EQ(result.vm_deliveries, 2u);
+}
+
+// A hop tracer sees one "send" span per send and one child span per work
+// item, named by the node's layer, each inside its send; all close.
+TEST_F(FabricFixture, HopTracerRecordsTheSendAndEveryHop) {
+  const auto group = controller.group(make_group({0, 1, 17, 33})).address;
+  obs::Tracer tracer;
+  fabric.set_recorder(&tracer);
+  fabric.reset_walk_stats();
+  (void)fabric.send(0, group, 64);
+
+  const auto records = tracer.snapshot();
+  ASSERT_EQ(records.size(), 1 + fabric.walk_stats().work_items);
+  const auto& send = records.front();
+  EXPECT_STREQ(send.name, "send");
+  EXPECT_EQ(send.lane, obs::TraceLane::kData);
+  EXPECT_EQ(send.parent_span, 0u);
+  ASSERT_EQ(send.nattrs, 3);
+  EXPECT_STREQ(send.attrs[0].key, "group");
+  EXPECT_EQ(send.attrs[0].value, static_cast<double>(group.value));
+  EXPECT_STREQ(send.attrs[1].key, "src_host");
+  EXPECT_EQ(send.attrs[1].value, 0.0);
+  const std::set<std::string> layers{"host", "leaf", "spine", "core"};
+  std::set<std::string> seen;
+  for (std::size_t i = 1; i < records.size(); ++i) {
+    const auto& hop = records[i];
+    SCOPED_TRACE(hop.name);
+    EXPECT_EQ(hop.kind, obs::SpanRecord::Kind::kSpan);
+    EXPECT_TRUE(layers.contains(hop.name));
+    seen.insert(hop.name);
+    EXPECT_EQ(hop.trace_id, send.trace_id);
+    EXPECT_EQ(hop.parent_span, send.span_id);
+    EXPECT_GE(hop.ts_us, send.ts_us);
+    // ts + dur rounds; allow far less than one clock tick of slack.
+    EXPECT_LE(hop.ts_us + hop.dur_us, send.ts_us + send.dur_us + 1e-6);
+    ASSERT_EQ(hop.nattrs, obs::kMaxTraceAttrs);
+    EXPECT_STREQ(hop.attrs[0].key, "node");
+    EXPECT_STREQ(hop.attrs[1].key, "hop");
+    EXPECT_STREQ(hop.attrs[2].key, "fanout");
+    EXPECT_STREQ(hop.attrs[3].key, "queue_depth");
+  }
+  EXPECT_EQ(seen, layers);  // hosts 0 -> 17/33 cross the core
+  const auto stats = tracer.stats();
+  EXPECT_EQ(stats.open_spans, 0u);
+  EXPECT_EQ(stats.dropped, 0u);
+  EXPECT_NE(tracer.chrome_trace_json().find("\"dropped\": 0"),
+            std::string::npos);
+}
+
+TEST_F(FabricFixture, HopTracerBoundCountsDrops) {
+  const auto group = controller.group(make_group({0, 1, 17, 33})).address;
+  obs::Tracer tracer{8};
+  fabric.set_recorder(&tracer);
+  // Each send records a send span plus several hop spans; a handful of
+  // sends overflows an 8-record buffer for sure.
+  for (int i = 0; i < 8; ++i) (void)fabric.send(0, group, 64);
+  EXPECT_EQ(tracer.snapshot().size(), 8u);
+  const auto dropped = tracer.stats().dropped;
+  EXPECT_GT(dropped, 0u);
+
+  // The stats metadata event reports the same accounting, so consumers can
+  // tell a complete trace from a truncated one.
+  const auto json = tracer.chrome_trace_json();
+  EXPECT_NE(json.find("\"max_events\": 8"), std::string::npos);
+  EXPECT_NE(json.find("\"dropped\": " + std::to_string(dropped)),
+            std::string::npos);
+}
+
+TEST_F(FabricFixture, HopTracerClearResetsBufferAndDropCounter) {
+  const auto group = controller.group(make_group({0, 1})).address;
+  obs::Tracer tracer{2};
+  fabric.set_recorder(&tracer);
+  (void)fabric.send(0, group, 64);
+  ASSERT_GT(tracer.stats().dropped, 0u);
+  tracer.clear();
+  EXPECT_TRUE(tracer.snapshot().empty());
+  EXPECT_EQ(tracer.stats().dropped, 0u);
+}
+
+// Detaching the hop tracer stops recording, and the time-to-effect tracer
+// alone records no hops.
+TEST_F(FabricFixture, DetachedFabricRecordsNothing) {
+  const auto group = controller.group(make_group({0, 17})).address;
+  obs::Tracer tracer;
+  fabric.set_recorder(&tracer);
+  fabric.set_recorder(nullptr);
+  fabric.set_tracer(&tracer);
+  (void)fabric.send(0, group, 64);
+  EXPECT_EQ(fabric.recorder(), nullptr);
+  EXPECT_TRUE(tracer.snapshot().empty());
+  EXPECT_EQ(tracer.stats().spans, 0u);
 }
 
 // SendResult::host_copies reads like the std::map it replaced, fed the

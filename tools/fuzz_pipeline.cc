@@ -5,8 +5,9 @@
 // header codec -> sim::Fabric walk), and diffs every observable against the
 // set-based DeliveryOracle. The first divergence prints its seed, shrinks to
 // a minimal repro, and emits a ready-to-paste GoogleTest fixture — plus,
-// alongside it, the failing scenario's metrics snapshot, flight-recorder
-// trace, and per-send decision-tree explanations (fuzz_seed_<N>.metrics.prom
+// alongside it, the failing scenario's metrics snapshot, chrome trace
+// (send/hop spans, plus churn spans in delta mode), and per-send
+// decision-tree explanations (fuzz_seed_<N>.metrics.prom
 // / .metrics.json / .trace.json / .explain.txt), so triage starts from
 // counters and attributed deliveries instead of a rerun.
 //
@@ -26,8 +27,10 @@
 //   --verbose=1      per-seed progress lines
 //   --metrics=<path> aggregate telemetry over the whole campaign; written at
 //                    exit ("-" = stderr, ".json" = JSON dump)
-//   --trace=<path>   single-seed replay only: record the fabric walk as
-//                    chrome://tracing JSON
+//   --trace=<path>   single-seed replay only: record one chrome://tracing
+//                    timeline of the run (every send and its hops; with
+//                    --churn_events also churn, install and time-to-effect
+//                    spans)
 //   --artifacts=DIR  where failing-seed dumps land (default ".")
 //   --churn_events=N append N extra churn events (join/leave-biased, with
 //                    periodic sends) to every scenario and run it through
@@ -47,7 +50,7 @@
 
 #include "elmo/tree_encoder.h"
 #include "obs/metrics.h"
-#include "sim/flight_recorder.h"
+#include "obs/trace.h"
 #include "util/flags.h"
 #include "verify/differ.h"
 #include "verify/scenario.h"
@@ -91,14 +94,15 @@ Scenario make_scenario(std::uint64_t seed, const Options& opt) {
   return scenario;
 }
 
-// Re-runs the failing scenario with a private registry, recorder, and
+// Re-runs the failing scenario with a private registry, tracer, and
 // provenance capture, and dumps snapshot, trace, and per-send decision-tree
 // explanations next to the shrunken fixture.
 void dump_failure_artifacts(const Scenario& scenario, const Options& opt) {
   elmo::obs::MetricsRegistry registry{/*enabled=*/true};
-  elmo::sim::FlightRecorder recorder;
+  elmo::obs::Tracer tracer;
   std::vector<elmo::verify::SendCapture> captures;
-  RunObservability observability{&registry, &recorder, &captures};
+  RunObservability observability{&registry, &captures};
+  observability.tracer = &tracer;
   elmo::verify::RunOptions run_options;
   run_options.delta_installs = opt.delta_installs;
   const auto replay = elmo::verify::run_scenario(
@@ -110,7 +114,7 @@ void dump_failure_artifacts(const Scenario& scenario, const Options& opt) {
   const auto snap = registry.snapshot();
   elmo::obs::write_metrics(stem + ".metrics.prom", snap);
   elmo::obs::write_metrics(stem + ".metrics.json", snap);
-  recorder.write(stem + ".trace.json");
+  tracer.write(stem + ".trace.json");
 
   std::ofstream explain{stem + ".explain.txt"};
   explain << "seed " << scenario.seed << ": " << replay.failure << "\n";
@@ -170,10 +174,9 @@ int run_plain(std::uint64_t base, std::size_t seeds, const Options& opt) {
     registry = &elmo::obs::MetricsRegistry::global();
     registry->set_enabled(true);
   }
-  elmo::sim::FlightRecorder recorder;
-  // Unified timeline export (DESIGN.md §15): single-seed replays with
-  // --trace record the data-plane flight recorder AND the causal tracer
-  // (churn spans, installs, time-to-effect closures) into one file.
+  // Timeline export (DESIGN.md §15): single-seed replays with --trace
+  // record every send's hops, churn spans, installs and time-to-effect
+  // closures into one tracer.
   elmo::obs::Tracer tracer;
   const bool trace_on = !opt.trace.empty() && seeds == 1;
   if (trace_on) elmo::obs::set_global_tracer(&tracer);
@@ -182,7 +185,7 @@ int run_plain(std::uint64_t base, std::size_t seeds, const Options& opt) {
   for (std::size_t i = 0; i < seeds; ++i) {
     const std::uint64_t seed = base + i;
     const auto scenario = make_scenario(seed, opt);
-    RunObservability observability{registry, trace_on ? &recorder : nullptr};
+    RunObservability observability{registry};
     if (trace_on) observability.tracer = &tracer;
     elmo::verify::RunOptions run_options;
     run_options.delta_installs = opt.delta_installs;
@@ -209,7 +212,7 @@ int run_plain(std::uint64_t base, std::size_t seeds, const Options& opt) {
   }
   if (trace_on) {
     elmo::obs::set_global_tracer(nullptr);
-    elmo::sim::write_unified_trace(opt.trace, tracer, recorder);
+    tracer.write(opt.trace);
   }
   return 0;
 }

@@ -7,6 +7,8 @@
 // per-switch install spans it flowed into, the data-plane instant that
 // closed its time-to-effect watch, and — for joins — the per-hop path the
 // first delivered packet actually took, joined from the ProvenanceLog.
+// Each traced send is a trace of its own: a "send" root with one child span
+// per hop it took.
 //
 // Flags (KEY=VALUE, --key=value, or ELMO_<KEY> env):
 //   --seed=N            scenario seed (default 1)
@@ -18,7 +20,8 @@
 //                       (e.g. join, leave, host_fail, flush)
 //   --max_traces=N      cap rendered traces (default 16, 0 = unlimited)
 //   --json=1            machine-readable summary instead of trees (CI)
-//   --trace_out=PATH    also write the merged chrome://tracing timeline
+//   --trace_out=PATH    also write the chrome://tracing timeline (churn,
+//                       install and send/hop spans on one clock)
 //
 // Example: tools/trace_query --seed=3 --kind=join
 #include <algorithm>
@@ -34,7 +37,6 @@
 #include "obs/provenance.h"
 #include "obs/trace.h"
 #include "sim/fabric.h"
-#include "sim/flight_recorder.h"
 #include "topology/clos.h"
 #include "util/flags.h"
 #include "util/stats.h"
@@ -254,12 +256,12 @@ int main(int argc, char** argv) {
   for (const auto id : ids) fabric.install_group(controller, id);
 
   // Live run: every appended event flows through the traced control plane;
-  // sends walk the fabric (closing time-to-effect watches) under a flight
-  // recorder and a provenance log for the data-plane half of the story.
+  // sends walk the fabric (closing time-to-effect watches) with their hops
+  // recorded into the same tracer and a provenance log for the data-plane
+  // half of the story.
   obs::Tracer tracer;
-  sim::FlightRecorder recorder;
   obs::ProvenanceLog prov;
-  fabric.set_recorder(&recorder);
+  fabric.set_recorder(&tracer);
   fabric.set_provenance(&prov);
   stream::ControlPlane plane{controller, fabric,
                              stream::ControlPlaneOptions{flush_threshold}};
@@ -294,7 +296,7 @@ int main(int argc, char** argv) {
   obs::set_global_tracer(nullptr);
 
   if (!trace_out.empty()) {
-    if (!sim::write_unified_trace(trace_out, tracer, recorder)) {
+    if (!tracer.write(trace_out)) {
       std::fprintf(stderr, "trace_query: cannot write %s\n",
                    trace_out.c_str());
       return 2;
