@@ -22,25 +22,6 @@
 #include "figlib.h"
 #include "sim/fabric.h"
 
-// The compiler and build type are recorded next to the timings so an A/B
-// can be matched to its build (bench/CMakeLists.txt sets ELMO_BUILD_TYPE).
-#ifndef ELMO_BUILD_TYPE
-#define ELMO_BUILD_TYPE "unknown"
-#endif
-
-namespace {
-
-constexpr const char* kCompiler =
-#if defined(__clang__)
-    "clang " __clang_version__;
-#elif defined(__GNUC__)
-    "gcc " __VERSION__;
-#else
-    "unknown";
-#endif
-
-}  // namespace
-
 int main(int argc, char** argv) {
   using namespace elmo;
   using util::TextTable;
@@ -187,8 +168,9 @@ int main(int argc, char** argv) {
          << ", \"encoder\": \"" << scale.encoder << "\", \"seed\": "
          << scale.seed
          << ", \"hardware_threads\": " << std::thread::hardware_concurrency()
-         << ", \"compiler\": \"" << kCompiler << "\", \"build_type\": \""
-         << ELMO_BUILD_TYPE << "\",\n \"results\": {"
+         << ", \"compiler\": \"" << benchx::compiler()
+         << "\", \"build_type\": \"" << benchx::build_type()
+         << "\",\n \"results\": {"
          << "\"events_ingested\": " << st.events
          << ", \"clean_events\": " << st.clean_events
          << ", \"updates_applied\": " << st.updates_applied

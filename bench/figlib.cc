@@ -8,7 +8,23 @@
 #include "obs/metrics.h"
 #include "util/rng.h"
 
+#ifndef ELMO_BUILD_TYPE
+#define ELMO_BUILD_TYPE "unknown"
+#endif
+
 namespace elmo::benchx {
+
+const char* compiler() {
+#if defined(__clang__)
+  return "clang " __clang_version__;
+#elif defined(__GNUC__)
+  return "gcc " __VERSION__;
+#else
+  return "unknown";
+#endif
+}
+
+const char* build_type() { return ELMO_BUILD_TYPE; }
 
 Scale Scale::from_flags(const util::Flags& flags) {
   Scale scale;

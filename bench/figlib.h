@@ -137,6 +137,12 @@ class PhaseTimer {
   std::chrono::steady_clock::time_point started_;
 };
 
+// Build fingerprint recorded next to bench timings, so an A/B can be matched
+// to its build: the compiler ("gcc 12.2.0") and the CMake build type
+// (bench/CMakeLists.txt sets ELMO_BUILD_TYPE; "unknown" without it).
+const char* compiler();
+const char* build_type();
+
 // Prints the one-line run-metadata JSON ("RUN {...}") every bench emits
 // last on stdout; see docs/BENCH_SCHEMA.md for the format.
 void emit_run_json(const std::string& bench, const Scale& scale,

@@ -13,9 +13,9 @@
 // JSON reports both throughputs plus the relative overhead. The budget is
 // <= 2% metrics-off vs a build without the telemetry layer, <= 8% on.
 //
-// hardware_threads in the output header and RUN line records the core
-// count of the producing host; the walk itself is single-threaded
-// (DESIGN.md §12).
+// hardware_threads, compiler and build_type in the output header and RUN
+// line record the producing host and build; the walk itself is
+// single-threaded (DESIGN.md §12).
 //
 // --sample=1 (DESIGN.md §14) additionally ticks Fabric::sample_into into a
 // health TimeSeriesStore once per 64 sends during the metrics-on leg, so
@@ -37,6 +37,7 @@
 #include <vector>
 
 #include "elmo/controller.h"
+#include "figlib.h"
 #include "obs/metrics.h"
 #include "obs/timeseries.h"
 #include "obs/trace.h"
@@ -168,9 +169,12 @@ int main(int argc, char** argv) {
   if (!metrics_path.empty()) reg.set_enabled(true);
   elmo::obs::Tracer tracer;
 
+  const char* compiler = elmo::benchx::compiler();
+  const char* build_type = elmo::benchx::build_type();
   std::printf("{\n  \"bench\": \"packet_walk\",\n  \"payload_bytes\": %zu,\n"
-              "  \"hardware_threads\": %u,\n  \"results\": [\n",
-              payload, hardware_threads);
+              "  \"hardware_threads\": %u,\n  \"compiler\": \"%s\",\n"
+              "  \"build_type\": \"%s\",\n  \"results\": [\n",
+              payload, hardware_threads, compiler, build_type);
   const std::size_t fanouts[] = {8, 64, 512};
   const std::size_t iters[] = {4000 * scale, 1000 * scale, 200 * scale};
   for (std::size_t i = 0; i < 3; ++i) {
@@ -194,8 +198,9 @@ int main(int argc, char** argv) {
   }
   std::printf("  ]\n}\n");
   std::printf("RUN {\"bench\": \"packet_walk\", \"payload_bytes\": %zu, "
-              "\"scale\": %zu, \"hardware_threads\": %u}\n",
-              payload, scale, hardware_threads);
+              "\"scale\": %zu, \"hardware_threads\": %u, "
+              "\"compiler\": \"%s\", \"build_type\": \"%s\"}\n",
+              payload, scale, hardware_threads, compiler, build_type);
 
   if (!metrics_path.empty()) {
     elmo::obs::write_metrics(metrics_path, reg.snapshot());

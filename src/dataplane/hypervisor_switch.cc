@@ -16,9 +16,9 @@ void HypervisorSwitch::remove_flow(net::Ipv4Address group) {
 
 std::optional<net::Packet> HypervisorSwitch::encapsulate(
     net::Ipv4Address group, std::span<const std::uint8_t> payload) {
-  const auto it = flows_.find(group.value);
-  if (it == flows_.end()) return std::nullopt;
-  const auto& flow = it->second;
+  const auto* found = flows_.find(group.value);
+  if (found == nullptr) return std::nullopt;
+  const auto& flow = *found;
 
   // Build the full outer header (including the Elmo template) once, then
   // prepend with a single copy — the "one header, one write" fast path.
@@ -68,8 +68,8 @@ std::span<Emission> HypervisorSwitch::process(const net::PacketView& packet,
   const auto outer = packet.front(net::kOuterHeaderBytes);
   const auto ip =
       net::Ipv4Header::parse(outer.subspan(net::EthernetHeader::kSize));
-  const auto it = flows_.find(ip.dst.value);
-  if (it == flows_.end() || it->second.local_vms.empty()) {
+  const auto* flow = flows_.find(ip.dst.value);
+  if (flow == nullptr || flow->local_vms.empty()) {
     ++stats_.discarded;
     if (prov_ != nullptr) {
       obs::HopDecision dec;
@@ -90,7 +90,7 @@ std::span<Emission> HypervisorSwitch::process(const net::PacketView& packet,
   // Decapsulation is a cursor advance: one payload view, shared per VM.
   net::PacketView payload = packet;
   payload.pop_front(net::kOuterHeaderBytes + elmo_bytes);
-  for (const auto vm : it->second.local_vms) {
+  for (const auto vm : flow->local_vms) {
     arena.emit(vm, payload);
     ++stats_.delivered_to_vms;
     stats_.delivered_bytes += payload.size();

@@ -17,11 +17,11 @@
 #include <cstdint>
 #include <optional>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "dataplane/common.h"
 #include "dataplane/forwarding.h"
+#include "dataplane/group_table.h"
 #include "elmo/header.h"
 #include "net/headers.h"
 #include "net/packet.h"
@@ -74,13 +74,13 @@ class HypervisorSwitch : public ForwardingElement {
   std::size_t flow_count() const noexcept { return flows_.size(); }
   // Installed flow for `group`, or nullptr. Read access for state diffing
   // (the verify harness compares fabric contents against its oracle).
+  // Valid until the next install_flow or remove_flow on this hypervisor.
   const GroupFlow* flow(net::Ipv4Address group) const {
-    const auto it = flows_.find(group.value);
-    return it != flows_.end() ? &it->second : nullptr;
+    return flows_.find(group.value);
   }
   // Full table view, keyed by group address value (iteration order is
   // unspecified — digest builders must sort).
-  const std::unordered_map<std::uint32_t, GroupFlow>& flows() const noexcept {
+  const GroupTable<GroupFlow>& flows() const noexcept {
     return flows_;
   }
 
@@ -110,7 +110,7 @@ class HypervisorSwitch : public ForwardingElement {
   const topo::ClosTopology* topo_;
   elmo::HeaderCodec codec_;  // to skip unstripped p-rules (legacy leaves, §7)
   topo::HostId host_;
-  std::unordered_map<std::uint32_t, GroupFlow> flows_;
+  GroupTable<GroupFlow> flows_;
   HypervisorStats stats_;
   EmissionArena compat_arena_;  // scratch for the receive() wrapper
 };

@@ -176,11 +176,9 @@ std::span<Emission> NetworkSwitch::process(const net::PacketView& packet,
     // unmodified incoming view.
     const auto ip = net::Ipv4Header::parse(
         packet.front(net::kOuterHeaderBytes).subspan(net::EthernetHeader::kSize));
-    const net::PortBitmap* hit = nullptr;
-    if (const auto it = group_table_.find(ip.dst.value);
-        it != group_table_.end()) {
+    const net::PortBitmap* hit = group_table_.find(ip.dst.value);
+    if (hit != nullptr) {
       ++stats_.srule_matches;
-      hit = &it->second;
       hit->for_each_set([&](std::size_t port) { arena.emit(port, packet); });
     } else {
       ++stats_.drops;
@@ -272,12 +270,11 @@ std::span<Emission> NetworkSwitch::process(const net::PacketView& packet,
     cls = obs::RuleClass::kPRule;
     chosen = &*pr.matched;
     emit_down(*pr.matched);
-  } else if (const auto it = group_table_.find(pr.outer_dst.value);
-             it != group_table_.end()) {
+  } else if (const auto* srule = group_table_.find(pr.outer_dst.value)) {
     ++stats_.srule_matches;
     cls = obs::RuleClass::kSRule;
-    chosen = &it->second;
-    emit_down(it->second);
+    chosen = srule;
+    emit_down(*srule);
   } else if (pr.default_rule) {
     ++stats_.default_matches;
     cls = obs::RuleClass::kDefault;

@@ -35,11 +35,11 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "dataplane/common.h"
 #include "dataplane/forwarding.h"
+#include "dataplane/group_table.h"
 #include "elmo/header.h"
 #include "net/bitmap.h"
 #include "net/packet.h"
@@ -128,14 +128,13 @@ class NetworkSwitch : public ForwardingElement {
   std::size_t srule_count() const noexcept { return group_table_.size(); }
   // Installed s-rule bitmap for `group`, or nullptr. Read access for state
   // diffing (the verify harness compares fabric contents against its oracle).
+  // Valid until the next install_srule or remove_srule on this switch.
   const net::PortBitmap* srule(net::Ipv4Address group) const {
-    const auto it = group_table_.find(group.value);
-    return it != group_table_.end() ? &it->second : nullptr;
+    return group_table_.find(group.value);
   }
   // Full table view, keyed by group address value (iteration order is
   // unspecified — digest builders must sort).
-  const std::unordered_map<std::uint32_t, net::PortBitmap>& srules()
-      const noexcept {
+  const GroupTable<net::PortBitmap>& srules() const noexcept {
     return group_table_;
   }
 
@@ -186,7 +185,7 @@ class NetworkSwitch : public ForwardingElement {
   std::uint32_t match_id_;  // leaf id at leaves, pod id at spines
   std::size_t pick_uplink(std::uint64_t hash);
 
-  std::unordered_map<std::uint32_t, net::PortBitmap> group_table_;
+  GroupTable<net::PortBitmap> group_table_;
   SwitchStats stats_;
   bool legacy_ = false;
   bool down_ = false;

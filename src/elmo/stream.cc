@@ -317,8 +317,10 @@ void ControlPlane::diff_group(GroupId group, bool seed_only) {
     const auto hash = flow ? flow_hash(u) : bitmap_hash(u.ports);
     desired_hash.emplace(slot, hash);
     const auto it = mirror.rule_hash.find(slot);
-    if (it != mirror.rule_hash.end() && it->second == hash) continue;
-    if (flow) index_membership(group, u.host, true);
+    const bool fresh = it == mirror.rule_hash.end();
+    if (!fresh && it->second == hash) continue;
+    // A re-templated flow is already indexed; only a new slot is news.
+    if (flow && fresh) index_membership(group, u.host, true);
     if (!seed_only) queue(PendingKey{mirror.address, slot}, std::move(u));
   }
   for (const auto& [slot, hash] : mirror.rule_hash) {

@@ -180,18 +180,59 @@ TEST(ControlPlane, HostFailEvictsEveryMembershipOnTheHost) {
   cp.flush();
   EXPECT_EQ(evicted, 3u);  // vms 0, 1 (g1) and 2 (g2)
 
+  sim::Fabric batch{w.topology};
   for (const auto id : {g1, g2}) {
     for (const auto& m : w.controller.group(id).members) {
       EXPECT_NE(m.host, dead);
     }
-    sim::Fabric batch{w.topology};
     batch.install_group(w.controller, id);
   }
+  EXPECT_EQ(fabric_state_digest(w.fabric), fabric_state_digest(batch));
   EXPECT_FALSE(w.fabric.hypervisor(dead).has_flow(
       w.controller.group(g1).address));
   EXPECT_FALSE(w.fabric.hypervisor(dead).has_flow(
       w.controller.group(g2).address));
   EXPECT_EQ(cp.stats().host_fails, 1u);
+}
+
+TEST(ControlPlane, HostFailEvictsAFlowReTemplatedByEarlierJoins) {
+  // The doomed host joins through the stream (its flow slot is new), then
+  // later joins re-encode the group and re-template every sender's header,
+  // the doomed host's included. The host index must still list the group
+  // for that host when it fails.
+  StreamWorld w;
+  const auto g = w.make_group(std::vector<std::uint32_t>{0, 1, 8});
+  w.fabric.install_group(w.controller, g);
+  ControlPlane cp{w.controller, w.fabric, ControlPlaneOptions{1}};
+  cp.track_group(g);
+
+  const auto dead = w.tenants[0].vm_hosts[12];
+  ASSERT_EQ(w.tenants[0].vm_hosts[13], dead);
+  for (const std::uint32_t vm : {12u, 13u}) {
+    cp.join(g, Member{dead, vm, MemberRole::kBoth});
+  }
+  cp.flush();
+  const auto addr = w.controller.group(g).address;
+  ASSERT_TRUE(w.fabric.hypervisor(dead).has_flow(addr));
+  std::size_t retemplated = 0;
+  for (const std::uint32_t vm : {20u, 28u, 36u}) {
+    const auto before = w.fabric.hypervisor(dead).flow(addr)->elmo_header;
+    cp.join(g, Member{w.tenants[0].vm_hosts[vm], vm, MemberRole::kBoth});
+    cp.flush();
+    if (w.fabric.hypervisor(dead).flow(addr)->elmo_header != before) {
+      ++retemplated;
+    }
+  }
+  ASSERT_GE(retemplated, 2u);
+
+  EXPECT_EQ(cp.host_fail(dead), 2u);  // vms 12 and 13
+  cp.flush();
+  EXPECT_FALSE(w.fabric.hypervisor(dead).has_flow(addr));
+  sim::Fabric batch{w.topology};
+  batch.install_group(w.controller, g);
+  EXPECT_EQ(fabric_state_digest(w.fabric), fabric_state_digest(batch));
+  // The eviction also emptied the host's index entry.
+  EXPECT_EQ(cp.host_fail(dead), 0u);
 }
 
 TEST(ControlPlane, InstallLagIsRecordedPerEvent) {
