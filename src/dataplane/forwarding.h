@@ -1,21 +1,21 @@
-// The unified forwarding interface of the packet pipeline.
+// The call shape shared by the fabric's two forwarding elements.
 //
-// Every element of the fabric — network switches (leaf/spine/core) and host
-// hypervisors — is a ForwardingElement: it consumes one PacketView and emits
-// zero or more (out_port, PacketView) pairs. Emissions are appended to a
-// caller-provided EmissionArena rather than returned as fresh vectors, so a
-// fabric walk reuses one arena across every hop and performs no steady-state
-// allocation.
+// Elmo has exactly two kinds of forwarding element: the P4 network switch
+// (dp::NetworkSwitch, leaf/spine/core) and the PISCES hypervisor switch
+// (dp::HypervisorSwitch). They are plain classes, not subclasses of an
+// interface: each has a non-virtual process(view, arena) that consumes one
+// PacketView and emits zero or more (out_port, PacketView) pairs. Emissions
+// are appended to a caller-provided EmissionArena rather than returned as
+// fresh vectors, so a fabric walk reuses one arena across every hop and
+// performs no steady-state allocation.
 //
 // Port conventions:
 //   * Network switches: out_port indexes the switch's ports (downstream
-//     ports first, then uplinks), exactly as the topology wires them;
-//     ingress_port is accepted for interface uniformity but unused (Elmo
-//     forwarding is ingress-agnostic).
-//   * Hypervisors: a packet arriving from the network (ingress_port ==
-//     kNetworkPort) is decapsulated and emitted once per local member VM,
-//     with out_port = the VM index and the packet cursor advanced to the
-//     inner payload (zero-copy).
+//     ports first, then uplinks), exactly as the topology wires them. Elmo
+//     forwarding is ingress-agnostic, so process() takes no ingress port.
+//   * Hypervisors: a packet arriving from the network is decapsulated and
+//     emitted once per local member VM, with out_port = the VM index and
+//     the packet cursor advanced to the inner payload (zero-copy).
 #pragma once
 
 #include <cstddef>
@@ -26,10 +26,6 @@
 #include "elmo/header.h"
 #include "net/packet_view.h"
 #include "topology/clos.h"
-
-namespace elmo::obs {
-class ProvenanceSink;
-}
 
 namespace elmo::dp {
 
@@ -97,29 +93,6 @@ class EmissionArena {
  private:
   std::vector<Emission> emissions_;
   SectionCache sections_;
-};
-
-class ForwardingElement {
- public:
-  // Hypervisor ingress designator: "from the fabric, not from a local VM".
-  static constexpr std::size_t kNetworkPort = static_cast<std::size_t>(-1);
-
-  virtual ~ForwardingElement() = default;
-
-  // Processes one packet and appends its emissions to `arena`, returning the
-  // span it appended. The span is valid until the arena is next mutated.
-  virtual std::span<Emission> process(const net::PacketView& packet,
-                                      std::size_t ingress_port,
-                                      EmissionArena& arena) = 0;
-
-  // Optional decision-provenance sink (nullptr detaches). Not owned; must
-  // outlive the packets it observes. A detached element pays one pointer
-  // test per process() call (DESIGN.md §10).
-  void set_provenance(obs::ProvenanceSink* sink) noexcept { prov_ = sink; }
-  obs::ProvenanceSink* provenance() const noexcept { return prov_; }
-
- protected:
-  obs::ProvenanceSink* prov_ = nullptr;
 };
 
 }  // namespace elmo::dp

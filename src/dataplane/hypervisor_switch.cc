@@ -60,7 +60,6 @@ std::optional<net::Packet> HypervisorSwitch::encapsulate(
 }
 
 std::span<Emission> HypervisorSwitch::process(const net::PacketView& packet,
-                                              std::size_t /*ingress_port*/,
                                               EmissionArena& arena) {
   const auto mark = arena.mark();
   ++stats_.received;
@@ -110,7 +109,7 @@ std::vector<HypervisorSwitch::Delivery> HypervisorSwitch::receive(
     const net::Packet& packet) {
   compat_arena_.clear();
   const net::PacketView view{packet.bytes()};
-  const auto emissions = process(view, kNetworkPort, compat_arena_);
+  const auto emissions = process(view, compat_arena_);
   std::vector<Delivery> deliveries;
   deliveries.reserve(emissions.size());
   for (const auto& e : emissions) {

@@ -8,10 +8,10 @@
 // exactly this path). On receive it decapsulates and delivers to the local
 // member VMs; packets for groups with no local members are discarded.
 //
-// As a ForwardingElement, a hypervisor consumes fabric-ingress packets and
-// emits one zero-copy payload view per local member VM (out_port = VM
-// index): decapsulation is a cursor advance past the outer header and any
-// surviving Elmo bytes, never a copy.
+// Its process() has the network switch's call shape (dataplane/forwarding.h):
+// it consumes a fabric-ingress packet and emits one zero-copy payload view
+// per local member VM (out_port = VM index). Decapsulation is a cursor
+// advance past the outer header and any surviving Elmo bytes, never a copy.
 #pragma once
 
 #include <cstdint>
@@ -27,6 +27,10 @@
 #include "net/packet.h"
 #include "net/packet_view.h"
 #include "topology/clos.h"
+
+namespace elmo::obs {
+class ProvenanceSink;
+}
 
 namespace elmo::dp {
 
@@ -53,7 +57,7 @@ struct HypervisorStats {
   }
 };
 
-class HypervisorSwitch : public ForwardingElement {
+class HypervisorSwitch {
  public:
   HypervisorSwitch(const topo::ClosTopology& topology, topo::HostId host)
       : topo_{&topology}, codec_{topology}, host_{host} {}
@@ -89,12 +93,11 @@ class HypervisorSwitch : public ForwardingElement {
   std::optional<net::Packet> encapsulate(net::Ipv4Address group,
                                          std::span<const std::uint8_t> payload);
 
-  // Network -> VMs (ForwardingElement): decapsulates and emits one payload
-  // view per local member VM, out_port = VM index. `ingress_port` is
-  // accepted for interface uniformity (always treated as kNetworkPort).
+  // Network -> VMs: decapsulates and appends one payload view per local
+  // member VM to `arena` (out_port = VM index), returning the span it
+  // appended, valid until the arena is next mutated.
   std::span<Emission> process(const net::PacketView& packet,
-                              std::size_t ingress_port,
-                              EmissionArena& arena) override;
+                              EmissionArena& arena);
 
   // Convenience wrapper over process() for unit tests and tools.
   struct Delivery {
@@ -106,6 +109,12 @@ class HypervisorSwitch : public ForwardingElement {
   const HypervisorStats& stats() const noexcept { return stats_; }
   void reset_stats() noexcept { stats_ = HypervisorStats{}; }
 
+  // Optional decision-provenance sink (nullptr detaches). Not owned; must
+  // outlive the packets it observes. A detached hypervisor pays one pointer
+  // test per process() call (DESIGN.md §10).
+  void set_provenance(obs::ProvenanceSink* sink) noexcept { prov_ = sink; }
+  obs::ProvenanceSink* provenance() const noexcept { return prov_; }
+
  private:
   const topo::ClosTopology* topo_;
   elmo::HeaderCodec codec_;  // to skip unstripped p-rules (legacy leaves, §7)
@@ -113,6 +122,7 @@ class HypervisorSwitch : public ForwardingElement {
   GroupTable<GroupFlow> flows_;
   HypervisorStats stats_;
   EmissionArena compat_arena_;  // scratch for the receive() wrapper
+  obs::ProvenanceSink* prov_ = nullptr;
 };
 
 }  // namespace elmo::dp

@@ -130,7 +130,6 @@ net::PacketView NetworkSwitch::strip_for_host(
 }
 
 std::span<Emission> NetworkSwitch::process(const net::PacketView& packet,
-                                           std::size_t /*ingress_port*/,
                                            EmissionArena& arena) {
   const auto mark = arena.mark();
   ++stats_.packets_in;
@@ -295,7 +294,7 @@ std::vector<OutputCopy> NetworkSwitch::process(const net::Packet& packet) {
   compat_arena_.clear();
   compat_arena_.section_cache().clear();
   const net::PacketView view{packet.bytes()};
-  const auto emissions = process(view, 0, compat_arena_);
+  const auto emissions = process(view, compat_arena_);
   std::vector<OutputCopy> out;
   out.reserve(emissions.size());
   for (auto& e : emissions) {

@@ -46,6 +46,10 @@
 #include "net/packet_view.h"
 #include "topology/clos.h"
 
+namespace elmo::obs {
+class ProvenanceSink;
+}
+
 namespace elmo::dp {
 
 // Materialized emission for the test-facing convenience wrapper.
@@ -90,7 +94,7 @@ struct SwitchStats {
   }
 };
 
-class NetworkSwitch : public ForwardingElement {
+class NetworkSwitch {
  public:
   // `layer` is kLeaf, kSpine or kCore; `id` the global switch id of that
   // layer. The switch derives its p-rule match identifier (leaf id or pod
@@ -138,11 +142,11 @@ class NetworkSwitch : public ForwardingElement {
     return group_table_;
   }
 
-  // Full pipeline for one received packet: emissions are appended to `arena`
-  // as refcounted views over the incoming buffer (ForwardingElement).
+  // Full pipeline for one received packet: appends its emissions to `arena`
+  // as refcounted views over the incoming buffer and returns the span it
+  // appended, valid until the arena is next mutated.
   std::span<Emission> process(const net::PacketView& packet,
-                              std::size_t ingress_port,
-                              EmissionArena& arena) override;
+                              EmissionArena& arena);
 
   // Convenience wrapper for unit tests and tools: runs the pipeline on a
   // standalone Packet and materializes each emission into its own Packet.
@@ -150,6 +154,12 @@ class NetworkSwitch : public ForwardingElement {
 
   const SwitchStats& stats() const noexcept { return stats_; }
   void reset_stats() noexcept { stats_ = SwitchStats{}; }
+
+  // Optional decision-provenance sink (nullptr detaches). Not owned; must
+  // outlive the packets it observes. A detached switch pays one pointer
+  // test per process() call (DESIGN.md §10).
+  void set_provenance(obs::ProvenanceSink* sink) noexcept { prov_ = sink; }
+  obs::ProvenanceSink* provenance() const noexcept { return prov_; }
 
  private:
   // The parser's metadata for one packet: this switch's layer of the Elmo
@@ -193,6 +203,7 @@ class NetworkSwitch : public ForwardingElement {
   std::vector<std::uint64_t> uplink_load_;
   EmissionArena compat_arena_;  // scratch for the Packet wrapper
   ParseResult parsed_;          // scratch for parse()
+  obs::ProvenanceSink* prov_ = nullptr;
 };
 
 }  // namespace elmo::dp

@@ -341,12 +341,9 @@ void ControlPlane::diff_group(GroupId group, bool seed_only) {
 }
 
 void ControlPlane::queue(PendingKey key, p4rt::Update update) {
-  if (tracer_ != nullptr && event_ctx_.trace_id != 0) {
-    // Attribute the pending rule to the event that (last) produced it.
-    pending_ctx_.insert_or_assign(key, event_ctx_);
-  }
-  const auto [it, inserted] = pending_.insert_or_assign(std::move(key),
-                                                        std::move(update));
+  const auto ctx = tracer_ != nullptr ? event_ctx_ : obs::TraceContext{};
+  const auto [it, inserted] = pending_.insert_or_assign(
+      std::move(key), Pending{std::move(update), ctx});
   (void)it;
   if (!inserted) {
     ++stats_.updates_coalesced;
@@ -399,16 +396,11 @@ std::size_t ControlPlane::flush() {
     std::vector<obs::TraceContext> ctxs;  // aligned with batch when traced
     batch.reserve(pending_.size());
     if (traced) ctxs.reserve(pending_.size());
-    for (auto& [key, update] : pending_) {
-      if (traced) {
-        const auto cit = pending_ctx_.find(key);
-        ctxs.push_back(cit != pending_ctx_.end() ? cit->second
-                                                 : obs::TraceContext{});
-      }
-      batch.push_back(std::move(update));
+    for (auto& [key, p] : pending_) {
+      if (traced) ctxs.push_back(p.ctx);
+      batch.push_back(std::move(p.update));
     }
     pending_.clear();
-    pending_ctx_.clear();
 
     obs::TraceContext flush_ctx{};
     if (traced) {

@@ -181,17 +181,22 @@ class ControlPlane final : public MembershipDriver {
   // Hosts with at least one member VM of a group — drives host_fail.
   std::unordered_map<topo::HostId, std::unordered_set<GroupId>> host_groups_;
 
-  std::map<PendingKey, p4rt::Update> pending_;
+  // A queued rule update and the churn event that (last) produced it, so
+  // flush can attribute each install to its causing event even across
+  // coalescing: the newest producer wins, for both the update and its
+  // attribution (an empty context when it came from no traced event).
+  struct Pending {
+    p4rt::Update update;
+    obs::TraceContext ctx;
+  };
+  std::map<PendingKey, Pending> pending_;
   // Ingest timestamps of events awaiting their flush.
   std::vector<std::chrono::steady_clock::time_point> pending_event_times_;
 
-  // Tracing state: the in-flight event's root context (stamped onto every
-  // update the event queues) and the per-pending-rule contexts, aligned with
-  // pending_ so flush can attribute each install to its causing event even
-  // across coalescing (newest event wins, like the update itself).
+  // Tracing state: the in-flight event's root context, stamped onto every
+  // update the event queues.
   obs::Tracer* tracer_ = nullptr;
   obs::TraceContext event_ctx_{};
-  std::map<PendingKey, obs::TraceContext> pending_ctx_;
 };
 
 // Canonical 64-bit digest of every installed hypervisor flow and s-rule in

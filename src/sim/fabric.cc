@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <optional>
 #include <stdexcept>
+#include <string>
 
 #include "obs/span.h"
 #include "obs/timeseries.h"
@@ -49,52 +50,31 @@ constexpr std::size_t kMaxHops = 8;  // > any Clos path; catches loops
 }  // namespace
 
 Fabric::Fabric(const topo::ClosTopology& topology) : topo_{&topology} {
-  hypervisors_.reserve(topology.num_hosts());
-  for (topo::HostId h = 0; h < topology.num_hosts(); ++h) {
-    hypervisors_.push_back(
-        std::make_unique<dp::HypervisorSwitch>(topology, h));
-  }
-  leaves_.reserve(topology.num_leaves());
-  for (topo::LeafId l = 0; l < topology.num_leaves(); ++l) {
-    leaves_.push_back(
-        std::make_unique<dp::NetworkSwitch>(topology, topo::Layer::kLeaf, l));
-  }
-  spines_.reserve(topology.num_spines());
-  for (topo::SpineId s = 0; s < topology.num_spines(); ++s) {
-    spines_.push_back(
-        std::make_unique<dp::NetworkSwitch>(topology, topo::Layer::kSpine, s));
-  }
-  cores_.reserve(topology.num_cores());
-  for (topo::CoreId c = 0; c < topology.num_cores(); ++c) {
-    cores_.push_back(
-        std::make_unique<dp::NetworkSwitch>(topology, topo::Layer::kCore, c));
-  }
-
-  // Flat, index-addressed node and link state: hosts, leaves, spines, cores
-  // in one contiguous table, and one LinkStats slot per (node, out-port).
   const std::size_t hosts = topology.num_hosts();
   const std::size_t leaves = topology.num_leaves();
   const std::size_t spines = topology.num_spines();
   const std::size_t cores = topology.num_cores();
-  layer_base_[static_cast<std::size_t>(topo::Layer::kHost)] = 0;
+  const std::size_t nodes = hosts + leaves + spines + cores;
   layer_base_[static_cast<std::size_t>(topo::Layer::kLeaf)] = hosts;
   layer_base_[static_cast<std::size_t>(topo::Layer::kSpine)] = hosts + leaves;
   layer_base_[static_cast<std::size_t>(topo::Layer::kCore)] =
       hosts + leaves + spines;
+  layer_base_[4] = nodes;
 
-  const std::size_t nodes = hosts + leaves + spines + cores;
-  elements_.resize(nodes);
-  for (std::size_t h = 0; h < hosts; ++h) elements_[h] = hypervisors_[h].get();
-  for (std::size_t l = 0; l < leaves; ++l) {
-    elements_[hosts + l] = leaves_[l].get();
+  hosts_.reserve(hosts);
+  for (topo::HostId h = 0; h < hosts; ++h) hosts_.emplace_back(topology, h);
+  switches_.reserve(leaves + spines + cores);
+  for (topo::LeafId l = 0; l < leaves; ++l) {
+    switches_.emplace_back(topology, topo::Layer::kLeaf, l);
   }
-  for (std::size_t s = 0; s < spines; ++s) {
-    elements_[hosts + leaves + s] = spines_[s].get();
+  for (topo::SpineId s = 0; s < spines; ++s) {
+    switches_.emplace_back(topology, topo::Layer::kSpine, s);
   }
-  for (std::size_t c = 0; c < cores; ++c) {
-    elements_[hosts + leaves + spines + c] = cores_[c].get();
+  for (topo::CoreId c = 0; c < cores; ++c) {
+    switches_.emplace_back(topology, topo::Layer::kCore, c);
   }
 
+  // One LinkStats slot per (node, out-port).
   auto out_degree = [&](std::size_t node) {
     if (node < hosts) return std::size_t{1};  // host uplink to its leaf
     if (node < hosts + leaves) {
@@ -115,7 +95,14 @@ Fabric::Fabric(const topo::ClosTopology& topology) : topo_{&topology} {
 
 void Fabric::set_provenance(obs::ProvenanceLog* log) {
   prov_ = log;
-  for (auto* e : elements_) e->set_provenance(log);
+  for (auto& hv : hosts_) hv.set_provenance(log);
+  for (auto& sw : switches_) sw.set_provenance(log);
+}
+
+std::size_t Fabric::switch_slot(topo::Layer layer, std::uint32_t id) const {
+  const NodeRef node{layer, id};
+  if (!has_node(node)) throw std::out_of_range{"Fabric: no such switch"};
+  return node_index(node) - hosts_.size();
 }
 
 void Fabric::trace_watch(net::Ipv4Address group, topo::HostId host,
@@ -260,11 +247,6 @@ std::size_t Fabric::port_towards(const NodeRef& from, const NodeRef& to) const {
   throw std::logic_error{"Fabric: unknown node layer"};
 }
 
-void Fabric::account(const NodeRef& from, const NodeRef& to, std::size_t bytes,
-                     SendResult& result) {
-  account_port(node_index(from), port_towards(from, to), bytes, result);
-}
-
 void Fabric::account_port(std::size_t from_index, std::size_t port,
                           std::size_t bytes, SendResult& result) {
   auto& link = link_stats_[link_base_[from_index] + port];
@@ -284,11 +266,7 @@ std::map<std::pair<NodeRef, NodeRef>, LinkStats> Fabric::links() const {
          ++port) {
       const auto& stats = link_stats_[link_base_[idx] + port];
       if (stats.packets == 0) continue;
-      const auto to = node.layer == topo::Layer::kHost
-                          ? NodeRef{topo::Layer::kLeaf,
-                                    topo_->leaf_of_host(node.id)}
-                          : neighbor_of(node, port);
-      out.emplace(std::pair{node, to}, stats);
+      out.emplace(std::pair{node, neighbor_of(node, port)}, stats);
     }
   };
   for (topo::HostId h = 0; h < topo_->num_hosts(); ++h) {
@@ -309,6 +287,8 @@ std::map<std::pair<NodeRef, NodeRef>, LinkStats> Fabric::links() const {
 NodeRef Fabric::neighbor_of(const NodeRef& node, std::size_t out_port) const {
   const auto& t = *topo_;
   switch (node.layer) {
+    case topo::Layer::kHost:
+      return NodeRef{topo::Layer::kLeaf, t.leaf_of_host(node.id)};
     case topo::Layer::kLeaf: {
       if (out_port < t.leaf_down_ports()) {
         return NodeRef{topo::Layer::kHost, t.host_at(node.id, out_port)};
@@ -330,10 +310,8 @@ NodeRef Fabric::neighbor_of(const NodeRef& node, std::size_t out_port) const {
       return NodeRef{topo::Layer::kSpine,
                      t.spine_behind_core_port(
                          node.id, static_cast<topo::PodId>(out_port))};
-    case topo::Layer::kHost:
-      break;
   }
-  throw std::logic_error{"Fabric: hosts have no switch ports"};
+  throw std::logic_error{"Fabric: unknown node layer"};
 }
 
 void HostCopies::assign_counts(std::span<topo::HostId> hosts) {
@@ -387,9 +365,9 @@ SendResult Fabric::send(topo::HostId src, net::Ipv4Address group,
   ++walk_stats_.sends;
   auto loss_rng = util::Rng::stream(loss_seed_, send_ordinal_++);
 
-  const NodeRef src_node{topo::Layer::kHost, src};
+  const auto src_index = node_index(NodeRef{topo::Layer::kHost, src});
   const NodeRef first_leaf{topo::Layer::kLeaf, topo_->leaf_of_host(src)};
-  account(src_node, first_leaf, packet.size(), result);
+  account_port(src_index, 0, packet.size(), result);
 
   std::size_t prov_root = obs::kNoProvParent;
   if (prov_ != nullptr) {
@@ -409,7 +387,7 @@ SendResult Fabric::send(topo::HostId src, net::Ipv4Address group,
                         {{"fanout", static_cast<double>(fanout)},
                          {"queue_depth", static_cast<double>(pending())}});
   };
-  if (!lost_on(loss_rng, node_index(src_node), 0)) {
+  if (!lost_on(loss_rng, src_index, 0)) {
     queue_.push_back(WorkItem{first_leaf, std::move(packet), 1, prov_root});
     ++walk_stats_.enqueues;
     walk_stats_.max_queue_depth =
@@ -448,7 +426,10 @@ SendResult Fabric::send(topo::HostId src, net::Ipv4Address group,
     }
 
     arena_.clear();
-    const auto emissions = element(item.at).process(item.packet, 0, arena_);
+    const auto at = node_index(item.at);
+    const auto emissions =
+        at_host ? hosts_[at].process(item.packet, arena_)
+                : switches_[at - hosts_.size()].process(item.packet, arena_);
 
     if (at_host) {
       // Hypervisor emissions are per-VM payload deliveries, not wire hops.
@@ -457,12 +438,10 @@ SendResult Fabric::send(topo::HostId src, net::Ipv4Address group,
       if (recorder_ != nullptr) end_hop_span(hop_span, emissions.size());
       continue;
     }
-    const auto from_index = node_index(item.at);
     for (auto& emission : emissions) {
       const auto next = neighbor_of(item.at, emission.out_port);
-      account_port(from_index, emission.out_port, emission.packet.size(),
-                   result);
-      if (lost_on(loss_rng, from_index, emission.out_port)) {
+      account_port(at, emission.out_port, emission.packet.size(), result);
+      if (lost_on(loss_rng, at, emission.out_port)) {
         ++walk_stats_.lost_copies;
         if (prov_ != nullptr) {
           prov_->lost_copy(next.layer, next.id, prov_hop);
@@ -552,45 +531,25 @@ SendResult Fabric::send_unicast(topo::HostId src, topo::HostId dst,
 
 void Fabric::set_link_loss(const NodeRef& from, const NodeRef& to,
                            double rate) {
+  // Layers must be one apart before port_towards may be asked for a port.
+  const int gap = static_cast<int>(from.layer) - static_cast<int>(to.layer);
+  if (!has_node(from) || !has_node(to) || (gap != 1 && gap != -1) ||
+      neighbor_of(from, port_towards(from, to)) != to) {
+    throw std::invalid_argument{
+        "Fabric::set_link_loss: no link " + topo::to_string(from.layer) +
+        ":" + std::to_string(from.id) + " -> " + topo::to_string(to.layer) +
+        ":" + std::to_string(to.id)};
+  }
   if (link_loss_.size() != link_stats_.size()) {
     link_loss_.assign(link_stats_.size(), 0.0);
   }
-  const auto from_index = node_index(from);
-  link_loss_[link_base_[from_index] + port_towards(from, to)] = rate;
+  link_loss_[link_base_[node_index(from)] + port_towards(from, to)] = rate;
   has_link_loss_ = true;
 }
 
 void Fabric::clear_link_loss() {
   has_link_loss_ = false;
   link_loss_.clear();
-}
-
-void Fabric::ensure_link_classes() const {
-  if (!link_class_.empty()) return;
-  // A link slot's directed class follows from its owner's layer and port
-  // range alone — no topology walk needed.
-  link_class_.resize(link_stats_.size());
-  const std::size_t hosts = topo_->num_hosts();
-  const std::size_t leaves = topo_->num_leaves();
-  const std::size_t spines = topo_->num_spines();
-  const std::size_t cores = topo_->num_cores();
-  const std::size_t nodes = hosts + leaves + spines + cores;
-  for (std::size_t n = 0; n < nodes; ++n) {
-    const std::size_t degree = link_base_[n + 1] - link_base_[n];
-    for (std::size_t port = 0; port < degree; ++port) {
-      std::uint8_t klass;
-      if (n < hosts) {
-        klass = 0;  // host -> leaf
-      } else if (n < hosts + leaves) {
-        klass = port < topo_->leaf_down_ports() ? 1 : 2;  // ->host / ->spine
-      } else if (n < hosts + leaves + spines) {
-        klass = port < topo_->spine_down_ports() ? 3 : 4;  // ->leaf / ->core
-      } else {
-        klass = 5;  // core -> spine
-      }
-      link_class_[link_base_[n] + port] = klass;
-    }
-  }
 }
 
 void Fabric::sample_into(obs::TimeSeriesStore& store) const {
@@ -631,34 +590,48 @@ void Fabric::sample_into(obs::TimeSeriesStore& store) const {
 
   // Directed per-layer-pair transmission sums: the "copies put on the wire
   // towards layer X" side of the conservation law the loss-rate detector
-  // checks against layer X's own arrival counters.
-  ensure_link_classes();
-  std::uint64_t tx[6] = {0, 0, 0, 0, 0, 0};
-  for (std::size_t i = 0; i < link_stats_.size(); ++i) {
-    tx[link_class_[i]] += link_stats_[i].packets;
-  }
-  static constexpr const char* kClassSeries[6] = {
-      "elmo_link_host_leaf_tx_total",  "elmo_link_leaf_host_tx_total",
-      "elmo_link_leaf_spine_tx_total", "elmo_link_spine_leaf_tx_total",
-      "elmo_link_spine_core_tx_total", "elmo_link_core_spine_tx_total",
+  // checks against layer X's own arrival counters. A switch's down-ports
+  // come first, then its up-ports, so each pair is one port range per node.
+  const auto tx = [&](topo::Layer layer, std::size_t lo, std::size_t hi) {
+    std::uint64_t sum = 0;
+    const auto l = static_cast<std::size_t>(layer);
+    for (auto n = layer_base_[l]; n < layer_base_[l + 1]; ++n) {
+      for (auto port = lo; port < hi; ++port) {
+        sum += link_stats_[link_base_[n] + port].packets;
+      }
+    }
+    return static_cast<double>(sum);
   };
-  for (std::size_t k = 0; k < 6; ++k) {
-    store.append(kClassSeries[k], static_cast<double>(tx[k]));
-  }
+  const auto& t = *topo_;
+  const auto leaf_down = t.leaf_down_ports();
+  const auto spine_down = t.spine_down_ports();
+  store.append("elmo_link_host_leaf_tx_total", tx(topo::Layer::kHost, 0, 1));
+  store.append("elmo_link_leaf_host_tx_total",
+               tx(topo::Layer::kLeaf, 0, leaf_down));
+  store.append("elmo_link_leaf_spine_tx_total",
+               tx(topo::Layer::kLeaf, leaf_down, leaf_down + t.leaf_up_ports()));
+  store.append("elmo_link_spine_leaf_tx_total",
+               tx(topo::Layer::kSpine, 0, spine_down));
+  store.append("elmo_link_spine_core_tx_total",
+               tx(topo::Layer::kSpine, spine_down,
+                  spine_down + t.spine_up_ports()));
+  store.append("elmo_link_core_spine_tx_total",
+               tx(topo::Layer::kCore, 0, t.core_ports()));
 }
 
 dp::SwitchStats Fabric::aggregate_switch_stats(topo::Layer layer) const {
   dp::SwitchStats total;
-  const auto* pool = layer == topo::Layer::kLeaf    ? &leaves_
-                     : layer == topo::Layer::kSpine ? &spines_
-                                                    : &cores_;
-  for (const auto& sw : *pool) total += sw->stats();
+  const auto l = static_cast<std::size_t>(layer);
+  for (auto n = std::max(layer_base_[l], hosts_.size()); n < layer_base_[l + 1];
+       ++n) {
+    total += switches_[n - hosts_.size()].stats();
+  }
   return total;
 }
 
 dp::HypervisorStats Fabric::aggregate_hypervisor_stats() const {
   dp::HypervisorStats total;
-  for (const auto& hv : hypervisors_) total += hv->stats();
+  for (const auto& hv : hosts_) total += hv.stats();
   return total;
 }
 

@@ -7,25 +7,26 @@
 // end-to-end examples run on it, and it cross-validates the analytic
 // TrafficEvaluator used by the large-scale benches.
 //
-// The walk is a zero-copy pipeline: every node is a dp::ForwardingElement,
-// work items carry refcounted PacketViews, and emissions land in one
-// per-fabric EmissionArena that is reused across hops and sends — the walk
-// performs no steady-state allocation and no per-link deep copies (see
-// DESIGN.md, "Forwarding pipeline").
+// The walk is a zero-copy pipeline: each work item's node is a hypervisor or
+// a network switch, both with the process(view, arena) call shape of
+// dataplane/forwarding.h; work items carry refcounted PacketViews, and
+// emissions land in one per-fabric EmissionArena that is reused across hops
+// and sends — the walk performs no steady-state allocation and no per-link
+// deep copies (see DESIGN.md, "Forwarding pipeline").
 //
 // send() is the only multicast walk: one FIFO drain per send. A fabric is
 // single-threaded; work that wants cores runs independent fabrics, one per
 // thread (DESIGN.md §12).
 //
-// Per-node and per-link state is flat and index-addressed: elements live in
-// one contiguous table and link counters in one contiguous array indexed by
-// (node, out-port), so the hot walk does array arithmetic, not tree lookups.
+// Per-node and per-link state is flat and index-addressed: the fabric holds
+// its hypervisors and its switches by value in two vectors in node order,
+// and link counters in one contiguous array indexed by (node, out-port), so
+// the hot walk does array arithmetic, not pointer chasing or tree lookups.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <span>
 #include <utility>
 #include <vector>
@@ -141,29 +142,34 @@ struct FabricWalkStats {
 class Fabric {
  public:
   explicit Fabric(const topo::ClosTopology& topology);
+  // The switches are held by value: a copy would duplicate every one.
+  Fabric(const Fabric&) = delete;
+  Fabric& operator=(const Fabric&) = delete;
 
+  // Each accessor throws std::out_of_range for an id outside its layer.
   dp::HypervisorSwitch& hypervisor(topo::HostId host) {
-    return *hypervisors_.at(host);
+    return hosts_.at(host);
   }
-  dp::NetworkSwitch& leaf(topo::LeafId leaf) { return *leaves_.at(leaf); }
-  dp::NetworkSwitch& spine(topo::SpineId spine) { return *spines_.at(spine); }
-  dp::NetworkSwitch& core(topo::CoreId core) { return *cores_.at(core); }
+  dp::NetworkSwitch& leaf(topo::LeafId leaf) {
+    return switches_[switch_slot(topo::Layer::kLeaf, leaf)];
+  }
+  dp::NetworkSwitch& spine(topo::SpineId spine) {
+    return switches_[switch_slot(topo::Layer::kSpine, spine)];
+  }
+  dp::NetworkSwitch& core(topo::CoreId core) {
+    return switches_[switch_slot(topo::Layer::kCore, core)];
+  }
   const dp::HypervisorSwitch& hypervisor(topo::HostId host) const {
-    return *hypervisors_.at(host);
+    return hosts_.at(host);
   }
   const dp::NetworkSwitch& leaf(topo::LeafId leaf) const {
-    return *leaves_.at(leaf);
+    return switches_[switch_slot(topo::Layer::kLeaf, leaf)];
   }
   const dp::NetworkSwitch& spine(topo::SpineId spine) const {
-    return *spines_.at(spine);
+    return switches_[switch_slot(topo::Layer::kSpine, spine)];
   }
   const dp::NetworkSwitch& core(topo::CoreId core) const {
-    return *cores_.at(core);
-  }
-
-  // The uniform forwarding view of any node (switch or hypervisor).
-  dp::ForwardingElement& element(const NodeRef& node) {
-    return *elements_[node_index(node)];
+    return switches_[switch_slot(topo::Layer::kCore, core)];
   }
 
   const topo::ClosTopology& topology() const noexcept { return *topo_; }
@@ -219,7 +225,8 @@ class Fabric {
   // max(rate, global loss rate). Draws share the global loss stream: an
   // override changes only the acceptance threshold, not the draw order.
   // Does NOT reset the send ordinal — injection mid-run keeps the stream
-  // aligned.
+  // aligned. Throws std::invalid_argument unless both nodes exist and are
+  // adjacent.
   void set_link_loss(const NodeRef& from, const NodeRef& to, double rate);
   void clear_link_loss();
 
@@ -243,7 +250,7 @@ class Fabric {
   obs::Tracer* recorder() const noexcept { return recorder_; }
 
   // Optional decision-provenance log (nullptr detaches). Attaches the log to
-  // every forwarding element so each send() grows one decision tree in it
+  // every hypervisor and switch so each send() grows one decision tree in it
   // (DESIGN.md §10). Not owned; must outlive the sends it observes.
   void set_provenance(obs::ProvenanceLog* log);
   obs::ProvenanceLog* provenance() const noexcept { return prov_; }
@@ -288,8 +295,8 @@ class Fabric {
   const FabricWalkStats& walk_stats() const noexcept { return walk_stats_; }
   void reset_walk_stats() noexcept { walk_stats_ = FabricWalkStats{}; }
 
-  // Sums per-element stats over every switch of `layer` (kLeaf/kSpine/kCore)
-  // or every hypervisor.
+  // Sum the stats of every switch of `layer` (kLeaf, kSpine or kCore; kHost
+  // sums nothing) and of every hypervisor.
   dp::SwitchStats aggregate_switch_stats(topo::Layer layer) const;
   dp::HypervisorStats aggregate_hypervisor_stats() const;
 
@@ -304,14 +311,21 @@ class Fabric {
     std::size_t prov = obs::kNoProvParent;  // parent hop in the decision tree
   };
 
-  // Contiguous node numbering: hosts, then leaves, spines, cores.
+  // Contiguous node numbering: hosts, then leaves, spines, cores. A layer's
+  // nodes are [layer_base_[layer], layer_base_[layer + 1]).
   std::size_t node_index(const NodeRef& node) const noexcept {
     return layer_base_[static_cast<std::size_t>(node.layer)] + node.id;
   }
+  bool has_node(const NodeRef& node) const noexcept {
+    const auto layer = static_cast<std::size_t>(node.layer);
+    return node.id < layer_base_[layer + 1] - layer_base_[layer];
+  }
+  // The index into switches_ of switch `id` of `layer`. Throws
+  // std::out_of_range unless that switch exists, so one layer's accessor
+  // never hands out the next layer's switch.
+  std::size_t switch_slot(topo::Layer layer, std::uint32_t id) const;
 
-  void account(const NodeRef& from, const NodeRef& to, std::size_t bytes,
-               SendResult& result);
-  // Fast path: the emitting node and its out-port are already known.
+  // Accounts one copy leaving node `from_index` on out-port `port`.
   void account_port(std::size_t from_index, std::size_t port,
                     std::size_t bytes, SendResult& result);
   // Loss draw for one copy leaving `from_index` on `port`. The effective
@@ -324,20 +338,21 @@ class Fabric {
     }
     return rate > 0.0 && rng.bernoulli(rate);
   }
+  // The node at the far end of `node`'s `out_port` (a host's port 0 is its
+  // leaf uplink).
   NodeRef neighbor_of(const NodeRef& node, std::size_t out_port) const;
   // Out-port of `from` that reaches the adjacent node `to`.
   std::size_t port_towards(const NodeRef& from, const NodeRef& to) const;
 
   const topo::ClosTopology* topo_;
-  std::vector<std::unique_ptr<dp::HypervisorSwitch>> hypervisors_;
-  std::vector<std::unique_ptr<dp::NetworkSwitch>> leaves_;
-  std::vector<std::unique_ptr<dp::NetworkSwitch>> spines_;
-  std::vector<std::unique_ptr<dp::NetworkSwitch>> cores_;
+  // Node i < hosts is hosts_[i]; any other is switches_[i - hosts], which
+  // holds the leaves, then the spines, then the cores.
+  std::vector<dp::HypervisorSwitch> hosts_;
+  std::vector<dp::NetworkSwitch> switches_;
+  std::size_t layer_base_[5] = {0, 0, 0, 0, 0};  // see node_index()
 
-  // Flat element table indexed by node_index(), and per-(node, out-port)
-  // link counters: slot = link_base_[node_index] + out_port.
-  std::vector<dp::ForwardingElement*> elements_;
-  std::size_t layer_base_[4] = {0, 0, 0, 0};
+  // Per-(node, out-port) link counters: slot = link_base_[node_index] +
+  // out_port.
   std::vector<std::size_t> link_base_;
   std::vector<LinkStats> link_stats_;
 
@@ -347,10 +362,6 @@ class Fabric {
   bool has_link_loss_ = false;
   std::vector<double> link_loss_;  // per (node, out-port); lazily sized
 
-  // Directed layer-pair class of every link slot (kLinkClasses values),
-  // built lazily on the first sample_into() call.
-  void ensure_link_classes() const;
-  mutable std::vector<std::uint8_t> link_class_;
   FabricWalkStats walk_stats_;
   obs::Tracer* recorder_ = nullptr;
   obs::ProvenanceLog* prov_ = nullptr;

@@ -1,6 +1,6 @@
-// ForwardingElement conformance: both switch types drive through the same
-// interface, emissions are refcounted views (not copies), and the arena's
-// span/rewind contract holds.
+// Forwarding conformance: both switch types drive through the same
+// process(view, arena) call shape, emissions are refcounted views (not
+// copies), and the arena's span/rewind contract holds.
 #include "dataplane/forwarding.h"
 
 #include <gtest/gtest.h>
@@ -52,7 +52,7 @@ class ForwardingTest : public ::testing::Test {
   net::PacketView arriving_at_leaf1(const net::PacketView& sent) {
     NetworkSwitch leaf0{topo_, topo::Layer::kLeaf, 0};
     EmissionArena arena;
-    const auto up = leaf0.process(sent, 0, arena);
+    const auto up = leaf0.process(sent, arena);
     EXPECT_EQ(up.size(), 1u);
     if (up.empty()) return {};
     const auto up_port = up[0].out_port;
@@ -60,7 +60,7 @@ class ForwardingTest : public ::testing::Test {
     NetworkSwitch spine{topo_, topo::Layer::kSpine,
                         topo_.spine_at(0, up_port - topo_.leaf_down_ports())};
     EmissionArena arena2;
-    const auto down = spine.process(up[0].packet, 0, arena2);
+    const auto down = spine.process(up[0].packet, arena2);
     EXPECT_EQ(down.size(), 1u);
     if (down.empty()) return {};
     EXPECT_EQ(down[0].out_port, 1u);  // leaf 1
@@ -95,14 +95,14 @@ TEST_F(ForwardingTest, BothSwitchTypesDriveThroughTheBaseInterface) {
 
   const auto packet = packet_from(0, tree);
   EmissionArena arena;
-  for (ForwardingElement* element : {static_cast<ForwardingElement*>(&leaf),
-                                     static_cast<ForwardingElement*>(&hv)}) {
+  const auto drive = [&](auto& element) {
     arena.clear();
-    const auto emissions =
-        element->process(packet, ForwardingElement::kNetworkPort, arena);
+    const auto emissions = element.process(packet, arena);
     EXPECT_FALSE(emissions.empty());
     EXPECT_EQ(emissions.size(), arena.size());
-  }
+  };
+  drive(leaf);
+  drive(hv);
 }
 
 TEST_F(ForwardingTest, SwitchToSwitchEmissionsShareTheSendersBuffer) {
@@ -115,7 +115,7 @@ TEST_F(ForwardingTest, SwitchToSwitchEmissionsShareTheSendersBuffer) {
 
   EmissionArena arena;
   net::reset_copy_stats();
-  const auto emissions = leaf.process(packet, 0, arena);
+  const auto emissions = leaf.process(packet, arena);
   EXPECT_EQ(net::copy_stats().copies, 1u);  // host template only
 
   ASSERT_EQ(emissions.size(), 2u);
@@ -138,7 +138,7 @@ TEST_F(ForwardingTest, HostEmissionsShareOneStrippedTemplate) {
   const auto packet = packet_from(0, tree);
 
   EmissionArena arena;
-  auto up = leaf0.process(packet, 0, arena);
+  auto up = leaf0.process(packet, arena);
   ASSERT_EQ(up.size(), 1u);
   const auto up_port = up[0].out_port;
   ASSERT_GE(up_port, topo_.leaf_down_ports());
@@ -146,13 +146,13 @@ TEST_F(ForwardingTest, HostEmissionsShareOneStrippedTemplate) {
                       topo_.spine_at(0, up_port - topo_.leaf_down_ports())};
 
   EmissionArena arena2;
-  auto down = spine.process(up[0].packet, 0, arena2);
+  auto down = spine.process(up[0].packet, arena2);
   ASSERT_EQ(down.size(), 1u);
   EXPECT_EQ(down[0].out_port, 1u);  // leaf 1
 
   EmissionArena arena3;
   net::reset_copy_stats();
-  auto host_copies = leaf1.process(down[0].packet, 0, arena3);
+  auto host_copies = leaf1.process(down[0].packet, arena3);
   EXPECT_EQ(net::copy_stats().copies, 1u);
   ASSERT_EQ(host_copies.size(), 2u);
   for (const auto& e : host_copies) {
@@ -176,8 +176,7 @@ TEST_F(ForwardingTest, HypervisorEmitsZeroCopyPerVmPayloadViews) {
 
   EmissionArena arena;
   net::reset_copy_stats();
-  const auto emissions =
-      hv.process(packet, ForwardingElement::kNetworkPort, arena);
+  const auto emissions = hv.process(packet, arena);
   EXPECT_EQ(net::copy_stats().copies, 0u);  // decap is a cursor advance
   ASSERT_EQ(emissions.size(), 2u);
   EXPECT_EQ(emissions[0].out_port, 4u);
@@ -196,7 +195,7 @@ TEST_F(ForwardingTest, EmissionsOutliveTheInputView) {
   EmissionArena arena;
   {
     const auto packet = packet_from(0, tree);
-    leaf.process(packet, 0, arena);
+    leaf.process(packet, arena);
   }  // input view destroyed; refcounts keep the buffers alive
   ASSERT_EQ(arena.size(), 2u);
   for (const auto& e : arena.since(0)) {
@@ -220,14 +219,14 @@ TEST_F(ForwardingTest, SectionCacheKeepsSameOffsetBuffersApart) {
 
   NetworkSwitch leaf1{topo_, topo::Layer::kLeaf, 1};
   EmissionArena arena;
-  EXPECT_EQ(ports_of(leaf1.process(a, 0, arena)),
+  EXPECT_EQ(ports_of(leaf1.process(a, arena)),
             std::vector<std::size_t>{0});
   arena.clear();
-  EXPECT_EQ(ports_of(leaf1.process(b, 0, arena)),
+  EXPECT_EQ(ports_of(leaf1.process(b, arena)),
             std::vector<std::size_t>{1});
   EXPECT_EQ(arena.section_cache().size(), 2u);
   arena.clear();
-  EXPECT_EQ(ports_of(leaf1.process(a, 0, arena)),
+  EXPECT_EQ(ports_of(leaf1.process(a, arena)),
             std::vector<std::size_t>{0});  // a's entry, still live
   EXPECT_EQ(leaf1.stats().prule_matches, 3u);
   // The cache holds no reference: only the test's views own the buffers.
@@ -252,13 +251,13 @@ TEST_F(ForwardingTest, SectionCacheEntryOfAFreedBufferNeverMatches) {
       const auto a = arriving_at_leaf1(packet_from(
           0, MulticastTree{topo_, std::vector<topo::HostId>{
                                       0, to_host2 ? topo::HostId{2} : 3}}));
-      EXPECT_EQ(ports_of(leaf1.process(a, 0, arena)),
+      EXPECT_EQ(ports_of(leaf1.process(a, arena)),
                 std::vector<std::size_t>{to_host2 ? 0u : 1u});
       arena.clear();  // the emissions hold nothing of `a` past this
     }
     const net::PacketView sent{std::move(next)};
     const auto b = arriving_at_leaf1(sent);
-    EXPECT_EQ(ports_of(leaf1.process(b, 0, arena)),
+    EXPECT_EQ(ports_of(leaf1.process(b, arena)),
               std::vector<std::size_t>{to_host2 ? 1u : 0u});
     arena.clear();
   }
@@ -278,11 +277,11 @@ TEST_F(ForwardingTest, TruncatedHeaderLeavesNoSectionCacheEntry) {
 
   NetworkSwitch leaf0{topo_, topo::Layer::kLeaf, 0};
   EmissionArena arena;
-  EXPECT_THROW(leaf0.process(net::PacketView{std::span{cut}}, 0, arena),
+  EXPECT_THROW(leaf0.process(net::PacketView{std::span{cut}}, arena),
                std::out_of_range);
   EXPECT_EQ(arena.section_cache().size(), 0u);
   arena.clear();
-  EXPECT_EQ(leaf0.process(good, 0, arena).size(), 2u);  // host 1 + uplink
+  EXPECT_EQ(leaf0.process(good, arena).size(), 2u);  // host 1 + uplink
   EXPECT_EQ(arena.section_cache().size(), 1u);
 }
 

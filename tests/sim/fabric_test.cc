@@ -4,10 +4,12 @@
 
 #include <map>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "elmo/header.h"
+#include "obs/timeseries.h"
 #include "testutil.h"
 
 namespace elmo::sim {
@@ -294,6 +296,99 @@ TEST_F(FabricFixture, DetachedFabricRecordsNothing) {
 
 // SendResult::host_copies reads like the std::map it replaced, fed the
 // same host sequence (a host reached twice counts 2).
+TEST_F(FabricFixture, AccessorsThrowPastTheirOwnLayer) {
+  // Leaves, spines and cores share one vector: an id one past a layer's
+  // last switch must not hand out the next layer's first switch.
+  EXPECT_THROW(fabric.leaf(topology.num_leaves()), std::out_of_range);
+  EXPECT_THROW(fabric.spine(topology.num_spines()), std::out_of_range);
+  EXPECT_THROW(fabric.core(topology.num_cores()), std::out_of_range);
+  EXPECT_THROW(fabric.hypervisor(topology.num_hosts()), std::out_of_range);
+  const Fabric& view = fabric;
+  EXPECT_THROW(view.leaf(topology.num_leaves()), std::out_of_range);
+  EXPECT_THROW(view.spine(topology.num_spines()), std::out_of_range);
+  EXPECT_THROW(view.core(topology.num_cores()), std::out_of_range);
+  EXPECT_THROW(view.hypervisor(topology.num_hosts()), std::out_of_range);
+  EXPECT_EQ(fabric.core(topology.num_cores() - 1).layer(), topo::Layer::kCore);
+  EXPECT_EQ(fabric.spine(0).layer(), topo::Layer::kSpine);
+}
+
+TEST_F(FabricFixture, SampledLinkSeriesMatchLinksByLayerPair) {
+  ASSERT_GT(topology.num_pods(), 1u);
+  const auto a = make_group({0, 1, 17, 35, 50});
+  const auto b = make_group({3, 20, 63});
+  for (const auto sender : {0u, 17u, 50u}) {
+    fabric.send(sender, controller.group(a).address, 100);
+  }
+  fabric.send(63, controller.group(b).address, 100);
+  fabric.send_unicast(2, 60, 100);
+
+  std::map<std::pair<topo::Layer, topo::Layer>, double> want;
+  for (const auto& [link, stats] : fabric.links()) {
+    want[{link.first.layer, link.second.layer}] +=
+        static_cast<double>(stats.packets);
+  }
+  obs::TimeSeriesStore store;
+  fabric.sample_into(store);
+  using topo::Layer;
+  const std::pair<const char*, std::pair<Layer, Layer>> series[] = {
+      {"elmo_link_host_leaf_tx_total", {Layer::kHost, Layer::kLeaf}},
+      {"elmo_link_leaf_host_tx_total", {Layer::kLeaf, Layer::kHost}},
+      {"elmo_link_leaf_spine_tx_total", {Layer::kLeaf, Layer::kSpine}},
+      {"elmo_link_spine_leaf_tx_total", {Layer::kSpine, Layer::kLeaf}},
+      {"elmo_link_spine_core_tx_total", {Layer::kSpine, Layer::kCore}},
+      {"elmo_link_core_spine_tx_total", {Layer::kCore, Layer::kSpine}},
+  };
+  for (const auto& [name, pair] : series) {
+    const auto* sample = store.last(name);
+    ASSERT_NE(sample, nullptr) << name;
+    EXPECT_EQ(sample->value, want[pair]) << name;
+    EXPECT_GT(sample->value, 0.0) << name;  // every pair carried traffic
+  }
+}
+
+TEST_F(FabricFixture, SetLinkLossRejectsMissingAndNonAdjacentLinks) {
+  const NodeRef leaf0{topo::Layer::kLeaf, 0};
+  // An out-of-range id, on either end.
+  EXPECT_THROW(
+      fabric.set_link_loss(NodeRef{topo::Layer::kLeaf, 100000000},
+                           NodeRef{topo::Layer::kSpine, 0}, 1.0),
+      std::invalid_argument);
+  const auto no_spine = static_cast<topo::SpineId>(topology.num_spines());
+  EXPECT_THROW(
+      fabric.set_link_loss(leaf0, NodeRef{topo::Layer::kSpine, no_spine}, 1.0),
+      std::invalid_argument);
+  // Spine 2 is in pod 1; leaf 0 is in pod 0.
+  ASSERT_NE(topology.pod_of_spine(2), topology.pod_of_leaf(0));
+  EXPECT_THROW(
+      fabric.set_link_loss(leaf0, NodeRef{topo::Layer::kSpine, 2}, 1.0),
+      std::invalid_argument);
+  EXPECT_THROW(
+      fabric.set_link_loss(NodeRef{topo::Layer::kSpine, 2}, leaf0, 1.0),
+      std::invalid_argument);
+  // Layers that are not one apart, and a host that is not on the leaf.
+  EXPECT_THROW(
+      fabric.set_link_loss(leaf0, NodeRef{topo::Layer::kCore, 0}, 1.0),
+      std::invalid_argument);
+  EXPECT_THROW(
+      fabric.set_link_loss(leaf0, NodeRef{topo::Layer::kHost, 5}, 1.0),
+      std::invalid_argument);
+
+  // The rejected calls black-holed nothing.
+  const auto id = make_group({0, 1, 2, 17});
+  const auto group = controller.group(id).address;
+  EXPECT_EQ(fabric.send(0, group, 64).host_copies.size(), 3u);
+  EXPECT_EQ(fabric.walk_stats().lost_copies, 0u);
+
+  // An adjacent pair still drops its copies.
+  fabric.set_link_loss(leaf0, NodeRef{topo::Layer::kHost, 1}, 1.0);
+  const auto result = fabric.send(0, group, 64);
+  EXPECT_EQ(result.host_copies.size(), 2u);
+  EXPECT_FALSE(result.host_copies.contains(1));
+  EXPECT_TRUE(result.host_copies.contains(2));
+  EXPECT_TRUE(result.host_copies.contains(17));
+  EXPECT_EQ(fabric.walk_stats().lost_copies, 1u);
+}
+
 TEST(HostCopies, ReadsLikeAMapOfTheSameHosts) {
   std::vector<topo::HostId> hosts{9, 3, 7, 3, 12, 0, 9, 3};
   std::map<topo::HostId, std::size_t> want;

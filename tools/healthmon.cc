@@ -14,7 +14,8 @@
 //   --seed=N          scenario seed to replay (default 1)
 //   --loss_pct=P      inject global random loss of P percent (default 0)
 //   --fail_link=L:S   black-hole both directions of the leaf L <-> spine S
-//                     link (100% directed loss)
+//                     link (100% directed loss); exits 2 if there is no
+//                     such link
 //   --fail_switch=W   silently down a switch: spine:<id>, core:<id>,
 //                     spine:all, or core:all
 //   --windows=N       sampling windows to run (default 12)
@@ -30,6 +31,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -275,7 +277,12 @@ int main(int argc, char** argv) {
   bool injected = false;
   for (std::size_t w = 0; w < windows; ++w) {
     if (!injected && w >= inject_at) {
-      apply_injection(inj, fabric, seed, topo);
+      try {
+        apply_injection(inj, fabric, seed, topo);
+      } catch (const std::invalid_argument& e) {
+        std::fprintf(stderr, "healthmon: bad --fail_link: %s\n", e.what());
+        return 2;
+      }
       injected = true;
       if (verbose) std::printf("window %zu: failure injected\n", w);
     }
