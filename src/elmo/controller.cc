@@ -5,6 +5,7 @@
 #include <map>
 #include <optional>
 #include <stdexcept>
+#include <utility>
 
 #include "obs/metrics.h"
 #include "obs/span.h"
@@ -62,15 +63,46 @@ std::uint64_t group_flow_hash(GroupId group) {
   return util::splitmix64(s);
 }
 
-// Per-layer s-rule maps for diffing (logical switch id -> bitmap).
-std::map<std::uint32_t, const net::PortBitmap*> srule_map(
-    const LayerEncoding& layer) {
-  std::map<std::uint32_t, const net::PortBitmap*> out;
-  for (const auto& [id, bitmap] : layer.s_rules) out.emplace(id, &bitmap);
-  return out;
+template <typename T>
+void sort_unique(std::vector<T>& v) {
+  std::sort(v.begin(), v.end());
+  v.erase(std::unique(v.begin(), v.end()), v.end());
+}
+
+// Calls `changed(id)` for every logical switch whose s-rule was added,
+// rewritten or removed between `before` and `after`.
+template <typename F>
+void diff_srules(const LayerEncoding& before, const LayerEncoding& after,
+                 F&& changed) {
+  std::map<std::uint32_t, const net::PortBitmap*> gone;
+  for (const auto& [id, bitmap] : before.s_rules) gone.emplace(id, &bitmap);
+  for (const auto& [id, bitmap] : after.s_rules) {
+    const auto it = gone.find(id);
+    if (it == gone.end()) {
+      changed(id);
+      continue;
+    }
+    if (!(*it->second == bitmap)) changed(id);
+    gone.erase(it);
+  }
+  for (const auto& [id, bitmap] : gone) changed(id);
+}
+
+std::vector<topo::HostId> member_hosts(const GroupState& g) {
+  std::vector<topo::HostId> hosts;
+  hosts.reserve(g.members.size());
+  for (const auto& m : g.members) hosts.push_back(m.host);
+  return hosts;
 }
 
 }  // namespace
+
+void RuleSlots::merge(const RuleSlots& other) {
+  hosts.insert(hosts.end(), other.hosts.begin(), other.hosts.end());
+  srules.insert(srules.end(), other.srules.begin(), other.srules.end());
+  sort_unique(hosts);
+  sort_unique(srules);
+}
 
 std::vector<topo::HostId> GroupState::receiver_hosts() const {
   std::vector<topo::HostId> hosts;
@@ -117,51 +149,72 @@ bool Controller::has_group(GroupId group) const {
   return group < groups_.size() && groups_[group].has_value();
 }
 
-void Controller::reencode(GroupState& g) {
+std::vector<GroupId> Controller::group_ids() const {
+  std::vector<GroupId> ids;
+  ids.reserve(live_groups_);
+  for (GroupId id = 0; id < groups_.size(); ++id) {
+    if (groups_[id]) ids.push_back(id);
+  }
+  return ids;
+}
+
+GroupEncoding Controller::reencode(GroupState& g) {
   if (g.tree) {
     encoder_->release(g.encoding, *g.tree, srule_space_);
   }
   const auto receivers = g.receiver_hosts();
   g.tree = std::make_unique<MulticastTree>(*topo_, receivers);
-  g.encoding = encoder_->encode(
-      *g.tree, &srule_space_,
-      legacy_leaves_.empty() ? nullptr : &legacy_leaves_);
+  return std::exchange(
+      g.encoding,
+      encoder_->encode(*g.tree, &srule_space_,
+                       legacy_leaves_.empty() ? nullptr : &legacy_leaves_));
 }
 
-void Controller::emit_srule_diffs(const GroupEncoding& before,
-                                  const GroupEncoding& after) {
-  if (sink_ == nullptr) return;
-  auto diff = [&](const LayerEncoding& b, const LayerEncoding& a,
-                  auto&& update) {
-    const auto before_map = srule_map(b);
-    const auto after_map = srule_map(a);
-    for (const auto& [id, bitmap] : before_map) {
-      const auto it = after_map.find(id);
-      if (it == after_map.end() || !(*it->second == *bitmap)) update(id);
-    }
-    for (const auto& [id, bitmap] : after_map) {
-      (void)bitmap;
-      if (!before_map.contains(id)) update(id);
-    }
-  };
-  diff(before.spine, after.spine, [&](std::uint32_t pod) {
+RuleSlots Controller::change_set(std::vector<topo::HostId> hosts,
+                                 const GroupEncoding& before,
+                                 const GroupEncoding& after) const {
+  RuleSlots change;
+  change.hosts = std::move(hosts);
+  sort_unique(change.hosts);
+  diff_srules(before.spine, after.spine, [&](std::uint32_t pod) {
     // A logical-spine s-rule lives in every physical spine of the pod.
     for (std::size_t plane = 0; plane < topo_->params().spines_per_pod;
          ++plane) {
-      sink_->network_switch_update(topo::Layer::kSpine,
-                                   topo_->spine_at(pod, plane));
+      change.srules.emplace_back(topo::Layer::kSpine,
+                                 topo_->spine_at(pod, plane));
     }
   });
-  diff(before.leaf, after.leaf, [&](std::uint32_t leaf) {
-    sink_->network_switch_update(topo::Layer::kLeaf, leaf);
+  diff_srules(before.leaf, after.leaf, [&](std::uint32_t leaf) {
+    change.srules.emplace_back(topo::Layer::kLeaf, leaf);
   });
+  sort_unique(change.srules);
+  return change;
 }
 
-void Controller::notify_senders(const GroupState& g,
-                                std::unordered_set<topo::HostId>& touched) {
-  for (const auto& m : g.members) {
-    if (can_send(m.role)) touched.insert(m.host);
+void Controller::report(const RuleSlots& change) const {
+  if (sink_ == nullptr) return;
+  for (const auto host : change.hosts) sink_->hypervisor_update(host);
+  for (const auto& [layer, id] : change.srules) {
+    sink_->network_switch_update(layer, id);
   }
+}
+
+void Controller::commit_membership(GroupState& g, topo::HostId host,
+                                   bool receives) {
+  std::vector<topo::HostId> hosts{host};
+  if (receives) {
+    // The receiver set changed, so the tree did: re-encode, diff s-rules,
+    // and every sender's header template may have changed.
+    const auto before = reencode(g);
+    const auto senders = g.sender_hosts();
+    hosts.insert(hosts.end(), senders.begin(), senders.end());
+    last_change_ = change_set(std::move(hosts), before, g.encoding);
+  } else {
+    // A sender-only change touches nothing downstream: only that sender's
+    // hypervisor is updated (paper §5.1.3a).
+    last_change_ = change_set(std::move(hosts), {}, {});
+  }
+  report(last_change_);
 }
 
 GroupId Controller::create_group(std::uint32_t tenant,
@@ -171,19 +224,14 @@ GroupId Controller::create_group(std::uint32_t tenant,
   g.tenant = tenant;
   g.address = net::Ipv4Address::multicast_group(id);
   g.members.assign(members.begin(), members.end());
-  groups_.emplace_back(std::move(g));
+  auto& slot = groups_.emplace_back(std::move(g));
   ++live_groups_;
   ELMO_METRIC(reg.add(controller_metric_ids().groups_created));
-  reencode(*groups_.back());
-
-  if (sink_ != nullptr) {
-    // Initial installation: every member hypervisor gets its flow rule;
-    // senders additionally receive the header template (same update).
-    std::unordered_set<topo::HostId> touched;
-    for (const auto& m : groups_.back()->members) touched.insert(m.host);
-    for (const auto host : touched) sink_->hypervisor_update(host);
-    emit_srule_diffs(GroupEncoding{}, groups_.back()->encoding);
-  }
+  reencode(*slot);
+  // Initial installation: every member hypervisor gets its flow rule;
+  // senders additionally receive the header template (same update).
+  last_change_ = change_set(member_hosts(*slot), {}, slot->encoding);
+  report(last_change_);
   return id;
 }
 
@@ -295,13 +343,12 @@ std::vector<GroupId> Controller::create_groups(
       ++reencodes;
     }
     ++live_groups_;
-    if (sink_ != nullptr) {
-      std::unordered_set<topo::HostId> touched;
-      for (const auto& m : g.members) touched.insert(m.host);
-      for (const auto host : touched) sink_->hypervisor_update(host);
-      emit_srule_diffs(GroupEncoding{}, g.encoding);
-    }
+    if (sink_ != nullptr) report(change_set(member_hosts(g), {}, g.encoding));
   }
+  // A bulk load is installed whole (Fabric::install_group), so it records
+  // an empty change set: building the union of its groups' change sets in
+  // this serial pass made the merge several times slower.
+  last_change_ = {};
   const auto merge_end = clock::now();
 
   if (stats != nullptr) {
@@ -330,37 +377,17 @@ std::vector<GroupId> Controller::create_groups(
 void Controller::remove_group(GroupId group) {
   auto& g = state(group);
   if (g.tree) encoder_->release(g.encoding, *g.tree, srule_space_);
-  emit_srule_diffs(g.encoding, GroupEncoding{});
-  if (sink_ != nullptr) {
-    for (const auto& m : g.members) sink_->hypervisor_update(m.host);
-  }
+  last_change_ = change_set(member_hosts(g), g.encoding, {});
+  report(last_change_);
   groups_[group].reset();
   --live_groups_;
 }
 
 void Controller::join(GroupId group, const Member& member) {
   auto& g = state(group);
-  const GroupEncoding before = g.encoding;
-  const bool downstream_affected = can_receive(member.role);
   g.members.push_back(member);
   ELMO_METRIC(reg.add(controller_metric_ids().joins));
-
-  std::unordered_set<topo::HostId> touched;
-  touched.insert(member.host);  // flow rule (plus header template if sender)
-
-  if (downstream_affected) {
-    reencode(g);
-    emit_srule_diffs(before, g.encoding);
-    // The tree changed, so downstream p-rules and/or upstream rules of every
-    // sender's header template changed.
-    notify_senders(g, touched);
-  }
-  // A sender-only join changes nothing downstream: only the new sender's
-  // hypervisor is updated (paper §5.1.3a).
-
-  if (sink_ != nullptr) {
-    for (const auto host : touched) sink_->hypervisor_update(host);
-  }
+  commit_membership(g, member.host, can_receive(member.role));
 }
 
 Member Controller::leave(GroupId group, topo::HostId host, std::uint32_t vm) {
@@ -373,81 +400,54 @@ Member Controller::leave(GroupId group, topo::HostId host, std::uint32_t vm) {
     throw std::invalid_argument{"Controller::leave: host not a member"};
   }
   const Member removed = *it;
-  const bool downstream_affected = can_receive(it->role);
   g.members.erase(it);
   ELMO_METRIC(reg.add(controller_metric_ids().leaves));
-
-  std::unordered_set<topo::HostId> touched;
-  touched.insert(host);  // flow rule removal
-
-  if (downstream_affected) {
-    const GroupEncoding before = g.encoding;
-    reencode(g);
-    emit_srule_diffs(before, g.encoding);
-    notify_senders(g, touched);
-  }
-
-  if (sink_ != nullptr) {
-    for (const auto h : touched) sink_->hypervisor_update(h);
-  }
+  commit_membership(g, host, can_receive(removed.role));
   return removed;
+}
+
+template <typename F>
+Controller::FailureImpact Controller::reroute_senders(std::size_t plane,
+                                                     F&& affected) {
+  FailureImpact impact;
+  for (GroupId id = 0; id < groups_.size(); ++id) {
+    if (!groups_[id] || !groups_[id]->tree) continue;
+    const auto& g = *groups_[id];
+    // The group's flows cross the failed switch only if their multipath
+    // hash selects its plane.
+    if (group_flow_hash(id) % topo_->params().spines_per_pod != plane ||
+        !affected(g)) {
+      continue;
+    }
+    ++impact.groups_affected;
+    // Re-issue upstream rules (multipath off) to every sender hypervisor.
+    const auto change = change_set(g.sender_hosts(), {}, {});
+    impact.hypervisor_updates += change.hosts.size();
+    report(change);
+  }
+  return impact;
 }
 
 Controller::FailureImpact Controller::fail_spine(topo::SpineId spine) {
   failures_.fail_spine(spine);
   ELMO_METRIC(reg.add(controller_metric_ids().failures));
   const auto pod = topo_->pod_of_spine(spine);
-  const auto plane = topo_->plane_of_spine(spine);
-
-  FailureImpact impact;
-  for (GroupId id = 0; id < groups_.size(); ++id) {
-    if (!groups_[id]) continue;
-    const auto& g = *groups_[id];
-    if (!g.tree || !g.tree->spans_multiple_leaves()) continue;
-    // The group's flows traverse this spine if their multipath hash selects
-    // its plane and the group touches its pod.
-    if (group_flow_hash(id) % topo_->params().spines_per_pod != plane) {
-      continue;
-    }
-    const bool touches_pod =
-        std::any_of(g.members.begin(), g.members.end(), [&](const Member& m) {
-          return topo_->pod_of_host(m.host) == pod;
-        });
-    if (!touches_pod) continue;
-    ++impact.groups_affected;
-    // Re-issue upstream rules (multipath off) to every sender hypervisor.
-    std::unordered_set<topo::HostId> touched;
-    notify_senders(g, touched);
-    impact.hypervisor_updates += touched.size();
-    if (sink_ != nullptr) {
-      for (const auto host : touched) sink_->hypervisor_update(host);
-    }
-  }
-  return impact;
+  return reroute_senders(
+      topo_->plane_of_spine(spine), [&](const GroupState& g) {
+        return g.tree->spans_multiple_leaves() &&
+               std::any_of(g.members.begin(), g.members.end(),
+                           [&](const Member& m) {
+                             return topo_->pod_of_host(m.host) == pod;
+                           });
+      });
 }
 
 Controller::FailureImpact Controller::fail_core(topo::CoreId core) {
   failures_.fail_core(core);
   ELMO_METRIC(reg.add(controller_metric_ids().failures));
-  const auto plane = topo_->plane_of_core(core);
-
-  FailureImpact impact;
-  for (GroupId id = 0; id < groups_.size(); ++id) {
-    if (!groups_[id]) continue;
-    const auto& g = *groups_[id];
-    if (!g.tree || !g.tree->spans_multiple_pods()) continue;
-    if (group_flow_hash(id) % topo_->params().spines_per_pod != plane) {
-      continue;
-    }
-    ++impact.groups_affected;
-    std::unordered_set<topo::HostId> touched;
-    notify_senders(g, touched);
-    impact.hypervisor_updates += touched.size();
-    if (sink_ != nullptr) {
-      for (const auto host : touched) sink_->hypervisor_update(host);
-    }
-  }
-  return impact;
+  return reroute_senders(topo_->plane_of_core(core), [](const GroupState& g) {
+    return g.tree->spans_multiple_pods();
+  });
 }
 
 void Controller::restore_spine(topo::SpineId spine) {

@@ -1,19 +1,18 @@
 // Logically-centralized Elmo controller (paper §2).
 //
-// Owns group membership, computes multicast trees and encodings, tracks
-// s-rule capacity, and emits rule updates towards hypervisor and network
-// switches through an UpdateSink. The sink abstraction is what Table 2
-// measures: every call corresponds to one switch needing a (batched) rule
-// update for one event — hypervisors absorb header-template changes, leaf
-// and spine switches only see s-rule changes, cores hold no multicast state
-// at all.
+// Owns group membership, computes multicast trees and encodings, and tracks
+// s-rule capacity. Every call that changes a group records one change set
+// (RuleSlots, read through last_change): the hypervisors whose flow it may
+// have rewritten and the physical switches whose s-rule changed. That set
+// is the one answer to "what did this event touch": it feeds the UpdateSink
+// (what Table 2 measures) and the streaming control plane's deletes.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <optional>
 #include <span>
-#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "elmo/evaluator.h"
@@ -44,8 +43,25 @@ struct Member {
   MemberRole role = MemberRole::kBoth;
 };
 
-// Receives the controller's rule updates. One call = one switch touched by
-// one reconfiguration event.
+// What one controller call changed (paper §5.1.3, Table 2): the hypervisors
+// whose flow (VM list or header template) it may have rewritten, and the
+// physical switches whose s-rule for the group it added, rewrote or removed.
+// Cores never appear: they hold no multicast state. Both lists are sorted
+// and unique.
+struct RuleSlots {
+  std::vector<topo::HostId> hosts;
+  // (kLeaf, leaf id) or (kSpine, physical spine id).
+  std::vector<std::pair<topo::Layer, std::uint32_t>> srules;
+
+  // Adds `other`'s slots, keeping both lists sorted and unique.
+  void merge(const RuleSlots& other);
+};
+
+// Receives the controller's change sets, one call per touched switch: a
+// hypervisor_update per host and a network_switch_update per s-rule slot
+// of each RuleSlots the controller records. Hypervisors absorb header
+// template changes, leaf and spine switches see only s-rule changes, cores
+// are never called.
 class UpdateSink {
  public:
   virtual ~UpdateSink() = default;
@@ -142,6 +158,12 @@ class Controller {
   const TreeEncoder& encoder() const noexcept { return *encoder_; }
   SRuleSpace& srule_space() noexcept { return srule_space_; }
   const topo::ClosTopology& topology() const noexcept { return *topo_; }
+  // Ids of the live groups, ascending.
+  std::vector<GroupId> group_ids() const;
+  // The change set of the latest create_group, join, leave or remove_group
+  // call. create_groups reports each group's to the sink and records an
+  // empty one: a bulk load is installed whole, not diffed.
+  const RuleSlots& last_change() const noexcept { return last_change_; }
 
   // Serialized Elmo header a given sender's hypervisor would push.
   std::vector<std::uint8_t> header_for(GroupId group,
@@ -151,11 +173,20 @@ class Controller {
   // `group` if it names a live group; throws std::out_of_range otherwise.
   std::size_t live_index(GroupId group) const;
   GroupState& state(GroupId group);
-  void reencode(GroupState& g);  // recompute tree+encoding, s-rule diffs
-  void emit_srule_diffs(const GroupEncoding& before,
-                        const GroupEncoding& after);
-  void notify_senders(const GroupState& g,
-                      std::unordered_set<topo::HostId>& touched);
+  // Recomputes tree and encoding; returns the encoding it replaced.
+  GroupEncoding reencode(GroupState& g);
+  // `hosts` (made sorted and unique) plus every physical s-rule slot whose
+  // bitmap differs between `before` and `after`.
+  RuleSlots change_set(std::vector<topo::HostId> hosts,
+                       const GroupEncoding& before,
+                       const GroupEncoding& after) const;
+  // Records and reports the change set of a join or leave of a VM on `host`.
+  void commit_membership(GroupState& g, topo::HostId host, bool receives);
+  // Reports every sender of each group whose flows use multipath `plane`
+  // and that `affected(group)` selects (their upstream rules re-route).
+  template <typename F>
+  FailureImpact reroute_senders(std::size_t plane, F&& affected);
+  void report(const RuleSlots& change) const;
 
   const topo::ClosTopology* topo_;
   std::unique_ptr<TreeEncoder> encoder_;  // scheme picked by config.encoder
@@ -165,6 +196,7 @@ class Controller {
   std::vector<bool> legacy_leaves_;
   std::vector<std::optional<GroupState>> groups_;
   std::size_t live_groups_ = 0;
+  RuleSlots last_change_;
 };
 
 }  // namespace elmo

@@ -56,22 +56,10 @@ std::vector<std::uint8_t> snapshot(const Controller& controller) {
   put_u32(out, kMagic);
   put_u16(out, kVersion);
 
-  // Find the highest ever-assigned id by probing has_group over the dense
-  // id space (ids are assigned sequentially; gaps are tombstones).
-  std::uint32_t id_limit = 0;
-  {
-    // num_groups() counts live groups; scan until we have seen them all.
-    std::size_t seen = 0;
-    std::uint32_t id = 0;
-    while (seen < controller.num_groups()) {
-      if (controller.has_group(id)) ++seen;
-      ++id;
-      if (id > (1u << 26)) {
-        throw std::logic_error{"snapshot: runaway id scan"};
-      }
-    }
-    id_limit = id;
-  }
+  // Ids are assigned sequentially; gaps below the highest live id are
+  // tombstones.
+  const auto ids = controller.group_ids();
+  const std::uint32_t id_limit = ids.empty() ? 0 : ids.back() + 1;
 
   put_u32(out, id_limit);
   for (std::uint32_t id = 0; id < id_limit; ++id) {

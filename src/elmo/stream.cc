@@ -8,8 +8,7 @@
 namespace elmo::stream {
 namespace {
 
-// FNV-1a over the rule content; the mirror stores one hash per installed
-// rule instead of the rule itself (1M groups × several rules each).
+// FNV-1a over rule content, for fabric_state_digest.
 struct ContentHash {
   std::uint64_t h = 1469598103934665603ull;
   void bytes(const void* data, std::size_t n) {
@@ -22,16 +21,6 @@ struct ContentHash {
   void u32(std::uint32_t v) { bytes(&v, sizeof v); }
   void u64(std::uint64_t v) { bytes(&v, sizeof v); }
 };
-
-std::uint64_t flow_hash(const p4rt::Update& u) {
-  ContentHash hash;
-  hash.u32(u.vni);
-  hash.u64(u.local_vms.size());
-  for (const auto vm : u.local_vms) hash.u32(vm);
-  hash.u64(u.elmo_header.size());
-  hash.bytes(u.elmo_header.data(), u.elmo_header.size());
-  return hash.h;
-}
 
 std::uint64_t bitmap_hash(const net::PortBitmap& bitmap) {
   ContentHash hash;
@@ -156,7 +145,7 @@ void ControlPlane::join(GroupId group, const Member& member) {
   controller_->join(group, member);
   trace_end(span);
   span = trace_child_begin("delta_diff", root);
-  diff_group(group, /*seed_only=*/false);
+  diff_group(group, controller_->last_change());
   trace_end(span);
   if (stats_.updates_coalesced + pending_.size() == queued_before) {
     ++stats_.clean_events;
@@ -164,8 +153,8 @@ void ControlPlane::join(GroupId group, const Member& member) {
   if (tracer_ != nullptr) {
     // Arm the time-to-effect watch: it arms for real when the flow install
     // lands and closes at the first delivery over the fresh rule.
-    fabric_->trace_watch(net::Ipv4Address{mirror_[group].address},
-                         member.host, root, /*leave=*/false);
+    fabric_->trace_watch(controller_->group(group).address, member.host, root,
+                         /*leave=*/false);
   }
   trace_event_end(root);
   maybe_auto_flush();
@@ -180,22 +169,17 @@ Member ControlPlane::leave(GroupId group, topo::HostId host, std::uint32_t vm) {
       "churn:leave", {{"group", static_cast<double>(group)},
                       {"host", static_cast<double>(host)},
                       {"vm", static_cast<double>(vm)}});
-  std::uint32_t addr = 0;
-  if (tracer_ != nullptr) {
-    const auto mit = mirror_.find(group);
-    if (mit != mirror_.end()) addr = mit->second.address;
-  }
   const auto queued_before = stats_.updates_coalesced + pending_.size();
   auto span = trace_child_begin("reencode", root);
   auto removed = controller_->leave(group, host, vm);
   trace_end(span);
   span = trace_child_begin("delta_diff", root);
-  diff_group(group, /*seed_only=*/false);
+  diff_group(group, controller_->last_change());
   trace_end(span);
   if (stats_.updates_coalesced + pending_.size() == queued_before) {
     ++stats_.clean_events;
   }
-  watch_leave(group, addr, host, root);
+  watch_leave(group, host, root);
   trace_event_end(root);
   maybe_auto_flush();
   return removed;
@@ -210,33 +194,25 @@ std::size_t ControlPlane::host_fail(topo::HostId host) {
       "churn:host_fail", {{"host", static_cast<double>(host)}});
 
   std::size_t evicted = 0;
-  const auto it = host_groups_.find(host);
-  if (it != host_groups_.end()) {
-    // Copy: diff_group edits the index under us.
-    const std::vector<GroupId> groups{it->second.begin(), it->second.end()};
-    for (const auto group : groups) {
-      if (!controller_->has_group(group)) continue;
-      std::uint32_t addr = 0;
-      if (tracer_ != nullptr) {
-        const auto mit = mirror_.find(group);
-        if (mit != mirror_.end()) addr = mit->second.address;
-      }
-      // Collect first: Controller::leave invalidates member iteration.
-      std::vector<std::uint32_t> vms;
-      for (const auto& m : controller_->group(group).members) {
-        if (m.host == host) vms.push_back(m.vm);
-      }
-      auto span = trace_child_begin("reencode", root);
-      for (const auto vm : vms) {
-        controller_->leave(group, host, vm);
-        ++evicted;
-      }
-      trace_end(span);
-      span = trace_child_begin("delta_diff", root);
-      diff_group(group, /*seed_only=*/false);
-      trace_end(span);
-      watch_leave(group, addr, host, root);
+  for (const auto group : controller_->group_ids()) {
+    // Collect first: Controller::leave invalidates member iteration.
+    std::vector<std::uint32_t> vms;
+    for (const auto& m : controller_->group(group).members) {
+      if (m.host == host) vms.push_back(m.vm);
     }
+    if (vms.empty()) continue;
+    auto span = trace_child_begin("reencode", root);
+    RuleSlots changed;
+    for (const auto vm : vms) {
+      controller_->leave(group, host, vm);
+      changed.merge(controller_->last_change());
+      ++evicted;
+    }
+    trace_end(span);
+    span = trace_child_begin("delta_diff", root);
+    diff_group(group, changed);
+    trace_end(span);
+    watch_leave(group, host, root);
   }
   trace_event_end(root);
   maybe_auto_flush();
@@ -268,76 +244,78 @@ void ControlPlane::trace_event_end(const obs::TraceContext& root) {
   event_ctx_ = {};
 }
 
-void ControlPlane::watch_leave(GroupId group, std::uint32_t addr,
-                               topo::HostId host,
+void ControlPlane::watch_leave(GroupId group, topo::HostId host,
                                const obs::TraceContext& root) {
-  if (tracer_ == nullptr || addr == 0) return;
-  const auto mit = mirror_.find(group);
-  if (mit != mirror_.end() &&
-      mit->second.rule_hash.contains({topo::Layer::kHost, host})) {
+  if (tracer_ == nullptr) return;
+  const auto& g = controller_->group(group);
+  if (std::any_of(g.members.begin(), g.members.end(),
+                  [host](const Member& m) { return m.host == host; })) {
     return;
   }
-  fabric_->trace_watch(net::Ipv4Address{addr}, host, root, /*leave=*/true);
+  fabric_->trace_watch(g.address, host, root, /*leave=*/true);
 }
 
 void ControlPlane::track_group(GroupId group) {
-  diff_group(group, /*seed_only=*/true);
+  (void)controller_->group(group);
 }
 
 void ControlPlane::refresh(GroupId group) {
-  diff_group(group, /*seed_only=*/false);
+  diff_group(group, {});
   maybe_auto_flush();
 }
 
 void ControlPlane::refresh_all() {
-  // Collect first: diff_group may erase empty mirrors under us.
-  std::vector<GroupId> groups;
-  groups.reserve(mirror_.size());
-  for (const auto& [group, m] : mirror_) groups.push_back(group);
-  std::sort(groups.begin(), groups.end());
-  for (const auto group : groups) diff_group(group, /*seed_only=*/false);
+  for (const auto group : controller_->group_ids()) diff_group(group, {});
   maybe_auto_flush();
 }
 
-void ControlPlane::diff_group(GroupId group, bool seed_only) {
-  auto& mirror = mirror_[group];
-  const bool live = controller_->has_group(group);
-  std::vector<p4rt::Update> desired;
-  if (live) {
-    mirror.address = controller_->group(group).address.value;
-    desired = p4rt::compile_install(*controller_, group);
-  }
-
-  // Adds and changes, then deletes for slots the group no longer has.
-  std::map<RuleSlot, std::uint64_t> desired_hash;
+void ControlPlane::diff_group(GroupId group, const RuleSlots& changed) {
+  const auto addr = controller_->group(group).address.value;
+  auto desired = p4rt::compile_install(*controller_, group);
+  std::vector<RuleSlot> compiled;
+  compiled.reserve(desired.size());
   for (auto& u : desired) {
-    const bool flow = is_flow(u);
-    const auto slot = flow ? RuleSlot{topo::Layer::kHost, u.host}
-                           : RuleSlot{u.layer, u.switch_id};
-    const auto hash = flow ? flow_hash(u) : bitmap_hash(u.ports);
-    desired_hash.emplace(slot, hash);
-    const auto it = mirror.rule_hash.find(slot);
-    const bool fresh = it == mirror.rule_hash.end();
-    if (!fresh && it->second == hash) continue;
-    // A re-templated flow is already indexed; only a new slot is news.
-    if (flow && fresh) index_membership(group, u.host, true);
-    if (!seed_only) queue(PendingKey{mirror.address, slot}, std::move(u));
+    const PendingKey key{addr, is_flow(u) ? RuleSlot{topo::Layer::kHost, u.host}
+                                          : RuleSlot{u.layer, u.switch_id}};
+    compiled.push_back(key.slot);
+    if (!holds(key, &u)) queue(key, std::move(u));
   }
-  for (const auto& [slot, hash] : mirror.rule_hash) {
-    if (desired_hash.contains(slot)) continue;
-    const auto [layer, target] = slot;
-    if (layer == topo::Layer::kHost) index_membership(group, target, false);
-    if (!seed_only) {
-      queue(PendingKey{mirror.address, slot},
-            removal(mirror.address, layer, target));
-    }
-  }
+  if (changed.hosts.empty() && changed.srules.empty()) return;
 
-  if (!live) {
-    mirror_.erase(group);
-    return;
+  std::sort(compiled.begin(), compiled.end());
+  auto vacate = [&](RuleSlot slot) {
+    const PendingKey key{addr, slot};
+    if (std::binary_search(compiled.begin(), compiled.end(), slot) ||
+        !holds(key, nullptr)) {
+      return;
+    }
+    queue(key, removal(addr, slot.first, slot.second));
+  };
+  for (const auto host : changed.hosts) vacate({topo::Layer::kHost, host});
+  for (const auto& slot : changed.srules) vacate(slot);
+}
+
+bool ControlPlane::holds(const PendingKey& key,
+                         const p4rt::Update* rule) const {
+  if (const auto it = pending_.find(key); it != pending_.end()) {
+    const auto& queued = it->second.update;
+    if (rule != nullptr) return queued == *rule;
+    return queued.kind == p4rt::UpdateKind::kHypervisorFlowAdd ||
+           queued.kind == p4rt::UpdateKind::kSRuleAdd;
   }
-  mirror.rule_hash = std::move(desired_hash);
+  const net::Ipv4Address group{key.group};
+  const auto [layer, target] = key.slot;
+  if (layer == topo::Layer::kHost) {
+    const auto* flow = fabric_->hypervisor(target).flow(group);
+    return flow != nullptr &&
+           (rule == nullptr || (flow->vni == rule->vni &&
+                                flow->local_vms == rule->local_vms &&
+                                flow->elmo_header == rule->elmo_header));
+  }
+  const auto& sw = layer == topo::Layer::kLeaf ? fabric_->leaf(target)
+                                               : fabric_->spine(target);
+  const auto* ports = sw.srule(group);
+  return ports != nullptr && (rule == nullptr || *ports == rule->ports);
 }
 
 void ControlPlane::queue(PendingKey key, p4rt::Update update) {
@@ -534,18 +512,6 @@ std::uint64_t fabric_state_digest(const sim::Fabric& fabric) {
     hash_switch_table(fabric.spine(s), 0x5071'0000'0000'0000ull | s);
   }
   return digest.h;
-}
-
-void ControlPlane::index_membership(GroupId group, topo::HostId host,
-                                    bool present) {
-  if (present) {
-    host_groups_[host].insert(group);
-    return;
-  }
-  const auto it = host_groups_.find(host);
-  if (it == host_groups_.end()) return;
-  it->second.erase(group);
-  if (it->second.empty()) host_groups_.erase(it);
 }
 
 }  // namespace elmo::stream

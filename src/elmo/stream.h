@@ -1,17 +1,18 @@
 // Streaming control plane (ROADMAP "long-running controller service"):
 // consumes Join / Leave / HostFail events, re-encodes only the affected
 // group (Controller::join/leave are already incremental), and pushes the
-// *delta* between the previously-installed rules and the new encoding over
-// the p4rt wire channel into a live sim::Fabric — instead of re-pushing
-// whole-group state per event.
+// *delta* between what the fabric holds and the new encoding over the p4rt
+// wire channel into a live sim::Fabric — instead of re-pushing whole-group
+// state per event.
 //
-// Delta computation keeps a compact mirror of what the fabric holds: one
-// 64-bit content hash per installed rule, keyed by the rule's slot in its
-// group — (host) for a hypervisor flow, (layer, physical switch) for an
-// s-rule. After each event the affected group's desired rules come from
-// p4rt::compile_install (the same compiler Fabric::install_group applies),
-// are keyed by slot and diffed against the mirror; only changed slots
-// become rule updates, and slots the group no longer has become deletes.
+// The plane keeps no copy of installed state. After each event the group's
+// desired rules come from p4rt::compile_install (the same compiler
+// Fabric::install_group applies). Each is compared exactly with what its
+// slot will hold once pending updates flush: the pending update for that
+// rule if one is queued, else the fabric's installed flow or s-rule. Only
+// rules that differ are queued. Deletes come from the controller's change
+// set (Controller::last_change): a slot it names that the group no longer
+// compiles, but that pending or installed state still holds, is deleted.
 //
 // Updates are coalesced and batched: pending updates are keyed by rule
 // location, a newer update for the same key overwrites the older one (the
@@ -25,8 +26,6 @@
 #include <cstdint>
 #include <map>
 #include <tuple>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "elmo/churn.h"
@@ -100,17 +99,20 @@ class ControlPlane final : public MembershipDriver {
   std::size_t flush();
   std::size_t pending() const noexcept { return pending_.size(); }
 
-  // --- mirror management ---------------------------------------------------
+  // --- out-of-band changes -------------------------------------------------
   // Adopts a group that is ALREADY installed in the fabric (e.g. bulk load
-  // via create_groups + install_group) without emitting any updates: the
-  // mirror is seeded from the controller's current state.
+  // via create_groups + install_group). The plane reads installed state back
+  // from the fabric, so there is nothing to seed: this only checks that the
+  // group is live (std::out_of_range otherwise).
   void track_group(GroupId group);
-  // Re-diffs a group against the mirror, emitting whatever it takes to make
-  // the fabric match the controller (full install for untracked groups,
-  // full removal if the controller no longer has the group). Use after
-  // out-of-band controller mutations, e.g. fail_spine header recomputes.
+  // Queues every compiled rule of the live `group` that differs from what
+  // its slot holds (all of them for a group never installed), and no
+  // deletes. The path for out-of-band controller changes that keep
+  // membership and encoding: failure handling (fail_spine / fail_core
+  // re-route sender headers). Membership changes go through join, leave
+  // and host_fail, whose change sets drive the deletes.
   void refresh(GroupId group);
-  // Refreshes every tracked group (failure handling touches many groups).
+  // Refreshes every live group (failure handling touches many groups).
   void refresh_all();
 
   const ControlPlaneStats& stats() const noexcept { return stats_; }
@@ -146,22 +148,21 @@ class ControlPlane final : public MembershipDriver {
     }
   };
 
-  struct GroupMirror {
-    std::uint32_t address = 0;  // group IPv4, captured at first install
-    std::map<RuleSlot, std::uint64_t> rule_hash;  // content hash per slot
-  };
-
-  // Diffs `group`'s compiled rules against the mirror and queues the delta.
-  // `seed_only` populates the mirror without queueing (track_group).
-  void diff_group(GroupId group, bool seed_only);
+  // Queues each compiled rule of `group` that its slot does not hold yet,
+  // then a delete for each slot of `changed` the group no longer compiles
+  // but that is still occupied.
+  void diff_group(GroupId group, const RuleSlots& changed);
+  // Whether `key` will hold a rule once pending updates flush (the pending
+  // update if one is queued, else the fabric's installed rule) and, unless
+  // `rule` is null, exactly `rule`.
+  bool holds(const PendingKey& key, const p4rt::Update* rule) const;
   void queue(PendingKey key, p4rt::Update update);
   void note_applied(const p4rt::Update& update);
   void maybe_auto_flush();
-  void index_membership(GroupId group, topo::HostId host, bool present);
-  // After a leave's diff: arms a leave watch for (group address `addr`,
-  // `host`) when the host's flow is gone — the removal whose time-to-effect
+  // After a leave's diff: arms a leave watch for (`group`, `host`) when no
+  // member is left on the host — the flow removal whose time-to-effect
   // (stale deliveries until the FlowDel lands) is measurable at the fabric.
-  void watch_leave(GroupId group, std::uint32_t addr, topo::HostId host,
+  void watch_leave(GroupId group, topo::HostId host,
                    const obs::TraceContext& root);
 
   // Tracing helpers; all no-ops when tracer_ is null.
@@ -176,10 +177,6 @@ class ControlPlane final : public MembershipDriver {
   sim::Fabric* fabric_;
   ControlPlaneOptions options_;
   ControlPlaneStats stats_;
-
-  std::unordered_map<GroupId, GroupMirror> mirror_;
-  // Hosts with at least one member VM of a group — drives host_fail.
-  std::unordered_map<topo::HostId, std::unordered_set<GroupId>> host_groups_;
 
   // A queued rule update and the churn event that (last) produced it, so
   // flush can attribute each install to its causing event even across

@@ -3,9 +3,11 @@
 // at run time").
 //
 // compile_install / compile_uninstall are the one place that turns a group
-// into rules: every install path (sim::Fabric::install_group, the streaming
-// control plane's delta diff) consumes their output, and sim::Fabric::apply
-// is the one place that applies an Update to the data plane. Rule updates
+// into rules: every install path consumes their output. sim::Fabric::
+// install_group applies it whole; the streaming control plane compares each
+// rule with what the fabric holds and sends only the ones that differ, with
+// deletes taken from the controller's change set. sim::Fabric::apply is the
+// one place that applies an Update to the data plane. Rule updates
 // are serialized into framed, self-describing binary messages so that the
 // controller and the switches can live in different processes (as they do
 // in a real deployment).

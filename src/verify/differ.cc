@@ -181,7 +181,7 @@ class Runner {
         const bool stale = mutation_ == Mutation::kSkipMirrorUpdate;
         if (plane_.has_value()) {
           if (stale) {
-            // Behind the plane's back: its mirror (and the fabric) go stale.
+            // Behind the plane's back: the fabric goes stale.
             controller_.join(id, ev.member);
             applied_ = true;
           } else {
@@ -221,10 +221,13 @@ class Runner {
               [&](const Member& m) { return m.host == ev.member.host; });
           const Member victim = first != members.end() ? *first : ev.member;
           if (victim.vm != ev.member.vm) applied_ = true;
-          controller_.leave(id, victim.host, victim.vm);
-          // Delta mode: stream whatever the (wrong) controller state now
-          // encodes, so the harness fault stays upstream of the plane.
-          if (plane_.has_value()) plane_->refresh(id);
+          // Delta mode streams the wrong victim's leave through the plane,
+          // so the harness fault stays upstream of it.
+          if (plane_.has_value()) {
+            plane_->leave(id, victim.host, victim.vm);
+          } else {
+            controller_.leave(id, victim.host, victim.vm);
+          }
         } else if (plane_.has_value() && !stale) {
           plane_->leave(id, ev.member.host, ev.member.vm);
         } else {

@@ -92,6 +92,11 @@ TEST_F(ChurnFixture, UpdateLoadShape) {
 
   EXPECT_GT(hyp.total, 0u);
   EXPECT_EQ(core.total, 0u);
+  // Exact totals: the run is deterministic, so any change to what the
+  // controller reports per event moves them.
+  EXPECT_EQ(hyp.total, 13103u);
+  EXPECT_EQ(leaf.total, 0u);
+  EXPECT_EQ(spine.total, 0u);
   EXPECT_GE(hyp.total, leaf.total);
   EXPECT_GE(hyp.total, spine.total);
   EXPECT_GE(hyp.max, hyp.avg);

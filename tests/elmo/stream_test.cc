@@ -198,8 +198,7 @@ TEST(ControlPlane, HostFailEvictsEveryMembershipOnTheHost) {
 TEST(ControlPlane, HostFailEvictsAFlowReTemplatedByEarlierJoins) {
   // The doomed host joins through the stream (its flow slot is new), then
   // later joins re-encode the group and re-template every sender's header,
-  // the doomed host's included. The host index must still list the group
-  // for that host when it fails.
+  // the doomed host's included. The failure must still find and evict it.
   StreamWorld w;
   const auto g = w.make_group(std::vector<std::uint32_t>{0, 1, 8});
   w.fabric.install_group(w.controller, g);
@@ -231,8 +230,61 @@ TEST(ControlPlane, HostFailEvictsAFlowReTemplatedByEarlierJoins) {
   sim::Fabric batch{w.topology};
   batch.install_group(w.controller, g);
   EXPECT_EQ(fabric_state_digest(w.fabric), fabric_state_digest(batch));
-  // The eviction also emptied the host's index entry.
+  // Nothing of the group is left on the host to evict.
   EXPECT_EQ(cp.host_fail(dead), 0u);
+}
+
+TEST(ControlPlane, JoinThenLeaveBeforeFlushRestoresInstalledState) {
+  // The leave is diffed while the join's updates are still pending: it must
+  // read the pending overlay, not only the fabric, to undo them.
+  StreamWorld w;
+  const auto id = w.make_group(std::vector<std::uint32_t>{0, 4, 8});
+  w.fabric.install_group(w.controller, id);
+  const auto before = fabric_state_digest(w.fabric);
+
+  ControlPlane cp{w.controller, w.fabric, ControlPlaneOptions{100000}};
+  cp.track_group(id);
+  const Member joiner{w.tenants[0].vm_hosts[12], 12, MemberRole::kBoth};
+  cp.join(id, joiner);
+  ASSERT_GT(cp.pending(), 0u);
+  cp.leave(id, joiner.host, joiner.vm);
+  cp.flush();
+
+  sim::Fabric batch{w.topology};
+  batch.install_group(w.controller, id);
+  EXPECT_EQ(fabric_state_digest(w.fabric), fabric_state_digest(batch));
+  EXPECT_EQ(fabric_state_digest(w.fabric), before);
+}
+
+TEST(ControlPlane, LeaveThatVacatesAnSRuleLeafDeletesIt) {
+  // hmax_leaf_override = 2 pushes leaves past the first two into s-rules.
+  // Emptying such a leaf must delete its s-rule: the delete comes from the
+  // leave's change set, since the group no longer compiles that slot.
+  StreamWorld w{EncoderKind::kElmo, 80};
+  const auto id =
+      w.make_group(std::vector<std::uint32_t>{0, 20, 24, 40, 44, 60, 76});
+  w.fabric.install_group(w.controller, id);
+  const auto& srules = w.controller.group(id).encoding.leaf.s_rules;
+  ASSERT_FALSE(srules.empty());
+  const auto leaf = srules.front().first;
+  const auto addr = w.controller.group(id).address;
+  ASSERT_NE(w.fabric.leaf(leaf).srule(addr), nullptr);
+
+  ControlPlane cp{w.controller, w.fabric, ControlPlaneOptions{1}};
+  cp.track_group(id);
+  std::vector<Member> on_leaf;
+  for (const auto& m : w.controller.group(id).members) {
+    if (w.topology.leaf_of_host(m.host) == leaf) on_leaf.push_back(m);
+  }
+  ASSERT_FALSE(on_leaf.empty());
+  for (const auto& m : on_leaf) cp.leave(id, m.host, m.vm);
+  cp.flush();
+
+  EXPECT_GE(cp.stats().leaf_srule_dels, 1u);
+  EXPECT_EQ(w.fabric.leaf(leaf).srule(addr), nullptr);
+  sim::Fabric batch{w.topology};
+  batch.install_group(w.controller, id);
+  EXPECT_EQ(fabric_state_digest(w.fabric), fabric_state_digest(batch));
 }
 
 TEST(ControlPlane, InstallLagIsRecordedPerEvent) {
