@@ -11,7 +11,11 @@
 // (default 50,000; paper: 1,000,000), ELMO_FLUSH (batch threshold,
 // default 64), ELMO_CHECK=1 digest-diffs the churned fabric against a
 // fresh batch install of the final membership (the equivalence oracle;
-// intended for reduced-scale CI smoke runs).
+// intended for reduced-scale CI smoke runs). The --out JSON also records
+// the process's peak resident set (getrusage), so memory claims are
+// self-reported by the run that made them.
+#include <sys/resource.h>
+
 #include <chrono>
 #include <fstream>
 #include <iostream>
@@ -160,6 +164,9 @@ int main(int argc, char** argv) {
   }
 
   if (!out.empty()) {
+    rusage usage{};
+    getrusage(RUSAGE_SELF, &usage);
+    const double peak_rss_mb = static_cast<double>(usage.ru_maxrss) / 1024.0;
     std::ofstream file{out};
     file << "{\"bench\": \"controller_churn\", \"pods\": " << scale.pods
          << ", \"hosts\": " << topology.num_hosts()
@@ -192,7 +199,7 @@ int main(int argc, char** argv) {
          << TextTable::fmt(st.install_lag_seconds.percentile(50) * 1e3, 3)
          << ", \"install_lag_p99_ms\": "
          << TextTable::fmt(st.install_lag_seconds.percentile(99) * 1e3, 3)
-         << "}}\n";
+         << ", \"peak_rss_mb\": " << TextTable::fmt(peak_rss_mb, 1) << "}}\n";
   }
 
   auto json_scale = scale;

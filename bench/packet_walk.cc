@@ -1,6 +1,7 @@
 // Forwarding-pipeline microbench: full fabric walks (hypervisor encap ->
 // leaf/spine/core replication -> hypervisor decap) at group fanouts 8, 64
-// and 512, reporting sends/sec and deep-copied bytes per send.
+// and 512, reporting sends/sec and deep-copied bytes per send, plus the
+// hosts reached and VM deliveries of one probe send.
 //
 // Bytes-copied accounting comes from net::copy_stats(): every deep copy of
 // packet bytes (Packet copy construction, PacketView materialization) is
@@ -58,6 +59,7 @@ struct RunResult {
   std::uint64_t wire_bytes_per_send = 0;
   std::uint64_t link_transmissions_per_send = 0;
   std::size_t hosts_reached = 0;
+  std::uint64_t vm_deliveries = 0;    // payloads handed to member VMs
   std::uint64_t sampled_windows = 0;  // --sample=1: health windows closed
   std::size_t sampled_series = 0;     //             distinct series stored
 };
@@ -147,6 +149,7 @@ RunResult run_fanout(std::size_t fanout, std::size_t payload_bytes,
   r.wire_bytes_per_send = probe.total_wire_bytes;
   r.link_transmissions_per_send = probe.total_link_transmissions;
   r.hosts_reached = probe.host_copies.size();
+  r.vm_deliveries = probe.vm_deliveries;
   r.sampled_windows = store.window();
   r.sampled_series = store.series_count();
   return r;
@@ -186,13 +189,13 @@ int main(int argc, char** argv) {
         "\"metrics_on_overhead_pct\": %.1f, "
         "\"bytes_copied_per_send\": %.1f, \"copies_per_send\": %.2f, "
         "\"wire_bytes_per_send\": %llu, \"link_transmissions_per_send\": "
-        "%llu, \"hosts_reached\": %zu, "
+        "%llu, \"hosts_reached\": %zu, \"vm_deliveries\": %llu, "
         "\"sampled_windows\": %llu, \"sampled_series\": %zu}%s\n",
         fanouts[i], r.sends_per_sec, r.sends_per_sec_metrics_on,
         r.metrics_on_overhead_pct, r.bytes_copied_per_send, r.copies_per_send,
         static_cast<unsigned long long>(r.wire_bytes_per_send),
         static_cast<unsigned long long>(r.link_transmissions_per_send),
-        r.hosts_reached,
+        r.hosts_reached, static_cast<unsigned long long>(r.vm_deliveries),
         static_cast<unsigned long long>(r.sampled_windows), r.sampled_series,
         i + 1 < 3 ? "," : "");
   }

@@ -7,16 +7,22 @@
 // one; a node-based hash map pays a miss for the bucket, one for the node
 // before the hit and one for the hit itself. GroupTable keeps two arrays:
 //
-//   * a power-of-two probe array of 8-byte (key, entry index) slots —
-//     linear probing from a multiplicative hash, at most 7/8 full, erased by
-//     backward shift (no tombstones). A slot is empty when its index is
-//     kEmptyIndex, so every uint32_t key, 0 and 0xFFFFFFFF included, is a
-//     valid key;
+//   * a power-of-two probe array of 16-byte (key, entry index, summary)
+//     slots — linear probing from a multiplicative hash, at most 7/8 full,
+//     erased by backward shift (no tombstones). A slot is empty when its
+//     index is kEmptyIndex, so every uint32_t key, 0 and 0xFFFFFFFF
+//     included, is a valid key;
 //   * the dense entries, std::pair<key, value>, erased by moving the last
 //     entry into the hole.
 //
-// A hit is then one probe-array line plus one entry line. Iteration walks the
-// dense entries; its order is unspecified (digest builders must sort).
+// A hit is then one probe-array line plus one entry line. The summary is a
+// 64-bit digest of the value, `Summary{}(value)`, recomputed on every write
+// and carried by every slot move, so a caller whose common case fits in 64
+// bits reads it from the probe line alone with find_summary() and never
+// touches the entry (the hypervisor's decap path, DESIGN.md §4). Values are
+// therefore read-only once stored: find() returns a const pointer, and the
+// only way to change a value is insert_or_assign(). Iteration walks the dense
+// entries; its order is unspecified (digest builders must sort).
 //
 // Invalidation rule: a pointer returned by find() (and any reference or
 // iterator into the entries) is valid until the next insert_or_assign() or
@@ -26,40 +32,53 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <utility>
 #include <vector>
 
 namespace elmo::dp {
 
-template <typename V>
+// The summary of a table whose callers never read one.
+struct NoSummary {
+  template <typename V>
+  constexpr std::uint64_t operator()(const V&) const noexcept {
+    return 0;
+  }
+};
+
+template <typename V, typename Summary = NoSummary>
 class GroupTable {
  public:
   using Entry = std::pair<std::uint32_t, V>;
   using const_iterator = typename std::vector<Entry>::const_iterator;
 
-  V* find(std::uint32_t key) {
-    const std::uint32_t index = index_of(key);
-    return index == kEmptyIndex ? nullptr : &entries_[index].second;
-  }
   const V* find(std::uint32_t key) const {
-    const std::uint32_t index = index_of(key);
-    return index == kEmptyIndex ? nullptr : &entries_[index].second;
+    const Slot* slot = slot_for(key);
+    return slot == nullptr ? nullptr : &entries_[slot->index].second;
   }
-  bool contains(std::uint32_t key) const {
-    return index_of(key) != kEmptyIndex;
+  bool contains(std::uint32_t key) const { return slot_for(key) != nullptr; }
+  // `Summary{}(*find(key))` from the probe array alone, or nullopt when
+  // `key` is absent; the entries are not touched.
+  std::optional<std::uint64_t> find_summary(std::uint32_t key) const {
+    const Slot* slot = slot_for(key);
+    if (slot == nullptr) return std::nullopt;
+    return slot->summary;
   }
 
   // Returns true when `key` was new, false when its value was replaced.
   bool insert_or_assign(std::uint32_t key, V value) {
+    const std::uint64_t summary = Summary{}(value);
     if ((entries_.size() + 1) * 8 > slots_.size() * 7) grow();
     std::size_t i = home(key);
     for (; slots_[i].index != kEmptyIndex; i = (i + 1) & mask_) {
       if (slots_[i].key == key) {
         entries_[slots_[i].index].second = std::move(value);
+        slots_[i].summary = summary;
         return false;
       }
     }
-    slots_[i] = Slot{key, static_cast<std::uint32_t>(entries_.size())};
+    slots_[i] =
+        Slot{key, static_cast<std::uint32_t>(entries_.size()), summary};
     entries_.emplace_back(key, std::move(value));
     return true;
   }
@@ -111,6 +130,7 @@ class GroupTable {
   struct Slot {
     std::uint32_t key = 0;
     std::uint32_t index = kEmptyIndex;
+    std::uint64_t summary = 0;
   };
   static constexpr std::uint32_t kEmptyIndex = 0xFFFF'FFFFu;
   static constexpr std::size_t kMinSlots = 8;
@@ -129,11 +149,13 @@ class GroupTable {
     return fibonacci(key, shift_);
   }
 
-  std::uint32_t index_of(std::uint32_t key) const noexcept {
-    if (entries_.empty()) return kEmptyIndex;
+  // The slot holding `key`, or nullptr when it is absent.
+  const Slot* slot_for(std::uint32_t key) const noexcept {
+    if (entries_.empty()) return nullptr;
     for (std::size_t i = home(key);; i = (i + 1) & mask_) {
-      const Slot s = slots_[i];
-      if (s.index == kEmptyIndex || s.key == key) return s.index;
+      const Slot& s = slots_[i];
+      if (s.index == kEmptyIndex) return nullptr;
+      if (s.key == key) return &s;
     }
   }
 
@@ -146,16 +168,20 @@ class GroupTable {
     return slots_[i];
   }
 
+  // Rehashes the occupied slots, summaries included, into an array twice
+  // as long.
   void grow() {
     const std::size_t capacity =
         slots_.empty() ? kMinSlots : slots_.size() * 2;
-    slots_.assign(capacity, Slot{});
+    std::vector<Slot> old(capacity, Slot{});
+    old.swap(slots_);
     mask_ = capacity - 1;
     shift_ = shift_for(capacity);
-    for (std::uint32_t index = 0; index < entries_.size(); ++index) {
-      std::size_t i = home(entries_[index].first);
+    for (const Slot& s : old) {
+      if (s.index == kEmptyIndex) continue;
+      std::size_t i = home(s.key);
       while (slots_[i].index != kEmptyIndex) i = (i + 1) & mask_;
-      slots_[i] = Slot{entries_[index].first, index};
+      slots_[i] = s;
     }
   }
 

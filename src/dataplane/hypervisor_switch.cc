@@ -1,6 +1,8 @@
 #include "dataplane/hypervisor_switch.h"
 
-#include <cstring>
+#include <algorithm>
+#include <stdexcept>
+#include <string>
 
 #include "obs/provenance.h"
 
@@ -20,8 +22,17 @@ std::optional<net::Packet> HypervisorSwitch::encapsulate(
   if (found == nullptr) return std::nullopt;
   const auto& flow = *found;
 
-  // Build the full outer header (including the Elmo template) once, then
-  // prepend with a single copy — the "one header, one write" fast path.
+  constexpr std::size_t kMaxDatagram = 0xFFFF;  // IPv4 total_length
+  const std::size_t udp_length = net::UdpHeader::kSize +
+                                 net::VxlanHeader::kSize +
+                                 flow.elmo_header.size() + payload.size();
+  const std::size_t datagram = net::Ipv4Header::kSize + udp_length;
+  if (datagram > kMaxDatagram) {
+    throw std::length_error{"HypervisorSwitch::encapsulate: IPv4 datagram of " +
+                            std::to_string(datagram) +
+                            " bytes exceeds 65535"};
+  }
+
   net::EthernetHeader eth;
   eth.src = host_mac(host_);
   eth.dst = fabric_mac();
@@ -29,31 +40,30 @@ std::optional<net::Packet> HypervisorSwitch::encapsulate(
   net::Ipv4Header ip;
   ip.src = host_address(host_);
   ip.dst = group;
-  ip.total_length = static_cast<std::uint16_t>(
-      net::Ipv4Header::kSize + net::UdpHeader::kSize + net::VxlanHeader::kSize +
-      flow.elmo_header.size() + payload.size());
+  ip.total_length = static_cast<std::uint16_t>(datagram);
 
   net::UdpHeader udp;
   udp.src_port = static_cast<std::uint16_t>(0xc000 | (host_ & 0x3fff));
-  udp.length = static_cast<std::uint16_t>(
-      net::UdpHeader::kSize + net::VxlanHeader::kSize +
-      flow.elmo_header.size() + payload.size());
+  udp.length = static_cast<std::uint16_t>(udp_length);
 
   net::VxlanHeader vxlan;
   vxlan.vni = flow.vni;
   vxlan.elmo_present = !flow.elmo_header.empty();
 
-  std::vector<std::uint8_t> header;
-  header.reserve(net::kOuterHeaderBytes + flow.elmo_header.size());
-  for (const auto& part :
-       {eth.serialize(), ip.serialize(), udp.serialize(), vxlan.serialize()}) {
-    header.insert(header.end(), part.begin(), part.end());
-  }
-  header.insert(header.end(), flow.elmo_header.begin(),
-                flow.elmo_header.end());
-
+  // The full outer header, Elmo template included, is written once straight
+  // into the packet's headroom — the "one header, one write" fast path.
   net::Packet packet{payload};
-  packet.push_front(header);
+  const auto header =
+      packet.prepend(net::kOuterHeaderBytes + flow.elmo_header.size());
+  constexpr std::size_t kIpAt = net::EthernetHeader::kSize;
+  constexpr std::size_t kUdpAt = kIpAt + net::Ipv4Header::kSize;
+  constexpr std::size_t kVxlanAt = kUdpAt + net::UdpHeader::kSize;
+  eth.write(header.first<net::EthernetHeader::kSize>());
+  ip.write(header.subspan<kIpAt, net::Ipv4Header::kSize>());
+  udp.write(header.subspan<kUdpAt, net::UdpHeader::kSize>());
+  vxlan.write(header.subspan<kVxlanAt, net::VxlanHeader::kSize>());
+  std::copy(flow.elmo_header.begin(), flow.elmo_header.end(),
+            header.begin() + net::kOuterHeaderBytes);
   ++stats_.sent;
   stats_.bytes_sent += packet.size();
   return packet;
@@ -67,8 +77,11 @@ std::span<Emission> HypervisorSwitch::process(const net::PacketView& packet,
   const auto outer = packet.front(net::kOuterHeaderBytes);
   const auto ip =
       net::Ipv4Header::parse(outer.subspan(net::EthernetHeader::kSize));
-  const auto* flow = flows_.find(ip.dst.value);
-  if (flow == nullptr || flow->local_vms.empty()) {
+  // The slot summary answers the common case without loading the flow: a
+  // miss reads as 0, which discards like a flow with no local VM.
+  const std::uint64_t summary = flows_.find_summary(ip.dst.value).value_or(0);
+  const auto vm_count = static_cast<std::uint32_t>(summary >> 32);
+  if (vm_count == 0) {
     ++stats_.discarded;
     if (prov_ != nullptr) {
       obs::HopDecision dec;
@@ -89,35 +102,25 @@ std::span<Emission> HypervisorSwitch::process(const net::PacketView& packet,
   // Decapsulation is a cursor advance: one payload view, shared per VM.
   net::PacketView payload = packet;
   payload.pop_front(net::kOuterHeaderBytes + elmo_bytes);
-  for (const auto vm : flow->local_vms) {
-    arena.emit(vm, payload);
-    ++stats_.delivered_to_vms;
-    stats_.delivered_bytes += payload.size();
+  if (vm_count == 1) {
+    arena.emit(static_cast<std::uint32_t>(summary), payload);
+  } else {
+    // Co-located members (P > 1): only these hosts load the flow entry.
+    for (const auto vm : flows_.find(ip.dst.value)->local_vms) {
+      arena.emit(vm, payload);
+    }
   }
+  stats_.delivered_to_vms += vm_count;
+  stats_.delivered_bytes += std::uint64_t{vm_count} * payload.size();
   const auto out = arena.since(mark);
   if (prov_ != nullptr) {
     obs::HopDecision dec;
     dec.rule = obs::RuleClass::kHostDeliver;
-    dec.vm_deliveries = static_cast<std::uint32_t>(out.size());
+    dec.vm_deliveries = vm_count;
     dec.popped_bytes = net::kOuterHeaderBytes + elmo_bytes;
     prov_->record_decision(dec);
   }
   return out;
-}
-
-std::vector<HypervisorSwitch::Delivery> HypervisorSwitch::receive(
-    const net::Packet& packet) {
-  compat_arena_.clear();
-  const net::PacketView view{packet.bytes()};
-  const auto emissions = process(view, compat_arena_);
-  std::vector<Delivery> deliveries;
-  deliveries.reserve(emissions.size());
-  for (const auto& e : emissions) {
-    deliveries.push_back(Delivery{static_cast<std::uint32_t>(e.out_port),
-                                  e.packet.size()});
-  }
-  compat_arena_.clear();
-  return deliveries;
 }
 
 }  // namespace elmo::dp

@@ -3,15 +3,22 @@
 // The hypervisor switch intercepts multicast packets from local VMs, looks
 // the group up in its flow table, and encapsulates: outer Ethernet + IPv4 +
 // UDP + VXLAN plus the group's precomputed Elmo header template, written as
-// ONE contiguous header in a single copy — the paper's key software-switch
-// optimization (one DMA write instead of one per p-rule; Figure 7 measures
-// exactly this path). On receive it decapsulates and delivers to the local
-// member VMs; packets for groups with no local members are discarded.
+// ONE contiguous header straight into the packet's headroom — the paper's
+// key software-switch optimization (one DMA write instead of one per p-rule;
+// Figure 7 measures exactly this path). On receive it decapsulates and
+// delivers to the local member VMs; packets for groups with no local members
+// are discarded.
 //
 // Its process() has the network switch's call shape (dataplane/forwarding.h):
 // it consumes a fabric-ingress packet and emits one zero-copy payload view
 // per local member VM (out_port = VM index). Decapsulation is a cursor
 // advance past the outer header and any surviving Elmo bytes, never a copy.
+//
+// Decap reads the flow table's slot summary (DecapSummary: local VM count
+// and first VM id) rather than the flow entry, so the common single-VM hit
+// touches the object's leading members plus one probe-array line; only
+// hosts with two or more local VMs load the GroupFlow and its VM list
+// (DESIGN.md §4).
 #pragma once
 
 #include <cstdint>
@@ -60,7 +67,7 @@ struct HypervisorStats {
 class HypervisorSwitch {
  public:
   HypervisorSwitch(const topo::ClosTopology& topology, topo::HostId host)
-      : topo_{&topology}, codec_{topology}, host_{host} {}
+      : codec_{topology}, host_{host} {}
 
   topo::HostId host() const noexcept { return host_; }
 
@@ -69,6 +76,16 @@ class HypervisorSwitch {
     std::vector<std::uint8_t> elmo_header;   // template; empty for receive-only
     std::vector<std::uint32_t> local_vms;    // tenant-local VM indices here
   };
+  // A flow's slot summary: (local_vms.size() << 32) | local_vms[0], or 0
+  // when the flow has no local VM.
+  struct DecapSummary {
+    std::uint64_t operator()(const GroupFlow& flow) const noexcept {
+      if (flow.local_vms.empty()) return 0;
+      return (std::uint64_t{flow.local_vms.size()} << 32) |
+             flow.local_vms.front();
+    }
+  };
+  using FlowTable = GroupTable<GroupFlow, DecapSummary>;
 
   void install_flow(net::Ipv4Address group, GroupFlow flow);
   void remove_flow(net::Ipv4Address group);
@@ -84,12 +101,14 @@ class HypervisorSwitch {
   }
   // Full table view, keyed by group address value (iteration order is
   // unspecified — digest builders must sort).
-  const GroupTable<GroupFlow>& flows() const noexcept {
+  const FlowTable& flows() const noexcept {
     return flows_;
   }
 
   // VM -> network: returns the encapsulated packet, or nullopt if this host
   // has no flow for the group (non-members cannot source into a group).
+  // Throws std::length_error when the outer IPv4 datagram would exceed
+  // 65,535 bytes (its 16-bit total_length).
   std::optional<net::Packet> encapsulate(net::Ipv4Address group,
                                          std::span<const std::uint8_t> payload);
 
@@ -98,13 +117,6 @@ class HypervisorSwitch {
   // appended, valid until the arena is next mutated.
   std::span<Emission> process(const net::PacketView& packet,
                               EmissionArena& arena);
-
-  // Convenience wrapper over process() for unit tests and tools.
-  struct Delivery {
-    std::uint32_t vm = 0;
-    std::size_t payload_bytes = 0;
-  };
-  std::vector<Delivery> receive(const net::Packet& packet);
 
   const HypervisorStats& stats() const noexcept { return stats_; }
   void reset_stats() noexcept { stats_ = HypervisorStats{}; }
@@ -116,13 +128,12 @@ class HypervisorSwitch {
   obs::ProvenanceSink* provenance() const noexcept { return prov_; }
 
  private:
-  const topo::ClosTopology* topo_;
+  // Decap-hot members first: every process() call reads and writes these.
+  FlowTable flows_;
+  HypervisorStats stats_;
+  obs::ProvenanceSink* prov_ = nullptr;
   elmo::HeaderCodec codec_;  // to skip unstripped p-rules (legacy leaves, §7)
   topo::HostId host_;
-  GroupTable<GroupFlow> flows_;
-  HypervisorStats stats_;
-  EmissionArena compat_arena_;  // scratch for the receive() wrapper
-  obs::ProvenanceSink* prov_ = nullptr;
 };
 
 }  // namespace elmo::dp

@@ -1,19 +1,20 @@
 #include "net/headers.h"
 
+#include <algorithm>
 #include <sstream>
 #include <stdexcept>
 
 namespace elmo::net {
 namespace {
 
-void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-  out.push_back(static_cast<std::uint8_t>(v & 0xff));
+void put_u16(std::span<std::uint8_t> out, std::size_t at, std::uint16_t v) {
+  out[at] = static_cast<std::uint8_t>(v >> 8);
+  out[at + 1] = static_cast<std::uint8_t>(v & 0xff);
 }
 
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  put_u16(out, static_cast<std::uint16_t>(v >> 16));
-  put_u16(out, static_cast<std::uint16_t>(v & 0xffff));
+void put_u32(std::span<std::uint8_t> out, std::size_t at, std::uint32_t v) {
+  put_u16(out, at, static_cast<std::uint16_t>(v >> 16));
+  put_u16(out, at + 2, static_cast<std::uint16_t>(v & 0xffff));
 }
 
 std::uint16_t get_u16(std::span<const std::uint8_t> data, std::size_t at) {
@@ -34,13 +35,10 @@ void require_size(std::span<const std::uint8_t> data, std::size_t need,
 
 }  // namespace
 
-std::vector<std::uint8_t> EthernetHeader::serialize() const {
-  std::vector<std::uint8_t> out;
-  out.reserve(kSize);
-  out.insert(out.end(), dst.begin(), dst.end());
-  out.insert(out.end(), src.begin(), src.end());
-  put_u16(out, ether_type);
-  return out;
+void EthernetHeader::write(std::span<std::uint8_t, kSize> out) const {
+  std::copy(dst.begin(), dst.end(), out.begin());
+  std::copy(src.begin(), src.end(), out.begin() + 6);
+  put_u16(out, 12, ether_type);
 }
 
 EthernetHeader EthernetHeader::parse(std::span<const std::uint8_t> data) {
@@ -86,23 +84,18 @@ std::uint16_t Ipv4Header::checksum(std::span<const std::uint8_t> header) {
   return static_cast<std::uint16_t>(~sum);
 }
 
-std::vector<std::uint8_t> Ipv4Header::serialize() const {
-  std::vector<std::uint8_t> out;
-  out.reserve(kSize);
-  out.push_back(0x45);  // version 4, IHL 5
-  out.push_back(dscp);
-  put_u16(out, total_length);
-  put_u16(out, 0);       // identification
-  put_u16(out, 0x4000);  // flags: don't fragment
-  out.push_back(ttl);
-  out.push_back(protocol);
-  put_u16(out, 0);  // checksum placeholder
-  put_u32(out, src.value);
-  put_u32(out, dst.value);
-  const std::uint16_t csum = checksum(out);
-  out[10] = static_cast<std::uint8_t>(csum >> 8);
-  out[11] = static_cast<std::uint8_t>(csum & 0xff);
-  return out;
+void Ipv4Header::write(std::span<std::uint8_t, kSize> out) const {
+  out[0] = 0x45;  // version 4, IHL 5
+  out[1] = dscp;
+  put_u16(out, 2, total_length);
+  put_u16(out, 4, 0);       // identification
+  put_u16(out, 6, 0x4000);  // flags: don't fragment
+  out[8] = ttl;
+  out[9] = protocol;
+  put_u16(out, 10, 0);  // checksum placeholder
+  put_u32(out, 12, src.value);
+  put_u32(out, 16, dst.value);
+  put_u16(out, 10, checksum(out));
 }
 
 Ipv4Header Ipv4Header::parse(std::span<const std::uint8_t> data) {
@@ -118,14 +111,11 @@ Ipv4Header Ipv4Header::parse(std::span<const std::uint8_t> data) {
   return h;
 }
 
-std::vector<std::uint8_t> UdpHeader::serialize() const {
-  std::vector<std::uint8_t> out;
-  out.reserve(kSize);
-  put_u16(out, src_port);
-  put_u16(out, dst_port);
-  put_u16(out, length);
-  put_u16(out, 0);  // checksum optional over IPv4
-  return out;
+void UdpHeader::write(std::span<std::uint8_t, kSize> out) const {
+  put_u16(out, 0, src_port);
+  put_u16(out, 2, dst_port);
+  put_u16(out, 4, length);
+  put_u16(out, 6, 0);  // checksum optional over IPv4
 }
 
 UdpHeader UdpHeader::parse(std::span<const std::uint8_t> data) {
@@ -137,15 +127,12 @@ UdpHeader UdpHeader::parse(std::span<const std::uint8_t> data) {
   return h;
 }
 
-std::vector<std::uint8_t> VxlanHeader::serialize() const {
-  std::vector<std::uint8_t> out;
-  out.reserve(kSize);
-  out.push_back(static_cast<std::uint8_t>(0x08 | (elmo_present ? 0x01 : 0)));
-  out.push_back(0);
-  out.push_back(0);
-  out.push_back(0);
-  put_u32(out, (vni & 0x00ffffffu) << 8);
-  return out;
+void VxlanHeader::write(std::span<std::uint8_t, kSize> out) const {
+  out[0] = static_cast<std::uint8_t>(0x08 | (elmo_present ? 0x01 : 0));
+  out[1] = 0;
+  out[2] = 0;
+  out[3] = 0;
+  put_u32(out, 4, (vni & 0x00ffffffu) << 8);
 }
 
 VxlanHeader VxlanHeader::parse(std::span<const std::uint8_t> data) {

@@ -27,7 +27,8 @@ struct EthernetHeader {
   MacAddress src{};
   std::uint16_t ether_type = kEtherTypeIpv4;
 
-  std::vector<std::uint8_t> serialize() const;
+  // Writes the header's wire bytes into `out`.
+  void write(std::span<std::uint8_t, kSize> out) const;
   static EthernetHeader parse(std::span<const std::uint8_t> data);
 };
 
@@ -63,7 +64,7 @@ struct Ipv4Header {
   Ipv4Address src{};
   Ipv4Address dst{};
 
-  std::vector<std::uint8_t> serialize() const;
+  void write(std::span<std::uint8_t, kSize> out) const;
   static Ipv4Header parse(std::span<const std::uint8_t> data);
 
   static std::uint16_t checksum(std::span<const std::uint8_t> header);
@@ -76,7 +77,7 @@ struct UdpHeader {
   std::uint16_t dst_port = kVxlanUdpPort;
   std::uint16_t length = 0;  // header + payload
 
-  std::vector<std::uint8_t> serialize() const;
+  void write(std::span<std::uint8_t, kSize> out) const;
   static UdpHeader parse(std::span<const std::uint8_t> data);
 };
 
@@ -90,7 +91,7 @@ struct VxlanHeader {
   std::uint32_t vni = 0;    // 24 bits used; identifies the tenant
   bool elmo_present = false;  // reserved-bit 0x01
 
-  std::vector<std::uint8_t> serialize() const;
+  void write(std::span<std::uint8_t, kSize> out) const;
   static VxlanHeader parse(std::span<const std::uint8_t> data);
 };
 

@@ -26,14 +26,18 @@ void count_copy(std::size_t bytes) noexcept {
 }
 
 void Packet::push_front(std::span<const std::uint8_t> header) {
-  if (header.size() > head_) {
-    const std::size_t extra =
-        std::max(header.size() - head_, kDefaultHeadroom);
+  const auto front = prepend(header.size());
+  std::copy(header.begin(), header.end(), front.begin());
+}
+
+std::span<std::uint8_t> Packet::prepend(std::size_t count) {
+  if (count > head_) {
+    const std::size_t extra = std::max(count - head_, kDefaultHeadroom);
     buffer_.insert(buffer_.begin(), extra, 0);
     head_ += extra;
   }
-  head_ -= header.size();
-  std::copy(header.begin(), header.end(), buffer_.begin() + head_);
+  head_ -= count;
+  return {buffer_.data() + head_, count};
 }
 
 void Packet::pop_front(std::size_t count) {

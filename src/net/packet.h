@@ -89,6 +89,10 @@ class Packet {
 
   // Prepends a header; grows headroom if exhausted.
   void push_front(std::span<const std::uint8_t> header);
+  // Opens `count` bytes at the front, growing headroom if exhausted, and
+  // returns them for the caller to fill in place (their contents are
+  // unspecified until then).
+  std::span<std::uint8_t> prepend(std::size_t count);
 
   // Removes `count` bytes from the front (header consumed by a hop).
   void pop_front(std::size_t count);

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <limits>
 #include <map>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -13,10 +14,18 @@
 namespace elmo::dp {
 namespace {
 
-using Table = GroupTable<std::uint64_t>;
+// A test summary that differs for nearly every value, so a slot that kept a
+// stale summary after a replace, grow or backward shift is caught.
+struct MixSummary {
+  std::uint64_t operator()(std::uint64_t value) const noexcept {
+    return (value * 0x9E37'79B9'7F4A'7C15ull) ^ (value >> 29);
+  }
+};
 
-// Every live key of `table` is found with its value, and iteration visits
-// exactly the keys of `ref`, each once.
+using Table = GroupTable<std::uint64_t, MixSummary>;
+
+// Every live key of `table` is found with its value and that value's
+// summary, and iteration visits exactly the keys of `ref`, each once.
 void expect_same(const Table& table,
                  const std::unordered_map<std::uint32_t, std::uint64_t>& ref) {
   ASSERT_EQ(table.size(), ref.size());
@@ -30,6 +39,7 @@ void expect_same(const Table& table,
     const auto* found = table.find(key);
     ASSERT_NE(found, nullptr) << "key " << key;
     EXPECT_EQ(*found, value) << "key " << key;
+    EXPECT_EQ(table.find_summary(key), MixSummary{}(*found)) << "key " << key;
     EXPECT_TRUE(table.contains(key));
     EXPECT_EQ(seen.at(key), value);
   }
@@ -53,6 +63,7 @@ TEST(GroupTable, EmptyTableFindsNothing) {
   EXPECT_EQ(t.size(), 0u);
   EXPECT_EQ(t.slot_count(), 0u);
   EXPECT_EQ(t.find(0), nullptr);
+  EXPECT_EQ(t.find_summary(0), std::nullopt);
   EXPECT_FALSE(t.contains(0xFFFF'FFFFu));
   EXPECT_FALSE(t.erase(7));
   EXPECT_EQ(t.begin(), t.end());
@@ -90,20 +101,43 @@ TEST(GroupTable, ExtremeKeysAreOrdinaryKeys) {
   EXPECT_TRUE(t.empty());
 }
 
-TEST(GroupTable, RandomizedDifferentialAgainstUnorderedMap) {
-  // Keys from a small range keep the table dense and its probe runs long;
-  // the extreme keys ride along.
-  util::Rng rng{19};
+// After one operation: every key in [0, key_range) plus 0xFFFFFFFF has the
+// summary of its live value, or misses when it is absent.
+void expect_summaries(const Table& table,
+                      const std::unordered_map<std::uint32_t, std::uint64_t>& ref,
+                      std::uint32_t key_range, int op) {
+  constexpr std::uint32_t kMax = std::numeric_limits<std::uint32_t>::max();
+  const auto check = [&](std::uint32_t key) {
+    const auto summary = table.find_summary(key);
+    const auto it = ref.find(key);
+    if (it == ref.end()) {
+      ASSERT_EQ(summary, std::nullopt) << "op " << op << " key " << key;
+    } else {
+      ASSERT_EQ(summary, MixSummary{}(it->second))
+          << "op " << op << " key " << key;
+    }
+  };
+  for (std::uint32_t key = 0; key < key_range; ++key) check(key);
+  check(kMax);
+}
+
+// Random inserts, replaces and erases over keys [0, key_range) plus the
+// extreme keys, checked against std::unordered_map after every operation.
+// A new table starts at 8 slots, so each run also crosses every growth step
+// up to its working size.
+void differential_run(std::uint64_t seed, std::uint32_t key_range, int ops,
+                      std::uint64_t insert_tenths) {
+  util::Rng rng{seed};
   Table t;
   std::unordered_map<std::uint32_t, std::uint64_t> ref;
   constexpr std::uint32_t kMax = std::numeric_limits<std::uint32_t>::max();
-  for (int op = 0; op < 120'000; ++op) {
+  for (int op = 0; op < ops; ++op) {
     const auto pick = rng.next_below(100);
-    std::uint32_t key = static_cast<std::uint32_t>(rng.next_below(512));
+    std::uint32_t key = static_cast<std::uint32_t>(rng.next_below(key_range));
     if (pick < 3) key = 0;
     if (pick >= 97) key = kMax;
     const auto kind = rng.next_below(10);
-    if (kind < 6) {
+    if (kind < insert_tenths) {
       const std::uint64_t value = rng();
       const bool inserted = t.insert_or_assign(key, value);
       EXPECT_EQ(inserted, !ref.contains(key));
@@ -116,9 +150,20 @@ TEST(GroupTable, RandomizedDifferentialAgainstUnorderedMap) {
     if (found != nullptr) {
       ASSERT_EQ(*found, ref.at(key));
     }
+    expect_summaries(t, ref, key_range, op);
+    if (::testing::Test::HasFatalFailure()) return;
     if (op % 4096 == 0) expect_same(t, ref);
   }
   expect_same(t, ref);
+}
+
+TEST(GroupTable, RandomizedDifferentialAgainstUnorderedMap) {
+  // Keys from a small range keep the table dense and its probe runs long
+  // (and wrapping past the array's end); the extreme keys ride along.
+  differential_run(19, 512, 120'000, 6);
+  // Insert-heavy over a wider range: the table keeps growing while erases
+  // shift runs back, so summaries must survive both moves.
+  differential_run(23, 2048, 8'000, 8);
 }
 
 TEST(GroupTable, EraseInTheMiddleOfAProbeRun) {
@@ -242,16 +287,14 @@ TEST(GroupTable, IterationVisitsEachLiveKeyOnce) {
 TEST(GroupTable, FindPointerIsValidUntilTheNextInsertOrErase) {
   Table t;
   for (std::uint32_t k = 1; k <= 6; ++k) t.insert_or_assign(k, k * 10);
-  auto* p = t.find(2);
+  const auto* p = t.find(2);
   ASSERT_NE(p, nullptr);
-  // Lookups and iteration leave the pointer alone, and writes through it
-  // are what later finds see.
+  // Lookups and iteration leave the pointer alone.
   for (std::uint32_t k = 0; k <= 8; ++k) (void)t.find(k);
   for (const auto& entry : t) (void)entry;
   EXPECT_TRUE(t.contains(6));
   EXPECT_EQ(t.find(2), p);
-  *p = 99;
-  EXPECT_EQ(*t.find(2), 99u);
+  EXPECT_EQ(*p, 20u);
 
   // An erase moves the last entry into the erased one's place, so an older
   // pointer to the erased key now addresses a different key's value: the

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "dataplane/common.h"
+#include "testutil.h"
 
 namespace elmo::dp {
 namespace {
@@ -77,7 +80,7 @@ TEST(HypervisorSwitch, ReceiveDeliversToLocalMembers) {
   const auto packet = sender.encapsulate(group, payload);
   ASSERT_TRUE(packet);
 
-  const auto deliveries = receiver.receive(*packet);
+  const auto deliveries = test::receive(receiver, *packet);
   ASSERT_EQ(deliveries.size(), 2u);
   EXPECT_EQ(deliveries[0].vm, 11u);
   EXPECT_EQ(deliveries[1].vm, 12u);
@@ -96,8 +99,68 @@ TEST(HypervisorSwitch, ReceiveDiscardsNonMemberGroups) {
   const auto packet =
       sender.encapsulate(group, std::vector<std::uint8_t>{1});
   ASSERT_TRUE(packet);
-  EXPECT_TRUE(bystander.receive(*packet).empty());
+  EXPECT_TRUE(test::receive(bystander, *packet).empty());
   EXPECT_EQ(bystander.stats().discarded, 1u);
+}
+
+TEST(HypervisorSwitch, EncapRejectsDatagramsBeyondSixteenBitLength) {
+  const auto t = small();
+  HypervisorSwitch hv{t, 3};
+  const auto group = net::Ipv4Address::multicast_group(9);
+  HypervisorSwitch::GroupFlow flow;
+  flow.elmo_header.assign(10, 0xaa);
+  hv.install_flow(group, flow);
+  // IPv4 + UDP + VXLAN + template is 46 bytes: 65,489 bytes of payload make
+  // the largest datagram total_length can state, one more overflows it.
+  constexpr std::size_t kFits = 0xFFFF - (20 + 8 + 8 + 10);
+  const auto packet =
+      hv.encapsulate(group, std::vector<std::uint8_t>(kFits, 1));
+  ASSERT_TRUE(packet);
+  const auto ip = net::Ipv4Header::parse(packet->bytes().subspan(14));
+  EXPECT_EQ(ip.total_length, 0xFFFF);
+  EXPECT_EQ(net::UdpHeader::parse(packet->bytes().subspan(34)).length,
+            0xFFFF - 20);
+  EXPECT_THROW(hv.encapsulate(group, std::vector<std::uint8_t>(kFits + 1, 1)),
+               std::length_error);
+  EXPECT_EQ(hv.stats().sent, 1u);
+}
+
+TEST(HypervisorSwitch, ReinstalledFlowDeliversToExactlyItsLocalVms) {
+  // The decap path reads the VM count and first VM from the flow table's
+  // slot summary, so every re-install must rewrite it: 1 -> 3 -> 0 -> 1
+  // local VMs, then removal.
+  const auto t = small();
+  HypervisorSwitch sender{t, 0};
+  HypervisorSwitch receiver{t, 1};
+  const auto group = net::Ipv4Address::multicast_group(5);
+  sender.install_flow(group, HypervisorSwitch::GroupFlow{});
+  const auto packet =
+      *sender.encapsulate(group, std::vector<std::uint8_t>(64, 3));
+  const auto vms_delivered = [&] {
+    std::vector<std::uint32_t> vms;
+    for (const auto& d : test::receive(receiver, packet)) {
+      EXPECT_EQ(d.payload_bytes, 64u);
+      vms.push_back(d.vm);
+    }
+    return vms;
+  };
+
+  std::uint64_t discards = 0;
+  const std::vector<std::vector<std::uint32_t>> steps{{7}, {21, 4, 9}, {}, {30}};
+  for (const auto& local_vms : steps) {
+    HypervisorSwitch::GroupFlow flow;
+    flow.vni = 2;
+    flow.local_vms = local_vms;
+    receiver.install_flow(group, flow);
+    EXPECT_EQ(vms_delivered(), local_vms);
+    if (local_vms.empty()) ++discards;
+    EXPECT_EQ(receiver.stats().discarded, discards);
+  }
+  receiver.remove_flow(group);
+  EXPECT_TRUE(vms_delivered().empty());
+  EXPECT_EQ(receiver.stats().discarded, discards + 1);
+  EXPECT_EQ(receiver.stats().delivered_to_vms, 1u + 3u + 1u);
+  EXPECT_EQ(receiver.stats().delivered_bytes, 64u * 5u);
 }
 
 TEST(HypervisorSwitch, FlowLifecycle) {

@@ -7,6 +7,7 @@
 #include "dataplane/network_switch.h"
 #include "elmo/controller.h"
 #include "sim/fabric.h"
+#include "testutil.h"
 
 namespace elmo::dp {
 namespace {
@@ -72,7 +73,7 @@ TEST(LegacySwitch, HypervisorSkipsUnstrippedHeader) {
   receiver.install_flow(g.address, rx);
 
   // Simulate a legacy leaf: the packet arrives with the Elmo header intact.
-  const auto deliveries = receiver.receive(packet);
+  const auto deliveries = test::receive(receiver, packet);
   ASSERT_EQ(deliveries.size(), 1u);
   EXPECT_EQ(deliveries[0].payload_bytes, 200u)
       << "hypervisor must not count the surviving Elmo header as payload";

@@ -79,7 +79,7 @@ class ReferenceWalk {
       if (next_layer == topo::Layer::kHost) {
         ++result.host_copies[next_id];
         result.vm_deliveries +=
-            fabric_.hypervisor(next_id).receive(copy.packet).size();
+            test::receive(fabric_.hypervisor(next_id), copy.packet).size();
       } else {
         deliver(next_layer, next_id, copy.packet, hops + 1, result);
       }

@@ -2,8 +2,14 @@
 #pragma once
 
 #include <algorithm>
+#include <cstddef>
+#include <cstdint>
 #include <vector>
 
+#include "dataplane/forwarding.h"
+#include "dataplane/hypervisor_switch.h"
+#include "net/packet.h"
+#include "net/packet_view.h"
 #include "topology/clos.h"
 #include "util/rng.h"
 
@@ -18,6 +24,25 @@ inline std::vector<topo::HostId> random_hosts(
     hosts.push_back(static_cast<topo::HostId>(index));
   }
   return hosts;
+}
+
+// One VM delivery of a hypervisor receive.
+struct Delivery {
+  std::uint32_t vm = 0;
+  std::size_t payload_bytes = 0;
+};
+
+// Hands `packet` to `hv` as a fabric-ingress packet and returns its VM
+// deliveries in emission order (empty when the hypervisor discards it).
+inline std::vector<Delivery> receive(dp::HypervisorSwitch& hv,
+                                     const net::Packet& packet) {
+  dp::EmissionArena arena;
+  std::vector<Delivery> deliveries;
+  for (const auto& e : hv.process(net::PacketView{packet.bytes()}, arena)) {
+    deliveries.push_back(Delivery{static_cast<std::uint32_t>(e.out_port),
+                                  e.packet.size()});
+  }
+  return deliveries;
 }
 
 }  // namespace elmo::test
