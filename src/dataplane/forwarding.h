@@ -3,11 +3,14 @@
 // Elmo has exactly two kinds of forwarding element: the P4 network switch
 // (dp::NetworkSwitch, leaf/spine/core) and the PISCES hypervisor switch
 // (dp::HypervisorSwitch). They are plain classes, not subclasses of an
-// interface: each has a non-virtual process(view, arena) that consumes one
-// PacketView and emits zero or more (out_port, PacketView) pairs. Emissions
-// are appended to a caller-provided EmissionArena rather than returned as
-// fresh vectors, so a fabric walk reuses one arena across every hop and
-// performs no steady-state allocation.
+// interface: each has a non-virtual process(view, arena, decision) that
+// consumes one PacketView and emits zero or more (out_port, PacketView)
+// pairs. Emissions are appended to a caller-provided EmissionArena rather
+// than returned as fresh vectors, so a fabric walk reuses one arena across
+// every hop and performs no steady-state allocation. `decision` is an
+// optional obs::HopDecision slot (null = not recording): a walk that keeps
+// provenance passes the slot of the hop it just opened, and the element
+// fills it in place. Elements hold no observer state of their own.
 //
 // Port conventions:
 //   * Network switches: out_port indexes the switch's ports (downstream

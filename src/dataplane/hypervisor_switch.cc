@@ -70,7 +70,8 @@ std::optional<net::Packet> HypervisorSwitch::encapsulate(
 }
 
 std::span<Emission> HypervisorSwitch::process(const net::PacketView& packet,
-                                              EmissionArena& arena) {
+                                              EmissionArena& arena,
+                                              obs::HopDecision* decision) {
   const auto mark = arena.mark();
   ++stats_.received;
   stats_.bytes_received += packet.size();
@@ -83,11 +84,7 @@ std::span<Emission> HypervisorSwitch::process(const net::PacketView& packet,
   const auto vm_count = static_cast<std::uint32_t>(summary >> 32);
   if (vm_count == 0) {
     ++stats_.discarded;
-    if (prov_ != nullptr) {
-      obs::HopDecision dec;
-      dec.rule = obs::RuleClass::kHostDiscard;
-      prov_->record_decision(dec);
-    }
+    if (decision != nullptr) decision->rule = obs::RuleClass::kHostDiscard;
     return arena.since(mark);
   }
   // Elmo-capable leaves strip all p-rules at egress; behind a legacy leaf
@@ -113,12 +110,10 @@ std::span<Emission> HypervisorSwitch::process(const net::PacketView& packet,
   stats_.delivered_to_vms += vm_count;
   stats_.delivered_bytes += std::uint64_t{vm_count} * payload.size();
   const auto out = arena.since(mark);
-  if (prov_ != nullptr) {
-    obs::HopDecision dec;
-    dec.rule = obs::RuleClass::kHostDeliver;
-    dec.vm_deliveries = vm_count;
-    dec.popped_bytes = net::kOuterHeaderBytes + elmo_bytes;
-    prov_->record_decision(dec);
+  if (decision != nullptr) {
+    decision->rule = obs::RuleClass::kHostDeliver;
+    decision->vm_deliveries = vm_count;
+    decision->popped_bytes = net::kOuterHeaderBytes + elmo_bytes;
   }
   return out;
 }

@@ -19,6 +19,10 @@
 // touches the object's leading members plus one probe-array line; only
 // hosts with two or more local VMs load the GroupFlow and its VM list
 // (DESIGN.md §4).
+//
+// Like the network switch, the hypervisor holds forwarding state only; a
+// fabric walk that records provenance hands process() the hop's
+// obs::HopDecision slot to fill (DESIGN.md §10).
 #pragma once
 
 #include <cstdint>
@@ -36,7 +40,7 @@
 #include "topology/clos.h"
 
 namespace elmo::obs {
-class ProvenanceSink;
+struct HopDecision;
 }
 
 namespace elmo::dp {
@@ -114,24 +118,19 @@ class HypervisorSwitch {
 
   // Network -> VMs: decapsulates and appends one payload view per local
   // member VM to `arena` (out_port = VM index), returning the span it
-  // appended, valid until the arena is next mutated.
+  // appended, valid until the arena is next mutated. When `decision` is
+  // non-null the hypervisor fills it with its deliver/discard decision.
   std::span<Emission> process(const net::PacketView& packet,
-                              EmissionArena& arena);
+                              EmissionArena& arena,
+                              obs::HopDecision* decision = nullptr);
 
   const HypervisorStats& stats() const noexcept { return stats_; }
   void reset_stats() noexcept { stats_ = HypervisorStats{}; }
-
-  // Optional decision-provenance sink (nullptr detaches). Not owned; must
-  // outlive the packets it observes. A detached hypervisor pays one pointer
-  // test per process() call (DESIGN.md §10).
-  void set_provenance(obs::ProvenanceSink* sink) noexcept { prov_ = sink; }
-  obs::ProvenanceSink* provenance() const noexcept { return prov_; }
 
  private:
   // Decap-hot members first: every process() call reads and writes these.
   FlowTable flows_;
   HypervisorStats stats_;
-  obs::ProvenanceSink* prov_ = nullptr;
   elmo::HeaderCodec codec_;  // to skip unstripped p-rules (legacy leaves, §7)
   topo::HostId host_;
 };

@@ -9,7 +9,7 @@ namespace elmo::dp {
 
 NetworkSwitch::NetworkSwitch(const topo::ClosTopology& topology,
                              topo::Layer layer, std::uint32_t id)
-    : topo_{&topology}, codec_{topology}, layer_{layer}, id_{id} {
+    : codec_{topology}, layer_{layer}, id_{id} {
   switch (layer) {
     case topo::Layer::kLeaf:
       match_id_ = id;  // global leaf id
@@ -49,22 +49,24 @@ void NetworkSwitch::remove_srule(net::Ipv4Address group) {
 }
 
 std::size_t NetworkSwitch::downstream_ports() const noexcept {
+  const auto& topology = codec_.topology();
   switch (layer_) {
     case topo::Layer::kLeaf:
-      return topo_->leaf_down_ports();
+      return topology.leaf_down_ports();
     case topo::Layer::kSpine:
-      return topo_->spine_down_ports();
+      return topology.spine_down_ports();
     default:
-      return topo_->core_ports();
+      return topology.core_ports();
   }
 }
 
 std::size_t NetworkSwitch::upstream_ports() const noexcept {
+  const auto& topology = codec_.topology();
   switch (layer_) {
     case topo::Layer::kLeaf:
-      return topo_->leaf_up_ports();
+      return topology.leaf_up_ports();
     case topo::Layer::kSpine:
-      return topo_->spine_up_ports();
+      return topology.spine_up_ports();
     default:
       return 0;
   }
@@ -130,20 +132,21 @@ net::PacketView NetworkSwitch::strip_for_host(
 }
 
 std::span<Emission> NetworkSwitch::process(const net::PacketView& packet,
-                                           EmissionArena& arena) {
+                                           EmissionArena& arena,
+                                           obs::HopDecision* decision) {
   const auto mark = arena.mark();
   ++stats_.packets_in;
   stats_.bytes_in += packet.size();
   const std::uint64_t popped_before = stats_.header_pop_bytes;
 
   // Decision provenance (DESIGN.md §10): one record per process() call,
-  // written only when a sink is attached — the detached cost is this null
-  // test. `bitmap` is the rule as matched (before masking); the egress set
-  // is reconstructed from the emissions (after multipath masking).
+  // written only into a slot the caller handed in — without one the cost is
+  // this null test. `bitmap` is the rule as matched (before masking); the
+  // egress set is reconstructed from the emissions (after multipath masking).
   auto record = [&](obs::RuleClass cls, const net::PortBitmap* bitmap,
                     const elmo::UpstreamRule* up, bool shared, int index) {
-    if (prov_ == nullptr) return;
-    obs::HopDecision dec;
+    if (decision == nullptr) return;
+    obs::HopDecision& dec = *decision;
     dec.rule = cls;
     dec.legacy = legacy_;
     dec.prule_index = index;
@@ -160,7 +163,6 @@ std::span<Emission> NetworkSwitch::process(const net::PacketView& packet,
       dec.egress = net::PortBitmap{downstream_ports() + upstream_ports()};
       for (const auto& e : out) dec.egress.set(e.out_port);
     }
-    prov_->record_decision(dec);
   };
 
   if (down_) {
@@ -287,20 +289,6 @@ std::span<Emission> NetworkSwitch::process(const net::PacketView& packet,
   stats_.copies_out += out.size();
   for (const auto& e : out) stats_.bytes_out += e.packet.size();
   record(cls, chosen, chosen_up, pr.matched_shared, pr.matched_index);
-  return out;
-}
-
-std::vector<OutputCopy> NetworkSwitch::process(const net::Packet& packet) {
-  compat_arena_.clear();
-  compat_arena_.section_cache().clear();
-  const net::PacketView view{packet.bytes()};
-  const auto emissions = process(view, compat_arena_);
-  std::vector<OutputCopy> out;
-  out.reserve(emissions.size());
-  for (auto& e : emissions) {
-    out.push_back(OutputCopy{e.out_port, e.packet.materialize()});
-  }
-  compat_arena_.clear();
   return out;
 }
 

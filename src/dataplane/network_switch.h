@@ -32,6 +32,11 @@
 // buffer. The only bytes copied per process() call are the single stripped
 // host-delivery template (outer header with the Elmo flag cleared + payload),
 // which every host-bound emission then shares.
+//
+// The switch holds forwarding state only: tables, mode flags, counters and
+// parse scratch. Decision provenance is not switch state — a fabric walk
+// that records it hands process() the hop's obs::HopDecision slot, and a
+// call without one (null) records nothing (DESIGN.md §10).
 #pragma once
 
 #include <cstdint>
@@ -42,21 +47,14 @@
 #include "dataplane/group_table.h"
 #include "elmo/header.h"
 #include "net/bitmap.h"
-#include "net/packet.h"
 #include "net/packet_view.h"
 #include "topology/clos.h"
 
 namespace elmo::obs {
-class ProvenanceSink;
+struct HopDecision;
 }
 
 namespace elmo::dp {
-
-// Materialized emission for the test-facing convenience wrapper.
-struct OutputCopy {
-  std::size_t out_port = 0;
-  net::Packet packet;
-};
 
 // Underlying multipath scheme the Elmo multipath flag defers to (paper D2b:
 // "the configured underlying multipathing scheme (e.g., ECMP, CONGA, or
@@ -144,22 +142,15 @@ class NetworkSwitch {
 
   // Full pipeline for one received packet: appends its emissions to `arena`
   // as refcounted views over the incoming buffer and returns the span it
-  // appended, valid until the arena is next mutated.
+  // appended, valid until the arena is next mutated. When `decision` is
+  // non-null the switch fills it with the forwarding decision it made (the
+  // fabric walk passes its provenance hop's slot, DESIGN.md §10).
   std::span<Emission> process(const net::PacketView& packet,
-                              EmissionArena& arena);
-
-  // Convenience wrapper for unit tests and tools: runs the pipeline on a
-  // standalone Packet and materializes each emission into its own Packet.
-  std::vector<OutputCopy> process(const net::Packet& packet);
+                              EmissionArena& arena,
+                              obs::HopDecision* decision = nullptr);
 
   const SwitchStats& stats() const noexcept { return stats_; }
   void reset_stats() noexcept { stats_ = SwitchStats{}; }
-
-  // Optional decision-provenance sink (nullptr detaches). Not owned; must
-  // outlive the packets it observes. A detached switch pays one pointer
-  // test per process() call (DESIGN.md §10).
-  void set_provenance(obs::ProvenanceSink* sink) noexcept { prov_ = sink; }
-  obs::ProvenanceSink* provenance() const noexcept { return prov_; }
 
  private:
   // The parser's metadata for one packet: this switch's layer of the Elmo
@@ -188,8 +179,7 @@ class NetworkSwitch {
   std::size_t downstream_ports() const noexcept;
   std::size_t upstream_ports() const noexcept;
 
-  const topo::ClosTopology* topo_;
-  elmo::HeaderCodec codec_;
+  elmo::HeaderCodec codec_;  // also the switch's topology (codec_.topology())
   topo::Layer layer_;
   std::uint32_t id_;
   std::uint32_t match_id_;  // leaf id at leaves, pod id at spines
@@ -201,9 +191,7 @@ class NetworkSwitch {
   bool down_ = false;
   MultipathMode multipath_mode_ = MultipathMode::kEcmp;
   std::vector<std::uint64_t> uplink_load_;
-  EmissionArena compat_arena_;  // scratch for the Packet wrapper
-  ParseResult parsed_;          // scratch for parse()
-  obs::ProvenanceSink* prov_ = nullptr;
+  ParseResult parsed_;  // scratch for parse()
 };
 
 }  // namespace elmo::dp

@@ -132,18 +132,23 @@ void ControlPlane::ingest(const Event& event) {
 }
 
 void ControlPlane::join(GroupId group, const Member& member) {
-  pending_event_times_.push_back(std::chrono::steady_clock::now());
-  ++stats_.events;
-  ++stats_.joins;
-  ELMO_METRIC(reg.add(stream_metric_ids().events));
+  const auto ingested = std::chrono::steady_clock::now();
   const auto root = trace_event_begin(
       "churn:join", {{"group", static_cast<double>(group)},
                      {"host", static_cast<double>(member.host)},
                      {"vm", static_cast<double>(member.vm)}});
   const auto queued_before = stats_.updates_coalesced + pending_.size();
   auto span = trace_child_begin("reencode", root);
-  controller_->join(group, member);
+  try {
+    controller_->join(group, member);
+  } catch (...) {
+    trace_end(span);
+    trace_event_end(root);
+    throw;
+  }
   trace_end(span);
+  accept_event(ingested);
+  ++stats_.joins;
   span = trace_child_begin("delta_diff", root);
   diff_group(group, controller_->last_change());
   trace_end(span);
@@ -161,18 +166,24 @@ void ControlPlane::join(GroupId group, const Member& member) {
 }
 
 Member ControlPlane::leave(GroupId group, topo::HostId host, std::uint32_t vm) {
-  pending_event_times_.push_back(std::chrono::steady_clock::now());
-  ++stats_.events;
-  ++stats_.leaves;
-  ELMO_METRIC(reg.add(stream_metric_ids().events));
+  const auto ingested = std::chrono::steady_clock::now();
   const auto root = trace_event_begin(
       "churn:leave", {{"group", static_cast<double>(group)},
                       {"host", static_cast<double>(host)},
                       {"vm", static_cast<double>(vm)}});
   const auto queued_before = stats_.updates_coalesced + pending_.size();
   auto span = trace_child_begin("reencode", root);
-  auto removed = controller_->leave(group, host, vm);
+  Member removed;
+  try {
+    removed = controller_->leave(group, host, vm);
+  } catch (...) {
+    trace_end(span);
+    trace_event_end(root);
+    throw;
+  }
   trace_end(span);
+  accept_event(ingested);
+  ++stats_.leaves;
   span = trace_child_begin("delta_diff", root);
   diff_group(group, controller_->last_change());
   trace_end(span);
@@ -186,10 +197,8 @@ Member ControlPlane::leave(GroupId group, topo::HostId host, std::uint32_t vm) {
 }
 
 std::size_t ControlPlane::host_fail(topo::HostId host) {
-  pending_event_times_.push_back(std::chrono::steady_clock::now());
-  ++stats_.events;
+  accept_event(std::chrono::steady_clock::now());
   ++stats_.host_fails;
-  ELMO_METRIC(reg.add(stream_metric_ids().events));
   const auto root = trace_event_begin(
       "churn:host_fail", {{"host", static_cast<double>(host)}});
 
@@ -217,6 +226,13 @@ std::size_t ControlPlane::host_fail(topo::HostId host) {
   trace_event_end(root);
   maybe_auto_flush();
   return evicted;
+}
+
+void ControlPlane::accept_event(
+    std::chrono::steady_clock::time_point ingested) {
+  pending_event_times_.push_back(ingested);
+  ++stats_.events;
+  ELMO_METRIC(reg.add(stream_metric_ids().events));
 }
 
 obs::TraceContext ControlPlane::trace_event_begin(

@@ -88,6 +88,9 @@ class ControlPlane final : public MembershipDriver {
   // --- event ingestion -----------------------------------------------------
   void ingest(const Event& event);
   // MembershipDriver: lets a ChurnSimulator stream through this plane.
+  // An event the controller rejects (unknown group, non-member leave)
+  // rethrows its exception having counted nothing, stamped no ingest time
+  // and closed every span it opened.
   void join(GroupId group, const Member& member) override;
   Member leave(GroupId group, topo::HostId host, std::uint32_t vm) override;
   // Every member VM hosted on `host` leaves its group (the host died).
@@ -164,6 +167,9 @@ class ControlPlane final : public MembershipDriver {
   // (stale deliveries until the FlowDel lands) is measurable at the fabric.
   void watch_leave(GroupId group, topo::HostId host,
                    const obs::TraceContext& root);
+  // Counts an event the controller accepted and keeps its ingest time for
+  // the install-lag sample of the flush that lands it.
+  void accept_event(std::chrono::steady_clock::time_point ingested);
 
   // Tracing helpers; all no-ops when tracer_ is null.
   obs::TraceContext trace_event_begin(

@@ -105,8 +105,6 @@ struct Shard {
 
 std::atomic<std::uint64_t> g_epoch_source{1};
 
-class SinkImpl;
-
 }  // namespace
 
 struct MetricsRegistry::Impl {
@@ -126,7 +124,6 @@ struct MetricsRegistry::Impl {
   std::uint32_t num_hists_ = 0;
   std::deque<std::atomic<std::uint64_t>> gauges_;  // double payloads
   std::vector<std::shared_ptr<Shard>> shards_;
-  std::vector<std::pair<std::string, Collector>> collectors_;
   std::chrono::steady_clock::time_point start_ = std::chrono::steady_clock::now();
   const std::uint64_t epoch_ =
       g_epoch_source.fetch_add(1, std::memory_order_relaxed);
@@ -268,35 +265,6 @@ struct MetricsRegistry::Impl {
   }
 };
 
-namespace {
-
-class SinkImpl final : public CollectorSink {
- public:
-  explicit SinkImpl(std::vector<MetricSample>& out) : out_{out} {}
-  void counter(std::string_view name, double value,
-               std::string_view help) override {
-    push(name, value, help, MetricKind::kCounter);
-  }
-  void gauge(std::string_view name, double value,
-             std::string_view help) override {
-    push(name, value, help, MetricKind::kGauge);
-  }
-
- private:
-  void push(std::string_view name, double value, std::string_view help,
-            MetricKind kind) {
-    MetricSample s;
-    s.name = sanitize(name);
-    s.help = std::string{help};
-    s.kind = kind;
-    s.value = value;
-    out_.push_back(std::move(s));
-  }
-  std::vector<MetricSample>& out_;
-};
-
-}  // namespace
-
 MetricsRegistry::MetricsRegistry(bool enabled)
     : enabled_{enabled}, impl_{std::make_unique<Impl>()} {}
 
@@ -349,29 +317,8 @@ void MetricsRegistry::observe(Id id, double value) {
   if (auto* cell = impl_->hist_cell(id)) cell->observe(value);
 }
 
-void MetricsRegistry::register_collector(std::string name, Collector fn) {
-  std::lock_guard lk{impl_->mutex_};
-  for (auto& [n, f] : impl_->collectors_) {
-    if (n == name) {
-      f = std::move(fn);
-      return;
-    }
-  }
-  impl_->collectors_.emplace_back(std::move(name), std::move(fn));
-}
-
-void MetricsRegistry::unregister_collector(std::string_view name) {
-  std::lock_guard lk{impl_->mutex_};
-  auto& cs = impl_->collectors_;
-  cs.erase(std::remove_if(cs.begin(), cs.end(),
-                          [&](const auto& c) { return c.first == name; }),
-           cs.end());
-}
-
 Snapshot MetricsRegistry::snapshot() const {
   Snapshot snap;
-  std::vector<MetricSample> collected;
-  std::vector<Collector> collectors;
   {
     std::lock_guard lk{impl_->mutex_};
     snap.uptime_seconds = std::chrono::duration<double>(
@@ -421,26 +368,6 @@ Snapshot MetricsRegistry::snapshot() const {
       }
       snap.metrics.push_back(std::move(s));
     }
-    collectors.reserve(impl_->collectors_.size());
-    for (const auto& [name, fn] : impl_->collectors_) collectors.push_back(fn);
-  }
-  // Collectors run outside the lock (they read foreign component state and
-  // may take their own locks).
-  SinkImpl sink{collected};
-  for (const auto& fn : collectors) fn(sink);
-  // Merge collector samples: sum into an existing same-kind sample, append
-  // otherwise.
-  for (auto& extra : collected) {
-    bool merged = false;
-    for (auto& s : snap.metrics) {
-      if (s.name == extra.name && s.kind == extra.kind &&
-          s.kind != MetricKind::kHistogram) {
-        s.value += extra.value;
-        merged = true;
-        break;
-      }
-    }
-    if (!merged) snap.metrics.push_back(std::move(extra));
   }
   std::sort(snap.metrics.begin(), snap.metrics.end(),
             [](const MetricSample& a, const MetricSample& b) {

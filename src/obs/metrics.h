@@ -12,10 +12,10 @@
 //     metric) pair and on scrape.
 //   * Gauges are registry-level cells (last-write-wins set, or a monotone
 //     `gauge_max` high-water mark); they do not shard.
-//   * `snapshot()` aggregates all shards, invokes registered pull-model
-//     collectors (components export internal counters at scrape time
-//     without paying anything per event), and renders to a Prometheus-style
-//     text exposition or a JSON dump.
+//   * `snapshot()` aggregates all shards and renders to a Prometheus-style
+//     text exposition or a JSON dump. Short-lived components (a bench's
+//     fabric) add their totals once at the end of a run
+//     (sim::accumulate_fabric_metrics) rather than being scraped live.
 //   * Disabled registries (`set_enabled(false)`) turn every write into a
 //     single relaxed bool load. The global registry starts disabled; benches
 //     enable it when `--metrics=<path>` is given. `ELMO_METRIC(stmt)`
@@ -25,7 +25,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -66,16 +65,6 @@ struct Snapshot {
   double value(std::string_view name) const;
 };
 
-// Pull-model collectors push one-shot samples into this at scrape time.
-class CollectorSink {
- public:
-  virtual ~CollectorSink() = default;
-  virtual void counter(std::string_view name, double value,
-                       std::string_view help = {}) = 0;
-  virtual void gauge(std::string_view name, double value,
-                     std::string_view help = {}) = 0;
-};
-
 class MetricsRegistry {
  public:
   using Id = std::uint32_t;
@@ -99,17 +88,9 @@ class MetricsRegistry {
   void gauge_max(Id id, double value);  // monotone high-water mark
   void observe(Id id, double value);
 
-  // --- pull-model collectors ----------------------------------------------
-  // Re-registering a name replaces the previous collector. The collector
-  // must stay valid until unregistered (or the registry is destroyed); it
-  // is invoked outside the registry lock.
-  using Collector = std::function<void(CollectorSink&)>;
-  void register_collector(std::string name, Collector fn);
-  void unregister_collector(std::string_view name);
-
   // --- scrape --------------------------------------------------------------
   Snapshot snapshot() const;
-  // Zeroes every cell and restarts the uptime clock. Collectors stay.
+  // Zeroes every cell and restarts the uptime clock.
   void reset();
 
   bool enabled() const noexcept {

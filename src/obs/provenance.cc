@@ -57,15 +57,13 @@ std::size_t ProvenanceLog::begin_send(std::uint32_t group,
   const auto root =
       add_hop(trace, topo::Layer::kHost, src_host, kNoProvParent, bytes, false);
   trace.hops[root].decision.rule = RuleClass::kSource;
-  open_ = kNoProvParent;
   return root;
 }
 
 std::size_t ProvenanceLog::begin_hop(topo::Layer layer, std::uint32_t node,
                                      std::size_t parent,
                                      std::size_t bytes_in) {
-  open_ = add_hop(sends_.back(), layer, node, parent, bytes_in, false);
-  return open_;
+  return add_hop(sends_.back(), layer, node, parent, bytes_in, false);
 }
 
 void ProvenanceLog::lost_copy(topo::Layer layer, std::uint32_t node,
@@ -73,15 +71,7 @@ void ProvenanceLog::lost_copy(topo::Layer layer, std::uint32_t node,
   add_hop(sends_.back(), layer, node, parent, 0, true);
 }
 
-void ProvenanceLog::record_decision(const HopDecision& decision) {
-  if (sends_.empty() || open_ == kNoProvParent) return;
-  sends_.back().hops[open_].decision = decision;
-}
-
-void ProvenanceLog::clear() {
-  sends_.clear();
-  open_ = kNoProvParent;
-}
+void ProvenanceLog::clear() { sends_.clear(); }
 
 namespace {
 

@@ -11,12 +11,14 @@
 // oracle to attribute every delivered copy (and every wasted one) to the
 // encoding decision that caused it.
 //
-// Attachment is strictly opt-in and zero-cost when detached: a forwarding
-// element with no sink pays one null-pointer test per process() call, and a
-// fabric with no log pays one per work item; no bitmap is copied and no
-// allocation happens unless a log is listening. The walk is single-threaded
-// (FIFO event queue), so the log keeps one "open hop" cursor that the
-// data-plane decision callback writes through.
+// Attachment is strictly opt-in and zero-cost when detached: the fabric
+// holds the log, not the forwarding elements. Per work item the walk opens
+// the hop (begin_hop) and hands the element that hop's HopDecision slot as
+// a plain pointer argument of process(); the element fills the slot in
+// place. A fabric with no log passes null, so an element pays one
+// null-pointer test per process() call and the walk one per work item; no
+// bitmap is copied and no allocation happens unless a log is listening. An
+// element driven outside a walk gets no slot and records nothing.
 #pragma once
 
 #include <cstddef>
@@ -63,14 +65,6 @@ struct HopDecision {
   std::uint32_t vm_deliveries = 0;  // host hops: local member VMs served
 };
 
-// Decision callback the data plane writes through; implemented by
-// ProvenanceLog. Elements hold a nullable pointer to it (forwarding.h).
-class ProvenanceSink {
- public:
-  virtual ~ProvenanceSink() = default;
-  virtual void record_decision(const HopDecision& decision) = 0;
-};
-
 // One node of a send's decision tree: a packet replica arriving somewhere.
 struct ProvHop {
   topo::Layer layer = topo::Layer::kHost;
@@ -89,23 +83,26 @@ struct SendTrace {
   std::vector<ProvHop> hops;
 };
 
-class ProvenanceLog final : public ProvenanceSink {
+class ProvenanceLog {
  public:
   // Starts a new trace rooted at the sending host; returns the root index.
   std::size_t begin_send(std::uint32_t group, std::uint32_t src_host,
                          std::size_t bytes);
 
-  // Appends a hop to the current trace, links it under `parent`, and opens
-  // it for the next record_decision() call. Returns the hop's index.
+  // Appends a hop to the current trace and links it under `parent`. Returns
+  // the hop's index.
   std::size_t begin_hop(topo::Layer layer, std::uint32_t node,
                         std::size_t parent, std::size_t bytes_in);
 
+  // The decision slot of hop `hop` of the current trace, for the element
+  // processing that hop to fill. Valid until the next begin_send,
+  // begin_hop, lost_copy or clear.
+  HopDecision& decision(std::size_t hop) {
+    return sends_.back().hops[hop].decision;
+  }
+
   // Records a copy the loss model dropped in flight to (`layer`, `node`).
   void lost_copy(topo::Layer layer, std::uint32_t node, std::size_t parent);
-
-  // Writes into the hop most recently opened by begin_hop(). Ignored when
-  // no trace or hop is open (elements driven outside a fabric walk).
-  void record_decision(const HopDecision& decision) override;
 
   const std::vector<SendTrace>& sends() const noexcept { return sends_; }
   bool empty() const noexcept { return sends_.empty(); }
@@ -115,7 +112,6 @@ class ProvenanceLog final : public ProvenanceSink {
 
  private:
   std::vector<SendTrace> sends_;
-  std::size_t open_ = kNoProvParent;  // hop index the next decision targets
 };
 
 // Compact one-line description of a decision ("default p-rule ports=0110,

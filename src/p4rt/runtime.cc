@@ -19,17 +19,18 @@ void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
   put_u16(out, static_cast<std::uint16_t>(v >> 16));
   put_u16(out, static_cast<std::uint16_t>(v));
 }
-// Count field: u16 in standard frames, u32 in extended frames. The caller
-// guarantees the value fits (frame selection in encode); the checks here are
-// a backstop against silent truncation ever reappearing.
-void put_count(std::vector<std::uint8_t>& out, std::size_t v, bool extended) {
+// Count field: u16 in standard frames, u32 in extended frames. Returns false
+// when `v` does not fit a standard frame's u16 (the caller re-encodes the
+// message extended); throws std::length_error beyond an extended frame's u32.
+bool put_count(std::vector<std::uint8_t>& out, std::size_t v, bool extended) {
   if (extended) {
     if (v > kU32Max) throw std::length_error{"p4rt: count exceeds u32"};
     put_u32(out, static_cast<std::uint32_t>(v));
   } else {
-    if (v > kU16Max) throw std::length_error{"p4rt: count exceeds u16"};
+    if (v > kU16Max) return false;
     put_u16(out, static_cast<std::uint16_t>(v));
   }
+  return true;
 }
 
 class Reader {
@@ -73,9 +74,9 @@ class Reader {
 
 std::size_t bitmap_bytes(std::size_t ports) { return (ports + 7) / 8; }
 
-void encode_bitmap(std::vector<std::uint8_t>& out, const net::PortBitmap& ports,
+bool encode_bitmap(std::vector<std::uint8_t>& out, const net::PortBitmap& ports,
                    bool extended) {
-  put_count(out, ports.size(), extended);
+  if (!put_count(out, ports.size(), extended)) return false;
   std::uint8_t byte = 0;
   for (std::size_t p = 0; p < ports.size(); ++p) {
     if (ports.test(p)) byte |= static_cast<std::uint8_t>(1u << (p % 8));
@@ -84,6 +85,7 @@ void encode_bitmap(std::vector<std::uint8_t>& out, const net::PortBitmap& ports,
       byte = 0;
     }
   }
+  return true;
 }
 
 net::PortBitmap decode_bitmap(Reader& in, bool extended) {
@@ -101,42 +103,37 @@ net::PortBitmap decode_bitmap(Reader& in, bool extended) {
   return ports;
 }
 
-// Exact body size of `u` when encoded, and whether it needs the extended
-// frame (any count beyond u16, or a body beyond the u16 length field).
-struct FrameChoice {
-  std::size_t body_size = 0;
-  bool extended = false;
-};
-
-FrameChoice choose_frame(const Update& u) {
-  auto body_size = [](const Update& upd, bool ext) -> std::size_t {
-    const std::size_t c = ext ? 4 : 2;  // width of one count field
-    switch (upd.kind) {
-      case UpdateKind::kHypervisorFlowAdd:
-        return 12 + c + 4 * upd.local_vms.size() + c + upd.elmo_header.size();
-      case UpdateKind::kHypervisorFlowDel:
-        return 8;
-      case UpdateKind::kSRuleAdd:
-        return 9 + c + bitmap_bytes(upd.ports.size());
-      case UpdateKind::kSRuleDel:
-        return 9;
-    }
-    throw std::invalid_argument{"p4rt: unknown update kind"};
-  };
-  FrameChoice choice;
-  choice.body_size = body_size(u, /*ext=*/false);
-  const bool counts_overflow = u.local_vms.size() > kU16Max ||
-                               u.elmo_header.size() > kU16Max ||
-                               u.ports.size() > kU16Max;
-  if (counts_overflow || choice.body_size > kU16Max) {
-    choice.extended = true;
-    choice.body_size = body_size(u, /*ext=*/true);
-    if (u.local_vms.size() > kU32Max || u.elmo_header.size() > kU32Max ||
-        u.ports.size() > kU32Max || choice.body_size > kU32Max) {
-      throw std::length_error{"p4rt: message too large"};
-    }
+// Appends the message body of `u` to `body` with counts of the frame's
+// width. Returns false, leaving `body` partly written, when a count does not
+// fit a standard frame.
+bool put_body(std::vector<std::uint8_t>& body, const Update& u,
+              bool extended) {
+  switch (u.kind) {
+    case UpdateKind::kHypervisorFlowAdd:
+      put_u32(body, u.host);
+      put_u32(body, u.group.value);
+      put_u32(body, u.vni);
+      if (!put_count(body, u.local_vms.size(), extended)) return false;
+      for (const auto vm : u.local_vms) put_u32(body, vm);
+      if (!put_count(body, u.elmo_header.size(), extended)) return false;
+      body.insert(body.end(), u.elmo_header.begin(), u.elmo_header.end());
+      return true;
+    case UpdateKind::kHypervisorFlowDel:
+      put_u32(body, u.host);
+      put_u32(body, u.group.value);
+      return true;
+    case UpdateKind::kSRuleAdd:
+      body.push_back(static_cast<std::uint8_t>(u.layer));
+      put_u32(body, u.switch_id);
+      put_u32(body, u.group.value);
+      return encode_bitmap(body, u.ports, extended);
+    case UpdateKind::kSRuleDel:
+      body.push_back(static_cast<std::uint8_t>(u.layer));
+      put_u32(body, u.switch_id);
+      put_u32(body, u.group.value);
+      return true;
   }
-  return choice;
+  throw std::invalid_argument{"p4rt: unknown update kind"};
 }
 
 // Every rule of `group`, in the order documented at compile_install: adds
@@ -219,41 +216,20 @@ std::vector<std::uint8_t> encode(std::span<const Update> updates) {
   put_u32(out, static_cast<std::uint32_t>(updates.size()));
   std::vector<std::uint8_t> body;
   for (const auto& u : updates) {
-    const auto frame = choose_frame(u);
+    // A standard frame unless a count or the body outgrows its u16 fields.
     body.clear();
-    body.reserve(frame.body_size);
-    switch (u.kind) {
-      case UpdateKind::kHypervisorFlowAdd:
-        put_u32(body, u.host);
-        put_u32(body, u.group.value);
-        put_u32(body, u.vni);
-        put_count(body, u.local_vms.size(), frame.extended);
-        for (const auto vm : u.local_vms) put_u32(body, vm);
-        put_count(body, u.elmo_header.size(), frame.extended);
-        body.insert(body.end(), u.elmo_header.begin(), u.elmo_header.end());
-        break;
-      case UpdateKind::kHypervisorFlowDel:
-        put_u32(body, u.host);
-        put_u32(body, u.group.value);
-        break;
-      case UpdateKind::kSRuleAdd:
-        body.push_back(static_cast<std::uint8_t>(u.layer));
-        put_u32(body, u.switch_id);
-        put_u32(body, u.group.value);
-        encode_bitmap(body, u.ports, frame.extended);
-        break;
-      case UpdateKind::kSRuleDel:
-        body.push_back(static_cast<std::uint8_t>(u.layer));
-        put_u32(body, u.switch_id);
-        put_u32(body, u.group.value);
-        break;
-    }
-    if (body.size() != frame.body_size) {
-      throw std::logic_error{"p4rt: frame size accounting bug"};
+    const bool extended = !put_body(body, u, /*extended=*/false) ||
+                          body.size() > kU16Max;
+    if (extended) {
+      body.clear();
+      put_body(body, u, /*extended=*/true);
+      if (body.size() > kU32Max) {
+        throw std::length_error{"p4rt: message too large"};
+      }
     }
     out.push_back(static_cast<std::uint8_t>(u.kind) |
-                  (frame.extended ? kExtendedFrameBit : 0));
-    if (frame.extended) {
+                  (extended ? kExtendedFrameBit : 0));
+    if (extended) {
       put_u32(out, static_cast<std::uint32_t>(body.size()));
     } else {
       put_u16(out, static_cast<std::uint16_t>(body.size()));

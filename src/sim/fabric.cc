@@ -93,12 +93,6 @@ Fabric::Fabric(const topo::ClosTopology& topology) : topo_{&topology} {
   link_stats_.assign(link_base_.back(), LinkStats{});
 }
 
-void Fabric::set_provenance(obs::ProvenanceLog* log) {
-  prov_ = log;
-  for (auto& hv : hosts_) hv.set_provenance(log);
-  for (auto& sw : switches_) sw.set_provenance(log);
-}
-
 std::size_t Fabric::switch_slot(topo::Layer layer, std::uint32_t id) const {
   const NodeRef node{layer, id};
   if (!has_node(node)) throw std::out_of_range{"Fabric: no such switch"};
@@ -419,17 +413,22 @@ SendResult Fabric::send(topo::HostId src, net::Ipv4Address group,
            {"hop", static_cast<double>(item.hops)}});
     }
 
+    // The element fills the hop's decision slot in place: the log's hop
+    // vector does not grow until process() has returned.
     std::size_t prov_hop = obs::kNoProvParent;
+    obs::HopDecision* decision = nullptr;
     if (prov_ != nullptr) {
       prov_hop = prov_->begin_hop(item.at.layer, item.at.id, item.prov,
                                   item.packet.size());
+      decision = &prov_->decision(prov_hop);
     }
 
     arena_.clear();
     const auto at = node_index(item.at);
     const auto emissions =
-        at_host ? hosts_[at].process(item.packet, arena_)
-                : switches_[at - hosts_.size()].process(item.packet, arena_);
+        at_host ? hosts_[at].process(item.packet, arena_, decision)
+                : switches_[at - hosts_.size()].process(item.packet, arena_,
+                                                        decision);
 
     if (at_host) {
       // Hypervisor emissions are per-VM payload deliveries, not wire hops.

@@ -249,10 +249,11 @@ class Fabric {
   void set_recorder(obs::Tracer* recorder) noexcept { recorder_ = recorder; }
   obs::Tracer* recorder() const noexcept { return recorder_; }
 
-  // Optional decision-provenance log (nullptr detaches). Attaches the log to
-  // every hypervisor and switch so each send() grows one decision tree in it
-  // (DESIGN.md §10). Not owned; must outlive the sends it observes.
-  void set_provenance(obs::ProvenanceLog* log);
+  // Optional decision-provenance log (nullptr detaches). Each send() then
+  // grows one decision tree in it: the walk opens a hop per work item and
+  // hands the element that hop's decision slot (DESIGN.md §10). Not owned;
+  // must outlive the sends it observes.
+  void set_provenance(obs::ProvenanceLog* log) noexcept { prov_ = log; }
   obs::ProvenanceLog* provenance() const noexcept { return prov_; }
 
   // --- Causal tracing & time-to-effect (DESIGN.md §15) ---------------------

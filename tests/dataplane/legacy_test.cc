@@ -36,14 +36,14 @@ TEST(LegacySwitch, ForwardsFromGroupTableWithoutPopping) {
   EXPECT_TRUE(legacy.is_legacy());
 
   // Without a group-table entry the legacy switch drops.
-  EXPECT_TRUE(legacy.process(packet).empty());
+  EXPECT_TRUE(test::forward(legacy, packet).empty());
   EXPECT_EQ(legacy.stats().drops, 1u);
 
   net::PortBitmap ports{t.leaf_down_ports()};
   ports.set(1);
   ports.set(2);
   legacy.install_srule(g.address, ports);
-  const auto copies = legacy.process(packet);
+  const auto copies = test::forward(legacy, packet);
   ASSERT_EQ(copies.size(), 2u);
   EXPECT_EQ(legacy.stats().srule_matches, 1u);
   for (const auto& copy : copies) {

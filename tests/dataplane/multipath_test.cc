@@ -5,6 +5,7 @@
 #include "dataplane/hypervisor_switch.h"
 #include "dataplane/network_switch.h"
 #include "elmo/controller.h"
+#include "testutil.h"
 
 namespace elmo::dp {
 namespace {
@@ -46,8 +47,8 @@ TEST_F(MultipathFixture, EcmpIsDeterministicPerFlow) {
   NetworkSwitch leaf{topology, topo::Layer::kLeaf, 0};
   ASSERT_EQ(leaf.multipath_mode(), MultipathMode::kEcmp);
   const auto packet = upstream_packet(topology, controller, group, 0);
-  const auto first = leaf.process(packet);
-  const auto second = leaf.process(packet);
+  const auto first = test::forward(leaf, packet);
+  const auto second = test::forward(leaf, packet);
   ASSERT_EQ(first.size(), 1u);
   ASSERT_EQ(second.size(), 1u);
   EXPECT_EQ(first[0].out_port, second[0].out_port);  // same flow, same path
@@ -58,7 +59,7 @@ TEST_F(MultipathFixture, LeastLoadedAlternatesUplinks) {
   leaf.set_multipath_mode(MultipathMode::kLeastLoaded);
   const auto packet = upstream_packet(topology, controller, group, 0);
   // The same flow, repeated: the HULA-style switch balances both uplinks.
-  for (int i = 0; i < 10; ++i) leaf.process(packet);
+  for (int i = 0; i < 10; ++i) test::forward(leaf, packet);
   const auto load0 = leaf.uplink_load(0);
   const auto load1 = leaf.uplink_load(1);
   EXPECT_GT(load0, 0u);
@@ -79,8 +80,8 @@ TEST_F(MultipathFixture, LeastLoadedBeatsEcmpOnSkewedFlows) {
   for (topo::HostId sender = 0; sender < 4; ++sender) {
     const auto packet = upstream_packet(topology, controller, group, sender);
     for (int i = 0; i < 5; ++i) {
-      ecmp_leaf.process(packet);
-      hula_leaf.process(packet);
+      test::forward(ecmp_leaf, packet);
+      test::forward(hula_leaf, packet);
       total += packet.size();
     }
   }
@@ -99,7 +100,7 @@ TEST_F(MultipathFixture, ExplicitUplinksBypassMultipathMode) {
   leaf.set_multipath_mode(MultipathMode::kLeastLoaded);
   const auto packet = upstream_packet(topology, controller, group, 0);
   for (int i = 0; i < 6; ++i) {
-    const auto copies = leaf.process(packet);
+    const auto copies = test::forward(leaf, packet);
     for (const auto& copy : copies) {
       if (copy.out_port >= topology.leaf_down_ports()) {
         // Only the alive plane-1 spine may be used.

@@ -4,6 +4,7 @@
 
 #include "dataplane/hypervisor_switch.h"
 #include "elmo/encoder.h"
+#include "testutil.h"
 
 namespace elmo::dp {
 namespace {
@@ -55,7 +56,7 @@ TEST_F(NetworkSwitchTest, UpstreamLeafDeliversLocallyAndForwardsUp) {
   auto packet = packet_from(/*Ha=*/0, enc);
   NetworkSwitch leaf{topo_, topo::Layer::kLeaf, 0};
 
-  const auto copies = leaf.process(packet);
+  const auto copies = test::forward(leaf, packet);
   ASSERT_EQ(copies.size(), 2u);
   // One copy to the local member Hb (port 1), one up a multipath port.
   bool to_host = false;
@@ -85,11 +86,11 @@ TEST_F(NetworkSwitchTest, UpstreamSpineForwardsToCore) {
   const auto enc = encode();
   auto packet = packet_from(0, enc);
   NetworkSwitch leaf{topo_, topo::Layer::kLeaf, 0};
-  auto up_copy = std::move(leaf.process(packet)[1].packet);
+  auto up_copy = std::move(test::forward(leaf, packet)[1].packet);
 
   // Deliver to the spine behind that port.
   NetworkSwitch spine{topo_, topo::Layer::kSpine, topo_.spine_at(0, 0)};
-  const auto copies = spine.process(up_copy);
+  const auto copies = test::forward(spine, up_copy);
   ASSERT_EQ(copies.size(), 1u);  // no same-pod member leaves for Ha
   EXPECT_GE(copies[0].out_port, topo_.spine_down_ports());
   const auto parsed = codec_.parse(
@@ -103,12 +104,12 @@ TEST_F(NetworkSwitchTest, CoreFansOutPerPodAndPopsItsSection) {
   const auto enc = encode();
   auto packet = packet_from(0, enc);
   NetworkSwitch leaf{topo_, topo::Layer::kLeaf, 0};
-  auto up1 = std::move(leaf.process(packet)[1].packet);
+  auto up1 = std::move(test::forward(leaf, packet)[1].packet);
   NetworkSwitch spine{topo_, topo::Layer::kSpine, topo_.spine_at(0, 0)};
-  auto up2 = std::move(spine.process(up1)[0].packet);
+  auto up2 = std::move(test::forward(spine, up1)[0].packet);
 
   NetworkSwitch core{topo_, topo::Layer::kCore, 0};
-  const auto copies = core.process(up2);
+  const auto copies = test::forward(core, up2);
   ASSERT_EQ(copies.size(), 2u);  // pods 2 and 3
   EXPECT_EQ(copies[0].out_port, 2u);
   EXPECT_EQ(copies[1].out_port, 3u);
@@ -124,14 +125,14 @@ TEST_F(NetworkSwitchTest, DownstreamSpineMatchesPodRuleAndPops) {
   const auto enc = encode();
   auto packet = packet_from(0, enc);
   NetworkSwitch leaf{topo_, topo::Layer::kLeaf, 0};
-  auto up1 = std::move(leaf.process(packet)[1].packet);
+  auto up1 = std::move(test::forward(leaf, packet)[1].packet);
   NetworkSwitch spine0{topo_, topo::Layer::kSpine, topo_.spine_at(0, 0)};
-  auto up2 = std::move(spine0.process(up1)[0].packet);
+  auto up2 = std::move(test::forward(spine0, up1)[0].packet);
   NetworkSwitch core{topo_, topo::Layer::kCore, 0};
-  auto to_pod3 = std::move(core.process(up2)[1].packet);
+  auto to_pod3 = std::move(test::forward(core, up2)[1].packet);
 
   NetworkSwitch spine3{topo_, topo::Layer::kSpine, topo_.spine_at(3, 0)};
-  const auto copies = spine3.process(to_pod3);
+  const auto copies = test::forward(spine3, to_pod3);
   ASSERT_EQ(copies.size(), 2u);  // L6 and L7
   EXPECT_EQ(spine3.stats().prule_matches, 1u);
   for (const auto& copy : copies) {
@@ -146,17 +147,17 @@ TEST_F(NetworkSwitchTest, DownstreamLeafDeliversAndStrips) {
   const auto enc = encode();
   auto packet = packet_from(0, enc);
   NetworkSwitch leaf0{topo_, topo::Layer::kLeaf, 0};
-  auto up1 = std::move(leaf0.process(packet)[1].packet);
+  auto up1 = std::move(test::forward(leaf0, packet)[1].packet);
   NetworkSwitch spine0{topo_, topo::Layer::kSpine, topo_.spine_at(0, 0)};
-  auto up2 = std::move(spine0.process(up1)[0].packet);
+  auto up2 = std::move(test::forward(spine0, up1)[0].packet);
   NetworkSwitch core{topo_, topo::Layer::kCore, 0};
-  auto to_pod3 = std::move(core.process(up2)[1].packet);
+  auto to_pod3 = std::move(test::forward(core, up2)[1].packet);
   NetworkSwitch spine3{topo_, topo::Layer::kSpine, topo_.spine_at(3, 0)};
-  auto spine_out = spine3.process(to_pod3);
+  auto spine_out = test::forward(spine3, to_pod3);
 
   // First copy goes to leaf index 0 of pod 3 = L6 (hosts Hm, Hn members).
   NetworkSwitch leaf6{topo_, topo::Layer::kLeaf, 6};
-  const auto copies = leaf6.process(spine_out[0].packet);
+  const auto copies = test::forward(leaf6, spine_out[0].packet);
   ASSERT_EQ(copies.size(), 2u);
   for (const auto& copy : copies) {
     EXPECT_LT(copy.out_port, topo_.leaf_down_ports());
@@ -193,11 +194,11 @@ TEST_F(NetworkSwitchTest, SRuleFallbackWhenNoPRuleMatches) {
   NetworkSwitch leaf{topo_, topo::Layer::kLeaf, srule_leaf};
   // Without the s-rule installed: no p-rule match; may hit default or drop.
   NetworkSwitch bare{topo_, topo::Layer::kLeaf, srule_leaf};
-  const auto before = bare.process(packet);
+  const auto before = test::forward(bare, packet);
   EXPECT_EQ(bare.stats().srule_matches, 0u);
 
   leaf.install_srule(group_addr_, srule_bitmap);
-  const auto copies = leaf.process(packet);
+  const auto copies = test::forward(leaf, packet);
   EXPECT_EQ(leaf.stats().srule_matches, 1u);
   EXPECT_EQ(copies.size(), srule_bitmap.popcount());
 }
@@ -216,14 +217,14 @@ TEST_F(NetworkSwitchTest, DropWhenNothingMatches) {
     }
   }
   NetworkSwitch outsider{topo_, topo::Layer::kLeaf, 3};
-  EXPECT_TRUE(outsider.process(packet).empty());
+  EXPECT_TRUE(test::forward(outsider, packet).empty());
   EXPECT_EQ(outsider.stats().drops, 1u);
 }
 
 TEST_F(NetworkSwitchTest, RejectsNonIpv4) {
   NetworkSwitch leaf{topo_, topo::Layer::kLeaf, 0};
   net::Packet junk = net::Packet::of_size(60);
-  EXPECT_THROW(leaf.process(junk), std::invalid_argument);
+  EXPECT_THROW(test::forward(leaf, junk), std::invalid_argument);
 }
 
 TEST_F(NetworkSwitchTest, SRuleTableLifecycle) {

@@ -8,6 +8,7 @@
 #include "elmo/header.h"
 #include "elmo/header_corpus.h"
 #include "util/rng.h"
+#include "testutil.h"
 
 namespace elmo {
 namespace {
@@ -60,7 +61,7 @@ TEST(Fuzz, BitflippedHeadersNeverCrashTheSwitchParser) {
   int survived = 0;
   for (const auto& mutated : test::bitflipped(test::encapsulated_probe(t))) {
     try {
-      const auto copies = leaf.process(mutated);
+      const auto copies = test::forward(leaf, mutated);
       ++survived;
       // Fan-out is physically bounded by the port count.
       EXPECT_LE(copies.size(), t.leaf_down_ports() + t.leaf_up_ports());

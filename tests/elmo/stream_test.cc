@@ -302,6 +302,38 @@ TEST(ControlPlane, InstallLagIsRecordedPerEvent) {
   EXPECT_GE(cp.stats().install_lag_seconds.percentile(99), 0.0);
 }
 
+TEST(ControlPlane, RejectedEventLeavesNoTrace) {
+  // A join or leave the controller rejects must throw its exception having
+  // counted nothing, stamped no ingest time and left no span open.
+  StreamWorld w;
+  const auto id = w.make_group(std::vector<std::uint32_t>{0, 4, 8});
+  w.fabric.install_group(w.controller, id);
+
+  obs::Tracer tracer;
+  ControlPlane cp{w.controller, w.fabric, ControlPlaneOptions{100000}};
+  cp.track_group(id);
+  cp.set_tracer(&tracer);
+  EXPECT_THROW(cp.leave(id, w.tenants[0].vm_hosts[12], 12),  // not a member
+               std::invalid_argument);
+  EXPECT_THROW(cp.join(999, Member{0, 0, MemberRole::kBoth}),  // no group
+               std::out_of_range);
+  EXPECT_EQ(cp.stats().events, 0u);
+  EXPECT_EQ(cp.stats().joins, 0u);
+  EXPECT_EQ(cp.stats().leaves, 0u);
+  EXPECT_EQ(cp.pending(), 0u);
+  EXPECT_EQ(tracer.stats().open_spans, 0u);
+  cp.flush();
+  EXPECT_EQ(cp.stats().install_lag_seconds.count(), 0u);
+
+  // The plane still takes the next valid event as its first.
+  cp.join(id, Member{w.tenants[0].vm_hosts[12], 12, MemberRole::kReceiver});
+  cp.flush();
+  EXPECT_EQ(cp.stats().events, 1u);
+  EXPECT_EQ(cp.stats().joins, 1u);
+  EXPECT_EQ(cp.stats().install_lag_seconds.count(), 1u);
+  EXPECT_EQ(tracer.stats().open_spans, 0u);
+}
+
 TEST(ControlPlane, RejectsZeroFlushThreshold) {
   StreamWorld w;
   EXPECT_THROW(

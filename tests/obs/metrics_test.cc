@@ -1,5 +1,5 @@
 // MetricsRegistry unit tests: registration semantics, histogram bucket
-// boundaries, disabled no-ops, collectors, reset, exposition goldens, and a
+// boundaries, disabled no-ops, reset, exposition goldens, and a
 // multi-threaded aggregation check (run under TSan in CI — the per-thread
 // shard design is exactly what this locks in).
 #include "obs/metrics.h"
@@ -118,27 +118,6 @@ TEST(MetricsTest, SnapshotIsSortedByName) {
   EXPECT_EQ(snap.metrics[0].name, "aaa_total");
   EXPECT_EQ(snap.metrics[1].name, "mmm_total");
   EXPECT_EQ(snap.metrics[2].name, "zzz_total");
-}
-
-TEST(MetricsTest, CollectorsRunAtScrapeAndMerge) {
-  MetricsRegistry reg;
-  reg.add(reg.counter("hits_total"), 10);
-  int pulls = 0;
-  reg.register_collector("mod", [&pulls](CollectorSink& sink) {
-    ++pulls;
-    sink.counter("hits_total", 5);  // merges into the registry counter
-    sink.gauge("mod_gauge", 1.5);
-  });
-  auto snap = reg.snapshot();
-  EXPECT_EQ(pulls, 1);
-  EXPECT_EQ(snap.value("hits_total"), 15.0);
-  EXPECT_EQ(snap.value("mod_gauge"), 1.5);
-
-  reg.unregister_collector("mod");
-  snap = reg.snapshot();
-  EXPECT_EQ(pulls, 1);  // not invoked again
-  EXPECT_EQ(snap.value("hits_total"), 10.0);
-  EXPECT_EQ(snap.find("mod_gauge"), nullptr);
 }
 
 TEST(MetricsTest, ResetZeroesEverything) {

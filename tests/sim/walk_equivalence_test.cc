@@ -72,7 +72,7 @@ class ReferenceWalk {
   void deliver(topo::Layer layer, std::uint32_t id, const net::Packet& packet,
                std::size_t hops, sim::SendResult& result) {
     result.max_hops = std::max(result.max_hops, hops);
-    auto copies = switch_at(layer, id).process(packet);
+    auto copies = test::forward(switch_at(layer, id), packet);
     for (auto& copy : copies) {
       const auto [next_layer, next_id] = neighbor(layer, id, copy.out_port);
       account(copy.packet.size(), result);

@@ -8,6 +8,7 @@
 
 #include "dataplane/forwarding.h"
 #include "dataplane/hypervisor_switch.h"
+#include "dataplane/network_switch.h"
 #include "net/packet.h"
 #include "net/packet_view.h"
 #include "topology/clos.h"
@@ -43,6 +44,25 @@ inline std::vector<Delivery> receive(dp::HypervisorSwitch& hv,
                                   e.packet.size()});
   }
   return deliveries;
+}
+
+// One emission of a switch forward, materialized into its own packet.
+struct Copy {
+  std::size_t out_port = 0;
+  net::Packet packet;
+};
+
+// Runs `sw`'s pipeline on a standalone packet (with a fresh arena, so no
+// section index carries over between calls) and returns its emissions in
+// order.
+inline std::vector<Copy> forward(dp::NetworkSwitch& sw,
+                                 const net::Packet& packet) {
+  dp::EmissionArena arena;
+  std::vector<Copy> copies;
+  for (const auto& e : sw.process(net::PacketView{packet.bytes()}, arena)) {
+    copies.push_back(Copy{e.out_port, e.packet.materialize()});
+  }
+  return copies;
 }
 
 }  // namespace elmo::test
