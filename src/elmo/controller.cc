@@ -145,6 +145,16 @@ const GroupState& Controller::group(GroupId group) const {
   return *groups_[live_index(group)];
 }
 
+void Controller::check_hosts(std::span<const Member> members) const {
+  for (const auto& m : members) {
+    if (m.host >= topo_->num_hosts()) {
+      throw std::out_of_range{"Controller: member host " +
+                              std::to_string(m.host) +
+                              " is outside the topology"};
+    }
+  }
+}
+
 bool Controller::has_group(GroupId group) const {
   return group < groups_.size() && groups_[group].has_value();
 }
@@ -219,6 +229,7 @@ void Controller::commit_membership(GroupState& g, topo::HostId host,
 
 GroupId Controller::create_group(std::uint32_t tenant,
                                  std::span<const Member> members) {
+  check_hosts(members);
   const auto id = static_cast<GroupId>(groups_.size());
   GroupState g;
   g.tenant = tenant;
@@ -242,6 +253,7 @@ std::vector<GroupId> Controller::create_groups(
   std::vector<GroupId> ids;
   ids.reserve(specs.size());
   if (specs.empty()) return ids;
+  for (const auto& spec : specs) check_hosts(spec.members);
 
   const auto base = groups_.size();
   groups_.resize(base + specs.size());
@@ -385,6 +397,7 @@ void Controller::remove_group(GroupId group) {
 
 void Controller::join(GroupId group, const Member& member) {
   auto& g = state(group);
+  check_hosts(std::span{&member, 1});
   g.members.push_back(member);
   ELMO_METRIC(reg.add(controller_metric_ids().joins));
   commit_membership(g, member.host, can_receive(member.role));

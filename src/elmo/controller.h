@@ -99,6 +99,8 @@ class Controller {
   }
 
   // --- group lifecycle (tenant-facing API, paper §2) ----------------------
+  // create_group, create_groups and join throw std::out_of_range for a
+  // member host outside the topology, before any state changes.
   GroupId create_group(std::uint32_t tenant, std::span<const Member> members);
 
   // Bulk creation request for create_groups; `members` must stay alive for
@@ -173,6 +175,8 @@ class Controller {
   // `group` if it names a live group; throws std::out_of_range otherwise.
   std::size_t live_index(GroupId group) const;
   GroupState& state(GroupId group);
+  // Throws std::out_of_range if a member's host is outside the topology.
+  void check_hosts(std::span<const Member> members) const;
   // Recomputes tree and encoding; returns the encoding it replaced.
   GroupEncoding reencode(GroupState& g);
   // `hosts` (made sorted and unique) plus every physical s-rule slot whose

@@ -117,20 +117,6 @@ ControlPlane::ControlPlane(Controller& controller, sim::Fabric& fabric,
   }
 }
 
-void ControlPlane::ingest(const Event& event) {
-  switch (event.kind) {
-    case Event::Kind::kJoin:
-      join(event.group, event.member);
-      break;
-    case Event::Kind::kLeave:
-      leave(event.group, event.member.host, event.member.vm);
-      break;
-    case Event::Kind::kHostFail:
-      host_fail(event.host);
-      break;
-  }
-}
-
 void ControlPlane::join(GroupId group, const Member& member) {
   const auto ingested = std::chrono::steady_clock::now();
   const auto root = trace_event_begin(

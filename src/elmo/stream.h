@@ -37,15 +37,6 @@
 
 namespace elmo::stream {
 
-// One membership mutation arriving at the controller.
-struct Event {
-  enum class Kind : std::uint8_t { kJoin, kLeave, kHostFail };
-  Kind kind = Kind::kJoin;
-  GroupId group = 0;      // kJoin / kLeave
-  Member member;          // kJoin: joiner; kLeave: (host, vm) of the leaver
-  topo::HostId host = 0;  // kHostFail: every member VM on this host leaves
-};
-
 struct ControlPlaneOptions {
   // Pending rule updates that trigger an automatic flush. 1 = install every
   // event immediately; larger values trade install lag for batching.
@@ -86,7 +77,6 @@ class ControlPlane final : public MembershipDriver {
                ControlPlaneOptions options = {});
 
   // --- event ingestion -----------------------------------------------------
-  void ingest(const Event& event);
   // MembershipDriver: lets a ChurnSimulator stream through this plane.
   // An event the controller rejects (unknown group, non-member leave)
   // rethrows its exception having counted nothing, stamped no ingest time

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <exception>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -65,13 +64,16 @@ std::string describe(const Member& m) {
 class Runner {
  public:
   Runner(const Scenario& scenario, Mutation mutation,
-         const RunObservability* observability, const RunOptions& options)
+         const RunObservability* observability)
       : sc_{scenario},
         mutation_{mutation},
-        options_{options},
         topo_{scenario.params},
         controller_{topo_, scenario.config},
         fabric_{topo_},
+        // Threshold 1: every event's delta reaches the wire before the next
+        // oracle diff, so a divergence is pinned to the event that caused it.
+        plane_{controller_, fabric_,
+               stream::ControlPlaneOptions{/*flush_threshold=*/1}},
         legacy_{scenario.legacy_leaves},
         oracle_{topo_, scenario.legacy_leaves} {
     if (!legacy_.empty()) legacy_.resize(topo_.num_leaves(), false);
@@ -80,9 +82,8 @@ class Runner {
       captures_ = observability->captures;
       ts_ = observability->timeseries;
       health_ = observability->health;
-      tracer_ = observability->tracer;
-      fabric_.set_tracer(tracer_);
-      fabric_.set_recorder(tracer_);
+      plane_.set_tracer(observability->tracer);  // the plane and its fabric
+      fabric_.set_recorder(observability->tracer);
     }
     // The runner always walks with provenance attached: every diff it
     // reports carries the send's annotated decision tree (DESIGN.md §10).
@@ -123,10 +124,8 @@ class Runner {
     if (ts_ == nullptr) return;
     fabric_.sample_into(*ts_);
     ts_->append("elmo_expect_vm_deliveries_total", expected_vm_total_);
-    if (plane_.has_value()) {
-      ts_->append("elmo_stream_install_lag_p99_seconds",
-                  plane_->stats().install_lag_seconds.percentile(0.99));
-    }
+    ts_->append("elmo_stream_install_lag_p99_seconds",
+                plane_.stats().install_lag_seconds.percentile(0.99));
     ts_->advance();
     if (health_ != nullptr) health_->tick();
   }
@@ -155,19 +154,12 @@ class Runner {
           g.tenant, std::span<const Member>{g.members}));
       oracle_.create_group(g.members);
     }
-    for (std::size_t gi = 0; gi < ids_.size(); ++gi) {
-      fabric_.install_group(controller_, ids_[gi]);
-    }
-    if (options_.delta_installs) {
-      // Threshold 1: every event's delta reaches the wire before the next
-      // oracle diff, so a divergence is pinned to the event that caused it.
-      plane_.emplace(controller_, fabric_,
-                     stream::ControlPlaneOptions{/*flush_threshold=*/1});
-      if (tracer_ != nullptr) plane_->set_tracer(tracer_);
-      for (const auto id : ids_) plane_->track_group(id);
+    for (const auto id : ids_) {
+      fabric_.install_group(controller_, id);
+      plane_.track_group(id);
     }
     select_mutation_target();
-    apply_fabric_mutation();
+    apply_fabric_mutation(fabric_);
     diff_membership("after setup");
     if (failed_) return;
     diff_fabric_state("after setup");
@@ -179,25 +171,13 @@ class Runner {
       case EventKind::kJoin: {
         const auto id = ids_.at(ev.group_index);
         const bool stale = mutation_ == Mutation::kSkipMirrorUpdate;
-        if (plane_.has_value()) {
-          if (stale) {
-            // Behind the plane's back: the fabric goes stale.
-            controller_.join(id, ev.member);
-            applied_ = true;
-          } else {
-            plane_->join(id, ev.member);
-            plane_->flush();
-            apply_fabric_mutation();
-          }
-        } else {
-          if (!stale) fabric_.uninstall_group(controller_, id);
+        if (stale) {
+          // Behind the plane's back: the fabric goes stale.
           controller_.join(id, ev.member);
-          if (stale) {
-            applied_ = true;
-          } else {
-            fabric_.install_group(controller_, id);
-            apply_fabric_mutation();
-          }
+          applied_ = true;
+        } else {
+          plane_.join(id, ev.member);
+          sync();
         }
         oracle_.join(ev.group_index, ev.member);
         diff_membership(at);
@@ -208,9 +188,7 @@ class Runner {
       case EventKind::kLeave: {
         const auto id = ids_.at(ev.group_index);
         const bool stale = mutation_ == Mutation::kSkipMirrorUpdate;
-        if (!stale && !plane_.has_value()) {
-          fabric_.uninstall_group(controller_, id);
-        }
+        Member leaver = ev.member;
         if (mutation_ == Mutation::kLeaveByHostOnly) {
           // The pre-fix churn bug: leave by host alone removes the FIRST
           // member on the host, which under co-location may not be the VM
@@ -219,32 +197,21 @@ class Runner {
           const auto first = std::find_if(
               members.begin(), members.end(),
               [&](const Member& m) { return m.host == ev.member.host; });
-          const Member victim = first != members.end() ? *first : ev.member;
-          if (victim.vm != ev.member.vm) applied_ = true;
-          // Delta mode streams the wrong victim's leave through the plane,
-          // so the harness fault stays upstream of it.
-          if (plane_.has_value()) {
-            plane_->leave(id, victim.host, victim.vm);
-          } else {
-            controller_.leave(id, victim.host, victim.vm);
-          }
-        } else if (plane_.has_value() && !stale) {
-          plane_->leave(id, ev.member.host, ev.member.vm);
+          // The wrong victim's leave streams through the plane, so the
+          // harness fault stays upstream of it.
+          if (first != members.end()) leaver = *first;
+          if (leaver.vm != ev.member.vm) applied_ = true;
+        }
+        if (stale) {
+          controller_.leave(id, leaver.host, leaver.vm);
+          applied_ = true;
         } else {
-          controller_.leave(id, ev.member.host, ev.member.vm);
+          plane_.leave(id, leaver.host, leaver.vm);
+          sync();
         }
         if (!oracle_.leave(ev.group_index, ev.member.host, ev.member.vm)) {
           fail(at + ": oracle mirror missing member " + describe(ev.member));
           return;
-        }
-        if (stale) {
-          applied_ = true;
-        } else if (plane_.has_value()) {
-          plane_->flush();
-          apply_fabric_mutation();
-        } else {
-          fabric_.install_group(controller_, id);
-          apply_fabric_mutation();
         }
         diff_membership(at);
         if (failed_) return;
@@ -291,24 +258,16 @@ class Runner {
           }
           if (!on_host.empty()) affected.emplace_back(gi, std::move(on_host));
         }
-        if (plane_.has_value() && !stale) {
-          plane_->host_fail(host);
-          plane_->flush();
-          apply_fabric_mutation();
-        } else {
+        if (stale) {
           for (const auto& [gi, members] : affected) {
-            const auto id = ids_.at(gi);
-            if (!stale) fabric_.uninstall_group(controller_, id);
             for (const auto& m : members) {
-              controller_.leave(id, m.host, m.vm);
+              controller_.leave(ids_.at(gi), m.host, m.vm);
             }
-            if (!stale) fabric_.install_group(controller_, id);
           }
-          if (stale) {
-            applied_ = !affected.empty() || applied_;
-          } else {
-            apply_fabric_mutation();
-          }
+          applied_ = !affected.empty() || applied_;
+        } else {
+          plane_.host_fail(host);
+          sync();
         }
         for (const auto& [gi, members] : affected) {
           for (const auto& m : members) {
@@ -326,30 +285,30 @@ class Runner {
     }
   }
 
-  // Failures change only sender headers (upstream re-routing); refresh every
-  // hypervisor template but leave switch s-rules alone. Delta mode streams
-  // the same resync through the plane: refresh_all re-diffs every tracked
-  // group and only the rules the failure actually changed hit the wire.
+  // Lands the plane's queued deltas, then re-seeds the fabric-side fault so
+  // an install cannot silently heal it.
+  void sync() {
+    plane_.flush();
+    apply_fabric_mutation(fabric_);
+  }
+
+  // Failures change only sender headers (upstream re-routing): refresh_all
+  // re-diffs every tracked group and only the rules the failure actually
+  // changed hit the wire.
   void resync_headers() {
-    if (plane_.has_value()) {
-      plane_->refresh_all();
-      plane_->flush();
-    } else {
-      for (std::size_t gi = 0; gi < ids_.size(); ++gi) {
-        fabric_.install_group(controller_, ids_[gi]);
-      }
-    }
-    apply_fabric_mutation();
+    plane_.refresh_all();
+    sync();
     diff_fabric_state("after failure resync");
   }
 
-  // Continuous churn oracle (delta mode only): after every membership or
-  // failure event, the live fabric's installed state must digest-equal a
-  // fresh batch install of the controller's current encodings. Catches
+  // Continuous churn oracle: after every membership or failure event, the
+  // live fabric's installed state must digest-equal a fresh batch install
+  // of the controller's current encodings, with the same fabric-side fault
+  // seeded (so a mutation is left for the send checks to catch). Catches
   // stale rules, missed deltas, and leaked state the send-level differ
   // would only notice if a later send happened to traverse them.
   void diff_fabric_state(const std::string& at) {
-    if (!options_.delta_installs || failed_) return;
+    if (failed_) return;
     sim::Fabric reference{topo_};
     if (!legacy_.empty()) {
       for (topo::LeafId l = 0; l < topo_.num_leaves(); ++l) {
@@ -357,6 +316,7 @@ class Runner {
       }
     }
     for (const auto id : ids_) reference.install_group(controller_, id);
+    apply_fabric_mutation(reference);
     if (stream::fabric_state_digest(fabric_) !=
         stream::fabric_state_digest(reference)) {
       fail(at + ": delta-installed fabric state diverges from a fresh batch "
@@ -638,9 +598,10 @@ class Runner {
     }
   }
 
-  // (Re-)seeds the fabric-side fault. Called after every fabric sync so
-  // reinstalls cannot silently heal the mutation.
-  void apply_fabric_mutation() {
+  // (Re-)seeds the fabric-side fault into `fabric`: the live fabric after
+  // every sync, so reinstalls cannot silently heal the mutation, and the
+  // batch-install reference of diff_fabric_state.
+  void apply_fabric_mutation(sim::Fabric& fabric) {
     if (!target_found_) return;
     const auto id = ids_.at(target_gi_);
     const auto& g = controller_.group(id);
@@ -657,14 +618,14 @@ class Runner {
               g.tree->sender_route(host, controller_.failures());
           auto header =
               controller_.encoder().codec().serialize(route.encoding, mutated);
-          fabric_.hypervisor(host).install_flow(
+          fabric.hypervisor(host).install_flow(
               g.address, build_flow(g, host, std::move(header)));
         }
         applied_ = true;
         break;
       }
       case Mutation::kDropSRule:
-        fabric_.leaf(target_switch_).remove_srule(g.address);
+        fabric.leaf(target_switch_).remove_srule(g.address);
         applied_ = true;
         break;
       case Mutation::kDropLocalVm: {
@@ -679,16 +640,16 @@ class Runner {
             std::find(flow.local_vms.begin(), flow.local_vms.end(), target_vm_);
         if (it == flow.local_vms.end()) return;  // churned away; keep prior
         flow.local_vms.erase(it);
-        fabric_.hypervisor(target_host_).install_flow(g.address,
-                                                      std::move(flow));
+        fabric.hypervisor(target_host_).install_flow(g.address,
+                                                     std::move(flow));
         applied_ = true;
         break;
       }
       case Mutation::kWrongSenderHeader: {
         auto flow = build_flow(g, target_host_,
                                controller_.header_for(id, target_other_));
-        fabric_.hypervisor(target_host_).install_flow(g.address,
-                                                      std::move(flow));
+        fabric.hypervisor(target_host_).install_flow(g.address,
+                                                     std::move(flow));
         applied_ = true;
         break;
       }
@@ -699,18 +660,14 @@ class Runner {
 
   const Scenario& sc_;
   Mutation mutation_;
-  RunOptions options_;
   topo::ClosTopology topo_;
   Controller controller_;
   sim::Fabric fabric_;
-  // Engaged only in delta mode (RunOptions::delta_installs); emplaced in
-  // setup() once the initial bulk install is in the fabric.
-  std::optional<stream::ControlPlane> plane_;
+  stream::ControlPlane plane_;
   obs::MetricsRegistry* registry_ = nullptr;
   std::vector<SendCapture>* captures_ = nullptr;
   obs::TimeSeriesStore* ts_ = nullptr;
   obs::HealthMonitor* health_ = nullptr;
-  obs::Tracer* tracer_ = nullptr;
   double expected_vm_total_ = 0;  // oracle-side VM-delivery running total
   obs::ProvenanceLog prov_log_;
   std::string pending_explanation_;
@@ -734,9 +691,8 @@ class Runner {
 }  // namespace
 
 RunReport run_scenario(const Scenario& scenario, Mutation mutation,
-                       const RunObservability* observability,
-                       const RunOptions& options) {
-  Runner runner{scenario, mutation, observability, options};
+                       const RunObservability* observability) {
+  Runner runner{scenario, mutation, observability};
   return runner.run();
 }
 

@@ -1,9 +1,16 @@
 // Differential runner: executes one Scenario through the REAL pipeline
 // (Controller encode -> bit-exact header codec -> sim::Fabric event-queue
 // walk) and diffs every observable against the set-based DeliveryOracle and
-// the analytic TrafficEvaluator:
+// the analytic TrafficEvaluator. Every membership and failure event reaches
+// the fabric the way a live controller's does: through
+// stream::ControlPlane (flush threshold 1), as re-encodes and rule deltas
+// over the p4rt wire channel.
 //
 //   * after every membership event: controller member list == oracle mirror;
+//   * after every membership or failure event: the installed fabric state
+//     digest-equals a fresh batch install of the controller's encodings
+//     (stream::fabric_state_digest), so streamed deltas never drift from a
+//     from-scratch install;
 //   * per send: every oracle-expected host got a copy (exactly one unless
 //     failures legitimize duplicates), the sender host got none, per-VM
 //     deliveries match copies x mirrored receiving VMs, switch hop count
@@ -14,6 +21,8 @@
 // fault into the pipeline (bit-flipped header templates, dropped s-rules or
 // flow VMs, stale mirrors, the pre-fix leave-by-host-only churn bug) and a
 // run is only useful evidence if the differ CATCHES it (applied && !ok).
+// A fabric-side fault is seeded into the batch-install reference too, so
+// the digest check stays silent and the send checks must catch it.
 #pragma once
 
 #include <array>
@@ -104,36 +113,21 @@ struct RunObservability {
   std::vector<SendCapture>* captures = nullptr;
   // Live health taps (DESIGN.md §14): when `timeseries` is set, the runner
   // closes one sampling window per scenario event (fabric counters, the
-  // oracle-expected VM-delivery total, and — in delta mode — the streaming
-  // plane's install-lag p99) and, when `health` is also set, ticks the
+  // oracle-expected VM-delivery total, and the streaming plane's
+  // install-lag p99) and, when `health` is also set, ticks the
   // monitor after each window. A clean fuzz run thus doubles as a
   // zero-false-positive check for the detectors.
   obs::TimeSeriesStore* timeseries = nullptr;
   obs::HealthMonitor* health = nullptr;
   // Causal tracer (DESIGN.md §15): attached to the fabric as both its
-  // time-to-effect tracer and its hop tracer and — in delta mode — to the
-  // streaming control plane, so churn events, installs, every send's hops
-  // and time-to-effect closures land on one timeline.
+  // time-to-effect tracer and its hop tracer and to the streaming control
+  // plane, so churn events, installs, every send's hops and time-to-effect
+  // closures land on one timeline.
   obs::Tracer* tracer = nullptr;
-};
-
-// Execution knobs for one run.
-struct RunOptions {
-  // Route membership churn through the streaming control plane
-  // (elmo::stream::ControlPlane): each join/leave is re-encoded
-  // incrementally and installed as coalesced rule DELTAS over the p4rt wire
-  // channel, instead of uninstall_group + install_group of the whole group
-  // per event. After every membership or failure event the installed fabric
-  // state is additionally digest-diffed against a freshly batch-installed
-  // reference fabric — the continuous churn oracle: streamed deltas must
-  // leave the fabric byte-identical to a from-scratch install at every
-  // step, not just at the end of the run.
-  bool delta_installs = false;
 };
 
 RunReport run_scenario(const Scenario& scenario,
                        Mutation mutation = Mutation::kNone,
-                       const RunObservability* observability = nullptr,
-                       const RunOptions& options = RunOptions{});
+                       const RunObservability* observability = nullptr);
 
 }  // namespace elmo::verify

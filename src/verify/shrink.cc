@@ -42,8 +42,8 @@ std::size_t hosts_of(const topo::ClosParams& p) {
 
 class Shrinker {
  public:
-  Shrinker(Mutation mutation, std::size_t budget, const RunOptions& options)
-      : mutation_{mutation}, budget_{budget}, options_{options} {}
+  Shrinker(Mutation mutation, std::size_t budget)
+      : mutation_{mutation}, budget_{budget} {}
 
   Scenario minimize(Scenario best) {
     normalize(best);
@@ -65,7 +65,7 @@ class Shrinker {
     --budget_;
     Scenario copy = candidate;
     normalize(copy);
-    return !run_scenario(copy, mutation_, nullptr, options_).ok;
+    return !run_scenario(copy, mutation_).ok;
   }
 
   bool accept(Scenario& best, Scenario candidate) {
@@ -138,7 +138,6 @@ class Shrinker {
 
   Mutation mutation_;
   std::size_t budget_;
-  RunOptions options_;
 };
 
 const char* role_token(MemberRole role) {
@@ -182,8 +181,8 @@ void emit_member(std::ostringstream& out, const Member& m) {
 }  // namespace
 
 Scenario shrink(const Scenario& failing, Mutation mutation,
-                std::size_t budget, const RunOptions& options) {
-  return Shrinker{mutation, budget, options}.minimize(failing);
+                std::size_t budget) {
+  return Shrinker{mutation, budget}.minimize(failing);
 }
 
 std::string to_fixture(const Scenario& scenario) {

@@ -19,12 +19,10 @@
 namespace elmo::verify {
 
 // Returns the smallest still-failing scenario found within `budget`
-// candidate runs. If `failing` does not actually fail under `mutation` and
-// `options`, it is returned unchanged. Pass the RunOptions of the failing
-// run (e.g. delta_installs) so candidates reproduce the same pipeline.
+// candidate runs. If `failing` does not actually fail under `mutation`, it
+// is returned unchanged.
 Scenario shrink(const Scenario& failing, Mutation mutation = Mutation::kNone,
-                std::size_t budget = 600,
-                const RunOptions& options = RunOptions{});
+                std::size_t budget = 600);
 
 // Self-contained C++ test fixture reproducing `scenario`.
 std::string to_fixture(const Scenario& scenario);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "elmo/churn.h"
 
 namespace elmo {
@@ -79,6 +81,75 @@ TEST(Controller, LeaveUnknownMemberThrows) {
   Controller controller{t, EncoderConfig{}};
   const auto id = controller.create_group(0, members_of({0, 1}));
   EXPECT_THROW(controller.leave(id, 42, 0), std::invalid_argument);
+}
+
+// Per-switch s-rule occupancy, leaves then spines.
+std::vector<std::size_t> occupancy(Controller& controller,
+                                   const topo::ClosTopology& t) {
+  std::vector<std::size_t> out;
+  for (topo::LeafId l = 0; l < t.num_leaves(); ++l) {
+    out.push_back(controller.srule_space().leaf_occupancy(l));
+  }
+  for (topo::SpineId s = 0; s < t.num_spines(); ++s) {
+    out.push_back(controller.srule_space().spine_occupancy(s));
+  }
+  return out;
+}
+
+TEST(Controller, RejectedJoinOfHostOutsideTopologyChangesNothing) {
+  const auto t = small();
+  EncoderConfig cfg;
+  cfg.hmax_leaf_override = 1;  // s-rules in play, so reservations show
+  Controller controller{t, cfg};
+  std::vector<Member> members;
+  for (std::uint32_t i = 0; i < 16; ++i) {
+    members.push_back(Member{static_cast<topo::HostId>(i * 4), i,
+                             MemberRole::kBoth});
+  }
+  const auto id = controller.create_group(0, members);
+  const auto encoding = controller.group(id).encoding;
+  ASSERT_GT(encoding.s_rule_count(), 0u);
+  const auto reserved = occupancy(controller, t);
+
+  const auto outside = static_cast<topo::HostId>(t.num_hosts());
+  for (const auto role : {MemberRole::kReceiver, MemberRole::kSender}) {
+    EXPECT_THROW(controller.join(id, Member{outside, 99, role}),
+                 std::out_of_range);
+    EXPECT_EQ(controller.group(id).members.size(), members.size());
+    EXPECT_EQ(controller.group(id).encoding, encoding);
+    EXPECT_EQ(occupancy(controller, t), reserved);
+  }
+
+  // The group is not wedged: a valid join and leave still go through.
+  controller.join(id, Member{1, 98, MemberRole::kReceiver});
+  EXPECT_EQ(controller.group(id).members.size(), members.size() + 1);
+  controller.leave(id, 1, 98);
+  EXPECT_EQ(controller.group(id).members.size(), members.size());
+  EXPECT_EQ(controller.group(id).encoding, encoding);
+}
+
+TEST(Controller, RejectedCreateOfHostOutsideTopologyLeavesNoGroup) {
+  const auto t = small();
+  Controller controller{t, EncoderConfig{}};
+  const auto first = controller.create_group(0, members_of({0, 5}));
+  const auto outside = static_cast<topo::HostId>(t.num_hosts());
+  const std::vector<Member> bad{Member{3, 0, MemberRole::kBoth},
+                                Member{outside, 1, MemberRole::kReceiver}};
+  const auto good = members_of({1, 9});
+
+  EXPECT_THROW(controller.create_group(0, bad), std::out_of_range);
+  EXPECT_EQ(controller.num_groups(), 1u);
+  EXPECT_EQ(controller.group_ids(), std::vector<GroupId>{first});
+
+  const std::vector<Controller::GroupSpec> specs{{0, good}, {0, bad}};
+  EXPECT_THROW(controller.create_groups(specs), std::out_of_range);
+  EXPECT_EQ(controller.num_groups(), 1u);
+  EXPECT_EQ(controller.group_ids(), std::vector<GroupId>{first});
+
+  // Ids stay dense: the next valid group takes the next id.
+  const auto next = controller.create_group(0, good);
+  EXPECT_EQ(next, first + 1);
+  EXPECT_EQ(controller.num_groups(), 2u);
 }
 
 TEST(Controller, SenderOnlyJoinUpdatesOneHypervisor) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "elmo/churn.h"
@@ -332,6 +333,59 @@ TEST(ControlPlane, RejectedEventLeavesNoTrace) {
   EXPECT_EQ(cp.stats().joins, 1u);
   EXPECT_EQ(cp.stats().install_lag_seconds.count(), 1u);
   EXPECT_EQ(tracer.stats().open_spans, 0u);
+}
+
+TEST(FabricStateDigest, SeesEveryRuleFaultButNotLocalVmOrder) {
+  // The harness's continuous state diff rests on this digest: a dropped
+  // s-rule, a dropped local VM and one flipped header byte must each change
+  // it, while a permuted local_vms list (streamed joins append in event
+  // order) must not.
+  StreamWorld w{EncoderKind::kElmo, 80};
+  const auto id =
+      w.make_group(std::vector<std::uint32_t>{0, 1, 20, 24, 40, 44, 60, 76});
+  const auto& g = w.controller.group(id);
+  ASSERT_FALSE(g.encoding.leaf.s_rules.empty());
+  const auto srule_leaf = g.encoding.leaf.s_rules.front().first;
+  const topo::HostId host = w.tenants[0].vm_hosts[0];  // VMs 0 and 1
+
+  const auto digest_with = [&](const auto& fault) {
+    sim::Fabric fabric{w.topology};
+    fabric.install_group(w.controller, id);
+    fault(fabric);
+    return fabric_state_digest(fabric);
+  };
+  const auto edit_flow = [&](const auto& edit) {
+    return [&, edit](sim::Fabric& fabric) {
+      auto flow = *fabric.hypervisor(host).flow(g.address);
+      edit(flow);
+      fabric.hypervisor(host).install_flow(g.address, std::move(flow));
+    };
+  };
+  using Flow = dp::HypervisorSwitch::GroupFlow;
+
+  const auto clean = digest_with([](sim::Fabric&) {});
+  {
+    sim::Fabric fabric{w.topology};
+    fabric.install_group(w.controller, id);
+    const auto* flow = fabric.hypervisor(host).flow(g.address);
+    ASSERT_NE(flow, nullptr);
+    ASSERT_EQ(flow->local_vms.size(), 2u);
+    ASSERT_FALSE(flow->elmo_header.empty());
+  }
+  EXPECT_NE(digest_with([&](sim::Fabric& f) {
+              f.leaf(srule_leaf).remove_srule(g.address);
+            }),
+            clean);
+  EXPECT_NE(digest_with(edit_flow([](Flow& f) { f.local_vms.pop_back(); })),
+            clean);
+  EXPECT_NE(digest_with(edit_flow([](Flow& f) {
+              f.elmo_header[f.elmo_header.size() / 2] ^= 0x01;
+            })),
+            clean);
+  EXPECT_EQ(digest_with(edit_flow([](Flow& f) {
+              std::reverse(f.local_vms.begin(), f.local_vms.end());
+            })),
+            clean);
 }
 
 TEST(ControlPlane, RejectsZeroFlushThreshold) {

@@ -144,14 +144,18 @@ TEST(WalkMetricsTest, HopTracerCapturesTheWalk) {
       verify::run_scenario(sc, verify::Mutation::kNone, &observability);
   ASSERT_TRUE(report.ok) << report.failure;
 
-  // One "send" span per fabric walk, one hop span per work item.
+  // One "send" span per fabric walk, one hop span per work item. The
+  // streaming plane's churn and install spans share the tracer; they are
+  // neither.
   const auto snap = registry.snapshot();
   std::size_t sends = 0, hops = 0;
   for (const auto& rec : tracer.snapshot()) {
     if (rec.kind != obs::SpanRecord::Kind::kSpan) continue;
-    if (std::string_view{rec.name} == "send") {
+    const std::string_view name{rec.name};
+    if (name == "send") {
       ++sends;
-    } else {
+    } else if (name == "host" || name == "leaf" || name == "spine" ||
+               name == "core") {
       ++hops;
     }
   }

@@ -2,11 +2,13 @@
 //
 // Plain mode walks SEEDS consecutive seeds (starting at BASE_SEED), runs
 // each generated scenario through the full pipeline (Controller encode ->
-// header codec -> sim::Fabric walk), and diffs every observable against the
-// set-based DeliveryOracle. The first divergence prints its seed, shrinks to
-// a minimal repro, and emits a ready-to-paste GoogleTest fixture — plus,
+// header codec -> streaming control plane delta installs -> sim::Fabric
+// walk), and diffs every observable against the set-based DeliveryOracle,
+// and the installed fabric state against a fresh batch install after every
+// membership or failure event. The first divergence prints its seed, shrinks
+// to a minimal repro, and emits a ready-to-paste GoogleTest fixture — plus,
 // alongside it, the failing scenario's metrics snapshot, chrome trace
-// (send/hop spans, plus churn spans in delta mode), and per-send
+// (send/hop, churn and install spans), and per-send
 // decision-tree explanations (fuzz_seed_<N>.metrics.prom
 // / .metrics.json / .trace.json / .explain.txt), so triage starts from
 // counters and attributed deliveries instead of a rerun.
@@ -14,7 +16,8 @@
 // Mutation mode (--mutate=1) validates the harness itself: every known
 // fault in the catalog is seeded into the pipeline and MUST be caught by
 // the differ on some seed — a mutation that survives means the harness has
-// a blind spot and the run fails.
+// a blind spot and the run fails. With --churn_events the mutated
+// scenarios carry the extra churn too.
 //
 // Flags (KEY=VALUE, --key=value, or ELMO_<KEY> env):
 //   --seeds=N        seeds to walk (default 50)
@@ -28,18 +31,11 @@
 //   --metrics=<path> aggregate telemetry over the whole campaign; written at
 //                    exit ("-" = stderr, ".json" = JSON dump)
 //   --trace=<path>   single-seed replay only: record one chrome://tracing
-//                    timeline of the run (every send and its hops; with
-//                    --churn_events also churn, install and time-to-effect
-//                    spans)
+//                    timeline of the run (every send and its hops, churn,
+//                    install and time-to-effect spans)
 //   --artifacts=DIR  where failing-seed dumps land (default ".")
 //   --churn_events=N append N extra churn events (join/leave-biased, with
-//                    periodic sends) to every scenario and run it through
-//                    the STREAMING control plane: incremental re-encode +
-//                    coalesced delta installs over the p4rt wire channel,
-//                    with the installed fabric state digest-diffed against
-//                    a fresh batch install after every event (default 0)
-//   --delta=1        delta installs + continuous state diff without extra
-//                    churn events (implied by --churn_events)
+//                    periodic sends) to every scenario (default 0)
 //
 // Replaying a CI failure: tools/fuzz_pipeline --seed=<reported seed>
 #include <cstdio>
@@ -75,10 +71,6 @@ struct Options {
   std::optional<EncoderKind> encoder;
   // Extra churn events appended to every scenario (--churn_events=N).
   std::size_t churn_events = 0;
-  // Stream membership events through elmo::stream::ControlPlane as delta
-  // installs, with the continuous fabric-state diff (--delta, implied by
-  // --churn_events).
-  bool delta_installs = false;
 };
 
 // Salt for the appended-churn rng stream; any fixed value works, it only
@@ -103,10 +95,8 @@ void dump_failure_artifacts(const Scenario& scenario, const Options& opt) {
   std::vector<elmo::verify::SendCapture> captures;
   RunObservability observability{&registry, &captures};
   observability.tracer = &tracer;
-  elmo::verify::RunOptions run_options;
-  run_options.delta_installs = opt.delta_installs;
-  const auto replay = elmo::verify::run_scenario(
-      scenario, Mutation::kNone, &observability, run_options);
+  const auto replay =
+      elmo::verify::run_scenario(scenario, Mutation::kNone, &observability);
 
   const auto stem = opt.artifacts + "/fuzz_seed_" +
                     std::to_string(scenario.seed) + "_" +
@@ -146,21 +136,14 @@ void report_failure(const Scenario& scenario, const RunReport& report,
   }
   if (opt.churn_events > 0) {
     replay_extras += " --churn_events=" + std::to_string(opt.churn_events);
-  } else if (opt.delta_installs) {
-    replay_extras += " --delta=1";
   }
   std::printf("replay: tools/fuzz_pipeline --seed=%llu%s\n",
               static_cast<unsigned long long>(scenario.seed),
               replay_extras.c_str());
   dump_failure_artifacts(scenario, opt);
   if (!opt.do_shrink) return;
-  elmo::verify::RunOptions shrink_options;
-  shrink_options.delta_installs = opt.delta_installs;
-  const auto minimal = elmo::verify::shrink(
-      scenario, Mutation::kNone, /*budget=*/600, shrink_options);
-  const auto shrunk =
-      elmo::verify::run_scenario(minimal, Mutation::kNone, nullptr,
-                                 shrink_options);
+  const auto minimal = elmo::verify::shrink(scenario);
+  const auto shrunk = elmo::verify::run_scenario(minimal);
   std::printf("shrunk to %zu group(s), %zu event(s): %s\n",
               minimal.groups.size(), minimal.events.size(),
               shrunk.failure.c_str());
@@ -187,12 +170,9 @@ int run_plain(std::uint64_t base, std::size_t seeds, const Options& opt) {
     const auto scenario = make_scenario(seed, opt);
     RunObservability observability{registry};
     if (trace_on) observability.tracer = &tracer;
-    elmo::verify::RunOptions run_options;
-    run_options.delta_installs = opt.delta_installs;
     const auto report = elmo::verify::run_scenario(
         scenario, Mutation::kNone,
-        (registry != nullptr || trace_on) ? &observability : nullptr,
-        run_options);
+        (registry != nullptr || trace_on) ? &observability : nullptr);
     if (!report.ok) {
       report_failure(scenario, report, opt);
       return 1;
@@ -273,7 +253,6 @@ int main(int argc, char** argv) {
   opt.artifacts = flags.get_string("ARTIFACTS", ".");
   opt.churn_events =
       static_cast<std::size_t>(flags.get_int("CHURN_EVENTS", 0));
-  opt.delta_installs = flags.get_bool("DELTA", false) || opt.churn_events > 0;
   if (const auto name = flags.get_string("ENCODER", ""); !name.empty()) {
     opt.encoder = elmo::parse_encoder_kind(name);
   }
