@@ -22,7 +22,7 @@
 // touches the entry (the hypervisor's decap path, DESIGN.md §4). Values are
 // therefore read-only once stored: find() returns a const pointer, and the
 // only way to change a value is insert_or_assign(). Iteration walks the dense
-// entries; its order is unspecified (digest builders must sort).
+// entries; its order is unspecified (digests over it must be order-free).
 //
 // Invalidation rule: a pointer returned by find() (and any reference or
 // iterator into the entries) is valid until the next insert_or_assign() or

@@ -104,7 +104,7 @@ class HypervisorSwitch {
     return flows_.find(group.value);
   }
   // Full table view, keyed by group address value (iteration order is
-  // unspecified — digest builders must sort).
+  // unspecified; stream::fabric_state_digest sums per-rule terms).
   const FlowTable& flows() const noexcept {
     return flows_;
   }

@@ -135,7 +135,7 @@ class NetworkSwitch {
     return group_table_.find(group.value);
   }
   // Full table view, keyed by group address value (iteration order is
-  // unspecified — digest builders must sort).
+  // unspecified; stream::fabric_state_digest sums per-rule terms).
   const GroupTable<net::PortBitmap>& srules() const noexcept {
     return group_table_;
   }

@@ -1,6 +1,8 @@
 #include "elmo/stream.h"
 
 #include <algorithm>
+#include <initializer_list>
+#include <span>
 #include <stdexcept>
 
 #include "obs/metrics.h"
@@ -8,25 +10,51 @@
 namespace elmo::stream {
 namespace {
 
-// FNV-1a over rule content, for fabric_state_digest.
-struct ContentHash {
-  std::uint64_t h = 1469598103934665603ull;
-  void bytes(const void* data, std::size_t n) {
-    const auto* p = static_cast<const std::uint8_t*>(data);
-    for (std::size_t i = 0; i < n; ++i) {
-      h ^= p[i];
-      h *= 1099511628211ull;
-    }
-  }
-  void u32(std::uint32_t v) { bytes(&v, sizeof v); }
-  void u64(std::uint64_t v) { bytes(&v, sizeof v); }
-};
+// splitmix64's finalizer: every input bit moves every output bit, so the
+// per-rule terms the digests sum do not cancel by accident.
+std::uint64_t mix(std::uint64_t x) {
+  x += 0x9e3779b97f4a7c15ull;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+  return x ^ (x >> 31);
+}
 
-std::uint64_t bitmap_hash(const net::PortBitmap& bitmap) {
-  ContentHash hash;
-  hash.u64(bitmap.size());
-  for (const auto word : bitmap.words()) hash.u64(word);
-  return hash.h;
+// Chains `fields` into a rule term that starts from its kind's tag.
+std::uint64_t chain(std::uint64_t tag,
+                    std::initializer_list<std::uint64_t> fields) {
+  auto h = mix(tag);
+  for (const auto v : fields) h = mix(h ^ v);
+  return h;
+}
+
+// A flow's term. Its VMs enter as the sum of their mixes, a set and not a
+// sequence (streamed joins append in event order, a batch install follows
+// the final member order); its header as little-endian 8-byte words.
+std::uint64_t flow_term(std::uint32_t group, topo::HostId host,
+                        std::uint32_t vni,
+                        std::span<const std::uint32_t> local_vms,
+                        std::span<const std::uint8_t> header) {
+  std::uint64_t vm_set = 0;
+  for (const auto vm : local_vms) vm_set += mix(vm);
+  auto h = chain(0xf10f, {group, host, vni, local_vms.size(), vm_set,
+                          header.size()});
+  for (std::size_t i = 0; i < header.size(); i += 8) {
+    std::uint64_t word = 0;
+    for (std::size_t b = 0; b < 8 && i + b < header.size(); ++b) {
+      word |= std::uint64_t{header[i + b]} << (8 * b);
+    }
+    h = mix(h ^ word);
+  }
+  return h;
+}
+
+std::uint64_t srule_term(std::uint32_t group, topo::Layer layer,
+                         std::uint32_t switch_id,
+                         const net::PortBitmap& ports) {
+  auto h = chain(0x5e1e, {group, static_cast<std::uint64_t>(layer),
+                          switch_id, ports.size()});
+  for (const auto word : ports.words()) h = mix(h ^ word);
+  return h;
 }
 
 bool is_flow(const p4rt::Update& u) {
@@ -467,53 +495,46 @@ std::size_t ControlPlane::flush() {
 
 std::uint64_t fabric_state_digest(const sim::Fabric& fabric) {
   const auto& t = fabric.topology();
-  ContentHash digest;
-
-  auto hash_switch_table = [&digest](const dp::NetworkSwitch& sw,
-                                     std::uint64_t tag) {
-    std::vector<std::uint32_t> groups;
-    groups.reserve(sw.srules().size());
-    for (const auto& [addr, bitmap] : sw.srules()) {
-      (void)bitmap;
-      groups.push_back(addr);
+  std::uint64_t digest = 0;
+  for (topo::HostId h = 0; h < t.num_hosts(); ++h) {
+    for (const auto& [addr, flow] : fabric.hypervisor(h).flows()) {
+      digest += flow_term(addr, h, flow.vni, flow.local_vms, flow.elmo_header);
     }
-    std::sort(groups.begin(), groups.end());
-    for (const auto addr : groups) {
-      digest.u64(tag);
-      digest.u32(addr);
-      digest.u64(bitmap_hash(*sw.srule(net::Ipv4Address{addr})));
+  }
+  auto fold_switch = [&digest](const dp::NetworkSwitch& sw, topo::Layer layer,
+                               std::uint32_t id) {
+    for (const auto& [addr, ports] : sw.srules()) {
+      digest += srule_term(addr, layer, id, ports);
     }
   };
-
-  for (topo::HostId h = 0; h < t.num_hosts(); ++h) {
-    const auto& hv = fabric.hypervisor(h);
-    std::vector<std::uint32_t> groups;
-    groups.reserve(hv.flows().size());
-    for (const auto& [addr, flow] : hv.flows()) {
-      (void)flow;
-      groups.push_back(addr);
-    }
-    std::sort(groups.begin(), groups.end());
-    for (const auto addr : groups) {
-      const auto* flow = hv.flow(net::Ipv4Address{addr});
-      digest.u64(0xf10f'0000'0000'0000ull | h);
-      digest.u32(addr);
-      digest.u32(flow->vni);
-      auto vms = flow->local_vms;
-      std::sort(vms.begin(), vms.end());
-      digest.u64(vms.size());
-      for (const auto vm : vms) digest.u32(vm);
-      digest.u64(flow->elmo_header.size());
-      digest.bytes(flow->elmo_header.data(), flow->elmo_header.size());
-    }
-  }
   for (topo::LeafId l = 0; l < t.num_leaves(); ++l) {
-    hash_switch_table(fabric.leaf(l), 0x1eaf'0000'0000'0000ull | l);
+    fold_switch(fabric.leaf(l), topo::Layer::kLeaf, l);
   }
   for (topo::SpineId s = 0; s < t.num_spines(); ++s) {
-    hash_switch_table(fabric.spine(s), 0x5071'0000'0000'0000ull | s);
+    fold_switch(fabric.spine(s), topo::Layer::kSpine, s);
   }
-  return digest.h;
+  return digest;
+}
+
+std::uint64_t rules_digest(std::span<const p4rt::Update> updates) {
+  std::uint64_t digest = 0;
+  for (const auto& u : updates) {
+    if (u.kind == p4rt::UpdateKind::kHypervisorFlowAdd) {
+      digest += flow_term(u.group.value, u.host, u.vni, u.local_vms,
+                          u.elmo_header);
+    } else if (u.kind == p4rt::UpdateKind::kSRuleAdd) {
+      digest += srule_term(u.group.value, u.layer, u.switch_id, u.ports);
+    }
+  }
+  return digest;
+}
+
+std::uint64_t compiled_state_digest(const Controller& controller) {
+  std::uint64_t digest = 0;
+  for (const auto group : controller.group_ids()) {
+    digest += rules_digest(p4rt::compile_install(controller, group));
+  }
+  return digest;
 }
 
 }  // namespace elmo::stream

@@ -25,6 +25,7 @@
 #include <chrono>
 #include <cstdint>
 #include <map>
+#include <span>
 #include <tuple>
 #include <vector>
 
@@ -192,13 +193,22 @@ class ControlPlane final : public MembershipDriver {
   obs::TraceContext event_ctx_{};
 };
 
-// Canonical 64-bit digest of every installed hypervisor flow and s-rule in
-// the fabric. Two fabrics with the same installed state digest equal; the
-// equivalence tests use this to pin "streamed deltas == fresh batch
-// install" byte-for-byte. local_vms are sorted before hashing: streamed
-// joins append members in event order while a batch install follows the
-// final member order, and the VM *set* — not its order — is the installed
-// state (delivery behavior is order-independent).
+// Installed-state digests, the referee of every state check: the controller
+// is the source of truth (paper §2), so a check asks whether
+// fabric_state_digest(fabric) == compiled_state_digest(controller), and no
+// reference fabric is built. A digest sums one splitmix64-mixed term per
+// rule — a flow by (group, host, vni, VM set, header), an s-rule by (group,
+// layer, switch, bitmap) — so neither table, rule nor VM order matters, and
+// an edit of some rules moves it by rules_digest(edited) - rules_digest(old).
+
+// Folds every hypervisor flow and leaf/spine s-rule installed in `fabric`.
 std::uint64_t fabric_state_digest(const sim::Fabric& fabric);
+// Folds the adds of `updates`; a delete carries no installed state and
+// folds to nothing. Equal to fabric_state_digest of a fresh fabric the adds
+// are applied to, as long as no two adds share a rule slot.
+std::uint64_t rules_digest(std::span<const p4rt::Update> updates);
+// rules_digest of p4rt::compile_install for every live group: the digest
+// of the state the controller's current encodings call for.
+std::uint64_t compiled_state_digest(const Controller& controller);
 
 }  // namespace elmo::stream

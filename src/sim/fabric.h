@@ -176,8 +176,10 @@ class Fabric {
 
   // Installs a controller-managed group into the data plane: flow rules (with
   // header templates for senders) at member hypervisors, s-rules at network
-  // switches. Re-invoking refreshes existing state. Both apply the updates
-  // p4rt::compile_install / compile_uninstall build.
+  // switches. Both apply the updates p4rt::compile_install /
+  // compile_uninstall build. Re-invoking install_group overwrites every rule
+  // the group compiles now but deletes none it stopped compiling (the
+  // streaming control plane's change sets drive those deletes).
   void install_group(const elmo::Controller& controller, elmo::GroupId group);
   void uninstall_group(const elmo::Controller& controller,
                        elmo::GroupId group);

@@ -8,10 +8,9 @@
 #include "dataplane/common.h"
 #include "elmo/evaluator.h"
 #include "elmo/stream.h"
-#include "obs/health.h"
 #include "obs/metrics.h"
 #include "obs/provenance.h"
-#include "obs/timeseries.h"
+#include "p4rt/runtime.h"
 #include "sim/fabric.h"
 #include "verify/explain.h"
 #include "verify/oracle.h"
@@ -80,8 +79,6 @@ class Runner {
     if (observability != nullptr) {
       registry_ = observability->registry;
       captures_ = observability->captures;
-      ts_ = observability->timeseries;
-      health_ = observability->health;
       plane_.set_tracer(observability->tracer);  // the plane and its fabric
       fabric_.set_recorder(observability->tracer);
     }
@@ -98,7 +95,6 @@ class Runner {
         step(i, sc_.events[i]);
         ++report_.events_run;
         if (failed_) return finish();
-        sample_window();
       }
     } catch (const std::exception& ex) {
       fail(std::string{"exception: "} + ex.what());
@@ -117,17 +113,6 @@ class Runner {
       accumulate_fabric_metrics(fabric_, *registry_);
     }
     return report_;
-  }
-
-  // One health sampling window per scenario event (DESIGN.md §14).
-  void sample_window() {
-    if (ts_ == nullptr) return;
-    fabric_.sample_into(*ts_);
-    ts_->append("elmo_expect_vm_deliveries_total", expected_vm_total_);
-    ts_->append("elmo_stream_install_lag_p99_seconds",
-                plane_.stats().install_lag_seconds.percentile(0.99));
-    ts_->advance();
-    if (health_ != nullptr) health_->tick();
   }
 
   void fail(std::string message) {
@@ -159,7 +144,7 @@ class Runner {
       plane_.track_group(id);
     }
     select_mutation_target();
-    apply_fabric_mutation(fabric_);
+    seed_fault();
     diff_membership("after setup");
     if (failed_) return;
     diff_fabric_state("after setup");
@@ -289,7 +274,7 @@ class Runner {
   // an install cannot silently heal it.
   void sync() {
     plane_.flush();
-    apply_fabric_mutation(fabric_);
+    seed_fault();
   }
 
   // Failures change only sender headers (upstream re-routing): refresh_all
@@ -302,25 +287,18 @@ class Runner {
   }
 
   // Continuous churn oracle: after every membership or failure event, the
-  // live fabric's installed state must digest-equal a fresh batch install
-  // of the controller's current encodings, with the same fabric-side fault
-  // seeded (so a mutation is left for the send checks to catch). Catches
-  // stale rules, missed deltas, and leaked state the send-level differ
-  // would only notice if a later send happened to traverse them.
+  // live fabric's installed state must digest-equal the compiled rules of
+  // the controller's current encodings, moved by the seeded fault's edit (so
+  // a mutation is left for the send checks to catch). Catches stale rules,
+  // missed deltas, leaked state and faults in the switch tables that the
+  // send-level differ would only notice if a later send happened to
+  // traverse them.
   void diff_fabric_state(const std::string& at) {
     if (failed_) return;
-    sim::Fabric reference{topo_};
-    if (!legacy_.empty()) {
-      for (topo::LeafId l = 0; l < topo_.num_leaves(); ++l) {
-        if (legacy_[l]) reference.leaf(l).set_legacy(true);
-      }
-    }
-    for (const auto id : ids_) reference.install_group(controller_, id);
-    apply_fabric_mutation(reference);
     if (stream::fabric_state_digest(fabric_) !=
-        stream::fabric_state_digest(reference)) {
-      fail(at + ": delta-installed fabric state diverges from a fresh batch "
-                "install of the controller's current encodings");
+        stream::compiled_state_digest(controller_) + fault_shift_) {
+      fail(at + ": installed fabric state diverges from the compiled rules "
+                "of the controller's current encodings");
     }
   }
 
@@ -427,7 +405,6 @@ class Runner {
     for (const auto& [host, copies] : res.host_copies) {
       want_vms += copies * oracle_.receiving_vms_on(gi, host);
     }
-    expected_vm_total_ += static_cast<double>(want_vms);
     if (res.vm_deliveries != want_vms) {
       fail(ctx + ": " + str(res.vm_deliveries) + " VM deliveries, expected " +
            str(want_vms) + " (copies x mirrored receiving VMs)");
@@ -485,29 +462,6 @@ class Runner {
   }
 
   // --- mutation machinery --------------------------------------------------
-
-  dp::HypervisorSwitch::GroupFlow build_flow(
-      const GroupState& g, topo::HostId host,
-      std::vector<std::uint8_t> header) const {
-    dp::HypervisorSwitch::GroupFlow flow;
-    flow.vni = g.tenant;
-    flow.elmo_header = std::move(header);
-    for (const auto& m : g.members) {
-      if (m.host == host && can_receive(m.role)) flow.local_vms.push_back(m.vm);
-    }
-    return flow;
-  }
-
-  std::vector<topo::HostId> sending_hosts(const GroupState& g) const {
-    std::vector<topo::HostId> hosts;
-    for (const auto& m : g.members) {
-      if (!can_send(m.role)) continue;
-      if (std::find(hosts.begin(), hosts.end(), m.host) == hosts.end()) {
-        hosts.push_back(m.host);
-      }
-    }
-    return hosts;
-  }
 
   // Picks the concrete fault site once, from the initial encodings. Bounds
   // are re-checked on every application because churn re-encodes groups.
@@ -577,13 +531,13 @@ class Runner {
           break;
         }
         case Mutation::kWrongSenderHeader: {
-          const auto senders = sending_hosts(g);
-          for (const auto s : senders) {
+          for (const auto& s : g.members) {
+            if (!can_send(s.role)) continue;
             for (const auto& m : g.members) {
-              if (topo_.leaf_of_host(m.host) != topo_.leaf_of_host(s)) {
+              if (topo_.leaf_of_host(m.host) != topo_.leaf_of_host(s.host)) {
                 target_found_ = true;
                 target_gi_ = gi;
-                target_host_ = s;        // victim sender
+                target_host_ = s.host;   // victim sender
                 target_other_ = m.host;  // header borrowed from here
                 break;
               }
@@ -598,13 +552,26 @@ class Runner {
     }
   }
 
-  // (Re-)seeds the fabric-side fault into `fabric`: the live fabric after
-  // every sync, so reinstalls cannot silently heal the mutation, and the
-  // batch-install reference of diff_fabric_state.
-  void apply_fabric_mutation(sim::Fabric& fabric) {
+  // (Re-)seeds the fabric-side fault after setup and every sync, so an
+  // install cannot silently heal it. The fault edits the target group's
+  // compiled rules — a re-serialized header, an erased VM, a dropped s-rule
+  // — and each edited rule reaches the live fabric through Fabric::apply.
+  // A site the current encoding no longer has is left unedited.
+  void seed_fault() {
+    fault_shift_ = 0;
     if (!target_found_) return;
     const auto id = ids_.at(target_gi_);
     const auto& g = controller_.group(id);
+    const auto compiled = p4rt::compile_install(controller_, id);
+    auto rules = compiled;
+    const auto find = [&rules](p4rt::UpdateKind kind, std::uint32_t target) {
+      return std::find_if(rules.begin(), rules.end(), [&](const auto& u) {
+        return u.kind == kind && (kind == p4rt::UpdateKind::kSRuleAdd
+                                      ? u.layer == topo::Layer::kLeaf &&
+                                            u.switch_id == target
+                                      : u.host == target);
+      });
+    };
     switch (mutation_) {
       case Mutation::kClearPRuleBit:
       case Mutation::kSetPRuleBit: {
@@ -613,49 +580,44 @@ class Runner {
         auto& bitmap = mutated.leaf.p_rules[target_rule_].bitmap;
         if (target_port_ >= bitmap.size()) return;
         bitmap.set(target_port_, mutation_ == Mutation::kSetPRuleBit);
-        for (const auto host : sending_hosts(g)) {
+        for (auto& u : rules) {
+          if (u.elmo_header.empty()) continue;  // not a sender's flow
           const auto route =
-              g.tree->sender_route(host, controller_.failures());
-          auto header =
+              g.tree->sender_route(u.host, controller_.failures());
+          u.elmo_header =
               controller_.encoder().codec().serialize(route.encoding, mutated);
-          fabric.hypervisor(host).install_flow(
-              g.address, build_flow(g, host, std::move(header)));
         }
-        applied_ = true;
         break;
       }
-      case Mutation::kDropSRule:
-        fabric.leaf(target_switch_).remove_srule(g.address);
-        applied_ = true;
+      case Mutation::kDropSRule: {
+        const auto srule = find(p4rt::UpdateKind::kSRuleAdd, target_switch_);
+        if (srule != rules.end()) srule->kind = p4rt::UpdateKind::kSRuleDel;
         break;
+      }
       case Mutation::kDropLocalVm: {
-        const auto senders = sending_hosts(g);
-        const bool sends = std::find(senders.begin(), senders.end(),
-                                     target_host_) != senders.end();
-        auto flow = build_flow(
-            g, target_host_,
-            sends ? controller_.header_for(id, target_host_)
-                  : std::vector<std::uint8_t>{});
-        const auto it =
-            std::find(flow.local_vms.begin(), flow.local_vms.end(), target_vm_);
-        if (it == flow.local_vms.end()) return;  // churned away; keep prior
-        flow.local_vms.erase(it);
-        fabric.hypervisor(target_host_).install_flow(g.address,
-                                                     std::move(flow));
-        applied_ = true;
+        const auto flow =
+            find(p4rt::UpdateKind::kHypervisorFlowAdd, target_host_);
+        if (flow != rules.end()) std::erase(flow->local_vms, target_vm_);
         break;
       }
       case Mutation::kWrongSenderHeader: {
-        auto flow = build_flow(g, target_host_,
-                               controller_.header_for(id, target_other_));
-        fabric.hypervisor(target_host_).install_flow(g.address,
-                                                     std::move(flow));
-        applied_ = true;
+        const auto flow =
+            find(p4rt::UpdateKind::kHypervisorFlowAdd, target_host_);
+        if (flow != rules.end()) {
+          flow->elmo_header = controller_.header_for(id, target_other_);
+        }
         break;
       }
       default:
         break;
     }
+    for (std::size_t i = 0; i < rules.size(); ++i) {
+      if (rules[i] == compiled[i]) continue;
+      fabric_.apply(rules[i]);
+      applied_ = true;
+    }
+    // A dropped rule became a delete, which folds to nothing.
+    fault_shift_ = stream::rules_digest(rules) - stream::rules_digest(compiled);
   }
 
   const Scenario& sc_;
@@ -666,9 +628,6 @@ class Runner {
   stream::ControlPlane plane_;
   obs::MetricsRegistry* registry_ = nullptr;
   std::vector<SendCapture>* captures_ = nullptr;
-  obs::TimeSeriesStore* ts_ = nullptr;
-  obs::HealthMonitor* health_ = nullptr;
-  double expected_vm_total_ = 0;  // oracle-side VM-delivery running total
   obs::ProvenanceLog prov_log_;
   std::string pending_explanation_;
   std::vector<bool> legacy_;
@@ -686,6 +645,8 @@ class Runner {
   topo::HostId target_host_ = 0;
   topo::HostId target_other_ = 0;
   std::uint32_t target_vm_ = 0;
+  // What the seeded fault's edit moves the installed-state digest by.
+  std::uint64_t fault_shift_ = 0;
 };
 
 }  // namespace

@@ -8,9 +8,10 @@
 //
 //   * after every membership event: controller member list == oracle mirror;
 //   * after every membership or failure event: the installed fabric state
-//     digest-equals a fresh batch install of the controller's encodings
-//     (stream::fabric_state_digest), so streamed deltas never drift from a
-//     from-scratch install;
+//     digest-equals the compiled rules of the controller's current
+//     encodings (stream::fabric_state_digest against
+//     stream::compiled_state_digest), so streamed deltas never drift from
+//     what p4rt::compile_install says, and no reference fabric is built;
 //   * per send: every oracle-expected host got a copy (exactly one unless
 //     failures legitimize duplicates), the sender host got none, per-VM
 //     deliveries match copies x mirrored receiving VMs, switch hop count
@@ -21,8 +22,10 @@
 // fault into the pipeline (bit-flipped header templates, dropped s-rules or
 // flow VMs, stale mirrors, the pre-fix leave-by-host-only churn bug) and a
 // run is only useful evidence if the differ CATCHES it (applied && !ok).
-// A fabric-side fault is seeded into the batch-install reference too, so
-// the digest check stays silent and the send checks must catch it.
+// A fabric-side fault is an edit of the target group's compiled rules,
+// applied to the fabric through Fabric::apply and folded into the expected
+// digest, so the digest check stays silent and the send checks must catch
+// it.
 #pragma once
 
 #include <array>
@@ -34,9 +37,7 @@
 #include "verify/scenario.h"
 
 namespace elmo::obs {
-class HealthMonitor;
 class MetricsRegistry;
-class TimeSeriesStore;
 class Tracer;
 }
 
@@ -111,14 +112,6 @@ struct SendCapture {
 struct RunObservability {
   obs::MetricsRegistry* registry = nullptr;
   std::vector<SendCapture>* captures = nullptr;
-  // Live health taps (DESIGN.md §14): when `timeseries` is set, the runner
-  // closes one sampling window per scenario event (fabric counters, the
-  // oracle-expected VM-delivery total, and the streaming plane's
-  // install-lag p99) and, when `health` is also set, ticks the
-  // monitor after each window. A clean fuzz run thus doubles as a
-  // zero-false-positive check for the detectors.
-  obs::TimeSeriesStore* timeseries = nullptr;
-  obs::HealthMonitor* health = nullptr;
   // Causal tracer (DESIGN.md §15): attached to the fabric as both its
   // time-to-effect tracer and its hop tracer and to the streaming control
   // plane, so churn events, installs, every send's hops and time-to-effect

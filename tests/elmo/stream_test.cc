@@ -55,9 +55,8 @@ TEST(ControlPlane, JoinOnUntrackedGroupStreamsFullInstall) {
   ControlPlane cp{w.controller, w.fabric, ControlPlaneOptions{1}};
   cp.refresh(id);  // untracked: emits the full install
 
-  sim::Fabric batch{w.topology};
-  batch.install_group(w.controller, id);
-  EXPECT_EQ(fabric_state_digest(w.fabric), fabric_state_digest(batch));
+  EXPECT_EQ(fabric_state_digest(w.fabric),
+            compiled_state_digest(w.controller));
   EXPECT_GT(cp.stats().updates_applied, 0u);
   EXPECT_GT(cp.stats().wire_bytes, 0u);
 }
@@ -87,9 +86,8 @@ TEST(ControlPlane, JoinEmitsDeltaNotFullReinstall) {
   EXPECT_EQ(cp.stats().leaf_srule_adds + cp.stats().spine_srule_adds, 0u);
   EXPECT_EQ(cp.stats().updates_applied, 1u);
 
-  sim::Fabric batch{w.topology};
-  batch.install_group(w.controller, id);
-  EXPECT_EQ(fabric_state_digest(w.fabric), fabric_state_digest(batch));
+  EXPECT_EQ(fabric_state_digest(w.fabric),
+            compiled_state_digest(w.controller));
 }
 
 TEST(ControlPlane, LeaveRemovesVacatedHostFlow) {
@@ -109,9 +107,8 @@ TEST(ControlPlane, LeaveRemovesVacatedHostFlow) {
       w.controller.group(id).address));
   EXPECT_GE(cp.stats().flow_dels, 1u);
 
-  sim::Fabric batch{w.topology};
-  batch.install_group(w.controller, id);
-  EXPECT_EQ(fabric_state_digest(w.fabric), fabric_state_digest(batch));
+  EXPECT_EQ(fabric_state_digest(w.fabric),
+            compiled_state_digest(w.controller));
 }
 
 TEST(ControlPlane, DetachingTracerDropsOpenWatches) {
@@ -157,9 +154,8 @@ TEST(ControlPlane, CoalescingCollapsesRepeatedTouchesToOneRule) {
   EXPECT_GT(cp.stats().updates_coalesced, 0u);
   cp.flush();
 
-  sim::Fabric batch{w.topology};
-  batch.install_group(w.controller, id);
-  EXPECT_EQ(fabric_state_digest(w.fabric), fabric_state_digest(batch));
+  EXPECT_EQ(fabric_state_digest(w.fabric),
+            compiled_state_digest(w.controller));
 }
 
 TEST(ControlPlane, HostFailEvictsEveryMembershipOnTheHost) {
@@ -181,14 +177,13 @@ TEST(ControlPlane, HostFailEvictsEveryMembershipOnTheHost) {
   cp.flush();
   EXPECT_EQ(evicted, 3u);  // vms 0, 1 (g1) and 2 (g2)
 
-  sim::Fabric batch{w.topology};
   for (const auto id : {g1, g2}) {
     for (const auto& m : w.controller.group(id).members) {
       EXPECT_NE(m.host, dead);
     }
-    batch.install_group(w.controller, id);
   }
-  EXPECT_EQ(fabric_state_digest(w.fabric), fabric_state_digest(batch));
+  EXPECT_EQ(fabric_state_digest(w.fabric),
+            compiled_state_digest(w.controller));
   EXPECT_FALSE(w.fabric.hypervisor(dead).has_flow(
       w.controller.group(g1).address));
   EXPECT_FALSE(w.fabric.hypervisor(dead).has_flow(
@@ -228,9 +223,8 @@ TEST(ControlPlane, HostFailEvictsAFlowReTemplatedByEarlierJoins) {
   EXPECT_EQ(cp.host_fail(dead), 2u);  // vms 12 and 13
   cp.flush();
   EXPECT_FALSE(w.fabric.hypervisor(dead).has_flow(addr));
-  sim::Fabric batch{w.topology};
-  batch.install_group(w.controller, g);
-  EXPECT_EQ(fabric_state_digest(w.fabric), fabric_state_digest(batch));
+  EXPECT_EQ(fabric_state_digest(w.fabric),
+            compiled_state_digest(w.controller));
   // Nothing of the group is left on the host to evict.
   EXPECT_EQ(cp.host_fail(dead), 0u);
 }
@@ -251,9 +245,8 @@ TEST(ControlPlane, JoinThenLeaveBeforeFlushRestoresInstalledState) {
   cp.leave(id, joiner.host, joiner.vm);
   cp.flush();
 
-  sim::Fabric batch{w.topology};
-  batch.install_group(w.controller, id);
-  EXPECT_EQ(fabric_state_digest(w.fabric), fabric_state_digest(batch));
+  EXPECT_EQ(fabric_state_digest(w.fabric),
+            compiled_state_digest(w.controller));
   EXPECT_EQ(fabric_state_digest(w.fabric), before);
 }
 
@@ -283,9 +276,8 @@ TEST(ControlPlane, LeaveThatVacatesAnSRuleLeafDeletesIt) {
 
   EXPECT_GE(cp.stats().leaf_srule_dels, 1u);
   EXPECT_EQ(w.fabric.leaf(leaf).srule(addr), nullptr);
-  sim::Fabric batch{w.topology};
-  batch.install_group(w.controller, id);
-  EXPECT_EQ(fabric_state_digest(w.fabric), fabric_state_digest(batch));
+  EXPECT_EQ(fabric_state_digest(w.fabric),
+            compiled_state_digest(w.controller));
 }
 
 TEST(ControlPlane, InstallLagIsRecordedPerEvent) {
@@ -336,10 +328,11 @@ TEST(ControlPlane, RejectedEventLeavesNoTrace) {
 }
 
 TEST(FabricStateDigest, SeesEveryRuleFaultButNotLocalVmOrder) {
-  // The harness's continuous state diff rests on this digest: a dropped
+  // The harness's continuous state diff rests on these digests: a dropped
   // s-rule, a dropped local VM and one flipped header byte must each change
-  // it, while a permuted local_vms list (streamed joins append in event
-  // order) must not.
+  // both the fold of the compiled rules and the fold of a fabric that holds
+  // them, while a permuted local_vms list (streamed joins append in event
+  // order) must change neither.
   StreamWorld w{EncoderKind::kElmo, 80};
   const auto id =
       w.make_group(std::vector<std::uint32_t>{0, 1, 20, 24, 40, 44, 60, 76});
@@ -348,45 +341,131 @@ TEST(FabricStateDigest, SeesEveryRuleFaultButNotLocalVmOrder) {
   const auto srule_leaf = g.encoding.leaf.s_rules.front().first;
   const topo::HostId host = w.tenants[0].vm_hosts[0];  // VMs 0 and 1
 
+  using Rules = std::vector<p4rt::Update>;
+  // The flow at host `target`, or the leaf s-rule at leaf `target`.
+  const auto find_rule = [](Rules& rules, p4rt::UpdateKind kind,
+                            std::uint32_t target) {
+    return std::find_if(rules.begin(), rules.end(), [&](const auto& u) {
+      return u.kind == kind && (kind == p4rt::UpdateKind::kSRuleAdd
+                                    ? u.layer == topo::Layer::kLeaf &&
+                                          u.switch_id == target
+                                    : u.host == target);
+    });
+  };
+  const auto flow = [&](Rules& rules) -> p4rt::Update& {
+    return *find_rule(rules, p4rt::UpdateKind::kHypervisorFlowAdd, host);
+  };
+  // Folds the edited compiled rules, and checks that a fabric they are
+  // applied to folds to the same value.
   const auto digest_with = [&](const auto& fault) {
+    auto rules = p4rt::compile_install(w.controller, id);
+    fault(rules);
     sim::Fabric fabric{w.topology};
-    fabric.install_group(w.controller, id);
-    fault(fabric);
-    return fabric_state_digest(fabric);
+    for (const auto& u : rules) fabric.apply(u);
+    const auto digest = rules_digest(rules);
+    EXPECT_EQ(fabric_state_digest(fabric), digest);
+    return digest;
   };
-  const auto edit_flow = [&](const auto& edit) {
-    return [&, edit](sim::Fabric& fabric) {
-      auto flow = *fabric.hypervisor(host).flow(g.address);
-      edit(flow);
-      fabric.hypervisor(host).install_flow(g.address, std::move(flow));
-    };
-  };
-  using Flow = dp::HypervisorSwitch::GroupFlow;
 
-  const auto clean = digest_with([](sim::Fabric&) {});
   {
-    sim::Fabric fabric{w.topology};
-    fabric.install_group(w.controller, id);
-    const auto* flow = fabric.hypervisor(host).flow(g.address);
-    ASSERT_NE(flow, nullptr);
-    ASSERT_EQ(flow->local_vms.size(), 2u);
-    ASSERT_FALSE(flow->elmo_header.empty());
+    auto rules = p4rt::compile_install(w.controller, id);
+    ASSERT_NE(find_rule(rules, p4rt::UpdateKind::kSRuleAdd, srule_leaf),
+              rules.end());
+    ASSERT_NE(find_rule(rules, p4rt::UpdateKind::kHypervisorFlowAdd, host),
+              rules.end());
+    ASSERT_EQ(flow(rules).local_vms.size(), 2u);
+    ASSERT_FALSE(flow(rules).elmo_header.empty());
   }
-  EXPECT_NE(digest_with([&](sim::Fabric& f) {
-              f.leaf(srule_leaf).remove_srule(g.address);
+  const auto clean = digest_with([](Rules&) {});
+  EXPECT_EQ(clean, compiled_state_digest(w.controller));
+  EXPECT_NE(digest_with([&](Rules& r) {
+              r.erase(find_rule(r, p4rt::UpdateKind::kSRuleAdd, srule_leaf));
             }),
             clean);
-  EXPECT_NE(digest_with(edit_flow([](Flow& f) { f.local_vms.pop_back(); })),
+  EXPECT_NE(digest_with([&](Rules& r) { flow(r).local_vms.pop_back(); }),
             clean);
-  EXPECT_NE(digest_with(edit_flow([](Flow& f) {
-              f.elmo_header[f.elmo_header.size() / 2] ^= 0x01;
-            })),
+  EXPECT_NE(digest_with([&](Rules& r) {
+              auto& header = flow(r).elmo_header;
+              header[header.size() / 2] ^= 0x01;
+            }),
             clean);
-  EXPECT_EQ(digest_with(edit_flow([](Flow& f) {
-              std::reverse(f.local_vms.begin(), f.local_vms.end());
-            })),
+  EXPECT_EQ(digest_with([&](Rules& r) {
+              auto& vms = flow(r).local_vms;
+              std::reverse(vms.begin(), vms.end());
+            }),
             clean);
 }
+
+TEST(RulesDigest, IgnoresRuleOrderAndVmOrder) {
+  StreamWorld w{EncoderKind::kElmo, 80};
+  const auto id =
+      w.make_group(std::vector<std::uint32_t>{0, 1, 2, 20, 24, 40, 44, 60});
+  auto rules = p4rt::compile_install(w.controller, id);
+  const auto clean = rules_digest(rules);
+
+  std::reverse(rules.begin(), rules.end());
+  EXPECT_EQ(rules_digest(rules), clean);
+  std::size_t permuted = 0;
+  for (auto& u : rules) {
+    if (u.local_vms.size() < 2) continue;
+    std::reverse(u.local_vms.begin(), u.local_vms.end());
+    ++permuted;
+  }
+  ASSERT_GT(permuted, 0u);
+  EXPECT_EQ(rules_digest(rules), clean);
+  // Deletes carry no installed state.
+  EXPECT_EQ(rules_digest(p4rt::compile_uninstall(w.controller, id)), 0u);
+}
+
+const char* encoder_name(EncoderKind kind) {
+  switch (kind) {
+    case EncoderKind::kElmo:
+      return "Elmo";
+    case EncoderKind::kBert:
+      return "Bert";
+    case EncoderKind::kP3fa:
+      return "P3fa";
+  }
+  return "Unknown";
+}
+
+// The compiled-rules referee agrees with what a batch install leaves in a
+// fabric, for every encoder, with legacy leaves (they keep p-rules in
+// sender headers) and a failed spine (it re-routes sender headers) in play.
+class CompiledStateDigest : public ::testing::TestWithParam<EncoderKind> {};
+
+TEST_P(CompiledStateDigest, EqualsBatchInstalledFabric) {
+  StreamWorld w{GetParam(), 80};
+  std::vector<bool> legacy(w.topology.num_leaves(), false);
+  for (std::size_t l = 0; l < legacy.size(); l += 2) legacy[l] = true;
+  w.controller.set_legacy_leaves(legacy);
+  for (topo::LeafId l = 0; l < legacy.size(); ++l) {
+    if (legacy[l]) w.fabric.leaf(l).set_legacy(true);
+  }
+
+  std::vector<GroupId> ids;
+  ids.push_back(w.make_group(std::vector<std::uint32_t>{0, 4, 8, 12}));
+  ids.push_back(
+      w.make_group(std::vector<std::uint32_t>{1, 20, 33, 47, 60, 76}));
+  ids.push_back(w.make_group(std::vector<std::uint32_t>{2, 6, 70}));
+  const auto healthy = compiled_state_digest(w.controller);
+  w.controller.fail_spine(0);
+  w.fabric.spine(0).set_down(true);
+  for (const auto id : ids) w.fabric.install_group(w.controller, id);
+
+  // The failure re-templated some sender header.
+  EXPECT_NE(compiled_state_digest(w.controller), healthy);
+  EXPECT_EQ(fabric_state_digest(w.fabric),
+            compiled_state_digest(w.controller));
+}
+
+INSTANTIATE_TEST_SUITE_P(AllEncoders, CompiledStateDigest,
+                         ::testing::Values(EncoderKind::kElmo,
+                                           EncoderKind::kBert,
+                                           EncoderKind::kP3fa),
+                         [](const auto& info) {
+                           return encoder_name(info.param);
+                         });
 
 TEST(ControlPlane, RejectsZeroFlushThreshold) {
   StreamWorld w;
@@ -442,15 +521,7 @@ INSTANTIATE_TEST_SUITE_P(AllEncoders, StreamEquivalence,
                                            EncoderKind::kBert,
                                            EncoderKind::kP3fa),
                          [](const auto& info) {
-                           switch (info.param) {
-                             case EncoderKind::kElmo:
-                               return "Elmo";
-                             case EncoderKind::kBert:
-                               return "Bert";
-                             case EncoderKind::kP3fa:
-                               return "P3fa";
-                           }
-                           return "Unknown";
+                           return encoder_name(info.param);
                          });
 
 }  // namespace

@@ -4,7 +4,7 @@
 // each generated scenario through the full pipeline (Controller encode ->
 // header codec -> streaming control plane delta installs -> sim::Fabric
 // walk), and diffs every observable against the set-based DeliveryOracle,
-// and the installed fabric state against a fresh batch install after every
+// and the installed fabric state against the compiled rules after every
 // membership or failure event. The first divergence prints its seed, shrinks
 // to a minimal repro, and emits a ready-to-paste GoogleTest fixture — plus,
 // alongside it, the failing scenario's metrics snapshot, chrome trace
