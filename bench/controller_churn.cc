@@ -131,6 +131,7 @@ int main(int argc, char** argv) {
   row("clean events (no rule changed)", std::to_string(st.clean_events));
   row("rule updates applied", std::to_string(st.updates_applied));
   row("updates coalesced away", std::to_string(st.updates_coalesced));
+  row("rules compiled by diffs", std::to_string(st.rules_compiled));
   row("flow adds / dels",
       std::to_string(st.flow_adds) + " / " + std::to_string(st.flow_dels));
   row("leaf s-rule adds / dels", std::to_string(st.leaf_srule_adds) + " / " +
@@ -180,6 +181,7 @@ int main(int argc, char** argv) {
          << ", \"clean_events\": " << st.clean_events
          << ", \"updates_applied\": " << st.updates_applied
          << ", \"updates_coalesced\": " << st.updates_coalesced
+         << ", \"rules_compiled\": " << st.rules_compiled
          << ", \"flow_adds\": " << st.flow_adds
          << ", \"flow_dels\": " << st.flow_dels
          << ", \"leaf_srule_adds\": " << st.leaf_srule_adds

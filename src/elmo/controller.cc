@@ -145,13 +145,23 @@ const GroupState& Controller::group(GroupId group) const {
   return *groups_[live_index(group)];
 }
 
-void Controller::check_hosts(std::span<const Member> members) const {
+void Controller::check_members(std::span<const Member> members) const {
+  std::vector<std::uint64_t> pairs;
+  pairs.reserve(members.size());
   for (const auto& m : members) {
     if (m.host >= topo_->num_hosts()) {
       throw std::out_of_range{"Controller: member host " +
                               std::to_string(m.host) +
                               " is outside the topology"};
     }
+    pairs.push_back(std::uint64_t{m.host} << 32 | m.vm);
+  }
+  std::sort(pairs.begin(), pairs.end());
+  const auto dup = std::adjacent_find(pairs.begin(), pairs.end());
+  if (dup != pairs.end()) {
+    throw std::invalid_argument{
+        "Controller: member (host " + std::to_string(*dup >> 32) + ", vm " +
+        std::to_string(*dup & 0xffffffffu) + ") is listed twice"};
   }
 }
 
@@ -229,7 +239,7 @@ void Controller::commit_membership(GroupState& g, topo::HostId host,
 
 GroupId Controller::create_group(std::uint32_t tenant,
                                  std::span<const Member> members) {
-  check_hosts(members);
+  check_members(members);
   const auto id = static_cast<GroupId>(groups_.size());
   GroupState g;
   g.tenant = tenant;
@@ -253,7 +263,7 @@ std::vector<GroupId> Controller::create_groups(
   std::vector<GroupId> ids;
   ids.reserve(specs.size());
   if (specs.empty()) return ids;
-  for (const auto& spec : specs) check_hosts(spec.members);
+  for (const auto& spec : specs) check_members(spec.members);
 
   const auto base = groups_.size();
   groups_.resize(base + specs.size());
@@ -397,7 +407,15 @@ void Controller::remove_group(GroupId group) {
 
 void Controller::join(GroupId group, const Member& member) {
   auto& g = state(group);
-  check_hosts(std::span{&member, 1});
+  check_members(std::span{&member, 1});
+  if (std::any_of(g.members.begin(), g.members.end(), [&](const Member& m) {
+        return m.host == member.host && m.vm == member.vm;
+      })) {
+    throw std::invalid_argument{"Controller::join: (host " +
+                                std::to_string(member.host) + ", vm " +
+                                std::to_string(member.vm) +
+                                ") is already a member"};
+  }
   g.members.push_back(member);
   ELMO_METRIC(reg.add(controller_metric_ids().joins));
   commit_membership(g, member.host, can_receive(member.role));

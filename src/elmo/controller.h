@@ -99,8 +99,12 @@ class Controller {
   }
 
   // --- group lifecycle (tenant-facing API, paper §2) ----------------------
-  // create_group, create_groups and join throw std::out_of_range for a
-  // member host outside the topology, before any state changes.
+  // Membership is a set of (host, vm) pairs; a member's role is an attribute,
+  // not part of its identity. create_group, create_groups and join throw,
+  // before any state changes, std::out_of_range for a member host outside
+  // the topology and std::invalid_argument for a (host, vm) pair listed
+  // twice or (join) already in the group, whatever either role. A role
+  // change is a leave followed by a join.
   GroupId create_group(std::uint32_t tenant, std::span<const Member> members);
 
   // Bulk creation request for create_groups; `members` must stay alive for
@@ -175,8 +179,9 @@ class Controller {
   // `group` if it names a live group; throws std::out_of_range otherwise.
   std::size_t live_index(GroupId group) const;
   GroupState& state(GroupId group);
-  // Throws std::out_of_range if a member's host is outside the topology.
-  void check_hosts(std::span<const Member> members) const;
+  // Throws std::out_of_range if a member's host is outside the topology and
+  // std::invalid_argument if two members share a (host, vm) pair.
+  void check_members(std::span<const Member> members) const;
   // Recomputes tree and encoding; returns the encoding it replaced.
   GroupEncoding reencode(GroupState& g);
   // `hosts` (made sorted and unique) plus every physical s-rule slot whose

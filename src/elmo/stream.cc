@@ -85,6 +85,7 @@ struct StreamMetricIds {
   obs::MetricsRegistry::Id updates_leaf;
   obs::MetricsRegistry::Id updates_spine;
   obs::MetricsRegistry::Id coalesced;
+  obs::MetricsRegistry::Id rules_compiled;
   obs::MetricsRegistry::Id flushes;
   obs::MetricsRegistry::Id wire_bytes;
   obs::MetricsRegistry::Id install_lag;
@@ -104,6 +105,9 @@ struct StreamMetricIds {
     coalesced = reg.counter(
         "elmo_stream_updates_coalesced_total",
         "Pending updates overwritten by a newer update before flushing");
+    rules_compiled = reg.counter(
+        "elmo_stream_rules_compiled_total",
+        "Rules compiled by delta diffs to compare with installed state");
     flushes = reg.counter("elmo_stream_flushes_total",
                           "Update batches pushed over the wire channel");
     wire_bytes = reg.counter("elmo_stream_wire_bytes_total",
@@ -300,8 +304,13 @@ void ControlPlane::refresh_all() {
 }
 
 void ControlPlane::diff_group(GroupId group, const RuleSlots& changed) {
+  // An empty change set names no slot: compare the whole group.
+  const bool whole = changed.hosts.empty() && changed.srules.empty();
   const auto addr = controller_->group(group).address.value;
-  auto desired = p4rt::compile_install(*controller_, group);
+  auto desired = p4rt::compile(*controller_, group, /*install=*/true,
+                               whole ? nullptr : &changed);
+  stats_.rules_compiled += desired.size();
+  ELMO_METRIC(reg.add(stream_metric_ids().rules_compiled, desired.size()));
   std::vector<RuleSlot> compiled;
   compiled.reserve(desired.size());
   for (auto& u : desired) {
@@ -310,7 +319,7 @@ void ControlPlane::diff_group(GroupId group, const RuleSlots& changed) {
     compiled.push_back(key.slot);
     if (!holds(key, &u)) queue(key, std::move(u));
   }
-  if (changed.hosts.empty() && changed.srules.empty()) return;
+  if (whole) return;
 
   std::sort(compiled.begin(), compiled.end());
   auto vacate = [&](RuleSlot slot) {
@@ -336,11 +345,14 @@ bool ControlPlane::holds(const PendingKey& key,
   const net::Ipv4Address group{key.group};
   const auto [layer, target] = key.slot;
   if (layer == topo::Layer::kHost) {
+    // The header first: an event's change set is mostly senders whose header
+    // changed, and a header that differs in length is rejected without
+    // loading its bytes or the VM list.
     const auto* flow = fabric_->hypervisor(target).flow(group);
     return flow != nullptr &&
-           (rule == nullptr || (flow->vni == rule->vni &&
-                                flow->local_vms == rule->local_vms &&
-                                flow->elmo_header == rule->elmo_header));
+           (rule == nullptr || (flow->elmo_header == rule->elmo_header &&
+                                flow->vni == rule->vni &&
+                                flow->local_vms == rule->local_vms));
   }
   const auto& sw = layer == topo::Layer::kLeaf ? fabric_->leaf(target)
                                                : fabric_->spine(target);

@@ -6,13 +6,18 @@
 // state per event.
 //
 // The plane keeps no copy of installed state. After each event the group's
-// desired rules come from p4rt::compile_install (the same compiler
-// Fabric::install_group applies). Each is compared exactly with what its
-// slot will hold once pending updates flush: the pending update for that
-// rule if one is queued, else the fabric's installed flow or s-rule. Only
-// rules that differ are queued. Deletes come from the controller's change
-// set (Controller::last_change): a slot it names that the group no longer
-// compiles, but that pending or installed state still holds, is deleted.
+// desired rules come from p4rt::compile (the compiler whose all-slots case
+// Fabric::install_group applies), filtered to the slots of the controller's
+// change set (Controller::last_change): the flows of the hosts it names and
+// the s-rules at the switches it names, not the whole group. Each is
+// compared exactly with what its slot will hold once pending updates flush:
+// the pending update for that rule if one is queued, else the fabric's
+// installed flow or s-rule. Only rules that differ are queued. A slot of the
+// change set that the group no longer compiles, but that pending or
+// installed state still holds, is deleted. The change set is complete (every
+// rule an event rewrites sits at a slot it names), so a slot outside it holds
+// what it held before the event. refresh, which has no change set, compiles
+// and compares the whole group.
 //
 // Updates are coalesced and batched: pending updates are keyed by rule
 // location, a newer update for the same key overwrites the older one (the
@@ -51,6 +56,9 @@ struct ControlPlaneStats {
   std::uint64_t host_fails = 0;
   // Events whose re-encode left every installed rule untouched.
   std::uint64_t clean_events = 0;
+  // Rules the diffs compiled to compare with installed state: the slots of
+  // each event's change set, the whole group for a refresh.
+  std::uint64_t rules_compiled = 0;
 
   std::uint64_t flushes = 0;
   std::uint64_t batches_encoded = 0;
@@ -142,7 +150,8 @@ class ControlPlane final : public MembershipDriver {
     }
   };
 
-  // Queues each compiled rule of `group` that its slot does not hold yet,
+  // Compiles the rules of `group` at the slots of `changed` (every slot
+  // when `changed` is empty) and queues each one its slot does not hold yet,
   // then a delete for each slot of `changed` the group no longer compiles
   // but that is still occupied.
   void diff_group(GroupId group, const RuleSlots& changed);

@@ -1,7 +1,7 @@
 #include "p4rt/runtime.h"
 
+#include <algorithm>
 #include <limits>
-#include <map>
 #include <stdexcept>
 
 namespace elmo::p4rt {
@@ -136,11 +136,10 @@ bool put_body(std::vector<std::uint8_t>& body, const Update& u,
   throw std::invalid_argument{"p4rt: unknown update kind"};
 }
 
-// Every rule of `group`, in the order documented at compile_install: adds
-// with full content when `install`, otherwise deletes carrying only the rule
-// location.
+}  // namespace
+
 std::vector<Update> compile(const Controller& controller, elmo::GroupId group,
-                            bool install) {
+                            bool install, const RuleSlots* slots) {
   const auto& g = controller.group(group);
   const auto& t = controller.topology();
   const std::size_t planes = t.params().spines_per_pod;
@@ -150,17 +149,44 @@ std::vector<Update> compile(const Controller& controller, elmo::GroupId group,
     u.group = g.address;
     return u;
   };
+  auto named = [slots](topo::Layer layer, std::uint32_t id) {
+    return slots == nullptr ||
+           std::binary_search(slots->srules.begin(), slots->srules.end(),
+                              std::pair{layer, id});
+  };
+
+  // The hosts whose flow is compiled, ascending: the filter's, else every
+  // member host. A filtered host with no member left compiles no flow.
+  std::vector<topo::HostId> member_hosts;
+  if (slots == nullptr) {
+    member_hosts.reserve(g.members.size());
+    for (const auto& member : g.members) member_hosts.push_back(member.host);
+    std::sort(member_hosts.begin(), member_hosts.end());
+    member_hosts.erase(std::unique(member_hosts.begin(), member_hosts.end()),
+                       member_hosts.end());
+  }
+  const std::span<const topo::HostId> hosts =
+      slots == nullptr ? std::span<const topo::HostId>{member_hosts}
+                       : std::span<const topo::HostId>{slots->hosts};
 
   // Every sender's header ends with the same tail; it is serialized at the
   // first sender and spliced into the rest.
   const auto& codec = controller.encoder().codec();
   std::vector<std::uint8_t> shared_tail;
 
-  std::map<topo::HostId, Update> flows;
+  // updates[i] is the flow of hosts[i], built once some member lives there.
+  std::vector<Update> updates;
+  updates.reserve(hosts.size() + g.encoding.leaf.s_rules.size() +
+                  g.encoding.spine.s_rules.size() * planes);
+  updates.resize(hosts.size());
+  std::vector<bool> built(hosts.size(), false);
   for (const auto& member : g.members) {
-    const auto [it, inserted] = flows.try_emplace(member.host);
-    auto& u = it->second;
-    if (inserted) {
+    const auto at = std::lower_bound(hosts.begin(), hosts.end(), member.host);
+    if (at == hosts.end() || *at != member.host) continue;
+    const auto i = static_cast<std::size_t>(at - hosts.begin());
+    auto& u = updates[i];
+    if (!built[i]) {
+      built[i] = true;
       u = rule(UpdateKind::kHypervisorFlowAdd, UpdateKind::kHypervisorFlowDel);
       u.host = member.host;
       if (install) u.vni = g.tenant;
@@ -175,11 +201,16 @@ std::vector<Update> compile(const Controller& controller, elmo::GroupId group,
     }
   }
 
-  std::vector<Update> updates;
-  updates.reserve(flows.size() + g.encoding.leaf.s_rules.size() +
-                  g.encoding.spine.s_rules.size() * planes);
-  for (auto& [host, u] : flows) updates.push_back(std::move(u));
+  // Close the gaps of filtered hosts no member lives on.
+  std::size_t flows = 0;
+  for (std::size_t i = 0; i < hosts.size(); ++i) {
+    if (!built[i]) continue;
+    if (flows != i) updates[flows] = std::move(updates[i]);
+    ++flows;
+  }
+  updates.resize(flows);
   for (const auto& [leaf, bitmap] : g.encoding.leaf.s_rules) {
+    if (!named(topo::Layer::kLeaf, leaf)) continue;
     auto& u = updates.emplace_back(
         rule(UpdateKind::kSRuleAdd, UpdateKind::kSRuleDel));
     u.layer = topo::Layer::kLeaf;
@@ -188,26 +219,26 @@ std::vector<Update> compile(const Controller& controller, elmo::GroupId group,
   }
   for (const auto& [pod, bitmap] : g.encoding.spine.s_rules) {
     for (std::size_t plane = 0; plane < planes; ++plane) {
+      const auto spine = t.spine_at(pod, plane);
+      if (!named(topo::Layer::kSpine, spine)) continue;
       auto& u = updates.emplace_back(
           rule(UpdateKind::kSRuleAdd, UpdateKind::kSRuleDel));
       u.layer = topo::Layer::kSpine;
-      u.switch_id = t.spine_at(pod, plane);
+      u.switch_id = spine;
       if (install) u.ports = bitmap;
     }
   }
   return updates;
 }
 
-}  // namespace
-
 std::vector<Update> compile_install(const Controller& controller,
                                     elmo::GroupId group) {
-  return compile(controller, group, /*install=*/true);
+  return compile(controller, group, /*install=*/true, /*slots=*/nullptr);
 }
 
 std::vector<Update> compile_uninstall(const Controller& controller,
                                       elmo::GroupId group) {
-  return compile(controller, group, /*install=*/false);
+  return compile(controller, group, /*install=*/false, /*slots=*/nullptr);
 }
 
 std::vector<std::uint8_t> encode(std::span<const Update> updates) {

@@ -2,12 +2,14 @@
 // interface (like P4Runtime) to install match-action rules in the switches
 // at run time").
 //
-// compile_install / compile_uninstall are the one place that turns a group
-// into rules: every install path consumes their output. sim::Fabric::
-// install_group applies it whole; the streaming control plane compares each
-// rule with what the fabric holds and sends only the ones that differ, with
-// deletes taken from the controller's change set. sim::Fabric::apply is the
-// one place that applies an Update to the data plane. Rule updates
+// compile is the one place that turns a group into rules: every install
+// path consumes its output. compile_install / compile_uninstall are its
+// all-slots case, which sim::Fabric::install_group applies whole. The
+// streaming control plane compiles only the slots of the controller's change
+// set (the rules an event touched), compares each with what the fabric holds
+// and sends only the ones that differ, with deletes for the named slots the
+// group no longer compiles. sim::Fabric::apply is the one place that applies
+// an Update to the data plane. Rule updates
 // are serialized into framed, self-describing binary messages so that the
 // controller and the switches can live in different processes (as they do
 // in a real deployment).
@@ -71,6 +73,16 @@ struct Update {
   bool operator==(const Update&) const = default;
 };
 
+// Compiles the rules of `group` at the slots `slots` names (its lists sorted,
+// as RuleSlots keeps them), or at every slot when `slots` is null: adds with full content when `install`, otherwise
+// deletes carrying only the rule location (what the wire carries for a
+// delete, so no header is built). A filtered compile is the subsequence of
+// the all-slots one at the named slots; a named slot the group does not
+// compile (a host with no member left, an s-rule the encoding dropped)
+// yields nothing.
+std::vector<Update> compile(const Controller& controller, elmo::GroupId group,
+                            bool install, const RuleSlots* slots);
+
 // Compiles the full installation of `group` into an update batch (what the
 // controller pushes when the group is created or refreshed): one
 // HYPERVISOR_FLOW_ADD per distinct member host, ascending by host, merged
@@ -82,8 +94,7 @@ struct Update {
 // sections (HeaderCodec::serialize_shared).
 std::vector<Update> compile_install(const Controller& controller,
                                     elmo::GroupId group);
-// The matching deletes, in the same order. They carry only the rule
-// location (what the wire carries for a delete), so no header is built.
+// The matching deletes, in the same order.
 std::vector<Update> compile_uninstall(const Controller& controller,
                                       elmo::GroupId group);
 

@@ -143,6 +143,7 @@ class Runner {
       fabric_.install_group(controller_, id);
       plane_.track_group(id);
     }
+    recompile_all();
     select_mutation_target();
     seed_fault();
     diff_membership("after setup");
@@ -164,6 +165,7 @@ class Runner {
           plane_.join(id, ev.member);
           sync();
         }
+        recompile(ev.group_index);
         oracle_.join(ev.group_index, ev.member);
         diff_membership(at);
         if (failed_) return;
@@ -194,6 +196,7 @@ class Runner {
           plane_.leave(id, leaver.host, leaver.vm);
           sync();
         }
+        recompile(ev.group_index);
         if (!oracle_.leave(ev.group_index, ev.member.host, ev.member.vm)) {
           fail(at + ": oracle mirror missing member " + describe(ev.member));
           return;
@@ -255,6 +258,7 @@ class Runner {
           sync();
         }
         for (const auto& [gi, members] : affected) {
+          recompile(gi);
           for (const auto& m : members) {
             if (!oracle_.leave(gi, m.host, m.vm)) {
               fail(at + ": oracle mirror missing member " + describe(m));
@@ -283,20 +287,39 @@ class Runner {
   void resync_headers() {
     plane_.refresh_all();
     sync();
+    recompile_all();
     diff_fabric_state("after failure resync");
+  }
+
+  // Re-derives group `gi`'s term of the expected digest after an event
+  // changed its membership or encoding. The term folds the full
+  // p4rt::compile_install, never a compile filtered to a change set, so the
+  // referee stays independent of the change sets the plane diffs by.
+  void recompile(std::size_t gi) {
+    compiled_total_ -= compiled_terms_[gi];
+    compiled_terms_[gi] =
+        stream::rules_digest(p4rt::compile_install(controller_, ids_[gi]));
+    compiled_total_ += compiled_terms_[gi];
+  }
+
+  // Failures and restores re-route sender headers of any group.
+  void recompile_all() {
+    compiled_terms_.resize(ids_.size(), 0);
+    for (std::size_t gi = 0; gi < ids_.size(); ++gi) recompile(gi);
   }
 
   // Continuous churn oracle: after every membership or failure event, the
   // live fabric's installed state must digest-equal the compiled rules of
-  // the controller's current encodings, moved by the seeded fault's edit (so
-  // a mutation is left for the send checks to catch). Catches stale rules,
-  // missed deltas, leaked state and faults in the switch tables that the
-  // send-level differ would only notice if a later send happened to
-  // traverse them.
+  // the controller's current encodings (the sum of the per-group terms,
+  // equal to stream::compiled_state_digest), moved by the seeded fault's
+  // edit (so a mutation is left for the send checks to catch). Catches
+  // stale rules, missed deltas, leaked state and faults in the switch
+  // tables that the send-level differ would only notice if a later send
+  // happened to traverse them.
   void diff_fabric_state(const std::string& at) {
     if (failed_) return;
     if (stream::fabric_state_digest(fabric_) !=
-        stream::compiled_state_digest(controller_) + fault_shift_) {
+        compiled_total_ + fault_shift_) {
       fail(at + ": installed fabric state diverges from the compiled rules "
                 "of the controller's current encodings");
     }
@@ -647,6 +670,10 @@ class Runner {
   std::uint32_t target_vm_ = 0;
   // What the seeded fault's edit moves the installed-state digest by.
   std::uint64_t fault_shift_ = 0;
+  // rules_digest(compile_install) of each group (parallel to ids_) and
+  // their sum: stream::compiled_state_digest, updated per touched group.
+  std::vector<std::uint64_t> compiled_terms_;
+  std::uint64_t compiled_total_ = 0;
 };
 
 }  // namespace

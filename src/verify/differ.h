@@ -9,9 +9,10 @@
 //   * after every membership event: controller member list == oracle mirror;
 //   * after every membership or failure event: the installed fabric state
 //     digest-equals the compiled rules of the controller's current
-//     encodings (stream::fabric_state_digest against
-//     stream::compiled_state_digest), so streamed deltas never drift from
-//     what p4rt::compile_install says, and no reference fabric is built;
+//     encodings (stream::fabric_state_digest against the sum of one
+//     rules_digest(p4rt::compile_install) term per group, re-folded for the
+//     groups the event changed), so streamed deltas never drift from what
+//     p4rt::compile_install says, and no reference fabric is built;
 //   * per send: every oracle-expected host got a copy (exactly one unless
 //     failures legitimize duplicates), the sender host got none, per-VM
 //     deliveries match copies x mirrored receiving VMs, switch hop count

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "elmo/churn.h"
+#include "elmo/snapshot.h"
 
 namespace elmo {
 namespace {
@@ -150,6 +151,66 @@ TEST(Controller, RejectedCreateOfHostOutsideTopologyLeavesNoGroup) {
   const auto next = controller.create_group(0, good);
   EXPECT_EQ(next, first + 1);
   EXPECT_EQ(controller.num_groups(), 2u);
+}
+
+// Membership is a set of (host, vm) pairs: a second join of a member, with
+// its role or another, is rejected before any state changes. Accepted, it
+// would list the VM twice in its host's flow and deliver every packet to it
+// twice.
+TEST(Controller, DuplicateJoinChangesNothing) {
+  const auto t = small();
+  EncoderConfig cfg;
+  cfg.hmax_leaf_override = 1;  // s-rules in play, so reservations show
+  Controller controller{t, cfg};
+  std::vector<Member> members;
+  for (std::uint32_t i = 0; i < 16; ++i) {
+    members.push_back(Member{static_cast<topo::HostId>(i * 4), i,
+                             MemberRole::kReceiver});
+  }
+  const auto id = controller.create_group(0, members);
+  controller.join(id, Member{5, 40, MemberRole::kBoth});
+  ASSERT_GT(controller.group(id).encoding.s_rule_count(), 0u);
+  const auto image = snapshot(controller);
+  const auto change = controller.last_change();
+  const auto reserved = occupancy(controller, t);
+
+  for (const auto role :
+       {MemberRole::kBoth, MemberRole::kSender, MemberRole::kReceiver}) {
+    EXPECT_THROW(controller.join(id, Member{5, 40, role}),
+                 std::invalid_argument);
+    EXPECT_THROW(controller.join(id, Member{0, 0, role}),
+                 std::invalid_argument);
+    EXPECT_EQ(snapshot(controller), image);
+    EXPECT_EQ(controller.last_change().hosts, change.hosts);
+    EXPECT_EQ(controller.last_change().srules, change.srules);
+    EXPECT_EQ(occupancy(controller, t), reserved);
+  }
+
+  // Another VM on the same host, or the same VM index on another host, is a
+  // distinct member.
+  controller.join(id, Member{5, 41, MemberRole::kReceiver});
+  controller.join(id, Member{6, 40, MemberRole::kReceiver});
+  EXPECT_EQ(controller.group(id).members.size(), members.size() + 3);
+}
+
+TEST(Controller, DuplicateMemberInCreateLeavesNoGroup) {
+  const auto t = small();
+  Controller controller{t, EncoderConfig{}};
+  const auto first = controller.create_group(0, members_of({0, 5}));
+  const auto image = snapshot(controller);
+  const std::vector<Member> twice{Member{3, 0, MemberRole::kSender},
+                                  Member{9, 1, MemberRole::kBoth},
+                                  Member{3, 0, MemberRole::kReceiver}};
+  const auto good = members_of({1, 9});
+
+  EXPECT_THROW(controller.create_group(0, twice), std::invalid_argument);
+  const std::vector<Controller::GroupSpec> specs{{0, good}, {0, twice}};
+  EXPECT_THROW(controller.create_groups(specs), std::invalid_argument);
+  EXPECT_EQ(controller.group_ids(), std::vector<GroupId>{first});
+  EXPECT_EQ(snapshot(controller), image);
+
+  const auto next = controller.create_group(0, good);
+  EXPECT_EQ(next, first + 1);
 }
 
 TEST(Controller, SenderOnlyJoinUpdatesOneHypervisor) {

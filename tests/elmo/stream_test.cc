@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "elmo/churn.h"
@@ -466,6 +468,113 @@ INSTANTIATE_TEST_SUITE_P(AllEncoders, CompiledStateDigest,
                          [](const auto& info) {
                            return encoder_name(info.param);
                          });
+
+// Change-set completeness, the property the plane's diffs rest on: an event
+// rewrites no rule outside the slots of its change set. After every streamed
+// join, leave and host failure, a whole-group refresh of every group must
+// find nothing left to queue. Random churn under every encoder, once on a
+// healthy fabric and once with legacy leaves (p-rules stay in sender
+// headers) and a failed spine 0 (sender headers carry explicit upstream
+// ports).
+class ChangeSetCompleteness
+    : public ::testing::TestWithParam<std::tuple<EncoderKind, bool>> {};
+
+TEST_P(ChangeSetCompleteness, RefreshAfterEveryEventQueuesNothing) {
+  const auto [kind, degraded] = GetParam();
+  StreamWorld w{kind, 80};
+  if (degraded) {
+    std::vector<bool> legacy(w.topology.num_leaves(), false);
+    for (std::size_t l = 1; l < legacy.size(); l += 2) legacy[l] = true;
+    w.controller.set_legacy_leaves(legacy);
+    for (topo::LeafId l = 0; l < legacy.size(); ++l) {
+      if (legacy[l]) w.fabric.leaf(l).set_legacy(true);
+    }
+  }
+  util::Rng rng{degraded ? 77u : 76u};
+  auto role = [&rng] { return static_cast<MemberRole>(rng.index(3)); };
+  auto& vm_hosts = w.tenants[0].vm_hosts;
+
+  std::vector<GroupId> ids;
+  for (int gi = 0; gi < 4; ++gi) {
+    std::vector<Member> members;
+    for (std::uint32_t vm = 0; vm < vm_hosts.size(); ++vm) {
+      if (rng.bernoulli(0.15)) members.push_back({vm_hosts[vm], vm, role()});
+    }
+    if (members.size() < 2) {
+      members = {{vm_hosts[gi], static_cast<std::uint32_t>(gi), role()},
+                 {vm_hosts[79 - gi], 79u - gi, MemberRole::kBoth}};
+    }
+    ids.push_back(w.controller.create_group(0, members));
+  }
+  if (degraded) {
+    w.controller.fail_spine(0);
+    w.fabric.spine(0).set_down(true);
+  }
+  for (const auto id : ids) w.fabric.install_group(w.controller, id);
+
+  // Threshold 8: refreshes also compare against updates still pending.
+  ControlPlane cp{w.controller, w.fabric, ControlPlaneOptions{8}};
+  for (const auto id : ids) cp.track_group(id);
+
+  auto member_of = [&](GroupId id, std::uint32_t vm) {
+    const auto& members = w.controller.group(id).members;
+    return std::any_of(members.begin(), members.end(),
+                       [vm](const Member& m) { return m.vm == vm; });
+  };
+  std::size_t joins = 0, leaves = 0, fails = 0;
+  for (int step = 0; step < 300; ++step) {
+    const auto id = ids[rng.index(ids.size())];
+    const auto& members = w.controller.group(id).members;
+    const auto pick = rng.index(10);
+    if (pick < 5) {
+      const auto vm = static_cast<std::uint32_t>(rng.index(vm_hosts.size()));
+      if (member_of(id, vm)) continue;
+      cp.join(id, Member{vm_hosts[vm], vm, role()});
+      ++joins;
+    } else if (pick < 9) {
+      if (members.size() <= 2) continue;
+      const auto victim = members[rng.index(members.size())];
+      cp.leave(id, victim.host, victim.vm);
+      ++leaves;
+    } else {
+      // Fail a member host, unless that would empty some group.
+      const auto host = members[rng.index(members.size())].host;
+      const bool empties = std::any_of(ids.begin(), ids.end(), [&](GroupId g) {
+        const auto& ms = w.controller.group(g).members;
+        return std::all_of(ms.begin(), ms.end(),
+                           [host](const Member& m) { return m.host == host; });
+      });
+      if (empties) continue;
+      cp.host_fail(host);
+      ++fails;
+    }
+
+    const auto pending = cp.pending();
+    const auto coalesced = cp.stats().updates_coalesced;
+    const auto applied = cp.stats().updates_applied;
+    for (const auto g : ids) cp.refresh(g);
+    ASSERT_EQ(cp.pending(), pending) << "step " << step;
+    ASSERT_EQ(cp.stats().updates_coalesced, coalesced) << "step " << step;
+    ASSERT_EQ(cp.stats().updates_applied, applied) << "step " << step;
+  }
+  cp.flush();
+  EXPECT_EQ(fabric_state_digest(w.fabric),
+            compiled_state_digest(w.controller));
+  EXPECT_GT(joins, 0u);
+  EXPECT_GT(leaves, 0u);
+  EXPECT_GT(fails, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllEncoders, ChangeSetCompleteness,
+    ::testing::Combine(::testing::Values(EncoderKind::kElmo,
+                                         EncoderKind::kBert,
+                                         EncoderKind::kP3fa),
+                       ::testing::Bool()),
+    [](const auto& info) {
+      return std::string{encoder_name(std::get<0>(info.param))} +
+             (std::get<1>(info.param) ? "_Degraded" : "_Healthy");
+    });
 
 TEST(ControlPlane, RejectsZeroFlushThreshold) {
   StreamWorld w;

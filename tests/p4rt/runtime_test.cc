@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "elmo/stream.h"
@@ -174,6 +175,51 @@ TEST_F(P4rtFixture, UninstallDeletesCarryOnlyTheRuleLocation) {
     EXPECT_EQ(deletes[i], expected) << "update " << i;
   }
   EXPECT_EQ(decode(encode(deletes)), deletes);  // the wire drops nothing
+}
+
+// A compile filtered to some slots is the all-slots compile restricted to
+// them, in the same order; a named slot the group does not compile (a host
+// with no member, a switch without the group's s-rule) yields nothing.
+TEST_F(P4rtFixture, FilteredCompileIsTheFullCompileAtTheNamedSlots) {
+  const auto id = make_group(16, 17);
+  const auto all = compile_install(controller, id);
+  const auto& g = controller.group(id);
+
+  RuleSlots slots;
+  std::size_t flows = 0;
+  for (const auto& u : all) {
+    if (u.kind == UpdateKind::kHypervisorFlowAdd) {
+      if (flows++ % 2 == 0) slots.hosts.push_back(u.host);
+    } else {
+      slots.srules.emplace_back(u.layer, u.switch_id);
+    }
+  }
+  ASSERT_LT(slots.hosts.size(), flows);
+  ASSERT_FALSE(slots.srules.empty());
+  slots.srules.pop_back();  // drop one s-rule slot too
+  topo::HostId stranger = 0;
+  while (std::any_of(g.members.begin(), g.members.end(),
+                     [&](const Member& m) { return m.host == stranger; })) {
+    ++stranger;
+  }
+  RuleSlots named = slots;
+  named.merge(RuleSlots{{stranger}, {}});  // also sorts, as filters must be
+
+  std::vector<Update> expected;
+  for (const auto& u : all) {
+    const bool kept =
+        u.kind == UpdateKind::kHypervisorFlowAdd
+            ? std::binary_search(slots.hosts.begin(), slots.hosts.end(),
+                                 u.host)
+            : std::find(slots.srules.begin(), slots.srules.end(),
+                        std::pair{u.layer, u.switch_id}) != slots.srules.end();
+    if (kept) expected.push_back(u);
+  }
+  EXPECT_EQ(compile(controller, id, /*install=*/true, &named), expected);
+
+  EXPECT_EQ(compile(controller, id, /*install=*/true, nullptr), all);
+  const RuleSlots none;
+  EXPECT_TRUE(compile(controller, id, /*install=*/true, &none).empty());
 }
 
 TEST_F(P4rtFixture, DecodeRejectsMalformedStreams) {
