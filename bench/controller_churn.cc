@@ -176,6 +176,7 @@ int main(int argc, char** argv) {
          << ", \"hardware_threads\": " << std::thread::hardware_concurrency()
          << ", \"compiler\": \"" << benchx::compiler()
          << "\", \"build_type\": \"" << benchx::build_type()
+         << "\", \"cpu_model\": \"" << benchx::cpu_model()
          << "\",\n \"results\": {"
          << "\"events_ingested\": " << st.events
          << ", \"clean_events\": " << st.clean_events

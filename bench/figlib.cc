@@ -1,6 +1,7 @@
 #include "figlib.h"
 
 #include <cstdio>
+#include <fstream>
 #include <iostream>
 #include <memory>
 
@@ -25,6 +26,27 @@ const char* compiler() {
 }
 
 const char* build_type() { return ELMO_BUILD_TYPE; }
+
+std::string cpu_model() {
+  std::ifstream cpuinfo{"/proc/cpuinfo"};
+  std::string line;
+  while (std::getline(cpuinfo, line)) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const auto colon = line.find(':');
+    if (colon == std::string::npos) continue;
+    std::string model;
+    for (const char c : line.substr(colon + 1)) {
+      if (c == '"' || c == '\\' || static_cast<unsigned char>(c) < 0x20) {
+        continue;
+      }
+      model += c;
+    }
+    const auto first = model.find_first_not_of(' ');
+    if (first == std::string::npos) continue;
+    return model.substr(first, model.find_last_not_of(' ') - first + 1);
+  }
+  return "unknown";
+}
 
 Scale Scale::from_flags(const util::Flags& flags) {
   Scale scale;

@@ -142,6 +142,11 @@ class PhaseTimer {
 // (bench/CMakeLists.txt sets ELMO_BUILD_TYPE; "unknown" without it).
 const char* compiler();
 const char* build_type();
+// Host fingerprint beside them: the first `model name` of /proc/cpuinfo
+// ("Intel(R) Xeon(R) Processor"), trimmed and with any '"', '\\' or control
+// character dropped so it embeds in JSON as is; "unknown" when the file or
+// the field is absent.
+std::string cpu_model();
 
 // Prints the one-line run-metadata JSON ("RUN {...}") every bench emits
 // last on stdout; see docs/BENCH_SCHEMA.md for the format.

@@ -15,14 +15,17 @@
 //   * the dense entries, std::pair<key, value>, erased by moving the last
 //     entry into the hole.
 //
-// A hit is then one probe-array line plus one entry line. The summary is a
-// 64-bit digest of the value, `Summary{}(value)`, recomputed on every write
-// and carried by every slot move, so a caller whose common case fits in 64
-// bits reads it from the probe line alone with find_summary() and never
-// touches the entry (the hypervisor's decap path, DESIGN.md §4). Values are
-// therefore read-only once stored: find() returns a const pointer, and the
-// only way to change a value is insert_or_assign(). Iteration walks the dense
-// entries; its order is unspecified (digests over it must be order-free).
+// A hit is then one probe-array line plus one entry line, and a caller that
+// knows a key several steps ahead can start the first of them early with
+// prefetch(key) (the walk's prefetch pipeline, DESIGN.md §4). The summary
+// is a 64-bit digest of the value, `Summary{}(value)`, recomputed on every
+// write and carried by every slot move, so a caller whose common case fits
+// in 64 bits reads it from the probe line alone with find_summary() and
+// never touches the entry (the hypervisor's decap path, DESIGN.md §4).
+// Values are therefore read-only once stored: find() returns a const
+// pointer, and the only way to change a value is insert_or_assign().
+// Iteration walks the dense entries; its order is unspecified (digests over
+// it must be order-free).
 //
 // Invalidation rule: a pointer returned by find() (and any reference or
 // iterator into the entries) is valid until the next insert_or_assign() or
@@ -35,6 +38,8 @@
 #include <optional>
 #include <utility>
 #include <vector>
+
+#include "util/prefetch.h"
 
 namespace elmo::dp {
 
@@ -63,6 +68,13 @@ class GroupTable {
     const Slot* slot = slot_for(key);
     if (slot == nullptr) return std::nullopt;
     return slot->summary;
+  }
+  // Starts loading the probe line where a lookup of `key` begins, so a
+  // find() issued a few steps later finds it warm. Reads only the table's
+  // header; changes nothing, and does nothing on an empty table.
+  void prefetch(std::uint32_t key) const noexcept {
+    if (entries_.empty()) return;
+    util::prefetch(&slots_[home(key)]);
   }
 
   // Returns true when `key` was new, false when its value was replaced.

@@ -38,6 +38,7 @@
 #include "net/packet.h"
 #include "net/packet_view.h"
 #include "topology/clos.h"
+#include "util/prefetch.h"
 
 namespace elmo::obs {
 struct HopDecision;
@@ -97,11 +98,25 @@ class HypervisorSwitch {
     return flows_.contains(group.value);
   }
   std::size_t flow_count() const noexcept { return flows_.size(); }
-  // Installed flow for `group`, or nullptr. Read access for state diffing
-  // (the verify harness compares fabric contents against its oracle).
-  // Valid until the next install_flow or remove_flow on this hypervisor.
+  // Installed flow for `group`, or nullptr. The streaming control plane's
+  // read-back (stream::ControlPlane::holds) calls it on every diff to ask
+  // what a host slot holds; tests and tools read it too. Valid until the
+  // next install_flow or remove_flow on this hypervisor.
   const GroupFlow* flow(net::Ipv4Address group) const {
     return flows_.find(group.value);
+  }
+  // Prefetch hooks for a caller that knows a host several steps before it
+  // looks the host up (DESIGN.md §4, "Prefetch pipeline"); neither changes
+  // anything. prefetch_leading_lines() loads the members every lookup and
+  // decap read first: the flow table's header and the stats. prefetch(group),
+  // issued once those are warm, loads the probe line where flow(group) and
+  // process() start.
+  void prefetch_leading_lines() const noexcept {
+    util::prefetch(&flows_);
+    util::prefetch(&stats_);
+  }
+  void prefetch(net::Ipv4Address group) const noexcept {
+    flows_.prefetch(group.value);
   }
   // Full table view, keyed by group address value (iteration order is
   // unspecified; stream::fabric_state_digest sums per-rule terms).

@@ -128,9 +128,12 @@ class NetworkSwitch {
   void install_srule(net::Ipv4Address group, net::PortBitmap ports);
   void remove_srule(net::Ipv4Address group);
   std::size_t srule_count() const noexcept { return group_table_.size(); }
-  // Installed s-rule bitmap for `group`, or nullptr. Read access for state
-  // diffing (the verify harness compares fabric contents against its oracle).
-  // Valid until the next install_srule or remove_srule on this switch.
+  // Installed s-rule bitmap for `group`, or nullptr. The streaming control
+  // plane's read-back (stream::ControlPlane::holds) calls it on every diff
+  // to ask what a switch slot holds; tests and tools read it too. Valid
+  // until the next install_srule or remove_srule on this switch. Unlike
+  // HypervisorSwitch::flow() it has no prefetch hook: prefetching switch
+  // hops showed no gain (DESIGN.md §4, "Prefetch pipeline").
   const net::PortBitmap* srule(net::Ipv4Address group) const {
     return group_table_.find(group.value);
   }

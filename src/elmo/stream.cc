@@ -311,6 +311,15 @@ void ControlPlane::diff_group(GroupId group, const RuleSlots& changed) {
                                whole ? nullptr : &changed);
   stats_.rules_compiled += desired.size();
   ELMO_METRIC(reg.add(stream_metric_ids().rules_compiled, desired.size()));
+  // The compare below reads back one cold hypervisor per flow. Prefetch in
+  // two passes so those misses overlap: first each target's leading lines,
+  // then (with its table header warm) its probe line.
+  for (const auto& u : desired) {
+    if (is_flow(u)) fabric_->hypervisor(u.host).prefetch_leading_lines();
+  }
+  for (const auto& u : desired) {
+    if (is_flow(u)) fabric_->hypervisor(u.host).prefetch(u.group);
+  }
   std::vector<RuleSlot> compiled;
   compiled.reserve(desired.size());
   for (auto& u : desired) {

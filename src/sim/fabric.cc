@@ -1,6 +1,7 @@
 #include "sim/fabric.h"
 
 #include <algorithm>
+#include <exception>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -46,6 +47,10 @@ FabricMetricIds& fabric_metric_ids() {
 }
 
 constexpr std::size_t kMaxHops = 8;  // > any Clos path; catches loops
+// How many work items ahead of the dequeue the walk prefetches a host
+// item's probe line (DESIGN.md §4, "Prefetch pipeline"; measured in
+// EXPERIMENTS.md).
+constexpr std::size_t kHostPrefetchDistance = 6;
 
 }  // namespace
 
@@ -381,6 +386,22 @@ SendResult Fabric::send(topo::HostId src, net::Ipv4Address group,
                         {{"fanout", static_cast<double>(fanout)},
                          {"queue_depth", static_cast<double>(pending())}});
   };
+  // A walk that throws (a malformed Elmo header, the hop cap) closes the
+  // hop span it was in and the send span before the exception leaves.
+  obs::TraceContext hop_span;
+  struct CloseSpansOnUnwind {
+    obs::Tracer* recorder;
+    const obs::TraceContext& send;
+    const obs::TraceContext& hop;
+    int exceptions = std::uncaught_exceptions();
+    ~CloseSpansOnUnwind() {
+      if (recorder == nullptr || std::uncaught_exceptions() == exceptions) {
+        return;
+      }
+      recorder->end_span(hop);
+      recorder->end_span(send);
+    }
+  } close_on_unwind{recorder_, send_span, hop_span};
   if (!lost_on(loss_rng, src_index, 0)) {
     queue_.push_back(WorkItem{first_leaf, std::move(packet), 1, prov_root});
     ++walk_stats_.enqueues;
@@ -394,6 +415,12 @@ SendResult Fabric::send(topo::HostId src, net::Ipv4Address group,
   }
 
   while (head < queue_.size()) {
+    // Host items are the fan-out's cold chain: their hypervisor's leading
+    // lines were prefetched at enqueue, so its probe line can start now.
+    if (head + kHostPrefetchDistance < queue_.size()) {
+      const auto& ahead = queue_[head + kHostPrefetchDistance].at;
+      if (ahead.layer == topo::Layer::kHost) hosts_[ahead.id].prefetch(group);
+    }
     auto item = std::move(queue_[head++]);
     ++walk_stats_.work_items;
     const bool at_host = item.at.layer == topo::Layer::kHost;
@@ -404,7 +431,6 @@ SendResult Fabric::send(topo::HostId src, net::Ipv4Address group,
       }
     }
 
-    obs::TraceContext hop_span;
     if (recorder_ != nullptr) {
       hop_span = recorder_->begin_span(
           kHopSpanNames[static_cast<std::size_t>(item.at.layer)],
@@ -451,6 +477,7 @@ SendResult Fabric::send(topo::HostId src, net::Ipv4Address group,
         delivered_.push_back(next.id);
         ++walk_stats_.host_copies;
         if (!tte_watches_.empty()) tte_on_delivery(group.value, next.id);
+        hosts_[next.id].prefetch_leading_lines();
         queue_.push_back(
             WorkItem{next, std::move(emission.packet), item.hops, prov_hop});
       } else {

@@ -243,7 +243,8 @@ class Fabric {
   // "send" span {group, src_host, send_index} on TraceLane::kData and, per
   // work item, a child span named by the node's layer ("host", "leaf",
   // "spine", "core") {node, hop, fanout, queue_depth} that closes after the
-  // node processed the packet. A walk that throws leaves its spans open.
+  // node processed the packet. A walk that throws closes both the send span
+  // and the hop span it was in before the exception propagates.
   // Kept apart from set_tracer() so a tracer can watch time-to-effect
   // without also holding every hop; pass the same tracer to both for one
   // timeline. Not owned; must outlive the sends it observes. A detached

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <limits>
 #include <map>
 #include <optional>
@@ -69,6 +71,17 @@ TEST(GroupTable, EmptyTableFindsNothing) {
   EXPECT_EQ(t.begin(), t.end());
 }
 
+// prefetch() on a default-constructed table (no probe array yet) neither
+// faults nor allocates.
+TEST(GroupTable, EmptyTablePrefetchesNothing) {
+  Table t;
+  t.prefetch(0);
+  t.prefetch(0xFFFF'FFFFu);
+  EXPECT_TRUE(t.empty());
+  EXPECT_EQ(t.slot_count(), 0u);
+  EXPECT_EQ(t.find(0), nullptr);
+}
+
 TEST(GroupTable, InsertAssignAndEraseReportWhatHappened) {
   Table t;
   EXPECT_TRUE(t.insert_or_assign(5, 50));
@@ -121,16 +134,34 @@ void expect_summaries(const Table& table,
   check(kMax);
 }
 
+// Prefetches a random present key (when there is one), a random absent key
+// and the extreme keys. A hint must not fault on any table state and must
+// change nothing, which the checks that follow it confirm.
+void prefetch_some(const Table& t, util::Rng& rng, std::uint32_t key_range) {
+  if (!t.empty()) {
+    t.prefetch(std::next(t.begin(), static_cast<std::ptrdiff_t>(
+                                        rng.next_below(t.size())))
+                   ->first);
+  }
+  t.prefetch(key_range + static_cast<std::uint32_t>(rng.next_below(1000)));
+  t.prefetch(0);
+  t.prefetch(std::numeric_limits<std::uint32_t>::max());
+}
+
 // Random inserts, replaces and erases over keys [0, key_range) plus the
 // extreme keys, checked against std::unordered_map after every operation.
 // A new table starts at 8 slots, so each run also crosses every growth step
-// up to its working size.
+// up to its working size. Every operation (each grow and erase included) is
+// followed by prefetches, the empty table's first one too; their keys come
+// from a stream of their own, so the operations are the same without them.
 void differential_run(std::uint64_t seed, std::uint32_t key_range, int ops,
                       std::uint64_t insert_tenths) {
   util::Rng rng{seed};
+  auto prefetch_rng = util::Rng::stream(seed, 1);
   Table t;
   std::unordered_map<std::uint32_t, std::uint64_t> ref;
   constexpr std::uint32_t kMax = std::numeric_limits<std::uint32_t>::max();
+  prefetch_some(t, prefetch_rng, key_range);
   for (int op = 0; op < ops; ++op) {
     const auto pick = rng.next_below(100);
     std::uint32_t key = static_cast<std::uint32_t>(rng.next_below(key_range));
@@ -145,6 +176,7 @@ void differential_run(std::uint64_t seed, std::uint32_t key_range, int ops,
     } else {
       EXPECT_EQ(t.erase(key), ref.erase(key) == 1);
     }
+    prefetch_some(t, prefetch_rng, key_range);
     const auto* found = t.find(key);
     ASSERT_EQ(found != nullptr, ref.contains(key)) << "op " << op;
     if (found != nullptr) {

@@ -203,6 +203,25 @@ TEST_F(FabricFixture, TruncatedHeaderThrowsAndTheNextSendDelivers) {
   EXPECT_EQ(result.vm_deliveries, 2u);
 }
 
+// A walk that throws closes its trace spans on the way out: the send span
+// and the hop span the malformed header threw in are exported closed.
+TEST_F(FabricFixture, ThrowingWalkClosesItsSpans) {
+  const auto group = controller.group(make_group({0, 17, 33})).address;
+  auto& hv = fabric.hypervisor(0);
+  auto cut = *hv.flow(group);
+  cut.elmo_header.pop_back();
+  hv.install_flow(group, cut);
+  obs::Tracer tracer;
+  fabric.set_recorder(&tracer);
+  EXPECT_THROW(fabric.send(0, group, 0), std::out_of_range);
+
+  const auto stats = tracer.stats();
+  EXPECT_GE(stats.spans, 2u);  // the send and at least the throwing hop
+  EXPECT_EQ(stats.open_spans, 0u);
+  EXPECT_EQ(tracer.chrome_trace_json().find("\"open\": 1"),
+            std::string::npos);
+}
+
 // A hop tracer sees one "send" span per send and one child span per work
 // item, named by the node's layer, each inside its send; all close.
 TEST_F(FabricFixture, HopTracerRecordsTheSendAndEveryHop) {
