@@ -63,9 +63,9 @@ int main(int argc, char** argv) {
     }
     ids = controller.create_groups(specs, &pool);
   }
-  CountingSink sink{topology};
-  controller.set_sink(&sink);
+  CountingSink sink{controller};
   ChurnSimulator churn{controller, cloud, ids};
+  churn.set_driver(&sink);
   ChurnParams cp;
   cp.events = 20'000;
   const double seconds = churn.run(cp, rng);

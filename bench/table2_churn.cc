@@ -1,7 +1,7 @@
 // Table 2: average (max) switch updates per second under membership churn at
 // 1,000 events/sec, P=1 placement, WVE group sizes — Elmo vs Li et al.
 //
-// Elmo updates are counted by the controller through an UpdateSink (header
+// Elmo updates are counted from each event's controller change set (header
 // templates to hypervisors, s-rule diffs to leaf/spine switches, nothing to
 // cores). The Li et al. baseline reinstalls the group's physical tree on
 // every change, touching every switch in old-tree U new-tree.
@@ -171,9 +171,9 @@ int main(int argc, char** argv) {
   phases.stop();
 
   phases.start("elmo churn");
-  CountingSink sink{topology};
-  controller.set_sink(&sink);
+  CountingSink sink{controller};
   ChurnSimulator churn{controller, cloud, ids};
+  churn.set_driver(&sink);
   ChurnParams params;
   params.events = events;
   const double seconds = churn.run(params, rng);

@@ -45,67 +45,72 @@ int main(int argc, char** argv) {
 
   // Per-hypervisor update counts per failure event (the paper's metric:
   // each hypervisor batches its own re-issued upstream rules; 80K updates/s
-  // per server -> the max determines the reconfiguration window).
-  CountingSink sink{topology};
-  controller.set_sink(&sink);
-
-  util::OnlineStats spine_affected_pct;
-  util::OnlineStats spine_avg_per_hv;
-  util::OnlineStats spine_max_per_hv;
-  const std::size_t spine_samples =
-      std::min<std::size_t>(topology.num_spines(), 16);
-  for (std::size_t i = 0; i < spine_samples; ++i) {
-    const auto spine = static_cast<topo::SpineId>(
-        i * topology.num_spines() / spine_samples);
-    sink.reset();
-    const auto impact = controller.fail_spine(spine);
-    controller.restore_spine(spine);
-    spine_affected_pct.add(100.0 *
-                           static_cast<double>(impact.groups_affected) /
-                           static_cast<double>(controller.num_groups()));
-    const auto rates = sink.hypervisor_rates(1.0);
-    spine_avg_per_hv.add(rates.avg);
-    spine_max_per_hv.add(rates.max);
-  }
-
-  util::OnlineStats core_affected_pct;
-  util::OnlineStats core_avg_per_hv;
-  util::OnlineStats core_max_per_hv;
-  const std::size_t core_samples =
-      std::min<std::size_t>(topology.num_cores(), 16);
-  for (std::size_t i = 0; i < core_samples; ++i) {
-    const auto core =
-        static_cast<topo::CoreId>(i * topology.num_cores() / core_samples);
-    sink.reset();
-    const auto impact = controller.fail_core(core);
-    controller.restore_core(core);
-    core_affected_pct.add(100.0 *
-                          static_cast<double>(impact.groups_affected) /
-                          static_cast<double>(controller.num_groups()));
-    const auto rates = sink.hypervisor_rates(1.0);
-    core_avg_per_hv.add(rates.avg);
-    core_max_per_hv.add(rates.max);
-  }
+  // per server -> the max determines the reconfiguration window), counted
+  // from the change sets each failure returns.
+  CountingSink sink{controller};
+  std::size_t network_switch_updates = 0;
+  struct FailureStats {
+    util::OnlineStats affected_pct;
+    util::OnlineStats avg_per_hv;
+    util::OnlineStats max_per_hv;
+  };
+  // Fails and restores up to 16 evenly spaced switches of one layer.
+  auto sample = [&](std::size_t switches, auto fail, auto restore) {
+    FailureStats s;
+    const auto samples = std::min<std::size_t>(switches, 16);
+    for (std::size_t i = 0; i < samples; ++i) {
+      const auto id = static_cast<std::uint32_t>(i * switches / samples);
+      const auto impact = (controller.*fail)(id);
+      (controller.*restore)(id);
+      sink.reset();
+      for (const auto& [group, change] : impact.changes) {
+        sink.count(change);
+        network_switch_updates += change.srules.size();
+      }
+      s.affected_pct.add(100.0 *
+                         static_cast<double>(impact.groups_affected()) /
+                         static_cast<double>(controller.num_groups()));
+      const auto rates = sink.hypervisor_rates(1.0);
+      s.avg_per_hv.add(rates.avg);
+      s.max_per_hv.add(rates.max);
+    }
+    return s;
+  };
+  const auto spine = sample(topology.num_spines(), &Controller::fail_spine,
+                            &Controller::restore_spine);
+  const auto core = sample(topology.num_cores(), &Controller::fail_core,
+                           &Controller::restore_core);
 
   TextTable table{{"failure", "% groups affected avg (max)",
                    "updates per hypervisor/event avg (max)", "paper: % groups",
                    "paper: updates"}};
-  table.add_row({"spine switch",
-                 TextTable::fmt(spine_affected_pct.mean(), 1) + " (" +
-                     TextTable::fmt(spine_affected_pct.max(), 1) + ")",
-                 TextTable::fmt(spine_avg_per_hv.mean(), 2) + " (" +
-                     TextTable::fmt(spine_max_per_hv.max(), 0) + ")",
-                 "up to 12.3%", "176.9 (1712)"});
-  table.add_row({"core switch",
-                 TextTable::fmt(core_affected_pct.mean(), 1) + " (" +
-                     TextTable::fmt(core_affected_pct.max(), 1) + ")",
-                 TextTable::fmt(core_avg_per_hv.mean(), 2) + " (" +
-                     TextTable::fmt(core_max_per_hv.max(), 0) + ")",
-                 "up to 25.8%", "674.9 (1852)"});
+  auto add_row = [&](const char* failure, const FailureStats& s,
+                     const char* paper_pct, const char* paper_updates) {
+    table.add_row({failure,
+                   TextTable::fmt(s.affected_pct.mean(), 1) + " (" +
+                       TextTable::fmt(s.affected_pct.max(), 1) + ")",
+                   TextTable::fmt(s.avg_per_hv.mean(), 2) + " (" +
+                       TextTable::fmt(s.max_per_hv.max(), 0) + ")",
+                   paper_pct, paper_updates});
+  };
+  add_row("spine switch", spine, "up to 12.3%", "176.9 (1712)");
+  add_row("core switch", core, "up to 25.8%", "674.9 (1852)");
   std::cout << table.render();
-  std::cout << "shape: core failures affect more groups than spine failures; "
-               "all recovery lands on hypervisors (network switches are "
-               "untouched).\nAt 80K batched updates/s per hypervisor server, "
-               "the measured update counts reconfigure within tens of ms.\n";
+
+  // The trailer states only what the measurement above shows.
+  std::cout << "shape: core failures "
+            << (core.affected_pct.mean() > spine.affected_pct.mean()
+                    ? "affect more groups than spine failures"
+                    : "do not affect more groups than spine failures (the "
+                      "paper reports they do)")
+            << "; "
+            << (network_switch_updates == 0
+                    ? std::string{"all recovery lands on hypervisors "
+                                  "(network switches are untouched)"}
+                    : "recovery also updated " +
+                          std::to_string(network_switch_updates) +
+                          " network switch s-rule(s)")
+            << ".\nAt 80K batched updates/s per hypervisor server, the "
+               "measured update counts reconfigure within tens of ms.\n";
   return 0;
 }

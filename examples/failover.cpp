@@ -69,8 +69,8 @@ int main() {
   const auto victim = topology.spine_at(/*pod=*/0, /*plane=*/0);
   std::cout << "failing spine " << victim << " (pod 0, plane 0)...\n";
   const auto impact = controller.fail_spine(victim);
-  std::cout << "controller: " << impact.groups_affected
-            << " group(s) affected, " << impact.hypervisor_updates
+  std::cout << "controller: " << impact.groups_affected()
+            << " group(s) affected, " << impact.hypervisor_updates()
             << " hypervisor update(s) issued; zero network switches touched\n\n";
 
   describe_header(topology, controller.header_for(group, 0),

@@ -1,5 +1,6 @@
 #include "apps/igmp.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace elmo::apps {
@@ -47,8 +48,7 @@ IgmpMessage IgmpMessage::parse(std::span<const std::uint8_t> data) {
 }
 
 elmo::GroupId IgmpDirectory::group_for(net::Ipv4Address address) {
-  const auto it = groups_.find(address.value);
-  if (it != groups_.end()) return it->second;
+  if (const auto id = find(address)) return *id;
   // Lazily create the group; the tenant-chosen address is recorded in the
   // directory (the controller's internal address provides isolation, so
   // tenants can pick addresses independently of each other — paper Table 3,
@@ -56,6 +56,13 @@ elmo::GroupId IgmpDirectory::group_for(net::Ipv4Address address) {
   const auto id = controller_->create_group(tenant_, {});
   groups_.emplace(address.value, id);
   return id;
+}
+
+bool IgmpAgent::in_group(elmo::GroupId id, std::uint32_t vm) const {
+  const auto& members = directory_->controller().group(id).members;
+  return std::any_of(members.begin(), members.end(), [&](const Member& m) {
+    return m.host == host_ && m.vm == vm;
+  });
 }
 
 bool IgmpAgent::handle_vm_message(std::uint32_t vm,
@@ -76,24 +83,20 @@ bool IgmpAgent::handle_vm_message(std::uint32_t vm,
   switch (msg.type) {
     case IgmpMessage::Type::kV2MembershipReport: {
       ++stats_.reports;
-      auto& joined = memberships_[key(vm, msg.group)];
-      if (joined) {
+      const auto id = directory_->group_for(msg.group);
+      if (in_group(id, vm)) {
         ++stats_.duplicate_reports;  // IGMP retransmits; controller sees one
         return false;
       }
-      const auto id = directory_->group_for(msg.group);
       directory_->controller().join(
           id, elmo::Member{host_, vm, elmo::MemberRole::kReceiver});
-      joined = true;
       return true;
     }
     case IgmpMessage::Type::kLeaveGroup: {
       ++stats_.leaves;
-      auto& joined = memberships_[key(vm, msg.group)];
-      if (!joined) return false;  // leave without join: ignore
-      const auto id = directory_->group_for(msg.group);
-      directory_->controller().leave(id, host_, vm);
-      joined = false;
+      const auto id = directory_->find(msg.group);
+      if (!id || !in_group(*id, vm)) return false;  // not a member: ignore
+      directory_->controller().leave(*id, host_, vm);
       return true;
     }
     case IgmpMessage::Type::kMembershipQuery:
@@ -111,8 +114,8 @@ std::vector<std::uint8_t> IgmpAgent::general_query() const {
 }
 
 bool IgmpAgent::is_member(std::uint32_t vm, net::Ipv4Address group) const {
-  const auto it = memberships_.find(key(vm, group));
-  return it != memberships_.end() && it->second;
+  const auto id = directory_->find(group);
+  return id && in_group(*id, vm);
 }
 
 }  // namespace elmo::apps

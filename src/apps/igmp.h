@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -47,8 +48,10 @@ class IgmpDirectory {
 
   // Group id for `address`, creating an empty group on first use.
   elmo::GroupId group_for(net::Ipv4Address address);
-  bool has_group(net::Ipv4Address address) const {
-    return groups_.contains(address.value);
+  // Group id for `address` if it has one; creates nothing.
+  std::optional<elmo::GroupId> find(net::Ipv4Address address) const {
+    const auto it = groups_.find(address.value);
+    return it == groups_.end() ? std::nullopt : std::optional{it->second};
   }
 
   elmo::Controller& controller() noexcept { return *controller_; }
@@ -74,7 +77,9 @@ class IgmpAgent {
   };
 
   // A local VM handed the hypervisor an IGMP datagram. Returns true if the
-  // message changed the controller's membership.
+  // message changed the controller's membership. The controller's group is
+  // the only membership record: a report from a member is a duplicate, a
+  // leave from a non-member is ignored, whoever changed the group last.
   bool handle_vm_message(std::uint32_t vm, std::span<const std::uint8_t> data);
 
   // Periodic general query (RFC 2236 §3): host-local only; returns the wire
@@ -85,17 +90,10 @@ class IgmpAgent {
   const Stats& stats() const noexcept { return stats_; }
 
  private:
-  struct VmGroupKey {
-    std::uint64_t value;
-    bool operator==(const VmGroupKey&) const = default;
-  };
-  static std::uint64_t key(std::uint32_t vm, net::Ipv4Address group) {
-    return (static_cast<std::uint64_t>(vm) << 32) | group.value;
-  }
+  bool in_group(elmo::GroupId id, std::uint32_t vm) const;
 
   IgmpDirectory* directory_;
   topo::HostId host_;
-  std::unordered_map<std::uint64_t, bool> memberships_;  // key -> joined
   Stats stats_;
 };
 

@@ -5,37 +5,39 @@
 
 namespace elmo {
 
-CountingSink::CountingSink(const topo::ClosTopology& topology)
-    : hypervisor_(topology.num_hosts(), 0),
-      leaf_(topology.num_leaves(), 0),
-      spine_(topology.num_spines(), 0),
-      core_(topology.num_cores(), 0) {}
+CountingSink::CountingSink(Controller& controller)
+    : controller_{&controller},
+      counts_{std::vector<std::uint64_t>(controller.topology().num_hosts()),
+              std::vector<std::uint64_t>(controller.topology().num_leaves()),
+              std::vector<std::uint64_t>(controller.topology().num_spines()),
+              std::vector<std::uint64_t>(controller.topology().num_cores())} {}
 
-void CountingSink::hypervisor_update(topo::HostId host) {
-  ++hypervisor_.at(host);
-}
-
-void CountingSink::network_switch_update(topo::Layer layer, std::uint32_t id) {
-  switch (layer) {
-    case topo::Layer::kLeaf:
-      ++leaf_.at(id);
-      break;
-    case topo::Layer::kSpine:
-      ++spine_.at(id);
-      break;
-    case topo::Layer::kCore:
-      ++core_.at(id);
-      break;
-    case topo::Layer::kHost:
+void CountingSink::count(const RuleSlots& change) {
+  for (const auto host : change.hosts) {
+    ++counts_[index(topo::Layer::kHost)].at(host);
+  }
+  for (const auto& [layer, id] : change.srules) {
+    if (layer == topo::Layer::kHost) {
       throw std::invalid_argument{"CountingSink: host is not a network switch"};
+    }
+    ++counts_[index(layer)].at(id);
   }
 }
 
+void CountingSink::join(GroupId group, const Member& member) {
+  controller_->join(group, member);
+  count(controller_->last_change());
+}
+
+Member CountingSink::leave(GroupId group, topo::HostId host,
+                           std::uint32_t vm) {
+  const auto removed = controller_->leave(group, host, vm);
+  count(controller_->last_change());
+  return removed;
+}
+
 void CountingSink::reset() {
-  std::fill(hypervisor_.begin(), hypervisor_.end(), 0);
-  std::fill(leaf_.begin(), leaf_.end(), 0);
-  std::fill(spine_.begin(), spine_.end(), 0);
-  std::fill(core_.begin(), core_.end(), 0);
+  for (auto& counts : counts_) std::fill(counts.begin(), counts.end(), 0);
 }
 
 CountingSink::Rates CountingSink::rates_of(
@@ -58,16 +60,16 @@ CountingSink::Rates CountingSink::rates_of(
 }
 
 CountingSink::Rates CountingSink::hypervisor_rates(double seconds) const {
-  return rates_of(hypervisor_, seconds);
+  return rates_of(counts_[index(topo::Layer::kHost)], seconds);
 }
 CountingSink::Rates CountingSink::leaf_rates(double seconds) const {
-  return rates_of(leaf_, seconds);
+  return rates_of(counts_[index(topo::Layer::kLeaf)], seconds);
 }
 CountingSink::Rates CountingSink::spine_rates(double seconds) const {
-  return rates_of(spine_, seconds);
+  return rates_of(counts_[index(topo::Layer::kSpine)], seconds);
 }
 CountingSink::Rates CountingSink::core_rates(double seconds) const {
-  return rates_of(core_, seconds);
+  return rates_of(counts_[index(topo::Layer::kCore)], seconds);
 }
 
 ChurnSimulator::ChurnSimulator(Controller& controller,

@@ -5,10 +5,11 @@
 // group size; joining VMs are drawn uniformly from the tenant's VMs not in
 // the group, leaving members uniformly from current members; each member
 // carries a random role (sender / receiver / both). The CountingSink
-// attributes every controller-issued rule update to the switch that received
-// it so the bench can report average and maximum per-switch update rates.
+// tallies every switch each controller change set (RuleSlots) names, so the
+// bench can report average and maximum per-switch update rates.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <unordered_set>
@@ -22,12 +23,37 @@
 
 namespace elmo {
 
-class CountingSink final : public UpdateSink {
- public:
-  explicit CountingSink(const topo::ClosTopology& topology);
+struct ChurnParams {
+  std::size_t events = 100'000;
+  double events_per_second = 1000.0;  // the paper's churn intensity
+  std::size_t min_group_size = 5;
+};
 
-  void hypervisor_update(topo::HostId host) override;
-  void network_switch_update(topo::Layer layer, std::uint32_t id) override;
+// Where ChurnSimulator routes the membership mutations it generates. The
+// default routes straight into the Controller (batch semantics); the
+// streaming ControlPlane implements this to ingest the same events as
+// coalesced delta installs.
+class MembershipDriver {
+ public:
+  virtual ~MembershipDriver() = default;
+  virtual void join(GroupId group, const Member& member) = 0;
+  virtual Member leave(GroupId group, topo::HostId host, std::uint32_t vm) = 0;
+};
+
+// Counts controller change sets per switch: count() one directly (a
+// failure's, a create_group's), or hand the sink to
+// ChurnSimulator::set_driver and it counts each join's and leave's
+// last_change() after forwarding the call to its controller.
+class CountingSink final : public MembershipDriver {
+ public:
+  explicit CountingSink(Controller& controller);
+
+  // One update to each hypervisor and network switch `change` names.
+  // Throws std::invalid_argument for a kHost s-rule slot.
+  void count(const RuleSlots& change);
+
+  void join(GroupId group, const Member& member) override;
+  Member leave(GroupId group, topo::HostId host, std::uint32_t vm) override;
 
   void reset();
 
@@ -46,28 +72,13 @@ class CountingSink final : public UpdateSink {
 
  private:
   static Rates rates_of(std::span<const std::uint64_t> counts, double seconds);
+  static constexpr std::size_t index(topo::Layer layer) {
+    return static_cast<std::size_t>(layer);
+  }
 
-  std::vector<std::uint64_t> hypervisor_;
-  std::vector<std::uint64_t> leaf_;
-  std::vector<std::uint64_t> spine_;
-  std::vector<std::uint64_t> core_;
-};
-
-struct ChurnParams {
-  std::size_t events = 100'000;
-  double events_per_second = 1000.0;  // the paper's churn intensity
-  std::size_t min_group_size = 5;
-};
-
-// Where ChurnSimulator routes the membership mutations it generates. The
-// default routes straight into the Controller (batch semantics); the
-// streaming ControlPlane implements this to ingest the same events as
-// coalesced delta installs.
-class MembershipDriver {
- public:
-  virtual ~MembershipDriver() = default;
-  virtual void join(GroupId group, const Member& member) = 0;
-  virtual Member leave(GroupId group, topo::HostId host, std::uint32_t vm) = 0;
+  Controller* controller_;
+  // Updates per switch, at index(layer) (kHost: the hypervisors).
+  std::array<std::vector<std::uint64_t>, 4> counts_;
 };
 
 class ChurnSimulator {

@@ -123,11 +123,10 @@ std::vector<topo::HostId> GroupState::sender_hosts() const {
 }
 
 Controller::Controller(const topo::ClosTopology& topology,
-                       const EncoderConfig& config, UpdateSink* sink)
+                       const EncoderConfig& config)
     : topo_{&topology},
       encoder_{make_encoder(topology, config)},
-      srule_space_{topology, config.srule_capacity},
-      sink_{sink} {}
+      srule_space_{topology, config.srule_capacity} {}
 
 std::size_t Controller::live_index(GroupId group) const {
   if (group >= groups_.size() || !groups_[group]) {
@@ -211,14 +210,6 @@ RuleSlots Controller::change_set(std::vector<topo::HostId> hosts,
   return change;
 }
 
-void Controller::report(const RuleSlots& change) const {
-  if (sink_ == nullptr) return;
-  for (const auto host : change.hosts) sink_->hypervisor_update(host);
-  for (const auto& [layer, id] : change.srules) {
-    sink_->network_switch_update(layer, id);
-  }
-}
-
 void Controller::commit_membership(GroupState& g, topo::HostId host,
                                    bool receives) {
   std::vector<topo::HostId> hosts{host};
@@ -234,7 +225,6 @@ void Controller::commit_membership(GroupState& g, topo::HostId host,
     // hypervisor is updated (paper §5.1.3a).
     last_change_ = change_set(std::move(hosts), {}, {});
   }
-  report(last_change_);
 }
 
 GroupId Controller::create_group(std::uint32_t tenant,
@@ -252,7 +242,6 @@ GroupId Controller::create_group(std::uint32_t tenant,
   // Initial installation: every member hypervisor gets its flow rule;
   // senders additionally receive the header template (same update).
   last_change_ = change_set(member_hosts(*slot), {}, slot->encoding);
-  report(last_change_);
   return id;
 }
 
@@ -365,7 +354,6 @@ std::vector<GroupId> Controller::create_groups(
       ++reencodes;
     }
     ++live_groups_;
-    if (sink_ != nullptr) report(change_set(member_hosts(g), {}, g.encoding));
   }
   // A bulk load is installed whole (Fabric::install_group), so it records
   // an empty change set: building the union of its groups' change sets in
@@ -400,7 +388,6 @@ void Controller::remove_group(GroupId group) {
   auto& g = state(group);
   if (g.tree) encoder_->release(g.encoding, *g.tree, srule_space_);
   last_change_ = change_set(member_hosts(g), g.encoding, {});
-  report(last_change_);
   groups_[group].reset();
   --live_groups_;
 }
@@ -450,13 +437,16 @@ Controller::FailureImpact Controller::reroute_senders(std::size_t plane,
         !affected(g)) {
       continue;
     }
-    ++impact.groups_affected;
     // Re-issue upstream rules (multipath off) to every sender hypervisor.
-    const auto change = change_set(g.sender_hosts(), {}, {});
-    impact.hypervisor_updates += change.hosts.size();
-    report(change);
+    impact.changes.emplace_back(id, change_set(g.sender_hosts(), {}, {}));
   }
   return impact;
+}
+
+std::size_t Controller::FailureImpact::hypervisor_updates() const noexcept {
+  std::size_t updates = 0;
+  for (const auto& [group, change] : changes) updates += change.hosts.size();
+  return updates;
 }
 
 Controller::FailureImpact Controller::fail_spine(topo::SpineId spine) {

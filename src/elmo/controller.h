@@ -4,8 +4,9 @@
 // s-rule capacity. Every call that changes a group records one change set
 // (RuleSlots, read through last_change): the hypervisors whose flow it may
 // have rewritten and the physical switches whose s-rule changed. That set
-// is the one answer to "what did this event touch": it feeds the UpdateSink
-// (what Table 2 measures) and the streaming control plane's deletes.
+// is the one answer to "what did this event touch", and the controller's
+// only report of it: Table 2 counts it (CountingSink) and the streaming
+// control plane diffs and deletes by it. A failure returns one per group.
 #pragma once
 
 #include <cstdint>
@@ -57,19 +58,6 @@ struct RuleSlots {
   void merge(const RuleSlots& other);
 };
 
-// Receives the controller's change sets, one call per touched switch: a
-// hypervisor_update per host and a network_switch_update per s-rule slot
-// of each RuleSlots the controller records. Hypervisors absorb header
-// template changes, leaf and spine switches see only s-rule changes, cores
-// are never called.
-class UpdateSink {
- public:
-  virtual ~UpdateSink() = default;
-  virtual void hypervisor_update(topo::HostId /*host*/) {}
-  virtual void network_switch_update(topo::Layer /*layer*/,
-                                     std::uint32_t /*physical_switch_id*/) {}
-};
-
 struct GroupState {
   std::uint32_t tenant = 0;
   net::Ipv4Address address;
@@ -83,11 +71,7 @@ struct GroupState {
 
 class Controller {
  public:
-  Controller(const topo::ClosTopology& topology, const EncoderConfig& config,
-             UpdateSink* sink = nullptr);
-
-  // Swap the update sink (e.g., attach counting only after initial load).
-  void set_sink(UpdateSink* sink) noexcept { sink_ = sink; }
+  Controller(const topo::ClosTopology& topology, const EncoderConfig& config);
 
   // Incremental deployment (§7): mark leaves whose switches are legacy
   // (group-table only). Affects groups encoded afterwards.
@@ -145,11 +129,14 @@ class Controller {
 
   // --- failure handling (§3.3) --------------------------------------------
   // Marks the switch failed, recomputes upstream rules for affected groups
-  // (multipath off, explicit ports) and reports how many were affected and
-  // how many hypervisor updates were issued.
+  // (multipath off, explicit ports) and returns one change set per affected
+  // group: its sender hosts, whose upstream rules are re-issued, and no
+  // s-rule slot. last_change() is left as it was.
   struct FailureImpact {
-    std::size_t groups_affected = 0;
-    std::size_t hypervisor_updates = 0;
+    std::vector<std::pair<GroupId, RuleSlots>> changes;  // ascending group id
+
+    std::size_t groups_affected() const noexcept { return changes.size(); }
+    std::size_t hypervisor_updates() const noexcept;
   };
   FailureImpact fail_spine(topo::SpineId spine);
   FailureImpact fail_core(topo::CoreId core);
@@ -167,8 +154,8 @@ class Controller {
   // Ids of the live groups, ascending.
   std::vector<GroupId> group_ids() const;
   // The change set of the latest create_group, join, leave or remove_group
-  // call. create_groups reports each group's to the sink and records an
-  // empty one: a bulk load is installed whole, not diffed.
+  // call. create_groups records an empty one: a bulk load is installed
+  // whole, not diffed.
   const RuleSlots& last_change() const noexcept { return last_change_; }
 
   // Serialized Elmo header a given sender's hypervisor would push.
@@ -189,18 +176,17 @@ class Controller {
   RuleSlots change_set(std::vector<topo::HostId> hosts,
                        const GroupEncoding& before,
                        const GroupEncoding& after) const;
-  // Records and reports the change set of a join or leave of a VM on `host`.
+  // Records the change set of a join or leave of a VM on `host`.
   void commit_membership(GroupState& g, topo::HostId host, bool receives);
-  // Reports every sender of each group whose flows use multipath `plane`
-  // and that `affected(group)` selects (their upstream rules re-route).
+  // Change sets naming every sender of each group whose flows use multipath
+  // `plane` and that `affected(group)` selects (their upstream rules
+  // re-route).
   template <typename F>
   FailureImpact reroute_senders(std::size_t plane, F&& affected);
-  void report(const RuleSlots& change) const;
 
   const topo::ClosTopology* topo_;
   std::unique_ptr<TreeEncoder> encoder_;  // scheme picked by config.encoder
   SRuleSpace srule_space_;
-  UpdateSink* sink_;
   topo::FailureSet failures_;
   std::vector<bool> legacy_leaves_;
   std::vector<std::optional<GroupState>> groups_;

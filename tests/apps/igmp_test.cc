@@ -44,7 +44,7 @@ struct IgmpFixture : ::testing::Test {
         controller{topology, EncoderConfig{}},
         directory{controller, /*tenant=*/7} {}
 
-  std::vector<std::uint8_t> report(const char* group) {
+  std::vector<std::uint8_t> membership_report(const char* group) {
     IgmpMessage msg;
     msg.type = IgmpMessage::Type::kV2MembershipReport;
     msg.group = mcast(group);
@@ -64,9 +64,9 @@ struct IgmpFixture : ::testing::Test {
 
 TEST_F(IgmpFixture, ReportCreatesGroupAndJoins) {
   IgmpAgent agent{directory, /*host=*/3};
-  EXPECT_FALSE(directory.has_group(mcast("239.9.9.9")));
-  EXPECT_TRUE(agent.handle_vm_message(0, report("239.9.9.9")));
-  EXPECT_TRUE(directory.has_group(mcast("239.9.9.9")));
+  EXPECT_FALSE(directory.find(mcast("239.9.9.9")).has_value());
+  EXPECT_TRUE(agent.handle_vm_message(0, membership_report("239.9.9.9")));
+  EXPECT_TRUE(directory.find(mcast("239.9.9.9")).has_value());
   EXPECT_TRUE(agent.is_member(0, mcast("239.9.9.9")));
 
   const auto id = directory.group_for(mcast("239.9.9.9"));
@@ -80,9 +80,9 @@ TEST_F(IgmpFixture, DuplicateReportsAreSuppressed) {
   // IGMP hosts retransmit reports; the controller must see each join once
   // (the "chatty control plane" stays host-local).
   IgmpAgent agent{directory, 3};
-  EXPECT_TRUE(agent.handle_vm_message(0, report("239.1.1.1")));
-  EXPECT_FALSE(agent.handle_vm_message(0, report("239.1.1.1")));
-  EXPECT_FALSE(agent.handle_vm_message(0, report("239.1.1.1")));
+  EXPECT_TRUE(agent.handle_vm_message(0, membership_report("239.1.1.1")));
+  EXPECT_FALSE(agent.handle_vm_message(0, membership_report("239.1.1.1")));
+  EXPECT_FALSE(agent.handle_vm_message(0, membership_report("239.1.1.1")));
   EXPECT_EQ(agent.stats().reports, 3u);
   EXPECT_EQ(agent.stats().duplicate_reports, 2u);
   const auto id = directory.group_for(mcast("239.1.1.1"));
@@ -91,7 +91,7 @@ TEST_F(IgmpFixture, DuplicateReportsAreSuppressed) {
 
 TEST_F(IgmpFixture, LeaveRemovesMembership) {
   IgmpAgent agent{directory, 3};
-  agent.handle_vm_message(0, report("239.1.1.1"));
+  agent.handle_vm_message(0, membership_report("239.1.1.1"));
   EXPECT_TRUE(agent.handle_vm_message(0, leave("239.1.1.1")));
   EXPECT_FALSE(agent.is_member(0, mcast("239.1.1.1")));
   const auto id = directory.group_for(mcast("239.1.1.1"));
@@ -100,12 +100,43 @@ TEST_F(IgmpFixture, LeaveRemovesMembership) {
   EXPECT_FALSE(agent.handle_vm_message(0, leave("239.1.1.1")));
 }
 
+TEST_F(IgmpFixture, MembershipChangedOutsideTheAgentIsHonoured) {
+  // The controller's group is the only membership record: a VM removed by
+  // a direct controller call rejoins on its next report, and a VM added
+  // that way is a member whose report is a duplicate.
+  IgmpAgent agent{directory, /*host=*/5};
+  EXPECT_TRUE(agent.handle_vm_message(3, membership_report("239.2.2.2")));
+  const auto id = directory.group_for(mcast("239.2.2.2"));
+  controller.leave(id, 5, 3);
+  EXPECT_FALSE(agent.is_member(3, mcast("239.2.2.2")));
+
+  EXPECT_TRUE(agent.handle_vm_message(3, membership_report("239.2.2.2")));
+  EXPECT_EQ(agent.stats().duplicate_reports, 0u);
+  EXPECT_TRUE(agent.is_member(3, mcast("239.2.2.2")));
+  ASSERT_EQ(controller.group(id).members.size(), 1u);
+
+  controller.join(id, Member{5, 4, MemberRole::kReceiver});
+  EXPECT_TRUE(agent.is_member(4, mcast("239.2.2.2")));
+  EXPECT_FALSE(agent.handle_vm_message(4, membership_report("239.2.2.2")));
+  EXPECT_EQ(agent.stats().duplicate_reports, 1u);
+  EXPECT_TRUE(agent.handle_vm_message(4, leave("239.2.2.2")));
+  EXPECT_EQ(controller.group(id).members.size(), 1u);
+}
+
+TEST_F(IgmpFixture, LeaveToAnUnknownAddressCreatesNoGroup) {
+  IgmpAgent agent{directory, 3};
+  EXPECT_FALSE(agent.handle_vm_message(0, leave("239.3.3.3")));
+  EXPECT_FALSE(directory.find(mcast("239.3.3.3")).has_value());
+  EXPECT_FALSE(agent.is_member(0, mcast("239.3.3.3")));
+  EXPECT_EQ(controller.num_groups(), 0u);
+}
+
 TEST_F(IgmpFixture, ColocatedVmLeaveRemovesOnlyThatVm) {
   // Two VMs on one host join the same group; the second one leaving must
   // remove exactly that VM, not the first member found on the host.
   IgmpAgent agent{directory, 3};
-  agent.handle_vm_message(0, report("239.1.1.1"));
-  agent.handle_vm_message(1, report("239.1.1.1"));
+  agent.handle_vm_message(0, membership_report("239.1.1.1"));
+  agent.handle_vm_message(1, membership_report("239.1.1.1"));
   EXPECT_TRUE(agent.handle_vm_message(1, leave("239.1.1.1")));
   EXPECT_TRUE(agent.is_member(0, mcast("239.1.1.1")));
   EXPECT_FALSE(agent.is_member(1, mcast("239.1.1.1")));
@@ -121,9 +152,9 @@ TEST_F(IgmpFixture, MultipleAgentsBuildOneGroup) {
   IgmpAgent a{directory, 0};
   IgmpAgent b{directory, 17};
   IgmpAgent c{directory, 33};
-  a.handle_vm_message(0, report("239.5.5.5"));
-  b.handle_vm_message(1, report("239.5.5.5"));
-  c.handle_vm_message(2, report("239.5.5.5"));
+  a.handle_vm_message(0, membership_report("239.5.5.5"));
+  b.handle_vm_message(1, membership_report("239.5.5.5"));
+  c.handle_vm_message(2, membership_report("239.5.5.5"));
 
   const auto id = directory.group_for(mcast("239.5.5.5"));
   const auto& g = controller.group(id);
@@ -156,7 +187,7 @@ TEST_F(IgmpFixture, AddressSpaceIsolationAcrossTenants) {
   IgmpDirectory other_directory{controller, /*tenant=*/8};
   IgmpAgent tenant7{directory, 0};
   IgmpAgent tenant8{other_directory, 4};
-  tenant7.handle_vm_message(0, report("239.7.7.7"));
+  tenant7.handle_vm_message(0, membership_report("239.7.7.7"));
   IgmpMessage msg;
   msg.group = mcast("239.7.7.7");
   tenant8.handle_vm_message(0, msg.serialize());

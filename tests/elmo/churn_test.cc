@@ -40,9 +40,9 @@ struct ChurnFixture : ::testing::Test, ChurnWorld {};
 
 TEST_F(ChurnFixture, EventsKeepGroupsWithinBounds) {
   const auto ids = load_groups(50);
-  CountingSink sink{topology};
-  controller.set_sink(&sink);
+  CountingSink sink{controller};
   ChurnSimulator churn{controller, cloud, ids};
+  churn.set_driver(&sink);
 
   ChurnParams params;
   params.events = 2000;
@@ -76,9 +76,9 @@ TEST_F(ChurnFixture, UpdateLoadShape) {
   // The paper's Table 2 ordering: hypervisors absorb most updates, leaves
   // and spines see only s-rule changes, cores none at all.
   const auto ids = load_groups(50);
-  CountingSink sink{topology};
-  controller.set_sink(&sink);
+  CountingSink sink{controller};
   ChurnSimulator churn{controller, cloud, ids};
+  churn.set_driver(&sink);
 
   ChurnParams params;
   params.events = 3000;
@@ -250,10 +250,10 @@ TEST(ChurnNoops, ExhaustedTenantAttemptsAreCountedAndExcluded) {
 
 TEST(CountingSink, RateMath) {
   const topo::ClosTopology t{topo::ClosParams::small_test()};
-  CountingSink sink{t};
-  sink.hypervisor_update(3);
-  sink.hypervisor_update(3);
-  sink.hypervisor_update(7);
+  Controller controller{t, EncoderConfig{}};
+  CountingSink sink{controller};
+  sink.count(RuleSlots{{3, 7}, {}});
+  sink.count(RuleSlots{{3}, {}});
   const auto rates = sink.hypervisor_rates(2.0);
   EXPECT_EQ(rates.total, 3u);
   EXPECT_DOUBLE_EQ(rates.max, 1.0);  // host 3: 2 updates / 2 s
@@ -267,8 +267,9 @@ TEST(CountingSink, RejectsNonPositiveDuration) {
   // A zero/negative duration used to yield silent all-zero rates, which a
   // miswired bench would happily record as data.
   const topo::ClosTopology t{topo::ClosParams::small_test()};
-  CountingSink sink{t};
-  sink.hypervisor_update(0);
+  Controller controller{t, EncoderConfig{}};
+  CountingSink sink{controller};
+  sink.count(RuleSlots{{0}, {}});
   EXPECT_THROW(sink.hypervisor_rates(0.0), std::invalid_argument);
   EXPECT_THROW(sink.leaf_rates(-1.0), std::invalid_argument);
   EXPECT_THROW(sink.spine_rates(0.0), std::invalid_argument);
@@ -277,8 +278,9 @@ TEST(CountingSink, RejectsNonPositiveDuration) {
 
 TEST(CountingSink, RejectsHostAsNetworkSwitch) {
   const topo::ClosTopology t{topo::ClosParams::small_test()};
-  CountingSink sink{t};
-  EXPECT_THROW(sink.network_switch_update(topo::Layer::kHost, 0),
+  Controller controller{t, EncoderConfig{}};
+  CountingSink sink{controller};
+  EXPECT_THROW(sink.count(RuleSlots{{}, {{topo::Layer::kHost, 0}}}),
                std::invalid_argument);
 }
 

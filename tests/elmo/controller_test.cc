@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
 #include <vector>
 
 #include "elmo/churn.h"
@@ -217,12 +219,11 @@ TEST(Controller, SenderOnlyJoinUpdatesOneHypervisor) {
   // Paper §5.1.3a: "If a member is a sender, the controller only updates the
   // source hypervisor switch."
   const auto t = small();
-  CountingSink sink{t};
   Controller controller{t, EncoderConfig{}};
+  CountingSink sink{controller};
   const auto id = controller.create_group(0, members_of({0, 1, 8}));
-  controller.set_sink(&sink);
 
-  controller.join(id, Member{33, 9, MemberRole::kSender});
+  sink.join(id, Member{33, 9, MemberRole::kSender});
   const auto rates = sink.hypervisor_rates(1.0);
   EXPECT_EQ(rates.total, 1u);
   EXPECT_EQ(sink.leaf_rates(1.0).total, 0u);
@@ -232,36 +233,36 @@ TEST(Controller, SenderOnlyJoinUpdatesOneHypervisor) {
 
 TEST(Controller, ReceiverJoinUpdatesSenderHypervisors) {
   const auto t = small();
-  CountingSink sink{t};
   Controller controller{t, EncoderConfig{}};
+  CountingSink sink{controller};
   std::vector<Member> members{
       Member{0, 0, MemberRole::kSender},
       Member{4, 1, MemberRole::kReceiver},
       Member{8, 2, MemberRole::kBoth},
   };
   const auto id = controller.create_group(0, members);
-  controller.set_sink(&sink);
 
-  controller.join(id, Member{12, 3, MemberRole::kReceiver});
+  sink.join(id, Member{12, 3, MemberRole::kReceiver});
   // Touched: the joining host (12) + the senders (0 and 8).
   EXPECT_EQ(sink.hypervisor_rates(1.0).total, 3u);
 }
 
 TEST(Controller, CoreSwitchesNeverUpdated) {
   const auto t = small();
-  CountingSink sink{t};
   EncoderConfig cfg;
   cfg.hmax_leaf_override = 1;
   cfg.hmax_spine = 1;
-  Controller controller{t, cfg, &sink};
+  Controller controller{t, cfg};
+  CountingSink sink{controller};
   std::vector<Member> members;
   for (std::uint32_t i = 0; i < 14; ++i) {
     members.push_back(Member{static_cast<topo::HostId>(i * 4 + 1), i,
                              MemberRole::kBoth});
   }
   const auto id = controller.create_group(0, members);
+  sink.count(controller.last_change());
   for (std::uint32_t vm = 20; vm < 28; ++vm) {
-    controller.join(id, Member{(vm * 4 + 2) % static_cast<std::uint32_t>(
+    sink.join(id, Member{(vm * 4 + 2) % static_cast<std::uint32_t>(
                                    t.num_hosts()),
                                vm, MemberRole::kReceiver});
   }
@@ -271,16 +272,17 @@ TEST(Controller, CoreSwitchesNeverUpdated) {
 
 TEST(Controller, SRuleChangesReachNetworkSwitches) {
   const auto t = small();
-  CountingSink sink{t};
   EncoderConfig cfg;
   cfg.hmax_leaf_override = 1;  // most leaves spill to s-rules
-  Controller controller{t, cfg, &sink};
+  Controller controller{t, cfg};
+  CountingSink sink{controller};
   std::vector<Member> members;
   for (std::uint32_t i = 0; i < 16; ++i) {
     members.push_back(
         Member{static_cast<topo::HostId>(i * 4), i, MemberRole::kBoth});
   }
   controller.create_group(0, members);
+  sink.count(controller.last_change());
   EXPECT_GT(sink.leaf_rates(1.0).total, 0u);
 }
 
@@ -309,16 +311,77 @@ TEST(Controller, FailureImpactCountsAffectedGroups) {
     controller.create_group(g, members);
   }
   const auto spine_impact = controller.fail_spine(t.spine_at(0, 0));
-  EXPECT_GT(spine_impact.groups_affected, 0u);
-  EXPECT_LT(spine_impact.groups_affected, 40u);
-  EXPECT_GE(spine_impact.hypervisor_updates, spine_impact.groups_affected);
+  EXPECT_GT(spine_impact.groups_affected(), 0u);
+  EXPECT_LT(spine_impact.groups_affected(), 40u);
+  EXPECT_GE(spine_impact.hypervisor_updates(), spine_impact.groups_affected());
   controller.restore_spine(t.spine_at(0, 0));
 
   const auto core_impact = controller.fail_core(t.core_at(0, 0));
-  EXPECT_GT(core_impact.groups_affected, 0u);
+  EXPECT_GT(core_impact.groups_affected(), 0u);
   // Core failures affect more groups than a single-pod spine failure
   // (every multi-pod group using that plane, regardless of pod).
-  EXPECT_GE(core_impact.groups_affected, spine_impact.groups_affected);
+  EXPECT_GE(core_impact.groups_affected(), spine_impact.groups_affected());
+}
+
+// Checks a failure's change sets: one per affected group, in ascending
+// group order, each naming exactly that group's sender hosts (sorted and
+// unique) and no s-rule slot; counted, they total hypervisor_updates().
+void expect_sender_change_sets(Controller& controller,
+                               const Controller::FailureImpact& impact) {
+  ASSERT_GT(impact.groups_affected(), 0u);
+  CountingSink sink{controller};
+  std::optional<GroupId> previous;
+  for (const auto& [id, change] : impact.changes) {
+    if (previous) {
+      EXPECT_LT(*previous, id);
+    }
+    previous = id;
+    auto senders = controller.group(id).sender_hosts();
+    std::sort(senders.begin(), senders.end());
+    senders.erase(std::unique(senders.begin(), senders.end()), senders.end());
+    EXPECT_EQ(change.hosts, senders) << "group " << id;
+    EXPECT_TRUE(change.srules.empty()) << "group " << id;
+    sink.count(change);
+  }
+  EXPECT_EQ(sink.hypervisor_rates(1.0).total, impact.hypervisor_updates());
+  EXPECT_EQ(sink.leaf_rates(1.0).total + sink.spine_rates(1.0).total +
+                sink.core_rates(1.0).total,
+            0u);
+}
+
+TEST(Controller, FailureChangeSetsNameTheSenders) {
+  const auto t = small();
+  Controller controller{t, EncoderConfig{}};
+  // Multi-pod groups whose members carry every role, with two VMs of some
+  // groups on one sender host, so sender lists hold receivers to skip and
+  // repeats to fold.
+  const MemberRole roles[] = {MemberRole::kSender, MemberRole::kReceiver,
+                              MemberRole::kBoth};
+  for (std::uint32_t g = 0; g < 40; ++g) {
+    const topo::HostId shared = (g * 3) % 16;
+    std::vector<Member> members{
+        Member{shared, 0, roles[g % 3]},
+        Member{shared, 1, roles[(g + 1) % 3]},
+        Member{16 + (g * 5) % 16, 2, roles[(g + 2) % 3]},
+        Member{32 + (g * 7) % 16, 3, MemberRole::kBoth},
+    };
+    controller.create_group(g, members);
+  }
+  const auto before = controller.last_change();
+
+  for (std::uint32_t plane = 0; plane < t.params().spines_per_pod; ++plane) {
+    const auto spine = t.spine_at(0, plane);
+    const auto impact = controller.fail_spine(spine);
+    expect_sender_change_sets(controller, impact);
+    controller.restore_spine(spine);
+  }
+  const auto core = t.core_at(0, 0);
+  expect_sender_change_sets(controller, controller.fail_core(core));
+  controller.restore_core(core);
+  // Failures return their change sets; last_change() is a membership
+  // call's record and stays as the last create_group left it.
+  EXPECT_EQ(controller.last_change().hosts, before.hosts);
+  EXPECT_EQ(controller.last_change().srules, before.srules);
 }
 
 TEST(Controller, FailureChangesIssuedHeaders) {
