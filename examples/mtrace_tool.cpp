@@ -33,10 +33,12 @@ int main() {
                "popped as the packet descends; hosts receive clean VXLAN "
                "frames.\n";
 
-  // Now degrade the fabric and trace again.
-  const auto victim = topology.spine_at(0, 0);
+  // Now fail the pod-0 spine of the group's multipath plane and trace again.
+  const auto plane =
+      topology.ecmp_plane(topo::group_hash(controller.group(group).address));
+  const auto victim = topology.spine_at(0, plane);
   controller.fail_spine(victim);
-  fabric.install_group(controller, group);  // refresh sender headers
+  fabric.install_group(controller, group);  // re-routed sender headers
   std::cout << "\nafter failing spine S" << victim
             << " (multipath off, explicit uplinks):\n";
   const auto degraded = sim::mtrace(fabric, controller, group, 0, 128);

@@ -54,7 +54,7 @@ elmo::GroupId IgmpDirectory::group_for(net::Ipv4Address address) {
   // tenants can pick addresses independently of each other — paper Table 3,
   // "address-space isolation").
   const auto id = controller_->create_group(tenant_, {});
-  groups_.emplace(address.value, id);
+  groups_.insert_or_assign(address.value, id);
   return id;
 }
 

@@ -40,7 +40,9 @@ struct IgmpMessage {
 };
 
 // Shared per-tenant directory: multicast address -> controller group id.
-// Groups are created lazily on the first join to an address.
+// Groups are created lazily on the first join to an address. The controller
+// owns group lifetime: an id it no longer has (Controller::remove_group)
+// counts as absent, and the next join to that address creates a fresh group.
 class IgmpDirectory {
  public:
   IgmpDirectory(elmo::Controller& controller, std::uint32_t tenant)
@@ -48,10 +50,13 @@ class IgmpDirectory {
 
   // Group id for `address`, creating an empty group on first use.
   elmo::GroupId group_for(net::Ipv4Address address);
-  // Group id for `address` if it has one; creates nothing.
+  // Group id for `address` if it names a live group; creates nothing.
   std::optional<elmo::GroupId> find(net::Ipv4Address address) const {
     const auto it = groups_.find(address.value);
-    return it == groups_.end() ? std::nullopt : std::optional{it->second};
+    if (it == groups_.end() || !controller_->has_group(it->second)) {
+      return std::nullopt;
+    }
+    return it->second;
   }
 
   elmo::Controller& controller() noexcept { return *controller_; }

@@ -1,8 +1,9 @@
-// Shared data-plane definitions: addressing and the multipath flow hash.
+// Shared data-plane definitions: addressing and the unicast flow hash.
 //
-// The flow hash is used by both the packet-level switches and the analytic
-// TrafficEvaluator; keeping one definition here is what makes the two
-// engines byte-for-byte comparable (tests/sim/crosscheck_test.cc).
+// Multicast traffic is hashed per group, not per flow: its one definition,
+// topo::group_hash, sits with the ECMP arithmetic in topology/clos.h, where
+// the switches, the analytic TrafficEvaluator and the controller all read
+// it (tests/sim/crosscheck_test.cc compares the two engines on it).
 #pragma once
 
 #include <cstdint>
@@ -18,9 +19,9 @@ inline net::Ipv4Address host_address(topo::HostId host) noexcept {
   return net::Ipv4Address{0x0a000000u + host};
 }
 
-// Deterministic ECMP-style hash over the outer 3-tuple surrogate. Leaf
-// switches use `flow_hash % leaf_up_ports` to pick a spine plane; spines use
-// `(flow_hash >> 8) % spine_up_ports` to pick a core.
+// Deterministic ECMP-style hash over the outer 3-tuple surrogate of a
+// unicast flow (sim::Fabric::send_unicast); its path follows
+// ClosTopology::ecmp_plane / ecmp_core like a group's.
 inline std::uint64_t flow_hash(net::Ipv4Address outer_src,
                                net::Ipv4Address outer_dst) noexcept {
   std::uint64_t seed = (static_cast<std::uint64_t>(outer_src.value) << 32) |

@@ -28,8 +28,9 @@ NetworkSwitch::NetworkSwitch(const topo::ClosTopology& topology,
 
 std::size_t NetworkSwitch::pick_uplink(std::uint64_t hash) {
   if (multipath_mode_ == MultipathMode::kEcmp || uplink_load_.empty()) {
-    return layer_ == topo::Layer::kLeaf ? hash % upstream_ports()
-                                        : (hash >> 8) % upstream_ports();
+    const auto& topology = codec_.topology();
+    return layer_ == topo::Layer::kLeaf ? topology.ecmp_plane(hash)
+                                        : topology.ecmp_core(hash);
   }
   // HULA-style: least observed utilization, hash breaks ties.
   std::size_t best = hash % uplink_load_.size();
@@ -88,7 +89,6 @@ const NetworkSwitch::ParseResult& NetworkSwitch::parse(
     throw std::invalid_argument{"NetworkSwitch: not IPv4"};
   }
   const auto ip = net::Ipv4Header::parse(outer.subspan(net::EthernetHeader::kSize));
-  result.outer_src = ip.src;
   result.outer_dst = ip.dst;
   // (UDP/VXLAN validated structurally by the offsets below.)
 
@@ -193,7 +193,6 @@ std::span<Emission> NetworkSwitch::process(const net::PacketView& packet,
   }
 
   const auto& pr = parse(packet, arena);
-  const auto hash = flow_hash(pr.outer_src, pr.outer_dst);
 
   // Where do downstream copies point, and which section does the next hop
   // still need?
@@ -252,7 +251,9 @@ std::span<Emission> NetworkSwitch::process(const net::PacketView& packet,
     }
     const std::size_t base = downstream_ports();
     if (pr.upstream->multipath) {
-      const std::size_t pick = pick_uplink(hash);
+      // Per group: every sender of the group takes the group's plane, the
+      // one the controller's failure predicate reads.
+      const std::size_t pick = pick_uplink(topo::group_hash(pr.outer_dst));
       uplink_load_[pick] += packet.size();
       arena.emit(base + pick, up_copy);
     } else {

@@ -58,8 +58,14 @@ namespace elmo::dp {
 
 // Underlying multipath scheme the Elmo multipath flag defers to (paper D2b:
 // "the configured underlying multipathing scheme (e.g., ECMP, CONGA, or
-// HULA)"). kEcmp hashes the outer flow; kLeastLoaded is a HULA-style local
-// choice of the least-utilized uplink.
+// HULA)"). kEcmp hashes the group (topo::group_hash, uplink by
+// ClosTopology::ecmp_plane / ecmp_core), so every sender of a group takes
+// the group's plane: the plane Controller::route_failures reads to decide
+// which groups route around a failed switch. kLeastLoaded is a HULA-style
+// local choice of the least-utilized uplink; it ignores the group's plane,
+// so under failures it is safe only for explicit-path headers (multipath
+// off). No fabric, bench or tool selects it; only
+// tests/dataplane/multipath_test.cc does.
 enum class MultipathMode : std::uint8_t { kEcmp, kLeastLoaded };
 
 struct SwitchStats {
@@ -157,9 +163,8 @@ class NetworkSwitch {
 
  private:
   // The parser's metadata for one packet: this switch's layer of the Elmo
-  // header (SectionIndex::lookup) plus the outer addresses.
+  // header (SectionIndex::lookup) plus the outer destination, the group.
   struct ParseResult : elmo::LayerParse {
-    net::Ipv4Address outer_src;
     net::Ipv4Address outer_dst;
   };
 

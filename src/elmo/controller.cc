@@ -9,7 +9,6 @@
 
 #include "obs/metrics.h"
 #include "obs/span.h"
-#include "util/rng.h"
 
 namespace elmo {
 namespace {
@@ -56,11 +55,6 @@ struct ControllerMetricIds {
 ControllerMetricIds& controller_metric_ids() {
   static ControllerMetricIds ids;
   return ids;
-}
-
-std::uint64_t group_flow_hash(GroupId group) {
-  std::uint64_t s = 0x9e3779b97f4a7c15ULL ^ (static_cast<std::uint64_t>(group) << 1);
-  return util::splitmix64(s);
 }
 
 template <typename T>
@@ -211,8 +205,14 @@ RuleSlots Controller::change_set(std::vector<topo::HostId> hosts,
 }
 
 void Controller::commit_membership(GroupState& g, topo::HostId host,
-                                   bool receives) {
+                                   bool receives, bool crossed) {
   std::vector<topo::HostId> hosts{host};
+  if (crossed != crosses(g, failures_)) {
+    // The change moved the group onto or off a failed switch's path: every
+    // sender's header switches between multipath and explicit ports.
+    const auto senders = g.sender_hosts();
+    hosts.insert(hosts.end(), senders.begin(), senders.end());
+  }
   if (receives) {
     // The receiver set changed, so the tree did: re-encode, diff s-rules,
     // and every sender's header template may have changed.
@@ -403,9 +403,10 @@ void Controller::join(GroupId group, const Member& member) {
                                 std::to_string(member.vm) +
                                 ") is already a member"};
   }
+  const bool crossed = crosses(g, failures_);
   g.members.push_back(member);
   ELMO_METRIC(reg.add(controller_metric_ids().joins));
-  commit_membership(g, member.host, can_receive(member.role));
+  commit_membership(g, member.host, can_receive(member.role), crossed);
 }
 
 Member Controller::leave(GroupId group, topo::HostId host, std::uint32_t vm) {
@@ -418,29 +419,54 @@ Member Controller::leave(GroupId group, topo::HostId host, std::uint32_t vm) {
     throw std::invalid_argument{"Controller::leave: host not a member"};
   }
   const Member removed = *it;
+  const bool crossed = crosses(g, failures_);
   g.members.erase(it);
   ELMO_METRIC(reg.add(controller_metric_ids().leaves));
-  commit_membership(g, host, can_receive(removed.role));
+  commit_membership(g, host, can_receive(removed.role), crossed);
   return removed;
 }
 
-template <typename F>
-Controller::FailureImpact Controller::reroute_senders(std::size_t plane,
-                                                     F&& affected) {
-  FailureImpact impact;
-  for (GroupId id = 0; id < groups_.size(); ++id) {
-    if (!groups_[id] || !groups_[id]->tree) continue;
-    const auto& g = *groups_[id];
-    // The group's flows cross the failed switch only if their multipath
-    // hash selects its plane.
-    if (group_flow_hash(id) % topo_->params().spines_per_pod != plane ||
-        !affected(g)) {
-      continue;
-    }
-    // Re-issue upstream rules (multipath off) to every sender hypervisor.
-    impact.changes.emplace_back(id, change_set(g.sender_hosts(), {}, {}));
+bool Controller::crosses(const GroupState& g,
+                         const topo::FailureSet& failures) const {
+  if (failures.empty() || g.members.empty()) return false;
+  const auto& t = *topo_;
+  const auto plane = t.ecmp_plane(topo::group_hash(g.address));
+  const auto on_plane = [&](topo::SpineId spine) {
+    return t.plane_of_spine(spine) == plane;
+  };
+  const auto& spines = failures.failed_spines();
+  const bool core_down =
+      std::any_of(failures.failed_cores().begin(),
+                  failures.failed_cores().end(), [&](topo::CoreId core) {
+                    return t.plane_of_core(core) == plane;
+                  });
+  if (!core_down && std::none_of(spines.begin(), spines.end(), on_plane)) {
+    return false;
   }
-  return impact;
+  const auto first_leaf = t.leaf_of_host(g.members.front().host);
+  const auto first_pod = t.pod_of_leaf(first_leaf);
+  bool multi_leaf = false;
+  bool multi_pod = false;
+  for (const auto& m : g.members) {
+    const auto leaf = t.leaf_of_host(m.host);
+    multi_leaf = multi_leaf || leaf != first_leaf;
+    multi_pod = multi_pod || t.pod_of_leaf(leaf) != first_pod;
+  }
+  if (core_down && multi_pod) return true;
+  if (!multi_leaf) return false;
+  // A failed spine of the plane carries the group if a member is in its pod.
+  return std::any_of(spines.begin(), spines.end(), [&](topo::SpineId spine) {
+    return on_plane(spine) &&
+           std::any_of(g.members.begin(), g.members.end(),
+                       [&](const Member& m) {
+                         return t.pod_of_host(m.host) == t.pod_of_spine(spine);
+                       });
+  });
+}
+
+const topo::FailureSet& Controller::route_failures(GroupId group) const {
+  static const topo::FailureSet kNone;
+  return crosses(this->group(group), failures_) ? failures_ : kNone;
 }
 
 std::size_t Controller::FailureImpact::hypervisor_updates() const noexcept {
@@ -449,40 +475,49 @@ std::size_t Controller::FailureImpact::hypervisor_updates() const noexcept {
   return updates;
 }
 
+Controller::FailureImpact Controller::failure_changes(
+    const topo::FailureSet& before) const {
+  FailureImpact impact;
+  for (GroupId id = 0; id < groups_.size(); ++id) {
+    if (!groups_[id]) continue;
+    const auto& g = *groups_[id];
+    if (!crosses(g, before) && !crosses(g, failures_)) continue;
+    // Re-issue upstream rules to every sender hypervisor.
+    impact.changes.emplace_back(id, change_set(g.sender_hosts(), {}, {}));
+  }
+  return impact;
+}
+
 Controller::FailureImpact Controller::fail_spine(topo::SpineId spine) {
+  const auto before = failures_;
   failures_.fail_spine(spine);
   ELMO_METRIC(reg.add(controller_metric_ids().failures));
-  const auto pod = topo_->pod_of_spine(spine);
-  return reroute_senders(
-      topo_->plane_of_spine(spine), [&](const GroupState& g) {
-        return g.tree->spans_multiple_leaves() &&
-               std::any_of(g.members.begin(), g.members.end(),
-                           [&](const Member& m) {
-                             return topo_->pod_of_host(m.host) == pod;
-                           });
-      });
+  return failure_changes(before);
 }
 
 Controller::FailureImpact Controller::fail_core(topo::CoreId core) {
+  const auto before = failures_;
   failures_.fail_core(core);
   ELMO_METRIC(reg.add(controller_metric_ids().failures));
-  return reroute_senders(topo_->plane_of_core(core), [](const GroupState& g) {
-    return g.tree->spans_multiple_pods();
-  });
+  return failure_changes(before);
 }
 
-void Controller::restore_spine(topo::SpineId spine) {
+Controller::FailureImpact Controller::restore_spine(topo::SpineId spine) {
+  const auto before = failures_;
   failures_.restore_spine(spine);
+  return failure_changes(before);
 }
 
-void Controller::restore_core(topo::CoreId core) {
+Controller::FailureImpact Controller::restore_core(topo::CoreId core) {
+  const auto before = failures_;
   failures_.restore_core(core);
+  return failure_changes(before);
 }
 
 std::vector<std::uint8_t> Controller::header_for(GroupId group,
                                                  topo::HostId sender) const {
   const auto& g = this->group(group);
-  const auto route = g.tree->sender_route(sender, failures_);
+  const auto route = g.tree->sender_route(sender, route_failures(group));
   return encoder_->codec().serialize(route.encoding, g.encoding);
 }
 

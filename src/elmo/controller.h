@@ -6,7 +6,13 @@
 // have rewritten and the physical switches whose s-rule changed. That set
 // is the one answer to "what did this event touch", and the controller's
 // only report of it: Table 2 counts it (CountingSink) and the streaming
-// control plane diffs and deletes by it. A failure returns one per group.
+// control plane diffs and deletes by it. A failure or restore returns one
+// per group it re-routes.
+//
+// Multipath is per group (paper §3.3): all senders of a group take the
+// plane topo::group_hash picks, so one predicate, route_failures, decides
+// both which groups a failure reports and which groups' senders leave
+// multipath for explicit upstream ports.
 #pragma once
 
 #include <cstdint>
@@ -128,10 +134,12 @@ class Controller {
   Member leave(GroupId group, topo::HostId host, std::uint32_t vm);
 
   // --- failure handling (§3.3) --------------------------------------------
-  // Marks the switch failed, recomputes upstream rules for affected groups
-  // (multipath off, explicit ports) and returns one change set per affected
-  // group: its sender hosts, whose upstream rules are re-issued, and no
-  // s-rule slot. last_change() is left as it was.
+  // fail_* marks the switch failed and restore_* alive again. Each returns
+  // one change set per group that crossed a failed switch (route_failures
+  // non-empty) before or after the call: its sender hosts, whose upstream
+  // rules are re-issued, and no s-rule slot. Both sides count because an
+  // explicit route's greedy cover reads the whole failure set.
+  // last_change() is left as it was.
   struct FailureImpact {
     std::vector<std::pair<GroupId, RuleSlots>> changes;  // ascending group id
 
@@ -140,9 +148,19 @@ class Controller {
   };
   FailureImpact fail_spine(topo::SpineId spine);
   FailureImpact fail_core(topo::CoreId core);
-  void restore_spine(topo::SpineId spine);
-  void restore_core(topo::CoreId core);
+  FailureImpact restore_spine(topo::SpineId spine);
+  FailureImpact restore_core(topo::CoreId core);
   const topo::FailureSet& failures() const noexcept { return failures_; }
+  // The failures the senders of `group` route around: failures() when a
+  // failed switch lies on the group's plane, else an empty set (multipath
+  // stays on). A spine (p, k) lies on it when k is the group's plane
+  // (ClosTopology::ecmp_plane of topo::group_hash), the members, senders
+  // and receivers alike, span more than one leaf and one of them is in pod
+  // p; a core of plane k when the members span more than one pod. Members
+  // and not the receiver tree: a sender off the tree's leaves still climbs
+  // to its pod's spine. Every header the controller issues is
+  // MulticastTree::sender_route(sender, route_failures(group)).
+  const topo::FailureSet& route_failures(GroupId group) const;
 
   // --- observers -----------------------------------------------------------
   const GroupState& group(GroupId group) const;
@@ -176,13 +194,15 @@ class Controller {
   RuleSlots change_set(std::vector<topo::HostId> hosts,
                        const GroupEncoding& before,
                        const GroupEncoding& after) const;
-  // Records the change set of a join or leave of a VM on `host`.
-  void commit_membership(GroupState& g, topo::HostId host, bool receives);
-  // Change sets naming every sender of each group whose flows use multipath
-  // `plane` and that `affected(group)` selects (their upstream rules
-  // re-route).
-  template <typename F>
-  FailureImpact reroute_senders(std::size_t plane, F&& affected);
+  // Records the change set of a join or leave of a VM on `host`;
+  // `crossed` is whether the group crossed a failure before the change.
+  void commit_membership(GroupState& g, topo::HostId host, bool receives,
+                         bool crossed);
+  // Whether a switch of `failures` lies on g's plane (route_failures).
+  bool crosses(const GroupState& g, const topo::FailureSet& failures) const;
+  // The change sets of a failure or restore that turned the failure set
+  // `before` into failures_.
+  FailureImpact failure_changes(const topo::FailureSet& before) const;
 
   const topo::ClosTopology* topo_;
   std::unique_ptr<TreeEncoder> encoder_;  // scheme picked by config.encoder

@@ -175,7 +175,7 @@ TrafficReport TrafficEvaluator::evaluate(const MulticastTree& tree,
 
   std::vector<std::size_t> up_planes;
   if (senc.u_leaf.multipath) {
-    up_planes.push_back(flow_hash % t.leaf_up_ports());
+    up_planes.push_back(t.ecmp_plane(flow_hash));
   } else {
     senc.u_leaf.up.for_each_set(
         [&](std::size_t plane) { up_planes.push_back(plane); });
@@ -200,7 +200,7 @@ TrafficReport TrafficEvaluator::evaluate(const MulticastTree& tree,
 
     std::vector<std::size_t> core_ports;
     if (senc.u_spine->multipath) {
-      core_ports.push_back((flow_hash >> 8) % t.spine_up_ports());
+      core_ports.push_back(t.ecmp_core(flow_hash));
     } else {
       senc.u_spine->up.for_each_set(
           [&](std::size_t port) { core_ports.push_back(port); });

@@ -70,7 +70,8 @@ class TrafficEvaluator {
       : topo_{&topology}, codec_{topology} {}
 
   // Walks one packet of `payload_bytes` (the tenant packet, before the VXLAN
-  // outer headers) from `sender`. `flow_hash` seeds the multipath choice.
+  // outer headers) from `sender`. `flow_hash` seeds the multipath choice;
+  // topo::group_hash of the group's address models the fabric's.
   // `legacy_leaf` (optional, indexed by global leaf id) marks leaves whose
   // switches cannot parse Elmo headers: like the real chip, they forward
   // from their group table only — never from a p-rule or the default rule.

@@ -246,6 +246,53 @@ std::size_t ControlPlane::host_fail(topo::HostId host) {
   return evicted;
 }
 
+template <typename Apply>
+Controller::FailureImpact ControlPlane::switch_event(const char* name,
+                                                    std::uint32_t id,
+                                                    Apply&& apply) {
+  const auto ingested = std::chrono::steady_clock::now();
+  const auto root =
+      trace_event_begin(name, {{"switch", static_cast<double>(id)}});
+  auto span = trace_child_begin("reroute", root);
+  Controller::FailureImpact impact;
+  try {
+    impact = apply();
+  } catch (...) {
+    trace_end(span);
+    trace_event_end(root);
+    throw;
+  }
+  trace_end(span);
+  accept_event(ingested);
+  ++stats_.switch_events;
+  span = trace_child_begin("delta_diff", root);
+  for (const auto& [group, change] : impact.changes) diff_group(group, change);
+  trace_end(span);
+  trace_event_end(root);
+  maybe_auto_flush();
+  return impact;
+}
+
+Controller::FailureImpact ControlPlane::fail_spine(topo::SpineId spine) {
+  return switch_event("churn:fail_spine", spine,
+                      [&] { return controller_->fail_spine(spine); });
+}
+
+Controller::FailureImpact ControlPlane::fail_core(topo::CoreId core) {
+  return switch_event("churn:fail_core", core,
+                      [&] { return controller_->fail_core(core); });
+}
+
+Controller::FailureImpact ControlPlane::restore_spine(topo::SpineId spine) {
+  return switch_event("churn:restore_spine", spine,
+                      [&] { return controller_->restore_spine(spine); });
+}
+
+Controller::FailureImpact ControlPlane::restore_core(topo::CoreId core) {
+  return switch_event("churn:restore_core", core,
+                      [&] { return controller_->restore_core(core); });
+}
+
 void ControlPlane::accept_event(
     std::chrono::steady_clock::time_point ingested) {
   pending_event_times_.push_back(ingested);
@@ -293,22 +340,10 @@ void ControlPlane::track_group(GroupId group) {
   (void)controller_->group(group);
 }
 
-void ControlPlane::refresh(GroupId group) {
-  diff_group(group, {});
-  maybe_auto_flush();
-}
-
-void ControlPlane::refresh_all() {
-  for (const auto group : controller_->group_ids()) diff_group(group, {});
-  maybe_auto_flush();
-}
-
 void ControlPlane::diff_group(GroupId group, const RuleSlots& changed) {
-  // An empty change set names no slot: compare the whole group.
-  const bool whole = changed.hosts.empty() && changed.srules.empty();
   const auto addr = controller_->group(group).address.value;
-  auto desired = p4rt::compile(*controller_, group, /*install=*/true,
-                               whole ? nullptr : &changed);
+  auto desired =
+      p4rt::compile(*controller_, group, /*install=*/true, &changed);
   stats_.rules_compiled += desired.size();
   ELMO_METRIC(reg.add(stream_metric_ids().rules_compiled, desired.size()));
   // The compare below reads back one cold hypervisor per flow. Prefetch in
@@ -328,7 +363,6 @@ void ControlPlane::diff_group(GroupId group, const RuleSlots& changed) {
     compiled.push_back(key.slot);
     if (!holds(key, &u)) queue(key, std::move(u));
   }
-  if (whole) return;
 
   std::sort(compiled.begin(), compiled.end());
   auto vacate = [&](RuleSlot slot) {

@@ -1,23 +1,25 @@
 // Streaming control plane (ROADMAP "long-running controller service"):
-// consumes Join / Leave / HostFail events, re-encodes only the affected
-// group (Controller::join/leave are already incremental), and pushes the
-// *delta* between what the fabric holds and the new encoding over the p4rt
-// wire channel into a live sim::Fabric — instead of re-pushing whole-group
-// state per event.
+// consumes Join / Leave / HostFail events and spine or core failures and
+// restores, re-encodes only the affected group (Controller::join/leave are
+// already incremental) or re-routes only the groups on the failed plane,
+// and pushes the *delta* between what the fabric holds and the new rules
+// over the p4rt wire channel into a live sim::Fabric — instead of
+// re-pushing whole-group state per event.
 //
 // The plane keeps no copy of installed state. After each event the group's
 // desired rules come from p4rt::compile (the compiler whose all-slots case
 // Fabric::install_group applies), filtered to the slots of the controller's
-// change set (Controller::last_change): the flows of the hosts it names and
-// the s-rules at the switches it names, not the whole group. Each is
+// change set (Controller::last_change for a membership event, one per
+// re-routed group for a failure or restore): the flows of the hosts it names
+// and the s-rules at the switches it names, not the whole group. Each is
 // compared exactly with what its slot will hold once pending updates flush:
 // the pending update for that rule if one is queued, else the fabric's
 // installed flow or s-rule. Only rules that differ are queued. A slot of the
 // change set that the group no longer compiles, but that pending or
 // installed state still holds, is deleted. The change set is complete (every
 // rule an event rewrites sits at a slot it names), so a slot outside it holds
-// what it held before the event. refresh, which has no change set, compiles
-// and compares the whole group.
+// what it held before the event. Every event reaches the fabric this way;
+// there is no whole-group path.
 //
 // Updates are coalesced and batched: pending updates are keyed by rule
 // location, a newer update for the same key overwrites the older one (the
@@ -54,10 +56,12 @@ struct ControlPlaneStats {
   std::uint64_t joins = 0;
   std::uint64_t leaves = 0;
   std::uint64_t host_fails = 0;
+  // Spine or core failures and restores.
+  std::uint64_t switch_events = 0;
   // Events whose re-encode left every installed rule untouched.
   std::uint64_t clean_events = 0;
   // Rules the diffs compiled to compare with installed state: the slots of
-  // each event's change set, the whole group for a refresh.
+  // each event's change sets.
   std::uint64_t rules_compiled = 0;
 
   std::uint64_t flushes = 0;
@@ -95,6 +99,15 @@ class ControlPlane final : public MembershipDriver {
   // Every member VM hosted on `host` leaves its group (the host died).
   // Returns the number of memberships evicted.
   std::size_t host_fail(topo::HostId host);
+  // A spine or core switch fails or comes back (paper §3.3): the controller
+  // re-routes the senders of the groups on its plane and the plane diffs
+  // each returned change set. Returns the controller's impact. Marking the
+  // switch down in the fabric is the caller's part (sim::Fabric models the
+  // physical failure, the plane only the control channel).
+  Controller::FailureImpact fail_spine(topo::SpineId spine);
+  Controller::FailureImpact fail_core(topo::CoreId core);
+  Controller::FailureImpact restore_spine(topo::SpineId spine);
+  Controller::FailureImpact restore_core(topo::CoreId core);
 
   // Drains pending updates into the fabric through the wire channel.
   // Returns the number of rule updates applied.
@@ -107,15 +120,6 @@ class ControlPlane final : public MembershipDriver {
   // from the fabric, so there is nothing to seed: this only checks that the
   // group is live (std::out_of_range otherwise).
   void track_group(GroupId group);
-  // Queues every compiled rule of the live `group` that differs from what
-  // its slot holds (all of them for a group never installed), and no
-  // deletes. The path for out-of-band controller changes that keep
-  // membership and encoding: failure handling (fail_spine / fail_core
-  // re-route sender headers). Membership changes go through join, leave
-  // and host_fail, whose change sets drive the deletes.
-  void refresh(GroupId group);
-  // Refreshes every live group (failure handling touches many groups).
-  void refresh_all();
 
   const ControlPlaneStats& stats() const noexcept { return stats_; }
   const Controller& controller() const noexcept { return *controller_; }
@@ -150,11 +154,16 @@ class ControlPlane final : public MembershipDriver {
     }
   };
 
-  // Compiles the rules of `group` at the slots of `changed` (every slot
-  // when `changed` is empty) and queues each one its slot does not hold yet,
-  // then a delete for each slot of `changed` the group no longer compiles
-  // but that is still occupied.
+  // Compiles the rules of `group` at the slots of `changed` and queues each
+  // one its slot does not hold yet, then a delete for each slot of
+  // `changed` the group no longer compiles but that is still occupied.
   void diff_group(GroupId group, const RuleSlots& changed);
+  // The failure or restore event `name` on switch `id`: runs `apply` (the
+  // controller call) under a "reroute" span and diffs each change set of the
+  // impact it returns under "delta_diff", both children of the event's root.
+  template <typename Apply>
+  Controller::FailureImpact switch_event(const char* name, std::uint32_t id,
+                                         Apply&& apply);
   // Whether `key` will hold a rule once pending updates flush (the pending
   // update if one is queued, else the fabric's installed rule) and, unless
   // `rule` is null, exactly `rule`.

@@ -53,9 +53,6 @@ class MulticastTree {
   std::size_t num_leaves() const noexcept { return leaves_.size(); }
   std::size_t num_pods() const noexcept { return pods_.size(); }
 
-  bool spans_multiple_leaves() const noexcept {
-    return leaves_.size() > 1;
-  }
   bool spans_multiple_pods() const noexcept { return pods_.size() > 1; }
 
   const LeafTreeEntry* find_leaf(topo::LeafId leaf) const;

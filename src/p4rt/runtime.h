@@ -84,7 +84,7 @@ std::vector<Update> compile(const Controller& controller, elmo::GroupId group,
                             bool install, const RuleSlots* slots);
 
 // Compiles the full installation of `group` into an update batch (what the
-// controller pushes when the group is created or refreshed): one
+// controller pushes when the group is created or installed whole): one
 // HYPERVISOR_FLOW_ADD per distinct member host, ascending by host, merged
 // across co-located members (a flow per member would overwrite the host's
 // flow on apply and drop the earlier members' VMs); then the leaf s-rules;

@@ -519,7 +519,7 @@ SendResult Fabric::send_unicast(topo::HostId src, topo::HostId dst,
   path.push_back(NodeRef{topo::Layer::kHost, src});
   path.push_back(NodeRef{topo::Layer::kLeaf, src_leaf});
   if (src_leaf != dst_leaf) {
-    const auto plane = hash % t.leaf_up_ports();
+    const auto plane = t.ecmp_plane(hash);
     if (t.pod_of_leaf(src_leaf) == t.pod_of_leaf(dst_leaf)) {
       path.push_back(NodeRef{topo::Layer::kSpine,
                              t.spine_at(t.pod_of_leaf(src_leaf), plane)});
@@ -528,7 +528,7 @@ SendResult Fabric::send_unicast(topo::HostId src, topo::HostId dst,
                              t.spine_at(t.pod_of_leaf(src_leaf), plane)});
       path.push_back(NodeRef{
           topo::Layer::kCore,
-          t.core_at(plane, (hash >> 8) % t.spine_up_ports())});
+          t.core_at(plane, t.ecmp_core(hash))});
       path.push_back(NodeRef{topo::Layer::kSpine,
                              t.spine_at(t.pod_of_leaf(dst_leaf), plane)});
     }

@@ -28,6 +28,9 @@
 #include <string>
 #include <vector>
 
+#include "net/headers.h"
+#include "util/rng.h"
+
 namespace elmo::topo {
 
 using HostId = std::uint32_t;
@@ -143,6 +146,19 @@ class ClosTopology {
   // Core downstream port `pod` reaches this spine.
   SpineId spine_behind_core_port(CoreId core, PodId pod) const;
 
+  // ---- ECMP choices (paper D2b) ----------------------------------------
+  // Where a multipath hop sends a flow of hash `hash`: a leaf up to the
+  // spine of plane `ecmp_plane(hash)`, a spine up to its core
+  // `ecmp_core(hash)` (index within the plane). The switches forward by
+  // these, the analytic evaluator models them, and the controller reads
+  // them to tell which groups a failed switch carries.
+  std::size_t ecmp_plane(std::uint64_t hash) const noexcept {
+    return hash % leaf_up_ports();
+  }
+  std::size_t ecmp_core(std::uint64_t hash) const noexcept {
+    return (hash >> 8) % spine_up_ports();
+  }
+
   // ---- identifier widths (for header encoding) -------------------------
   unsigned leaf_id_bits() const noexcept;
   unsigned pod_id_bits() const noexcept;
@@ -154,6 +170,20 @@ class ClosTopology {
 
   ClosParams params_;
 };
+
+// Multipath hash of a multicast group's traffic: one value per group, not
+// per sender, so every sender of a group takes the group's plane and the
+// controller can tell from the group alone whether a failed switch lies on
+// its path (Controller::route_failures). The address enters relative to
+// 239.0.0.0, where net::Ipv4Address::multicast_group puts the first 2^24
+// group indices, so group index i hashes as the integer i; the other
+// blocks hash apart from it.
+inline std::uint64_t group_hash(net::Ipv4Address group) noexcept {
+  std::uint64_t seed =
+      0x9e3779b97f4a7c15ULL ^
+      (static_cast<std::uint64_t>(group.value ^ 0xef000000u) << 1);
+  return util::splitmix64(seed);
+}
 
 // Set of failed switches, consulted when computing upstream rules. Leaf
 // failures disconnect their hosts (paper §5.1.3b) and are not modelled as

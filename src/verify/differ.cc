@@ -5,7 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "dataplane/common.h"
 #include "elmo/evaluator.h"
 #include "elmo/stream.h"
 #include "obs/metrics.h"
@@ -35,6 +34,8 @@ const char* to_string(Mutation mutation) {
       return "skip-mirror-update";
     case Mutation::kLeaveByHostOnly:
       return "leave-by-host-only";
+    case Mutation::kDropFailureChanges:
+      return "drop-failure-changes";
   }
   return "unknown";
 }
@@ -207,25 +208,29 @@ class Runner {
         break;
       }
       case EventKind::kFailSpine:
-        controller_.fail_spine(ev.switch_id);
+        switch_event(&Controller::fail_spine,
+                     &stream::ControlPlane::fail_spine, ev.switch_id);
         oracle_.fail_spine(ev.switch_id);
         fabric_.spine(ev.switch_id).set_down(true);
         resync_headers();
         break;
       case EventKind::kFailCore:
-        controller_.fail_core(ev.switch_id);
+        switch_event(&Controller::fail_core, &stream::ControlPlane::fail_core,
+                     ev.switch_id);
         oracle_.fail_core(ev.switch_id);
         fabric_.core(ev.switch_id).set_down(true);
         resync_headers();
         break;
       case EventKind::kRestoreSpine:
-        controller_.restore_spine(ev.switch_id);
+        switch_event(&Controller::restore_spine,
+                     &stream::ControlPlane::restore_spine, ev.switch_id);
         oracle_.restore_spine(ev.switch_id);
         fabric_.spine(ev.switch_id).set_down(false);
         resync_headers();
         break;
       case EventKind::kRestoreCore:
-        controller_.restore_core(ev.switch_id);
+        switch_event(&Controller::restore_core,
+                     &stream::ControlPlane::restore_core, ev.switch_id);
         oracle_.restore_core(ev.switch_id);
         fabric_.core(ev.switch_id).set_down(false);
         resync_headers();
@@ -281,11 +286,26 @@ class Runner {
     seed_fault();
   }
 
-  // Failures change only sender headers (upstream re-routing): refresh_all
-  // re-diffs every tracked group and only the rules the failure actually
-  // changed hit the wire.
+  // A spine or core failure or restore streams through the plane, which
+  // diffs only the change sets the controller returns, unless the
+  // drop-failure-changes mutation hands the event to the controller alone:
+  // then no re-routed header reaches the fabric.
+  template <typename ControllerCall, typename PlaneCall>
+  void switch_event(ControllerCall controller_call, PlaneCall plane_call,
+                    std::uint32_t id) {
+    if (mutation_ == Mutation::kDropFailureChanges) {
+      const auto impact = (controller_.*controller_call)(id);
+      applied_ = applied_ || impact.groups_affected() > 0;
+    } else {
+      (plane_.*plane_call)(id);
+    }
+  }
+
+  // After a failure or restore: lands the streamed deltas, then checks the
+  // fabric against every group's re-folded term. The re-fold covers every
+  // group, not only the change sets', so the referee stays independent of
+  // the sets the plane diffed by.
   void resync_headers() {
-    plane_.refresh_all();
     sync();
     recompile_all();
     diff_fabric_state("after failure resync");
@@ -364,12 +384,15 @@ class Runner {
     const auto res = fabric_.send(sender, g.address, std::size_t{64});
     ++report_.sends_checked;
 
-    // The analytic evaluator's view of the same send (same flow hash and
-    // failure set), computed up front so the provenance capture can carry it.
+    // The analytic evaluator's view of the same send (the group's hash and
+    // the failures its senders route around), computed up front so the
+    // provenance capture can carry it. A failure off the group's plane is
+    // not passed: the installed header keeps multipath there, and a flow
+    // that still met the dead switch fails the oracle's reachability check.
     const TrafficEvaluator evaluator{topo_};
-    const auto hash = dp::flow_hash(dp::host_address(sender), g.address);
     const auto rep = evaluator.evaluate(
-        *g.tree, g.encoding, sender, 64, hash, &controller_.failures(),
+        *g.tree, g.encoding, sender, 64, topo::group_hash(g.address),
+        &controller_.route_failures(id),
         legacy_.empty() ? nullptr : &legacy_);
 
     // Join the walk's decision tree against the oracle: any failure below
@@ -606,7 +629,7 @@ class Runner {
         for (auto& u : rules) {
           if (u.elmo_header.empty()) continue;  // not a sender's flow
           const auto route =
-              g.tree->sender_route(u.host, controller_.failures());
+              g.tree->sender_route(u.host, controller_.route_failures(id));
           u.elmo_header =
               controller_.encoder().codec().serialize(route.encoding, mutated);
         }

@@ -21,7 +21,8 @@
 //
 // Mutation mode turns the harness on itself: each Mutation seeds one known
 // fault into the pipeline (bit-flipped header templates, dropped s-rules or
-// flow VMs, stale mirrors, the pre-fix leave-by-host-only churn bug) and a
+// flow VMs, stale mirrors, the pre-fix leave-by-host-only churn bug, failure
+// change sets that never reach the plane) and a
 // run is only useful evidence if the differ CATCHES it (applied && !ok).
 // A fabric-side fault is an edit of the target group's compiled rules,
 // applied to the fabric through Fabric::apply and folded into the expected
@@ -66,13 +67,17 @@ enum class Mutation : std::uint8_t {
   // the FIRST member on the host — the exact pre-fix ChurnSimulator desync
   // under co-location.
   kLeaveByHostOnly,
+  // Hand spine and core failures and restores to the controller only,
+  // dropping the change sets it returns before the control plane sees
+  // them: the re-routed sender headers never reach the fabric.
+  kDropFailureChanges,
 };
 
-inline constexpr std::array<Mutation, 7> kAllMutations = {
-    Mutation::kClearPRuleBit,   Mutation::kSetPRuleBit,
-    Mutation::kDropSRule,       Mutation::kDropLocalVm,
+inline constexpr std::array<Mutation, 8> kAllMutations = {
+    Mutation::kClearPRuleBit,     Mutation::kSetPRuleBit,
+    Mutation::kDropSRule,         Mutation::kDropLocalVm,
     Mutation::kWrongSenderHeader, Mutation::kSkipMirrorUpdate,
-    Mutation::kLeaveByHostOnly,
+    Mutation::kLeaveByHostOnly,   Mutation::kDropFailureChanges,
 };
 
 const char* to_string(Mutation mutation);

@@ -123,6 +123,27 @@ TEST_F(IgmpFixture, MembershipChangedOutsideTheAgentIsHonoured) {
   EXPECT_EQ(controller.group(id).members.size(), 1u);
 }
 
+TEST_F(IgmpFixture, GroupRemovedByTheControllerIsRecreatedOnNextReport) {
+  // The controller owns group lifetime: once it removes the group, the
+  // address has none, so membership queries and leaves see no group and
+  // the next report creates a fresh one.
+  IgmpAgent agent{directory, /*host=*/6};
+  EXPECT_TRUE(agent.handle_vm_message(1, membership_report("239.4.4.4")));
+  const auto removed = directory.group_for(mcast("239.4.4.4"));
+  controller.remove_group(removed);
+
+  EXPECT_FALSE(directory.find(mcast("239.4.4.4")).has_value());
+  EXPECT_FALSE(agent.is_member(1, mcast("239.4.4.4")));
+  EXPECT_FALSE(agent.handle_vm_message(1, leave("239.4.4.4")));
+
+  EXPECT_TRUE(agent.handle_vm_message(1, membership_report("239.4.4.4")));
+  const auto fresh = directory.group_for(mcast("239.4.4.4"));
+  EXPECT_NE(fresh, removed);
+  EXPECT_TRUE(agent.is_member(1, mcast("239.4.4.4")));
+  ASSERT_EQ(controller.group(fresh).members.size(), 1u);
+  EXPECT_EQ(controller.group(fresh).members[0].host, 6u);
+}
+
 TEST_F(IgmpFixture, LeaveToAnUnknownAddressCreatesNoGroup) {
   IgmpAgent agent{directory, 3};
   EXPECT_FALSE(agent.handle_vm_message(0, leave("239.3.3.3")));

@@ -3,7 +3,6 @@
 // exactly once, and the control plane is deterministic.
 #include <gtest/gtest.h>
 
-#include "dataplane/common.h"
 #include "elmo/churn.h"
 #include "elmo/evaluator.h"
 #include "sim/fabric.h"
@@ -122,7 +121,7 @@ TEST_P(RandomOps, EverySenderDeliversExactlyOnceAfterMutations) {
       if (!can_send(m.role)) continue;
       const auto report = evaluator.evaluate(
           *state.tree, state.encoding, m.host, 100,
-          dp::flow_hash(dp::host_address(m.host), state.address));
+          topo::group_hash(state.address));
       ASSERT_TRUE(report.delivery.exactly_once())
           << "round " << round << " sender " << m.host;
     }
@@ -158,7 +157,7 @@ TEST(Determinism, IdenticalRunsProduceIdenticalHeaders) {
 }
 
 TEST(Integration, ChurnThenReinstallKeepsDataPlaneConsistent) {
-  // Controller mutations followed by a data-plane refresh must keep the
+  // Controller mutations followed by a data-plane reinstall must keep the
   // packet-level fabric delivering exactly what the controller thinks.
   const topo::ClosTopology t{topo::ClosParams::small_test()};
   Controller controller{t, EncoderConfig{}};

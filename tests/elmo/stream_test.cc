@@ -49,13 +49,18 @@ struct StreamWorld {
   std::vector<cloud::Tenant> tenants;
 };
 
+// A join that moves the tree names every sender of the group, so joins of
+// receiving senders onto a never-installed one-member group stream its
+// whole install: every member flow and every s-rule.
 TEST(ControlPlane, JoinOnUntrackedGroupStreamsFullInstall) {
   StreamWorld w;
-  const std::vector<std::uint32_t> vms{0, 4, 8};
-  const auto id = w.make_group(vms);
+  const std::vector<std::uint32_t> first{0};
+  const auto id = w.make_group(first);
 
   ControlPlane cp{w.controller, w.fabric, ControlPlaneOptions{1}};
-  cp.refresh(id);  // untracked: emits the full install
+  for (const std::uint32_t vm : {4u, 8u, 33u}) {
+    cp.join(id, Member{w.tenants[0].vm_hosts[vm], vm, MemberRole::kBoth});
+  }
 
   EXPECT_EQ(fabric_state_digest(w.fabric),
             compiled_state_digest(w.controller));
@@ -470,12 +475,13 @@ INSTANTIATE_TEST_SUITE_P(AllEncoders, CompiledStateDigest,
                          });
 
 // Change-set completeness, the property the plane's diffs rest on: an event
-// rewrites no rule outside the slots of its change set. After every streamed
-// join, leave and host failure, a whole-group refresh of every group must
-// find nothing left to queue. Random churn under every encoder, once on a
-// healthy fabric and once with legacy leaves (p-rules stay in sender
-// headers) and a failed spine 0 (sender headers carry explicit upstream
-// ports).
+// rewrites no rule outside the slots of its change sets. Random joins,
+// leaves, host failures and spine or core failures and restores stream
+// through the plane, with a flush after a random subset of events; after
+// each flush the fabric must hold exactly the compiled rules of every group.
+// Every encoder, once on a healthy fabric and once with legacy leaves
+// (p-rules stay in sender headers) and a failed spine 0 (sender headers
+// carry explicit upstream ports).
 class ChangeSetCompleteness
     : public ::testing::TestWithParam<std::tuple<EncoderKind, bool>> {};
 
@@ -506,13 +512,10 @@ TEST_P(ChangeSetCompleteness, RefreshAfterEveryEventQueuesNothing) {
     }
     ids.push_back(w.controller.create_group(0, members));
   }
-  if (degraded) {
-    w.controller.fail_spine(0);
-    w.fabric.spine(0).set_down(true);
-  }
+  if (degraded) w.controller.fail_spine(0);
   for (const auto id : ids) w.fabric.install_group(w.controller, id);
 
-  // Threshold 8: refreshes also compare against updates still pending.
+  // Threshold 8: diffs also compare against updates still pending.
   ControlPlane cp{w.controller, w.fabric, ControlPlaneOptions{8}};
   for (const auto id : ids) cp.track_group(id);
 
@@ -521,11 +524,13 @@ TEST_P(ChangeSetCompleteness, RefreshAfterEveryEventQueuesNothing) {
     return std::any_of(members.begin(), members.end(),
                        [vm](const Member& m) { return m.vm == vm; });
   };
-  std::size_t joins = 0, leaves = 0, fails = 0;
+  const auto& failures = w.controller.failures();
+  std::size_t joins = 0, leaves = 0, fails = 0, switch_events = 0,
+              checks = 0;
   for (int step = 0; step < 300; ++step) {
     const auto id = ids[rng.index(ids.size())];
     const auto& members = w.controller.group(id).members;
-    const auto pick = rng.index(10);
+    const auto pick = rng.index(12);
     if (pick < 5) {
       const auto vm = static_cast<std::uint32_t>(rng.index(vm_hosts.size()));
       if (member_of(id, vm)) continue;
@@ -536,7 +541,7 @@ TEST_P(ChangeSetCompleteness, RefreshAfterEveryEventQueuesNothing) {
       const auto victim = members[rng.index(members.size())];
       cp.leave(id, victim.host, victim.vm);
       ++leaves;
-    } else {
+    } else if (pick < 10) {
       // Fail a member host, unless that would empty some group.
       const auto host = members[rng.index(members.size())].host;
       const bool empties = std::any_of(ids.begin(), ids.end(), [&](GroupId g) {
@@ -547,15 +552,34 @@ TEST_P(ChangeSetCompleteness, RefreshAfterEveryEventQueuesNothing) {
       if (empties) continue;
       cp.host_fail(host);
       ++fails;
+    } else if (pick < 11) {
+      // Fail a spine, or restore it if it is down.
+      const auto spine =
+          static_cast<topo::SpineId>(rng.index(w.topology.num_spines()));
+      if (failures.spine_failed(spine)) {
+        cp.restore_spine(spine);
+      } else {
+        cp.fail_spine(spine);
+      }
+      ++switch_events;
+    } else {
+      const auto core =
+          static_cast<topo::CoreId>(rng.index(w.topology.num_cores()));
+      if (failures.core_failed(core)) {
+        cp.restore_core(core);
+      } else {
+        cp.fail_core(core);
+      }
+      ++switch_events;
     }
 
-    const auto pending = cp.pending();
-    const auto coalesced = cp.stats().updates_coalesced;
-    const auto applied = cp.stats().updates_applied;
-    for (const auto g : ids) cp.refresh(g);
-    ASSERT_EQ(cp.pending(), pending) << "step " << step;
-    ASSERT_EQ(cp.stats().updates_coalesced, coalesced) << "step " << step;
-    ASSERT_EQ(cp.stats().updates_applied, applied) << "step " << step;
+    if (rng.bernoulli(0.5)) {
+      cp.flush();
+      ++checks;
+      ASSERT_EQ(fabric_state_digest(w.fabric),
+                compiled_state_digest(w.controller))
+          << "step " << step;
+    }
   }
   cp.flush();
   EXPECT_EQ(fabric_state_digest(w.fabric),
@@ -563,6 +587,8 @@ TEST_P(ChangeSetCompleteness, RefreshAfterEveryEventQueuesNothing) {
   EXPECT_GT(joins, 0u);
   EXPECT_GT(leaves, 0u);
   EXPECT_GT(fails, 0u);
+  EXPECT_GT(switch_events, 0u);
+  EXPECT_GT(checks, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -575,6 +601,68 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string{encoder_name(std::get<0>(info.param))} +
              (std::get<1>(info.param) ? "_Degraded" : "_Healthy");
     });
+
+// Paper §3.3: a failure re-issues the upstream rules of the affected
+// groups' senders and nothing else. With every member both sending and
+// receiving, each reported sender's header flips between multipath and
+// explicit ports, so for a spine or core failure and each restore the
+// hypervisor updates the controller reports are exactly the flow updates
+// the plane applies, and no s-rule moves.
+TEST(ControlPlane, FailureAppliesExactlyTheReportedHypervisorUpdates) {
+  StreamWorld w{EncoderKind::kElmo, 80};
+  util::Rng rng{2029};
+  std::vector<GroupId> ids;
+  for (int gi = 0; gi < 40; ++gi) {
+    std::vector<std::uint32_t> vms;
+    for (std::uint32_t vm = 0; vm < 80; ++vm) {
+      if (rng.bernoulli(0.06)) vms.push_back(vm);
+    }
+    if (vms.size() < 2) vms = {static_cast<std::uint32_t>(gi), 79u - gi};
+    ids.push_back(w.make_group(vms));
+    w.fabric.install_group(w.controller, ids.back());
+  }
+  ControlPlane cp{w.controller, w.fabric, ControlPlaneOptions{1}};
+  for (const auto id : ids) cp.track_group(id);
+
+  auto expect_applied_as_reported =
+      [&](const char* event, const Controller::FailureImpact& impact,
+          std::uint64_t flows_before, std::uint64_t srules_before) {
+        SCOPED_TRACE(event);
+        cp.flush();
+        const auto& st = cp.stats();
+        EXPECT_GT(impact.hypervisor_updates(), 0u);
+        EXPECT_EQ(st.flow_adds + st.flow_dels - flows_before,
+                  impact.hypervisor_updates());
+        EXPECT_EQ(st.leaf_srule_adds + st.leaf_srule_dels +
+                      st.spine_srule_adds + st.spine_srule_dels,
+                  srules_before);
+        EXPECT_EQ(fabric_state_digest(w.fabric),
+                  compiled_state_digest(w.controller));
+      };
+  auto flows = [&] { return cp.stats().flow_adds + cp.stats().flow_dels; };
+  auto srules = [&] {
+    const auto& st = cp.stats();
+    return st.leaf_srule_adds + st.leaf_srule_dels + st.spine_srule_adds +
+           st.spine_srule_dels;
+  };
+
+  const auto spine = w.topology.spine_at(1, 0);
+  auto before = flows();
+  auto impact = cp.fail_spine(spine);
+  expect_applied_as_reported("fail_spine", impact, before, srules());
+  before = flows();
+  impact = cp.restore_spine(spine);
+  expect_applied_as_reported("restore_spine", impact, before, srules());
+
+  const auto core = w.topology.core_at(1, 0);
+  before = flows();
+  impact = cp.fail_core(core);
+  expect_applied_as_reported("fail_core", impact, before, srules());
+  before = flows();
+  impact = cp.restore_core(core);
+  expect_applied_as_reported("restore_core", impact, before, srules());
+  EXPECT_EQ(cp.stats().switch_events, 4u);
+}
 
 TEST(ControlPlane, RejectsZeroFlushThreshold) {
   StreamWorld w;

@@ -152,21 +152,21 @@ TEST(ProvenanceGolden, CrossPodSendRenderIsPinned) {
 
   const std::string golden = R"(send group=4009754624 from host0 (17 hops)
 host0  [source, 128B on wire]
-  L0  [upstream ports=0100 up=multipath egress=010001 popped 16B, 128B in]
+  L0  [upstream ports=0100 up=multipath egress=010010 popped 16B, 128B in]
     host1  [deliver popped 50B (1 VMs), 114B in]
-    S1  [upstream ports=0100 up=multipath egress=010010 popped 10B, 126B in]
+    S0  [upstream ports=0100 up=multipath egress=010001 popped 10B, 126B in]
       L1  [s-rule ports=0100 egress=010000 popped 4B, 118B in]
         host5  [deliver popped 50B (1 VMs), 114B in]
-      C2  [p-rule ports=0111 egress=0111 popped 1B, 124B in]
-        S3  [p-rule #2 ports=0110 egress=011000 popped 5B, 123B in]
+      C1  [p-rule ports=0111 egress=0111 popped 1B, 124B in]
+        S2  [p-rule #2 ports=0110 egress=011000 popped 5B, 123B in]
           L5  [s-rule ports=0010 egress=001000 popped 4B, 118B in]
             host22  [deliver popped 50B (1 VMs), 114B in]
           L6  [p-rule #0 ports=0001 egress=000100 popped 4B, 118B in]
             host27  [deliver popped 50B (1 VMs), 114B in]
-        S5  [p-rule #1 ports=0010 egress=001000 popped 5B, 123B in]
+        S4  [p-rule #1 ports=0010 egress=001000 popped 5B, 123B in]
           L10  [s-rule ports=0100 egress=010000 popped 4B, 118B in]
             host41  [deliver popped 50B (1 VMs), 114B in]
-        S7  [p-rule #0 ports=0001 egress=000100 popped 5B, 123B in]
+        S6  [p-rule #0 ports=0001 egress=000100 popped 5B, 123B in]
           L15  [s-rule ports=0010 egress=001000 popped 4B, 118B in]
             host62  [deliver popped 50B (1 VMs), 114B in]
 )";

@@ -307,10 +307,16 @@ TEST(P4rtCompile, FlowHeadersEqualHeaderForAcrossChurnAndFailure) {
     plane.leave(ids[1], leaving.host, leaving.vm);
     plane.flush();
     check("leave");
-    controller.fail_spine(topology.spine_at(0, 0));
-    plane.refresh_all();
-    plane.flush();
-    check("fail_spine + refresh_all");
+    for (std::uint32_t plane_index = 0;
+         plane_index < topology.params().spines_per_pod; ++plane_index) {
+      const auto spine = topology.spine_at(0, plane_index);
+      plane.fail_spine(spine);
+      plane.flush();
+      check("fail_spine");
+      plane.restore_spine(spine);
+      plane.flush();
+      check("restore_spine");
+    }
   }
 }
 

@@ -5,7 +5,6 @@
 // (pure p-rules, s-rules, defaults).
 #include <gtest/gtest.h>
 
-#include "dataplane/common.h"
 #include "elmo/evaluator.h"
 #include "sim/fabric.h"
 #include "testutil.h"
@@ -53,7 +52,7 @@ TEST_P(Crosscheck, FabricAndEvaluatorAgree) {
       fabric.reset_link_stats();
       const auto fabric_result = fabric.send(sender, g.address, payload);
 
-      const auto flow = dp::flow_hash(dp::host_address(sender), g.address);
+      const auto flow = topo::group_hash(g.address);
       const auto report =
           evaluator.evaluate(*g.tree, g.encoding, sender, payload, flow);
 
@@ -114,7 +113,7 @@ TEST(Crosscheck, RunningExampleBothEnginesAndAllSenders) {
 
   for (const auto sender : hosts) {
     const auto fabric_result = fabric.send(sender, g.address, 100);
-    const auto flow = dp::flow_hash(dp::host_address(sender), g.address);
+    const auto flow = topo::group_hash(g.address);
     const auto report =
         evaluator.evaluate(*g.tree, g.encoding, sender, 100, flow);
     std::size_t copies = 0;

@@ -4,7 +4,6 @@
 
 #include "apps/multidc.h"
 #include "apps/reliable.h"
-#include "dataplane/common.h"
 #include "elmo/evaluator.h"
 #include "sim/fabric.h"
 #include "testutil.h"
@@ -46,7 +45,7 @@ TEST(TwoTier, CrosscheckFabricVsEvaluator) {
     const auto fr = fabric.send(hosts[0], g.address, 512);
     const auto report = evaluator.evaluate(
         *g.tree, g.encoding, hosts[0], 512,
-        dp::flow_hash(dp::host_address(hosts[0]), g.address));
+        topo::group_hash(g.address));
     EXPECT_EQ(fr.total_wire_bytes, report.elmo_wire_bytes);
     EXPECT_TRUE(report.delivery.exactly_once());
     fabric.uninstall_group(controller, id);

@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include "dataplane/common.h"
 #include "elmo/controller.h"
 #include "elmo/evaluator.h"
 #include "sim/fabric.h"
@@ -68,7 +67,7 @@ TEST(Explain, TightBudgetAttributionMatchesEvaluatorAndCounters) {
 
   // The decomposition sums to the analytic evaluator's overhead accounting.
   const elmo::TrafficEvaluator evaluator{topology};
-  const auto hash = dp::flow_hash(dp::host_address(sender), g.address);
+  const auto hash = topo::group_hash(g.address);
   const auto rep = evaluator.evaluate(*g.tree, g.encoding, sender, 64, hash,
                                       &controller.failures(), nullptr);
   EXPECT_EQ(expl.breakdown.intended, rep.delivery.members_reached);
