@@ -5,6 +5,7 @@
 //   $ ./build/examples/mtrace_tool
 #include <iostream>
 
+#include "elmo/stream.h"
 #include "sim/mtrace.h"
 
 using namespace elmo;
@@ -34,11 +35,16 @@ int main() {
                "frames.\n";
 
   // Now fail the pod-0 spine of the group's multipath plane and trace again.
+  // The control plane streams the failure's change set (the re-routed
+  // sender headers) to the fabric; the fabric models the dead switch.
+  stream::ControlPlane control{controller, fabric};
+  control.track_group(group);
   const auto plane =
       topology.ecmp_plane(topo::group_hash(controller.group(group).address));
   const auto victim = topology.spine_at(0, plane);
-  controller.fail_spine(victim);
-  fabric.install_group(controller, group);  // re-routed sender headers
+  control.fail_spine(victim);
+  control.flush();
+  fabric.spine(victim).set_down(true);
   std::cout << "\nafter failing spine S" << victim
             << " (multipath off, explicit uplinks):\n";
   const auto degraded = sim::mtrace(fabric, controller, group, 0, 128);

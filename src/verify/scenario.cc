@@ -228,13 +228,14 @@ Scenario generate_scenario(std::uint64_t seed) {
   return sc;
 }
 
-void append_churn_events(Scenario& scenario, std::size_t count,
-                         std::uint64_t salt) {
+void append_churn_events(Scenario& scenario, std::size_t count) {
   if (scenario.groups.empty() || count == 0) return;
   const topo::ClosTopology topo{scenario.params};
-  // Stream 1: stream 0 is generate_scenario's, so appending never perturbs
-  // the base seed -> scenario mapping.
-  auto rng = util::Rng::stream(scenario.seed ^ salt, 1);
+  // Stream 1 of the salted seed: stream 0 is generate_scenario's, so
+  // appending never perturbs the base seed -> scenario mapping. The salt is
+  // arbitrary but fixed: it pins every recorded churn campaign's script.
+  constexpr std::uint64_t kChurnSalt = 0xc4;
+  auto rng = util::Rng::stream(scenario.seed ^ kChurnSalt, 1);
 
   // Replay the existing script so appended churn starts from the membership
   // state the run will actually be in when it reaches these events.

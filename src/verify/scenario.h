@@ -69,14 +69,14 @@ Scenario generate_scenario(std::uint64_t seed);
 
 // Extends `scenario`'s event script with `count` additional churn-heavy
 // events (join/leave-biased, with periodic sends and a closing send sweep),
-// derived deterministically from the scenario seed xor `salt`. The existing
+// derived deterministically from the scenario seed (on an rng stream of its
+// own, so one seed always appends the same events). The existing
 // script is replayed into a membership mirror first, so every appended
 // event is valid against the state the run will actually be in. Used by
-// the continuous-churn fuzz campaign (tools/fuzz_pipeline --churn_events=N)
-// to stress the streaming control plane's delta installs far beyond the
+// the continuous-churn fuzz campaign (tools/fuzz_pipeline --churn_events=N,
+// and tools/trace_query, which traces the same script) to stress the streaming control plane's delta installs far beyond the
 // handful of churn events generate_scenario emits.
-void append_churn_events(Scenario& scenario, std::size_t count,
-                         std::uint64_t salt);
+void append_churn_events(Scenario& scenario, std::size_t count);
 
 // Drops events a prior edit made unexecutable (leave of a non-member, send
 // from a host with no sending member, churn on an empty/removed group,

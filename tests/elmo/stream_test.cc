@@ -143,6 +143,99 @@ TEST(ControlPlane, DetachingTracerDropsOpenWatches) {
   EXPECT_TRUE(w.fabric.tte_records().empty());
 }
 
+// Every closed time-to-effect watch is recorded twice: as a fabric
+// TteRecord and as a tte:* instant in the churn event's trace. Tools read
+// the verdicts from the tracer alone (tools/trace_query), so the two must
+// agree one for one: same trace, polarity, group, host, tte_us and
+// stale_seen. Batching (threshold 8) lets sends land before the installs
+// too, so joins see pre-install deliveries and leaves see stale copies.
+TEST(ControlPlane, TracerTteInstantsMatchFabricRecords) {
+  StreamWorld w;
+  std::vector<GroupId> ids;
+  std::vector<std::vector<std::uint32_t>> members;
+  for (std::uint32_t g = 0; g < 4; ++g) {
+    members.push_back({g, g + 9, g + 18, g + 27});
+    ids.push_back(w.make_group(members.back()));
+    w.fabric.install_group(w.controller, ids.back());
+  }
+  obs::Tracer tracer;
+  ControlPlane cp{w.controller, w.fabric, ControlPlaneOptions{8}};
+  for (const auto id : ids) cp.track_group(id);
+  cp.set_tracer(&tracer);
+
+  auto rng = util::Rng::stream(30, 0);
+  const auto send = [&](std::size_t gi) {
+    const auto& vms = members[gi];
+    (void)w.fabric.send(w.tenants[0].vm_hosts[vms[rng.index(vms.size())]],
+                        w.controller.group(ids[gi]).address, 64);
+  };
+  for (int step = 0; step < 200; ++step) {
+    const auto gi = rng.index(ids.size());
+    auto& vms = members[gi];
+    const auto vm = static_cast<std::uint32_t>(rng.index(40));
+    const auto host = w.tenants[0].vm_hosts[vm];
+    if (const auto it = std::find(vms.begin(), vms.end(), vm);
+        it == vms.end()) {
+      cp.join(ids[gi], Member{host, vm, MemberRole::kBoth});
+      vms.push_back(vm);
+    } else if (vms.size() > 1) {
+      cp.leave(ids[gi], host, vm);
+      vms.erase(it);
+    }
+    send(gi);
+  }
+  cp.flush();
+  for (std::size_t gi = 0; gi < ids.size(); ++gi) send(gi);
+
+  using Verdict = std::tuple<std::uint64_t, bool, std::uint32_t,
+                             std::uint32_t, double, bool>;
+  std::vector<Verdict> from_fabric;
+  for (const auto& rec : w.fabric.tte_records()) {
+    from_fabric.emplace_back(rec.trace_id, rec.leave, rec.group, rec.host,
+                             rec.tte_seconds * 1e6, rec.stale_seen);
+  }
+  std::vector<Verdict> from_tracer;
+  for (const auto& rec : tracer.snapshot()) {
+    const std::string name = rec.name;
+    if (rec.kind != obs::SpanRecord::Kind::kInstant ||
+        name.rfind("tte:", 0) != 0) {
+      continue;
+    }
+    ASSERT_TRUE(name == "tte:first_delivery" || name == "tte:leave_closed")
+        << name;
+    double group = -1, host = -1, tte_us = -1, stale_seen = 0;
+    for (std::uint8_t i = 0; i < rec.nattrs; ++i) {
+      const std::string key = rec.attrs[i].key;
+      if (key == "group") group = rec.attrs[i].value;
+      if (key == "host") host = rec.attrs[i].value;
+      if (key == "tte_us") tte_us = rec.attrs[i].value;
+      if (key == "stale_seen") stale_seen = rec.attrs[i].value;
+    }
+    from_tracer.emplace_back(rec.trace_id, name == "tte:leave_closed",
+                             static_cast<std::uint32_t>(group),
+                             static_cast<std::uint32_t>(host), tte_us,
+                             stale_seen != 0);
+  }
+
+  const auto count = [&](bool leave, bool stale) {
+    return std::count_if(from_fabric.begin(), from_fabric.end(),
+                         [&](const Verdict& v) {
+                           return std::get<1>(v) == leave &&
+                                  std::get<5>(v) == stale;
+                         });
+  };
+  EXPECT_GT(count(false, false), 0);
+  EXPECT_GT(count(true, false), 0);
+  EXPECT_GT(count(true, true), 0);
+  std::sort(from_fabric.begin(), from_fabric.end());
+  std::sort(from_tracer.begin(), from_tracer.end());
+  EXPECT_EQ(std::adjacent_find(from_fabric.begin(), from_fabric.end()),
+            from_fabric.end())
+      << "two records of one watch";
+  EXPECT_EQ(from_tracer, from_fabric);
+  EXPECT_EQ(tracer.stats().dropped, 0u);
+}
+
 TEST(ControlPlane, CoalescingCollapsesRepeatedTouchesToOneRule) {
   StreamWorld w;
   const std::vector<std::uint32_t> vms{0, 4, 8};

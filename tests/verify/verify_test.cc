@@ -48,7 +48,7 @@ TEST(FuzzPipeline, ChurnedSeedsPassWithContinuousStateDiff) {
   std::size_t sends = 0;
   for (std::uint64_t seed = 1; seed <= 25; ++seed) {
     auto scenario = generate_scenario(seed);
-    append_churn_events(scenario, 40, 0xc4);
+    append_churn_events(scenario, 40);
     const auto report = run_scenario(scenario);
     EXPECT_TRUE(report.ok) << "seed=" << seed << ": " << report.failure;
     sends += report.sends_checked;
@@ -56,14 +56,14 @@ TEST(FuzzPipeline, ChurnedSeedsPassWithContinuousStateDiff) {
   EXPECT_GT(sends, 0u);
 }
 
-// Appended churn is deterministic per (seed, salt) and valid by
+// Appended churn is deterministic per seed and valid by
 // construction: normalize() — which drops every unexecutable event — must
 // keep the script unchanged.
 TEST(ScenarioGenerator, AppendedChurnIsDeterministicAndValid) {
   auto a = generate_scenario(77);
   auto b = generate_scenario(77);
-  append_churn_events(a, 50, 0xc4);
-  append_churn_events(b, 50, 0xc4);
+  append_churn_events(a, 50);
+  append_churn_events(b, 50);
   ASSERT_EQ(a.events.size(), b.events.size());
   for (std::size_t i = 0; i < a.events.size(); ++i) {
     EXPECT_EQ(a.events[i].kind, b.events[i].kind) << i;

@@ -73,15 +73,11 @@ struct Options {
   std::size_t churn_events = 0;
 };
 
-// Salt for the appended-churn rng stream; any fixed value works, it only
-// has to be stable so --seed=N replays the CI campaign's exact script.
-constexpr std::uint64_t kChurnSalt = 0xc4u;
-
 Scenario make_scenario(std::uint64_t seed, const Options& opt) {
   auto scenario = elmo::verify::generate_scenario(seed);
   if (opt.encoder) scenario.config.encoder = *opt.encoder;
   if (opt.churn_events > 0) {
-    elmo::verify::append_churn_events(scenario, opt.churn_events, kChurnSalt);
+    elmo::verify::append_churn_events(scenario, opt.churn_events);
   }
   return scenario;
 }

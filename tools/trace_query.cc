@@ -1,23 +1,27 @@
 // Causal trace explorer: "where did my join go?" (DESIGN.md §15).
 //
-// Replays one fuzz scenario's membership into a controller + fabric, then
-// streams appended churn events through a traced stream::ControlPlane and
-// renders the resulting causal traces as annotated span trees: each churn
-// event's root span with its re-encode / delta-diff children, the flush and
-// per-switch install spans it flowed into, the data-plane instant that
+// Runs one fuzz scenario (plus appended churn) through verify::run_scenario
+// with a tracer and a send-capture tap attached, so the trace shows the run
+// the differ actually checked: every membership, failure and restore event
+// streamed through the run's traced stream::ControlPlane, and every diffed
+// send. It then renders the resulting causal traces as annotated span trees:
+// each event's root span with its re-encode / delta-diff children, the flush
+// and per-switch install spans it flowed into, the data-plane instant that
 // closed its time-to-effect watch, and — for joins — the per-hop path the
-// first delivered packet actually took, joined from the ProvenanceLog.
-// Each traced send is a trace of its own: a "send" root with one child span
-// per hop it took.
+// first delivered packet actually took, read from that send's captured
+// decision tree. Each traced send is a trace of its own: a "send" root with
+// one child span per hop it took. A run that diverges from the oracle is
+// reported (exit status 1).
 //
 // Flags (KEY=VALUE, --key=value, or ELMO_<KEY> env):
 //   --seed=N            scenario seed (default 1)
-//   --churn_events=N    churn events appended to the scenario (default 24)
-//   --flush_threshold=N plane batching (default 1 = install immediately)
+//   --churn_events=N    churn events appended to the scenario (default 24):
+//                       the script `fuzz_pipeline --seed=S --churn_events=N`
+//                       checks
 //   --trace=N           only render trace N
 //   --group=A           only render traces touching group address A (decimal)
 //   --kind=K            only render traces whose root span name contains K
-//                       (e.g. join, leave, host_fail, flush)
+//                       (e.g. join, leave, host_fail, fail_spine, flush)
 //   --max_traces=N      cap rendered traces (default 16, 0 = unlimited)
 //   --json=1            machine-readable summary instead of trees (CI)
 //   --trace_out=PATH    also write the chrome://tracing timeline (churn,
@@ -28,28 +32,21 @@
 #include <cinttypes>
 #include <cstdio>
 #include <map>
-#include <set>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
-#include "elmo/controller.h"
-#include "elmo/stream.h"
 #include "obs/provenance.h"
 #include "obs/trace.h"
-#include "sim/fabric.h"
-#include "topology/clos.h"
 #include "util/flags.h"
 #include "util/stats.h"
+#include "verify/differ.h"
 #include "verify/scenario.h"
 
 namespace {
 
 using namespace elmo;
-
-// Salt under which the continuous-churn fuzz campaign extends scenarios;
-// reusing it means a trace_query run shows exactly the events a
-// `fuzz_pipeline --churn_events=N` run with the same seed would install.
-constexpr std::uint64_t kChurnSalt = 0xc4;
 
 struct TraceView {
   std::uint64_t id = 0;
@@ -57,14 +54,41 @@ struct TraceView {
   const obs::SpanRecord* root = nullptr;        // first parentless span
 };
 
-bool has_group_attr(const obs::SpanRecord& rec, double group) {
+// One closed time-to-effect watch, read back from its tte:* instant.
+struct TteVerdict {
+  bool leave = false;
+  std::uint32_t group = 0;  // group address
+  std::uint32_t host = 0;
+  double tte_us = 0;
+  bool stale_seen = false;
+  // "send" roots recorded up to the instant. Records append in timestamp
+  // order and the instant fires inside the send that closed the watch, so
+  // that send is root number sends_before - 1, the same index as its
+  // SendCapture (0: no send seen).
+  std::size_t sends_before = 0;
+};
+
+std::optional<double> attr(const obs::SpanRecord& rec, std::string_view key) {
   for (std::uint8_t i = 0; i < rec.nattrs; ++i) {
-    if (std::string_view{rec.attrs[i].key} == "group" &&
-        rec.attrs[i].value == group) {
-      return true;
-    }
+    if (std::string_view{rec.attrs[i].key} == key) return rec.attrs[i].value;
   }
-  return false;
+  return std::nullopt;
+}
+
+std::optional<TteVerdict> tte_verdict(const obs::SpanRecord& rec,
+                                      std::size_t sends_before) {
+  if (rec.kind != obs::SpanRecord::Kind::kInstant) return std::nullopt;
+  const std::string_view name{rec.name};
+  const bool leave = name == "tte:leave_closed";
+  if (!leave && name != "tte:first_delivery") return std::nullopt;
+  TteVerdict v;
+  v.leave = leave;
+  v.group = static_cast<std::uint32_t>(attr(rec, "group").value_or(0));
+  v.host = static_cast<std::uint32_t>(attr(rec, "host").value_or(0));
+  v.tte_us = attr(rec, "tte_us").value_or(0);
+  v.stale_seen = attr(rec, "stale_seen").value_or(0) != 0;
+  v.sends_before = sends_before;
+  return v;
 }
 
 void append_attrs(std::string& out, const obs::SpanRecord& rec) {
@@ -138,23 +162,17 @@ std::string hop_path(const obs::SendTrace& trace, std::size_t leaf) {
   return out;
 }
 
-// First provenance trace that delivered `group` to `host` — the send that
-// closed (or would have closed) the join's time-to-effect watch.
-const obs::SendTrace* find_delivery(const obs::ProvenanceLog& prov,
-                                    std::uint32_t group, std::uint32_t host,
-                                    std::size_t& leaf_out) {
-  for (const auto& send : prov.sends()) {
-    if (send.group != group) continue;
-    for (std::size_t i = 0; i < send.hops.size(); ++i) {
-      const auto& hop = send.hops[i];
-      if (hop.layer == topo::Layer::kHost && hop.node == host &&
-          hop.decision.rule == obs::RuleClass::kHostDeliver) {
-        leaf_out = i;
-        return &send;
-      }
+// The hop of `send` that delivered a copy to `host`, if any.
+std::optional<std::size_t> delivery_hop(const obs::SendTrace& send,
+                                        std::uint32_t host) {
+  for (std::size_t i = 0; i < send.hops.size(); ++i) {
+    const auto& hop = send.hops[i];
+    if (hop.layer == topo::Layer::kHost && hop.node == host &&
+        hop.decision.rule == obs::RuleClass::kHostDeliver) {
+      return i;
     }
   }
-  return nullptr;
+  return std::nullopt;
 }
 
 void append_json_tte(std::string& out, const char* key,
@@ -176,6 +194,23 @@ void append_json_tte(std::string& out, const char* key,
   out += "}";
 }
 
+std::string json_string(std::string_view text) {
+  std::string out = "\"";
+  for (const char c : text) {
+    if (c == '"' || c == '\\') {
+      out += '\\';
+      out += c;
+    } else if (static_cast<unsigned char>(c) < 0x20) {
+      char buf[8];
+      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+      out += buf;
+    } else {
+      out += c;
+    }
+  }
+  return out + "\"";
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -183,8 +218,6 @@ int main(int argc, char** argv) {
   const auto seed = static_cast<std::uint64_t>(flags.get_int("SEED", 1));
   const auto churn =
       static_cast<std::size_t>(flags.get_int("CHURN_EVENTS", 24));
-  const auto flush_threshold =
-      static_cast<std::size_t>(flags.get_int("FLUSH_THRESHOLD", 1));
   const auto want_trace =
       static_cast<std::uint64_t>(flags.get_int("TRACE", 0));
   const auto want_group =
@@ -196,104 +229,20 @@ int main(int argc, char** argv) {
   const auto trace_out = flags.get_string("TRACE_OUT", "");
 
   auto scenario = verify::generate_scenario(seed);
-  const auto base_events = scenario.events.size();
-  verify::append_churn_events(scenario, churn, kChurnSalt);
+  verify::append_churn_events(scenario, churn);
 
-  const topo::ClosTopology topo{scenario.params};
-  Controller controller{topo, scenario.config};
-  sim::Fabric fabric{topo};
-  auto legacy = scenario.legacy_leaves;
-  if (!legacy.empty()) {
-    legacy.resize(topo.num_leaves(), false);
-    controller.set_legacy_leaves(legacy);
-    for (topo::LeafId l = 0; l < topo.num_leaves(); ++l) {
-      if (legacy[l]) fabric.leaf(l).set_legacy(true);
-    }
-  }
-
-  // Membership-only replay of the base script (failures and sends are not
-  // part of the state the churn extension was validated against).
-  std::vector<GroupId> ids;
-  std::vector<std::vector<Member>> membership;
-  for (const auto& g : scenario.groups) {
-    ids.push_back(
-        controller.create_group(g.tenant, std::span<const Member>{g.members}));
-    membership.push_back(g.members);
-  }
-  const auto forget = [&](std::size_t gi, topo::HostId host, std::uint32_t vm) {
-    auto& members = membership[gi];
-    members.erase(std::remove_if(members.begin(), members.end(),
-                                 [&](const Member& m) {
-                                   return m.host == host && m.vm == vm;
-                                 }),
-                  members.end());
-  };
-  for (std::size_t i = 0; i < base_events; ++i) {
-    const auto& ev = scenario.events[i];
-    switch (ev.kind) {
-      case verify::EventKind::kJoin:
-        controller.join(ids.at(ev.group_index), ev.member);
-        membership[ev.group_index].push_back(ev.member);
-        break;
-      case verify::EventKind::kLeave:
-        controller.leave(ids.at(ev.group_index), ev.member.host, ev.member.vm);
-        forget(ev.group_index, ev.member.host, ev.member.vm);
-        break;
-      case verify::EventKind::kHostFail:
-        for (std::size_t gi = 0; gi < ids.size(); ++gi) {
-          const auto members = membership[gi];  // copy: leave mutates
-          for (const auto& m : members) {
-            if (m.host != ev.member.host) continue;
-            controller.leave(ids.at(gi), m.host, m.vm);
-            forget(gi, m.host, m.vm);
-          }
-        }
-        break;
-      default:
-        break;
-    }
-  }
-  for (const auto id : ids) fabric.install_group(controller, id);
-
-  // Live run: every appended event flows through the traced control plane;
-  // sends walk the fabric (closing time-to-effect watches) with their hops
-  // recorded into the same tracer and a provenance log for the data-plane
-  // half of the story.
+  // The differ's run, traced: the global tracer also catches the phase
+  // spans, as in `fuzz_pipeline --trace`.
   obs::Tracer tracer;
-  obs::ProvenanceLog prov;
-  fabric.set_recorder(&tracer);
-  fabric.set_provenance(&prov);
-  stream::ControlPlane plane{controller, fabric,
-                             stream::ControlPlaneOptions{flush_threshold}};
-  for (const auto id : ids) plane.track_group(id);
-  plane.set_tracer(&tracer);
+  std::vector<verify::SendCapture> captures;
+  verify::RunObservability observability;
+  observability.captures = &captures;
+  observability.tracer = &tracer;
   obs::set_global_tracer(&tracer);
-
-  std::size_t sends = 0;
-  for (std::size_t i = base_events; i < scenario.events.size(); ++i) {
-    const auto& ev = scenario.events[i];
-    switch (ev.kind) {
-      case verify::EventKind::kJoin:
-        plane.join(ids.at(ev.group_index), ev.member);
-        break;
-      case verify::EventKind::kLeave:
-        plane.leave(ids.at(ev.group_index), ev.member.host, ev.member.vm);
-        break;
-      case verify::EventKind::kHostFail:
-        plane.host_fail(ev.member.host);
-        break;
-      case verify::EventKind::kSend: {
-        const auto& g = controller.group(ids.at(ev.group_index));
-        (void)fabric.send(ev.sender, g.address, std::size_t{64});
-        ++sends;
-        break;
-      }
-      default:
-        break;
-    }
-  }
-  plane.flush();
+  const auto report =
+      verify::run_scenario(scenario, verify::Mutation::kNone, &observability);
   obs::set_global_tracer(nullptr);
+  const int status = report.ok ? 0 : 1;
 
   if (!trace_out.empty()) {
     if (!tracer.write(trace_out)) {
@@ -303,15 +252,17 @@ int main(int argc, char** argv) {
     }
   }
 
-  // --- join the three stores -----------------------------------------------
+  // --- join the tracer's records into traces --------------------------------
   const auto records = tracer.snapshot();
   const auto stats = tracer.stats();
-  const auto& tte = fabric.tte_records();
 
   std::map<std::uint64_t, TraceView> traces;
   std::map<std::uint64_t, const obs::SpanRecord*> by_span;
   std::multimap<std::uint64_t, const obs::SpanRecord*> children;
   std::vector<const obs::SpanRecord*> flows;
+  std::map<std::uint64_t, std::vector<TteVerdict>> tte_by_trace;
+  std::vector<double> join_us, leave_us;
+  std::size_t stale_seen = 0, sends_seen = 0;
   for (const auto& rec : records) {
     auto& view = traces[rec.trace_id];
     view.id = rec.trace_id;
@@ -323,22 +274,18 @@ int main(int argc, char** argv) {
     by_span.emplace(rec.span_id, &rec);
     if (rec.parent_span != 0) {
       children.emplace(rec.parent_span, &rec);
-    } else if (view.root == nullptr &&
-               rec.kind == obs::SpanRecord::Kind::kSpan) {
-      view.root = &rec;
+    } else if (rec.kind == obs::SpanRecord::Kind::kSpan) {
+      if (view.root == nullptr) view.root = &rec;
+      if (std::string_view{rec.name} == "send") ++sends_seen;
     }
-  }
-
-  std::map<std::uint64_t, std::vector<const obs::TteRecord*>> tte_by_trace;
-  std::vector<double> join_us, leave_us;
-  std::size_t stale_seen = 0;
-  for (const auto& rec : tte) {
-    tte_by_trace[rec.trace_id].push_back(&rec);
-    if (rec.leave) {
-      leave_us.push_back(rec.tte_seconds * 1e6);
-      if (rec.stale_seen) ++stale_seen;
-    } else {
-      join_us.push_back(rec.tte_seconds * 1e6);
+    if (const auto v = tte_verdict(rec, sends_seen)) {
+      tte_by_trace[rec.trace_id].push_back(*v);
+      if (v->leave) {
+        leave_us.push_back(v->tte_us);
+        if (v->stale_seen) ++stale_seen;
+      } else {
+        join_us.push_back(v->tte_us);
+      }
     }
   }
 
@@ -347,8 +294,14 @@ int main(int argc, char** argv) {
     char buf[256];
     std::snprintf(buf, sizeof(buf),
                   "  \"tool\": \"trace_query\",\n  \"seed\": %" PRIu64
-                  ",\n  \"churn_events\": %zu,\n  \"sends\": %zu,\n",
-                  seed, churn, sends);
+                  ",\n  \"churn_events\": %zu,\n  \"ok\": %s,\n",
+                  seed, churn, report.ok ? "true" : "false");
+    out += buf;
+    if (!report.ok) {
+      out += "  \"failure\": " + json_string(report.failure) + ",\n";
+    }
+    std::snprintf(buf, sizeof(buf), "  \"sends\": %zu,\n",
+                  report.sends_checked);
     out += buf;
     std::snprintf(buf, sizeof(buf),
                   "  \"stats\": {\"spans\": %" PRIu64 ", \"instants\": %" PRIu64
@@ -371,14 +324,17 @@ int main(int argc, char** argv) {
                   join_us.size(), leave_us.size());
     out += buf;
     std::fputs(out.c_str(), stdout);
-    return 0;
+    return status;
   }
 
   std::printf("trace_query: seed=%" PRIu64
               " churn_events=%zu sends=%zu traces=%zu spans=%" PRIu64
               " flows=%" PRIu64 " dropped=%" PRIu64 " orphans=%" PRIu64 "\n",
-              seed, churn, sends, traces.size(), stats.spans, stats.flows,
-              stats.dropped, stats.orphans);
+              seed, churn, report.sends_checked, traces.size(), stats.spans,
+              stats.flows, stats.dropped, stats.orphans);
+  if (!report.ok) {
+    std::printf("NOTE: scenario diverged: %s\n", report.failure.c_str());
+  }
   if (!join_us.empty()) {
     std::printf("tte join:  %zu closed, p50=%.1fus p99=%.1fus\n",
                 join_us.size(), util::percentile(join_us, 50),
@@ -404,7 +360,7 @@ int main(int argc, char** argv) {
       const bool touches =
           std::any_of(view.records.begin(), view.records.end(),
                       [&](const obs::SpanRecord* r) {
-                        return has_group_attr(*r, g);
+                        return attr(*r, "group") == g;
                       });
       if (!touches) continue;
     }
@@ -454,28 +410,29 @@ int main(int argc, char** argv) {
       out += line;
     }
     // Time-to-effect verdicts, with the delivering packet's hop path for
-    // joins (the ProvenanceLog's half of the causal chain).
+    // joins (the captured decision tree's half of the causal chain).
     if (const auto it = tte_by_trace.find(id); it != tte_by_trace.end()) {
-      for (const auto* rec : it->second) {
+      for (const auto& v : it->second) {
         char line[128];
-        if (rec->leave) {
+        if (v.leave) {
           std::snprintf(line, sizeof(line),
                         "  ! tte: leave of host%u closed, last stale copy "
                         "%+.1fus%s\n",
-                        rec->host, rec->tte_seconds * 1e6,
-                        rec->stale_seen ? "" : " (no stale delivery)");
+                        v.host, v.tte_us,
+                        v.stale_seen ? "" : " (no stale delivery)");
           out += line;
-        } else {
-          std::snprintf(line, sizeof(line),
-                        "  ! tte: join of host%u -> first delivery after "
-                        "%.1fus\n",
-                        rec->host, rec->tte_seconds * 1e6);
-          out += line;
-          std::size_t leaf = 0;
-          if (const auto* send = find_delivery(prov, rec->group, rec->host,
-                                               leaf)) {
-            out += "    via " + hop_path(*send, leaf) + "\n";
-          }
+          continue;
+        }
+        std::snprintf(line, sizeof(line),
+                      "  ! tte: join of host%u -> first delivery after "
+                      "%.1fus\n",
+                      v.host, v.tte_us);
+        out += line;
+        if (v.sends_before == 0 || v.sends_before > captures.size()) continue;
+        const auto& send = captures[v.sends_before - 1].explanation.trace;
+        if (send.group != v.group) continue;
+        if (const auto hop = delivery_hop(send, v.host)) {
+          out += "    via " + hop_path(send, *hop) + "\n";
         }
       }
     }
@@ -489,5 +446,5 @@ int main(int argc, char** argv) {
   if (rendered == 0) {
     std::printf("no traces matched the filter\n");
   }
-  return 0;
+  return status;
 }
