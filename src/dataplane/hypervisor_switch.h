@@ -54,7 +54,6 @@ struct HypervisorStats {
   std::uint64_t delivered_to_vms = 0;
   std::uint64_t delivered_bytes = 0;  // payload bytes handed to local VMs
   std::uint64_t discarded = 0;  // no local members for the group
-  std::uint64_t unicast_fallback = 0;
 
   HypervisorStats& operator+=(const HypervisorStats& o) noexcept {
     sent += o.sent;
@@ -64,7 +63,6 @@ struct HypervisorStats {
     delivered_to_vms += o.delivered_to_vms;
     delivered_bytes += o.delivered_bytes;
     discarded += o.discarded;
-    unicast_fallback += o.unicast_fallback;
     return *this;
   }
 };

@@ -82,6 +82,14 @@ void diff_srules(const LayerEncoding& before, const LayerEncoding& after,
   for (const auto& [id, bitmap] : gone) changed(id);
 }
 
+// Throws std::out_of_range unless `id` < `count`, before any state changes.
+void check_range(std::uint32_t id, std::size_t count, const char* what) {
+  if (id >= count) {
+    throw std::out_of_range{std::string{"Controller: "} + what + " " +
+                            std::to_string(id) + " is outside the topology"};
+  }
+}
+
 std::vector<topo::HostId> member_hosts(const GroupState& g) {
   std::vector<topo::HostId> hosts;
   hosts.reserve(g.members.size());
@@ -142,11 +150,7 @@ void Controller::check_members(std::span<const Member> members) const {
   std::vector<std::uint64_t> pairs;
   pairs.reserve(members.size());
   for (const auto& m : members) {
-    if (m.host >= topo_->num_hosts()) {
-      throw std::out_of_range{"Controller: member host " +
-                              std::to_string(m.host) +
-                              " is outside the topology"};
-    }
+    check_range(m.host, topo_->num_hosts(), "member host");
     pairs.push_back(std::uint64_t{m.host} << 32 | m.vm);
   }
   std::sort(pairs.begin(), pairs.end());
@@ -488,7 +492,30 @@ Controller::FailureImpact Controller::failure_changes(
   return impact;
 }
 
+Controller::FailureImpact Controller::host_fail(topo::HostId host) {
+  check_range(host, topo_->num_hosts(), "host");
+  auto kept = std::move(last_change_);
+  FailureImpact impact;
+  for (GroupId id = 0; id < groups_.size(); ++id) {
+    if (!groups_[id]) continue;
+    // Collect first: leave invalidates member iteration.
+    std::vector<std::uint32_t> vms;
+    for (const auto& m : groups_[id]->members) {
+      if (m.host == host) vms.push_back(m.vm);
+    }
+    if (vms.empty()) continue;
+    auto& change = impact.changes.emplace_back(id, RuleSlots{}).second;
+    for (const auto vm : vms) {
+      leave(id, host, vm);
+      change.merge(last_change_);
+    }
+  }
+  last_change_ = std::move(kept);
+  return impact;
+}
+
 Controller::FailureImpact Controller::fail_spine(topo::SpineId spine) {
+  check_range(spine, topo_->num_spines(), "spine");
   const auto before = failures_;
   failures_.fail_spine(spine);
   ELMO_METRIC(reg.add(controller_metric_ids().failures));
@@ -496,6 +523,7 @@ Controller::FailureImpact Controller::fail_spine(topo::SpineId spine) {
 }
 
 Controller::FailureImpact Controller::fail_core(topo::CoreId core) {
+  check_range(core, topo_->num_cores(), "core");
   const auto before = failures_;
   failures_.fail_core(core);
   ELMO_METRIC(reg.add(controller_metric_ids().failures));
@@ -503,12 +531,14 @@ Controller::FailureImpact Controller::fail_core(topo::CoreId core) {
 }
 
 Controller::FailureImpact Controller::restore_spine(topo::SpineId spine) {
+  check_range(spine, topo_->num_spines(), "spine");
   const auto before = failures_;
   failures_.restore_spine(spine);
   return failure_changes(before);
 }
 
 Controller::FailureImpact Controller::restore_core(topo::CoreId core) {
+  check_range(core, topo_->num_cores(), "core");
   const auto before = failures_;
   failures_.restore_core(core);
   return failure_changes(before);

@@ -6,8 +6,8 @@
 // have rewritten and the physical switches whose s-rule changed. That set
 // is the one answer to "what did this event touch", and the controller's
 // only report of it: Table 2 counts it (CountingSink) and the streaming
-// control plane diffs and deletes by it. A failure or restore returns one
-// per group it re-routes.
+// control plane diffs and deletes by it. A failure, a restore or a host
+// failure returns one per group it changed (FailureImpact).
 //
 // Multipath is per group (paper §3.3): all senders of a group take the
 // plane topo::group_hash picks, so one predicate, route_failures, decides
@@ -133,19 +133,26 @@ class Controller {
   // std::invalid_argument if that pair is not in the group.
   Member leave(GroupId group, topo::HostId host, std::uint32_t vm);
 
-  // --- failure handling (§3.3) --------------------------------------------
-  // fail_* marks the switch failed and restore_* alive again. Each returns
-  // one change set per group that crossed a failed switch (route_failures
-  // non-empty) before or after the call: its sender hosts, whose upstream
-  // rules are re-issued, and no s-rule slot. Both sides count because an
-  // explicit route's greedy cover reads the whole failure set.
-  // last_change() is left as it was.
+  // --- failure handling (§3.3, §5.1.3b) -----------------------------------
+  // One change set per group a failure, restore or host failure changed.
+  // None of these calls touches last_change().
   struct FailureImpact {
     std::vector<std::pair<GroupId, RuleSlots>> changes;  // ascending group id
 
     std::size_t groups_affected() const noexcept { return changes.size(); }
     std::size_t hypervisor_updates() const noexcept;
   };
+  // Every member VM on `host` leaves its group (the host died), one leave
+  // each, groups in ascending id and VMs in member order. A group's change
+  // set is the union of its leaves', s-rule slots included.
+  FailureImpact host_fail(topo::HostId host);
+  // fail_* marks the switch failed and restore_* alive again. Each returns
+  // one change set per group that crossed a failed switch (route_failures
+  // non-empty) before or after the call: its sender hosts, whose upstream
+  // rules are re-issued, and no s-rule slot. Both sides count because an
+  // explicit route's greedy cover reads the whole failure set. host_fail
+  // and these throw std::out_of_range for a host or switch outside the
+  // topology, before any state changes.
   FailureImpact fail_spine(topo::SpineId spine);
   FailureImpact fail_core(topo::CoreId core);
   FailureImpact restore_spine(topo::SpineId spine);

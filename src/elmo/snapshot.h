@@ -4,12 +4,16 @@
 // "fault-tolerant distributed directory systems" (§2). This module provides
 // the serialization half of that story: a compact, versioned byte image of
 // every group's durable state (tenant, membership, roles). Restoring into a
-// fresh controller deterministically reproduces group ids, addresses, trees,
-// encodings and s-rule reservations — verified byte-for-byte against the
-// original's issued headers in tests.
+// fresh controller deterministically reproduces group ids, addresses and
+// memberships.
 //
-// Only durable state is serialized; trees and encodings are derived data and
-// are recomputed on restore (they are pure functions of membership).
+// Only durable state is serialized: trees, encodings and s-rule
+// reservations are recomputed by replaying the final memberships in id
+// order. They equal the original's (verified byte-for-byte against its
+// issued headers in tests) only with unlimited Fmax, no failed switch and no
+// legacy leaves. A finite Fmax makes s-rule placement depend on the
+// join/leave history, and the image holds neither that history, the
+// failure set nor the legacy leaves.
 #pragma once
 
 #include <cstdint>

@@ -4,8 +4,7 @@
 #include <initializer_list>
 #include <span>
 #include <stdexcept>
-
-#include "obs/metrics.h"
+#include <string>
 
 namespace elmo::stream {
 namespace {
@@ -78,50 +77,41 @@ p4rt::Update removal(std::uint32_t group, topo::Layer layer,
   return u;
 }
 
-struct StreamMetricIds {
-  obs::MetricsRegistry::Id events;
-  obs::MetricsRegistry::Id updates;
-  obs::MetricsRegistry::Id updates_hypervisor;
-  obs::MetricsRegistry::Id updates_leaf;
-  obs::MetricsRegistry::Id updates_spine;
-  obs::MetricsRegistry::Id coalesced;
-  obs::MetricsRegistry::Id rules_compiled;
-  obs::MetricsRegistry::Id flushes;
-  obs::MetricsRegistry::Id wire_bytes;
-  obs::MetricsRegistry::Id install_lag;
-  StreamMetricIds() {
-    auto& reg = obs::MetricsRegistry::global();
-    events = reg.counter("elmo_stream_events_total",
-                         "Membership events ingested by the control plane");
-    updates = reg.counter("elmo_stream_updates_total",
-                          "Delta rule updates applied to the fabric");
-    updates_hypervisor =
-        reg.counter("elmo_stream_updates_hypervisor_total",
-                    "Hypervisor flow updates applied (adds + dels)");
-    updates_leaf = reg.counter("elmo_stream_updates_leaf_total",
-                               "Leaf s-rule updates applied (adds + dels)");
-    updates_spine = reg.counter("elmo_stream_updates_spine_total",
-                                "Spine s-rule updates applied (adds + dels)");
-    coalesced = reg.counter(
-        "elmo_stream_updates_coalesced_total",
-        "Pending updates overwritten by a newer update before flushing");
-    rules_compiled = reg.counter(
-        "elmo_stream_rules_compiled_total",
-        "Rules compiled by delta diffs to compare with installed state");
-    flushes = reg.counter("elmo_stream_flushes_total",
-                          "Update batches pushed over the wire channel");
-    wire_bytes = reg.counter("elmo_stream_wire_bytes_total",
-                             "p4rt wire bytes crossing the control channel");
-    install_lag = reg.histogram(
-        "elmo_stream_install_lag_seconds", obs::latency_bounds(),
-        "Ingest-to-install latency of one membership event");
+// The per-layer counter of an applied update's kind.
+std::uint64_t& applied_counter(ControlPlaneStats& st, const p4rt::Update& u) {
+  if (is_flow(u)) {
+    return u.kind == p4rt::UpdateKind::kHypervisorFlowAdd ? st.flow_adds
+                                                          : st.flow_dels;
   }
-};
-
-StreamMetricIds& stream_metric_ids() {
-  static StreamMetricIds ids;
-  return ids;
+  const bool add = u.kind == p4rt::UpdateKind::kSRuleAdd;
+  if (u.layer == topo::Layer::kLeaf) {
+    return add ? st.leaf_srule_adds : st.leaf_srule_dels;
+  }
+  return add ? st.spine_srule_adds : st.spine_srule_dels;
 }
+
+// A control-lane span that closes when it leaves scope, on unwind too; a
+// no-op without a tracer.
+class ControlSpan {
+ public:
+  ControlSpan(obs::Tracer* tracer, const char* name, obs::TraceContext parent,
+              std::initializer_list<obs::TraceAttr> attrs = {})
+      : tracer_{tracer},
+        ctx_{tracer == nullptr ? obs::TraceContext{}
+                               : tracer->begin_span(name,
+                                                    obs::TraceLane::kControl,
+                                                    parent, attrs)} {}
+  ControlSpan(const ControlSpan&) = delete;
+  ControlSpan& operator=(const ControlSpan&) = delete;
+  ~ControlSpan() {
+    if (tracer_ != nullptr) tracer_->end_span(ctx_);
+  }
+  const obs::TraceContext& ctx() const noexcept { return ctx_; }
+
+ private:
+  obs::Tracer* tracer_;
+  obs::TraceContext ctx_;
+};
 
 const char* install_span_name(p4rt::UpdateKind kind) {
   switch (kind) {
@@ -149,191 +139,118 @@ ControlPlane::ControlPlane(Controller& controller, sim::Fabric& fabric,
   }
 }
 
-void ControlPlane::join(GroupId group, const Member& member) {
+template <typename Call>
+Controller::FailureImpact ControlPlane::run_event(
+    const Event& event, std::initializer_list<obs::TraceAttr> attrs,
+    Call&& call) {
   const auto ingested = std::chrono::steady_clock::now();
-  const auto root = trace_event_begin(
-      "churn:join", {{"group", static_cast<double>(group)},
-                     {"host", static_cast<double>(member.host)},
-                     {"vm", static_cast<double>(member.vm)}});
-  const auto queued_before = stats_.updates_coalesced + pending_.size();
-  auto span = trace_child_begin("reencode", root);
-  try {
-    controller_->join(group, member);
-  } catch (...) {
-    trace_end(span);
-    trace_event_end(root);
-    throw;
-  }
-  trace_end(span);
-  accept_event(ingested);
-  ++stats_.joins;
-  span = trace_child_begin("delta_diff", root);
-  diff_group(group, controller_->last_change());
-  trace_end(span);
-  if (stats_.updates_coalesced + pending_.size() == queued_before) {
-    ++stats_.clean_events;
-  }
-  if (tracer_ != nullptr) {
-    // Arm the time-to-effect watch: it arms for real when the flow install
-    // lands and closes at the first delivery over the fresh rule.
-    fabric_->trace_watch(controller_->group(group).address, member.host, root,
-                         /*leave=*/false);
-  }
-  trace_event_end(root);
-  maybe_auto_flush();
-}
-
-Member ControlPlane::leave(GroupId group, topo::HostId host, std::uint32_t vm) {
-  const auto ingested = std::chrono::steady_clock::now();
-  const auto root = trace_event_begin(
-      "churn:leave", {{"group", static_cast<double>(group)},
-                      {"host", static_cast<double>(host)},
-                      {"vm", static_cast<double>(vm)}});
-  const auto queued_before = stats_.updates_coalesced + pending_.size();
-  auto span = trace_child_begin("reencode", root);
-  Member removed;
-  try {
-    removed = controller_->leave(group, host, vm);
-  } catch (...) {
-    trace_end(span);
-    trace_event_end(root);
-    throw;
-  }
-  trace_end(span);
-  accept_event(ingested);
-  ++stats_.leaves;
-  span = trace_child_begin("delta_diff", root);
-  diff_group(group, controller_->last_change());
-  trace_end(span);
-  if (stats_.updates_coalesced + pending_.size() == queued_before) {
-    ++stats_.clean_events;
-  }
-  watch_leave(group, host, root);
-  trace_event_end(root);
-  maybe_auto_flush();
-  return removed;
-}
-
-std::size_t ControlPlane::host_fail(topo::HostId host) {
-  accept_event(std::chrono::steady_clock::now());
-  ++stats_.host_fails;
-  const auto root = trace_event_begin(
-      "churn:host_fail", {{"host", static_cast<double>(host)}});
-
-  std::size_t evicted = 0;
-  for (const auto group : controller_->group_ids()) {
-    // Collect first: Controller::leave invalidates member iteration.
-    std::vector<std::uint32_t> vms;
-    for (const auto& m : controller_->group(group).members) {
-      if (m.host == host) vms.push_back(m.vm);
-    }
-    if (vms.empty()) continue;
-    auto span = trace_child_begin("reencode", root);
-    RuleSlots changed;
-    for (const auto vm : vms) {
-      controller_->leave(group, host, vm);
-      changed.merge(controller_->last_change());
-      ++evicted;
-    }
-    trace_end(span);
-    span = trace_child_begin("delta_diff", root);
-    diff_group(group, changed);
-    trace_end(span);
-    watch_leave(group, host, root);
-  }
-  trace_event_end(root);
-  maybe_auto_flush();
-  return evicted;
-}
-
-template <typename Apply>
-Controller::FailureImpact ControlPlane::switch_event(const char* name,
-                                                    std::uint32_t id,
-                                                    Apply&& apply) {
-  const auto ingested = std::chrono::steady_clock::now();
-  const auto root =
-      trace_event_begin(name, {{"switch", static_cast<double>(id)}});
-  auto span = trace_child_begin("reroute", root);
   Controller::FailureImpact impact;
-  try {
-    impact = apply();
-  } catch (...) {
-    trace_end(span);
-    trace_event_end(root);
-    throw;
+  {
+    const ControlSpan root{tracer_, event.root, {}, attrs};
+    {
+      const ControlSpan stage{tracer_, event.stage, root.ctx()};
+      impact = call();
+    }
+    pending_event_times_.push_back(ingested);
+    ++stats_.events;
+    ++(stats_.*event.count);
+    const auto queued_before = stats_.updates_coalesced + pending_.size();
+    {
+      const ControlSpan diff{tracer_, "delta_diff", root.ctx()};
+      event_ctx_ = root.ctx();
+      for (const auto& [group, change] : impact.changes) {
+        diff_group(group, change);
+      }
+    }
+    if (stats_.updates_coalesced + pending_.size() == queued_before) {
+      ++stats_.clean_events;
+    }
+    if (tracer_ != nullptr && event.watch != Watch::kNone) {
+      for (const auto& [group, change] : impact.changes) {
+        arm_watch(event, group, root.ctx());
+      }
+    }
   }
-  trace_end(span);
-  accept_event(ingested);
-  ++stats_.switch_events;
-  span = trace_child_begin("delta_diff", root);
-  for (const auto& [group, change] : impact.changes) diff_group(group, change);
-  trace_end(span);
-  trace_event_end(root);
-  maybe_auto_flush();
+  if (pending_.size() >= options_.flush_threshold) flush();
   return impact;
 }
 
+void ControlPlane::join(GroupId group, const Member& member) {
+  const auto address = controller_->group(group).address.value;
+  run_event({"churn:join", "reencode", &ControlPlaneStats::joins,
+             Watch::kJoin, member.host},
+            {{"group", static_cast<double>(address)},
+             {"group_id", static_cast<double>(group)},
+             {"host", static_cast<double>(member.host)},
+             {"vm", static_cast<double>(member.vm)}},
+            [&] {
+              controller_->join(group, member);
+              return Controller::FailureImpact{
+                  {{group, controller_->last_change()}}};
+            });
+}
+
+Member ControlPlane::leave(GroupId group, topo::HostId host, std::uint32_t vm) {
+  const auto address = controller_->group(group).address.value;
+  Member removed;
+  run_event({"churn:leave", "reencode", &ControlPlaneStats::leaves,
+             Watch::kLeave, host},
+            {{"group", static_cast<double>(address)},
+             {"group_id", static_cast<double>(group)},
+             {"host", static_cast<double>(host)},
+             {"vm", static_cast<double>(vm)}},
+            [&] {
+              removed = controller_->leave(group, host, vm);
+              return Controller::FailureImpact{
+                  {{group, controller_->last_change()}}};
+            });
+  return removed;
+}
+
+Controller::FailureImpact ControlPlane::host_fail(topo::HostId host) {
+  return run_event({"churn:host_fail", "reencode",
+                    &ControlPlaneStats::host_fails, Watch::kLeave, host},
+                   {{"host", static_cast<double>(host)}},
+                   [&] { return controller_->host_fail(host); });
+}
+
 Controller::FailureImpact ControlPlane::fail_spine(topo::SpineId spine) {
-  return switch_event("churn:fail_spine", spine,
-                      [&] { return controller_->fail_spine(spine); });
+  return run_event({"churn:fail_spine", "reroute",
+                    &ControlPlaneStats::switch_events},
+                   {{"switch", static_cast<double>(spine)}},
+                   [&] { return controller_->fail_spine(spine); });
 }
 
 Controller::FailureImpact ControlPlane::fail_core(topo::CoreId core) {
-  return switch_event("churn:fail_core", core,
-                      [&] { return controller_->fail_core(core); });
+  return run_event({"churn:fail_core", "reroute",
+                    &ControlPlaneStats::switch_events},
+                   {{"switch", static_cast<double>(core)}},
+                   [&] { return controller_->fail_core(core); });
 }
 
 Controller::FailureImpact ControlPlane::restore_spine(topo::SpineId spine) {
-  return switch_event("churn:restore_spine", spine,
-                      [&] { return controller_->restore_spine(spine); });
+  return run_event({"churn:restore_spine", "reroute",
+                    &ControlPlaneStats::switch_events},
+                   {{"switch", static_cast<double>(spine)}},
+                   [&] { return controller_->restore_spine(spine); });
 }
 
 Controller::FailureImpact ControlPlane::restore_core(topo::CoreId core) {
-  return switch_event("churn:restore_core", core,
-                      [&] { return controller_->restore_core(core); });
+  return run_event({"churn:restore_core", "reroute",
+                    &ControlPlaneStats::switch_events},
+                   {{"switch", static_cast<double>(core)}},
+                   [&] { return controller_->restore_core(core); });
 }
 
-void ControlPlane::accept_event(
-    std::chrono::steady_clock::time_point ingested) {
-  pending_event_times_.push_back(ingested);
-  ++stats_.events;
-  ELMO_METRIC(reg.add(stream_metric_ids().events));
-}
-
-obs::TraceContext ControlPlane::trace_event_begin(
-    const char* name, std::initializer_list<obs::TraceAttr> attrs) {
-  if (tracer_ == nullptr) return {};
-  const auto root =
-      tracer_->begin_span(name, obs::TraceLane::kControl, {}, attrs);
-  event_ctx_ = root;
-  return root;
-}
-
-obs::TraceContext ControlPlane::trace_child_begin(
-    const char* name, const obs::TraceContext& root) {
-  if (tracer_ == nullptr) return {};
-  return tracer_->begin_span(name, obs::TraceLane::kControl, root);
-}
-
-void ControlPlane::trace_end(const obs::TraceContext& span) {
-  if (tracer_ != nullptr) tracer_->end_span(span);
-}
-
-void ControlPlane::trace_event_end(const obs::TraceContext& root) {
-  if (tracer_ == nullptr) return;
-  tracer_->end_span(root);
-  event_ctx_ = {};
-}
-
-void ControlPlane::watch_leave(GroupId group, topo::HostId host,
-                               const obs::TraceContext& root) {
-  if (tracer_ == nullptr) return;
+void ControlPlane::arm_watch(const Event& event, GroupId group,
+                             const obs::TraceContext& root) {
   const auto& g = controller_->group(group);
-  if (std::any_of(g.members.begin(), g.members.end(),
-                  [host](const Member& m) { return m.host == host; })) {
+  const bool leave = event.watch == Watch::kLeave;
+  const auto on_host = [&](const Member& m) { return m.host == event.host; };
+  if (leave && std::any_of(g.members.begin(), g.members.end(), on_host)) {
     return;
   }
-  fabric_->trace_watch(g.address, host, root, /*leave=*/true);
+  fabric_->trace_watch(g.address, event.host, root, leave);
 }
 
 void ControlPlane::track_group(GroupId group) {
@@ -345,7 +262,6 @@ void ControlPlane::diff_group(GroupId group, const RuleSlots& changed) {
   auto desired =
       p4rt::compile(*controller_, group, /*install=*/true, &changed);
   stats_.rules_compiled += desired.size();
-  ELMO_METRIC(reg.add(stream_metric_ids().rules_compiled, desired.size()));
   // The compare below reads back one cold hypervisor per flow. Prefetch in
   // two passes so those misses overlap: first each target's leading lines,
   // then (with its table header warm) its probe line.
@@ -404,49 +320,10 @@ bool ControlPlane::holds(const PendingKey& key,
 }
 
 void ControlPlane::queue(PendingKey key, p4rt::Update update) {
-  const auto ctx = tracer_ != nullptr ? event_ctx_ : obs::TraceContext{};
   const auto [it, inserted] = pending_.insert_or_assign(
-      std::move(key), Pending{std::move(update), ctx});
+      std::move(key), Pending{std::move(update), event_ctx_});
   (void)it;
-  if (!inserted) {
-    ++stats_.updates_coalesced;
-    ELMO_METRIC(reg.add(stream_metric_ids().coalesced));
-  }
-}
-
-void ControlPlane::note_applied(const p4rt::Update& update) {
-  switch (update.kind) {
-    case p4rt::UpdateKind::kHypervisorFlowAdd:
-      ++stats_.flow_adds;
-      ELMO_METRIC(reg.add(stream_metric_ids().updates_hypervisor));
-      break;
-    case p4rt::UpdateKind::kHypervisorFlowDel:
-      ++stats_.flow_dels;
-      ELMO_METRIC(reg.add(stream_metric_ids().updates_hypervisor));
-      break;
-    case p4rt::UpdateKind::kSRuleAdd:
-      if (update.layer == topo::Layer::kLeaf) {
-        ++stats_.leaf_srule_adds;
-        ELMO_METRIC(reg.add(stream_metric_ids().updates_leaf));
-      } else {
-        ++stats_.spine_srule_adds;
-        ELMO_METRIC(reg.add(stream_metric_ids().updates_spine));
-      }
-      break;
-    case p4rt::UpdateKind::kSRuleDel:
-      if (update.layer == topo::Layer::kLeaf) {
-        ++stats_.leaf_srule_dels;
-        ELMO_METRIC(reg.add(stream_metric_ids().updates_leaf));
-      } else {
-        ++stats_.spine_srule_dels;
-        ELMO_METRIC(reg.add(stream_metric_ids().updates_spine));
-      }
-      break;
-  }
-}
-
-void ControlPlane::maybe_auto_flush() {
-  if (pending_.size() >= options_.flush_threshold) flush();
+  if (!inserted) ++stats_.updates_coalesced;
 }
 
 std::size_t ControlPlane::flush() {
@@ -502,7 +379,7 @@ std::size_t ControlPlane::flush() {
     // fabric's time-to-effect watches.
     for (std::size_t i = 0; i < decoded.size(); ++i) {
       auto& u = decoded[i];
-      note_applied(u);
+      ++applied_counter(stats_, u);
       if (!traced) {
         fabric_->apply(std::move(u));
         continue;
@@ -528,24 +405,74 @@ std::size_t ControlPlane::flush() {
     stats_.wire_bytes += wire.size();
     stats_.updates_applied += applied;
     ++stats_.batches_encoded;
-    ELMO_METRIC({
-      reg.add(stream_metric_ids().wire_bytes, wire.size());
-      reg.add(stream_metric_ids().updates, applied);
-    });
     if (traced) tracer_->end_span(flush_ctx);
   }
 
   ++stats_.flushes;
-  ELMO_METRIC(reg.add(stream_metric_ids().flushes));
 
   const auto now = std::chrono::steady_clock::now();
   for (const auto stamp : pending_event_times_) {
-    const auto lag = std::chrono::duration<double>(now - stamp).count();
-    stats_.install_lag_seconds.add(lag);
-    ELMO_METRIC(reg.observe(stream_metric_ids().install_lag, lag));
+    stats_.install_lag_seconds.add(
+        std::chrono::duration<double>(now - stamp).count());
   }
   pending_event_times_.clear();
   return applied;
+}
+
+void accumulate_plane_metrics(const ControlPlaneStats& stats,
+                              obs::MetricsRegistry& reg) {
+  struct Series {
+    const char* name;  // elmo_stream_<name>_total
+    std::uint64_t value;
+    const char* help;
+  };
+  const Series series[] = {
+      {"events", stats.events, "Events ingested by the control plane"},
+      {"joins", stats.joins, "Joins ingested"},
+      {"leaves", stats.leaves, "Leaves ingested"},
+      {"host_fails", stats.host_fails, "Host failures ingested"},
+      {"switch_events", stats.switch_events,
+       "Spine or core failures and restores ingested"},
+      {"clean_events", stats.clean_events,
+       "Events whose diffs queued no update"},
+      {"rules_compiled", stats.rules_compiled,
+       "Rules compiled by delta diffs to compare with installed state"},
+      {"flushes", stats.flushes, "Flushes of the pending updates"},
+      {"batches_encoded", stats.batches_encoded,
+       "Update batches pushed over the wire channel"},
+      {"wire_bytes", stats.wire_bytes,
+       "p4rt wire bytes crossing the control channel"},
+      {"updates", stats.updates_applied,
+       "Delta rule updates applied to the fabric"},
+      {"updates_coalesced", stats.updates_coalesced,
+       "Pending updates overwritten by a newer update before flushing"},
+      {"flow_adds", stats.flow_adds, "Hypervisor flow adds applied"},
+      {"flow_dels", stats.flow_dels, "Hypervisor flow deletes applied"},
+      {"leaf_srule_adds", stats.leaf_srule_adds, "Leaf s-rule adds applied"},
+      {"leaf_srule_dels", stats.leaf_srule_dels,
+       "Leaf s-rule deletes applied"},
+      {"spine_srule_adds", stats.spine_srule_adds,
+       "Spine s-rule adds applied"},
+      {"spine_srule_dels", stats.spine_srule_dels,
+       "Spine s-rule deletes applied"},
+      {"updates_hypervisor", stats.flow_adds + stats.flow_dels,
+       "Hypervisor flow updates applied (adds + dels)"},
+      {"updates_leaf", stats.leaf_srule_adds + stats.leaf_srule_dels,
+       "Leaf s-rule updates applied (adds + dels)"},
+      {"updates_spine", stats.spine_srule_adds + stats.spine_srule_dels,
+       "Spine s-rule updates applied (adds + dels)"},
+  };
+  for (const auto& [name, value, help] : series) {
+    const auto id =
+        reg.counter(std::string{"elmo_stream_"} + name + "_total", help);
+    if (value > 0) reg.add(id, value);
+  }
+  const auto lag =
+      reg.histogram("elmo_stream_install_lag_seconds", obs::latency_bounds(),
+                    "Ingest-to-install latency of one event");
+  for (const auto seconds : stats.install_lag_seconds.values()) {
+    reg.observe(lag, seconds);
+  }
 }
 
 std::uint64_t fabric_state_digest(const sim::Fabric& fabric) {

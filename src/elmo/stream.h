@@ -6,20 +6,22 @@
 // over the p4rt wire channel into a live sim::Fabric — instead of
 // re-pushing whole-group state per event.
 //
-// The plane keeps no copy of installed state. After each event the group's
-// desired rules come from p4rt::compile (the compiler whose all-slots case
-// Fabric::install_group applies), filtered to the slots of the controller's
-// change set (Controller::last_change for a membership event, one per
-// re-routed group for a failure or restore): the flows of the hosts it names
-// and the s-rules at the switches it names, not the whole group. Each is
-// compared exactly with what its slot will hold once pending updates flush:
-// the pending update for that rule if one is queued, else the fabric's
-// installed flow or s-rule. Only rules that differ are queued. A slot of the
-// change set that the group no longer compiles, but that pending or
-// installed state still holds, is deleted. The change set is complete (every
-// rule an event rewrites sits at a slot it names), so a slot outside it holds
-// what it held before the event. Every event reaches the fabric this way;
-// there is no whole-group path.
+// Every event takes one path: its controller call returns the change sets
+// of the groups it changed (a join's or leave's last_change, a
+// FailureImpact otherwise), and the plane diffs each of them.
+//
+// The plane keeps no copy of installed state. A group's desired rules come
+// from p4rt::compile (the compiler whose all-slots case
+// Fabric::install_group applies), filtered to the slots of its change set:
+// the flows of the hosts it names and the s-rules at the switches it names,
+// not the whole group. Each is compared exactly with what its slot will
+// hold once pending updates flush: the pending update for that rule if one
+// is queued, else the fabric's installed flow or s-rule. Only rules that
+// differ are queued. A slot of the change set that the group no longer
+// compiles, but that pending or installed state still holds, is deleted.
+// The change set is complete (every rule an event rewrites sits at a slot
+// it names), so a slot outside it holds what it held before the event.
+// There is no whole-group path.
 //
 // Updates are coalesced and batched: pending updates are keyed by rule
 // location, a newer update for the same key overwrites the older one (the
@@ -27,10 +29,15 @@
 // p4rt::encode/decode into Fabric::apply when it reaches
 // ControlPlaneOptions::flush_threshold (or on an explicit flush()). Per-
 // event ingest-to-install lag is recorded at flush time.
+//
+// ControlPlaneStats is the plane's only record of what it did;
+// accumulate_plane_metrics exports it into a metrics registry once, at the
+// end of a run, as sim::accumulate_fabric_metrics does for the fabric.
 #pragma once
 
 #include <chrono>
 #include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <span>
 #include <tuple>
@@ -38,6 +45,7 @@
 
 #include "elmo/churn.h"
 #include "elmo/controller.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "p4rt/runtime.h"
 #include "sim/fabric.h"
@@ -58,7 +66,7 @@ struct ControlPlaneStats {
   std::uint64_t host_fails = 0;
   // Spine or core failures and restores.
   std::uint64_t switch_events = 0;
-  // Events whose re-encode left every installed rule untouched.
+  // Events whose diffs queued no update.
   std::uint64_t clean_events = 0;
   // Rules the diffs compiled to compare with installed state: the slots of
   // each event's change sets.
@@ -90,20 +98,22 @@ class ControlPlane final : public MembershipDriver {
                ControlPlaneOptions options = {});
 
   // --- event ingestion -----------------------------------------------------
+  // An event the controller rejects (unknown group, non-member leave, a
+  // host or switch outside the topology) rethrows its exception having
+  // counted nothing, queued nothing, stamped no ingest time and closed every
+  // span it opened.
+  //
   // MembershipDriver: lets a ChurnSimulator stream through this plane.
-  // An event the controller rejects (unknown group, non-member leave)
-  // rethrows its exception having counted nothing, stamped no ingest time
-  // and closed every span it opened.
   void join(GroupId group, const Member& member) override;
   Member leave(GroupId group, topo::HostId host, std::uint32_t vm) override;
-  // Every member VM hosted on `host` leaves its group (the host died).
-  // Returns the number of memberships evicted.
-  std::size_t host_fail(topo::HostId host);
+  // Every member VM hosted on `host` leaves its group (the host died,
+  // Controller::host_fail). Returns the controller's impact.
+  Controller::FailureImpact host_fail(topo::HostId host);
   // A spine or core switch fails or comes back (paper §3.3): the controller
-  // re-routes the senders of the groups on its plane and the plane diffs
-  // each returned change set. Returns the controller's impact. Marking the
-  // switch down in the fabric is the caller's part (sim::Fabric models the
-  // physical failure, the plane only the control channel).
+  // re-routes the senders of the groups on its plane. Returns the
+  // controller's impact. Marking the switch down in the fabric is the
+  // caller's part (sim::Fabric models the physical failure, the plane only
+  // the control channel).
   Controller::FailureImpact fail_spine(topo::SpineId spine);
   Controller::FailureImpact fail_core(topo::CoreId core);
   Controller::FailureImpact restore_spine(topo::SpineId spine);
@@ -122,21 +132,20 @@ class ControlPlane final : public MembershipDriver {
   void track_group(GroupId group);
 
   const ControlPlaneStats& stats() const noexcept { return stats_; }
-  const Controller& controller() const noexcept { return *controller_; }
 
   // --- causal tracing (DESIGN.md §15) --------------------------------------
   // Attaches a tracer to the plane AND its fabric (nullptr detaches both; not
   // owned). While attached, every churn event opens a trace — a root span on
-  // the control lane with "reencode" / "delta_diff" children — each flush
-  // gets a wire-lane trace with p4rt framing children and per-update install
-  // spans, cross-linked by flow events, and join/leave events arm the
-  // fabric's time-to-effect watches. Detached (the default), ingest pays one
+  // the control lane with a child for the controller call ("reencode" or
+  // "reroute") and one "delta_diff" — each flush gets a wire-lane trace with
+  // p4rt framing children and per-update install spans, cross-linked by flow
+  // events, and join, leave and host-fail events arm the fabric's
+  // time-to-effect watches. Detached (the default), ingest pays one
   // null test per event and flush applies updates without spans.
   void set_tracer(obs::Tracer* tracer) noexcept {
     tracer_ = tracer;
     fabric_->set_tracer(tracer);
   }
-  obs::Tracer* tracer() const noexcept { return tracer_; }
 
  private:
   // A rule's slot within its group: (kHost, host) for a hypervisor flow,
@@ -154,39 +163,40 @@ class ControlPlane final : public MembershipDriver {
     }
   };
 
+  // Which time-to-effect watch an event arms on its host in each group it
+  // changed (traced planes only).
+  enum class Watch : std::uint8_t { kNone, kJoin, kLeave };
+  struct Event {
+    const char* root;   // the event's root span
+    const char* stage;  // the child span of the controller call
+    std::uint64_t ControlPlaneStats::*count;  // its kind's counter
+    Watch watch = Watch::kNone;
+    topo::HostId host = 0;  // the watched host
+  };
+  // The one event path. Opens the root span {attrs}, runs `call` (the
+  // controller call; returns the change sets of the groups it changed)
+  // under the stage span, then stamps the ingest time, counts the event,
+  // diffs every change set under one "delta_diff" span, arms the watches
+  // and auto-flushes. A call that throws closes both spans and rethrows.
+  template <typename Call>
+  Controller::FailureImpact run_event(
+      const Event& event, std::initializer_list<obs::TraceAttr> attrs,
+      Call&& call);
   // Compiles the rules of `group` at the slots of `changed` and queues each
   // one its slot does not hold yet, then a delete for each slot of
   // `changed` the group no longer compiles but that is still occupied.
   void diff_group(GroupId group, const RuleSlots& changed);
-  // The failure or restore event `name` on switch `id`: runs `apply` (the
-  // controller call) under a "reroute" span and diffs each change set of the
-  // impact it returns under "delta_diff", both children of the event's root.
-  template <typename Apply>
-  Controller::FailureImpact switch_event(const char* name, std::uint32_t id,
-                                         Apply&& apply);
   // Whether `key` will hold a rule once pending updates flush (the pending
   // update if one is queued, else the fabric's installed rule) and, unless
   // `rule` is null, exactly `rule`.
   bool holds(const PendingKey& key, const p4rt::Update* rule) const;
   void queue(PendingKey key, p4rt::Update update);
-  void note_applied(const p4rt::Update& update);
-  void maybe_auto_flush();
-  // After a leave's diff: arms a leave watch for (`group`, `host`) when no
-  // member is left on the host — the flow removal whose time-to-effect
-  // (stale deliveries until the FlowDel lands) is measurable at the fabric.
-  void watch_leave(GroupId group, topo::HostId host,
-                   const obs::TraceContext& root);
-  // Counts an event the controller accepted and keeps its ingest time for
-  // the install-lag sample of the flush that lands it.
-  void accept_event(std::chrono::steady_clock::time_point ingested);
-
-  // Tracing helpers; all no-ops when tracer_ is null.
-  obs::TraceContext trace_event_begin(
-      const char* name, std::initializer_list<obs::TraceAttr> attrs);
-  obs::TraceContext trace_child_begin(const char* name,
-                                      const obs::TraceContext& root);
-  void trace_end(const obs::TraceContext& span);
-  void trace_event_end(const obs::TraceContext& root);
+  // Arms `event`'s watch on its host in `group`. A join watch closes at the
+  // first delivery over the fresh rule; a leave watch, armed only when no
+  // member is left on the host, measures the stale deliveries until the
+  // flow removal lands.
+  void arm_watch(const Event& event, GroupId group,
+                 const obs::TraceContext& root);
 
   Controller* controller_;
   sim::Fabric* fabric_;
@@ -205,11 +215,19 @@ class ControlPlane final : public MembershipDriver {
   // Ingest timestamps of events awaiting their flush.
   std::vector<std::chrono::steady_clock::time_point> pending_event_times_;
 
-  // Tracing state: the in-flight event's root context, stamped onto every
-  // update the event queues.
+  // Tracing state: the root context of the latest event's diff, stamped
+  // onto every update it queues.
   obs::Tracer* tracer_ = nullptr;
   obs::TraceContext event_ctx_{};
 };
+
+// One-shot export, like sim::accumulate_fabric_metrics: registers the
+// elmo_stream_* series (idempotent) and adds `stats` into `reg`, one series
+// per ControlPlaneStats field plus per-layer update sums, and every
+// install-lag sample into the elmo_stream_install_lag_seconds histogram.
+// Call once per plane at the end of a run; calling again adds again.
+void accumulate_plane_metrics(const ControlPlaneStats& stats,
+                              obs::MetricsRegistry& reg);
 
 // Installed-state digests, the referee of every state check: the controller
 // is the source of truth (paper §2), so a check asks whether

@@ -711,8 +711,6 @@ void accumulate_fabric_metrics(const Fabric& fabric,
       "Payload bytes handed to local VMs");
   add("elmo_dp_host_redundant_copies_total", h.discarded,
       "Copies received by hosts with no local members (redundancy)");
-  add("elmo_dp_host_unicast_fallback_total", h.unicast_fallback,
-      "Sends that fell back to per-member unicast");
 
   const auto& w = fabric.walk_stats();
   add("elmo_fabric_sends_total", w.sends, "Multicast walks started");

@@ -1,6 +1,7 @@
 #include "sim/mtrace.h"
 
 #include <deque>
+#include <iterator>
 #include <sstream>
 
 namespace elmo::sim {
@@ -23,10 +24,11 @@ MtraceReport mtrace(Fabric& fabric, const elmo::Controller& controller,
                     elmo::GroupId group, topo::HostId sender,
                     std::size_t payload_bytes) {
   const auto& g = controller.group(group);
-  fabric.reset_link_stats();
 
-  // Per-element counter snapshot before the probe; the report carries the
-  // delta, i.e. what this one packet did.
+  // Counter snapshots before the probe; the report carries the deltas, i.e.
+  // what this one packet did. The fabric's own counters are left running:
+  // they are monotonic series for whoever samples them.
+  const auto links_before = fabric.links();
   const auto leaves_before = fabric.aggregate_switch_stats(topo::Layer::kLeaf);
   const auto spines_before =
       fabric.aggregate_switch_stats(topo::Layer::kSpine);
@@ -66,7 +68,6 @@ MtraceReport mtrace(Fabric& fabric, const elmo::Controller& controller,
     h.delivered_to_vms -= hosts_before.delivered_to_vms;
     h.delivered_bytes -= hosts_before.delivered_bytes;
     h.discarded -= hosts_before.discarded;
-    h.unicast_fallback -= hosts_before.unicast_fallback;
     report.counters.hypervisors = h;
   }
   report.total_wire_bytes = result.total_wire_bytes;
@@ -80,8 +81,16 @@ MtraceReport mtrace(Fabric& fabric, const elmo::Controller& controller,
     }
   }
 
-  // Reconstruct the tree breadth-first from the per-link counters.
-  const auto& links = fabric.links();
+  // Reconstruct the tree breadth-first from the probe's per-link counters.
+  auto links = fabric.links();
+  for (auto it = links.begin(); it != links.end();) {
+    if (const auto before = links_before.find(it->first);
+        before != links_before.end()) {
+      it->second.packets -= before->second.packets;
+      it->second.bytes -= before->second.bytes;
+    }
+    it = it->second.packets == 0 ? links.erase(it) : std::next(it);
+  }
   std::map<NodeRef, std::size_t> depth;
   const NodeRef root{topo::Layer::kHost, sender};
   depth[root] = 0;

@@ -107,11 +107,12 @@ class Runner {
   }
 
  private:
-  // The fabric's totals flow into the registry exactly once, whether the
-  // run passed, diverged, or threw.
+  // The fabric's and the plane's totals flow into the registry exactly
+  // once, whether the run passed, diverged, or threw.
   RunReport finish() {
     if (registry_ != nullptr) {
       accumulate_fabric_metrics(fabric_, *registry_);
+      stream::accumulate_plane_metrics(plane_.stats(), *registry_);
     }
     return report_;
   }
@@ -241,8 +242,8 @@ class Runner {
       case EventKind::kHostFail: {
         const auto host = ev.member.host;
         const bool stale = mutation_ == Mutation::kSkipMirrorUpdate;
-        // Snapshot the evicted memberships from the oracle mirror first, so
-        // the controller/plane mutation and the oracle stay in lockstep.
+        // The oracle mirror's memberships on the host, which it evicts by
+        // itself: the controller's eviction is what it referees.
         std::vector<std::pair<std::size_t, std::vector<Member>>> affected;
         for (std::size_t gi = 0; gi < ids_.size(); ++gi) {
           std::vector<Member> on_host;
@@ -252,12 +253,8 @@ class Runner {
           if (!on_host.empty()) affected.emplace_back(gi, std::move(on_host));
         }
         if (stale) {
-          for (const auto& [gi, members] : affected) {
-            for (const auto& m : members) {
-              controller_.leave(ids_.at(gi), m.host, m.vm);
-            }
-          }
-          applied_ = !affected.empty() || applied_;
+          applied_ = controller_.host_fail(host).groups_affected() > 0 ||
+                     applied_;
         } else {
           plane_.host_fail(host);
           sync();

@@ -112,8 +112,10 @@ struct SendCapture {
 };
 
 // Optional telemetry taps for one run (DESIGN.md §9). All may be null.
-// The registry receives the fabric's per-element and walk totals when the
-// run finishes (accumulate_fabric_metrics — one shot per run); `captures`
+// The registry receives the fabric's per-element and walk totals and the
+// streaming plane's ControlPlaneStats when the run finishes
+// (accumulate_fabric_metrics, accumulate_plane_metrics — one shot per run);
+// `captures`
 // receives one SendCapture per send the differ checks.
 struct RunObservability {
   obs::MetricsRegistry* registry = nullptr;

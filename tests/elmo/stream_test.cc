@@ -25,8 +25,10 @@ EncoderConfig config_for(EncoderKind kind) {
 struct StreamWorld {
   explicit StreamWorld(EncoderKind kind = EncoderKind::kElmo,
                        std::uint32_t vms = 40)
+      : StreamWorld{config_for(kind), vms} {}
+  StreamWorld(const EncoderConfig& config, std::uint32_t vms)
       : topology{topo::ClosParams::small_test()},
-        controller{topology, config_for(kind)},
+        controller{topology, config},
         fabric{topology} {
     tenants.resize(1);
     tenants[0].id = 0;
@@ -273,9 +275,14 @@ TEST(ControlPlane, HostFailEvictsEveryMembershipOnTheHost) {
   cp.track_group(g2);
 
   const auto dead = w.tenants[0].vm_hosts[0];
-  const auto evicted = cp.host_fail(dead);
+  const auto impact = cp.host_fail(dead);
   cp.flush();
-  EXPECT_EQ(evicted, 3u);  // vms 0, 1 (g1) and 2 (g2)
+  // vms 0, 1 (g1) and 2 (g2), one change set per group.
+  ASSERT_EQ(impact.groups_affected(), 2u);
+  EXPECT_EQ(impact.changes[0].first, g1);
+  EXPECT_EQ(impact.changes[1].first, g2);
+  EXPECT_EQ(w.controller.group(g1).members.size(), 1u);
+  EXPECT_EQ(w.controller.group(g2).members.size(), 2u);
 
   for (const auto id : {g1, g2}) {
     for (const auto& m : w.controller.group(id).members) {
@@ -320,13 +327,15 @@ TEST(ControlPlane, HostFailEvictsAFlowReTemplatedByEarlierJoins) {
   }
   ASSERT_GE(retemplated, 2u);
 
-  EXPECT_EQ(cp.host_fail(dead), 2u);  // vms 12 and 13
+  const auto members = w.controller.group(g).members.size();
+  EXPECT_EQ(cp.host_fail(dead).groups_affected(), 1u);
+  EXPECT_EQ(w.controller.group(g).members.size(), members - 2);  // 12, 13
   cp.flush();
   EXPECT_FALSE(w.fabric.hypervisor(dead).has_flow(addr));
   EXPECT_EQ(fabric_state_digest(w.fabric),
             compiled_state_digest(w.controller));
   // Nothing of the group is left on the host to evict.
-  EXPECT_EQ(cp.host_fail(dead), 0u);
+  EXPECT_EQ(cp.host_fail(dead).groups_affected(), 0u);
 }
 
 TEST(ControlPlane, JoinThenLeaveBeforeFlushRestoresInstalledState) {
@@ -395,9 +404,21 @@ TEST(ControlPlane, InstallLagIsRecordedPerEvent) {
   EXPECT_GE(cp.stats().install_lag_seconds.percentile(99), 0.0);
 }
 
+// Every ControlPlaneStats counter, in declaration order.
+std::vector<std::uint64_t> counters(const ControlPlaneStats& st) {
+  return {st.events,          st.joins,           st.leaves,
+          st.host_fails,      st.switch_events,   st.clean_events,
+          st.rules_compiled,  st.flushes,         st.batches_encoded,
+          st.wire_bytes,      st.updates_applied, st.updates_coalesced,
+          st.flow_adds,       st.flow_dels,       st.leaf_srule_adds,
+          st.leaf_srule_dels, st.spine_srule_adds, st.spine_srule_dels};
+}
+
 TEST(ControlPlane, RejectedEventLeavesNoTrace) {
-  // A join or leave the controller rejects must throw its exception having
-  // counted nothing, stamped no ingest time and left no span open.
+  // Every kind of event the controller rejects must throw its exception
+  // having counted nothing, queued nothing, stamped no ingest time, changed
+  // no installed rule and left no span open. An accepted join is pending
+  // when they arrive.
   StreamWorld w;
   const auto id = w.make_group(std::vector<std::uint32_t>{0, 4, 8});
   w.fabric.install_group(w.controller, id);
@@ -406,25 +427,147 @@ TEST(ControlPlane, RejectedEventLeavesNoTrace) {
   ControlPlane cp{w.controller, w.fabric, ControlPlaneOptions{100000}};
   cp.track_group(id);
   cp.set_tracer(&tracer);
-  EXPECT_THROW(cp.leave(id, w.tenants[0].vm_hosts[12], 12),  // not a member
+  cp.join(id, Member{w.tenants[0].vm_hosts[12], 12, MemberRole::kReceiver});
+  ASSERT_GT(cp.pending(), 0u);
+  const auto stats = counters(cp.stats());
+  const auto pending = cp.pending();
+  const auto digest = fabric_state_digest(w.fabric);
+
+  EXPECT_THROW(cp.leave(id, w.tenants[0].vm_hosts[20], 20),  // not a member
                std::invalid_argument);
   EXPECT_THROW(cp.join(999, Member{0, 0, MemberRole::kBoth}),  // no group
                std::out_of_range);
-  EXPECT_EQ(cp.stats().events, 0u);
-  EXPECT_EQ(cp.stats().joins, 0u);
-  EXPECT_EQ(cp.stats().leaves, 0u);
-  EXPECT_EQ(cp.pending(), 0u);
+  EXPECT_THROW(
+      cp.host_fail(static_cast<topo::HostId>(w.topology.num_hosts())),
+      std::out_of_range);
+  EXPECT_THROW(
+      cp.fail_spine(static_cast<topo::SpineId>(w.topology.num_spines())),
+      std::out_of_range);
+  EXPECT_TRUE(w.controller.failures().empty());
+  EXPECT_EQ(counters(cp.stats()), stats);
+  EXPECT_EQ(cp.pending(), pending);
+  EXPECT_EQ(fabric_state_digest(w.fabric), digest);
   EXPECT_EQ(tracer.stats().open_spans, 0u);
-  cp.flush();
-  EXPECT_EQ(cp.stats().install_lag_seconds.count(), 0u);
 
-  // The plane still takes the next valid event as its first.
-  cp.join(id, Member{w.tenants[0].vm_hosts[12], 12, MemberRole::kReceiver});
+  // Only the accepted join was stamped and counted.
   cp.flush();
   EXPECT_EQ(cp.stats().events, 1u);
   EXPECT_EQ(cp.stats().joins, 1u);
   EXPECT_EQ(cp.stats().install_lag_seconds.count(), 1u);
+  EXPECT_EQ(fabric_state_digest(w.fabric),
+            compiled_state_digest(w.controller));
   EXPECT_EQ(tracer.stats().open_spans, 0u);
+}
+
+TEST(ControlPlane, EventsThatChangeNoRuleAreClean) {
+  // Every member sits on one leaf, so no spine carries the group: a spine
+  // failure and its restore re-route nothing, and a host with no member
+  // evicts nothing. Each is still an event, and a clean one.
+  StreamWorld w;
+  const auto id = w.make_group(std::vector<std::uint32_t>{0, 4});
+  ASSERT_EQ(w.topology.leaf_of_host(w.tenants[0].vm_hosts[0]),
+            w.topology.leaf_of_host(w.tenants[0].vm_hosts[4]));
+  w.fabric.install_group(w.controller, id);
+  ControlPlane cp{w.controller, w.fabric, ControlPlaneOptions{1}};
+  cp.track_group(id);
+
+  const auto empty_host = static_cast<topo::HostId>(w.topology.num_hosts() - 1);
+  EXPECT_EQ(cp.host_fail(empty_host).groups_affected(), 0u);
+  EXPECT_EQ(cp.fail_spine(0).groups_affected(), 0u);
+  EXPECT_EQ(cp.restore_spine(0).groups_affected(), 0u);
+  cp.flush();
+  EXPECT_EQ(cp.stats().events, 3u);
+  EXPECT_EQ(cp.stats().host_fails, 1u);
+  EXPECT_EQ(cp.stats().switch_events, 2u);
+  EXPECT_EQ(cp.stats().clean_events, 3u);
+  EXPECT_EQ(cp.stats().updates_applied, 0u);
+  EXPECT_EQ(cp.stats().install_lag_seconds.count(), 3u);
+}
+
+TEST(ControlPlane, PlaneMetricsExportEveryStatsField) {
+  // One spine p-rule of one pod: every other pod of a group gets spine
+  // s-rules, so each update kind occurs. 256 VMs fill all four pods.
+  auto config = config_for(EncoderKind::kElmo);
+  config.hmax_spine = 1;
+  config.kmax_spine = 1;
+  StreamWorld w{config, 256};
+  const auto g1 = w.make_group(std::vector<std::uint32_t>{0, 9, 70, 140, 210});
+  const auto g2 = w.make_group(std::vector<std::uint32_t>{1, 45, 80, 150});
+  for (const auto id : {g1, g2}) w.fabric.install_group(w.controller, id);
+  // Explicit flushes only: the joins re-template the same sender flows, so
+  // their updates coalesce.
+  ControlPlane cp{w.controller, w.fabric, ControlPlaneOptions{100000}};
+  for (const std::uint32_t vm : {50u, 54u, 220u}) {
+    cp.join(g1, Member{w.tenants[0].vm_hosts[vm], vm, MemberRole::kBoth});
+  }
+  cp.flush();
+  cp.leave(g2, w.tenants[0].vm_hosts[45], 45);
+  cp.host_fail(w.tenants[0].vm_hosts[140]);
+  cp.flush();
+  cp.fail_spine(w.topology.spine_at(1, 0));
+  cp.restore_spine(w.topology.spine_at(1, 0));
+  cp.host_fail(w.tenants[0].vm_hosts[255]);  // no member there
+  cp.flush();
+
+  obs::MetricsRegistry reg;
+  accumulate_plane_metrics(cp.stats(), reg);
+  const auto snap = reg.snapshot();
+  const auto& st = cp.stats();
+  const std::vector<std::string> names{
+      "events",          "joins",           "leaves",
+      "host_fails",      "switch_events",   "clean_events",
+      "rules_compiled",  "flushes",         "batches_encoded",
+      "wire_bytes",      "updates",         "updates_coalesced",
+      "flow_adds",       "flow_dels",       "leaf_srule_adds",
+      "leaf_srule_dels", "spine_srule_adds", "spine_srule_dels"};
+  const auto fields = counters(st);
+  ASSERT_EQ(names.size(), fields.size());
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    const auto series = "elmo_stream_" + names[i] + "_total";
+    ASSERT_NE(snap.find(series), nullptr) << series;
+    EXPECT_EQ(snap.value(series), static_cast<double>(fields[i])) << series;
+  }
+  EXPECT_EQ(snap.value("elmo_stream_updates_hypervisor_total"),
+            static_cast<double>(st.flow_adds + st.flow_dels));
+  EXPECT_EQ(snap.value("elmo_stream_updates_leaf_total"),
+            static_cast<double>(st.leaf_srule_adds + st.leaf_srule_dels));
+  EXPECT_EQ(snap.value("elmo_stream_updates_spine_total"),
+            static_cast<double>(st.spine_srule_adds + st.spine_srule_dels));
+  const auto* lag = snap.find("elmo_stream_install_lag_seconds");
+  ASSERT_NE(lag, nullptr);
+  EXPECT_EQ(lag->observations, st.install_lag_seconds.count());
+  EXPECT_EQ(st.install_lag_seconds.count(), st.events);
+  // Every counter moved, so a field the export dropped would show as 0.
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    EXPECT_GT(fields[i], 0u) << names[i];
+  }
+}
+
+TEST(ControlPlane, ChurnRootsCarryGroupAddressAndId) {
+  // "group" means the group address on every record (installs, sends and
+  // tte:* instants use it too); a churn root adds the id as "group_id".
+  StreamWorld w;
+  const auto id = w.make_group(std::vector<std::uint32_t>{0, 4, 8});
+  w.fabric.install_group(w.controller, id);
+  obs::Tracer tracer;
+  ControlPlane cp{w.controller, w.fabric, ControlPlaneOptions{1}};
+  cp.set_tracer(&tracer);
+  cp.join(id, Member{w.tenants[0].vm_hosts[12], 12, MemberRole::kBoth});
+  cp.leave(id, w.tenants[0].vm_hosts[12], 12);
+
+  const auto address = w.controller.group(id).address.value;
+  std::size_t roots = 0;
+  for (const auto& rec : tracer.snapshot()) {
+    const std::string name = rec.name;
+    if (name != "churn:join" && name != "churn:leave") continue;
+    ++roots;
+    ASSERT_EQ(rec.nattrs, 4u);
+    EXPECT_EQ(std::string{rec.attrs[0].key}, "group");
+    EXPECT_EQ(rec.attrs[0].value, static_cast<double>(address));
+    EXPECT_EQ(std::string{rec.attrs[1].key}, "group_id");
+    EXPECT_EQ(rec.attrs[1].value, static_cast<double>(id));
+  }
+  EXPECT_EQ(roots, 2u);
 }
 
 TEST(FabricStateDigest, SeesEveryRuleFaultButNotLocalVmOrder) {

@@ -124,7 +124,6 @@ TEST(WalkMetricsTest, CountersMatchDeliveryOracleFanout) {
   EXPECT_EQ(snap.value("elmo_dp_host_vm_deliveries_total"),
             static_cast<double>(expected.vm_deliveries));
   EXPECT_EQ(snap.value("elmo_dp_host_redundant_copies_total"), 0.0);
-  EXPECT_EQ(snap.value("elmo_dp_host_unicast_fallback_total"), 0.0);
 
   // Byte counters are per-copy packet sizes, so they must be consistent with
   // the packet counters: every received copy carries at least the payload.

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <utility>
+
 namespace elmo::sim {
 namespace {
 
@@ -92,6 +95,31 @@ TEST_F(MtraceFixture, CounterDeltasCoverTheProbe) {
 
   const auto text = report.render();
   EXPECT_NE(text.find("counters (probe delta):"), std::string::npos);
+}
+
+TEST_F(MtraceFixture, ProbeAddsToTheLinkCountersItFinds) {
+  // The link counters are monotonic series for the health detectors
+  // (Fabric::sample_into): a probe adds its own transmissions and resets
+  // nothing, and earlier traffic stays out of the reconstructed tree.
+  const auto id = make_group({0, 1, 17, 33});
+  const auto quiet = mtrace(fabric, controller, id, 0, 64);
+  const auto address = controller.group(id).address;
+  for (const topo::HostId sender : {1u, 17u, 33u}) {
+    (void)fabric.send(sender, address, std::size_t{200});
+  }
+  const auto before = fabric.links();
+  const auto report = mtrace(fabric, controller, id, 0, 64);
+  const auto after = fabric.links();
+
+  ASSERT_FALSE(report.hops.empty());
+  EXPECT_EQ(report.hops.size(), quiet.hops.size());
+  std::map<std::pair<NodeRef, NodeRef>, LinkStats> expected = before;
+  for (const auto& hop : report.hops) {
+    auto& link = expected[{hop.from, hop.to}];
+    ++link.packets;
+    link.bytes += hop.bytes;
+  }
+  EXPECT_EQ(after, expected);
 }
 
 TEST_F(MtraceFixture, CounterDeltaGoldenRender) {

@@ -188,38 +188,30 @@ int main(int argc, char** argv) {
       if (legacy[l]) fabric.leaf(l).set_legacy(true);
     }
   }
-  verify::DeliveryOracle oracle{topo, legacy};
 
   std::vector<GroupId> ids;
   for (const auto& g : scenario.groups) {
     ids.push_back(
         controller.create_group(g.tenant, std::span<const Member>{g.members}));
-    oracle.create_group(g.members);
   }
   for (const auto& ev : scenario.events) {
     switch (ev.kind) {
       case verify::EventKind::kJoin:
         controller.join(ids.at(ev.group_index), ev.member);
-        oracle.join(ev.group_index, ev.member);
         break;
       case verify::EventKind::kLeave:
         controller.leave(ids.at(ev.group_index), ev.member.host, ev.member.vm);
-        oracle.leave(ev.group_index, ev.member.host, ev.member.vm);
         break;
       case verify::EventKind::kHostFail:
-        for (std::size_t gi = 0; gi < ids.size(); ++gi) {
-          const auto members = oracle.members(gi);  // copy: leave mutates
-          for (const auto& m : members) {
-            if (m.host != ev.member.host) continue;
-            controller.leave(ids.at(gi), m.host, m.vm);
-            oracle.leave(gi, m.host, m.vm);
-          }
-        }
+        controller.host_fail(ev.member.host);
         break;
       default:
         break;  // failures / sends: not part of the membership replay
     }
   }
+  // The oracle starts from the replayed memberships.
+  verify::DeliveryOracle oracle{topo, legacy};
+  for (const auto id : ids) oracle.create_group(controller.group(id).members);
   // Causal context for incident reports (DESIGN.md §15): the bulk install
   // gets one trace, each sampling window gets its own, and every opened
   // incident carries the IDs of the windows it was active in (plus the
