@@ -92,7 +92,11 @@ int main(int argc, char** argv) {
 
   sim::Fabric fabric{topology};
   const auto install_start = std::chrono::steady_clock::now();
-  for (const auto id : ids) fabric.install_group(controller, id);
+  // A set-up plane syncs the bulk load over the wire; the churn plane's
+  // counters below then hold only the event stream.
+  stream::ControlPlane{controller, fabric,
+                       stream::ControlPlaneOptions{flush_threshold}}
+      .sync(ids);
   const double install_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     install_start)
@@ -102,7 +106,6 @@ int main(int argc, char** argv) {
   phases.start("churn");
   stream::ControlPlane plane{controller, fabric,
                              stream::ControlPlaneOptions{flush_threshold}};
-  for (const auto id : ids) plane.track_group(id);
 
   ChurnSimulator churn{controller, cloud, ids};
   churn.set_driver(&plane);

@@ -21,12 +21,14 @@
 // closed by a `RUN {...}` metadata line on stderr so a stdout redirect
 // captures clean JSON.
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdio>
 #include <string>
 #include <vector>
 
 #include "elmo/controller.h"
+#include "elmo/stream.h"
 #include "obs/health.h"
 #include "obs/timeseries.h"
 #include "sim/fabric.h"
@@ -78,7 +80,7 @@ struct Bench {
                                MemberRole::kReceiver});
     }
     const auto id = controller.create_group(0, members);
-    fabric.install_group(controller, id);
+    stream::ControlPlane{controller, fabric}.sync(std::array{id});
     group = controller.group(id).address;
     // The clean fabric's per-send delivery count IS the analytic expectation
     // for this static group (cross-validated by the differ's evaluator diff).

@@ -31,6 +31,7 @@
 // --trace=<path> records one probe send per fanout (a "send" span with one
 // child span per hop) into a chrome://tracing JSON file.
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -38,6 +39,7 @@
 #include <vector>
 
 #include "elmo/controller.h"
+#include "elmo/stream.h"
 #include "figlib.h"
 #include "obs/metrics.h"
 #include "obs/timeseries.h"
@@ -84,7 +86,7 @@ RunResult run_fanout(std::size_t fanout, std::size_t payload_bytes,
         Member{host, static_cast<std::uint32_t>(i + 1), MemberRole::kReceiver});
   }
   const auto id = controller.create_group(0, members);
-  fabric.install_group(controller, id);
+  stream::ControlPlane{controller, fabric}.sync(std::array{id});
   const auto group = controller.group(id).address;
   const std::vector<std::uint8_t> payload(payload_bytes, 0xab);
 

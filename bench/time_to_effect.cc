@@ -132,7 +132,7 @@ int main(int argc, char** argv) {
     const auto ids = controller.create_groups(specs, &pool);
 
     sim::Fabric fabric{topology};
-    for (const auto id : ids) fabric.install_group(controller, id);
+    stream::ControlPlane{controller, fabric}.sync(ids);
 
     obs::Tracer tracer;
     // Flushes are explicit: the probe pattern needs one send in the
@@ -140,7 +140,6 @@ int main(int argc, char** argv) {
     stream::ControlPlane plane{
         controller, fabric,
         stream::ControlPlaneOptions{std::numeric_limits<std::size_t>::max()}};
-    for (const auto id : ids) plane.track_group(id);
     plane.set_tracer(&tracer);
 
     auto members = base_members;  // churned copy, per encoder

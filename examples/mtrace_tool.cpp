@@ -3,6 +3,7 @@
 // per-link header sizes showing the p-rules being popped.
 //
 //   $ ./build/examples/mtrace_tool
+#include <array>
 #include <iostream>
 
 #include "elmo/stream.h"
@@ -22,7 +23,8 @@ int main() {
     members.push_back(Member{h, vm++, MemberRole::kBoth});
   }
   const auto group = controller.create_group(/*tenant=*/1, members);
-  fabric.install_group(controller, group);
+  stream::ControlPlane control{controller, fabric};
+  control.sync(std::array{group});
 
   std::cout << "group " << controller.group(group).address.to_string()
             << ", members on hosts 0, 2, 6, 17, 18, 35\n\n";
@@ -37,8 +39,6 @@ int main() {
   // Now fail the pod-0 spine of the group's multipath plane and trace again.
   // The control plane streams the failure's change set (the re-routed
   // sender headers) to the fabric; the fabric models the dead switch.
-  stream::ControlPlane control{controller, fabric};
-  control.track_group(group);
   const auto plane =
       topology.ecmp_plane(topo::group_hash(controller.group(group).address));
   const auto victim = topology.spine_at(0, plane);

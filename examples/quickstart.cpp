@@ -5,9 +5,11 @@
 // header, and sends a packet from Ha through the packet-level data plane.
 //
 //   $ ./build/examples/quickstart
+#include <array>
 #include <iostream>
 
 #include "elmo/controller.h"
+#include "elmo/stream.h"
 #include "sim/fabric.h"
 
 using namespace elmo;
@@ -80,7 +82,7 @@ int main() {
   std::cout << "\n\n";
 
   // --- send a packet through the simulated data plane -----------------------
-  fabric.install_group(controller, group);
+  stream::ControlPlane{controller, fabric}.sync(std::array{group});
   const auto result = fabric.send(/*Ha=*/0, state.address, /*payload=*/100);
   std::cout << "packet from Ha reached " << result.host_copies.size()
             << " hosts over " << result.total_link_transmissions

@@ -1,6 +1,9 @@
 #include "apps/multidc.h"
 
+#include <array>
 #include <stdexcept>
+
+#include "elmo/stream.h"
 
 namespace elmo::apps {
 
@@ -21,7 +24,8 @@ MultiDcGroup::MultiDcGroup(
       members.push_back(elmo::Member{host, vm++, elmo::MemberRole::kBoth});
     }
     groups_[d] = dcs_[d].controller->create_group(tenant, members);
-    dcs_[d].fabric->install_group(*dcs_[d].controller, groups_[d]);
+    stream::ControlPlane{*dcs_[d].controller, *dcs_[d].fabric}.sync(
+        std::array{groups_[d]});
     relays_[d] = members_[d].front();
   }
 }
@@ -29,8 +33,9 @@ MultiDcGroup::MultiDcGroup(
 MultiDcGroup::~MultiDcGroup() {
   for (std::size_t d = 0; d < dcs_.size(); ++d) {
     if (groups_[d] == kInvalid) continue;
-    dcs_[d].fabric->uninstall_group(*dcs_[d].controller, groups_[d]);
     dcs_[d].controller->remove_group(groups_[d]);
+    stream::ControlPlane{*dcs_[d].controller, *dcs_[d].fabric}.sync(
+        std::array{groups_[d]});
   }
 }
 

@@ -1,7 +1,9 @@
 #include "apps/pubsub.h"
 
 #include <algorithm>
+#include <array>
 
+#include "elmo/stream.h"
 #include "net/headers.h"
 
 namespace elmo::apps {
@@ -21,12 +23,12 @@ PubSubSystem::PubSubSystem(sim::Fabric& fabric, elmo::Controller& controller,
                                    elmo::MemberRole::kReceiver});
   }
   group_ = controller_->create_group(tenant, members);
-  fabric_->install_group(*controller_, group_);
+  stream::ControlPlane{*controller_, *fabric_}.sync(std::array{group_});
 }
 
 PubSubSystem::~PubSubSystem() {
-  fabric_->uninstall_group(*controller_, group_);
   controller_->remove_group(group_);
+  stream::ControlPlane{*controller_, *fabric_}.sync(std::array{group_});
 }
 
 PubSubMetrics PubSubSystem::run(TransportMode mode, std::size_t message_bytes,

@@ -1,5 +1,9 @@
 #include "apps/telemetry.h"
 
+#include <array>
+
+#include "elmo/stream.h"
+
 namespace elmo::apps {
 
 TelemetrySystem::TelemetrySystem(sim::Fabric& fabric,
@@ -18,12 +22,12 @@ TelemetrySystem::TelemetrySystem(sim::Fabric& fabric,
                                    elmo::MemberRole::kReceiver});
   }
   group_ = controller_->create_group(tenant, members);
-  fabric_->install_group(*controller_, group_);
+  stream::ControlPlane{*controller_, *fabric_}.sync(std::array{group_});
 }
 
 TelemetrySystem::~TelemetrySystem() {
-  fabric_->uninstall_group(*controller_, group_);
   controller_->remove_group(group_);
+  stream::ControlPlane{*controller_, *fabric_}.sync(std::array{group_});
 }
 
 TelemetryMetrics TelemetrySystem::run(bool use_elmo,

@@ -245,8 +245,13 @@ GroupId Controller::create_group(std::uint32_t tenant,
   reencode(*slot);
   // Initial installation: every member hypervisor gets its flow rule;
   // senders additionally receive the header template (same update).
-  last_change_ = change_set(member_hosts(*slot), {}, slot->encoding);
+  last_change_ = rule_slots(id);
   return id;
+}
+
+RuleSlots Controller::rule_slots(GroupId group) const {
+  const auto& g = this->group(group);
+  return change_set(member_hosts(g), {}, g.encoding);
 }
 
 std::vector<GroupId> Controller::create_groups(
@@ -359,8 +364,8 @@ std::vector<GroupId> Controller::create_groups(
     }
     ++live_groups_;
   }
-  // A bulk load is installed whole (Fabric::install_group), so it records
-  // an empty change set: building the union of its groups' change sets in
+  // A bulk load is synced (stream::ControlPlane::sync), so it records an
+  // empty change set: building the union of its groups' change sets in
   // this serial pass made the merge several times slower.
   last_change_ = {};
   const auto merge_end = clock::now();

@@ -179,9 +179,14 @@ class Controller {
   // Ids of the live groups, ascending.
   std::vector<GroupId> group_ids() const;
   // The change set of the latest create_group, join, leave or remove_group
-  // call. create_groups records an empty one: a bulk load is installed
-  // whole, not diffed.
+  // call. create_groups records an empty one: a bulk load is synced
+  // (stream::ControlPlane::sync reads the fabric back), not diffed by
+  // change set.
   const RuleSlots& last_change() const noexcept { return last_change_; }
+  // Every slot p4rt::compile gives `group` a rule at: its member hosts and
+  // its s-rule switches (a pod's spine s-rule at each of its physical
+  // spines). Throws std::out_of_range for a group that is not live.
+  RuleSlots rule_slots(GroupId group) const;
 
   // Serialized Elmo header a given sender's hypervisor would push.
   std::vector<std::uint8_t> header_for(GroupId group,

@@ -56,6 +56,31 @@ std::uint64_t srule_term(std::uint32_t group, topo::Layer layer,
   return h;
 }
 
+// The one read-back of a fabric: calls on_flow(address, host, flow) for
+// every hypervisor flow, ascending by host, then on_srule(address, layer,
+// switch, ports) for every leaf s-rule and every spine s-rule, ascending by
+// switch.
+template <typename OnFlow, typename OnSRule>
+void fold_rules(const sim::Fabric& fabric, OnFlow&& on_flow,
+                OnSRule&& on_srule) {
+  const auto& t = fabric.topology();
+  for (topo::HostId h = 0; h < t.num_hosts(); ++h) {
+    for (const auto& [addr, flow] : fabric.hypervisor(h).flows()) {
+      on_flow(addr, h, flow);
+    }
+  }
+  for (topo::LeafId l = 0; l < t.num_leaves(); ++l) {
+    for (const auto& [addr, ports] : fabric.leaf(l).srules()) {
+      on_srule(addr, topo::Layer::kLeaf, l, ports);
+    }
+  }
+  for (topo::SpineId s = 0; s < t.num_spines(); ++s) {
+    for (const auto& [addr, ports] : fabric.spine(s).srules()) {
+      on_srule(addr, topo::Layer::kSpine, s, ports);
+    }
+  }
+}
+
 bool is_flow(const p4rt::Update& u) {
   return u.kind == p4rt::UpdateKind::kHypervisorFlowAdd ||
          u.kind == p4rt::UpdateKind::kHypervisorFlowDel;
@@ -257,10 +282,58 @@ void ControlPlane::track_group(GroupId group) {
   (void)controller_->group(group);
 }
 
+std::size_t ControlPlane::sync(std::span<const GroupId> groups) {
+  // The occupied slots under each synced address: one fold of the fabric,
+  // plus the slots of updates still pending (a queued add of a group removed
+  // since must be cancelled too). `index` maps an address to the first
+  // position of its id in `groups`.
+  std::vector<std::pair<std::uint32_t, std::size_t>> index;
+  index.reserve(groups.size());
+  for (std::size_t i = 0; i < groups.size(); ++i) {
+    index.emplace_back(net::Ipv4Address::multicast_group(groups[i]).value, i);
+  }
+  std::sort(index.begin(), index.end());
+  std::vector<RuleSlots> slots(groups.size());
+  const auto occupied = [&](std::uint32_t addr, RuleSlot slot) {
+    const auto it = std::lower_bound(index.begin(), index.end(),
+                                     std::pair{addr, std::size_t{0}});
+    if (it == index.end() || it->first != addr) return;
+    auto& bucket = slots[it->second];
+    if (slot.first == topo::Layer::kHost) {
+      bucket.hosts.push_back(slot.second);
+    } else {
+      bucket.srules.push_back(slot);
+    }
+  };
+  fold_rules(
+      *fabric_,
+      [&](std::uint32_t addr, topo::HostId host,
+          const dp::HypervisorSwitch::GroupFlow&) {
+        occupied(addr, {topo::Layer::kHost, host});
+      },
+      [&](std::uint32_t addr, topo::Layer layer, std::uint32_t id,
+          const net::PortBitmap&) { occupied(addr, {layer, id}); });
+  for (const auto& [key, queued] : pending_) occupied(key.group, key.slot);
+
+  event_ctx_ = {};  // sync updates come from no event
+  std::size_t applied = 0;
+  for (std::size_t i = 0; i < groups.size(); ++i) {
+    // Merging also sorts and dedups the occupied slots, as RuleSlots keeps
+    // them.
+    slots[i].merge(controller_->has_group(groups[i])
+                       ? controller_->rule_slots(groups[i])
+                       : RuleSlots{});
+    diff_group(groups[i], slots[i]);
+    if (pending_.size() >= options_.flush_threshold) applied += flush();
+  }
+  return applied + flush();
+}
+
 void ControlPlane::diff_group(GroupId group, const RuleSlots& changed) {
-  const auto addr = controller_->group(group).address.value;
-  auto desired =
-      p4rt::compile(*controller_, group, /*install=*/true, &changed);
+  const auto addr = net::Ipv4Address::multicast_group(group).value;
+  auto desired = controller_->has_group(group)
+                     ? p4rt::compile(*controller_, group, &changed)
+                     : std::vector<p4rt::Update>{};
   stats_.rules_compiled += desired.size();
   // The compare below reads back one cold hypervisor per flow. Prefetch in
   // two passes so those misses overlap: first each target's leading lines,
@@ -476,25 +549,18 @@ void accumulate_plane_metrics(const ControlPlaneStats& stats,
 }
 
 std::uint64_t fabric_state_digest(const sim::Fabric& fabric) {
-  const auto& t = fabric.topology();
   std::uint64_t digest = 0;
-  for (topo::HostId h = 0; h < t.num_hosts(); ++h) {
-    for (const auto& [addr, flow] : fabric.hypervisor(h).flows()) {
-      digest += flow_term(addr, h, flow.vni, flow.local_vms, flow.elmo_header);
-    }
-  }
-  auto fold_switch = [&digest](const dp::NetworkSwitch& sw, topo::Layer layer,
-                               std::uint32_t id) {
-    for (const auto& [addr, ports] : sw.srules()) {
-      digest += srule_term(addr, layer, id, ports);
-    }
-  };
-  for (topo::LeafId l = 0; l < t.num_leaves(); ++l) {
-    fold_switch(fabric.leaf(l), topo::Layer::kLeaf, l);
-  }
-  for (topo::SpineId s = 0; s < t.num_spines(); ++s) {
-    fold_switch(fabric.spine(s), topo::Layer::kSpine, s);
-  }
+  fold_rules(
+      fabric,
+      [&](std::uint32_t addr, topo::HostId host,
+          const dp::HypervisorSwitch::GroupFlow& flow) {
+        digest += flow_term(addr, host, flow.vni, flow.local_vms,
+                            flow.elmo_header);
+      },
+      [&](std::uint32_t addr, topo::Layer layer, std::uint32_t id,
+          const net::PortBitmap& ports) {
+        digest += srule_term(addr, layer, id, ports);
+      });
   return digest;
 }
 

@@ -6,22 +6,25 @@
 // over the p4rt wire channel into a live sim::Fabric — instead of
 // re-pushing whole-group state per event.
 //
-// Every event takes one path: its controller call returns the change sets
-// of the groups it changed (a join's or leave's last_change, a
-// FailureImpact otherwise), and the plane diffs each of them.
+// Rules reach a fabric one way, through this plane's diff. Every event
+// takes one path: its controller call returns the change sets of the groups
+// it changed (a join's or leave's last_change, a FailureImpact otherwise),
+// and the plane diffs each of them. sync is the same diff over whole
+// groups: it installs a bulk load, adopts a fabric filled elsewhere,
+// removes the rules of removed groups and repairs any slot that drifted.
 //
-// The plane keeps no copy of installed state. A group's desired rules come
-// from p4rt::compile (the compiler whose all-slots case
-// Fabric::install_group applies), filtered to the slots of its change set:
-// the flows of the hosts it names and the s-rules at the switches it names,
-// not the whole group. Each is compared exactly with what its slot will
-// hold once pending updates flush: the pending update for that rule if one
-// is queued, else the fabric's installed flow or s-rule. Only rules that
-// differ are queued. A slot of the change set that the group no longer
-// compiles, but that pending or installed state still holds, is deleted.
-// The change set is complete (every rule an event rewrites sits at a slot
-// it names), so a slot outside it holds what it held before the event.
-// There is no whole-group path.
+// The plane keeps no copy of installed state, so a short-lived set-up plane
+// may sync a fabric that another plane then streams events into. A group's
+// desired rules come from p4rt::compile, filtered to the slots being
+// diffed: for an event, the flows of the hosts its change set names and
+// the s-rules at the switches it names, not the whole group. Each is
+// compared exactly with what its slot will hold once pending updates flush:
+// the pending update for that rule if one is queued, else the fabric's
+// installed flow or s-rule. Only rules that differ are queued. A diffed slot
+// the group no longer compiles, but that pending or installed state still
+// holds, is deleted. The change set is complete (every rule an event
+// rewrites sits at a slot it names), so a slot outside it holds what it
+// held before the event.
 //
 // Updates are coalesced and batched: pending updates are keyed by rule
 // location, a newer update for the same key overwrites the older one (the
@@ -124,11 +127,24 @@ class ControlPlane final : public MembershipDriver {
   std::size_t flush();
   std::size_t pending() const noexcept { return pending_.size(); }
 
-  // --- out-of-band changes -------------------------------------------------
-  // Adopts a group that is ALREADY installed in the fabric (e.g. bulk load
-  // via create_groups + install_group). The plane reads installed state back
-  // from the fabric, so there is nothing to seed: this only checks that the
-  // group is live (std::out_of_range otherwise).
+  // --- whole-group sync ----------------------------------------------------
+  // Brings the fabric's rules for `groups` to what the controller holds:
+  // afterwards the fabric holds exactly p4rt::compile_install(g) for each
+  // live id, and nothing under the address (net::Ipv4Address::
+  // multicast_group) of an id that is not live. One fold of the fabric reads
+  // back the slots installed under each id's address (pending updates'
+  // slots count too); each id is then diffed over those slots and every
+  // slot it compiles, so this installs, adopts, removes (after
+  // Controller::remove_group) and repairs in one pass.
+  // Flushes whenever pending() reaches flush_threshold between groups, and
+  // once at the end. A sync is not an event: it counts no event and stamps
+  // no ingest time. Returns the number of rule updates applied.
+  std::size_t sync(std::span<const GroupId> groups);
+
+  // Only checks that `group` is live (std::out_of_range otherwise): the
+  // plane keeps no installed state to seed. Left for the end-to-end
+  // benchmark's set-up (perfbench), which fills its fabric with
+  // sim::Fabric::install_group; everything else syncs.
   void track_group(GroupId group);
 
   const ControlPlaneStats& stats() const noexcept { return stats_; }
@@ -182,9 +198,10 @@ class ControlPlane final : public MembershipDriver {
   Controller::FailureImpact run_event(
       const Event& event, std::initializer_list<obs::TraceAttr> attrs,
       Call&& call);
-  // Compiles the rules of `group` at the slots of `changed` and queues each
-  // one its slot does not hold yet, then a delete for each slot of
-  // `changed` the group no longer compiles but that is still occupied.
+  // Compiles the rules of `group` at the slots of `changed` (none when the
+  // group is not live) and queues each one its slot does not hold yet, then
+  // a delete for each slot of `changed` the group no longer compiles but
+  // that is still occupied.
   void diff_group(GroupId group, const RuleSlots& changed);
   // Whether `key` will hold a rule once pending updates flush (the pending
   // update if one is queued, else the fabric's installed rule) and, unless

@@ -139,13 +139,13 @@ bool put_body(std::vector<std::uint8_t>& body, const Update& u,
 }  // namespace
 
 std::vector<Update> compile(const Controller& controller, elmo::GroupId group,
-                            bool install, const RuleSlots* slots) {
+                            const RuleSlots* slots) {
   const auto& g = controller.group(group);
   const auto& t = controller.topology();
   const std::size_t planes = t.params().spines_per_pod;
-  auto rule = [&](UpdateKind add, UpdateKind del) {
+  auto rule = [&](UpdateKind kind) {
     Update u;
-    u.kind = install ? add : del;
+    u.kind = kind;
     u.group = g.address;
     return u;
   };
@@ -189,11 +189,10 @@ std::vector<Update> compile(const Controller& controller, elmo::GroupId group,
     auto& u = updates[i];
     if (!built[i]) {
       built[i] = true;
-      u = rule(UpdateKind::kHypervisorFlowAdd, UpdateKind::kHypervisorFlowDel);
+      u = rule(UpdateKind::kHypervisorFlowAdd);
       u.host = member.host;
-      if (install) u.vni = g.tenant;
+      u.vni = g.tenant;
     }
-    if (!install) continue;
     if (can_receive(member.role)) u.local_vms.push_back(member.vm);
     if (can_send(member.role) && u.elmo_header.empty()) {
       if (shared_tail.empty()) shared_tail = codec.serialize_shared(g.encoding);
@@ -212,21 +211,19 @@ std::vector<Update> compile(const Controller& controller, elmo::GroupId group,
   updates.resize(flows);
   for (const auto& [leaf, bitmap] : g.encoding.leaf.s_rules) {
     if (!named(topo::Layer::kLeaf, leaf)) continue;
-    auto& u = updates.emplace_back(
-        rule(UpdateKind::kSRuleAdd, UpdateKind::kSRuleDel));
+    auto& u = updates.emplace_back(rule(UpdateKind::kSRuleAdd));
     u.layer = topo::Layer::kLeaf;
     u.switch_id = leaf;
-    if (install) u.ports = bitmap;
+    u.ports = bitmap;
   }
   for (const auto& [pod, bitmap] : g.encoding.spine.s_rules) {
     for (std::size_t plane = 0; plane < planes; ++plane) {
       const auto spine = t.spine_at(pod, plane);
       if (!named(topo::Layer::kSpine, spine)) continue;
-      auto& u = updates.emplace_back(
-          rule(UpdateKind::kSRuleAdd, UpdateKind::kSRuleDel));
+      auto& u = updates.emplace_back(rule(UpdateKind::kSRuleAdd));
       u.layer = topo::Layer::kSpine;
       u.switch_id = spine;
-      if (install) u.ports = bitmap;
+      u.ports = bitmap;
     }
   }
   return updates;
@@ -234,12 +231,7 @@ std::vector<Update> compile(const Controller& controller, elmo::GroupId group,
 
 std::vector<Update> compile_install(const Controller& controller,
                                     elmo::GroupId group) {
-  return compile(controller, group, /*install=*/true, /*slots=*/nullptr);
-}
-
-std::vector<Update> compile_uninstall(const Controller& controller,
-                                      elmo::GroupId group) {
-  return compile(controller, group, /*install=*/false, /*slots=*/nullptr);
+  return compile(controller, group, /*slots=*/nullptr);
 }
 
 std::vector<std::uint8_t> encode(std::span<const Update> updates) {

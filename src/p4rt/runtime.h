@@ -2,14 +2,17 @@
 // interface (like P4Runtime) to install match-action rules in the switches
 // at run time").
 //
-// compile is the one place that turns a group into rules: every install
-// path consumes its output. compile_install / compile_uninstall are its
-// all-slots case, which sim::Fabric::install_group applies whole. The
-// streaming control plane compiles only the slots of the controller's change
-// set (the rules an event touched), compares each with what the fabric holds
-// and sends only the ones that differ, with deletes for the named slots the
-// group no longer compiles. sim::Fabric::apply is the one place that applies
-// an Update to the data plane. Rule updates
+// compile is the one place that turns a group into rules; compile_install is
+// its all-slots case. Rules reach a fabric one way: the streaming control
+// plane (stream::ControlPlane) compiles the slots it diffs — an event's
+// change set, or for ControlPlane::sync every slot a group compiles or the
+// fabric holds under its address — compares each with what the fabric
+// holds, and sends only the adds that differ plus a delete for each
+// occupied slot the group no longer compiles. Those deletes are built in one
+// place in the plane; compile only builds adds. (sim::Fabric::install_group,
+// which applies compile_install without the wire, is left only as the
+// end-to-end benchmark's set-up.) sim::Fabric::apply is the one place that
+// applies an Update to the data plane. Rule updates
 // are serialized into framed, self-describing binary messages so that the
 // controller and the switches can live in different processes (as they do
 // in a real deployment).
@@ -73,30 +76,25 @@ struct Update {
   bool operator==(const Update&) const = default;
 };
 
-// Compiles the rules of `group` at the slots `slots` names (its lists sorted,
-// as RuleSlots keeps them), or at every slot when `slots` is null: adds with full content when `install`, otherwise
-// deletes carrying only the rule location (what the wire carries for a
-// delete, so no header is built). A filtered compile is the subsequence of
-// the all-slots one at the named slots; a named slot the group does not
-// compile (a host with no member left, an s-rule the encoding dropped)
-// yields nothing.
+// Compiles the adds of `group` at the slots `slots` names (its lists sorted,
+// as RuleSlots keeps them), or at every slot when `slots` is null. A
+// filtered compile is the subsequence of the all-slots one at the named
+// slots; a named slot the group does not compile (a host with no member
+// left, an s-rule the encoding dropped) yields nothing.
 std::vector<Update> compile(const Controller& controller, elmo::GroupId group,
-                            bool install, const RuleSlots* slots);
+                            const RuleSlots* slots);
 
-// Compiles the full installation of `group` into an update batch (what the
-// controller pushes when the group is created or installed whole): one
-// HYPERVISOR_FLOW_ADD per distinct member host, ascending by host, merged
-// across co-located members (a flow per member would overwrite the host's
-// flow on apply and drop the earlier members' VMs); then the leaf s-rules;
-// then one spine s-rule per plane of every pod s-rule. Each flow's header
-// equals Controller::header_for(group, host); the group's shared header tail
-// is serialized once per call and spliced behind each sender's upstream
-// sections (HeaderCodec::serialize_shared).
+// Compiles the full installation of `group` into an update batch (the state
+// a sync leaves in a fabric for a live group, and what the state digests
+// fold): one HYPERVISOR_FLOW_ADD per distinct member host, ascending by
+// host, merged across co-located members (a flow per member would overwrite
+// the host's flow on apply and drop the earlier members' VMs); then the leaf
+// s-rules; then one spine s-rule per plane of every pod s-rule. Each flow's
+// header equals Controller::header_for(group, host); the group's shared
+// header tail is serialized once per call and spliced behind each sender's
+// upstream sections (HeaderCodec::serialize_shared).
 std::vector<Update> compile_install(const Controller& controller,
                                     elmo::GroupId group);
-// The matching deletes, in the same order.
-std::vector<Update> compile_uninstall(const Controller& controller,
-                                      elmo::GroupId group);
 
 // Wire codec. encode throws std::length_error only if a single count cannot
 // fit even the extended u32 fields.

@@ -197,13 +197,6 @@ void Fabric::install_group(const elmo::Controller& controller,
   for (auto& u : p4rt::compile_install(controller, group)) apply(std::move(u));
 }
 
-void Fabric::uninstall_group(const elmo::Controller& controller,
-                             elmo::GroupId group) {
-  for (auto& u : p4rt::compile_uninstall(controller, group)) {
-    apply(std::move(u));
-  }
-}
-
 void Fabric::apply(p4rt::Update u) {
   auto srule_switch = [&]() -> dp::NetworkSwitch& {
     if (u.layer == topo::Layer::kLeaf) return leaf(u.switch_id);

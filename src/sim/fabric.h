@@ -7,6 +7,11 @@
 // end-to-end examples run on it, and it cross-validates the analytic
 // TrafficEvaluator used by the large-scale benches.
 //
+// Rules enter through apply(), the switch side of the p4rt channel, which
+// stream::ControlPlane drives: its events and its sync (install, removal,
+// repair) are the one install path. install_group, which applies a group's
+// compiled rules without the wire, is left only for perfbench's set-up.
+//
 // The walk is a zero-copy pipeline: each work item's node is a hypervisor or
 // a network switch, both with the process(view, arena) call shape of
 // dataplane/forwarding.h; work items carry refcounted PacketViews, and
@@ -68,7 +73,8 @@ struct LinkStats {
 
 // Hosts a send reached, with the number of copies each saw: a flat vector
 // of (host, count) sorted by host, read like the std::map it replaced
-// (ascending iteration, find/contains/count/at, operator[]).
+// (ascending iteration, find/contains/at, operator[]). A host's number of
+// copies is at(host).
 class HostCopies {
  public:
   using key_type = topo::HostId;
@@ -91,9 +97,6 @@ class HostCopies {
   }
   bool contains(topo::HostId host) const noexcept {
     return find(host) != end();
-  }
-  std::size_t count(topo::HostId host) const noexcept {
-    return contains(host) ? 1 : 0;
   }
   // Throws std::out_of_range for a host the send did not reach.
   std::size_t at(topo::HostId host) const;
@@ -174,15 +177,12 @@ class Fabric {
 
   const topo::ClosTopology& topology() const noexcept { return *topo_; }
 
-  // Installs a controller-managed group into the data plane: flow rules (with
-  // header templates for senders) at member hypervisors, s-rules at network
-  // switches. Both apply the updates p4rt::compile_install /
-  // compile_uninstall build. Re-invoking install_group overwrites every rule
-  // the group compiles now but deletes none it stopped compiling (the
-  // streaming control plane's change sets drive those deletes).
+  // Applies p4rt::compile_install(group) directly, without the wire. Left
+  // only as the end-to-end benchmark's set-up (perfbench); everything else
+  // installs, removes and repairs groups with stream::ControlPlane::sync.
+  // Re-invoking it overwrites every rule the group compiles now but deletes
+  // none it stopped compiling.
   void install_group(const elmo::Controller& controller, elmo::GroupId group);
-  void uninstall_group(const elmo::Controller& controller,
-                       elmo::GroupId group);
 
   // Applies one rule update (the switch side of the p4rt channel). Taken by
   // value so the flow's VM list, header and s-rule bitmap move into the

@@ -141,10 +141,9 @@ class Runner {
           g.tenant, std::span<const Member>{g.members}));
       oracle_.create_group(g.members);
     }
-    for (const auto id : ids_) {
-      fabric_.install_group(controller_, id);
-      plane_.track_group(id);
-    }
+    // A short-lived set-up plane installs the groups, so the churn plane's
+    // stats and trace hold only the scenario's events.
+    stream::ControlPlane{controller_, fabric_}.sync(ids_);
     recompile_all();
     select_mutation_target();
     seed_fault();

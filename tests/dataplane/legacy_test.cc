@@ -4,8 +4,11 @@
 // by the VXLAN Elmo-present flag).
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "dataplane/network_switch.h"
 #include "elmo/controller.h"
+#include "elmo/stream.h"
 #include "sim/fabric.h"
 #include "testutil.h"
 
@@ -144,11 +147,11 @@ TEST(LegacySwitch, EndToEndMixedFabricDelivers) {
                              MemberRole::kBoth});
   }
   const auto id = controller.create_group(0, members);
-  fabric.install_group(controller, id);
+  stream::ControlPlane{controller, fabric}.sync(std::array{id});
 
   const auto result = fabric.send(0, controller.group(id).address, 100);
   for (std::size_t i = 1; i < hosts.size(); ++i) {
-    EXPECT_EQ(result.host_copies.count(hosts[i]), 1u)
+    EXPECT_EQ(result.host_copies.at(hosts[i]), 1u)
         << "host " << hosts[i];
   }
   EXPECT_EQ(result.vm_deliveries, hosts.size() - 1);

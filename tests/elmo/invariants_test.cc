@@ -3,8 +3,11 @@
 // exactly once, and the control plane is deterministic.
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "elmo/churn.h"
 #include "elmo/evaluator.h"
+#include "elmo/stream.h"
 #include "sim/fabric.h"
 #include "testutil.h"
 
@@ -157,8 +160,10 @@ TEST(Determinism, IdenticalRunsProduceIdenticalHeaders) {
 }
 
 TEST(Integration, ChurnThenReinstallKeepsDataPlaneConsistent) {
-  // Controller mutations followed by a data-plane reinstall must keep the
-  // packet-level fabric delivering exactly what the controller thinks.
+  // Controller mutations followed by a sync of the group must keep the
+  // packet-level fabric delivering exactly what the controller thinks: the
+  // sync reads the fabric back, so it also deletes the flows of hosts that
+  // left.
   const topo::ClosTopology t{topo::ClosParams::small_test()};
   Controller controller{t, EncoderConfig{}};
   sim::Fabric fabric{t};
@@ -171,13 +176,12 @@ TEST(Integration, ChurnThenReinstallKeepsDataPlaneConsistent) {
         Member{hosts[i], static_cast<std::uint32_t>(i), MemberRole::kBoth});
   }
   const auto id = controller.create_group(0, members);
-  fabric.install_group(controller, id);
+  stream::ControlPlane{controller, fabric}.sync(std::array{id});
 
   std::uint32_t next_vm = 50;
   for (int round = 0; round < 10; ++round) {
     const auto& before = controller.group(id);
     const auto victim = before.members[rng.index(before.members.size())];
-    fabric.uninstall_group(controller, id);  // uninstall with OLD state
     controller.leave(id, victim.host, victim.vm);
     for (int attempt = 0; attempt < 30; ++attempt) {
       const auto host = static_cast<topo::HostId>(rng.index(t.num_hosts()));
@@ -190,14 +194,17 @@ TEST(Integration, ChurnThenReinstallKeepsDataPlaneConsistent) {
         break;
       }
     }
-    fabric.install_group(controller, id);
+    stream::ControlPlane{controller, fabric}.sync(std::array{id});
+    ASSERT_EQ(stream::fabric_state_digest(fabric),
+              stream::compiled_state_digest(controller))
+        << "round " << round;
 
     const auto& g = controller.group(id);
     const auto sender = g.members[rng.index(g.members.size())].host;
     const auto result = fabric.send(sender, g.address, 128);
     for (const auto& m : g.members) {
       if (m.host == sender) continue;
-      ASSERT_EQ(result.host_copies.count(m.host), 1u)
+      ASSERT_EQ(result.host_copies.at(m.host), 1u)
           << "round " << round << " member " << m.host;
     }
   }

@@ -3,11 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <span>
 #include <string>
 #include <tuple>
 #include <vector>
 
 #include "elmo/churn.h"
+#include "elmo/snapshot.h"
 #include "testutil.h"
 #include "util/rng.h"
 
@@ -45,6 +48,12 @@ struct StreamWorld {
     return controller.create_group(0, members);
   }
 
+  // Installs `ids` with a short-lived set-up plane, so a test's own plane
+  // counts only its events.
+  void install(std::span<const GroupId> ids) {
+    ControlPlane{controller, fabric}.sync(ids);
+  }
+
   topo::ClosTopology topology;
   Controller controller;
   sim::Fabric fabric;
@@ -74,11 +83,9 @@ TEST(ControlPlane, JoinEmitsDeltaNotFullReinstall) {
   StreamWorld w;
   const std::vector<std::uint32_t> vms{0, 4, 8, 12, 16, 20};
   const auto id = w.make_group(vms);
-  w.fabric.install_group(w.controller, id);
+  w.install(std::array{id});
 
   ControlPlane cp{w.controller, w.fabric, ControlPlaneOptions{1}};
-  cp.track_group(id);
-  EXPECT_EQ(cp.stats().updates_applied, 0u);  // tracking emits nothing
 
   // A receiver joining a host that already has a member: the receiver host
   // set is unchanged, so the tree, encoding and every sender header stay
@@ -103,10 +110,9 @@ TEST(ControlPlane, LeaveRemovesVacatedHostFlow) {
   StreamWorld w;
   const std::vector<std::uint32_t> vms{0, 4, 8};
   const auto id = w.make_group(vms);
-  w.fabric.install_group(w.controller, id);
+  w.install(std::array{id});
 
   ControlPlane cp{w.controller, w.fabric, ControlPlaneOptions{1}};
-  cp.track_group(id);
 
   const auto host = w.tenants[0].vm_hosts[8];
   cp.leave(id, host, 8);
@@ -127,11 +133,10 @@ TEST(ControlPlane, DetachingTracerDropsOpenWatches) {
   StreamWorld w;
   const std::vector<std::uint32_t> vms{0, 4, 8};
   const auto id = w.make_group(vms);
-  w.fabric.install_group(w.controller, id);
+  w.install(std::array{id});
 
   obs::Tracer tracer;
   ControlPlane cp{w.controller, w.fabric, ControlPlaneOptions{1}};
-  cp.track_group(id);
   cp.set_tracer(&tracer);
   const Member joiner{w.tenants[0].vm_hosts[12], 12, MemberRole::kBoth};
   cp.join(id, joiner);  // installed at once; open until the first delivery
@@ -158,11 +163,10 @@ TEST(ControlPlane, TracerTteInstantsMatchFabricRecords) {
   for (std::uint32_t g = 0; g < 4; ++g) {
     members.push_back({g, g + 9, g + 18, g + 27});
     ids.push_back(w.make_group(members.back()));
-    w.fabric.install_group(w.controller, ids.back());
   }
+  w.install(ids);
   obs::Tracer tracer;
   ControlPlane cp{w.controller, w.fabric, ControlPlaneOptions{8}};
-  for (const auto id : ids) cp.track_group(id);
   cp.set_tracer(&tracer);
 
   auto rng = util::Rng::stream(30, 0);
@@ -242,12 +246,11 @@ TEST(ControlPlane, CoalescingCollapsesRepeatedTouchesToOneRule) {
   StreamWorld w;
   const std::vector<std::uint32_t> vms{0, 4, 8};
   const auto id = w.make_group(vms);
-  w.fabric.install_group(w.controller, id);
+  w.install(std::array{id});
 
   // Large threshold: nothing flushes while the same host's flow is touched
   // repeatedly; the wire must see only the final state.
   ControlPlane cp{w.controller, w.fabric, ControlPlaneOptions{100000}};
-  cp.track_group(id);
 
   // vms 12..15 live on one host: four joins touch the same flow.
   for (std::uint32_t vm = 12; vm < 16; ++vm) {
@@ -267,12 +270,9 @@ TEST(ControlPlane, HostFailEvictsEveryMembershipOnTheHost) {
   const std::vector<std::uint32_t> g2_vms{2, 12, 16};
   const auto g1 = w.make_group(g1_vms);
   const auto g2 = w.make_group(g2_vms);
-  w.fabric.install_group(w.controller, g1);
-  w.fabric.install_group(w.controller, g2);
+  w.install(std::array{g1, g2});
 
   ControlPlane cp{w.controller, w.fabric, ControlPlaneOptions{1}};
-  cp.track_group(g1);
-  cp.track_group(g2);
 
   const auto dead = w.tenants[0].vm_hosts[0];
   const auto impact = cp.host_fail(dead);
@@ -304,9 +304,8 @@ TEST(ControlPlane, HostFailEvictsAFlowReTemplatedByEarlierJoins) {
   // the doomed host's included. The failure must still find and evict it.
   StreamWorld w;
   const auto g = w.make_group(std::vector<std::uint32_t>{0, 1, 8});
-  w.fabric.install_group(w.controller, g);
+  w.install(std::array{g});
   ControlPlane cp{w.controller, w.fabric, ControlPlaneOptions{1}};
-  cp.track_group(g);
 
   const auto dead = w.tenants[0].vm_hosts[12];
   ASSERT_EQ(w.tenants[0].vm_hosts[13], dead);
@@ -343,11 +342,10 @@ TEST(ControlPlane, JoinThenLeaveBeforeFlushRestoresInstalledState) {
   // read the pending overlay, not only the fabric, to undo them.
   StreamWorld w;
   const auto id = w.make_group(std::vector<std::uint32_t>{0, 4, 8});
-  w.fabric.install_group(w.controller, id);
+  w.install(std::array{id});
   const auto before = fabric_state_digest(w.fabric);
 
   ControlPlane cp{w.controller, w.fabric, ControlPlaneOptions{100000}};
-  cp.track_group(id);
   const Member joiner{w.tenants[0].vm_hosts[12], 12, MemberRole::kBoth};
   cp.join(id, joiner);
   ASSERT_GT(cp.pending(), 0u);
@@ -366,7 +364,7 @@ TEST(ControlPlane, LeaveThatVacatesAnSRuleLeafDeletesIt) {
   StreamWorld w{EncoderKind::kElmo, 80};
   const auto id =
       w.make_group(std::vector<std::uint32_t>{0, 20, 24, 40, 44, 60, 76});
-  w.fabric.install_group(w.controller, id);
+  w.install(std::array{id});
   const auto& srules = w.controller.group(id).encoding.leaf.s_rules;
   ASSERT_FALSE(srules.empty());
   const auto leaf = srules.front().first;
@@ -374,7 +372,6 @@ TEST(ControlPlane, LeaveThatVacatesAnSRuleLeafDeletesIt) {
   ASSERT_NE(w.fabric.leaf(leaf).srule(addr), nullptr);
 
   ControlPlane cp{w.controller, w.fabric, ControlPlaneOptions{1}};
-  cp.track_group(id);
   std::vector<Member> on_leaf;
   for (const auto& m : w.controller.group(id).members) {
     if (w.topology.leaf_of_host(m.host) == leaf) on_leaf.push_back(m);
@@ -392,10 +389,9 @@ TEST(ControlPlane, LeaveThatVacatesAnSRuleLeafDeletesIt) {
 TEST(ControlPlane, InstallLagIsRecordedPerEvent) {
   StreamWorld w;
   const auto id = w.make_group(std::vector<std::uint32_t>{0, 4, 8});
-  w.fabric.install_group(w.controller, id);
+  w.install(std::array{id});
 
   ControlPlane cp{w.controller, w.fabric, ControlPlaneOptions{100000}};
-  cp.track_group(id);
   cp.join(id, Member{w.tenants[0].vm_hosts[12], 12, MemberRole::kReceiver});
   cp.join(id, Member{w.tenants[0].vm_hosts[16], 16, MemberRole::kReceiver});
   EXPECT_EQ(cp.stats().install_lag_seconds.count(), 0u);  // not flushed yet
@@ -421,11 +417,10 @@ TEST(ControlPlane, RejectedEventLeavesNoTrace) {
   // when they arrive.
   StreamWorld w;
   const auto id = w.make_group(std::vector<std::uint32_t>{0, 4, 8});
-  w.fabric.install_group(w.controller, id);
+  w.install(std::array{id});
 
   obs::Tracer tracer;
   ControlPlane cp{w.controller, w.fabric, ControlPlaneOptions{100000}};
-  cp.track_group(id);
   cp.set_tracer(&tracer);
   cp.join(id, Member{w.tenants[0].vm_hosts[12], 12, MemberRole::kReceiver});
   ASSERT_GT(cp.pending(), 0u);
@@ -467,9 +462,8 @@ TEST(ControlPlane, EventsThatChangeNoRuleAreClean) {
   const auto id = w.make_group(std::vector<std::uint32_t>{0, 4});
   ASSERT_EQ(w.topology.leaf_of_host(w.tenants[0].vm_hosts[0]),
             w.topology.leaf_of_host(w.tenants[0].vm_hosts[4]));
-  w.fabric.install_group(w.controller, id);
+  w.install(std::array{id});
   ControlPlane cp{w.controller, w.fabric, ControlPlaneOptions{1}};
-  cp.track_group(id);
 
   const auto empty_host = static_cast<topo::HostId>(w.topology.num_hosts() - 1);
   EXPECT_EQ(cp.host_fail(empty_host).groups_affected(), 0u);
@@ -493,7 +487,7 @@ TEST(ControlPlane, PlaneMetricsExportEveryStatsField) {
   StreamWorld w{config, 256};
   const auto g1 = w.make_group(std::vector<std::uint32_t>{0, 9, 70, 140, 210});
   const auto g2 = w.make_group(std::vector<std::uint32_t>{1, 45, 80, 150});
-  for (const auto id : {g1, g2}) w.fabric.install_group(w.controller, id);
+  w.install(std::array{g1, g2});
   // Explicit flushes only: the joins re-template the same sender flows, so
   // their updates coalesce.
   ControlPlane cp{w.controller, w.fabric, ControlPlaneOptions{100000}};
@@ -548,7 +542,7 @@ TEST(ControlPlane, ChurnRootsCarryGroupAddressAndId) {
   // tte:* instants use it too); a churn root adds the id as "group_id".
   StreamWorld w;
   const auto id = w.make_group(std::vector<std::uint32_t>{0, 4, 8});
-  w.fabric.install_group(w.controller, id);
+  w.install(std::array{id});
   obs::Tracer tracer;
   ControlPlane cp{w.controller, w.fabric, ControlPlaneOptions{1}};
   cp.set_tracer(&tracer);
@@ -657,7 +651,12 @@ TEST(RulesDigest, IgnoresRuleOrderAndVmOrder) {
   ASSERT_GT(permuted, 0u);
   EXPECT_EQ(rules_digest(rules), clean);
   // Deletes carry no installed state.
-  EXPECT_EQ(rules_digest(p4rt::compile_uninstall(w.controller, id)), 0u);
+  for (auto& u : rules) {
+    u.kind = u.kind == p4rt::UpdateKind::kHypervisorFlowAdd
+                 ? p4rt::UpdateKind::kHypervisorFlowDel
+                 : p4rt::UpdateKind::kSRuleDel;
+  }
+  EXPECT_EQ(rules_digest(rules), 0u);
 }
 
 const char* encoder_name(EncoderKind kind) {
@@ -694,7 +693,7 @@ TEST_P(CompiledStateDigest, EqualsBatchInstalledFabric) {
   const auto healthy = compiled_state_digest(w.controller);
   w.controller.fail_spine(0);
   w.fabric.spine(0).set_down(true);
-  for (const auto id : ids) w.fabric.install_group(w.controller, id);
+  w.install(ids);
 
   // The failure re-templated some sender header.
   EXPECT_NE(compiled_state_digest(w.controller), healthy);
@@ -749,11 +748,10 @@ TEST_P(ChangeSetCompleteness, RefreshAfterEveryEventQueuesNothing) {
     ids.push_back(w.controller.create_group(0, members));
   }
   if (degraded) w.controller.fail_spine(0);
-  for (const auto id : ids) w.fabric.install_group(w.controller, id);
+  w.install(ids);
 
   // Threshold 8: diffs also compare against updates still pending.
   ControlPlane cp{w.controller, w.fabric, ControlPlaneOptions{8}};
-  for (const auto id : ids) cp.track_group(id);
 
   auto member_of = [&](GroupId id, std::uint32_t vm) {
     const auto& members = w.controller.group(id).members;
@@ -855,10 +853,9 @@ TEST(ControlPlane, FailureAppliesExactlyTheReportedHypervisorUpdates) {
     }
     if (vms.size() < 2) vms = {static_cast<std::uint32_t>(gi), 79u - gi};
     ids.push_back(w.make_group(vms));
-    w.fabric.install_group(w.controller, ids.back());
   }
+  w.install(ids);
   ControlPlane cp{w.controller, w.fabric, ControlPlaneOptions{1}};
-  for (const auto id : ids) cp.track_group(id);
 
   auto expect_applied_as_reported =
       [&](const char* event, const Controller::FailureImpact& impact,
@@ -921,10 +918,9 @@ TEST_P(StreamEquivalence, StreamedDeltasMatchBatchInstallOfFinalState) {
   ids.push_back(w.make_group(std::vector<std::uint32_t>{0, 4, 8, 12}));
   ids.push_back(w.make_group(std::vector<std::uint32_t>{1, 20, 33, 47, 60}));
   ids.push_back(w.make_group(std::vector<std::uint32_t>{2, 6, 70}));
-  for (const auto id : ids) w.fabric.install_group(w.controller, id);
+  w.install(ids);
 
   ControlPlane cp{w.controller, w.fabric, ControlPlaneOptions{8}};
-  for (const auto id : ids) cp.track_group(id);
 
   // Drive a few hundred churn events through the plane (the simulator keeps
   // its own membership mirror and checks leave-by-(host, vm) semantics).
@@ -940,7 +936,7 @@ TEST_P(StreamEquivalence, StreamedDeltasMatchBatchInstallOfFinalState) {
   for (std::size_t gi = 0; gi < ids.size(); ++gi) {
     const auto& members = w.controller.group(ids[gi]).members;
     const auto id = fresh.controller.create_group(0, members);
-    fresh.fabric.install_group(fresh.controller, id);
+    fresh.install(std::array{id});
   }
 
   EXPECT_EQ(fabric_state_digest(w.fabric), fabric_state_digest(fresh.fabric))
@@ -956,6 +952,468 @@ INSTANTIATE_TEST_SUITE_P(AllEncoders, StreamEquivalence,
                          [](const auto& info) {
                            return encoder_name(info.param);
                          });
+
+// A world for the sync tests: every encoder, healthy or degraded (legacy
+// leaves, which keep p-rules in sender headers, and a failed spine 0, which
+// re-routes them), and six random groups of every member role.
+struct SyncWorld : StreamWorld {
+  SyncWorld(EncoderKind kind, bool degraded) : StreamWorld{kind, 80} {
+    if (degraded) {
+      std::vector<bool> legacy(topology.num_leaves(), false);
+      for (std::size_t l = 1; l < legacy.size(); l += 2) legacy[l] = true;
+      controller.set_legacy_leaves(legacy);
+      for (topo::LeafId l = 0; l < legacy.size(); ++l) {
+        if (legacy[l]) fabric.leaf(l).set_legacy(true);
+      }
+    }
+    util::Rng rng{degraded ? 91u : 90u};
+    const auto& vm_hosts = tenants[0].vm_hosts;
+    for (int gi = 0; gi < 6; ++gi) {
+      std::vector<Member> members;
+      for (std::uint32_t vm = 0; vm < 74; ++vm) {  // 74..79 join below
+        if (rng.bernoulli(0.2)) {
+          members.push_back(
+              {vm_hosts[vm], vm, static_cast<MemberRole>(rng.index(3))});
+        }
+      }
+      members.push_back({vm_hosts[79 - gi], 79u - gi, MemberRole::kBoth});
+      ids.push_back(controller.create_group(0, members));
+    }
+    if (degraded) {
+      controller.fail_spine(0);
+      fabric.spine(0).set_down(true);
+    }
+  }
+
+  std::vector<GroupId> ids;
+};
+
+// Every installed rule of `fabric` in table order: each hypervisor's flows,
+// then each leaf's and each spine's s-rules.
+std::vector<p4rt::Update> installed_rules(const sim::Fabric& fabric) {
+  std::vector<p4rt::Update> rules;
+  const auto& t = fabric.topology();
+  for (topo::HostId h = 0; h < t.num_hosts(); ++h) {
+    for (const auto& [addr, flow] : fabric.hypervisor(h).flows()) {
+      auto& u = rules.emplace_back();
+      u.group.value = addr;
+      u.host = h;
+      u.vni = flow.vni;
+      u.local_vms = flow.local_vms;
+      u.elmo_header = flow.elmo_header;
+    }
+  }
+  auto srules = [&](const dp::NetworkSwitch& sw, topo::Layer layer,
+                    std::uint32_t id) {
+    for (const auto& [addr, ports] : sw.srules()) {
+      auto& u = rules.emplace_back();
+      u.kind = p4rt::UpdateKind::kSRuleAdd;
+      u.group.value = addr;
+      u.layer = layer;
+      u.switch_id = id;
+      u.ports = ports;
+    }
+  };
+  for (topo::LeafId l = 0; l < t.num_leaves(); ++l) {
+    srules(fabric.leaf(l), topo::Layer::kLeaf, l);
+  }
+  for (topo::SpineId s = 0; s < t.num_spines(); ++s) {
+    srules(fabric.spine(s), topo::Layer::kSpine, s);
+  }
+  return rules;
+}
+
+// ControlPlane::sync for every encoder, healthy and degraded, at flush
+// thresholds 1 and 64.
+class ControlPlaneSync : public ::testing::TestWithParam<
+                             std::tuple<EncoderKind, bool, std::size_t>> {};
+
+// On an empty fabric a sync is the bulk install: the fabric holds exactly
+// the compiled rules, in the same table order as an install_group loop
+// (which pins GroupTable entry order), flushed in batches of at least
+// flush_threshold updates between groups.
+TEST_P(ControlPlaneSync, EmptyFabricSyncEqualsInstallLoop) {
+  const auto [kind, degraded, threshold] = GetParam();
+  SyncWorld w{kind, degraded};
+  ControlPlane cp{w.controller, w.fabric, ControlPlaneOptions{threshold}};
+  const auto applied = cp.sync(w.ids);
+
+  sim::Fabric reference{w.topology};
+  for (const auto id : w.ids) reference.install_group(w.controller, id);
+  EXPECT_EQ(fabric_state_digest(w.fabric),
+            compiled_state_digest(w.controller));
+  EXPECT_EQ(installed_rules(w.fabric), installed_rules(reference));
+
+  // Flushes land between groups once threshold updates are pending.
+  std::size_t rules = 0, batches = 0, pending = 0;
+  for (const auto id : w.ids) {
+    const auto n = p4rt::compile_install(w.controller, id).size();
+    rules += n;
+    pending += n;
+    if (pending >= threshold) {
+      ++batches;
+      pending = 0;
+    }
+  }
+  if (pending > 0) ++batches;
+  const auto& st = cp.stats();
+  EXPECT_EQ(applied, rules);
+  EXPECT_EQ(st.updates_applied, rules);
+  EXPECT_EQ(st.rules_compiled, rules);
+  EXPECT_EQ(st.batches_encoded, batches);
+  EXPECT_EQ(cp.pending(), 0u);
+  // A sync is not an event.
+  EXPECT_EQ(st.events, 0u);
+  EXPECT_EQ(st.clean_events, 0u);
+  EXPECT_EQ(st.install_lag_seconds.count(), 0u);
+}
+
+// A sync repairs what drifted, and only that: a stale flow at a host with no
+// member, a stale s-rule at a leaf the group does not use, a corrupted
+// sender header and a dropped s-rule, each in a different group, cost
+// exactly four updates. A second sync finds nothing to do.
+TEST_P(ControlPlaneSync, RepairsExactlyTheSeededFaults) {
+  const auto [kind, degraded, threshold] = GetParam();
+  SyncWorld w{kind, degraded};
+  w.install(w.ids);
+  ASSERT_EQ(fabric_state_digest(w.fabric),
+            compiled_state_digest(w.controller));
+
+  using Rules = std::vector<p4rt::Update>;
+  std::vector<Rules> compiled;
+  for (const auto id : w.ids) {
+    compiled.push_back(p4rt::compile_install(w.controller, id));
+  }
+  const auto leaf_srule = [](const Rules& rules) {
+    return std::find_if(rules.begin(), rules.end(), [](const auto& u) {
+      return u.kind == p4rt::UpdateKind::kSRuleAdd &&
+             u.layer == topo::Layer::kLeaf;
+    });
+  };
+  const auto sender_flow = [](const Rules& rules) {
+    return std::find_if(rules.begin(), rules.end(), [](const auto& u) {
+      return u.kind == p4rt::UpdateKind::kHypervisorFlowAdd &&
+             !u.elmo_header.empty();
+    });
+  };
+  const auto holds_flow = [](const Rules& rules, topo::HostId host) {
+    return std::any_of(rules.begin(), rules.end(), [&](const auto& u) {
+      return u.kind == p4rt::UpdateKind::kHypervisorFlowAdd && u.host == host;
+    });
+  };
+  const auto holds_leaf = [](const Rules& rules, topo::LeafId leaf) {
+    return std::any_of(rules.begin(), rules.end(), [&](const auto& u) {
+      return u.kind == p4rt::UpdateKind::kSRuleAdd &&
+             u.layer == topo::Layer::kLeaf && u.switch_id == leaf;
+    });
+  };
+
+  // A stale flow of group 0 at a host none of its members lives on.
+  {
+    auto stale = compiled[0].front();
+    ASSERT_EQ(stale.kind, p4rt::UpdateKind::kHypervisorFlowAdd);
+    topo::HostId host = 0;
+    while (holds_flow(compiled[0], host)) ++host;
+    stale.host = host;
+    w.fabric.apply(stale);
+  }
+  // A stale s-rule of the first group with a leaf s-rule, at a leaf it does
+  // not use.
+  std::size_t with_srule = 0;
+  while (with_srule < w.ids.size() &&
+         leaf_srule(compiled[with_srule]) == compiled[with_srule].end()) {
+    ++with_srule;
+  }
+  ASSERT_LT(with_srule, w.ids.size());
+  {
+    auto stale = *leaf_srule(compiled[with_srule]);
+    topo::LeafId leaf = 0;
+    while (holds_leaf(compiled[with_srule], leaf)) ++leaf;
+    ASSERT_LT(leaf, w.topology.num_leaves());
+    stale.switch_id = leaf;
+    w.fabric.apply(stale);
+  }
+  // A flipped header byte at a sender of the next group with one.
+  std::size_t with_sender = with_srule + 1;
+  while (with_sender < w.ids.size() &&
+         sender_flow(compiled[with_sender]) == compiled[with_sender].end()) {
+    ++with_sender;
+  }
+  ASSERT_LT(with_sender, w.ids.size());
+  {
+    auto corrupted = *sender_flow(compiled[with_sender]);
+    corrupted.elmo_header[corrupted.elmo_header.size() / 2] ^= 0x10;
+    w.fabric.apply(corrupted);
+  }
+  // A dropped s-rule of the last group with one.
+  std::size_t dropped = w.ids.size() - 1;
+  while (dropped > with_sender &&
+         leaf_srule(compiled[dropped]) == compiled[dropped].end()) {
+    --dropped;
+  }
+  ASSERT_GT(dropped, with_sender);
+  {
+    auto removal = *leaf_srule(compiled[dropped]);
+    removal.kind = p4rt::UpdateKind::kSRuleDel;
+    removal.ports = {};
+    w.fabric.apply(removal);
+  }
+  ASSERT_NE(fabric_state_digest(w.fabric),
+            compiled_state_digest(w.controller));
+
+  ControlPlane cp{w.controller, w.fabric, ControlPlaneOptions{threshold}};
+  EXPECT_EQ(cp.sync(w.ids), 4u);
+  const auto& st = cp.stats();
+  EXPECT_EQ(st.flow_adds, 1u);         // the corrupted header
+  EXPECT_EQ(st.flow_dels, 1u);         // the stale flow
+  EXPECT_EQ(st.leaf_srule_adds, 1u);   // the dropped s-rule
+  EXPECT_EQ(st.leaf_srule_dels, 1u);   // the stale s-rule
+  EXPECT_EQ(fabric_state_digest(w.fabric),
+            compiled_state_digest(w.controller));
+  EXPECT_EQ(cp.sync(w.ids), 0u);
+  EXPECT_EQ(st.updates_applied, 4u);
+}
+
+// A removed group is synced away: no flow or s-rule under its address
+// remains, while the live groups synced with it keep theirs. That holds
+// for a group whose last join is still pending when it is removed, too.
+TEST_P(ControlPlaneSync, RemovedGroupLeavesNoRule) {
+  const auto [kind, degraded, threshold] = GetParam();
+  SyncWorld w{kind, degraded};
+  w.install(w.ids);
+  const auto rules_at = [&](GroupId id) {
+    const auto address = net::Ipv4Address::multicast_group(id).value;
+    const auto installed = installed_rules(w.fabric);
+    return static_cast<std::size_t>(
+        std::count_if(installed.begin(), installed.end(), [&](const auto& u) {
+          return u.group.value == address;
+        }));
+  };
+  const auto removed = w.ids[2];
+  const auto rules = p4rt::compile_install(w.controller, removed).size();
+  ASSERT_EQ(rules_at(removed), rules);
+
+  w.controller.remove_group(removed);
+  ControlPlane cp{w.controller, w.fabric, ControlPlaneOptions{threshold}};
+  EXPECT_EQ(cp.sync(w.ids), rules);  // one delete per installed rule
+  EXPECT_EQ(rules_at(removed), 0u);
+  EXPECT_EQ(cp.stats().flow_adds + cp.stats().leaf_srule_adds +
+                cp.stats().spine_srule_adds,
+            0u);
+  EXPECT_EQ(fabric_state_digest(w.fabric),
+            compiled_state_digest(w.controller));
+
+  // A join to a host with no member, then the removal before any flush.
+  ControlPlane batching{w.controller, w.fabric, ControlPlaneOptions{100000}};
+  const auto joined = w.ids[3];
+  const auto& vm_hosts = w.tenants[0].vm_hosts;
+  std::uint32_t vm = 0;
+  while (std::any_of(w.controller.group(joined).members.begin(),
+                     w.controller.group(joined).members.end(),
+                     [&](const Member& m) { return m.host == vm_hosts[vm]; })) {
+    ++vm;
+  }
+  batching.join(joined, Member{vm_hosts[vm], vm, MemberRole::kBoth});
+  ASSERT_GT(batching.pending(), 0u);
+  w.controller.remove_group(joined);
+  batching.sync(w.ids);
+  EXPECT_EQ(rules_at(joined), 0u);
+  EXPECT_EQ(fabric_state_digest(w.fabric),
+            compiled_state_digest(w.controller));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllEncoders, ControlPlaneSync,
+    ::testing::Combine(::testing::Values(EncoderKind::kElmo,
+                                         EncoderKind::kBert,
+                                         EncoderKind::kP3fa),
+                       ::testing::Bool(),
+                       ::testing::Values(std::size_t{1}, std::size_t{64})),
+    [](const auto& info) {
+      return std::string{encoder_name(std::get<0>(info.param))} +
+             (std::get<1>(info.param) ? "_Degraded" : "_Healthy") +
+             "_Flush" + std::to_string(std::get<2>(info.param));
+    });
+
+// Rejected calls change nothing. Random valid joins, leaves, host and
+// switch failures and restores, and syncs stream through a plane, mixed
+// with calls the controller rejects: duplicate joins, unknown or removed
+// groups, leaves of non-members, hosts or switches outside the topology,
+// and group creations with a duplicate member or a host outside. Each rejected call must throw and leave the controller image,
+// its last change set, the s-rule occupancy, the pending updates, the
+// plane's stats and the installed state as they were.
+TEST(ControlPlane, RejectedCallsChangeNothing) {
+  SyncWorld w{EncoderKind::kElmo, /*degraded=*/false};
+  const auto removed = w.controller.create_group(
+      0, std::vector<Member>{{w.tenants[0].vm_hosts[0], 0, MemberRole::kBoth}});
+  w.install(w.ids);
+  w.controller.remove_group(removed);
+
+  ControlPlane cp{w.controller, w.fabric, ControlPlaneOptions{16}};
+  const auto& t = w.topology;
+  const auto& vm_hosts = w.tenants[0].vm_hosts;
+  const auto occupancy = [&] {
+    auto& space = w.controller.srule_space();
+    std::vector<std::size_t> used;
+    for (topo::LeafId l = 0; l < t.num_leaves(); ++l) {
+      used.push_back(space.leaf_occupancy(l));
+    }
+    for (topo::SpineId s = 0; s < t.num_spines(); ++s) {
+      used.push_back(space.spine_occupancy(s));
+    }
+    return used;
+  };
+  struct State {
+    std::vector<std::uint8_t> image;
+    RuleSlots last_change;
+    std::vector<std::size_t> occupancy;
+    std::size_t pending;
+    std::vector<std::uint64_t> stats;
+    std::size_t lag_samples;
+    std::uint64_t digest;
+  };
+  const auto state = [&] {
+    const auto& last = w.controller.last_change();
+    return State{snapshot(w.controller), last,           occupancy(),
+                 cp.pending(),           counters(cp.stats()),
+                 cp.stats().install_lag_seconds.count(),
+                 fabric_state_digest(w.fabric)};
+  };
+  const auto expect_same = [](const State& a, const State& b) {
+    EXPECT_EQ(a.image, b.image);
+    EXPECT_EQ(a.last_change.hosts, b.last_change.hosts);
+    EXPECT_EQ(a.last_change.srules, b.last_change.srules);
+    EXPECT_EQ(a.occupancy, b.occupancy);
+    EXPECT_EQ(a.pending, b.pending);
+    EXPECT_EQ(a.stats, b.stats);
+    EXPECT_EQ(a.lag_samples, b.lag_samples);
+    EXPECT_EQ(a.digest, b.digest);
+  };
+  const auto member_of = [&](GroupId id, std::uint32_t vm) {
+    const auto& members = w.controller.group(id).members;
+    return std::find_if(members.begin(), members.end(),
+                        [vm](const Member& m) { return m.vm == vm; }) !=
+           members.end();
+  };
+
+  // Whether failing `host` would leave some group without members.
+  const auto empties = [&](topo::HostId host) {
+    return std::any_of(w.ids.begin(), w.ids.end(), [&](GroupId g) {
+      const auto& ms = w.controller.group(g).members;
+      return std::all_of(ms.begin(), ms.end(),
+                         [host](const Member& m) { return m.host == host; });
+    });
+  };
+
+  util::Rng rng{2032};
+  std::size_t valid = 0, rejected = 0;
+  for (int step = 0; step < 400; ++step) {
+    const auto id = w.ids[rng.index(w.ids.size())];
+    const auto vm = static_cast<std::uint32_t>(rng.index(vm_hosts.size()));
+    const auto& members = w.controller.group(id).members;
+    const auto pick = rng.index(18);
+    if (pick < 7) {
+      // A valid call.
+      if (pick < 2 && !member_of(id, vm)) {
+        cp.join(id, Member{vm_hosts[vm], vm, MemberRole::kBoth});
+      } else if (pick < 4 && members.size() > 2) {
+        const auto victim = members[rng.index(members.size())];
+        cp.leave(id, victim.host, victim.vm);
+      } else if (pick == 4 && !empties(members[0].host)) {
+        cp.host_fail(members[0].host);
+      } else if (pick == 5) {
+        const auto spine = static_cast<topo::SpineId>(
+            rng.index(t.num_spines()));
+        if (w.controller.failures().spine_failed(spine)) {
+          cp.restore_spine(spine);
+        } else {
+          cp.fail_spine(spine);
+        }
+      } else {
+        cp.sync(w.ids);
+        EXPECT_EQ(fabric_state_digest(w.fabric),
+                  compiled_state_digest(w.controller))
+            << "step " << step;
+      }
+      ++valid;
+      continue;
+    }
+
+    // A call the controller rejects.
+    const auto before = state();
+    const auto bad_host = static_cast<topo::HostId>(t.num_hosts() +
+                                                    rng.index(4));
+    switch (pick) {
+      case 7: {  // a (host, vm) pair already in the group
+        const auto& m = members[rng.index(members.size())];
+        EXPECT_THROW(cp.join(id, Member{m.host, m.vm, MemberRole::kReceiver}),
+                     std::invalid_argument);
+        break;
+      }
+      case 8:
+        EXPECT_THROW(cp.join(removed, Member{vm_hosts[vm], vm,
+                                             MemberRole::kBoth}),
+                     std::out_of_range);
+        break;
+      case 9:
+        EXPECT_THROW(cp.leave(1000 + vm, vm_hosts[vm], vm),
+                     std::out_of_range);
+        break;
+      case 10: {  // a VM that is not a member
+        std::uint32_t stranger = 100;
+        while (member_of(id, stranger)) ++stranger;
+        EXPECT_THROW(cp.leave(id, vm_hosts[vm], stranger),
+                     std::invalid_argument);
+        break;
+      }
+      case 11:
+        EXPECT_THROW(cp.join(id, Member{bad_host, 200, MemberRole::kBoth}),
+                     std::out_of_range);
+        break;
+      case 12:
+        EXPECT_THROW(cp.host_fail(bad_host), std::out_of_range);
+        break;
+      case 13:
+        EXPECT_THROW(cp.fail_spine(static_cast<topo::SpineId>(
+                         t.num_spines() + rng.index(4))),
+                     std::out_of_range);
+        break;
+      case 14:
+        EXPECT_THROW(cp.restore_core(static_cast<topo::CoreId>(
+                         t.num_cores() + rng.index(4))),
+                     std::out_of_range);
+        break;
+      case 15: {  // a new group listing one (host, vm) pair twice
+        const std::vector<Member> twice{
+            {vm_hosts[vm], vm, MemberRole::kBoth},
+            {vm_hosts[vm], vm, MemberRole::kReceiver}};
+        EXPECT_THROW(w.controller.create_group(0, twice),
+                     std::invalid_argument);
+        break;
+      }
+      case 16: {  // a bulk load whose last group has a host outside
+        const std::vector<Member> good{{vm_hosts[vm], vm, MemberRole::kBoth}};
+        const std::vector<Member> bad{{bad_host, 0, MemberRole::kBoth}};
+        const std::vector<Controller::GroupSpec> specs{{0, good}, {0, bad}};
+        EXPECT_THROW(w.controller.create_groups(specs), std::out_of_range);
+        break;
+      }
+      default:
+        EXPECT_THROW(cp.fail_core(static_cast<topo::CoreId>(
+                         t.num_cores() + rng.index(4))),
+                     std::out_of_range);
+        break;
+    }
+    SCOPED_TRACE("step " + std::to_string(step));
+    expect_same(state(), before);
+    ++rejected;
+  }
+  cp.sync(w.ids);
+  EXPECT_EQ(fabric_state_digest(w.fabric),
+            compiled_state_digest(w.controller));
+  EXPECT_GT(valid, 100u);
+  EXPECT_GT(rejected, 100u);
+}
 
 }  // namespace
 }  // namespace elmo::stream

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <memory>
 #include <set>
@@ -15,6 +16,7 @@
 #include <vector>
 
 #include "elmo/controller.h"
+#include "elmo/stream.h"
 #include "obs/metrics.h"
 #include "obs/timeseries.h"
 #include "sim/fabric.h"
@@ -452,7 +454,7 @@ TEST(HealthTsan, SamplerRunsConcurrentlyWithWalk) {
   }
   const auto id = controller.create_group(0, members);
   sim::Fabric fabric{topology};
-  fabric.install_group(controller, id);
+  stream::ControlPlane{controller, fabric}.sync(std::array{id});
   const auto address = controller.group(id).address;
 
   auto& reg = MetricsRegistry::global();

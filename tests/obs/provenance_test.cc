@@ -7,8 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 
 #include "elmo/controller.h"
+#include "elmo/stream.h"
 #include "sim/fabric.h"
 
 namespace elmo::obs {
@@ -27,7 +29,7 @@ struct ProvenanceFixture : ::testing::Test {
                                      elmo::MemberRole::kBoth});
     }
     const auto id = controller.create_group(0, members);
-    fabric.install_group(controller, id);
+    stream::ControlPlane{controller, fabric}.sync(std::array{id});
     return id;
   }
 
@@ -145,7 +147,7 @@ TEST(ProvenanceGolden, CrossPodSendRenderIsPinned) {
     members.push_back(elmo::Member{host, host, elmo::MemberRole::kBoth});
   }
   const auto id = controller.create_group(0, members);
-  fabric.install_group(controller, id);
+  stream::ControlPlane{controller, fabric}.sync(std::array{id});
   ProvenanceLog log;
   fabric.set_provenance(&log);
   (void)fabric.send(0, controller.group(id).address, std::size_t{64});

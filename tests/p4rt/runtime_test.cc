@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <set>
 
 #include "elmo/stream.h"
@@ -97,7 +98,7 @@ TEST_F(P4rtFixture, ColocatedMembersShareOneFlowUpdate) {
 
   send_over_wire(updates);
   sim::Fabric direct{topology};
-  direct.install_group(controller, id);
+  for (const auto& u : updates) direct.apply(u);
 
   // A packet from the remote host must reach BOTH co-located VMs; with
   // per-member updates the second FLOW_ADD used to clobber the first.
@@ -128,9 +129,10 @@ TEST_F(P4rtFixture, ChannelInstallEqualsDirectInstall) {
   const auto wire_bytes = send_over_wire(compile_install(controller, id));
   EXPECT_GT(wire_bytes, 0u);
 
-  // A second fabric installed directly must behave identically.
+  // A second fabric the same rules are applied to directly must behave
+  // identically.
   sim::Fabric direct{topology};
-  direct.install_group(controller, id);
+  for (auto& u : compile_install(controller, id)) direct.apply(std::move(u));
 
   for (const auto& m : g.members) {
     fabric.reset_link_stats();
@@ -143,38 +145,59 @@ TEST_F(P4rtFixture, ChannelInstallEqualsDirectInstall) {
   }
 }
 
+// An uninstall is Controller::remove_group and a sync of the removed id.
 TEST_F(P4rtFixture, UninstallRemovesEverything) {
   const auto id = make_group(12, 11);
-  const auto& g = controller.group(id);
+  const auto sender = controller.group(id).members[0].host;
+  const auto address = controller.group(id).address;
   send_over_wire(compile_install(controller, id));
-  send_over_wire(compile_uninstall(controller, id));
+  controller.remove_group(id);
+  stream::ControlPlane{controller, fabric}.sync(std::array{id});
 
-  const auto result = fabric.send(g.members[0].host, g.address, 64);
+  const auto result = fabric.send(sender, address, 64);
   EXPECT_TRUE(result.host_copies.empty());
   for (topo::LeafId l = 0; l < topology.num_leaves(); ++l) {
     EXPECT_EQ(fabric.leaf(l).srule_count(), 0u);
   }
+  for (topo::SpineId s = 0; s < topology.num_spines(); ++s) {
+    EXPECT_EQ(fabric.spine(s).srule_count(), 0u);
+  }
+  EXPECT_EQ(stream::fabric_state_digest(fabric), 0u);
 }
 
+// The uninstall's wire carries one delete per installed rule, each with only
+// the rule's location: exactly the bytes of those deletes, in one batch.
 TEST_F(P4rtFixture, UninstallDeletesCarryOnlyTheRuleLocation) {
   const auto id = make_group(16, 15, /*tenant=*/7);  // FLOW_ADDs carry vni 7
   const auto installs = compile_install(controller, id);
-  const auto deletes = compile_uninstall(controller, id);
-  ASSERT_EQ(deletes.size(), installs.size());
-  for (std::size_t i = 0; i < deletes.size(); ++i) {
-    Update expected;  // the matching add's location, nothing else
-    expected.group = installs[i].group;
-    if (installs[i].kind == UpdateKind::kHypervisorFlowAdd) {
+  send_over_wire(installs);
+  std::vector<Update> deletes;
+  std::size_t flows = 0;
+  for (const auto& add : installs) {
+    Update& expected = deletes.emplace_back();  // the add's location only
+    expected.group = add.group;
+    if (add.kind == UpdateKind::kHypervisorFlowAdd) {
       expected.kind = UpdateKind::kHypervisorFlowDel;
-      expected.host = installs[i].host;
+      expected.host = add.host;
+      ++flows;
     } else {
       expected.kind = UpdateKind::kSRuleDel;
-      expected.layer = installs[i].layer;
-      expected.switch_id = installs[i].switch_id;
+      expected.layer = add.layer;
+      expected.switch_id = add.switch_id;
     }
-    EXPECT_EQ(deletes[i], expected) << "update " << i;
   }
   EXPECT_EQ(decode(encode(deletes)), deletes);  // the wire drops nothing
+
+  controller.remove_group(id);
+  stream::ControlPlane plane{controller, fabric,
+                             stream::ControlPlaneOptions{installs.size()}};
+  EXPECT_EQ(plane.sync(std::array{id}), installs.size());
+  const auto& st = plane.stats();
+  EXPECT_EQ(st.batches_encoded, 1u);
+  EXPECT_EQ(st.wire_bytes, encode(deletes).size());
+  EXPECT_EQ(st.flow_dels, flows);
+  EXPECT_EQ(st.leaf_srule_dels + st.spine_srule_dels, installs.size() - flows);
+  EXPECT_EQ(st.flow_adds + st.leaf_srule_adds + st.spine_srule_adds, 0u);
 }
 
 // A compile filtered to some slots is the all-slots compile restricted to
@@ -215,11 +238,11 @@ TEST_F(P4rtFixture, FilteredCompileIsTheFullCompileAtTheNamedSlots) {
                         std::pair{u.layer, u.switch_id}) != slots.srules.end();
     if (kept) expected.push_back(u);
   }
-  EXPECT_EQ(compile(controller, id, /*install=*/true, &named), expected);
+  EXPECT_EQ(compile(controller, id, &named), expected);
 
-  EXPECT_EQ(compile(controller, id, /*install=*/true, nullptr), all);
+  EXPECT_EQ(compile(controller, id, nullptr), all);
   const RuleSlots none;
-  EXPECT_TRUE(compile(controller, id, /*install=*/true, &none).empty());
+  EXPECT_TRUE(compile(controller, id, &none).empty());
 }
 
 TEST_F(P4rtFixture, DecodeRejectsMalformedStreams) {
@@ -275,9 +298,8 @@ TEST(P4rtCompile, FlowHeadersEqualHeaderForAcrossChurnAndFailure) {
             Member{hosts[i], static_cast<std::uint32_t>(i), role});
       }
       ids.push_back(controller.create_group(0, members));
-      fabric.install_group(controller, ids.back());
-      plane.track_group(ids.back());
     }
+    plane.sync(ids);
 
     auto check = [&](const char* step) {
       SCOPED_TRACE(step);

@@ -5,7 +5,10 @@
 // (pure p-rules, s-rules, defaults).
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "elmo/evaluator.h"
+#include "elmo/stream.h"
 #include "sim/fabric.h"
 #include "testutil.h"
 
@@ -43,7 +46,7 @@ TEST_P(Crosscheck, FabricAndEvaluatorAgree) {
                                MemberRole::kBoth});
     }
     const auto id = controller.create_group(0, members);
-    fabric.install_group(controller, id);
+    stream::ControlPlane{controller, fabric}.sync(std::array{id});
     const auto& g = controller.group(id);
 
     const std::size_t payload = 64 + rng.index(1400);
@@ -76,8 +79,8 @@ TEST_P(Crosscheck, FabricAndEvaluatorAgree) {
       EXPECT_EQ(spurious_copies, report.delivery.spurious_deliveries);
       EXPECT_TRUE(report.delivery.exactly_once());
     }
-    fabric.uninstall_group(controller, id);
     controller.remove_group(id);
+    stream::ControlPlane{controller, fabric}.sync(std::array{id});
   }
 }
 
@@ -108,7 +111,7 @@ TEST(Crosscheck, RunningExampleBothEnginesAndAllSenders) {
         Member{hosts[i], static_cast<std::uint32_t>(i), MemberRole::kBoth});
   }
   const auto id = controller.create_group(0, members);
-  fabric.install_group(controller, id);
+  stream::ControlPlane{controller, fabric}.sync(std::array{id});
   const auto& g = controller.group(id);
 
   for (const auto sender : hosts) {

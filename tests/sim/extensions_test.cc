@@ -2,9 +2,12 @@
 // PGM-style reliability layer, and multi-datacenter relay multicast.
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "apps/multidc.h"
 #include "apps/reliable.h"
 #include "elmo/evaluator.h"
+#include "elmo/stream.h"
 #include "sim/fabric.h"
 #include "testutil.h"
 
@@ -39,7 +42,7 @@ TEST(TwoTier, CrosscheckFabricVsEvaluator) {
                                MemberRole::kBoth});
     }
     const auto id = controller.create_group(0, members);
-    fabric.install_group(controller, id);
+    stream::ControlPlane{controller, fabric}.sync(std::array{id});
     const auto& g = controller.group(id);
 
     const auto fr = fabric.send(hosts[0], g.address, 512);
@@ -48,8 +51,8 @@ TEST(TwoTier, CrosscheckFabricVsEvaluator) {
         topo::group_hash(g.address));
     EXPECT_EQ(fr.total_wire_bytes, report.elmo_wire_bytes);
     EXPECT_TRUE(report.delivery.exactly_once());
-    fabric.uninstall_group(controller, id);
     controller.remove_group(id);
+    stream::ControlPlane{controller, fabric}.sync(std::array{id});
   }
 }
 
@@ -68,7 +71,7 @@ struct LossFixture : ::testing::Test {
                                MemberRole::kBoth});
     }
     const auto id = controller.create_group(0, members);
-    fabric.install_group(controller, id);
+    stream::ControlPlane{controller, fabric}.sync(std::array{id});
     return id;
   }
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <map>
 #include <set>
 #include <stdexcept>
@@ -9,6 +10,7 @@
 #include <vector>
 
 #include "elmo/header.h"
+#include "elmo/stream.h"
 #include "obs/timeseries.h"
 #include "testutil.h"
 
@@ -28,7 +30,7 @@ struct FabricFixture : ::testing::Test {
                                      elmo::MemberRole::kBoth});
     }
     const auto id = controller.create_group(0, members);
-    fabric.install_group(controller, id);
+    stream::ControlPlane{controller, fabric}.sync(std::array{id});
     return id;
   }
 
@@ -114,19 +116,21 @@ TEST_F(FabricFixture, SRuleGroupsStillDeliver) {
   }
   const auto id = tight_controller.create_group(0, members);
   ASSERT_GT(tight_controller.group(id).encoding.s_rule_count(), 0u);
-  tight_fabric.install_group(tight_controller, id);
+  stream::ControlPlane{tight_controller, tight_fabric}.sync(std::array{id});
 
   const auto result =
       tight_fabric.send(hosts[0], tight_controller.group(id).address, 64);
   for (std::size_t i = 1; i < hosts.size(); ++i) {
-    EXPECT_GE(result.host_copies.count(hosts[i]), 1u);
+    EXPECT_TRUE(result.host_copies.contains(hosts[i]));
   }
 }
 
 TEST_F(FabricFixture, UninstallStopsDelivery) {
   const auto id = make_group({0, 17});
-  fabric.uninstall_group(controller, id);
-  const auto result = fabric.send(0, controller.group(id).address, 64);
+  const auto address = controller.group(id).address;
+  controller.remove_group(id);
+  stream::ControlPlane{controller, fabric}.sync(std::array{id});
+  const auto result = fabric.send(0, address, 64);
   EXPECT_TRUE(result.host_copies.empty());
 }
 
@@ -154,7 +158,7 @@ TEST_F(FabricFixture, VmDeliveriesFollowLocalMembership) {
       elmo::Member{5, 1, elmo::MemberRole::kReceiver},
   };
   const auto id = controller.create_group(1, members);
-  fabric.install_group(controller, id);
+  stream::ControlPlane{controller, fabric}.sync(std::array{id});
   const auto result = fabric.send(0, controller.group(id).address, 64);
   EXPECT_EQ(result.vm_deliveries, 1u);
 }
@@ -425,7 +429,6 @@ TEST(HostCopies, ReadsLikeAMapOfTheSameHosts) {
   for (topo::HostId h = 0; h < 14; ++h) {
     SCOPED_TRACE("host " + std::to_string(h));
     EXPECT_EQ(got.contains(h), want.contains(h));
-    EXPECT_EQ(got.count(h), want.count(h));
     const auto it = got.find(h);
     ASSERT_EQ(it == got.end(), !want.contains(h));
     if (it != got.end()) {
@@ -468,7 +471,7 @@ TEST(FabricWideLeaf, BitmapsOver64PortsScanAndDeliver) {
                                    elmo::MemberRole::kBoth});
   }
   const auto id = controller.create_group(0, members);
-  fabric.install_group(controller, id);
+  stream::ControlPlane{controller, fabric}.sync(std::array{id});
 
   const elmo::HeaderCodec codec{topology};
   for (const auto sender : hosts) {

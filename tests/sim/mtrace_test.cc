@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <map>
 #include <utility>
+
+#include "elmo/stream.h"
 
 namespace elmo::sim {
 namespace {
@@ -21,7 +24,7 @@ struct MtraceFixture : ::testing::Test {
                                      elmo::MemberRole::kBoth});
     }
     const auto id = controller.create_group(0, members);
-    fabric.install_group(controller, id);
+    stream::ControlPlane{controller, fabric}.sync(std::array{id});
     return id;
   }
 
@@ -154,7 +157,7 @@ TEST_F(MtraceFixture, RedundantCopiesAttributed) {
     members.push_back(elmo::Member{i * 5 % 64, i, elmo::MemberRole::kBoth});
   }
   const auto id = tight.create_group(0, members);
-  tight_fabric.install_group(tight, id);
+  stream::ControlPlane{tight, tight_fabric}.sync(std::array{id});
   const auto report = mtrace(tight_fabric, tight, id, members[0].host, 64);
   EXPECT_GT(report.redundant_copies, 0u);
   EXPECT_EQ(report.members_reached, members.size() - 1);

@@ -4,7 +4,10 @@
 // encoder regimes, topologies, and senders.
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "dataplane/common.h"
+#include "elmo/stream.h"
 #include "sim/fabric.h"
 #include "testutil.h"
 
@@ -129,7 +132,7 @@ TEST_P(WalkEquivalence, QueueWalkMatchesRecursiveWalk) {
                                MemberRole::kBoth});
     }
     const auto id = controller.create_group(0, members);
-    fabric.install_group(controller, id);
+    stream::ControlPlane{controller, fabric}.sync(std::array{id});
     const auto& g = controller.group(id);
 
     const std::vector<std::uint8_t> payload(64 + rng.index(1400), 0xab);
@@ -139,8 +142,8 @@ TEST_P(WalkEquivalence, QueueWalkMatchesRecursiveWalk) {
       const auto actual = fabric.send(sender, g.address, payload);
       expect_same_result(actual, expected);
     }
-    fabric.uninstall_group(controller, id);
     controller.remove_group(id);
+    stream::ControlPlane{controller, fabric}.sync(std::array{id});
   }
 }
 
@@ -165,7 +168,7 @@ TEST(WalkEquivalence, RunningExampleAllSenders) {
         Member{hosts[i], static_cast<std::uint32_t>(i), MemberRole::kBoth});
   }
   const auto id = controller.create_group(0, members);
-  fabric.install_group(controller, id);
+  stream::ControlPlane{controller, fabric}.sync(std::array{id});
   const auto& g = controller.group(id);
 
   const std::vector<std::uint8_t> payload(100, 0x5c);
@@ -197,7 +200,7 @@ TEST(WalkEquivalence, LegacyLeavesAgreeToo) {
         Member{hosts[i], static_cast<std::uint32_t>(i), MemberRole::kBoth});
   }
   const auto id = controller.create_group(0, members);
-  fabric.install_group(controller, id);
+  stream::ControlPlane{controller, fabric}.sync(std::array{id});
   const auto& g = controller.group(id);
 
   const std::vector<std::uint8_t> payload(256, 0xab);

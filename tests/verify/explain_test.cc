@@ -5,8 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "elmo/controller.h"
 #include "elmo/evaluator.h"
+#include "elmo/stream.h"
 #include "sim/fabric.h"
 #include "verify/differ.h"
 #include "verify/scenario.h"
@@ -41,7 +44,7 @@ TEST(Explain, TightBudgetAttributionMatchesEvaluatorAndCounters) {
     members.push_back(elmo::Member{i * 5 % 64, i, elmo::MemberRole::kBoth});
   }
   const auto id = controller.create_group(0, members);
-  fabric.install_group(controller, id);
+  stream::ControlPlane{controller, fabric}.sync(std::array{id});
   const auto& g = controller.group(id);
   const auto sender = members[0].host;
 

@@ -36,6 +36,7 @@
 #include <vector>
 
 #include "elmo/controller.h"
+#include "elmo/stream.h"
 #include "obs/health.h"
 #include "obs/provenance.h"
 #include "obs/timeseries.h"
@@ -223,7 +224,7 @@ int main(int argc, char** argv) {
         "healthmon:install", obs::TraceLane::kInstall, {},
         {{"groups", static_cast<double>(ids.size())}});
     install_trace = ictx.trace_id;
-    for (const auto id : ids) fabric.install_group(controller, id);
+    stream::ControlPlane{controller, fabric}.sync(ids);
     tracer.end_span(ictx);
   }
 
