@@ -135,8 +135,8 @@ class NetworkSwitch {
   void remove_srule(net::Ipv4Address group);
   std::size_t srule_count() const noexcept { return group_table_.size(); }
   // Installed s-rule bitmap for `group`, or nullptr. The streaming control
-  // plane's read-back (stream::ControlPlane::holds) calls it on every diff
-  // to ask what a switch slot holds; tests and tools read it too. Valid
+  // plane's read-back (stream::ControlPlane::installed) calls it on every
+  // diff to ask what a switch slot holds; tests and tools read it too. Valid
   // until the next install_srule or remove_srule on this switch. Unlike
   // HypervisorSwitch::flow() it has no prefetch hook: prefetching switch
   // hops showed no gain (DESIGN.md §4, "Prefetch pipeline").

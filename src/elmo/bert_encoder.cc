@@ -59,19 +59,4 @@ LayerEncoding BertEncoder::encode_layer(
   return out;
 }
 
-GroupEncoding BertEncoder::encode_with(
-    const MulticastTree& tree, const SRuleReservers& reservers,
-    const std::vector<bool>* legacy_leaf) const {
-  GroupEncoding out;
-  out.spine = encode_layer(spine_inputs(tree), config_.hmax_spine,
-                           spine_kmax(), reservers.pod_spines);
-
-  auto leaf = leaf_inputs(tree, reservers, legacy_leaf);
-  out.leaf = encode_layer(std::move(leaf.inputs), hmax_leaf_, config_.kmax,
-                          reservers.leaf);
-  out.leaf.s_rules.insert(out.leaf.s_rules.end(), leaf.legacy_srules.begin(),
-                          leaf.legacy_srules.end());
-  return out;
-}
-
 }  // namespace elmo

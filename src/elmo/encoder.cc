@@ -4,39 +4,16 @@
 
 namespace elmo {
 
-GroupEncoding GroupEncoder::encode_with(
-    const MulticastTree& tree, const SRuleReservers& reservers,
-    const std::vector<bool>* legacy_leaf) const {
-  GroupEncoding out;
-
-  // --- spine layer (logical spines, one per member pod) -------------------
-  {
-    const auto inputs = spine_inputs(tree);
-    ClusteringLimits limits{
-        .hmax = config_.hmax_spine,
-        .kmax = spine_kmax(),
-        .redundancy_limit = config_.redundancy_limit,
-        .mode = config_.redundancy_mode,
-    };
-    out.spine = cluster_layer(inputs, limits, reservers.pod_spines);
-  }
-
-  // --- leaf layer ----------------------------------------------------------
-  {
-    const auto leaf = leaf_inputs(tree, reservers, legacy_leaf);
-    ClusteringLimits limits{
-        .hmax = hmax_leaf_,
-        .kmax = config_.kmax,
-        .redundancy_limit = config_.redundancy_limit,
-        .mode = config_.redundancy_mode,
-    };
-    out.leaf = cluster_layer(leaf.inputs, limits, reservers.leaf);
-    out.leaf.s_rules.insert(out.leaf.s_rules.end(),
-                            leaf.legacy_srules.begin(),
-                            leaf.legacy_srules.end());
-  }
-
-  return out;
+LayerEncoding GroupEncoder::encode_layer(
+    std::vector<LayerInput> inputs, std::size_t hmax, std::size_t kmax,
+    const SRuleReserver& reserve_srule) const {
+  const ClusteringLimits limits{
+      .hmax = hmax,
+      .kmax = kmax,
+      .redundancy_limit = config_.redundancy_limit,
+      .mode = config_.redundancy_mode,
+  };
+  return cluster_layer(inputs, limits, reserve_srule);
 }
 
 }  // namespace elmo

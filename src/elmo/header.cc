@@ -177,6 +177,27 @@ std::vector<std::uint8_t> HeaderCodec::serialize_shared(
   return out.take();
 }
 
+void HeaderCodec::write_u_leaf(net::BitWriter& out,
+                               const UpstreamRule& u_leaf) const {
+  out.write(static_cast<std::uint64_t>(SectionTag::kULeaf), kTagBits);
+  write_upstream(out, u_leaf);
+  out.align_to_byte();
+}
+
+void HeaderCodec::write_u_spine_core(net::BitWriter& out,
+                                     const SenderEncoding& sender) const {
+  if (sender.u_spine) {
+    out.write(static_cast<std::uint64_t>(SectionTag::kUSpine), kTagBits);
+    write_upstream(out, *sender.u_spine);
+    out.align_to_byte();
+  }
+  if (sender.core_pods) {
+    out.write(static_cast<std::uint64_t>(SectionTag::kCore), kTagBits);
+    write_bitmap(out, *sender.core_pods);
+    out.align_to_byte();
+  }
+}
+
 std::vector<std::uint8_t> HeaderCodec::serialize(
     const SenderEncoding& sender, std::span<const std::uint8_t> shared) const {
   auto upstream_bits = [&](const UpstreamRule& rule) {
@@ -188,28 +209,33 @@ std::vector<std::uint8_t> HeaderCodec::serialize(
 
   net::BitWriter out;
   out.reserve(bits / 8 + shared.size());
-
-  out.write(static_cast<std::uint64_t>(SectionTag::kULeaf), kTagBits);
-  write_upstream(out, sender.u_leaf);
-  out.align_to_byte();
-
-  if (sender.u_spine) {
-    out.write(static_cast<std::uint64_t>(SectionTag::kUSpine), kTagBits);
-    write_upstream(out, *sender.u_spine);
-    out.align_to_byte();
-  }
-
-  if (sender.core_pods) {
-    out.write(static_cast<std::uint64_t>(SectionTag::kCore), kTagBits);
-    write_bitmap(out, *sender.core_pods);
-    out.align_to_byte();
-  }
-
+  write_u_leaf(out, sender.u_leaf);
+  write_u_spine_core(out, sender);
   // Every section above ends byte-aligned, so the shared tail is appended
   // as bytes; the reserve above makes this append allocation-free.
   auto header = out.take();
   header.insert(header.end(), shared.begin(), shared.end());
   return header;
+}
+
+void HeaderCodec::add_u_leaf_down_ports(std::span<std::uint8_t> header,
+                                        const net::PortBitmap& ports) const {
+  // U_LEAF's tag, multipath flag and up bitmap, then the down bitmap port 0
+  // first.
+  const std::size_t down = kTagBits + 1 + topo_->leaf_up_ports();
+  ports.for_each_set([&](std::size_t port) {
+    const auto bit = down + port;
+    header[bit / 8] |= static_cast<std::uint8_t>(0x80u >> (bit % 8));
+  });
+}
+
+void HeaderCodec::clear_u_spine_down_port(std::span<std::uint8_t> header,
+                                          std::size_t leaf_index) const {
+  // All of U_LEAF, then U_SPINE's tag, multipath flag and up bitmap.
+  const auto bit =
+      section_bits(1 + topo_->leaf_up_ports() + topo_->leaf_down_ports()) +
+      kTagBits + 1 + topo_->spine_up_ports() + leaf_index;
+  header[bit / 8] &= static_cast<std::uint8_t>(~(0x80u >> (bit % 8)));
 }
 
 ParsedHeader HeaderCodec::parse(std::span<const std::uint8_t> data) const {

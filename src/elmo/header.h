@@ -138,6 +138,24 @@ class HeaderCodec {
       const SenderEncoding& sender,
       std::span<const std::uint8_t> shared) const;
 
+  // The pieces serialize(sender, shared) is made of, for callers that
+  // splice headers from them (RouteContext): U_LEAF of a sender whose
+  // upstream leaf rule is `u_leaf`, then U_SPINE and CORE of `sender`
+  // (absent ones write nothing), each ending on a byte boundary. Written at
+  // a byte boundary of `out`.
+  void write_u_leaf(net::BitWriter& out, const UpstreamRule& u_leaf) const;
+  void write_u_spine_core(net::BitWriter& out,
+                          const SenderEncoding& sender) const;
+
+  // Edits of a serialized header that change one bitmap and nothing else:
+  // add `ports` to U_LEAF's down bitmap (U_LEAF starts every header), or
+  // remove leaf port `leaf_index` from U_SPINE's (which follows U_LEAF
+  // when present).
+  void add_u_leaf_down_ports(std::span<std::uint8_t> header,
+                             const net::PortBitmap& ports) const;
+  void clear_u_spine_down_port(std::span<std::uint8_t> header,
+                               std::size_t leaf_index) const;
+
   ParsedHeader parse(std::span<const std::uint8_t> data) const;
 
   // One pass over `data` for the switches at `layer`: other layers'

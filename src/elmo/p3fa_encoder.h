@@ -30,15 +30,10 @@ class P3faEncoder final : public TreeEncoder {
                                .bounded_egress_diversity = true};
   }
 
-  GroupEncoding encode_with(const MulticastTree& tree,
-                            const SRuleReservers& reservers,
-                            const std::vector<bool>* legacy_leaf
-                            = nullptr) const override;
-
  private:
   LayerEncoding encode_layer(std::vector<LayerInput> inputs, std::size_t hmax,
                              std::size_t kmax,
-                             const SRuleReserver& reserve_srule) const;
+                             const SRuleReserver& reserve_srule) const override;
 };
 
 }  // namespace elmo

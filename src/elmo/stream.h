@@ -27,8 +27,10 @@
 // held before the event.
 //
 // Updates are coalesced and batched: pending updates are keyed by rule
-// location, a newer update for the same key overwrites the older one (the
-// wire sees only the final state), and the batch is flushed through
+// location, and a newer desired state for the same key replaces the older
+// update — by a newer update, or by none when the fabric already holds it
+// (a join undone by a leave before the flush sends nothing). The wire sees
+// only what changes the fabric, and the batch is flushed through
 // p4rt::encode/decode into Fabric::apply when it reaches
 // ControlPlaneOptions::flush_threshold (or on an explicit flush()). Per-
 // event ingest-to-install lag is recorded at flush time.
@@ -69,7 +71,8 @@ struct ControlPlaneStats {
   std::uint64_t host_fails = 0;
   // Spine or core failures and restores.
   std::uint64_t switch_events = 0;
-  // Events whose diffs queued no update.
+  // Events whose diffs left the pending updates as they were: every slot
+  // they diffed already held, or was queued to hold, its desired state.
   std::uint64_t clean_events = 0;
   // Rules the diffs compiled to compare with installed state: the slots of
   // each event's change sets.
@@ -79,8 +82,9 @@ struct ControlPlaneStats {
   std::uint64_t batches_encoded = 0;
   std::uint64_t wire_bytes = 0;
   std::uint64_t updates_applied = 0;
-  // A pending update overwritten by a newer one for the same rule before it
-  // ever reached the wire (the value of coalescing).
+  // A pending update replaced before it ever reached the wire (the value of
+  // coalescing): overwritten by a newer update for the same rule, or dropped
+  // because the fabric already holds the rule's newer desired state.
   std::uint64_t updates_coalesced = 0;
 
   // Per-layer applied-update counters (what Table 2 attributes per switch).
@@ -199,15 +203,19 @@ class ControlPlane final : public MembershipDriver {
       const Event& event, std::initializer_list<obs::TraceAttr> attrs,
       Call&& call);
   // Compiles the rules of `group` at the slots of `changed` (none when the
-  // group is not live) and queues each one its slot does not hold yet, then
-  // a delete for each slot of `changed` the group no longer compiles but
-  // that is still occupied.
-  void diff_group(GroupId group, const RuleSlots& changed);
-  // Whether `key` will hold a rule once pending updates flush (the pending
-  // update if one is queued, else the fabric's installed rule) and, unless
-  // `rule` is null, exactly `rule`.
-  bool holds(const PendingKey& key, const p4rt::Update* rule) const;
-  void queue(PendingKey key, p4rt::Update update);
+  // group is not live) and settles each slot of `changed` to its rule, or
+  // to empty where the group no longer compiles one. Returns whether it
+  // edited the pending updates.
+  bool diff_group(GroupId group, const RuleSlots& changed);
+  // Makes `key` hold `rule` (nothing, for a null rule) once pending updates
+  // flush: no edit when the pending update already does so or, with none
+  // pending, the fabric already holds it; a dropped pending update when the
+  // fabric already holds it; else `rule` (moved from) or a delete is
+  // queued. Returns whether it edited the pending updates.
+  bool settle(const PendingKey& key, p4rt::Update* rule);
+  // Whether the fabric holds a rule at `key` and, unless `rule` is null,
+  // exactly `rule`. Pending updates are not consulted.
+  bool installed(const PendingKey& key, const p4rt::Update* rule) const;
   // Arms `event`'s watch on its host in `group`. A join watch closes at the
   // first delivery over the fresh rule; a leave watch, armed only when no
   // member is left on the host, measures the stale deliveries until the

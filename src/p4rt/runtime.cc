@@ -171,10 +171,11 @@ std::vector<Update> compile(const Controller& controller, elmo::GroupId group,
 
   // Every sender's header ends with the same tail; it is serialized at the
   // first sender and spliced into the rest. Its upstream rules route around
-  // the failures on the group's plane (multipath when there are none).
+  // the failures on the group's plane (multipath when there are none), and
+  // are computed and serialized once per sender pod (RouteContext).
   const auto& codec = controller.encoder().codec();
   std::vector<std::uint8_t> shared_tail;
-  const auto& failures = controller.route_failures(group);
+  RouteContext routes{*g.tree, controller.route_failures(group)};
 
   // updates[i] is the flow of hosts[i], built once some member lives there.
   std::vector<Update> updates;
@@ -196,8 +197,7 @@ std::vector<Update> compile(const Controller& controller, elmo::GroupId group,
     if (can_receive(member.role)) u.local_vms.push_back(member.vm);
     if (can_send(member.role) && u.elmo_header.empty()) {
       if (shared_tail.empty()) shared_tail = codec.serialize_shared(g.encoding);
-      const auto route = g.tree->sender_route(member.host, failures);
-      u.elmo_header = codec.serialize(route.encoding, shared_tail);
+      u.elmo_header = routes.header(member.host, codec, shared_tail);
     }
   }
 

@@ -92,7 +92,8 @@ std::vector<Update> compile(const Controller& controller, elmo::GroupId group,
 // s-rules; then one spine s-rule per plane of every pod s-rule. Each flow's
 // header equals Controller::header_for(group, host); the group's shared
 // header tail is serialized once per call and spliced behind each sender's
-// upstream sections (HeaderCodec::serialize_shared).
+// upstream sections (HeaderCodec::serialize_shared), which one RouteContext
+// per call computes and serializes once per sender pod.
 std::vector<Update> compile_install(const Controller& controller,
                                     elmo::GroupId group);
 

@@ -338,8 +338,11 @@ TEST(ControlPlane, HostFailEvictsAFlowReTemplatedByEarlierJoins) {
 }
 
 TEST(ControlPlane, JoinThenLeaveBeforeFlushRestoresInstalledState) {
-  // The leave is diffed while the join's updates are still pending: it must
-  // read the pending overlay, not only the fabric, to undo them.
+  // The leave is diffed while the join's updates are still pending. Every
+  // slot it diffs then wants what the fabric already holds: the senders'
+  // flows their installed headers, the joiner's host no flow, which the
+  // fabric never held. Each pending update is dropped, not replaced by one
+  // that rewrites the installed rule, so the flush sends nothing.
   StreamWorld w;
   const auto id = w.make_group(std::vector<std::uint32_t>{0, 4, 8});
   w.install(std::array{id});
@@ -348,9 +351,14 @@ TEST(ControlPlane, JoinThenLeaveBeforeFlushRestoresInstalledState) {
   ControlPlane cp{w.controller, w.fabric, ControlPlaneOptions{100000}};
   const Member joiner{w.tenants[0].vm_hosts[12], 12, MemberRole::kBoth};
   cp.join(id, joiner);
-  ASSERT_GT(cp.pending(), 0u);
+  const auto queued = cp.pending();
+  ASSERT_GT(queued, 0u);
   cp.leave(id, joiner.host, joiner.vm);
-  cp.flush();
+  EXPECT_EQ(cp.pending(), 0u);
+  EXPECT_EQ(cp.stats().updates_coalesced, queued);
+  EXPECT_EQ(cp.stats().clean_events, 0u);  // the leave dropped updates
+  EXPECT_EQ(cp.flush(), 0u);
+  EXPECT_EQ(cp.stats().updates_applied, 0u);
 
   EXPECT_EQ(fabric_state_digest(w.fabric),
             compiled_state_digest(w.controller));

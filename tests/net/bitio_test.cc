@@ -101,6 +101,53 @@ TEST(BitIo, EveryWidthAtEveryOffsetRoundTrips) {
   }
 }
 
+// Every width at every bit offset inside a byte, once mid-buffer (a whole
+// 64-bit word follows, so the reader takes one load) and once at the
+// buffer's tail (the byte loop): the writer's bytes must equal a
+// bit-at-a-time reference, and the reader must return every field.
+TEST(BitIo, EveryWidthAtEveryOffsetMidBufferAndAtTheTail) {
+  util::Rng rng{1802};
+  for (unsigned offset = 0; offset < 8; ++offset) {
+    for (unsigned width = 1; width <= 64; ++width) {
+      for (const bool at_tail : {false, true}) {
+        const std::uint64_t mask =
+            width == 64 ? ~0ULL : ((1ULL << width) - 1);
+        const auto lead = rng() & ((1ULL << offset) - 1);
+        const auto value = rng() & mask;
+        const auto trail = rng();
+        BitWriter out;
+        std::vector<bool> reference;  // MSB-first
+        auto put = [&](std::uint64_t v, unsigned bits) {
+          out.write(v, bits);
+          for (unsigned i = bits; i-- > 0;) reference.push_back((v >> i) & 1);
+        };
+        put(lead, offset);
+        put(value, width);
+        if (!at_tail) put(trail, 64);
+        const auto bytes = out.take();
+
+        std::vector<std::uint8_t> expected((reference.size() + 7) / 8);
+        for (std::size_t i = 0; i < reference.size(); ++i) {
+          if (reference[i]) expected[i / 8] |= 0x80 >> (i % 8);
+        }
+        ASSERT_EQ(bytes, expected)
+            << "offset " << offset << " width " << width;
+
+        BitReader in{bytes};
+        EXPECT_EQ(in.read(offset), lead);
+        EXPECT_EQ(in.read(width), value)
+            << "offset " << offset << " width " << width;
+        if (at_tail) {
+          EXPECT_LT(in.bits_remaining(), 8u);
+          EXPECT_THROW(in.read(8), std::out_of_range);
+        } else {
+          EXPECT_EQ(in.read(64), trail);
+        }
+      }
+    }
+  }
+}
+
 TEST(BitWriter, IgnoresBitsAboveWidth) {
   for (unsigned width = 1; width < 64; ++width) {
     BitWriter masked;

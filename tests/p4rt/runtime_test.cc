@@ -502,5 +502,179 @@ TEST(P4rtCodec, DecodeFuzzNeverCrashesAndRoundTripsSurvivors) {
   }
 }
 
+// The route of `sender` as MulticastTree::sender_route computed it before
+// RouteContext, one sender at a time from the tree: an independent
+// reference for the per-pod routes the context now shares across senders.
+SenderRoute reference_route(const MulticastTree& tree, topo::HostId sender,
+                            const topo::FailureSet& failures) {
+  const auto& t = tree.topology();
+  const auto sender_leaf = t.leaf_of_host(sender);
+  const auto sender_pod = t.pod_of_leaf(sender_leaf);
+  SenderRoute route;
+  auto& enc = route.encoding;
+  enc.u_leaf.down = net::PortBitmap{t.leaf_down_ports()};
+  if (const auto* local = tree.find_leaf(sender_leaf)) {
+    enc.u_leaf.down = local->host_ports;
+    enc.u_leaf.down.set(t.host_port_on_leaf(sender), false);
+  }
+  enc.u_leaf.up = net::PortBitmap{t.leaf_up_ports()};
+  std::vector<topo::PodId> other_pods;
+  for (const auto& pod : tree.pods()) {
+    if (pod.pod != sender_pod) other_pods.push_back(pod.pod);
+  }
+  const bool beyond_leaf =
+      !other_pods.empty() ||
+      std::any_of(tree.leaves().begin(), tree.leaves().end(),
+                  [&](const LeafTreeEntry& e) {
+                    return e.leaf != sender_leaf &&
+                           t.pod_of_leaf(e.leaf) == sender_pod;
+                  });
+  if (!beyond_leaf) return route;
+  UpstreamRule u_spine;
+  u_spine.down = net::PortBitmap{t.spine_down_ports()};
+  if (const auto* pod = tree.find_pod(sender_pod)) {
+    u_spine.down = pod->leaf_ports;
+    u_spine.down.set(t.leaf_index_in_pod(sender_leaf), false);
+  }
+  u_spine.up = net::PortBitmap{t.spine_up_ports()};
+  auto core = net::PortBitmap{t.core_ports()};
+  if (failures.empty()) {
+    enc.u_leaf.multipath = true;
+    u_spine.multipath = !other_pods.empty();
+    for (const auto pod : other_pods) core.set(pod);
+  } else {
+    // Greedy cover: repeatedly take the alive plane that reaches the most
+    // uncovered pods (any alive one first if only same-pod leaves need it).
+    const bool same_pod = u_spine.down.any();
+    auto covers = [&](std::size_t plane, topo::PodId pod) {
+      if (failures.spine_failed(t.spine_at(pod, plane))) return false;
+      for (std::size_t c = 0; c < t.spine_up_ports(); ++c) {
+        if (!failures.core_failed(t.core_at(plane, c))) return true;
+      }
+      return false;
+    };
+    std::vector<bool> covered(other_pods.size(), false);
+    bool chose = false;
+    while (true) {
+      std::size_t best = t.leaf_up_ports();
+      std::size_t best_gain = 0;
+      for (std::size_t plane = 0; plane < t.leaf_up_ports(); ++plane) {
+        if (failures.spine_failed(t.spine_at(sender_pod, plane))) continue;
+        std::size_t gain = 0;
+        for (std::size_t i = 0; i < other_pods.size(); ++i) {
+          if (!covered[i] && covers(plane, other_pods[i])) ++gain;
+        }
+        if (!chose && same_pod && gain == 0 && best_gain == 0 &&
+            best == t.leaf_up_ports()) {
+          best = plane;
+        }
+        if (gain > best_gain) {
+          best_gain = gain;
+          best = plane;
+        }
+      }
+      if (best == t.leaf_up_ports() || (best_gain == 0 && chose)) break;
+      enc.u_leaf.up.set(best);
+      chose = true;
+      if (best_gain > 0) {
+        for (std::size_t c = 0; c < t.spine_up_ports(); ++c) {
+          if (!failures.core_failed(t.core_at(best, c))) {
+            u_spine.up.set(c);
+            break;
+          }
+        }
+        for (std::size_t i = 0; i < other_pods.size(); ++i) {
+          if (covers(best, other_pods[i])) covered[i] = true;
+        }
+      }
+      if (std::all_of(covered.begin(), covered.end(),
+                      [](bool c) { return c; }) &&
+          (chose || !same_pod)) {
+        break;
+      }
+    }
+    for (std::size_t i = 0; i < other_pods.size(); ++i) {
+      if (covered[i]) {
+        core.set(other_pods[i]);
+      } else {
+        route.unreachable_pods.push_back(other_pods[i]);
+      }
+    }
+  }
+  enc.u_spine = std::move(u_spine);
+  if (!other_pods.empty()) enc.core_pods = std::move(core);
+  return route;
+}
+
+// compile splices each sender's header from its pod route's serialized
+// upstream sections, shared by every sender of the pod in one call. Every
+// flow header it emits must equal the full serializer over sender_route,
+// and sender_route must equal the reference, for random groups (any host as
+// a sender, members or not) with no failure, a failed spine on the group's
+// plane, one off it, and a failed core of its plane.
+TEST(P4rtCompile, SplicedHeadersEqualTheSerializedRoute) {
+  const topo::ClosTopology topology{topo::ClosParams::small_test()};
+  util::Rng rng{1802};
+  std::size_t flows = 0;
+  for (int round = 0; round < 40; ++round) {
+    Controller controller{topology, EncoderConfig{}};
+    const auto& codec = controller.encoder().codec();
+    const auto size = static_cast<std::size_t>(rng.uniform_int(1, 24));
+    const auto hosts = test::random_hosts(topology, size, rng);
+    std::vector<Member> members;
+    for (std::size_t i = 0; i < hosts.size(); ++i) {
+      const auto roll = rng.uniform_int(0, 2);
+      members.push_back(Member{hosts[i], static_cast<std::uint32_t>(i),
+                               roll == 0   ? MemberRole::kSender
+                               : roll == 1 ? MemberRole::kReceiver
+                                           : MemberRole::kBoth});
+    }
+    const auto id = controller.create_group(0, members);
+    const auto& g = controller.group(id);
+    const auto plane = topology.ecmp_plane(topo::group_hash(g.address));
+    const auto pod = topology.pod_of_host(hosts.front());
+    const auto off_plane = (plane + 1) % topology.params().spines_per_pod;
+
+    auto check = [&](const char* failure) {
+      SCOPED_TRACE(failure);
+      const auto& failures = controller.route_failures(id);
+      for (const auto& u : compile_install(controller, id)) {
+        if (u.kind != UpdateKind::kHypervisorFlowAdd || u.elmo_header.empty()) {
+          continue;
+        }
+        ASSERT_EQ(u.elmo_header,
+                  codec.serialize(g.tree->sender_route(u.host, failures).encoding,
+                                  g.encoding));
+        ++flows;
+      }
+      RouteContext routes{*g.tree, failures};
+      const auto shared = codec.serialize_shared(g.encoding);
+      for (int probe = 0; probe < 16; ++probe) {
+        const auto host = static_cast<topo::HostId>(
+            rng.uniform_int(0, topology.num_hosts() - 1));
+        const auto route = routes.route(host);
+        const auto reference = reference_route(*g.tree, host, failures);
+        ASSERT_EQ(codec.serialize(route.encoding, g.encoding),
+                  codec.serialize(reference.encoding, g.encoding))
+            << "host " << host;
+        ASSERT_EQ(route.unreachable_pods, reference.unreachable_pods);
+        ASSERT_EQ(routes.header(host, codec, shared),
+                  codec.serialize(reference.encoding, shared))
+            << "host " << host;
+      }
+    };
+    check("none");
+    controller.fail_spine(topology.spine_at(pod, plane));
+    check("spine on the group's plane");
+    controller.restore_spine(topology.spine_at(pod, plane));
+    controller.fail_spine(topology.spine_at(pod, off_plane));
+    check("spine off the group's plane");
+    controller.restore_spine(topology.spine_at(pod, off_plane));
+    controller.fail_core(topology.core_at(plane, 0));
+    check("core of the group's plane");
+  }
+  EXPECT_GT(flows, 500u);
+}
+
 }  // namespace
 }  // namespace elmo::p4rt
