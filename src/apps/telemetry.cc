@@ -36,19 +36,24 @@ TelemetryMetrics TelemetrySystem::run(bool use_elmo,
   TelemetryMetrics metrics;
   metrics.collectors = collectors_.size();
   const auto group_addr = controller_->group(group_).address;
-  fabric_->reset_link_stats();  // measure only this run's uplink bytes
+  // The run's agent uplink bytes: the link counter's growth over the run
+  // (fabric counters are monotonic; other traffic may precede the run).
+  const auto uplink_bytes = [&] {
+    const sim::NodeRef agent_node{topo::Layer::kHost, agent_};
+    const sim::NodeRef leaf_node{topo::Layer::kLeaf,
+                                 fabric_->topology().leaf_of_host(agent_)};
+    const auto links = fabric_->links();
+    const auto it = links.find({agent_node, leaf_node});
+    return it == links.end() ? std::uint64_t{0} : it->second.bytes;
+  };
+  const auto uplink_before = uplink_bytes();
 
-  std::uint64_t agent_uplink_bytes = 0;
   for (std::size_t s = 0; s < sample_count; ++s) {
     if (use_elmo) {
-      const auto result =
-          fabric_->send(agent_, group_addr, config.sample_bytes);
       // One copy leaves the agent regardless of collector count; its size is
       // outer headers + Elmo header + payload.
-      const sim::NodeRef agent_node{topo::Layer::kHost, agent_};
-      const sim::NodeRef leaf_node{topo::Layer::kLeaf,
-                                   fabric_->topology().leaf_of_host(agent_)};
-      agent_uplink_bytes = fabric_->links().at({agent_node, leaf_node}).bytes;
+      const auto result =
+          fabric_->send(agent_, group_addr, config.sample_bytes);
       for (const auto collector : collectors_) {
         if (result.host_copies.contains(collector)) {
           ++metrics.datagrams_delivered;
@@ -62,12 +67,9 @@ TelemetryMetrics TelemetrySystem::run(bool use_elmo,
           ++metrics.datagrams_delivered;
         }
       }
-      const sim::NodeRef agent_node{topo::Layer::kHost, agent_};
-      const sim::NodeRef leaf_node{topo::Layer::kLeaf,
-                                   fabric_->topology().leaf_of_host(agent_)};
-      agent_uplink_bytes = fabric_->links().at({agent_node, leaf_node}).bytes;
     }
   }
+  const auto agent_uplink_bytes = uplink_bytes() - uplink_before;
 
   if (sample_count > 0) {
     const double bytes_per_sample =

@@ -138,7 +138,6 @@ class HypervisorSwitch {
                               obs::HopDecision* decision = nullptr);
 
   const HypervisorStats& stats() const noexcept { return stats_; }
-  void reset_stats() noexcept { stats_ = HypervisorStats{}; }
 
  private:
   // Decap-hot members first: every process() call reads and writes these.

@@ -23,21 +23,12 @@ NetworkSwitch::NetworkSwitch(const topo::ClosTopology& topology,
     case topo::Layer::kHost:
       throw std::invalid_argument{"NetworkSwitch: host is not a switch"};
   }
-  uplink_load_.assign(upstream_ports(), 0);
 }
 
-std::size_t NetworkSwitch::pick_uplink(std::uint64_t hash) {
-  if (multipath_mode_ == MultipathMode::kEcmp || uplink_load_.empty()) {
-    const auto& topology = codec_.topology();
-    return layer_ == topo::Layer::kLeaf ? topology.ecmp_plane(hash)
-                                        : topology.ecmp_core(hash);
-  }
-  // HULA-style: least observed utilization, hash breaks ties.
-  std::size_t best = hash % uplink_load_.size();
-  for (std::size_t p = 0; p < uplink_load_.size(); ++p) {
-    if (uplink_load_[p] < uplink_load_[best]) best = p;
-  }
-  return best;
+std::size_t NetworkSwitch::pick_uplink(std::uint64_t hash) const {
+  const auto& topology = codec_.topology();
+  return layer_ == topo::Layer::kLeaf ? topology.ecmp_plane(hash)
+                                      : topology.ecmp_core(hash);
 }
 
 void NetworkSwitch::install_srule(net::Ipv4Address group,
@@ -253,14 +244,10 @@ std::span<Emission> NetworkSwitch::process(const net::PacketView& packet,
     if (pr.upstream->multipath) {
       // Per group: every sender of the group takes the group's plane, the
       // one the controller's failure predicate reads.
-      const std::size_t pick = pick_uplink(topo::group_hash(pr.outer_dst));
-      uplink_load_[pick] += packet.size();
-      arena.emit(base + pick, up_copy);
+      arena.emit(base + pick_uplink(topo::group_hash(pr.outer_dst)), up_copy);
     } else {
-      pr.upstream->up.for_each_set([&](std::size_t port) {
-        if (port < uplink_load_.size()) uplink_load_[port] += packet.size();
-        arena.emit(base + port, up_copy);
-      });
+      pr.upstream->up.for_each_set(
+          [&](std::size_t port) { arena.emit(base + port, up_copy); });
     }
   } else if (layer_ == topo::Layer::kCore && pr.core_bitmap) {
     ++stats_.prule_matches;

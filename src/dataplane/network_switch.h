@@ -56,18 +56,6 @@ struct HopDecision;
 
 namespace elmo::dp {
 
-// Underlying multipath scheme the Elmo multipath flag defers to (paper D2b:
-// "the configured underlying multipathing scheme (e.g., ECMP, CONGA, or
-// HULA)"). kEcmp hashes the group (topo::group_hash, uplink by
-// ClosTopology::ecmp_plane / ecmp_core), so every sender of a group takes
-// the group's plane: the plane Controller::route_failures reads to decide
-// which groups route around a failed switch. kLeastLoaded is a HULA-style
-// local choice of the least-utilized uplink; it ignores the group's plane,
-// so under failures it is safe only for explicit-path headers (multipath
-// off). No fabric, bench or tool selects it; only
-// tests/dataplane/multipath_test.cc does.
-enum class MultipathMode : std::uint8_t { kEcmp, kLeastLoaded };
-
 struct SwitchStats {
   std::uint64_t packets_in = 0;
   std::uint64_t bytes_in = 0;
@@ -108,13 +96,6 @@ class NetworkSwitch {
 
   topo::Layer layer() const noexcept { return layer_; }
   std::uint32_t id() const noexcept { return id_; }
-
-  void set_multipath_mode(MultipathMode mode) noexcept { multipath_mode_ = mode; }
-  MultipathMode multipath_mode() const noexcept { return multipath_mode_; }
-  // Bytes sent up each uplink since reset (HULA-style utilization estimate).
-  std::uint64_t uplink_load(std::size_t up_port) const {
-    return uplink_load_.at(up_port);
-  }
 
   // Legacy mode (paper §7, incremental deployment): the switch cannot parse
   // Elmo headers. It forwards multicast packets purely from its group table
@@ -159,7 +140,6 @@ class NetworkSwitch {
                               obs::HopDecision* decision = nullptr);
 
   const SwitchStats& stats() const noexcept { return stats_; }
-  void reset_stats() noexcept { stats_ = SwitchStats{}; }
 
  private:
   // The parser's metadata for one packet: this switch's layer of the Elmo
@@ -191,14 +171,18 @@ class NetworkSwitch {
   topo::Layer layer_;
   std::uint32_t id_;
   std::uint32_t match_id_;  // leaf id at leaves, pod id at spines
-  std::size_t pick_uplink(std::uint64_t hash);
+  // The uplink the multipath flag defers to (paper D2b: "the configured
+  // underlying multipathing scheme"), here ECMP on the group hash
+  // (topo::group_hash; ClosTopology::ecmp_plane / ecmp_core), so every
+  // sender of a group takes the group's plane: the plane
+  // Controller::route_failures reads to decide which groups route around a
+  // failed switch.
+  std::size_t pick_uplink(std::uint64_t hash) const;
 
   GroupTable<net::PortBitmap> group_table_;
   SwitchStats stats_;
   bool legacy_ = false;
   bool down_ = false;
-  MultipathMode multipath_mode_ = MultipathMode::kEcmp;
-  std::vector<std::uint64_t> uplink_load_;
   ParseResult parsed_;  // scratch for parse()
 };
 

@@ -67,13 +67,11 @@ std::size_t ProvenanceLog::begin_hop(topo::Layer layer, std::uint32_t node,
 }
 
 void ProvenanceLog::lost_copy(topo::Layer layer, std::uint32_t node,
-                              std::size_t parent) {
-  add_hop(sends_.back(), layer, node, parent, 0, true);
+                              std::size_t parent, std::size_t bytes) {
+  add_hop(sends_.back(), layer, node, parent, bytes, true);
 }
 
 void ProvenanceLog::clear() { sends_.clear(); }
-
-namespace {
 
 std::string node_name(topo::Layer layer, std::uint32_t node) {
   switch (layer) {
@@ -88,6 +86,8 @@ std::string node_name(topo::Layer layer, std::uint32_t node) {
   }
   return "?";
 }
+
+namespace {
 
 void render_hop(const SendTrace& trace, std::size_t index, std::size_t depth,
                 std::ostringstream& out) {

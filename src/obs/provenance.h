@@ -56,7 +56,7 @@ struct HopDecision {
   int prule_index = -1;     // matched p-rule's index in its layer section
   bool prule_shared = false;  // matched p-rule lists >1 switch id (merged)
   bool legacy = false;        // legacy chip: group-table only
-  bool multipath = false;     // upstream rule deferred to ECMP/HULA masking
+  bool multipath = false;     // upstream rule deferred to ECMP masking
   net::PortBitmap bitmap;     // rule bitmap before masking (downstream side)
   net::PortBitmap up_bitmap;  // upstream rule's up bitmap before masking
   net::PortBitmap egress;     // ports actually replicated to, after masking
@@ -70,7 +70,8 @@ struct ProvHop {
   topo::Layer layer = topo::Layer::kHost;
   std::uint32_t node = 0;         // switch / host id within the layer
   std::size_t parent = kNoProvParent;
-  std::size_t bytes_in = 0;       // wire size of the copy on arrival
+  std::size_t bytes_in = 0;       // wire size of the copy on arrival (a lost
+                                  // copy: the size it left with)
   bool lost = false;              // dropped by the loss model in flight
   HopDecision decision;
   std::vector<std::size_t> children;
@@ -101,8 +102,10 @@ class ProvenanceLog {
     return sends_.back().hops[hop].decision;
   }
 
-  // Records a copy the loss model dropped in flight to (`layer`, `node`).
-  void lost_copy(topo::Layer layer, std::uint32_t node, std::size_t parent);
+  // Records a copy of `bytes` on the wire that the loss model dropped in
+  // flight to (`layer`, `node`).
+  void lost_copy(topo::Layer layer, std::uint32_t node, std::size_t parent,
+                 std::size_t bytes);
 
   const std::vector<SendTrace>& sends() const noexcept { return sends_; }
   bool empty() const noexcept { return sends_.empty(); }
@@ -113,6 +116,9 @@ class ProvenanceLog {
  private:
   std::vector<SendTrace> sends_;
 };
+
+// A node's name in every rendered tree: "host3", "L0", "S2", "C1".
+std::string node_name(topo::Layer layer, std::uint32_t node);
 
 // Compact one-line description of a decision ("default p-rule ports=0110,
 // popped 12B") shared by the plain and the oracle-annotated renderers.

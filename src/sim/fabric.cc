@@ -246,8 +246,6 @@ void Fabric::account_port(std::size_t from_index, std::size_t port,
   link.bytes += bytes;
   ++result.total_link_transmissions;
   result.total_wire_bytes += bytes;
-  ++walk_stats_.link_transmissions;
-  walk_stats_.wire_bytes += bytes;
 }
 
 std::map<std::pair<NodeRef, NodeRef>, LinkStats> Fabric::links() const {
@@ -397,13 +395,13 @@ SendResult Fabric::send(topo::HostId src, net::Ipv4Address group,
   } close_on_unwind{recorder_, send_span, hop_span};
   if (!lost_on(loss_rng, src_index, 0)) {
     queue_.push_back(WorkItem{first_leaf, std::move(packet), 1, prov_root});
-    ++walk_stats_.enqueues;
     walk_stats_.max_queue_depth =
         std::max<std::uint64_t>(walk_stats_.max_queue_depth, pending());
   } else {
     ++walk_stats_.lost_copies;
     if (prov_ != nullptr) {
-      prov_->lost_copy(first_leaf.layer, first_leaf.id, prov_root);
+      prov_->lost_copy(first_leaf.layer, first_leaf.id, prov_root,
+                       packet.size());
     }
   }
 
@@ -452,7 +450,6 @@ SendResult Fabric::send(topo::HostId src, net::Ipv4Address group,
     if (at_host) {
       // Hypervisor emissions are per-VM payload deliveries, not wire hops.
       result.vm_deliveries += emissions.size();
-      walk_stats_.vm_deliveries += emissions.size();
       if (recorder_ != nullptr) end_hop_span(hop_span, emissions.size());
       continue;
     }
@@ -462,13 +459,13 @@ SendResult Fabric::send(topo::HostId src, net::Ipv4Address group,
       if (lost_on(loss_rng, at, emission.out_port)) {
         ++walk_stats_.lost_copies;
         if (prov_ != nullptr) {
-          prov_->lost_copy(next.layer, next.id, prov_hop);
+          prov_->lost_copy(next.layer, next.id, prov_hop,
+                           emission.packet.size());
         }
         continue;
       }
       if (next.layer == topo::Layer::kHost) {
         delivered_.push_back(next.id);
-        ++walk_stats_.host_copies;
         if (!tte_watches_.empty()) tte_on_delivery(group.value, next.id);
         hosts_[next.id].prefetch_leading_lines();
         queue_.push_back(
@@ -477,7 +474,6 @@ SendResult Fabric::send(topo::HostId src, net::Ipv4Address group,
         queue_.push_back(WorkItem{next, std::move(emission.packet),
                                   item.hops + 1, prov_hop});
       }
-      ++walk_stats_.enqueues;
     }
     walk_stats_.max_queue_depth =
         std::max<std::uint64_t>(walk_stats_.max_queue_depth, pending());
@@ -599,26 +595,24 @@ void Fabric::sample_into(obs::TimeSeriesStore& store) const {
   store.append("elmo_dp_host_vm_deliveries_total",
                static_cast<double>(h.delivered_to_vms));
 
-  store.append("elmo_fabric_sends_total", static_cast<double>(walk_stats_.sends));
-  store.append("elmo_fabric_lost_copies_total",
-               static_cast<double>(walk_stats_.lost_copies));
-  store.append("elmo_fabric_link_transmissions_total",
-               static_cast<double>(walk_stats_.link_transmissions));
-  store.append("elmo_fabric_wire_bytes_total",
-               static_cast<double>(walk_stats_.wire_bytes));
-
   // Directed per-layer-pair transmission sums: the "copies put on the wire
   // towards layer X" side of the conservation law the loss-rate detector
   // checks against layer X's own arrival counters. A switch's down-ports
   // come first, then its up-ports, so each pair is one port range per node.
+  // The six pairs cover every link once, so the same pass also sums the
+  // fabric's transmission and wire-byte totals.
+  LinkStats wire;
   const auto tx = [&](topo::Layer layer, std::size_t lo, std::size_t hi) {
     std::uint64_t sum = 0;
     const auto l = static_cast<std::size_t>(layer);
     for (auto n = layer_base_[l]; n < layer_base_[l + 1]; ++n) {
       for (auto port = lo; port < hi; ++port) {
-        sum += link_stats_[link_base_[n] + port].packets;
+        const auto& link = link_stats_[link_base_[n] + port];
+        sum += link.packets;
+        wire.bytes += link.bytes;
       }
     }
+    wire.packets += sum;
     return static_cast<double>(sum);
   };
   const auto& t = *topo_;
@@ -636,6 +630,13 @@ void Fabric::sample_into(obs::TimeSeriesStore& store) const {
                   spine_down + t.spine_up_ports()));
   store.append("elmo_link_core_spine_tx_total",
                tx(topo::Layer::kCore, 0, t.core_ports()));
+
+  store.append("elmo_fabric_sends_total", static_cast<double>(walk_stats_.sends));
+  store.append("elmo_fabric_lost_copies_total",
+               static_cast<double>(walk_stats_.lost_copies));
+  store.append("elmo_fabric_link_transmissions_total",
+               static_cast<double>(wire.packets));
+  store.append("elmo_fabric_wire_bytes_total", static_cast<double>(wire.bytes));
 }
 
 dp::SwitchStats Fabric::aggregate_switch_stats(topo::Layer layer) const {
@@ -705,21 +706,27 @@ void accumulate_fabric_metrics(const Fabric& fabric,
   add("elmo_dp_host_redundant_copies_total", h.discarded,
       "Copies received by hosts with no local members (redundancy)");
 
+  // Fabric-wide totals, each derived from the one counter that keeps its
+  // fact: host copies and VM deliveries from the hypervisors, wire traffic
+  // from the links.
+  LinkStats wire;
+  for (const auto& [link, stats] : fabric.links()) {
+    wire.packets += stats.packets;
+    wire.bytes += stats.bytes;
+  }
   const auto& w = fabric.walk_stats();
   add("elmo_fabric_sends_total", w.sends, "Multicast walks started");
   add("elmo_fabric_unicast_sends_total", w.unicast_sends,
       "Unicast path walks");
   add("elmo_fabric_work_items_total", w.work_items,
       "Event-queue entries processed");
-  add("elmo_fabric_enqueues_total", w.enqueues, "Event-queue entries pushed");
-  add("elmo_fabric_vm_deliveries_total", w.vm_deliveries,
+  add("elmo_fabric_vm_deliveries_total", h.delivered_to_vms,
       "VM deliveries observed by the walk");
-  add("elmo_fabric_host_copies_total", w.host_copies,
+  add("elmo_fabric_host_copies_total", h.received,
       "Copies delivered to host ports");
-  add("elmo_fabric_link_transmissions_total", w.link_transmissions,
+  add("elmo_fabric_link_transmissions_total", wire.packets,
       "Per-link transmissions accounted");
-  add("elmo_fabric_wire_bytes_total", w.wire_bytes,
-      "Bytes placed on the wire");
+  add("elmo_fabric_wire_bytes_total", wire.bytes, "Bytes placed on the wire");
   add("elmo_fabric_lost_copies_total", w.lost_copies,
       "Copies dropped by the loss model");
   const auto depth_id = reg.gauge(

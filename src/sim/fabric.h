@@ -27,6 +27,13 @@
 // its hypervisors and its switches by value in two vectors in node order,
 // and link counters in one contiguous array indexed by (node, out-port), so
 // the hot walk does array arithmetic, not pointer chasing or tree lookups.
+//
+// Counters: each data-plane fact has one counter, and no counter is ever
+// reset. Elements count what they process (SwitchStats, HypervisorStats),
+// links what they carry (links()), and the queue what only it sees
+// (FabricWalkStats). Every total or per-probe view — the exported
+// elmo_fabric_* series, SendResult, sim::mtrace — is derived from them, and
+// a reader that wants one run's or one probe's share takes a delta.
 #pragma once
 
 #include <algorithm>
@@ -126,19 +133,16 @@ struct SendResult {
   std::size_t max_hops = 0;  // longest switch path the packet took
 };
 
-// Aggregate event-queue activity across every send since construction (or
-// reset_walk_stats()). Complements per-element SwitchStats/HypervisorStats
-// with walk-level totals the queue itself observes.
+// Event-queue activity across every send since construction: only the facts
+// the queue alone observes. Host copies and VM deliveries are
+// HypervisorStats' to count, transmissions and wire bytes the per-link
+// counters'; exported totals of those are derived from them. Like every
+// fabric counter these only grow: read them as deltas.
 struct FabricWalkStats {
   std::uint64_t sends = 0;              // multicast walks started
   std::uint64_t unicast_sends = 0;
   std::uint64_t work_items = 0;         // queue entries processed
-  std::uint64_t enqueues = 0;
   std::uint64_t max_queue_depth = 0;    // high-water mark of pending items
-  std::uint64_t vm_deliveries = 0;
-  std::uint64_t host_copies = 0;
-  std::uint64_t link_transmissions = 0;
-  std::uint64_t wire_bytes = 0;
   std::uint64_t lost_copies = 0;        // dropped by the loss model
 };
 
@@ -207,9 +211,6 @@ class Fabric {
   // Per-link counters, materialized from the flat per-(node, out-port)
   // array; links that never carried a packet are omitted.
   std::map<std::pair<NodeRef, NodeRef>, LinkStats> links() const;
-  void reset_link_stats() {
-    for (auto& l : link_stats_) l = LinkStats{};
-  }
 
   // Random per-link loss (for reliability-layer experiments, paper §7):
   // each transmitted copy is independently dropped with probability `rate`
@@ -297,7 +298,6 @@ class Fabric {
   void clear_tte_records() { tte_records_.clear(); }
 
   const FabricWalkStats& walk_stats() const noexcept { return walk_stats_; }
-  void reset_walk_stats() noexcept { walk_stats_ = FabricWalkStats{}; }
 
   // Sum the stats of every switch of `layer` (kLeaf, kSpine or kCore; kHost
   // sums nothing) and of every hypervisor.

@@ -1,24 +1,11 @@
 #include "sim/mtrace.h"
 
-#include <deque>
-#include <iterator>
+#include <algorithm>
 #include <sstream>
 
-namespace elmo::sim {
+#include "obs/provenance.h"
 
-std::string to_string(const NodeRef& node) {
-  switch (node.layer) {
-    case topo::Layer::kHost:
-      return "host" + std::to_string(node.id);
-    case topo::Layer::kLeaf:
-      return "L" + std::to_string(node.id);
-    case topo::Layer::kSpine:
-      return "S" + std::to_string(node.id);
-    case topo::Layer::kCore:
-      return "C" + std::to_string(node.id);
-  }
-  return "?";
-}
+namespace elmo::sim {
 
 MtraceReport mtrace(Fabric& fabric, const elmo::Controller& controller,
                     elmo::GroupId group, topo::HostId sender,
@@ -28,13 +15,21 @@ MtraceReport mtrace(Fabric& fabric, const elmo::Controller& controller,
   // Counter snapshots before the probe; the report carries the deltas, i.e.
   // what this one packet did. The fabric's own counters are left running:
   // they are monotonic series for whoever samples them.
-  const auto links_before = fabric.links();
   const auto leaves_before = fabric.aggregate_switch_stats(topo::Layer::kLeaf);
   const auto spines_before =
       fabric.aggregate_switch_stats(topo::Layer::kSpine);
   const auto cores_before = fabric.aggregate_switch_stats(topo::Layer::kCore);
   const auto hosts_before = fabric.aggregate_hypervisor_stats();
 
+  // The probe records its decision tree in a log of its own; the fabric's
+  // log is attached again afterwards, also if the walk throws.
+  obs::ProvenanceLog probe_log;
+  struct RestoreLog {
+    Fabric& fabric;
+    obs::ProvenanceLog* previous;
+    ~RestoreLog() { fabric.set_provenance(previous); }
+  } restore{fabric, fabric.provenance()};
+  fabric.set_provenance(&probe_log);
   const auto result = fabric.send(sender, g.address, payload_bytes);
 
   auto switch_delta = [](dp::SwitchStats after, const dp::SwitchStats& before) {
@@ -81,37 +76,29 @@ MtraceReport mtrace(Fabric& fabric, const elmo::Controller& controller,
     }
   }
 
-  // Reconstruct the tree breadth-first from the probe's per-link counters.
-  auto links = fabric.links();
-  for (auto it = links.begin(); it != links.end();) {
-    if (const auto before = links_before.find(it->first);
-        before != links_before.end()) {
-      it->second.packets -= before->second.packets;
-      it->second.bytes -= before->second.bytes;
-    }
-    it = it->second.packets == 0 ? links.erase(it) : std::next(it);
-  }
-  std::map<NodeRef, std::size_t> depth;
-  const NodeRef root{topo::Layer::kHost, sender};
-  depth[root] = 0;
-  std::deque<NodeRef> frontier{root};
-  while (!frontier.empty()) {
-    const auto node = frontier.front();
-    frontier.pop_front();
-    for (const auto& [edge, stats] : links) {
-      if (!(edge.first == node)) continue;
-      MtraceHop hop;
-      hop.from = edge.first;
-      hop.to = edge.second;
-      hop.bytes = stats.bytes / stats.packets;  // per-copy size on this link
-      hop.depth = depth[node] + 1;
-      report.hops.push_back(hop);
-      if (!depth.contains(edge.second)) {
-        depth[edge.second] = hop.depth;
-        if (edge.second.layer != topo::Layer::kHost) {
-          frontier.push_back(edge.second);
-        }
-      }
+  // One MtraceHop per hop of the probe's decision tree, parent by parent in
+  // walk order (a hop's index is its place in the FIFO, so a parent comes
+  // before its children). A node emits its copies in port order, which is
+  // NodeRef order; the log files a copy lost in flight when it is emitted
+  // but a delivered one when it is processed, so siblings are put back in
+  // NodeRef order.
+  if (probe_log.empty()) return report;  // the sender has no flow
+  const auto& tree = probe_log.last().hops;
+  const auto node_of = [&tree](std::size_t hop) {
+    return NodeRef{tree[hop].layer, tree[hop].node};
+  };
+  std::vector<std::size_t> depth(tree.size(), 0);
+  std::vector<std::size_t> children;
+  for (std::size_t parent = 0; parent < tree.size(); ++parent) {
+    children = tree[parent].children;
+    std::sort(children.begin(), children.end(),
+              [&](std::size_t a, std::size_t b) {
+                return node_of(a) < node_of(b);
+              });
+    for (const auto child : children) {
+      depth[child] = depth[parent] + 1;
+      report.hops.push_back(MtraceHop{node_of(parent), node_of(child),
+                                      tree[child].bytes_in, depth[child]});
     }
   }
   return report;
@@ -123,8 +110,10 @@ std::string MtraceReport::render() const {
       << members_reached << " members reached, " << redundant_copies
       << " redundant copies, " << total_wire_bytes << " wire bytes\n";
   for (const auto& hop : hops) {
-    out << std::string(2 * hop.depth, ' ') << to_string(hop.from) << " -> "
-        << to_string(hop.to) << "  (" << hop.bytes << "B on wire)\n";
+    out << std::string(2 * hop.depth, ' ')
+        << obs::node_name(hop.from.layer, hop.from.id) << " -> "
+        << obs::node_name(hop.to.layer, hop.to.id) << "  (" << hop.bytes
+        << "B on wire)\n";
   }
   auto layer_line = [&out](const char* name, const dp::SwitchStats& s) {
     if (s.packets_in == 0) return;

@@ -2,13 +2,14 @@
 // has been an issue, with difficulties troubleshooting copies of a multicast
 // packet and the lack of tools (like traceroute and ping)").
 //
-// Mtrace sends one probe through the packet-level data plane and
-// reconstructs the replication tree the fabric actually executed — per-hop
-// switches, per-link header sizes (showing the p-rule popping), and the
-// final per-host outcomes (member delivery, redundant copy, loss).
+// Mtrace sends one probe through the packet-level data plane and renders the
+// replication tree the fabric actually executed — per-hop switches, per-link
+// header sizes (showing the p-rule popping), and the final per-host outcomes
+// (member delivery, redundant copy, loss). The tree is the probe's decision
+// tree from the provenance log (DESIGN.md §10); the counter section is the
+// difference of the fabric's monotonic counters across the probe.
 #pragma once
 
-#include <map>
 #include <string>
 #include <vector>
 
@@ -20,7 +21,8 @@ namespace elmo::sim {
 struct MtraceHop {
   NodeRef from;
   NodeRef to;
-  std::uint64_t bytes = 0;    // on-the-wire size of this copy
+  std::uint64_t bytes = 0;    // on-the-wire size of this copy (a lost copy
+                              // counts the size it left with)
   std::size_t depth = 0;      // hops from the sender
 };
 
@@ -37,7 +39,7 @@ struct MtraceCounters {
 };
 
 struct MtraceReport {
-  std::vector<MtraceHop> hops;        // breadth-first order
+  std::vector<MtraceHop> hops;        // walk (breadth-first) order
   std::size_t members_reached = 0;
   std::size_t redundant_copies = 0;   // non-member hosts hit
   std::size_t max_depth = 0;
@@ -48,12 +50,12 @@ struct MtraceReport {
   std::string render() const;
 };
 
-// Probes `group` from `sender` (payload_bytes of filler) and reconstructs the
-// replication tree from the fabric's per-link counters.
+// Probes `group` from `sender` (payload_bytes of filler). The probe's tree
+// is recorded in a provenance log of its own; whatever log the fabric had
+// attached (or none) is attached again afterwards, and it does not see the
+// probe. The fabric's counters keep running: the probe adds to them.
 MtraceReport mtrace(Fabric& fabric, const elmo::Controller& controller,
                     elmo::GroupId group, topo::HostId sender,
                     std::size_t payload_bytes = 64);
-
-std::string to_string(const NodeRef& node);
 
 }  // namespace elmo::sim

@@ -87,26 +87,12 @@ const char* annotation(CopyCause cause) {
   return "";
 }
 
-std::string node_name(topo::Layer layer, std::uint32_t node) {
-  switch (layer) {
-    case topo::Layer::kHost:
-      return "host" + std::to_string(node);
-    case topo::Layer::kLeaf:
-      return "L" + std::to_string(node);
-    case topo::Layer::kSpine:
-      return "S" + std::to_string(node);
-    case topo::Layer::kCore:
-      return "C" + std::to_string(node);
-  }
-  return "?";
-}
-
 void render_annotated(const obs::SendTrace& trace,
                       const std::map<std::size_t, const char*>& notes,
                       std::size_t index, std::size_t depth,
                       std::ostringstream& out) {
   const auto& hop = trace.hops[index];
-  out << std::string(2 * depth, ' ') << node_name(hop.layer, hop.node);
+  out << std::string(2 * depth, ' ') << obs::node_name(hop.layer, hop.node);
   if (hop.lost) {
     out << "  [lost in flight]\n";
     return;

@@ -40,13 +40,6 @@ MemberRole random_role(util::Rng& rng) {
   return MemberRole::kSender;
 }
 
-bool host_on_legacy_leaf(const topo::ClosTopology& topo,
-                         const std::vector<bool>& legacy, topo::HostId host) {
-  if (legacy.empty()) return false;
-  const auto leaf = topo.leaf_of_host(host);
-  return leaf < legacy.size() && legacy[leaf];
-}
-
 // Hosts that can source the group: a sending member whose leaf switch can
 // parse Elmo headers. A sender behind a legacy leaf cannot reach past its
 // rack (legacy s-rule bitmaps cover down ports only), so scenarios never
@@ -66,6 +59,13 @@ std::vector<topo::HostId> eligible_senders(const topo::ClosTopology& topo,
 }
 
 }  // namespace
+
+bool host_on_legacy_leaf(const topo::ClosTopology& topo,
+                         const std::vector<bool>& legacy, topo::HostId host) {
+  if (legacy.empty()) return false;
+  const auto leaf = topo.leaf_of_host(host);
+  return leaf < legacy.size() && legacy[leaf];
+}
 
 Scenario generate_scenario(std::uint64_t seed) {
   auto rng = util::Rng::stream(seed, 0);

@@ -60,6 +60,12 @@ struct Scenario {
   std::vector<Event> events;
 };
 
+// Whether `host` sits behind a leaf that `legacy` (indexed by global leaf
+// id, like Scenario::legacy_leaves; may be empty) marks as legacy. Such a
+// host cannot source a group past its rack (paper §7).
+bool host_on_legacy_leaf(const topo::ClosTopology& topo,
+                         const std::vector<bool>& legacy, topo::HostId host);
+
 // Deterministically expands `seed` into a scenario: a topology drawn from a
 // small ladder, encoder knobs that sometimes force tight header budgets or
 // Fmax exhaustion, sometimes a legacy-leaf mix, co-located members with

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/timeseries.h"
 #include "testutil.h"
 
 namespace elmo::apps {
@@ -69,6 +70,34 @@ TEST_F(TelemetryFixture, SixtyFourCollectorsMatchesPaperShape) {
   const auto elmo_metrics = system.run(true, TelemetryConfig{}, 1);
   EXPECT_GT(uni.agent_egress_bps, 300'000.0);
   EXPECT_LT(elmo_metrics.agent_egress_bps, 12'000.0);
+}
+
+TEST_F(TelemetryFixture, LinkSeriesStayMonotonicThroughARun) {
+  // The health detectors read the link series as deltas between samples,
+  // so a run must add to the link counters, never reset them. Traffic
+  // before the first sample makes a reset visible as a decrease.
+  const auto c = collectors(8);
+  TelemetrySystem system{fabric, controller, 1, 1, c};
+  const auto fresh = system.run(true, TelemetryConfig{}, 2);
+  (void)system.run(false, TelemetryConfig{}, 3);
+
+  obs::TimeSeriesStore store;
+  fabric.sample_into(store);
+  store.advance();
+  const auto again = system.run(true, TelemetryConfig{}, 2);
+  fabric.sample_into(store);
+
+  // Two Elmo samples leave the agent's uplink once each; no other host
+  // sends.
+  EXPECT_EQ(store.delta("elmo_link_host_leaf_tx_total"), 2.0);
+  const auto transmissions = store.delta("elmo_fabric_link_transmissions_total");
+  ASSERT_TRUE(transmissions.has_value());
+  // Each sample crosses the agent's uplink and one link into every
+  // collector, at least.
+  EXPECT_GE(*transmissions, 2.0 * static_cast<double>(1 + c.size()));
+  // A run measures only its own uplink bytes, whatever came before it.
+  EXPECT_EQ(again.agent_egress_bps, fresh.agent_egress_bps);
+  EXPECT_EQ(again.datagrams_delivered, 2 * c.size());
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
-// Multipath schemes behind the Elmo multipath flag (paper D2b: ECMP, or a
-// HULA/CONGA-style utilization-aware choice).
+// The multipath scheme behind the Elmo multipath flag (paper D2b): ECMP on
+// the group hash, and explicit upstream ports that bypass it.
 #include <gtest/gtest.h>
 
 #include "dataplane/hypervisor_switch.h"
@@ -45,7 +45,6 @@ struct MultipathFixture : ::testing::Test {
 
 TEST_F(MultipathFixture, EcmpIsDeterministicPerFlow) {
   NetworkSwitch leaf{topology, topo::Layer::kLeaf, 0};
-  ASSERT_EQ(leaf.multipath_mode(), MultipathMode::kEcmp);
   const auto packet = upstream_packet(topology, controller, group, 0);
   const auto first = test::forward(leaf, packet);
   const auto second = test::forward(leaf, packet);
@@ -54,61 +53,26 @@ TEST_F(MultipathFixture, EcmpIsDeterministicPerFlow) {
   EXPECT_EQ(first[0].out_port, second[0].out_port);  // same flow, same path
 }
 
-TEST_F(MultipathFixture, LeastLoadedAlternatesUplinks) {
-  NetworkSwitch leaf{topology, topo::Layer::kLeaf, 0};
-  leaf.set_multipath_mode(MultipathMode::kLeastLoaded);
-  const auto packet = upstream_packet(topology, controller, group, 0);
-  // The same flow, repeated: the HULA-style switch balances both uplinks.
-  for (int i = 0; i < 10; ++i) test::forward(leaf, packet);
-  const auto load0 = leaf.uplink_load(0);
-  const auto load1 = leaf.uplink_load(1);
-  EXPECT_GT(load0, 0u);
-  EXPECT_GT(load1, 0u);
-  const auto hi = std::max(load0, load1);
-  const auto lo = std::min(load0, load1);
-  EXPECT_LE(hi - lo, hi / 4);  // near-even split
-}
-
-TEST_F(MultipathFixture, LeastLoadedBeatsEcmpOnSkewedFlows) {
-  // Four senders whose ECMP hashes may collide; least-loaded never lets one
-  // uplink carry more than ~half the bytes (+1 packet of slack).
-  NetworkSwitch ecmp_leaf{topology, topo::Layer::kLeaf, 0};
-  NetworkSwitch hula_leaf{topology, topo::Layer::kLeaf, 0};
-  hula_leaf.set_multipath_mode(MultipathMode::kLeastLoaded);
-
-  std::uint64_t total = 0;
-  for (topo::HostId sender = 0; sender < 4; ++sender) {
-    const auto packet = upstream_packet(topology, controller, group, sender);
-    for (int i = 0; i < 5; ++i) {
-      test::forward(ecmp_leaf, packet);
-      test::forward(hula_leaf, packet);
-      total += packet.size();
-    }
-  }
-  const auto hula_max =
-      std::max(hula_leaf.uplink_load(0), hula_leaf.uplink_load(1));
-  const auto ecmp_max =
-      std::max(ecmp_leaf.uplink_load(0), ecmp_leaf.uplink_load(1));
-  EXPECT_LE(hula_max, total / 2 + 200);
-  EXPECT_LE(hula_max, ecmp_max);  // never worse than hashing
-}
-
 TEST_F(MultipathFixture, ExplicitUplinksBypassMultipathMode) {
-  // Failure-path headers with explicit upstream ports ignore the scheme.
+  // Failure-path headers with explicit upstream ports bypass ECMP: with the
+  // plane-0 spine of pod 0 down, every sender under leaf 0 goes up exactly
+  // the alive plane-1 uplink, every time.
   controller.fail_spine(topology.spine_at(0, 0));
   NetworkSwitch leaf{topology, topo::Layer::kLeaf, 0};
-  leaf.set_multipath_mode(MultipathMode::kLeastLoaded);
-  const auto packet = upstream_packet(topology, controller, group, 0);
-  for (int i = 0; i < 6; ++i) {
-    const auto copies = test::forward(leaf, packet);
-    for (const auto& copy : copies) {
-      if (copy.out_port >= topology.leaf_down_ports()) {
-        // Only the alive plane-1 spine may be used.
-        EXPECT_EQ(copy.out_port, topology.leaf_down_ports() + 1);
+  const auto plane1 = topology.leaf_down_ports() + 1;
+  for (topo::HostId sender = 0; sender < 4; ++sender) {
+    const auto packet = upstream_packet(topology, controller, group, sender);
+    for (int i = 0; i < 3; ++i) {
+      std::vector<std::size_t> uplinks;
+      for (const auto& copy : test::forward(leaf, packet)) {
+        if (copy.out_port >= topology.leaf_down_ports()) {
+          uplinks.push_back(copy.out_port);
+        }
       }
+      EXPECT_EQ(uplinks, std::vector<std::size_t>{plane1})
+          << "sender " << sender << " send " << i;
     }
   }
-  EXPECT_EQ(leaf.uplink_load(0), 0u);
 }
 
 }  // namespace

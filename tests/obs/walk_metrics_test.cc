@@ -105,7 +105,9 @@ TEST(WalkMetricsTest, CountersMatchDeliveryOracleFanout) {
   ASSERT_EQ(report.sends_checked, expected.sends);
 
   const auto snap = registry.snapshot();
-  // Fabric walk totals == oracle expectation, exactly.
+  // Fabric totals == oracle expectation, exactly. Host copies and VM
+  // deliveries are derived from the hypervisors' counters, so the element
+  // block below reads the same facts under their dp names.
   EXPECT_EQ(snap.value("elmo_fabric_sends_total"),
             static_cast<double>(expected.sends));
   EXPECT_EQ(snap.value("elmo_fabric_host_copies_total"),

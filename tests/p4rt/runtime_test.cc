@@ -135,8 +135,6 @@ TEST_F(P4rtFixture, ChannelInstallEqualsDirectInstall) {
   for (auto& u : compile_install(controller, id)) direct.apply(std::move(u));
 
   for (const auto& m : g.members) {
-    fabric.reset_link_stats();
-    direct.reset_link_stats();
     const auto via_channel = fabric.send(m.host, g.address, 256);
     const auto via_direct = direct.send(m.host, g.address, 256);
     EXPECT_EQ(via_channel.total_wire_bytes, via_direct.total_wire_bytes);

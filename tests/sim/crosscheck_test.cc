@@ -52,7 +52,6 @@ TEST_P(Crosscheck, FabricAndEvaluatorAgree) {
     const std::size_t payload = 64 + rng.index(1400);
     for (int s = 0; s < 3; ++s) {
       const auto sender = hosts[rng.index(hosts.size())];
-      fabric.reset_link_stats();
       const auto fabric_result = fabric.send(sender, g.address, payload);
 
       const auto flow = topo::group_hash(g.address);

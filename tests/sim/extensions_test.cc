@@ -1,5 +1,6 @@
 // Extension coverage: two-tier leaf-spine fabrics, loss injection with the
-// PGM-style reliability layer, and multi-datacenter relay multicast.
+// PGM-style reliability layer (and mtrace of a lossy probe), and
+// multi-datacenter relay multicast.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -8,7 +9,9 @@
 #include "apps/reliable.h"
 #include "elmo/evaluator.h"
 #include "elmo/stream.h"
+#include "obs/provenance.h"
 #include "sim/fabric.h"
+#include "sim/mtrace.h"
 #include "testutil.h"
 
 namespace elmo {
@@ -124,6 +127,45 @@ TEST_F(LossFixture, ReliableSessionIsFreeWithoutLoss) {
   EXPECT_EQ(report.naks, 0u);
   EXPECT_EQ(report.retransmissions, 0u);
   EXPECT_EQ(report.repair_rounds, 1u);  // one verification round
+}
+
+TEST_F(LossFixture, MtraceShowsLostCopiesInWalkOrder) {
+  // A lossy probe's tree lists every copy put on a link, lost or not, so
+  // each link counter grows by exactly the hops mtrace shows on it. The
+  // provenance log files a lost copy when it is emitted, ahead of its
+  // delivered siblings; mtrace still lists siblings in port (NodeRef)
+  // order. The fabric's own log neither sees the probes nor stays detached.
+  const auto id = make_group({0, 1, 2, 3, 17, 33, 49, 5, 21});
+  fabric.set_loss(0.3, /*seed=*/5);
+  obs::ProvenanceLog log;
+  fabric.set_provenance(&log);
+  std::uint64_t lost = 0;
+  for (int probe = 0; probe < 20; ++probe) {
+    const auto before = fabric.links();
+    const auto lost_before = fabric.walk_stats().lost_copies;
+    const auto report = sim::mtrace(fabric, controller, id, 0, 64);
+    lost += fabric.walk_stats().lost_copies - lost_before;
+
+    auto expected = before;
+    for (const auto& hop : report.hops) {
+      auto& link = expected[{hop.from, hop.to}];
+      ++link.packets;
+      link.bytes += hop.bytes;
+    }
+    EXPECT_EQ(fabric.links(), expected) << "probe " << probe;
+    for (std::size_t i = 1; i < report.hops.size(); ++i) {
+      const auto& prev = report.hops[i - 1];
+      const auto& hop = report.hops[i];
+      if (hop.from == prev.from) {
+        EXPECT_LT(prev.to, hop.to) << "probe " << probe << " hop " << i;
+      } else {
+        EXPECT_LE(prev.depth, hop.depth) << "probe " << probe << " hop " << i;
+      }
+    }
+  }
+  EXPECT_GT(lost, 0u);
+  EXPECT_EQ(fabric.provenance(), &log);
+  EXPECT_TRUE(log.empty());
 }
 
 // --- multi-datacenter relay --------------------------------------------------

@@ -232,11 +232,12 @@ TEST_F(FabricFixture, HopTracerRecordsTheSendAndEveryHop) {
   const auto group = controller.group(make_group({0, 1, 17, 33})).address;
   obs::Tracer tracer;
   fabric.set_recorder(&tracer);
-  fabric.reset_walk_stats();
+  const auto items_before = fabric.walk_stats().work_items;
   (void)fabric.send(0, group, 64);
 
   const auto records = tracer.snapshot();
-  ASSERT_EQ(records.size(), 1 + fabric.walk_stats().work_items);
+  ASSERT_EQ(records.size(),
+            1 + fabric.walk_stats().work_items - items_before);
   const auto& send = records.front();
   EXPECT_STREQ(send.name, "send");
   EXPECT_EQ(send.lane, obs::TraceLane::kData);
@@ -410,6 +411,64 @@ TEST_F(FabricFixture, SetLinkLossRejectsMissingAndNonAdjacentLinks) {
   EXPECT_TRUE(result.host_copies.contains(2));
   EXPECT_TRUE(result.host_copies.contains(17));
   EXPECT_EQ(fabric.walk_stats().lost_copies, 1u);
+}
+
+// The exported fabric totals are derived from the counters that keep each
+// fact (hypervisors, links, the queue). One lossy run — global loss, one
+// link-loss override, unicast beside multicast — pins their values to what
+// the walk counted when it kept its own copies of them.
+TEST_F(FabricFixture, DerivedSeriesKeepTheirValues) {
+  const auto a = controller.group(make_group({0, 1, 2, 17, 33, 40})).address;
+  const auto b = controller.group(make_group({5, 18, 50, 60})).address;
+  fabric.set_loss(0.1, 7);
+  fabric.set_link_loss(NodeRef{topo::Layer::kLeaf, 0},
+                       NodeRef{topo::Layer::kHost, 1}, 0.5);
+  for (std::size_t i = 0; i < 12; ++i) {
+    (void)fabric.send(i % 2 == 0 ? 0 : 17, a, 64 + i);
+    (void)fabric.send(i % 2 == 0 ? 5 : 60, b, std::size_t{100});
+    (void)fabric.send_unicast(3, 40, 80);
+  }
+
+  obs::MetricsRegistry registry{/*enabled=*/true};
+  accumulate_fabric_metrics(fabric, registry);
+  const auto snap = registry.snapshot();
+  const std::map<std::string, double> pinned{
+      {"elmo_fabric_sends_total", 24},
+      {"elmo_fabric_host_copies_total", 58},
+      {"elmo_fabric_vm_deliveries_total", 58},
+      {"elmo_fabric_link_transmissions_total", 278},
+      {"elmo_fabric_wire_bytes_total", 38902},
+      {"elmo_fabric_lost_copies_total", 26},
+      {"elmo_fabric_work_items_total", 204},
+  };
+  for (const auto& [name, value] : pinned) {
+    EXPECT_EQ(snap.value(name), value) << name;
+  }
+
+  EXPECT_EQ(snap.value("elmo_fabric_host_copies_total"),
+            snap.value("elmo_dp_host_received_total"));
+  EXPECT_EQ(snap.value("elmo_fabric_vm_deliveries_total"),
+            snap.value("elmo_dp_host_vm_deliveries_total"));
+  LinkStats wire;
+  for (const auto& [link, stats] : fabric.links()) {
+    wire.packets += stats.packets;
+    wire.bytes += stats.bytes;
+  }
+  EXPECT_EQ(snap.value("elmo_fabric_link_transmissions_total"),
+            static_cast<double>(wire.packets));
+  EXPECT_EQ(snap.value("elmo_fabric_wire_bytes_total"),
+            static_cast<double>(wire.bytes));
+
+  // The sampled series read the same counters.
+  obs::TimeSeriesStore store;
+  fabric.sample_into(store);
+  for (const char* name :
+       {"elmo_fabric_sends_total", "elmo_fabric_lost_copies_total",
+        "elmo_fabric_link_transmissions_total",
+        "elmo_fabric_wire_bytes_total"}) {
+    ASSERT_NE(store.last(name), nullptr) << name;
+    EXPECT_EQ(store.last(name)->value, snap.value(name)) << name;
+  }
 }
 
 TEST(HostCopies, ReadsLikeAMapOfTheSameHosts) {

@@ -50,13 +50,6 @@ namespace {
 
 using namespace elmo;
 
-bool host_on_legacy_leaf(const topo::ClosTopology& topo,
-                         const std::vector<bool>& legacy, topo::HostId host) {
-  if (legacy.empty()) return false;
-  const auto leaf = topo.leaf_of_host(host);
-  return leaf < legacy.size() && legacy[leaf];
-}
-
 struct Injection {
   double loss_pct = 0;
   bool has_link = false;
@@ -238,7 +231,7 @@ int main(int argc, char** argv) {
   for (std::size_t gi = 0; gi < ids.size(); ++gi) {
     for (const auto& m : oracle.members(gi)) {
       if (!can_send(m.role)) continue;
-      if (host_on_legacy_leaf(topo, legacy, m.host)) continue;
+      if (verify::host_on_legacy_leaf(topo, legacy, m.host)) continue;
       const auto dup = std::find_if(
           slots.begin(), slots.end(), [&](const SendSlot& s) {
             return s.gi == gi && s.sender == m.host;
