@@ -180,6 +180,7 @@ int main(int argc, char** argv) {
          << ", \"compiler\": \"" << benchx::compiler()
          << "\", \"build_type\": \"" << benchx::build_type()
          << "\", \"cpu_model\": \"" << benchx::cpu_model()
+         << "\", \"git_sha\": \"" << benchx::git_sha()
          << "\",\n \"results\": {"
          << "\"events_ingested\": " << st.events
          << ", \"clean_events\": " << st.clean_events

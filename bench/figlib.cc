@@ -12,6 +12,9 @@
 #ifndef ELMO_BUILD_TYPE
 #define ELMO_BUILD_TYPE "unknown"
 #endif
+#ifndef ELMO_GIT_SHA
+#define ELMO_GIT_SHA "unknown"
+#endif
 
 namespace elmo::benchx {
 
@@ -26,6 +29,8 @@ const char* compiler() {
 }
 
 const char* build_type() { return ELMO_BUILD_TYPE; }
+
+const char* git_sha() { return ELMO_GIT_SHA; }
 
 std::string cpu_model() {
   std::ifstream cpuinfo{"/proc/cpuinfo"};
@@ -367,10 +372,10 @@ void emit_run_json(const std::string& bench, const Scale& scale,
   std::printf(
       "RUN {\"bench\": \"%s\", \"pods\": %zu, \"groups\": %zu, "
       "\"tenants\": %zu, \"seed\": %llu, \"threads\": %zu, "
-      "\"encoder\": \"%s\", \"phases\": %s}\n",
+      "\"encoder\": \"%s\", \"git_sha\": \"%s\", \"phases\": %s}\n",
       bench.c_str(), scale.pods, scale.groups, scale.tenants,
       static_cast<unsigned long long>(scale.seed), scale.threads,
-      scale.encoder.c_str(), phases.json().c_str());
+      scale.encoder.c_str(), git_sha(), phases.json().c_str());
   // The metrics exposition goes to its own sink ("-" = stderr) so the
   // RUN-line/stdout contract of docs/BENCH_SCHEMA.md is untouched.
   if (!scale.metrics.empty()) {

@@ -138,10 +138,13 @@ class PhaseTimer {
 };
 
 // Build fingerprint recorded next to bench timings, so an A/B can be matched
-// to its build: the compiler ("gcc 12.2.0") and the CMake build type
-// (bench/CMakeLists.txt sets ELMO_BUILD_TYPE; "unknown" without it).
+// to its build: the compiler ("gcc 12.2.0"), the CMake build type and the
+// commit (`git rev-parse --short=12 HEAD` when CMake configured the tree).
+// bench/CMakeLists.txt sets ELMO_BUILD_TYPE and ELMO_GIT_SHA; each is
+// "unknown" without it, the sha also outside a git checkout.
 const char* compiler();
 const char* build_type();
+const char* git_sha();
 // Host fingerprint beside them: the first `model name` of /proc/cpuinfo
 // ("Intel(R) Xeon(R) Processor"), trimmed and with any '"', '\\' or control
 // character dropped so it embeds in JSON as is; "unknown" when the file or

@@ -14,8 +14,8 @@
 // JSON reports both throughputs plus the relative overhead. The budget is
 // <= 2% metrics-off vs a build without the telemetry layer, <= 8% on.
 //
-// hardware_threads, compiler, build_type and cpu_model in the output header
-// and RUN line record the producing host and build; the walk itself is
+// hardware_threads, compiler, build_type, cpu_model and git_sha in the output
+// header and RUN line record the producing host and build; the walk itself is
 // single-threaded (DESIGN.md §12).
 //
 // --sample=1 (DESIGN.md §14) additionally ticks Fabric::sample_into into a
@@ -177,12 +177,13 @@ int main(int argc, char** argv) {
   const char* compiler = elmo::benchx::compiler();
   const char* build_type = elmo::benchx::build_type();
   const std::string cpu_model = elmo::benchx::cpu_model();
+  const char* git_sha = elmo::benchx::git_sha();
   std::printf("{\n  \"bench\": \"packet_walk\",\n  \"payload_bytes\": %zu,\n"
               "  \"hardware_threads\": %u,\n  \"compiler\": \"%s\",\n"
               "  \"build_type\": \"%s\",\n  \"cpu_model\": \"%s\",\n"
-              "  \"results\": [\n",
+              "  \"git_sha\": \"%s\",\n  \"results\": [\n",
               payload, hardware_threads, compiler, build_type,
-              cpu_model.c_str());
+              cpu_model.c_str(), git_sha);
   const std::size_t fanouts[] = {8, 64, 512};
   const std::size_t iters[] = {4000 * scale, 1000 * scale, 200 * scale};
   for (std::size_t i = 0; i < 3; ++i) {
@@ -208,9 +209,9 @@ int main(int argc, char** argv) {
   std::printf("RUN {\"bench\": \"packet_walk\", \"payload_bytes\": %zu, "
               "\"scale\": %zu, \"hardware_threads\": %u, "
               "\"compiler\": \"%s\", \"build_type\": \"%s\", "
-              "\"cpu_model\": \"%s\"}\n",
+              "\"cpu_model\": \"%s\", \"git_sha\": \"%s\"}\n",
               payload, scale, hardware_threads, compiler, build_type,
-              cpu_model.c_str());
+              cpu_model.c_str(), git_sha);
 
   if (!metrics_path.empty()) {
     elmo::obs::write_metrics(metrics_path, reg.snapshot());

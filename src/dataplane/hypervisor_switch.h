@@ -48,24 +48,35 @@ namespace elmo::dp {
 
 struct HypervisorStats {
   std::uint64_t sent = 0;
-  std::uint64_t bytes_sent = 0;      // encapsulated bytes handed to the wire
+  std::uint64_t bytes_sent = 0;
   std::uint64_t received = 0;
   std::uint64_t bytes_received = 0;
   std::uint64_t delivered_to_vms = 0;
-  std::uint64_t delivered_bytes = 0;  // payload bytes handed to local VMs
+  std::uint64_t delivered_bytes = 0;
   std::uint64_t discarded = 0;  // no local members for the group
-
-  HypervisorStats& operator+=(const HypervisorStats& o) noexcept {
-    sent += o.sent;
-    bytes_sent += o.bytes_sent;
-    received += o.received;
-    bytes_received += o.bytes_received;
-    delivered_to_vms += o.delivered_to_vms;
-    delivered_bytes += o.delivered_bytes;
-    discarded += o.discarded;
-    return *this;
-  }
 };
+
+// HypervisorStats' field table (dataplane/common.h): elmo_dp_host_<name>.
+inline constexpr StatField<HypervisorStats> kHypervisorStatFields[] = {
+    {"sent", &HypervisorStats::sent, "Multicast packets encapsulated"},
+    {"bytes_sent", &HypervisorStats::bytes_sent,
+     "Encapsulated bytes handed to the wire"},
+    {"received", &HypervisorStats::received,
+     "Fabric packets received by hypervisors"},
+    {"bytes_received", &HypervisorStats::bytes_received,
+     "Bytes received by hypervisors"},
+    {"vm_deliveries", &HypervisorStats::delivered_to_vms,
+     "Per-VM payload deliveries"},
+    {"delivered_bytes", &HypervisorStats::delivered_bytes,
+     "Payload bytes handed to local VMs"},
+    {"redundant_copies", &HypervisorStats::discarded,
+     "Copies received by hosts with no local members (redundancy)"},
+};
+static_assert(covers_every_field(kHypervisorStatFields));
+
+constexpr const auto& stat_fields(const HypervisorStats&) noexcept {
+  return kHypervisorStatFields;
+}
 
 class HypervisorSwitch {
  public:

@@ -61,30 +61,40 @@ struct SwitchStats {
   std::uint64_t bytes_in = 0;
   std::uint64_t copies_out = 0;
   std::uint64_t bytes_out = 0;
-  std::uint64_t prule_matches = 0;   // forwarded via parser-matched p-rule
+  std::uint64_t prule_matches = 0;
   std::uint64_t upstream_matches = 0;
   std::uint64_t srule_matches = 0;
   std::uint64_t default_matches = 0;
   std::uint64_t drops = 0;
-  std::uint64_t header_pops = 0;       // copies whose consumed sections were
-                                       // invalidated (incl. host strips)
-  std::uint64_t header_pop_bytes = 0;  // Elmo bytes removed by those pops
-
-  SwitchStats& operator+=(const SwitchStats& o) noexcept {
-    packets_in += o.packets_in;
-    bytes_in += o.bytes_in;
-    copies_out += o.copies_out;
-    bytes_out += o.bytes_out;
-    prule_matches += o.prule_matches;
-    upstream_matches += o.upstream_matches;
-    srule_matches += o.srule_matches;
-    default_matches += o.default_matches;
-    drops += o.drops;
-    header_pops += o.header_pops;
-    header_pop_bytes += o.header_pop_bytes;
-    return *this;
-  }
+  std::uint64_t header_pops = 0;
+  std::uint64_t header_pop_bytes = 0;
 };
+
+// SwitchStats' field table (dataplane/common.h): elmo_dp_<layer>_<name>.
+inline constexpr StatField<SwitchStats> kSwitchStatFields[] = {
+    {"packets_in", &SwitchStats::packets_in, "Packets entering the pipeline"},
+    {"bytes_in", &SwitchStats::bytes_in, "Bytes entering the pipeline"},
+    {"copies_out", &SwitchStats::copies_out, "Replicated copies emitted"},
+    {"bytes_out", &SwitchStats::bytes_out, "Bytes emitted across all copies"},
+    {"prule_matches", &SwitchStats::prule_matches,
+     "Packets forwarded via a parser-matched p-rule bitmap"},
+    {"upstream_matches", &SwitchStats::upstream_matches,
+     "Packets forwarded via the layer's upstream rule"},
+    {"srule_matches", &SwitchStats::srule_matches,
+     "Packets forwarded via a group-table s-rule"},
+    {"default_matches", &SwitchStats::default_matches,
+     "Packets that fell back to the default p-rule"},
+    {"drops", &SwitchStats::drops, "Packets dropped (no rule, or switch down)"},
+    {"header_pops", &SwitchStats::header_pops,
+     "Copies whose consumed Elmo sections were invalidated"},
+    {"header_pop_bytes", &SwitchStats::header_pop_bytes,
+     "Elmo header bytes removed by pops"},
+};
+static_assert(covers_every_field(kSwitchStatFields));
+
+constexpr const auto& stat_fields(const SwitchStats&) noexcept {
+  return kSwitchStatFields;
+}
 
 class NetworkSwitch {
  public:

@@ -1,6 +1,7 @@
 #include "obs/provenance.h"
 
 #include <sstream>
+#include <utility>
 
 namespace elmo::obs {
 
@@ -42,7 +43,15 @@ std::size_t add_hop(SendTrace& trace, topo::Layer layer, std::uint32_t node,
   hop.bytes_in = bytes_in;
   hop.lost = lost;
   hops.push_back(std::move(hop));
-  if (parent != kNoProvParent) hops[parent].children.push_back(index);
+  if (parent == kNoProvParent) return index;
+  // Siblings stay in (layer, node), i.e. port, order, lost in flight or not.
+  auto& siblings = hops[parent].children;
+  auto at = siblings.end();
+  for (; at != siblings.begin(); --at) {
+    const auto& prev = hops[at[-1]];
+    if (std::pair{prev.layer, prev.node} < std::pair{layer, node}) break;
+  }
+  siblings.insert(at, index);
   return index;
 }
 

@@ -74,7 +74,7 @@ struct ProvHop {
                                   // copy: the size it left with)
   bool lost = false;              // dropped by the loss model in flight
   HopDecision decision;
-  std::vector<std::size_t> children;
+  std::vector<std::size_t> children;  // in (layer, node), i.e. port, order
 };
 
 // The decision tree of one multicast send. hops[0] is the source host.

@@ -1,10 +1,12 @@
 #include "sim/fabric.h"
 
 #include <algorithm>
+#include <array>
 #include <exception>
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 #include "obs/span.h"
 #include "obs/timeseries.h"
@@ -250,26 +252,16 @@ void Fabric::account_port(std::size_t from_index, std::size_t port,
 
 std::map<std::pair<NodeRef, NodeRef>, LinkStats> Fabric::links() const {
   std::map<std::pair<NodeRef, NodeRef>, LinkStats> out;
-  auto emit = [&](const NodeRef& node) {
-    const auto idx = node_index(node);
-    for (std::size_t port = 0; port < link_base_[idx + 1] - link_base_[idx];
-         ++port) {
-      const auto& stats = link_stats_[link_base_[idx] + port];
-      if (stats.packets == 0) continue;
-      out.emplace(std::pair{node, neighbor_of(node, port)}, stats);
+  for (std::size_t l = 0; l < 4; ++l) {
+    for (auto n = layer_base_[l]; n < layer_base_[l + 1]; ++n) {
+      const NodeRef node{static_cast<topo::Layer>(l),
+                         static_cast<std::uint32_t>(n - layer_base_[l])};
+      for (auto slot = link_base_[n]; slot < link_base_[n + 1]; ++slot) {
+        if (link_stats_[slot].packets == 0) continue;
+        out.emplace(std::pair{node, neighbor_of(node, slot - link_base_[n])},
+                    link_stats_[slot]);
+      }
     }
-  };
-  for (topo::HostId h = 0; h < topo_->num_hosts(); ++h) {
-    emit(NodeRef{topo::Layer::kHost, h});
-  }
-  for (topo::LeafId l = 0; l < topo_->num_leaves(); ++l) {
-    emit(NodeRef{topo::Layer::kLeaf, l});
-  }
-  for (topo::SpineId s = 0; s < topo_->num_spines(); ++s) {
-    emit(NodeRef{topo::Layer::kSpine, s});
-  }
-  for (topo::CoreId c = 0; c < topo_->num_cores(); ++c) {
-    emit(NodeRef{topo::Layer::kCore, c});
   }
   return out;
 }
@@ -567,33 +559,38 @@ void Fabric::clear_link_loss() {
   link_loss_.clear();
 }
 
-void Fabric::sample_into(obs::TimeSeriesStore& store) const {
-  struct LayerSample {
-    topo::Layer layer;
-    const char* packets_in;
-    const char* copies_out;
-    const char* drops;
+template <class Sink>
+void Fabric::for_each_series(Sink&& sink) const {
+  // Composed once, so that sampling allocates nothing after its first call:
+  // "<prefix><name>_total" for a counter row, "<prefix><name>" for a gauge.
+  static const auto names = [] {
+    const auto named = [](const char* prefix, const auto& fields) {
+      std::vector<std::string> out;
+      for (const auto& f : fields) {
+        const bool total = f.kind == dp::StatKind::kCounter;
+        out.push_back(prefix + std::string{f.name} + (total ? "_total" : ""));
+      }
+      return out;
+    };
+    return std::array{named("elmo_dp_leaf_", dp::kSwitchStatFields),
+                      named("elmo_dp_spine_", dp::kSwitchStatFields),
+                      named("elmo_dp_core_", dp::kSwitchStatFields),
+                      named("elmo_dp_host_", dp::kHypervisorStatFields),
+                      named("elmo_fabric_", kFabricWalkStatFields)};
+  }();
+  const auto rows = [&sink](const auto& stats, const auto& fields,
+                            const std::vector<std::string>& named) {
+    for (std::size_t i = 0; i < named.size(); ++i) {
+      sink(named[i], fields[i].help, fields[i].kind, stats.*fields[i].member);
+    }
   };
-  static constexpr LayerSample kLayerSamples[] = {
-      {topo::Layer::kLeaf, "elmo_dp_leaf_packets_in_total",
-       "elmo_dp_leaf_copies_out_total", "elmo_dp_leaf_drops_total"},
-      {topo::Layer::kSpine, "elmo_dp_spine_packets_in_total",
-       "elmo_dp_spine_copies_out_total", "elmo_dp_spine_drops_total"},
-      {topo::Layer::kCore, "elmo_dp_core_packets_in_total",
-       "elmo_dp_core_copies_out_total", "elmo_dp_core_drops_total"},
-  };
-  for (const auto& ls : kLayerSamples) {
-    const auto s = aggregate_switch_stats(ls.layer);
-    store.append(ls.packets_in, static_cast<double>(s.packets_in));
-    store.append(ls.copies_out, static_cast<double>(s.copies_out));
-    store.append(ls.drops, static_cast<double>(s.drops));
+  for (std::size_t i = 0; i < 3; ++i) {  // leaves, spines, cores
+    rows(aggregate_switch_stats(static_cast<topo::Layer>(i + 1)),
+         dp::kSwitchStatFields, names[i]);
   }
-
-  const auto h = aggregate_hypervisor_stats();
-  store.append("elmo_dp_host_sent_total", static_cast<double>(h.sent));
-  store.append("elmo_dp_host_received_total", static_cast<double>(h.received));
-  store.append("elmo_dp_host_vm_deliveries_total",
-               static_cast<double>(h.delivered_to_vms));
+  const auto hosts = aggregate_hypervisor_stats();
+  rows(hosts, dp::kHypervisorStatFields, names[3]);
+  rows(walk_stats_, kFabricWalkStatFields, names[4]);
 
   // Directed per-layer-pair transmission sums: the "copies put on the wire
   // towards layer X" side of the conservation law the loss-rate detector
@@ -613,30 +610,43 @@ void Fabric::sample_into(obs::TimeSeriesStore& store) const {
       }
     }
     wire.packets += sum;
-    return static_cast<double>(sum);
+    return sum;
   };
+  constexpr auto kCounter = dp::StatKind::kCounter;
   const auto& t = *topo_;
   const auto leaf_down = t.leaf_down_ports();
   const auto spine_down = t.spine_down_ports();
-  store.append("elmo_link_host_leaf_tx_total", tx(topo::Layer::kHost, 0, 1));
-  store.append("elmo_link_leaf_host_tx_total",
-               tx(topo::Layer::kLeaf, 0, leaf_down));
-  store.append("elmo_link_leaf_spine_tx_total",
-               tx(topo::Layer::kLeaf, leaf_down, leaf_down + t.leaf_up_ports()));
-  store.append("elmo_link_spine_leaf_tx_total",
-               tx(topo::Layer::kSpine, 0, spine_down));
-  store.append("elmo_link_spine_core_tx_total",
-               tx(topo::Layer::kSpine, spine_down,
-                  spine_down + t.spine_up_ports()));
-  store.append("elmo_link_core_spine_tx_total",
-               tx(topo::Layer::kCore, 0, t.core_ports()));
+  sink("elmo_link_host_leaf_tx_total", "Host-to-leaf copies", kCounter,
+       tx(topo::Layer::kHost, 0, 1));
+  sink("elmo_link_leaf_host_tx_total", "Leaf-to-host copies", kCounter,
+       tx(topo::Layer::kLeaf, 0, leaf_down));
+  sink("elmo_link_leaf_spine_tx_total", "Leaf-to-spine copies", kCounter,
+       tx(topo::Layer::kLeaf, leaf_down, leaf_down + t.leaf_up_ports()));
+  sink("elmo_link_spine_leaf_tx_total", "Spine-to-leaf copies", kCounter,
+       tx(topo::Layer::kSpine, 0, spine_down));
+  sink("elmo_link_spine_core_tx_total", "Spine-to-core copies", kCounter,
+       tx(topo::Layer::kSpine, spine_down, spine_down + t.spine_up_ports()));
+  sink("elmo_link_core_spine_tx_total", "Core-to-spine copies", kCounter,
+       tx(topo::Layer::kCore, 0, t.core_ports()));
 
-  store.append("elmo_fabric_sends_total", static_cast<double>(walk_stats_.sends));
-  store.append("elmo_fabric_lost_copies_total",
-               static_cast<double>(walk_stats_.lost_copies));
-  store.append("elmo_fabric_link_transmissions_total",
-               static_cast<double>(wire.packets));
-  store.append("elmo_fabric_wire_bytes_total", static_cast<double>(wire.bytes));
+  // Fabric-wide totals, each derived from the one counter that keeps its
+  // fact: host copies and VM deliveries from the hypervisors, wire traffic
+  // from the links.
+  sink("elmo_fabric_host_copies_total",
+       "Host copies, summed over the hypervisors", kCounter, hosts.received);
+  sink("elmo_fabric_vm_deliveries_total",
+       "VM deliveries, summed over the hypervisors", kCounter,
+       hosts.delivered_to_vms);
+  sink("elmo_fabric_link_transmissions_total",
+       "Per-link transmissions accounted", kCounter, wire.packets);
+  sink("elmo_fabric_wire_bytes_total", "Bytes placed on the wire", kCounter,
+       wire.bytes);
+}
+
+void Fabric::sample_into(obs::TimeSeriesStore& store) const {
+  for_each_series([&store](std::string_view name, auto, auto, auto value) {
+    store.append(name, static_cast<double>(value));
+  });
 }
 
 dp::SwitchStats Fabric::aggregate_switch_stats(topo::Layer layer) const {
@@ -657,82 +667,14 @@ dp::HypervisorStats Fabric::aggregate_hypervisor_stats() const {
 
 void accumulate_fabric_metrics(const Fabric& fabric,
                                obs::MetricsRegistry& reg) {
-  auto add = [&reg](std::string_view name, std::uint64_t value,
-                    std::string_view help) {
-    const auto id = reg.counter(name, help);
-    if (value > 0) reg.add(id, value);
-  };
-
-  struct LayerName {
-    topo::Layer layer;
-    const char* tag;
-  };
-  for (const auto& [layer, tag] : {LayerName{topo::Layer::kLeaf, "leaf"},
-                                   LayerName{topo::Layer::kSpine, "spine"},
-                                   LayerName{topo::Layer::kCore, "core"}}) {
-    const auto s = fabric.aggregate_switch_stats(layer);
-    const std::string p = std::string{"elmo_dp_"} + tag + "_";
-    add(p + "packets_in_total", s.packets_in, "Packets entering the pipeline");
-    add(p + "bytes_in_total", s.bytes_in, "Bytes entering the pipeline");
-    add(p + "copies_out_total", s.copies_out, "Replicated copies emitted");
-    add(p + "bytes_out_total", s.bytes_out, "Bytes emitted across all copies");
-    add(p + "prule_matches_total", s.prule_matches,
-        "Packets forwarded via a parser-matched p-rule bitmap");
-    add(p + "upstream_matches_total", s.upstream_matches,
-        "Packets forwarded via the layer's upstream rule");
-    add(p + "srule_matches_total", s.srule_matches,
-        "Packets forwarded via a group-table s-rule");
-    add(p + "default_matches_total", s.default_matches,
-        "Packets that fell back to the default p-rule");
-    add(p + "drops_total", s.drops, "Packets dropped (no rule, or switch down)");
-    add(p + "header_pops_total", s.header_pops,
-        "Copies whose consumed Elmo sections were invalidated");
-    add(p + "header_pop_bytes_total", s.header_pop_bytes,
-        "Elmo header bytes removed by pops");
-  }
-
-  const auto h = fabric.aggregate_hypervisor_stats();
-  add("elmo_dp_host_sent_total", h.sent, "Multicast packets encapsulated");
-  add("elmo_dp_host_bytes_sent_total", h.bytes_sent,
-      "Encapsulated bytes handed to the wire");
-  add("elmo_dp_host_received_total", h.received,
-      "Fabric packets received by hypervisors");
-  add("elmo_dp_host_bytes_received_total", h.bytes_received,
-      "Bytes received by hypervisors");
-  add("elmo_dp_host_vm_deliveries_total", h.delivered_to_vms,
-      "Per-VM payload deliveries");
-  add("elmo_dp_host_delivered_bytes_total", h.delivered_bytes,
-      "Payload bytes handed to local VMs");
-  add("elmo_dp_host_redundant_copies_total", h.discarded,
-      "Copies received by hosts with no local members (redundancy)");
-
-  // Fabric-wide totals, each derived from the one counter that keeps its
-  // fact: host copies and VM deliveries from the hypervisors, wire traffic
-  // from the links.
-  LinkStats wire;
-  for (const auto& [link, stats] : fabric.links()) {
-    wire.packets += stats.packets;
-    wire.bytes += stats.bytes;
-  }
-  const auto& w = fabric.walk_stats();
-  add("elmo_fabric_sends_total", w.sends, "Multicast walks started");
-  add("elmo_fabric_unicast_sends_total", w.unicast_sends,
-      "Unicast path walks");
-  add("elmo_fabric_work_items_total", w.work_items,
-      "Event-queue entries processed");
-  add("elmo_fabric_vm_deliveries_total", h.delivered_to_vms,
-      "VM deliveries observed by the walk");
-  add("elmo_fabric_host_copies_total", h.received,
-      "Copies delivered to host ports");
-  add("elmo_fabric_link_transmissions_total", wire.packets,
-      "Per-link transmissions accounted");
-  add("elmo_fabric_wire_bytes_total", wire.bytes, "Bytes placed on the wire");
-  add("elmo_fabric_lost_copies_total", w.lost_copies,
-      "Copies dropped by the loss model");
-  const auto depth_id = reg.gauge(
-      "elmo_fabric_max_queue_depth",
-      "High-water mark of pending event-queue items");
-  reg.gauge_max(depth_id, static_cast<double>(w.max_queue_depth));
+  fabric.for_each_series([&reg](std::string_view name, std::string_view help,
+                                dp::StatKind kind, std::uint64_t value) {
+    if (kind == dp::StatKind::kGauge) {
+      reg.gauge_max(reg.gauge(name, help), static_cast<double>(value));
+    } else if (const auto id = reg.counter(name, help); value > 0) {
+      reg.add(id, value);
+    }
+  });
 }
 
 }  // namespace elmo::sim

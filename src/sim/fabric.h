@@ -33,7 +33,8 @@
 // links what they carry (links()), and the queue what only it sees
 // (FabricWalkStats). Every total or per-probe view — the exported
 // elmo_fabric_* series, SendResult, sim::mtrace — is derived from them, and
-// a reader that wants one run's or one probe's share takes a delta.
+// a reader that wants one run's or one probe's share takes a delta. Both
+// exports, sample_into and accumulate_fabric_metrics, walk them one way.
 #pragma once
 
 #include <algorithm>
@@ -139,12 +140,25 @@ struct SendResult {
 // counters'; exported totals of those are derived from them. Like every
 // fabric counter these only grow: read them as deltas.
 struct FabricWalkStats {
-  std::uint64_t sends = 0;              // multicast walks started
+  std::uint64_t sends = 0;
   std::uint64_t unicast_sends = 0;
-  std::uint64_t work_items = 0;         // queue entries processed
-  std::uint64_t max_queue_depth = 0;    // high-water mark of pending items
-  std::uint64_t lost_copies = 0;        // dropped by the loss model
+  std::uint64_t work_items = 0;
+  std::uint64_t max_queue_depth = 0;
+  std::uint64_t lost_copies = 0;
 };
+
+// FabricWalkStats' field table (dataplane/common.h): elmo_fabric_<name>.
+inline constexpr dp::StatField<FabricWalkStats> kFabricWalkStatFields[] = {
+    {"sends", &FabricWalkStats::sends, "Multicast walks started"},
+    {"unicast_sends", &FabricWalkStats::unicast_sends, "Unicast path walks"},
+    {"work_items", &FabricWalkStats::work_items,
+     "Event-queue entries processed"},
+    {"max_queue_depth", &FabricWalkStats::max_queue_depth,
+     "High-water mark of pending event-queue items", dp::StatKind::kGauge},
+    {"lost_copies", &FabricWalkStats::lost_copies,
+     "Copies dropped by the loss model"},
+};
+static_assert(dp::covers_every_field(kFabricWalkStatFields));
 
 class Fabric {
  public:
@@ -233,11 +247,11 @@ class Fabric {
   void set_link_loss(const NodeRef& from, const NodeRef& to, double rate);
   void clear_link_loss();
 
-  // Appends the fabric's aggregate health series — per-layer dataplane
-  // counters, walk totals, and directed per-layer-pair link transmission
-  // sums (elmo_link_<from>_<to>_tx_total) — into `store` under its current
-  // sampling window. Does not advance the window; the driver decides when a
-  // window closes. Allocation-free after the first call (DESIGN.md §14).
+  // Appends every series accumulate_fabric_metrics exports — per-layer
+  // SwitchStats, HypervisorStats, FabricWalkStats, the directed link sums
+  // (elmo_link_<from>_<to>_tx_total) and the derived fabric totals — into
+  // `store` under its current sampling window, which it does not advance.
+  // Allocation-free after the first call (DESIGN.md §14).
   void sample_into(obs::TimeSeriesStore& store) const;
 
   // Optional hop tracer (nullptr detaches). Each send() then records a root
@@ -348,6 +362,11 @@ class Fabric {
   // Out-port of `from` that reaches the adjacent node `to`.
   std::size_t port_towards(const NodeRef& from, const NodeRef& to) const;
 
+  // Calls sink(name, help, kind, value) once per exported series.
+  template <class Sink>
+  void for_each_series(Sink&& sink) const;
+  friend void accumulate_fabric_metrics(const Fabric&, obs::MetricsRegistry&);
+
   const topo::ClosTopology* topo_;
   // Node i < hosts is hosts_[i]; any other is switches_[i - hosts], which
   // holds the leaves, then the spines, then the cores.
@@ -394,7 +413,7 @@ class Fabric {
 };
 
 // One-shot export: registers the telemetry names (idempotent) and adds the
-// fabric's *current* per-element and walk totals into `reg`. Call once per
+// fabric's *current* value of every series sample_into samples. Call once per
 // fabric at the end of a run — calling again adds the totals again. Suits
 // short-lived fabrics (bench iterations, fuzz scenarios) where a live
 // pull-model collector would dangle after the fabric dies.

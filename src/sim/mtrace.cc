@@ -1,6 +1,5 @@
 #include "sim/mtrace.h"
 
-#include <algorithm>
 #include <sstream>
 
 #include "obs/provenance.h"
@@ -12,14 +11,15 @@ MtraceReport mtrace(Fabric& fabric, const elmo::Controller& controller,
                     std::size_t payload_bytes) {
   const auto& g = controller.group(group);
 
-  // Counter snapshots before the probe; the report carries the deltas, i.e.
-  // what this one packet did. The fabric's own counters are left running:
-  // they are monotonic series for whoever samples them.
-  const auto leaves_before = fabric.aggregate_switch_stats(topo::Layer::kLeaf);
-  const auto spines_before =
-      fabric.aggregate_switch_stats(topo::Layer::kSpine);
-  const auto cores_before = fabric.aggregate_switch_stats(topo::Layer::kCore);
-  const auto hosts_before = fabric.aggregate_hypervisor_stats();
+  // The probe's share of the fabric's counters, which keep running: they
+  // are monotonic series for whoever samples them.
+  const auto counters = [&fabric] {
+    return MtraceCounters{fabric.aggregate_switch_stats(topo::Layer::kLeaf),
+                          fabric.aggregate_switch_stats(topo::Layer::kSpine),
+                          fabric.aggregate_switch_stats(topo::Layer::kCore),
+                          fabric.aggregate_hypervisor_stats()};
+  };
+  const auto before = counters();
 
   // The probe records its decision tree in a log of its own; the fabric's
   // log is attached again afterwards, also if the walk throws.
@@ -32,39 +32,12 @@ MtraceReport mtrace(Fabric& fabric, const elmo::Controller& controller,
   fabric.set_provenance(&probe_log);
   const auto result = fabric.send(sender, g.address, payload_bytes);
 
-  auto switch_delta = [](dp::SwitchStats after, const dp::SwitchStats& before) {
-    after.packets_in -= before.packets_in;
-    after.bytes_in -= before.bytes_in;
-    after.copies_out -= before.copies_out;
-    after.bytes_out -= before.bytes_out;
-    after.prule_matches -= before.prule_matches;
-    after.upstream_matches -= before.upstream_matches;
-    after.srule_matches -= before.srule_matches;
-    after.default_matches -= before.default_matches;
-    after.drops -= before.drops;
-    after.header_pops -= before.header_pops;
-    after.header_pop_bytes -= before.header_pop_bytes;
-    return after;
-  };
-
   MtraceReport report;
-  report.counters.leaves = switch_delta(
-      fabric.aggregate_switch_stats(topo::Layer::kLeaf), leaves_before);
-  report.counters.spines = switch_delta(
-      fabric.aggregate_switch_stats(topo::Layer::kSpine), spines_before);
-  report.counters.cores = switch_delta(
-      fabric.aggregate_switch_stats(topo::Layer::kCore), cores_before);
-  {
-    auto h = fabric.aggregate_hypervisor_stats();
-    h.sent -= hosts_before.sent;
-    h.bytes_sent -= hosts_before.bytes_sent;
-    h.received -= hosts_before.received;
-    h.bytes_received -= hosts_before.bytes_received;
-    h.delivered_to_vms -= hosts_before.delivered_to_vms;
-    h.delivered_bytes -= hosts_before.delivered_bytes;
-    h.discarded -= hosts_before.discarded;
-    report.counters.hypervisors = h;
-  }
+  report.counters = counters();
+  report.counters.leaves -= before.leaves;
+  report.counters.spines -= before.spines;
+  report.counters.cores -= before.cores;
+  report.counters.hypervisors -= before.hypervisors;
   report.total_wire_bytes = result.total_wire_bytes;
   report.max_depth = result.max_hops + 1;
   for (const auto& [host, copies] : result.host_copies) {
@@ -78,24 +51,15 @@ MtraceReport mtrace(Fabric& fabric, const elmo::Controller& controller,
 
   // One MtraceHop per hop of the probe's decision tree, parent by parent in
   // walk order (a hop's index is its place in the FIFO, so a parent comes
-  // before its children). A node emits its copies in port order, which is
-  // NodeRef order; the log files a copy lost in flight when it is emitted
-  // but a delivered one when it is processed, so siblings are put back in
-  // NodeRef order.
+  // before its children), each parent's children in port order.
   if (probe_log.empty()) return report;  // the sender has no flow
   const auto& tree = probe_log.last().hops;
   const auto node_of = [&tree](std::size_t hop) {
     return NodeRef{tree[hop].layer, tree[hop].node};
   };
   std::vector<std::size_t> depth(tree.size(), 0);
-  std::vector<std::size_t> children;
   for (std::size_t parent = 0; parent < tree.size(); ++parent) {
-    children = tree[parent].children;
-    std::sort(children.begin(), children.end(),
-              [&](std::size_t a, std::size_t b) {
-                return node_of(a) < node_of(b);
-              });
-    for (const auto child : children) {
+    for (const auto child : tree[parent].children) {
       depth[child] = depth[parent] + 1;
       report.hops.push_back(MtraceHop{node_of(parent), node_of(child),
                                       tree[child].bytes_in, depth[child]});

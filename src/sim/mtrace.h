@@ -6,8 +6,8 @@
 // replication tree the fabric actually executed — per-hop switches, per-link
 // header sizes (showing the p-rule popping), and the final per-host outcomes
 // (member delivery, redundant copy, loss). The tree is the probe's decision
-// tree from the provenance log (DESIGN.md §10); the counter section is the
-// difference of the fabric's monotonic counters across the probe.
+// tree from the provenance log (DESIGN.md §10), siblings in port order; the
+// counter section is `after -= before` over the fabric's counter tables.
 #pragma once
 
 #include <string>

@@ -132,9 +132,10 @@ TEST_F(LossFixture, ReliableSessionIsFreeWithoutLoss) {
 TEST_F(LossFixture, MtraceShowsLostCopiesInWalkOrder) {
   // A lossy probe's tree lists every copy put on a link, lost or not, so
   // each link counter grows by exactly the hops mtrace shows on it. The
-  // provenance log files a lost copy when it is emitted, ahead of its
-  // delivered siblings; mtrace still lists siblings in port (NodeRef)
-  // order. The fabric's own log neither sees the probes nor stays detached.
+  // provenance log files a lost copy when it is emitted and a delivered one
+  // when it is dequeued, but keeps each parent's children in port (NodeRef)
+  // order, so mtrace lists siblings in that order. The fabric's own log
+  // neither sees the probes nor stays detached.
   const auto id = make_group({0, 1, 2, 3, 17, 33, 49, 5, 21});
   fabric.set_loss(0.3, /*seed=*/5);
   obs::ProvenanceLog log;

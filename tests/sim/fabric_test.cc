@@ -12,6 +12,7 @@
 #include "elmo/header.h"
 #include "elmo/stream.h"
 #include "obs/timeseries.h"
+#include "sim/mtrace.h"
 #include "testutil.h"
 
 namespace elmo::sim {
@@ -468,6 +469,136 @@ TEST_F(FabricFixture, DerivedSeriesKeepTheirValues) {
         "elmo_fabric_wire_bytes_total"}) {
     ASSERT_NE(store.last(name), nullptr) << name;
     EXPECT_EQ(store.last(name)->value, snap.value(name)) << name;
+  }
+}
+
+// Every row of every counter table reaches every view: the registry export,
+// the sampled series and the aggregated struct agree, and mtrace's probe
+// delta is the aggregate after the probe minus the one before. A tight
+// header budget (default p-rules, s-rules), a legacy leaf, a spine that is
+// down behind the controller's back (drops), global loss and unicast beside
+// multicast make every row move somewhere.
+TEST_F(FabricFixture, EveryCounterReachesEveryView) {
+  elmo::EncoderConfig cfg;
+  cfg.hmax_leaf_override = 1;
+  cfg.hmax_spine = 1;
+  cfg.srule_capacity = 1;
+  elmo::Controller tight{topology, cfg};
+  std::vector<bool> legacy(topology.num_leaves(), false);
+  legacy[1] = true;  // hosts 4..7
+  tight.set_legacy_leaves(legacy);
+  Fabric lossy{topology};
+  lossy.leaf(1).set_legacy(true);
+
+  std::vector<elmo::Member> members;
+  for (std::uint32_t i = 0; i < 12; ++i) {
+    members.push_back(elmo::Member{i * 5 % 64, i, elmo::MemberRole::kBoth});
+  }
+  // The first group takes the one s-rule slot per switch; the second,
+  // sharing its switches, falls back to default p-rules.
+  const auto id = tight.create_group(0, members);
+  std::vector<elmo::Member> others;
+  for (std::uint32_t i = 0; i < 12; ++i) {
+    others.push_back(elmo::Member{i * 5 % 64 + 1, i, elmo::MemberRole::kBoth});
+  }
+  const auto other = tight.create_group(0, others);
+  stream::ControlPlane{tight, lossy}.sync(std::array{id, other});
+  const auto address = tight.group(id).address;
+  const auto plane = topology.ecmp_plane(topo::group_hash(address));
+  lossy.spine(topology.spine_at(3, plane)).set_down(true);
+  lossy.set_loss(0.05, 11);
+  for (std::size_t i = 0; i < members.size(); ++i) {
+    (void)lossy.send(members[i].host, address, std::size_t{64});
+    (void)lossy.send(others[i].host, tight.group(other).address,
+                     std::size_t{64});
+    (void)lossy.send_unicast(members[i].host, (members[i].host + 21) % 64, 80);
+  }
+
+  struct Layer {
+    topo::Layer layer;
+    const char* tag;
+  };
+  const Layer layers[] = {{topo::Layer::kLeaf, "leaf"},
+                          {topo::Layer::kSpine, "spine"},
+                          {topo::Layer::kCore, "core"}};
+  const auto switches = [&] {
+    std::array<dp::SwitchStats, 3> out;
+    for (std::size_t i = 0; i < 3; ++i) {
+      out[i] = lossy.aggregate_switch_stats(layers[i].layer);
+    }
+    return out;
+  };
+
+  // The probe's delta, field by field.
+  const auto switches_before = switches();
+  const auto hosts_before = lossy.aggregate_hypervisor_stats();
+  const auto report = mtrace(lossy, tight, id, members[0].host, 64);
+  const auto switches_after = switches();
+  const auto hosts_after = lossy.aggregate_hypervisor_stats();
+  const dp::SwitchStats* probe[] = {&report.counters.leaves,
+                                    &report.counters.spines,
+                                    &report.counters.cores};
+  for (std::size_t i = 0; i < 3; ++i) {
+    for (const auto& field : dp::kSwitchStatFields) {
+      EXPECT_EQ(probe[i]->*field.member, switches_after[i].*field.member -
+                                             switches_before[i].*field.member)
+          << layers[i].tag << " " << field.name;
+    }
+  }
+  for (const auto& field : dp::kHypervisorStatFields) {
+    EXPECT_EQ(report.counters.hypervisors.*field.member,
+              hosts_after.*field.member - hosts_before.*field.member)
+        << field.name;
+  }
+
+  // Every row: registry series == sampled series == aggregated struct.
+  obs::MetricsRegistry registry{/*enabled=*/true};
+  accumulate_fabric_metrics(lossy, registry);
+  const auto snap = registry.snapshot();
+  obs::TimeSeriesStore store;
+  lossy.sample_into(store);
+  const auto check = [&](const std::string& name, std::uint64_t value) {
+    ASSERT_NE(snap.find(name), nullptr) << name;
+    EXPECT_EQ(snap.value(name), static_cast<double>(value)) << name;
+    ASSERT_NE(store.last(name), nullptr) << name;
+    EXPECT_EQ(store.last(name)->value, static_cast<double>(value)) << name;
+  };
+  dp::SwitchStats any_layer;
+  for (std::size_t i = 0; i < 3; ++i) {
+    const auto& stats = switches_after[i];
+    for (const auto& field : dp::kSwitchStatFields) {
+      check(std::string{"elmo_dp_"} + layers[i].tag + "_" + field.name +
+                "_total",
+            stats.*field.member);
+      any_layer.*field.member |= stats.*field.member;
+    }
+  }
+  for (const auto& field : dp::kSwitchStatFields) {
+    EXPECT_GT(any_layer.*field.member, 0u) << field.name;
+  }
+  for (const auto& field : dp::kHypervisorStatFields) {
+    check(std::string{"elmo_dp_host_"} + field.name + "_total",
+          hosts_after.*field.member);
+    EXPECT_GT(hosts_after.*field.member, 0u) << field.name;
+  }
+  for (const auto& field : kFabricWalkStatFields) {
+    const bool gauge = field.kind == dp::StatKind::kGauge;
+    const auto name =
+        std::string{"elmo_fabric_"} + field.name + (gauge ? "" : "_total");
+    check(name, lossy.walk_stats().*field.member);
+    EXPECT_GT(lossy.walk_stats().*field.member, 0u) << name;
+    ASSERT_NE(snap.find(name), nullptr) << name;
+    EXPECT_EQ(snap.find(name)->kind,
+              gauge ? obs::MetricKind::kGauge : obs::MetricKind::kCounter)
+        << name;
+  }
+
+  // The two exports carry the same series: the table rows above, the link
+  // sums and the derived totals.
+  EXPECT_EQ(store.series_count(), snap.metrics.size());
+  for (const auto& metric : snap.metrics) {
+    ASSERT_NE(store.last(metric.name), nullptr) << metric.name;
+    EXPECT_EQ(store.last(metric.name)->value, metric.value) << metric.name;
   }
 }
 

@@ -100,6 +100,43 @@ TEST(Explain, TightBudgetAttributionMatchesEvaluatorAndCounters) {
   EXPECT_NE(text.find("<- intended"), std::string::npos);
 }
 
+// A copy lost in flight sits between its port siblings in both renders,
+// though the walk files it when it is emitted and its delivered siblings
+// only when they are dequeued.
+TEST(Explain, LostCopySitsBetweenItsPortSiblings) {
+  const topo::ClosTopology topology{topo::ClosParams::small_test()};
+  elmo::Controller controller{topology, elmo::EncoderConfig{}};
+  sim::Fabric fabric{topology};
+  std::vector<elmo::Member> members;
+  for (std::uint32_t host = 0; host < 4; ++host) {  // all on leaf 0
+    members.push_back(elmo::Member{host, host, elmo::MemberRole::kBoth});
+  }
+  const auto id = controller.create_group(0, members);
+  stream::ControlPlane{controller, fabric}.sync(std::array{id});
+  const auto& g = controller.group(id);
+  fabric.set_link_loss(sim::NodeRef{topo::Layer::kLeaf, 0},
+                       sim::NodeRef{topo::Layer::kHost, 2}, 1.0);
+
+  obs::ProvenanceLog log;
+  fabric.set_provenance(&log);
+  (void)fabric.send(0, g.address, std::size_t{64});
+  ASSERT_EQ(log.sends().size(), 1u);
+
+  DeliveryOracle oracle{topology, {}};
+  oracle.create_group(members);
+  const auto expl = explain_send(log.last(), oracle.expect(0, g.encoding, 0));
+  for (const auto& text : {obs::render_trace(log.last()), expl.render()}) {
+    const auto lower = text.find("    host1  [");
+    const auto lost = text.find("    host2  [lost in flight]");
+    const auto higher = text.find("    host3  [");
+    ASSERT_NE(lower, std::string::npos) << text;
+    ASSERT_NE(lost, std::string::npos) << text;
+    ASSERT_NE(higher, std::string::npos) << text;
+    EXPECT_LT(lower, lost) << text;
+    EXPECT_LT(lost, higher) << text;
+  }
+}
+
 TEST(Explain, RunnerCapturesEveryCheckedSend) {
   const auto scenario = generate_scenario(3);
   std::vector<SendCapture> captures;
