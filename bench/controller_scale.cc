@@ -9,7 +9,8 @@
 // loudly if they are not.
 //
 // Output is JSON on stdout (docs/BENCH_SCHEMA.md); the recorded snapshot is
-// bench/results/BENCH_controller_scale.json.
+// bench/results/BENCH_controller_scale.json. `--metrics=<path>` writes the
+// registry's exposition of every run (the pool workers' writes included).
 //
 // Scale via env: ELMO_GROUPS (default 50,000; paper: 1,000,000), ELMO_PODS,
 // ELMO_SEED, ELMO_THREAD_LIST (comma list, default "1,4,8").
@@ -21,6 +22,7 @@
 
 #include "elmo/controller.h"
 #include "figlib.h"
+#include "obs/metrics.h"
 
 namespace {
 
@@ -167,5 +169,10 @@ int main(int argc, char** argv) {
         i + 1 < runs.size() ? "," : "");
   }
   std::printf("  ]\n}\n");
+  if (!scale.metrics.empty() &&
+      !obs::write_metrics(scale.metrics,
+                          obs::MetricsRegistry::global().snapshot())) {
+    return 1;
+  }
   return 0;
 }

@@ -12,7 +12,7 @@ verifies that everything they point at actually exists in the tree:
     modulo a small allowlist of external tools' flags (cmake/ctest);
   * `ELMO_<X>` environment variables map to a parsed flag key (util::Flags
     reads `ELMO_<KEY>` for `--<key>`) or appear literally in the sources
-    (macros like ELMO_METRIC / ELMO_NO_METRICS, getenv'd vars);
+    (macros like ELMO_METRIC, getenv'd vars);
   * `DESIGN.md §N` anchors — in the docs AND in source comments — name a
     numbered `## N.` section that exists in DESIGN.md.
 

@@ -226,6 +226,27 @@ std::string HealthMonitor::render_json() const {
 
 namespace {
 
+// Detector thresholds.
+// loss-rate: fire at >= 0.5% per-window loss, escalate to kCritical at >= 5%,
+// and ignore windows with fewer transmissions.
+constexpr double kLossMinRate = 0.005;
+constexpr double kLossCriticalRate = 0.05;
+constexpr double kLossMinTransmissions = 50;
+// stuck-element: consecutive windows with ingress >= kStuckMinIngress and no
+// egress before it fires.
+constexpr std::uint64_t kStuckWindows = 2;
+constexpr double kStuckMinIngress = 1;
+// fanout-anomaly: |1 - delivered/expected| to fire and to escalate, judged
+// only over windows expecting at least kFanoutMinExpected deliveries.
+constexpr double kFanoutTolerance = 0.002;
+constexpr double kFanoutCriticalRatio = 0.05;
+constexpr double kFanoutMinExpected = 64;
+// churn-lag: install-lag p99 budget, and the EWMA over the p99 series with
+// its warm-up before any verdict.
+constexpr double kChurnLagBudgetSeconds = 0.050;
+constexpr double kChurnLagAlpha = 0.5;
+constexpr std::size_t kChurnLagMinSamples = 3;
+
 // Per-window delta of `name`, or nullopt without two samples.
 std::optional<double> win_delta(const TimeSeriesStore& ts,
                                 std::string_view name) {
@@ -238,7 +259,6 @@ std::optional<double> win_delta(const TimeSeriesStore& ts,
 // deficit is the loss model (or a real gray link) eating copies in flight.
 class LossRateDetector final : public Detector {
  public:
-  explicit LossRateDetector(LossRateOptions opts) : opts_{opts} {}
   const char* name() const override { return "loss-rate"; }
 
   void scan(const TimeSeriesStore& ts, std::vector<Finding>& out) override {
@@ -268,20 +288,20 @@ class LossRateDetector final : public Detector {
         if (!tx_b) continue;
         tx += *tx_b;
       }
-      if (tx < opts_.min_transmissions) continue;
+      if (tx < kLossMinTransmissions) continue;
       const double lost = tx - *arrived;
       const double rate = lost / tx;
-      if (rate < opts_.min_rate) continue;
+      if (rate < kLossMinRate) continue;
       Finding f;
       f.klass = kLinkLossClass;
-      f.severity = rate >= opts_.critical_rate ? Severity::kCritical
-                                               : Severity::kWarning;
+      f.severity = rate >= kLossCriticalRate ? Severity::kCritical
+                                             : Severity::kWarning;
       f.element = layer.element;
       f.summary = "links into " +
                   std::string{layer.element + sizeof("layer-in:") - 1} +
                   " lost " + fmt_num(lost) + " of " + fmt_num(tx) +
                   " copies this window (" + fmt_num(rate * 100.0) + "%)";
-      f.evidence.push_back(Evidence{"derived:loss_rate", rate, opts_.min_rate,
+      f.evidence.push_back(Evidence{"derived:loss_rate", rate, kLossMinRate,
                                     "lost / transmitted, one window"});
       f.evidence.push_back(Evidence{layer.tx_a, *tx_a, 0, "delta"});
       if (layer.tx_b != nullptr) {
@@ -292,14 +312,10 @@ class LossRateDetector final : public Detector {
       out.push_back(std::move(f));
     }
   }
-
- private:
-  LossRateOptions opts_;
 };
 
 class StuckElementDetector final : public Detector {
  public:
-  explicit StuckElementDetector(StuckElementOptions opts) : opts_{opts} {}
   const char* name() const override { return "stuck-element"; }
 
   void scan(const TimeSeriesStore& ts, std::vector<Finding>& out) override {
@@ -317,12 +333,12 @@ class StuckElementDetector final : public Detector {
          "elmo_dp_core_copies_out_total"},
     };
     for (const auto& layer : kLayers) {
-      // Every one of the last `windows` per-window deltas must show traffic
+      // Every one of the last kStuckWindows per-window deltas must show traffic
       // entering the layer and nothing leaving it.
-      if (ts.samples(layer.in) < opts_.windows + 1) continue;
+      if (ts.samples(layer.in) < kStuckWindows + 1) continue;
       bool stuck = true;
       double ingress = 0;
-      for (std::uint64_t w = 0; w < opts_.windows && stuck; ++w) {
+      for (std::uint64_t w = 0; w < kStuckWindows && stuck; ++w) {
         const auto* in_new = ts.at(layer.in, w);
         const auto* in_old = ts.at(layer.in, w + 1);
         const auto* out_new = ts.at(layer.egress, w);
@@ -334,7 +350,7 @@ class StuckElementDetector final : public Detector {
         }
         const double din = in_new->value - in_old->value;
         const double dout = out_new->value - out_old->value;
-        if (din < opts_.min_ingress || dout != 0) stuck = false;
+        if (din < kStuckMinIngress || dout != 0) stuck = false;
         if (w == 0) ingress = din;
       }
       if (!stuck) continue;
@@ -344,41 +360,37 @@ class StuckElementDetector final : public Detector {
       f.element = layer.element;
       f.summary = std::string{layer.element + sizeof("layer:") - 1} +
                   " layer ingests traffic but emitted zero copies for " +
-                  fmt_num(static_cast<double>(opts_.windows)) + " window(s)";
-      f.evidence.push_back(Evidence{layer.in, ingress, opts_.min_ingress,
+                  fmt_num(static_cast<double>(kStuckWindows)) + " window(s)";
+      f.evidence.push_back(Evidence{layer.in, ingress, kStuckMinIngress,
                                     "per-window ingress"});
       f.evidence.push_back(Evidence{layer.egress, 0, 0,
                                     "per-window egress, expected > 0"});
       out.push_back(std::move(f));
     }
   }
-
- private:
-  StuckElementOptions opts_;
 };
 
 class FanoutAnomalyDetector final : public Detector {
  public:
-  explicit FanoutAnomalyDetector(FanoutAnomalyOptions opts) : opts_{opts} {}
   const char* name() const override { return "fanout-anomaly"; }
 
   void scan(const TimeSeriesStore& ts, std::vector<Finding>& out) override {
     const auto expected = win_delta(ts, "elmo_expect_vm_deliveries_total");
     const auto actual = win_delta(ts, "elmo_dp_host_vm_deliveries_total");
-    if (!expected || !actual || *expected < opts_.min_expected) return;
+    if (!expected || !actual || *expected < kFanoutMinExpected) return;
     const double ratio = *actual / *expected;
     const double deviation = std::abs(1.0 - ratio);
-    if (deviation <= opts_.tolerance) return;
+    if (deviation <= kFanoutTolerance) return;
     Finding f;
     f.klass = kFanoutAnomalyClass;
-    f.severity = deviation >= opts_.critical_ratio ? Severity::kCritical
-                                                   : Severity::kWarning;
+    f.severity = deviation >= kFanoutCriticalRatio ? Severity::kCritical
+                                                 : Severity::kWarning;
     f.element = "hosts";
     f.summary = "VM deliveries " + fmt_num(*actual) + " vs analytic " +
                 "expectation " + fmt_num(*expected) + " this window (" +
                 fmt_num(ratio) + "x)";
     f.evidence.push_back(Evidence{"derived:delivery_ratio_deviation",
-                                  deviation, opts_.tolerance,
+                                  deviation, kFanoutTolerance,
                                   "|1 - delivered/expected|"});
     f.evidence.push_back(Evidence{"elmo_dp_host_vm_deliveries_total", *actual,
                                   0, "delta"});
@@ -386,58 +398,51 @@ class FanoutAnomalyDetector final : public Detector {
                                   *expected, 0, "delta"});
     out.push_back(std::move(f));
   }
-
- private:
-  FanoutAnomalyOptions opts_;
 };
 
 class ChurnLagDetector final : public Detector {
  public:
-  explicit ChurnLagDetector(ChurnLagOptions opts) : opts_{opts} {}
   const char* name() const override { return "churn-lag"; }
 
   void scan(const TimeSeriesStore& ts, std::vector<Finding>& out) override {
-    // EWMA over the p99 series smooths one-off spikes; min_samples is the
-    // warm-up gate (no verdicts off a cold series).
+    // EWMA over the p99 series smooths one-off spikes; kChurnLagMinSamples
+    // is the warm-up gate (no verdicts off a cold series).
     const auto smoothed = ts.ewma_value("elmo_stream_install_lag_p99_seconds",
-                                        opts_.alpha, opts_.min_samples);
-    if (!smoothed || *smoothed <= opts_.budget_seconds) return;
+                                        kChurnLagAlpha, kChurnLagMinSamples);
+    if (!smoothed || *smoothed <= kChurnLagBudgetSeconds) return;
     Finding f;
     f.klass = kChurnLagClass;
-    f.severity = *smoothed > 2.0 * opts_.budget_seconds ? Severity::kCritical
-                                                        : Severity::kWarning;
+    f.severity = *smoothed > 2.0 * kChurnLagBudgetSeconds
+                     ? Severity::kCritical
+                     : Severity::kWarning;
     f.element = "stream:install-lag";
     f.summary = "install-lag p99 EWMA " + fmt_num(*smoothed) +
-                "s breaches the " + fmt_num(opts_.budget_seconds) +
+                "s breaches the " + fmt_num(kChurnLagBudgetSeconds) +
                 "s budget";
-    f.evidence.push_back(Evidence{"elmo_stream_install_lag_p99_seconds",
-                                  *smoothed, opts_.budget_seconds,
-                                  "EWMA(alpha=" + fmt_num(opts_.alpha) + ")"});
+    f.evidence.push_back(
+        Evidence{"elmo_stream_install_lag_p99_seconds", *smoothed,
+                 kChurnLagBudgetSeconds,
+                 "EWMA(alpha=" + fmt_num(kChurnLagAlpha) + ")"});
     out.push_back(std::move(f));
   }
-
- private:
-  ChurnLagOptions opts_;
 };
 
 }  // namespace
 
-std::unique_ptr<Detector> make_loss_rate_detector(LossRateOptions opts) {
-  return std::make_unique<LossRateDetector>(opts);
+std::unique_ptr<Detector> make_loss_rate_detector() {
+  return std::make_unique<LossRateDetector>();
 }
 
-std::unique_ptr<Detector> make_stuck_element_detector(
-    StuckElementOptions opts) {
-  return std::make_unique<StuckElementDetector>(opts);
+std::unique_ptr<Detector> make_stuck_element_detector() {
+  return std::make_unique<StuckElementDetector>();
 }
 
-std::unique_ptr<Detector> make_fanout_anomaly_detector(
-    FanoutAnomalyOptions opts) {
-  return std::make_unique<FanoutAnomalyDetector>(opts);
+std::unique_ptr<Detector> make_fanout_anomaly_detector() {
+  return std::make_unique<FanoutAnomalyDetector>();
 }
 
-std::unique_ptr<Detector> make_churn_lag_detector(ChurnLagOptions opts) {
-  return std::make_unique<ChurnLagDetector>(opts);
+std::unique_ptr<Detector> make_churn_lag_detector() {
+  return std::make_unique<ChurnLagDetector>();
 }
 
 void add_default_detectors(HealthMonitor& monitor) {

@@ -117,7 +117,6 @@ class HealthMonitor {
                          HealthMonitorOptions opts = {});
 
   void add_detector(std::unique_ptr<Detector> detector);
-  std::size_t detector_count() const noexcept { return detectors_.size(); }
 
   // Runs every detector against the store's newest completed window. Call
   // once per window, after TimeSeriesStore::advance()/ingest(). Returns the
@@ -149,36 +148,12 @@ class HealthMonitor {
 
 // --- built-in detectors ----------------------------------------------------
 
-struct LossRateOptions {
-  double min_rate = 0.005;      // fire at >= 0.5% per-window loss
-  double critical_rate = 0.05;  // escalate to kCritical at >= 5%
-  double min_transmissions = 50;  // ignore windows with less traffic
-};
-std::unique_ptr<Detector> make_loss_rate_detector(LossRateOptions opts = {});
+std::unique_ptr<Detector> make_loss_rate_detector();
+std::unique_ptr<Detector> make_stuck_element_detector();
+std::unique_ptr<Detector> make_fanout_anomaly_detector();
+std::unique_ptr<Detector> make_churn_lag_detector();
 
-struct StuckElementOptions {
-  std::uint64_t windows = 2;  // consecutive in>0 / out==0 windows to fire
-  double min_ingress = 1;     // per-window ingress to count as "nonzero"
-};
-std::unique_ptr<Detector> make_stuck_element_detector(
-    StuckElementOptions opts = {});
-
-struct FanoutAnomalyOptions {
-  double tolerance = 0.002;      // |1 - delivered/expected| to fire
-  double critical_ratio = 0.05;  // deviation for kCritical
-  double min_expected = 64;      // per-window expected deliveries to judge
-};
-std::unique_ptr<Detector> make_fanout_anomaly_detector(
-    FanoutAnomalyOptions opts = {});
-
-struct ChurnLagOptions {
-  double budget_seconds = 0.050;  // install-lag p99 budget
-  double alpha = 0.5;             // EWMA smoothing over the p99 series
-  std::size_t min_samples = 3;    // EWMA warm-up before any verdict
-};
-std::unique_ptr<Detector> make_churn_lag_detector(ChurnLagOptions opts = {});
-
-// All four built-ins with default options.
+// All four built-ins.
 void add_default_detectors(HealthMonitor& monitor);
 
 }  // namespace elmo::obs

@@ -5,10 +5,11 @@
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
-#include <deque>
-#include <map>
+#include <memory>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
+#include <string>
 #include <unordered_map>
 
 namespace elmo::obs {
@@ -68,104 +69,37 @@ const char* kind_name(MetricKind kind) {
   return "?";
 }
 
-// Per-(thread, histogram) storage. Bounds are copied in so the hot path
-// never reads the (mutex-guarded, growable) definition table.
-struct HistCell {
-  explicit HistCell(const std::vector<double>& b)
-      : bounds(b), counts(b.size() + 1) {}
-
-  const std::vector<double> bounds;
-  std::vector<std::atomic<std::uint64_t>> counts;  // per bound, then +Inf
-  std::atomic<std::uint64_t> observations{0};
-  std::atomic<std::uint64_t> sum_bits{0};  // double payload
-
-  void observe(double v) noexcept {
-    const auto it = std::lower_bound(bounds.begin(), bounds.end(), v);
-    const auto idx = static_cast<std::size_t>(it - bounds.begin());
-    counts[idx].fetch_add(1, std::memory_order_relaxed);
-    observations.fetch_add(1, std::memory_order_relaxed);
-    auto cur = sum_bits.load(std::memory_order_relaxed);
-    while (!sum_bits.compare_exchange_weak(cur, to_bits(from_bits(cur) + v),
-                                           std::memory_order_relaxed)) {
-    }
-  }
-
-  void reset() noexcept {
-    for (auto& c : counts) c.store(0, std::memory_order_relaxed);
-    observations.store(0, std::memory_order_relaxed);
-    sum_bits.store(0, std::memory_order_relaxed);
-  }
-};
-
-// One thread's private cells. deque: growth never moves existing atomics.
-struct Shard {
-  std::deque<std::atomic<std::uint64_t>> counters;       // by counter slot
-  std::vector<std::unique_ptr<HistCell>> hists;          // by histogram slot
-};
-
-std::atomic<std::uint64_t> g_epoch_source{1};
+// Cell-table capacity: the most metrics one registry can hold. The table is
+// allocated once, so a write indexes storage that never moves.
+constexpr std::size_t kMaxMetrics = 512;
 
 }  // namespace
 
 struct MetricsRegistry::Impl {
-  struct Def {
+  // One registered metric. Registration fills every plain field under
+  // `mutex_` before it returns the Id; after that only the atomics change.
+  struct Cell {
+    std::optional<MetricKind> kind;  // unset until registered
     std::string name;
     std::string help;
-    MetricKind kind = MetricKind::kCounter;
-    std::uint32_t slot = 0;  // kind-local index
     std::vector<double> bounds;  // histogram only
+    std::atomic<std::uint64_t> value{0};  // counter total or gauge payload
+    // Histogram only: per bound, then +Inf. They sum to the observations.
+    std::vector<std::atomic<std::uint64_t>> buckets;
+    std::atomic<std::uint64_t> sum_bits{0};  // histogram sum, double payload
   };
 
   mutable std::mutex mutex_;
-  std::vector<Def> defs_;
   std::unordered_map<std::string, Id> by_name_;
-  std::uint32_t num_counters_ = 0;
-  std::uint32_t num_gauges_ = 0;
-  std::uint32_t num_hists_ = 0;
-  std::deque<std::atomic<std::uint64_t>> gauges_;  // double payloads
-  std::vector<std::shared_ptr<Shard>> shards_;
-  std::chrono::steady_clock::time_point start_ = std::chrono::steady_clock::now();
-  const std::uint64_t epoch_ =
-      g_epoch_source.fetch_add(1, std::memory_order_relaxed);
+  std::uint32_t size_ = 0;  // registered cells, guarded by mutex_
+  const std::unique_ptr<Cell[]> cells_ = std::make_unique<Cell[]>(kMaxMetrics);
+  const std::chrono::steady_clock::time_point start_ =
+      std::chrono::steady_clock::now();
 
-  // Thread-local cache: (registry, epoch) -> shard + raw cell pointers. The
-  // epoch is globally unique per registry instance, so a stale entry for a
-  // destroyed registry can never match a live one, even at the same address.
-  struct TlsEntry {
-    const Impl* impl = nullptr;
-    std::uint64_t epoch = 0;
-    std::shared_ptr<Shard> shard;  // keeps the cells alive past the registry
-    std::vector<std::atomic<std::uint64_t>*> counter_cells;  // by Id
-    std::vector<std::atomic<std::uint64_t>*> gauge_cells;    // by Id
-    std::vector<HistCell*> hist_cells;                       // by Id
-  };
-  static std::vector<TlsEntry>& tls_entries() {
-    thread_local std::vector<TlsEntry> entries;
-    return entries;
-  }
-
-  TlsEntry& tls() {
-    auto& entries = tls_entries();
-    for (auto& e : entries) {
-      if (e.impl == this && e.epoch == epoch_) return e;
-    }
-    // Bound stale entries (destroyed registries) before adding a new one.
-    if (entries.size() > 8) {
-      entries.erase(std::remove_if(entries.begin(), entries.end(),
-                                   [&](const TlsEntry& e) {
-                                     return e.impl != this || e.epoch != epoch_;
-                                   }),
-                    entries.end());
-    }
-    auto& e = entries.emplace_back();
-    e.impl = this;
-    e.epoch = epoch_;
-    {
-      std::lock_guard lk{mutex_};
-      e.shard = std::make_shared<Shard>();
-      shards_.push_back(e.shard);
-    }
-    return e;
+  // The cell behind `id`, or nullptr when `id` names no metric of `kind`.
+  Cell* cell(Id id, MetricKind kind) noexcept {
+    if (id >= kMaxMetrics || cells_[id].kind != kind) return nullptr;
+    return &cells_[id];
   }
 
   Id register_metric(std::string_view raw_name, std::string_view help,
@@ -173,12 +107,12 @@ struct MetricsRegistry::Impl {
     const auto name = sanitize(raw_name);
     std::lock_guard lk{mutex_};
     if (const auto it = by_name_.find(name); it != by_name_.end()) {
-      const auto& def = defs_[it->second];
-      if (def.kind != kind) {
+      const auto& c = cells_[it->second];
+      if (c.kind != kind) {
         throw std::invalid_argument{"MetricsRegistry: metric '" + name +
                                     "' re-registered as a different kind"};
       }
-      if (kind == MetricKind::kHistogram && def.bounds != bounds) {
+      if (kind == MetricKind::kHistogram && c.bounds != bounds) {
         throw std::invalid_argument{"MetricsRegistry: histogram '" + name +
                                     "' re-registered with different bounds"};
       }
@@ -192,76 +126,21 @@ struct MetricsRegistry::Impl {
             "and non-empty"};
       }
     }
-    Def def;
-    def.name = name;
-    def.help = std::string{help};
-    def.kind = kind;
-    def.bounds = std::move(bounds);
-    switch (kind) {
-      case MetricKind::kCounter:
-        def.slot = num_counters_++;
-        break;
-      case MetricKind::kGauge:
-        def.slot = num_gauges_++;
-        while (gauges_.size() < num_gauges_) gauges_.emplace_back(0);
-        break;
-      case MetricKind::kHistogram:
-        def.slot = num_hists_++;
-        break;
+    if (size_ == kMaxMetrics) {
+      throw std::length_error{"MetricsRegistry: more than " +
+                              std::to_string(kMaxMetrics) + " metrics"};
     }
-    const auto id = static_cast<Id>(defs_.size());
-    defs_.push_back(std::move(def));
+    const Id id = size_++;
+    auto& c = cells_[id];
+    c.name = name;
+    c.help = std::string{help};
+    if (kind == MetricKind::kHistogram) {
+      c.buckets = std::vector<std::atomic<std::uint64_t>>(bounds.size() + 1);
+      c.bounds = std::move(bounds);
+    }
+    c.kind = kind;
     by_name_.emplace(name, id);
     return id;
-  }
-
-  std::atomic<std::uint64_t>* counter_cell(Id id) {
-    auto& e = tls();
-    if (id < e.counter_cells.size() && e.counter_cells[id] != nullptr) {
-      return e.counter_cells[id];
-    }
-    std::lock_guard lk{mutex_};
-    if (id >= defs_.size() || defs_[id].kind != MetricKind::kCounter) {
-      return nullptr;
-    }
-    const auto slot = defs_[id].slot;
-    while (e.shard->counters.size() <= slot) e.shard->counters.emplace_back(0);
-    if (e.counter_cells.size() <= id) e.counter_cells.resize(id + 1, nullptr);
-    e.counter_cells[id] = &e.shard->counters[slot];
-    return e.counter_cells[id];
-  }
-
-  std::atomic<std::uint64_t>* gauge_cell(Id id) {
-    auto& e = tls();
-    if (id < e.gauge_cells.size() && e.gauge_cells[id] != nullptr) {
-      return e.gauge_cells[id];
-    }
-    std::lock_guard lk{mutex_};
-    if (id >= defs_.size() || defs_[id].kind != MetricKind::kGauge) {
-      return nullptr;
-    }
-    if (e.gauge_cells.size() <= id) e.gauge_cells.resize(id + 1, nullptr);
-    e.gauge_cells[id] = &gauges_[defs_[id].slot];
-    return e.gauge_cells[id];
-  }
-
-  HistCell* hist_cell(Id id) {
-    auto& e = tls();
-    if (id < e.hist_cells.size() && e.hist_cells[id] != nullptr) {
-      return e.hist_cells[id];
-    }
-    std::lock_guard lk{mutex_};
-    if (id >= defs_.size() || defs_[id].kind != MetricKind::kHistogram) {
-      return nullptr;
-    }
-    const auto slot = defs_[id].slot;
-    if (e.shard->hists.size() <= slot) e.shard->hists.resize(slot + 1);
-    if (e.shard->hists[slot] == nullptr) {
-      e.shard->hists[slot] = std::make_unique<HistCell>(defs_[id].bounds);
-    }
-    if (e.hist_cells.size() <= id) e.hist_cells.resize(id + 1, nullptr);
-    e.hist_cells[id] = e.shard->hists[slot].get();
-    return e.hist_cells[id];
   }
 };
 
@@ -289,32 +168,40 @@ MetricsRegistry::Id MetricsRegistry::histogram(std::string_view name,
 
 void MetricsRegistry::add(Id id, std::uint64_t delta) {
   if (!enabled()) return;
-  if (auto* cell = impl_->counter_cell(id)) {
-    cell->fetch_add(delta, std::memory_order_relaxed);
+  if (auto* c = impl_->cell(id, MetricKind::kCounter)) {
+    c->value.fetch_add(delta, std::memory_order_relaxed);
   }
 }
 
 void MetricsRegistry::gauge_set(Id id, double value) {
   if (!enabled()) return;
-  if (auto* cell = impl_->gauge_cell(id)) {
-    cell->store(to_bits(value), std::memory_order_relaxed);
+  if (auto* c = impl_->cell(id, MetricKind::kGauge)) {
+    c->value.store(to_bits(value), std::memory_order_relaxed);
   }
 }
 
 void MetricsRegistry::gauge_max(Id id, double value) {
   if (!enabled()) return;
-  if (auto* cell = impl_->gauge_cell(id)) {
-    auto cur = cell->load(std::memory_order_relaxed);
+  if (auto* c = impl_->cell(id, MetricKind::kGauge)) {
+    auto cur = c->value.load(std::memory_order_relaxed);
     while (from_bits(cur) < value &&
-           !cell->compare_exchange_weak(cur, to_bits(value),
-                                        std::memory_order_relaxed)) {
+           !c->value.compare_exchange_weak(cur, to_bits(value),
+                                           std::memory_order_relaxed)) {
     }
   }
 }
 
 void MetricsRegistry::observe(Id id, double value) {
   if (!enabled()) return;
-  if (auto* cell = impl_->hist_cell(id)) cell->observe(value);
+  auto* c = impl_->cell(id, MetricKind::kHistogram);
+  if (c == nullptr) return;
+  const auto it = std::lower_bound(c->bounds.begin(), c->bounds.end(), value);
+  c->buckets[static_cast<std::size_t>(it - c->bounds.begin())].fetch_add(
+      1, std::memory_order_relaxed);
+  auto cur = c->sum_bits.load(std::memory_order_relaxed);
+  while (!c->sum_bits.compare_exchange_weak(
+      cur, to_bits(from_bits(cur) + value), std::memory_order_relaxed)) {
+  }
 }
 
 Snapshot MetricsRegistry::snapshot() const {
@@ -324,47 +211,28 @@ Snapshot MetricsRegistry::snapshot() const {
     snap.uptime_seconds = std::chrono::duration<double>(
                               std::chrono::steady_clock::now() - impl_->start_)
                               .count();
-    for (const auto& def : impl_->defs_) {
+    for (std::uint32_t id = 0; id < impl_->size_; ++id) {
+      const auto& c = impl_->cells_[id];
       MetricSample s;
-      s.name = def.name;
-      s.help = def.help;
-      s.kind = def.kind;
-      switch (def.kind) {
-        case MetricKind::kCounter: {
-          std::uint64_t total = 0;
-          for (const auto& shard : impl_->shards_) {
-            if (def.slot < shard->counters.size()) {
-              total +=
-                  shard->counters[def.slot].load(std::memory_order_relaxed);
-            }
-          }
-          s.value = static_cast<double>(total);
+      s.name = c.name;
+      s.help = c.help;
+      s.kind = *c.kind;
+      const auto value = c.value.load(std::memory_order_relaxed);
+      switch (s.kind) {
+        case MetricKind::kCounter:
+          s.value = static_cast<double>(value);
           break;
-        }
         case MetricKind::kGauge:
-          s.value = from_bits(
-              impl_->gauges_[def.slot].load(std::memory_order_relaxed));
+          s.value = from_bits(value);
           break;
-        case MetricKind::kHistogram: {
-          s.bounds = def.bounds;
-          s.buckets.assign(def.bounds.size() + 1, 0);
-          double sum = 0;
-          for (const auto& shard : impl_->shards_) {
-            if (def.slot >= shard->hists.size() ||
-                shard->hists[def.slot] == nullptr) {
-              continue;
-            }
-            const auto& cell = *shard->hists[def.slot];
-            for (std::size_t b = 0; b < s.buckets.size(); ++b) {
-              s.buckets[b] += cell.counts[b].load(std::memory_order_relaxed);
-            }
-            s.observations +=
-                cell.observations.load(std::memory_order_relaxed);
-            sum += from_bits(cell.sum_bits.load(std::memory_order_relaxed));
+        case MetricKind::kHistogram:
+          s.bounds = c.bounds;
+          for (const auto& b : c.buckets) {
+            s.buckets.push_back(b.load(std::memory_order_relaxed));
+            s.observations += s.buckets.back();
           }
-          s.sum = sum;
+          s.sum = from_bits(c.sum_bits.load(std::memory_order_relaxed));
           break;
-        }
       }
       snap.metrics.push_back(std::move(s));
     }
@@ -374,18 +242,6 @@ Snapshot MetricsRegistry::snapshot() const {
               return a.name < b.name;
             });
   return snap;
-}
-
-void MetricsRegistry::reset() {
-  std::lock_guard lk{impl_->mutex_};
-  for (const auto& shard : impl_->shards_) {
-    for (auto& c : shard->counters) c.store(0, std::memory_order_relaxed);
-    for (auto& h : shard->hists) {
-      if (h != nullptr) h->reset();
-    }
-  }
-  for (auto& g : impl_->gauges_) g.store(0, std::memory_order_relaxed);
-  impl_->start_ = std::chrono::steady_clock::now();
 }
 
 MetricsRegistry& MetricsRegistry::global() {

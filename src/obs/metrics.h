@@ -1,25 +1,25 @@
-// Fleet telemetry: a lock-cheap metrics registry (counters, gauges,
-// fixed-bucket histograms) with per-thread sharding.
+// Fleet telemetry: a metrics registry (counters, gauges, fixed-bucket
+// histograms) whose writes take no lock.
 //
 // Design (DESIGN.md §9):
 //   * Registration (`counter`/`gauge`/`histogram`) returns a stable integer
 //     Id. Registering an existing name returns the existing Id, so
 //     independent modules can share a metric by name.
-//   * Writes go to per-thread shards: each thread owns a private cell per
-//     counter/histogram, cached as a raw pointer in thread-local storage, so
-//     the hot path is one relaxed-atomic add with no locks and no hashing.
-//     The registry mutex is touched only on the first write of a (thread,
-//     metric) pair and on scrape.
-//   * Gauges are registry-level cells (last-write-wins set, or a monotone
-//     `gauge_max` high-water mark); they do not shard.
-//   * `snapshot()` aggregates all shards and renders to a Prometheus-style
-//     text exposition or a JSON dump. Short-lived components (a bench's
-//     fabric) add their totals once at the end of a run
+//   * Every metric lives in one registry-owned cell of a fixed-capacity
+//     table, filled under the registry mutex before its Id is returned
+//     (registration throws std::length_error once the table is full). A
+//     write indexes that table, which never moves, and updates the cell
+//     with relaxed atomics: no lock, no hashing, no thread-local state.
+//     Writers on different threads share the cell.
+//   * Gauges are last-write-wins (`gauge_set`) or a monotone `gauge_max`
+//     high-water mark.
+//   * `snapshot()` reads every cell and renders to a Prometheus-style text
+//     exposition or a JSON dump. Short-lived components (a bench's fabric)
+//     add their totals once at the end of a run
 //     (sim::accumulate_fabric_metrics) rather than being scraped live.
 //   * Disabled registries (`set_enabled(false)`) turn every write into a
 //     single relaxed bool load. The global registry starts disabled; benches
-//     enable it when `--metrics=<path>` is given. `ELMO_METRIC(stmt)`
-//     compiles out entirely under -DELMO_NO_METRICS.
+//     enable it when `--metrics=<path>` is given.
 #pragma once
 
 #include <atomic>
@@ -50,7 +50,7 @@ struct MetricSample {
 };
 
 struct Snapshot {
-  double uptime_seconds = 0;  // since registry creation or last reset()
+  double uptime_seconds = 0;  // since registry creation
   std::vector<MetricSample> metrics;  // sorted by name
 
   // Prometheus text exposition format (HELP/TYPE comments, cumulative
@@ -90,8 +90,6 @@ class MetricsRegistry {
 
   // --- scrape --------------------------------------------------------------
   Snapshot snapshot() const;
-  // Zeroes every cell and restarts the uptime clock.
-  void reset();
 
   bool enabled() const noexcept {
     return enabled_.load(std::memory_order_relaxed);
@@ -122,11 +120,7 @@ std::vector<double> latency_bounds();
 }  // namespace elmo::obs
 
 // Runtime-gated instrumentation statement: `stmt` may refer to the global
-// registry as `reg`. Compiles away entirely under -DELMO_NO_METRICS;
-// otherwise costs one relaxed load while metrics are disabled.
-#if defined(ELMO_NO_METRICS)
-#define ELMO_METRIC(stmt) ((void)0)
-#else
+// registry as `reg`. Costs one relaxed load while metrics are disabled.
 #define ELMO_METRIC(stmt)                                        \
   do {                                                           \
     auto& reg = ::elmo::obs::MetricsRegistry::global();          \
@@ -134,4 +128,3 @@ std::vector<double> latency_bounds();
       stmt;                                                      \
     }                                                            \
   } while (0)
-#endif

@@ -10,12 +10,6 @@ TimeSeriesStore::TimeSeriesStore(std::size_t capacity)
     : capacity_{std::max<std::size_t>(capacity, 2)},
       epoch_{std::chrono::steady_clock::now()} {}
 
-double TimeSeriesStore::now_seconds() const {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       epoch_)
-      .count();
-}
-
 void TimeSeriesStore::append(std::string_view name, double value) {
   auto it = series_.find(name);
   if (it == series_.end()) {
@@ -28,7 +22,12 @@ void TimeSeriesStore::append(std::string_view name, double value) {
     ring.newest().value = value;  // re-scrape within one window
     return;
   }
-  ring.push(TsSample{window_, now_seconds(), value});
+  if (!window_t_) {
+    window_t_ = std::chrono::duration<double>(
+                    std::chrono::steady_clock::now() - epoch_)
+                    .count();
+  }
+  ring.push(TsSample{window_, *window_t_, value});
 }
 
 std::uint64_t TimeSeriesStore::ingest(const Snapshot& snap) {
@@ -86,23 +85,6 @@ std::optional<double> TimeSeriesStore::ewma_value(
   double e = ring->from_newest(ring->count - 1).value;
   for (std::size_t i = ring->count - 1; i-- > 0;) {
     e = alpha * ring->from_newest(i).value + (1.0 - alpha) * e;
-  }
-  return e;
-}
-
-std::optional<double> TimeSeriesStore::ewma_delta(
-    std::string_view name, double alpha, std::size_t min_samples) const {
-  const auto* ring = find(name);
-  if (ring == nullptr || ring->count < 2 ||
-      ring->count < std::max<std::size_t>(min_samples, 2)) {
-    return std::nullopt;
-  }
-  auto delta_at = [&](std::size_t back) {  // back indexes the NEWER sample
-    return ring->from_newest(back).value - ring->from_newest(back + 1).value;
-  };
-  double e = delta_at(ring->count - 2);
-  for (std::size_t i = ring->count - 2; i-- > 0;) {
-    e = alpha * delta_at(i) + (1.0 - alpha) * e;
   }
   return e;
 }

@@ -11,9 +11,10 @@
 //
 // Hot-path contract: once the series set is stable, append() performs a
 // transparent (no std::string construction) hash lookup and one ring write
-// — no allocation. Only the first sighting of a new series name allocates
-// (the ring buffer and the map node). Rings never grow or shrink; capacity
-// is fixed at construction.
+// — no allocation. The clock is read at most once per window, by its first
+// append; every sample of the window carries that one timestamp. Only the
+// first sighting of a new series name allocates (the ring buffer and the
+// map node). Rings never grow or shrink; capacity is fixed at construction.
 //
 // The store is NOT thread-safe; concurrent producers must scrape through a
 // thread-safe MetricsRegistry snapshot and ingest() from a single sampling
@@ -37,7 +38,7 @@ struct Snapshot;
 // One buffered observation of one series.
 struct TsSample {
   std::uint64_t window = 0;  // monotonic sampling-window index
-  double t = 0;              // seconds since store creation, at append time
+  double t = 0;  // seconds since store creation, read once per window
   double value = 0;
 };
 
@@ -58,7 +59,10 @@ class TimeSeriesStore {
 
   // Closes the current sampling window; returns the index of the window
   // that just completed.
-  std::uint64_t advance() { return window_++; }
+  std::uint64_t advance() {
+    window_t_.reset();
+    return window_++;
+  }
 
   // Scrapes `snap` into the store — one append per counter/gauge (value)
   // and histogram (observation count) — then closes the window. Returns
@@ -85,9 +89,6 @@ class TimeSeriesStore {
   // nullopt until at least `min_samples` samples are buffered (the warm-up
   // gate HealthMonitor detectors rely on).
   std::optional<double> ewma_value(std::string_view name, double alpha,
-                                   std::size_t min_samples = 2) const;
-  // Same EWMA over consecutive sample DELTAS (v_i - v_{i-1}).
-  std::optional<double> ewma_delta(std::string_view name, double alpha,
                                    std::size_t min_samples = 2) const;
 
   // All series names, sorted. Allocates; not for the sampling path.
@@ -118,12 +119,14 @@ class TimeSeriesStore {
     }
   };
 
-  double now_seconds() const;
   const Ring* find(std::string_view name) const;
 
   std::size_t capacity_;
   std::uint64_t window_ = 0;
   std::chrono::steady_clock::time_point epoch_;
+  // The current window's timestamp: read at its first append, shared by
+  // every sample of the window, cleared by advance().
+  std::optional<double> window_t_;
   // unique_ptr payloads keep Ring addresses stable across rehashes, so the
   // sampling path can cache nothing and still be allocation-free.
   std::unordered_map<std::string, std::unique_ptr<Ring>, StringHash,

@@ -554,11 +554,6 @@ void Fabric::set_link_loss(const NodeRef& from, const NodeRef& to,
   has_link_loss_ = true;
 }
 
-void Fabric::clear_link_loss() {
-  has_link_loss_ = false;
-  link_loss_.clear();
-}
-
 template <class Sink>
 void Fabric::for_each_series(Sink&& sink) const {
   // Composed once, so that sampling allocates nothing after its first call:

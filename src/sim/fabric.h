@@ -245,7 +245,6 @@ class Fabric {
   // aligned. Throws std::invalid_argument unless both nodes exist and are
   // adjacent.
   void set_link_loss(const NodeRef& from, const NodeRef& to, double rate);
-  void clear_link_loss();
 
   // Appends every series accumulate_fabric_metrics exports — per-layer
   // SwitchStats, HypervisorStats, FabricWalkStats, the directed link sums

@@ -1,6 +1,5 @@
 #include "util/stats.h"
 
-#include <sstream>
 #include <stdexcept>
 
 namespace elmo::util {
@@ -35,54 +34,6 @@ double percentile(std::span<const double> samples, double p) {
 
 double Distribution::percentile(double p) const {
   return util::percentile(values_, p);
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : lo_{lo}, hi_{hi}, counts_(buckets, 0) {
-  if (buckets == 0 || hi <= lo) {
-    throw std::invalid_argument{"Histogram: bad range"};
-  }
-  width_ = (hi - lo) / static_cast<double>(buckets);
-}
-
-void Histogram::add(double x) noexcept {
-  // Casting a NaN or ±inf scaled sample to an integer is UB, so non-finite
-  // samples are diverted to their own counter before any cast happens.
-  if (!std::isfinite(x)) {
-    ++non_finite_;
-    ++total_;
-    return;
-  }
-  const double scaled = (x - lo_) / width_;
-  // Clamp in floating point first: a huge finite sample can still overflow
-  // ptrdiff_t, which would be UB at the cast below.
-  const double max_bucket = static_cast<double>(counts_.size() - 1);
-  const auto bucket =
-      static_cast<std::size_t>(std::clamp(scaled, 0.0, max_bucket));
-  ++counts_[bucket];
-  ++total_;
-}
-
-double Histogram::bucket_lo(std::size_t bucket) const noexcept {
-  return lo_ + width_ * static_cast<double>(bucket);
-}
-
-double Histogram::bucket_hi(std::size_t bucket) const noexcept {
-  return lo_ + width_ * static_cast<double>(bucket + 1);
-}
-
-std::string Histogram::render(std::size_t bar_width) const {
-  std::ostringstream out;
-  std::size_t peak = 0;
-  for (const auto c : counts_) peak = std::max(peak, c);
-  if (peak == 0) return "(empty histogram)\n";
-  for (std::size_t b = 0; b < counts_.size(); ++b) {
-    if (counts_[b] == 0) continue;
-    const auto bar = counts_[b] * bar_width / peak;
-    out << "[" << bucket_lo(b) << ", " << bucket_hi(b) << ") "
-        << std::string(bar, '#') << " " << counts_[b] << "\n";
-  }
-  return out.str();
 }
 
 }  // namespace elmo::util

@@ -7,7 +7,6 @@
 #include <cstdint>
 #include <limits>
 #include <span>
-#include <string>
 #include <vector>
 
 namespace elmo::util {
@@ -64,35 +63,6 @@ class Distribution {
  private:
   std::vector<double> values_;
   OnlineStats stats_;
-};
-
-// Fixed-bucket histogram over [lo, hi); finite out-of-range samples clamp to
-// the edge buckets, non-finite samples (NaN, ±inf) land in a separate
-// overflow counter. Used for s-rule and header-size distributions.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t buckets);
-
-  void add(double x) noexcept;
-  std::size_t bucket_count() const noexcept { return counts_.size(); }
-  std::size_t count(std::size_t bucket) const { return counts_.at(bucket); }
-  // Samples seen, including non-finite ones; bucket counts sum to
-  // total() - non_finite().
-  std::size_t total() const noexcept { return total_; }
-  std::size_t non_finite() const noexcept { return non_finite_; }
-  double bucket_lo(std::size_t bucket) const noexcept;
-  double bucket_hi(std::size_t bucket) const noexcept;
-
-  // Rendered as one line per non-empty bucket with a proportional bar.
-  std::string render(std::size_t bar_width = 40) const;
-
- private:
-  double lo_;
-  double hi_;
-  double width_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
-  std::size_t non_finite_ = 0;
 };
 
 }  // namespace elmo::util

@@ -71,6 +71,24 @@ TEST(HealthTimeSeries, RingBoundaryAtExactlyCapacity) {
   EXPECT_EQ(store.at("s", 4), nullptr);
 }
 
+// One sampling window is one instant: all its samples share the timestamp
+// read by its first append (Fabric::sample_into appends 55 series).
+TEST(HealthTimeSeries, OneTimestampPerWindow) {
+  TimeSeriesStore store{8};
+  constexpr int kSeries = 55;
+  for (int i = 0; i < kSeries; ++i) {
+    store.append("s" + std::to_string(i), static_cast<double>(i));
+  }
+  store.advance();
+  const double t0 = store.at("s0", 0)->t;
+  for (int i = 1; i < kSeries; ++i) {
+    EXPECT_EQ(store.at("s" + std::to_string(i), 0)->t, t0) << i;
+  }
+  store.append("s0", 10.0);
+  store.advance();
+  EXPECT_GE(store.at("s0", 0)->t, t0);  // the next window reads the clock anew
+}
+
 TEST(HealthTimeSeries, SameWindowReappendOverwrites) {
   TimeSeriesStore store{8};
   store.append("s", 1.0);

@@ -1,7 +1,8 @@
 // MetricsRegistry unit tests: registration semantics, histogram bucket
-// boundaries, disabled no-ops, reset, exposition goldens, and a
-// multi-threaded aggregation check (run under TSan in CI — the per-thread
-// shard design is exactly what this locks in).
+// boundaries, disabled no-ops, exposition goldens, and multi-threaded
+// checks (run under TSan in CI): concurrent writers sharing one cell,
+// registration racing writes and scrapes, and registries created and
+// destroyed on many threads at once.
 #include "obs/metrics.h"
 
 #include <gtest/gtest.h>
@@ -10,6 +11,7 @@
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -120,20 +122,6 @@ TEST(MetricsTest, SnapshotIsSortedByName) {
   EXPECT_EQ(snap.metrics[2].name, "zzz_total");
 }
 
-TEST(MetricsTest, ResetZeroesEverything) {
-  MetricsRegistry reg;
-  const auto c = reg.counter("c_total");
-  const auto h = reg.histogram("h", {1.0});
-  reg.add(c, 3);
-  reg.observe(h, 0.5);
-  reg.reset();
-  const auto snap = reg.snapshot();
-  EXPECT_EQ(snap.value("c_total"), 0.0);
-  EXPECT_EQ(snap.find("h")->observations, 0u);
-  reg.add(c, 2);  // cells still usable after reset
-  EXPECT_EQ(reg.snapshot().value("c_total"), 2.0);
-}
-
 TEST(MetricsTest, PrometheusExpositionGolden) {
   MetricsRegistry reg;
   reg.add(reg.counter("walks_total", "fabric walks"), 2);
@@ -204,8 +192,7 @@ TEST(MetricsTest, LatencyBoundsAreStrictlyIncreasing) {
 }
 
 // The TSan target in CI runs this: concurrent adds/observes from many
-// threads, including first-touch registration of thread-local cells, must be
-// race-free and aggregate exactly.
+// threads into the same cells must be race-free and aggregate exactly.
 TEST(MetricsTest, ConcurrentWritesAggregateExactly) {
   MetricsRegistry reg;
   const auto c = reg.counter("concurrent_total");
@@ -247,6 +234,103 @@ TEST(MetricsTest, ConcurrentSnapshotWhileWriting) {
   writer.join();
   EXPECT_EQ(reg.snapshot().value("racing_total"),
             static_cast<double>(kWrites));
+}
+
+// The cell table has a fixed capacity: registering past it throws, and the
+// metrics registered before that keep working.
+TEST(MetricsTest, RegistrationPastCapacityThrows) {
+  MetricsRegistry reg;
+  int registered = 0;
+  EXPECT_THROW(
+      {
+        for (; registered < (1 << 16); ++registered) {
+          (void)reg.counter("cap_" + std::to_string(registered) + "_total");
+        }
+      },
+      std::length_error);
+  ASSERT_GT(registered, 0);
+  EXPECT_EQ(reg.counter("cap_0_total"), 0u);  // existing names still resolve
+  reg.add(reg.counter("cap_0_total"), 5);
+  const auto snap = reg.snapshot();
+  EXPECT_EQ(snap.metrics.size(), static_cast<std::size_t>(registered));
+  EXPECT_EQ(snap.value("cap_0_total"), 5.0);
+}
+
+// Registration racing writes and scrapes: one thread registers fresh
+// counters and histograms and writes each once, three threads hammer a
+// counter registered before they started, and this thread scrapes.
+TEST(MetricsTest, RegistrationRacesWritesAndScrapes) {
+  MetricsRegistry reg;
+  const auto shared = reg.counter("shared_writes_total");
+  constexpr int kFresh = 100;
+  constexpr int kWriters = 3;
+  constexpr int kPerWriter = 50'000;
+  std::thread registrar{[&reg] {
+    for (int i = 0; i < kFresh; ++i) {
+      const auto n = std::to_string(i);
+      reg.add(reg.counter("fresh_" + n + "_total"), i + 1);
+      reg.observe(reg.histogram("fresh_" + n + "_seconds", {1.0}), 0.5);
+    }
+  }};
+  std::vector<std::thread> writers;
+  for (int t = 0; t < kWriters; ++t) {
+    writers.emplace_back([&reg, shared] {
+      for (int i = 0; i < kPerWriter; ++i) reg.add(shared);
+    });
+  }
+  for (int i = 0; i < 50; ++i) (void)reg.snapshot();
+  registrar.join();
+  for (auto& th : writers) th.join();
+
+  const auto snap = reg.snapshot();
+  EXPECT_EQ(snap.metrics.size(), 1u + 2u * kFresh);
+  EXPECT_EQ(snap.value("shared_writes_total"),
+            static_cast<double>(kWriters * kPerWriter));
+  for (int i = 0; i < kFresh; ++i) {
+    const auto n = std::to_string(i);
+    EXPECT_EQ(snap.value("fresh_" + n + "_total"), i + 1.0);
+    const auto* h = snap.find("fresh_" + n + "_seconds");
+    ASSERT_NE(h, nullptr);
+    EXPECT_EQ(h->observations, 1u);
+    EXPECT_EQ(h->buckets[0], 1u);
+  }
+}
+
+// Registries created, written, scraped and destroyed on several threads at
+// once: every snapshot is exact, and a registry built after another one
+// died (often at the same address) starts at zero.
+TEST(MetricsTest, ShortLivedRegistriesOnManyThreads) {
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 200;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([t] {
+      for (int r = 0; r < kRounds; ++r) {
+        MetricsRegistry reg;
+        const auto c = reg.counter("life_total");
+        const auto h = reg.histogram("life_seconds", {1.0});
+        const auto g = reg.gauge("life_max");
+        const auto fresh = reg.snapshot();
+        EXPECT_EQ(fresh.value("life_total"), 0.0);
+        EXPECT_EQ(fresh.find("life_seconds")->observations, 0u);
+        EXPECT_EQ(fresh.value("life_max"), 0.0);
+        const int n = t + r + 1;
+        for (int i = 0; i < n; ++i) {
+          reg.add(c);
+          reg.observe(h, 2.0);
+          reg.gauge_max(g, i);
+        }
+        const auto snap = reg.snapshot();
+        EXPECT_EQ(snap.value("life_total"), static_cast<double>(n));
+        EXPECT_EQ(snap.find("life_seconds")->observations,
+                  static_cast<std::uint64_t>(n));
+        EXPECT_EQ(snap.find("life_seconds")->buckets[1],
+                  static_cast<std::uint64_t>(n));
+        EXPECT_EQ(snap.value("life_max"), n - 1.0);
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
 }
 
 }  // namespace

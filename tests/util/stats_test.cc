@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-
 namespace elmo::util {
 namespace {
 
@@ -83,29 +81,6 @@ TEST(Percentile, SingleSamplePinsEveryRank) {
   EXPECT_DOUBLE_EQ(percentile(one, 100), 7.5);
 }
 
-TEST(Histogram, NonFiniteSamplesGoToOverflowCounter) {
-  Histogram h{0.0, 10.0, 10};
-  h.add(std::nan(""));
-  h.add(std::numeric_limits<double>::infinity());
-  h.add(-std::numeric_limits<double>::infinity());
-  h.add(5.0);
-  EXPECT_EQ(h.non_finite(), 3u);
-  EXPECT_EQ(h.total(), 4u);
-  std::size_t in_buckets = 0;
-  for (std::size_t b = 0; b < h.bucket_count(); ++b) in_buckets += h.count(b);
-  EXPECT_EQ(in_buckets, h.total() - h.non_finite());
-}
-
-TEST(Histogram, HugeFiniteSamplesClampToEdgeBuckets) {
-  Histogram h{0.0, 10.0, 4};
-  h.add(std::numeric_limits<double>::max());
-  h.add(std::numeric_limits<double>::lowest());
-  EXPECT_EQ(h.count(3), 1u);
-  EXPECT_EQ(h.count(0), 1u);
-  EXPECT_EQ(h.non_finite(), 0u);
-  EXPECT_EQ(h.total(), 2u);
-}
-
 TEST(Percentile, RejectsBadInput) {
   EXPECT_THROW(percentile({}, 50), std::invalid_argument);
   const std::vector<double> xs{1.0};
@@ -119,37 +94,6 @@ TEST(Distribution, TracksValuesAndStats) {
   EXPECT_EQ(d.count(), 100u);
   EXPECT_DOUBLE_EQ(d.stats().mean(), 50.5);
   EXPECT_DOUBLE_EQ(d.percentile(95), 95.0);
-}
-
-TEST(Histogram, BucketsAndClamping) {
-  Histogram h{0.0, 10.0, 5};
-  h.add(0.5);    // bucket 0
-  h.add(3.0);    // bucket 1
-  h.add(9.99);   // bucket 4
-  h.add(-5.0);   // clamps to bucket 0
-  h.add(100.0);  // clamps to bucket 4
-  EXPECT_EQ(h.total(), 5u);
-  EXPECT_EQ(h.count(0), 2u);
-  EXPECT_EQ(h.count(1), 1u);
-  EXPECT_EQ(h.count(2), 0u);
-  EXPECT_EQ(h.count(4), 2u);
-  EXPECT_DOUBLE_EQ(h.bucket_lo(1), 2.0);
-  EXPECT_DOUBLE_EQ(h.bucket_hi(1), 4.0);
-}
-
-TEST(Histogram, RejectsBadRange) {
-  EXPECT_THROW(Histogram(0.0, 0.0, 4), std::invalid_argument);
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), std::invalid_argument);
-}
-
-TEST(Histogram, RenderMentionsCounts) {
-  Histogram h{0.0, 4.0, 2};
-  h.add(1.0);
-  h.add(1.5);
-  h.add(3.0);
-  const auto text = h.render(10);
-  EXPECT_NE(text.find("2"), std::string::npos);
-  EXPECT_NE(text.find("#"), std::string::npos);
 }
 
 }  // namespace
