@@ -56,7 +56,7 @@ int main(int argc, char** argv) {
         util::Rng rng{scale.seed + size};
         EncoderConfig cfg;
         cfg.redundancy_limit = r;
-        const GroupEncoder encoder{topology, cfg};
+        const TreeEncoder encoder{topology, cfg};
         SRuleSpace space{topology, 1 << 20};
 
         util::OnlineStats hdr, prules, srules, overhead;
@@ -75,7 +75,7 @@ int main(int argc, char** argv) {
           overhead.add(report.overhead_ratio());
           leaves = tree.num_leaves();
           pods = tree.num_pods();
-          encoder.release(enc, tree, space);
+          encoder.release(enc, space);
         }
         table.add_row({std::to_string(size),
                        clustered ? "clustered" : "dispersed",

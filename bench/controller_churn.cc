@@ -19,7 +19,6 @@
 #include <chrono>
 #include <fstream>
 #include <iostream>
-#include <thread>
 
 #include "elmo/churn.h"
 #include "elmo/stream.h"
@@ -175,13 +174,8 @@ int main(int argc, char** argv) {
          << ", \"groups\": " << churn_groups << ", \"events\": " << events
          << ", \"flush_threshold\": " << flush_threshold
          << ", \"encoder\": \"" << scale.encoder << "\", \"seed\": "
-         << scale.seed
-         << ", \"hardware_threads\": " << std::thread::hardware_concurrency()
-         << ", \"compiler\": \"" << benchx::compiler()
-         << "\", \"build_type\": \"" << benchx::build_type()
-         << "\", \"cpu_model\": \"" << benchx::cpu_model()
-         << "\", \"git_sha\": \"" << benchx::git_sha()
-         << "\",\n \"results\": {"
+         << scale.seed << ", " << benchx::host_json()
+         << ",\n \"results\": {"
          << "\"events_ingested\": " << st.events
          << ", \"clean_events\": " << st.clean_events
          << ", \"updates_applied\": " << st.updates_applied

@@ -6,7 +6,7 @@
 
 #include "dataplane/hypervisor_switch.h"
 #include "elmo/controller.h"
-#include "elmo/encoder.h"
+#include "elmo/tree_encoder.h"
 #include "util/rng.h"
 
 namespace {
@@ -46,13 +46,13 @@ void BM_EncodeGroup(benchmark::State& state) {
       members_of_size(static_cast<std::size_t>(state.range(0)), 7);
   EncoderConfig cfg;
   cfg.redundancy_limit = 12;
-  const GroupEncoder encoder{fabric(), cfg};
+  const TreeEncoder encoder{fabric(), cfg};
   SRuleSpace space{fabric(), 1 << 20};
   for (auto _ : state) {
     const MulticastTree tree{fabric(), members};
     auto encoding = encoder.encode(tree, &space);
     benchmark::DoNotOptimize(encoding.p_rule_count());
-    encoder.release(encoding, tree, space);
+    encoder.release(encoding, space);
   }
   state.SetLabel("paper budget: < 1 ms per group");
 }
@@ -74,7 +74,7 @@ void BM_HeaderSerialize(benchmark::State& state) {
   const MulticastTree tree{fabric(), members};
   EncoderConfig cfg;
   cfg.redundancy_limit = 12;
-  const GroupEncoder encoder{fabric(), cfg};
+  const TreeEncoder encoder{fabric(), cfg};
   const auto encoding = encoder.encode(tree, nullptr);
   const auto sender_enc = tree.sender_encoding(members[0]);
   for (auto _ : state) {
@@ -90,7 +90,7 @@ void BM_HeaderParse(benchmark::State& state) {
   const MulticastTree tree{fabric(), members};
   EncoderConfig cfg;
   cfg.redundancy_limit = 12;
-  const GroupEncoder encoder{fabric(), cfg};
+  const TreeEncoder encoder{fabric(), cfg};
   const auto encoding = encoder.encode(tree, nullptr);
   const auto bytes =
       encoder.codec().serialize(tree.sender_encoding(members[0]), encoding);

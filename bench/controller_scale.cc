@@ -17,7 +17,6 @@
 #include <chrono>
 #include <cstdio>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "elmo/controller.h"
@@ -151,10 +150,10 @@ int main(int argc, char** argv) {
   const double serial_seconds = runs.front().seconds;
   std::printf("{\n  \"bench\": \"controller_scale\",\n"
               "  \"groups\": %zu,\n  \"pods\": %zu,\n  \"seed\": %llu,\n"
-              "  \"hardware_threads\": %u,\n  \"results\": [\n",
+              "  %s,\n  \"results\": [\n",
               groups.size(), scale.pods,
               static_cast<unsigned long long>(scale.seed),
-              std::thread::hardware_concurrency());
+              benchx::host_json().c_str());
   for (std::size_t i = 0; i < runs.size(); ++i) {
     const auto& r = runs[i];
     std::printf(

@@ -103,11 +103,11 @@ int main(int argc, char** argv) {
 
     // Encode-only throughput over the shared sample (serial, no s-rule
     // space: measures the clustering algorithm itself).
-    const auto encoder = make_encoder(topology, config);
+    const TreeEncoder encoder{topology, config};
     phases.start(std::string{to_string(kind)} + " encode");
     const auto t0 = std::chrono::steady_clock::now();
     for (const auto& tree : sample) {
-      const auto encoding = encoder->encode(*tree, /*space=*/nullptr);
+      const auto encoding = encoder.encode(*tree, /*space=*/nullptr);
       (void)encoding;
     }
     run.encode_seconds =

@@ -12,7 +12,7 @@
 #include <iostream>
 
 #include "dataplane/hypervisor_switch.h"
-#include "elmo/encoder.h"
+#include "elmo/tree_encoder.h"
 #include "util/rng.h"
 #include "util/table.h"
 

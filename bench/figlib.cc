@@ -4,6 +4,7 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <thread>
 
 #include "net/headers.h"
 #include "obs/metrics.h"
@@ -17,6 +18,7 @@
 #endif
 
 namespace elmo::benchx {
+namespace {
 
 const char* compiler() {
 #if defined(__clang__)
@@ -27,10 +29,6 @@ const char* compiler() {
   return "unknown";
 #endif
 }
-
-const char* build_type() { return ELMO_BUILD_TYPE; }
-
-const char* git_sha() { return ELMO_GIT_SHA; }
 
 std::string cpu_model() {
   std::ifstream cpuinfo{"/proc/cpuinfo"};
@@ -51,6 +49,16 @@ std::string cpu_model() {
     return model.substr(first, model.find_last_not_of(' ') - first + 1);
   }
   return "unknown";
+}
+
+}  // namespace
+
+std::string host_json() {
+  return "\"hardware_threads\": " +
+         std::to_string(std::thread::hardware_concurrency()) +
+         ", \"compiler\": \"" + compiler() + "\", \"build_type\": \"" +
+         ELMO_BUILD_TYPE + "\", \"cpu_model\": \"" + cpu_model() +
+         "\", \"git_sha\": \"" + ELMO_GIT_SHA + "\"";
 }
 
 Scale Scale::from_flags(const util::Flags& flags) {
@@ -149,8 +157,7 @@ constexpr std::size_t kFigureChunk = 4096;
 
 FigureResult run_figure(const FigureInputs& inputs) {
   const auto& topology = inputs.topology;
-  const auto encoder_impl = elmo::make_encoder(topology, inputs.config);
-  const elmo::TreeEncoder& encoder = *encoder_impl;
+  const elmo::TreeEncoder encoder{topology, inputs.config};
   elmo::SRuleSpace space{topology, inputs.config.srule_capacity};
   const elmo::TrafficEvaluator evaluator{topology};
 
@@ -372,10 +379,10 @@ void emit_run_json(const std::string& bench, const Scale& scale,
   std::printf(
       "RUN {\"bench\": \"%s\", \"pods\": %zu, \"groups\": %zu, "
       "\"tenants\": %zu, \"seed\": %llu, \"threads\": %zu, "
-      "\"encoder\": \"%s\", \"git_sha\": \"%s\", \"phases\": %s}\n",
+      "\"encoder\": \"%s\", %s, \"phases\": %s}\n",
       bench.c_str(), scale.pods, scale.groups, scale.tenants,
       static_cast<unsigned long long>(scale.seed), scale.threads,
-      scale.encoder.c_str(), git_sha(), phases.json().c_str());
+      scale.encoder.c_str(), host_json().c_str(), phases.json().c_str());
   // The metrics exposition goes to its own sink ("-" = stderr) so the
   // RUN-line/stdout contract of docs/BENCH_SCHEMA.md is untouched.
   if (!scale.metrics.empty()) {

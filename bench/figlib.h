@@ -137,19 +137,18 @@ class PhaseTimer {
   std::chrono::steady_clock::time_point started_;
 };
 
-// Build fingerprint recorded next to bench timings, so an A/B can be matched
-// to its build: the compiler ("gcc 12.2.0"), the CMake build type and the
-// commit (`git rev-parse --short=12 HEAD` when CMake configured the tree).
-// bench/CMakeLists.txt sets ELMO_BUILD_TYPE and ELMO_GIT_SHA; each is
-// "unknown" without it, the sha also outside a git checkout.
-const char* compiler();
-const char* build_type();
-const char* git_sha();
-// Host fingerprint beside them: the first `model name` of /proc/cpuinfo
-// ("Intel(R) Xeon(R) Processor"), trimmed and with any '"', '\\' or control
-// character dropped so it embeds in JSON as is; "unknown" when the file or
-// the field is absent.
-std::string cpu_model();
+// The host block every bench's JSON records next to its timings, as object
+// members without braces, to splice into an object:
+//   "hardware_threads": 4, "compiler": "gcc 12.2.0",
+//   "build_type": "RelWithDebInfo", "cpu_model": "Intel(R) Xeon(R) ...",
+//   "git_sha": "be2d678305ad"
+// hardware_threads is std::thread::hardware_concurrency(); build_type and
+// git_sha (`git rev-parse --short=12 HEAD` when CMake configured the tree)
+// come from ELMO_BUILD_TYPE and ELMO_GIT_SHA, which bench/CMakeLists.txt
+// sets; cpu_model is the first `model name` of /proc/cpuinfo with any '"',
+// '\\' or control character dropped. Each is "unknown" where it cannot be
+// read. Compare timings only between runs whose blocks match.
+std::string host_json();
 
 // Prints the one-line run-metadata JSON ("RUN {...}") every bench emits
 // last on stdout; see docs/BENCH_SCHEMA.md for the format.

@@ -14,9 +14,9 @@
 // JSON reports both throughputs plus the relative overhead. The budget is
 // <= 2% metrics-off vs a build without the telemetry layer, <= 8% on.
 //
-// hardware_threads, compiler, build_type, cpu_model and git_sha in the output
-// header and RUN line record the producing host and build; the walk itself is
-// single-threaded (DESIGN.md §12).
+// The host block (benchx::host_json) in the output header and RUN line
+// records the producing host and build; the walk itself is single-threaded
+// (DESIGN.md §12).
 //
 // --sample=1 (DESIGN.md §14) additionally ticks Fabric::sample_into into a
 // health TimeSeriesStore once per 64 sends during the metrics-on leg, so
@@ -35,7 +35,6 @@
 #include <chrono>
 #include <cstdio>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "elmo/controller.h"
@@ -168,22 +167,15 @@ int main(int argc, char** argv) {
   const bool sample = flags.get_bool("SAMPLE", false);
   const auto metrics_path = flags.get_string("METRICS", "");
   const auto trace_path = flags.get_string("TRACE", "");
-  const auto hardware_threads = std::thread::hardware_concurrency();
 
   auto& reg = elmo::obs::MetricsRegistry::global();
   if (!metrics_path.empty()) reg.set_enabled(true);
   elmo::obs::Tracer tracer;
 
-  const char* compiler = elmo::benchx::compiler();
-  const char* build_type = elmo::benchx::build_type();
-  const std::string cpu_model = elmo::benchx::cpu_model();
-  const char* git_sha = elmo::benchx::git_sha();
+  const auto host = elmo::benchx::host_json();
   std::printf("{\n  \"bench\": \"packet_walk\",\n  \"payload_bytes\": %zu,\n"
-              "  \"hardware_threads\": %u,\n  \"compiler\": \"%s\",\n"
-              "  \"build_type\": \"%s\",\n  \"cpu_model\": \"%s\",\n"
-              "  \"git_sha\": \"%s\",\n  \"results\": [\n",
-              payload, hardware_threads, compiler, build_type,
-              cpu_model.c_str(), git_sha);
+              "  %s,\n  \"results\": [\n",
+              payload, host.c_str());
   const std::size_t fanouts[] = {8, 64, 512};
   const std::size_t iters[] = {4000 * scale, 1000 * scale, 200 * scale};
   for (std::size_t i = 0; i < 3; ++i) {
@@ -207,11 +199,8 @@ int main(int argc, char** argv) {
   }
   std::printf("  ]\n}\n");
   std::printf("RUN {\"bench\": \"packet_walk\", \"payload_bytes\": %zu, "
-              "\"scale\": %zu, \"hardware_threads\": %u, "
-              "\"compiler\": \"%s\", \"build_type\": \"%s\", "
-              "\"cpu_model\": \"%s\", \"git_sha\": \"%s\"}\n",
-              payload, scale, hardware_threads, compiler, build_type,
-              cpu_model.c_str(), git_sha);
+              "\"scale\": %zu, %s}\n",
+              payload, scale, host.c_str());
 
   if (!metrics_path.empty()) {
     elmo::obs::write_metrics(metrics_path, reg.snapshot());

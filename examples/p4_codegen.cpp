@@ -6,14 +6,14 @@
 #include <cstring>
 #include <iostream>
 
-#include "elmo/encoder.h"
+#include "elmo/tree_encoder.h"
 #include "p4gen/p4gen.h"
 
 int main(int argc, char** argv) {
   using namespace elmo;
   const topo::ClosTopology topology{topo::ClosParams::facebook_fabric()};
   EncoderConfig cfg;
-  const GroupEncoder encoder{topology, cfg};
+  const TreeEncoder encoder{topology, cfg};
   const auto options = p4gen::P4Options::from_config(cfg, encoder.hmax_leaf());
 
   const bool hypervisor =

@@ -141,7 +141,7 @@ std::vector<topo::HostId> GroupState::sender_hosts() const {
 Controller::Controller(const topo::ClosTopology& topology,
                        const EncoderConfig& config)
     : topo_{&topology},
-      encoder_{make_encoder(topology, config)},
+      encoder_{topology, config},
       srule_space_{topology, config.srule_capacity} {}
 
 std::size_t Controller::live_index(GroupId group) const {
@@ -226,9 +226,9 @@ void Controller::commit_membership(GroupState& g, topo::HostId host,
   if (receives) {
     // The receiver set changed, so the tree did: re-encode, diff s-rules,
     // and every sender's header template may have changed.
-    encoder_->release(g.encoding, *g.tree, srule_space_);
+    encoder_.release(g.encoding, srule_space_);
     const auto before = std::exchange(
-        g.encoding, encoder_->encode(*g.tree, &srule_space_, legacy()));
+        g.encoding, encoder_.encode(*g.tree, &srule_space_, legacy()));
     const auto senders = g.sender_hosts();
     hosts.insert(hosts.end(), senders.begin(), senders.end());
     last_change_ = change_set(std::move(hosts), before, g.encoding);
@@ -248,7 +248,7 @@ GroupId Controller::create_group(std::uint32_t tenant,
   g.address = net::Ipv4Address::multicast_group(id);
   g.members.assign(members.begin(), members.end());
   g.tree = std::make_unique<MulticastTree>(*topo_, g.receiver_hosts());
-  g.encoding = encoder_->encode(*g.tree, &srule_space_, legacy());
+  g.encoding = encoder_.encode(*g.tree, &srule_space_, legacy());
   groups_.emplace_back(std::move(g));
   ++live_groups_;
   ELMO_METRIC(reg.add(controller_metric_ids().groups_created));
@@ -318,7 +318,7 @@ std::vector<GroupId> Controller::create_groups(
       if (!ok) st.denied = true;
       return ok;
     };
-    st.encoding = encoder_->encode_with(*slot.tree, reservers, legacy);
+    st.encoding = encoder_.encode_with(*slot.tree, reservers, legacy);
   };
   if (pool != nullptr) {
     pool->parallel_for(0, specs.size(), encode_one);
@@ -368,7 +368,7 @@ std::vector<GroupId> Controller::create_groups(
       g.encoding = std::move(st.encoding);
       ++commits;
     } else {
-      g.encoding = encoder_->encode(*g.tree, &srule_space_, legacy);
+      g.encoding = encoder_.encode(*g.tree, &srule_space_, legacy);
       ++reencodes;
     }
     ++live_groups_;
@@ -404,7 +404,7 @@ std::vector<GroupId> Controller::create_groups(
 
 void Controller::remove_group(GroupId group) {
   auto& g = state(group);
-  if (g.tree) encoder_->release(g.encoding, *g.tree, srule_space_);
+  encoder_.release(g.encoding, srule_space_);
   last_change_ = change_set(member_hosts(g), g.encoding, {});
   groups_[group].reset();
   --live_groups_;
@@ -571,7 +571,7 @@ Controller::FailureImpact Controller::restore_core(topo::CoreId core) {
 std::vector<std::uint8_t> Controller::header_for(GroupId group,
                                                  topo::HostId sender) const {
   const auto& g = this->group(group);
-  const auto& codec = encoder_->codec();
+  const auto& codec = encoder_.codec();
   return RouteContext{*g.tree, route_failures(group)}.header(
       sender, codec, codec.serialize_shared(g.encoding));
 }

@@ -175,7 +175,7 @@ class Controller {
   const GroupState& group(GroupId group) const;
   bool has_group(GroupId group) const;
   std::size_t num_groups() const noexcept { return live_groups_; }
-  const TreeEncoder& encoder() const noexcept { return *encoder_; }
+  const TreeEncoder& encoder() const noexcept { return encoder_; }
   SRuleSpace& srule_space() noexcept { return srule_space_; }
   const topo::ClosTopology& topology() const noexcept { return *topo_; }
   // Ids of the live groups, ascending.
@@ -220,7 +220,7 @@ class Controller {
   FailureImpact failure_changes(const topo::FailureSet& before) const;
 
   const topo::ClosTopology* topo_;
-  std::unique_ptr<TreeEncoder> encoder_;  // scheme picked by config.encoder
+  TreeEncoder encoder_;  // scheme picked by config.encoder
   SRuleSpace srule_space_;
   topo::FailureSet failures_;
   std::vector<bool> legacy_leaves_;

@@ -17,7 +17,6 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "elmo/encoder.h"
 #include "elmo/header.h"
 #include "elmo/rules.h"
 #include "elmo/tree.h"

@@ -91,9 +91,6 @@ enum class EncoderKind : std::uint8_t {
   kP3fa = 2,  // egress-diversity quantization: at most E distinct bitmaps
 };
 
-inline constexpr EncoderKind kAllEncoderKinds[] = {
-    EncoderKind::kElmo, EncoderKind::kBert, EncoderKind::kP3fa};
-
 // Knobs of the encoder (paper constants R, Hmax, Kmax, Fmax).
 struct EncoderConfig {
   // Total header budget; Hmax for the leaf layer is derived from it unless
@@ -112,7 +109,7 @@ struct EncoderConfig {
   RedundancyMode redundancy_mode = RedundancyMode::kSumOverRule;
   // Fmax: group-table entries available per network switch.
   std::size_t srule_capacity = std::numeric_limits<std::size_t>::max();
-  // Which encoding scheme make_encoder() instantiates.
+  // Which encoding scheme TreeEncoder runs (kEncoderSchemes).
   EncoderKind encoder = EncoderKind::kElmo;
   // P3FA only: max distinct egress bitmaps per downstream layer (E).
   std::size_t p3fa_egress_classes = 4;

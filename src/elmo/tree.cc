@@ -169,10 +169,15 @@ RouteContext::Sender RouteContext::locate(topo::HostId sender) {
   at.port = t.host_port_on_leaf(sender);
   at.leaf_index = t.leaf_index_in_pod(leaf);
 
-  if (pods_.empty()) pods_.resize(t.num_pods());
-  auto& info = pods_[pod];
+  auto* slot = &first_;
+  if (first_.known && first_.pod != pod) {
+    if (pods_.empty()) pods_.resize(t.num_pods());
+    slot = &pods_[pod];
+  }
+  auto& info = *slot;
   if (!info.known) {
     info.known = true;
+    info.pod = pod;
     info.entry = tree.find_pod(pod);
     info.member_leaves =
         info.entry != nullptr ? info.entry->leaf_ports.popcount() : 0;

@@ -133,7 +133,8 @@ class RouteContext {
   };
   // What a sender's route needs to know of its pod.
   struct PodInfo {
-    bool known = false;                   // entry and member_leaves are set
+    bool known = false;  // pod, entry and member_leaves are set
+    topo::PodId pod = 0;
     const PodTreeEntry* entry = nullptr;  // null: the pod has no member
     std::size_t member_leaves = 0;
     // Index into routes_ of the pod route without / with same-pod fan-out.
@@ -155,7 +156,10 @@ class RouteContext {
 
   const MulticastTree* tree_;
   const topo::FailureSet* failures_;
-  std::vector<PodInfo> pods_;  // by pod id, filled on first use
+  // The first sender's pod, then a table by pod id for the others, made
+  // at the first sender of another pod: a single route allocates no table.
+  PodInfo first_;
+  std::vector<PodInfo> pods_;
   std::vector<PodRoute> routes_;
 };
 

@@ -1,21 +1,42 @@
 #include "elmo/tree_encoder.h"
 
 #include <stdexcept>
-
-#include "elmo/bert_encoder.h"
-#include "elmo/encoder.h"
-#include "elmo/p3fa_encoder.h"
+#include <string>
 
 namespace elmo {
+namespace {
+
+const EncoderScheme* find_scheme(EncoderKind kind) noexcept {
+  for (const auto& scheme : kEncoderSchemes) {
+    if (scheme.kind == kind) return &scheme;
+  }
+  return nullptr;
+}
+
+}  // namespace
+
+LayerEncoding elmo_layer(std::vector<LayerInput> inputs, std::size_t hmax,
+                         std::size_t kmax, const EncoderConfig& config,
+                         const SRuleReserver& reserve_srule) {
+  const ClusteringLimits limits{
+      .hmax = hmax,
+      .kmax = kmax,
+      .redundancy_limit = config.redundancy_limit,
+      .mode = config.redundancy_mode,
+  };
+  return cluster_layer(inputs, limits, reserve_srule);
+}
 
 TreeEncoder::TreeEncoder(const topo::ClosTopology& topology,
                          const EncoderConfig& config)
     : topo_{&topology},
       config_{config},
       codec_{topology},
-      hmax_leaf_{0} {
+      hmax_leaf_{0},
+      layer_{nullptr} {
   validate_encoder_config(topology, config);
   hmax_leaf_ = codec_.derive_hmax_leaf(config);
+  layer_ = find_scheme(config.encoder)->layer;
 }
 
 GroupEncoding TreeEncoder::encode(const MulticastTree& tree, SRuleSpace* space,
@@ -42,8 +63,7 @@ GroupEncoding TreeEncoder::encode_with(
 }
 
 void TreeEncoder::release(const GroupEncoding& encoding,
-                          const MulticastTree& tree, SRuleSpace& space) const {
-  (void)tree;
+                          SRuleSpace& space) const {
   for (const auto& [pod, bitmap] : encoding.spine.s_rules) {
     (void)bitmap;
     space.release_pod_spines(pod);
@@ -71,8 +91,8 @@ LayerEncoding TreeEncoder::encode_spine(
   // Kmax for the spine layer: 0 means all pods.
   const auto kmax =
       config_.kmax_spine == 0 ? topo_->num_pods() : config_.kmax_spine;
-  return encode_layer(std::move(inputs), config_.hmax_spine, kmax,
-                      reserve_srule);
+  return layer_(std::move(inputs), config_.hmax_spine, kmax, config_,
+                reserve_srule);
 }
 
 LayerEncoding TreeEncoder::encode_leaf(
@@ -95,8 +115,8 @@ LayerEncoding TreeEncoder::encode_leaf(
     }
     inputs.push_back(LayerInput{leaf.leaf, leaf.host_ports});
   }
-  auto out = encode_layer(std::move(inputs), hmax_leaf_, config_.kmax,
-                          reservers.leaf);
+  auto out = layer_(std::move(inputs), hmax_leaf_, config_.kmax, config_,
+                    reservers.leaf);
   out.s_rules.insert(out.s_rules.end(), legacy_srules.begin(),
                      legacy_srules.end());
   return out;
@@ -140,6 +160,12 @@ void validate_encoder_config(const topo::ClosTopology& topology,
           " bytes; raise the budget or set hmax_leaf_override"};
     }
   }
+  if (find_scheme(config.encoder) == nullptr) {
+    throw std::invalid_argument{
+        "EncoderConfig: encoder kind " +
+        std::to_string(static_cast<int>(config.encoder)) +
+        " names no scheme"};
+  }
   if (config.encoder == EncoderKind::kP3fa &&
       config.p3fa_egress_classes == 0) {
     throw std::invalid_argument{
@@ -148,37 +174,20 @@ void validate_encoder_config(const topo::ClosTopology& topology,
   }
 }
 
-std::unique_ptr<TreeEncoder> make_encoder(const topo::ClosTopology& topology,
-                                          const EncoderConfig& config) {
-  switch (config.encoder) {
-    case EncoderKind::kElmo:
-      return std::make_unique<GroupEncoder>(topology, config);
-    case EncoderKind::kBert:
-      return std::make_unique<BertEncoder>(topology, config);
-    case EncoderKind::kP3fa:
-      return std::make_unique<P3faEncoder>(topology, config);
-  }
-  throw std::invalid_argument{"make_encoder: unknown EncoderKind"};
-}
-
 const char* to_string(EncoderKind kind) noexcept {
-  switch (kind) {
-    case EncoderKind::kElmo:
-      return "elmo";
-    case EncoderKind::kBert:
-      return "bert";
-    case EncoderKind::kP3fa:
-      return "p3fa";
-  }
-  return "unknown";
+  const auto* scheme = find_scheme(kind);
+  return scheme != nullptr ? scheme->name : "unknown";
 }
 
 EncoderKind parse_encoder_kind(std::string_view name) {
-  if (name == "elmo") return EncoderKind::kElmo;
-  if (name == "bert") return EncoderKind::kBert;
-  if (name == "p3fa") return EncoderKind::kP3fa;
+  std::string expected;
+  for (const auto& scheme : kEncoderSchemes) {
+    if (name == scheme.name) return scheme.kind;
+    expected += expected.empty() ? "" : ", ";
+    expected += scheme.name;
+  }
   throw std::invalid_argument{"unknown encoder kind: \"" + std::string{name} +
-                              "\" (expected elmo, bert, or p3fa)"};
+                              "\" (expected one of " + expected + ")"};
 }
 
 }  // namespace elmo

@@ -1,11 +1,11 @@
-// TreeEncoder: the abstract contract between the controller and a tree
-// encoding scheme (DESIGN.md §11).
+// TreeEncoder: the one encoder between the controller and a tree encoding
+// scheme (DESIGN.md §11).
 //
 // A tree encoder turns the downstream layers of a MulticastTree into the
 // sender-independent GroupEncoding (p-rules, s-rules, default p-rule). All
-// encoders share the wire format (header.h), the Fmax accounting hooks
+// schemes share the wire format (header.h), the Fmax accounting hooks
 // (SRuleReservers), and the §7 legacy-leaf semantics; they differ only in
-// how switches are packed into p-rules:
+// the layer function that packs one layer's switches into p-rules:
 //
 //   elmo — Algorithm 1: exact-bitmap sharing, extra traffic bounded by R;
 //   bert — member clustering (arXiv 2008.04454 flavour): greedy smallest-
@@ -15,7 +15,9 @@
 //          layer's bitmaps are merged down to at most E distinct egress
 //          classes before rule packing, bounding switch egress diversity.
 //
-// Contract every implementation must keep (enforced by the differential
+// The scheme is config.encoder; kEncoderSchemes lists each one once.
+//
+// Contract every layer function must keep (enforced by the differential
 // fuzz oracle, tests/elmo/encoder_matrix_test.cc and
 // tests/verify/encoder_equivalence_test.cc):
 //   * coverage — every tree switch lands in exactly one of {p-rule, s-rule,
@@ -31,10 +33,9 @@
 //     merge deterministically (DESIGN.md §5).
 #pragma once
 
-#include <memory>
-#include <string>
+#include <array>
+#include <cstddef>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "elmo/clustering.h"
@@ -45,27 +46,60 @@
 
 namespace elmo {
 
-// What a scheme promises about its output; benches report these alongside
-// the measured numbers so a reader can tell policy from accident.
-struct EncoderCapabilities {
-  bool honors_redundancy_limit = false;   // R bounds extra traffic per rule
-  bool exact_srule_bitmaps = true;        // s-rules carry exact input bitmaps
-  bool bounded_egress_diversity = false;  // caps distinct bitmaps per layer
+// A scheme's layer function: packs one layer's `inputs` into at most `hmax`
+// p-rules of at most `kmax` switch ids each, and spills the rest into
+// s-rules through `reserve_srule` or, where it refuses, into the default
+// rule. `config` carries the scheme's own knobs (R for elmo, E for p3fa).
+using LayerFn = LayerEncoding (*)(std::vector<LayerInput> inputs,
+                                  std::size_t hmax, std::size_t kmax,
+                                  const EncoderConfig& config,
+                                  const SRuleReserver& reserve_srule);
+
+// Algorithm 1 (cluster_layer) under config's R and redundancy mode.
+LayerEncoding elmo_layer(std::vector<LayerInput> inputs, std::size_t hmax,
+                         std::size_t kmax, const EncoderConfig& config,
+                         const SRuleReserver& reserve_srule);
+// Densest-first greedy smallest-union clusters of up to kmax switches (the
+// MIN-K-UNION greedy of clustering.h, applied unconditionally); the switches
+// that do not fit in hmax rules spill with their exact bitmaps.
+LayerEncoding bert_layer(std::vector<LayerInput> inputs, std::size_t hmax,
+                         std::size_t kmax, const EncoderConfig& config,
+                         const SRuleReserver& reserve_srule);
+// Quantizes the layer to at most config.p3fa_egress_classes distinct egress
+// bitmaps (smallest class merged first, into the class whose union grows
+// least), then packs classes largest first in kmax chunks; overflow spills
+// with exact bitmaps.
+LayerEncoding p3fa_layer(std::vector<LayerInput> inputs, std::size_t hmax,
+                         std::size_t kmax, const EncoderConfig& config,
+                         const SRuleReserver& reserve_srule);
+
+struct EncoderScheme {
+  EncoderKind kind;
+  const char* name;  // what to_string prints and parse_encoder_kind reads
+  LayerFn layer;
 };
+
+// Every scheme, once. Adding one is an EncoderKind value, a row here and
+// its layer function.
+inline constexpr EncoderScheme kEncoderSchemes[] = {
+    {EncoderKind::kElmo, "elmo", &elmo_layer},
+    {EncoderKind::kBert, "bert", &bert_layer},
+    {EncoderKind::kP3fa, "p3fa", &p3fa_layer},
+};
+
+inline constexpr auto kAllEncoderKinds = [] {
+  std::array<EncoderKind, std::size(kEncoderSchemes)> kinds{};
+  for (std::size_t i = 0; i < kinds.size(); ++i) {
+    kinds[i] = kEncoderSchemes[i].kind;
+  }
+  return kinds;
+}();
 
 class TreeEncoder {
  public:
   // Validates `config` against the topology (throws std::invalid_argument
   // on impossible configs — see validate_encoder_config).
   TreeEncoder(const topo::ClosTopology& topology, const EncoderConfig& config);
-  virtual ~TreeEncoder() = default;
-
-  TreeEncoder(const TreeEncoder&) = delete;
-  TreeEncoder& operator=(const TreeEncoder&) = delete;
-
-  virtual std::string_view name() const noexcept = 0;
-  virtual EncoderKind kind() const noexcept = 0;
-  virtual EncoderCapabilities capabilities() const noexcept = 0;
 
   const EncoderConfig& config() const noexcept { return config_; }
   const HeaderCodec& codec() const noexcept { return codec_; }
@@ -102,58 +136,44 @@ class TreeEncoder {
                             = nullptr) const;
 
   // Releases the s-rule reservations a previous encode() made (controller
-  // re-encoding path under churn). Base implementation releases one slot
-  // per recorded s-rule, which is correct for every encoder that keeps the
-  // one-reservation-per-s-rule contract.
-  virtual void release(const GroupEncoding& encoding,
-                       const MulticastTree& tree, SRuleSpace& space) const;
+  // re-encoding path under churn): one slot per recorded s-rule, which the
+  // one-reservation-per-s-rule contract makes exact.
+  void release(const GroupEncoding& encoding, SRuleSpace& space) const;
 
   // Serialized header size for `sender`, in bytes (exact, via the codec).
-  virtual std::size_t header_bytes(const MulticastTree& tree,
-                                   const GroupEncoding& encoding,
-                                   topo::HostId sender) const;
-
- protected:
-  // The one thing the schemes differ in: packing one layer's `inputs` into
-  // at most `hmax` p-rules of at most `kmax` switch ids each, and spilling
-  // the rest into s-rules through `reserve_srule` or, where it refuses,
-  // into the default rule.
-  virtual LayerEncoding encode_layer(std::vector<LayerInput> inputs,
-                                     std::size_t hmax, std::size_t kmax,
-                                     const SRuleReserver& reserve_srule)
-      const = 0;
-
-  const topo::ClosTopology* topo_;
-  EncoderConfig config_;
-  HeaderCodec codec_;
-  std::size_t hmax_leaf_;
+  std::size_t header_bytes(const MulticastTree& tree,
+                           const GroupEncoding& encoding,
+                           topo::HostId sender) const;
 
  private:
   // The layers, each over inputs all schemes share. The leaf layer applies
   // the §7 legacy policy: legacy leaves are reserved first (exact bitmaps),
   // pulled out of the packing inputs, and appended after the scheme's own
-  // s-rules — identical semantics across encoders.
+  // s-rules — identical semantics across schemes.
   LayerEncoding encode_spine(const MulticastTree& tree,
                              const SRuleReserver& reserve_srule) const;
   LayerEncoding encode_leaf(const MulticastTree& tree,
                             const SRuleReservers& reservers,
                             const std::vector<bool>* legacy_leaf) const;
+
+  const topo::ClosTopology* topo_;
+  EncoderConfig config_;
+  HeaderCodec codec_;
+  std::size_t hmax_leaf_;
+  LayerFn layer_;  // config_.encoder's row of kEncoderSchemes
 };
 
 // Rejects impossible configs with a descriptive std::invalid_argument:
 // zero hmax/kmax, per-layer rule counts beyond the 7-bit wire field, a
 // header budget too small to fit even one leaf p-rule at this topology's
-// bitmap widths (when hmax_leaf is derived), zero P3FA egress classes.
-// Called by every TreeEncoder constructor.
+// bitmap widths (when hmax_leaf is derived), zero P3FA egress classes, an
+// encoder kind with no scheme. Called by the TreeEncoder constructor.
 void validate_encoder_config(const topo::ClosTopology& topology,
                              const EncoderConfig& config);
 
-// Instantiates the encoder selected by config.encoder.
-std::unique_ptr<TreeEncoder> make_encoder(const topo::ClosTopology& topology,
-                                          const EncoderConfig& config);
-
+// The scheme's name ("unknown" for a kind no row lists).
 const char* to_string(EncoderKind kind) noexcept;
-// Parses "elmo" / "bert" / "p3fa" (throws std::invalid_argument otherwise).
+// Parses a scheme name (throws std::invalid_argument otherwise).
 EncoderKind parse_encoder_kind(std::string_view name);
 
 }  // namespace elmo

@@ -267,7 +267,7 @@ std::string Snapshot::prometheus() const {
     out += s;
     out += '\n';
   };
-  line("# HELP elmo_uptime_seconds Seconds since registry creation or reset");
+  line("# HELP elmo_uptime_seconds Seconds since registry creation");
   line("# TYPE elmo_uptime_seconds gauge");
   line("elmo_uptime_seconds " + fmt_value(uptime_seconds));
   for (const auto& m : metrics) {

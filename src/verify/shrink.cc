@@ -4,6 +4,8 @@
 #include <sstream>
 #include <vector>
 
+#include "elmo/tree_encoder.h"
+
 namespace elmo::verify {
 
 namespace {
@@ -208,13 +210,13 @@ std::string to_fixture(const Scenario& scenario) {
   if (c.srule_capacity != std::numeric_limits<std::size_t>::max()) {
     out << "  sc.config.srule_capacity = " << c.srule_capacity << ";\n";
   }
-  if (c.encoder != EncoderKind::kElmo) {
-    out << "  sc.config.encoder = elmo::EncoderKind::k"
-        << (c.encoder == EncoderKind::kBert ? "Bert" : "P3fa") << ";\n";
-    if (c.encoder == EncoderKind::kP3fa) {
-      out << "  sc.config.p3fa_egress_classes = " << c.p3fa_egress_classes
-          << ";\n";
-    }
+  if (c.encoder != EncoderConfig{}.encoder) {
+    out << "  sc.config.encoder = elmo::parse_encoder_kind(\""
+        << to_string(c.encoder) << "\");\n";
+  }
+  if (c.p3fa_egress_classes != EncoderConfig{}.p3fa_egress_classes) {
+    out << "  sc.config.p3fa_egress_classes = " << c.p3fa_egress_classes
+        << ";\n";
   }
   if (!scenario.legacy_leaves.empty()) {
     out << "  sc.legacy_leaves = {";

@@ -3,7 +3,7 @@
 #include "baselines/li_multicast.h"
 #include "baselines/rmt.h"
 #include "baselines/schemes.h"
-#include "elmo/encoder.h"
+#include "elmo/tree_encoder.h"
 #include "testutil.h"
 #include "util/rng.h"
 
@@ -67,7 +67,7 @@ TEST(LiMulticast, ElmoUsesFarFewerNetworkEntries) {
   LiMulticast li{t};
   elmo::EncoderConfig cfg;
   cfg.redundancy_limit = 6;
-  const elmo::GroupEncoder encoder{t, cfg};
+  const elmo::TreeEncoder encoder{t, cfg};
   elmo::SRuleSpace space{t, 100000};
 
   for (int g = 0; g < 200; ++g) {

@@ -10,7 +10,7 @@
 
 #include "dataplane/hypervisor_switch.h"
 #include "dataplane/network_switch.h"
-#include "elmo/encoder.h"
+#include "elmo/tree_encoder.h"
 
 namespace elmo::dp {
 namespace {
@@ -25,7 +25,7 @@ class ForwardingTest : public ::testing::Test {
     cfg.hmax_leaf_override = 8;
     cfg.hmax_spine = 4;
     cfg.redundancy_limit = 2;
-    const GroupEncoder encoder{topo_, cfg};
+    const TreeEncoder encoder{topo_, cfg};
     return encoder.encode(tree, nullptr);
   }
 

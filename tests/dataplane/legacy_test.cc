@@ -85,7 +85,7 @@ TEST(LegacySwitch, HypervisorSkipsUnstrippedHeader) {
 TEST(LegacySwitch, EncoderForcesLegacyLeavesIntoSRules) {
   const auto t = small();
   EncoderConfig cfg;
-  const GroupEncoder encoder{t, cfg};
+  const TreeEncoder encoder{t, cfg};
   SRuleSpace space{t, 10};
   std::vector<bool> legacy(t.num_leaves(), false);
   legacy[1] = true;  // hosts 4..7
@@ -111,7 +111,7 @@ TEST(LegacySwitch, EncoderForcesLegacyLeavesIntoSRules) {
 
 TEST(LegacySwitch, FullTableIsTheDeploymentBottleneck) {
   const auto t = small();
-  const GroupEncoder encoder{t, EncoderConfig{}};
+  const TreeEncoder encoder{t, EncoderConfig{}};
   SRuleSpace space{t, 0};  // legacy leaf's table is already full
   std::vector<bool> legacy(t.num_leaves(), false);
   legacy[1] = true;

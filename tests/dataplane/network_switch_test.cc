@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "dataplane/hypervisor_switch.h"
-#include "elmo/encoder.h"
+#include "elmo/tree_encoder.h"
 #include "testutil.h"
 
 namespace elmo::dp {
@@ -23,7 +23,7 @@ class NetworkSwitchTest : public ::testing::Test {
     cfg.hmax_leaf_override = hmax_leaf;
     cfg.hmax_spine = 4;
     cfg.redundancy_limit = r;
-    const GroupEncoder encoder{topo_, cfg};
+    const TreeEncoder encoder{topo_, cfg};
     return encoder.encode(tree_, nullptr);
   }
 
@@ -172,7 +172,7 @@ TEST_F(NetworkSwitchTest, SRuleFallbackWhenNoPRuleMatches) {
   EncoderConfig cfg;
   cfg.hmax_leaf_override = 1;
   cfg.hmax_spine = 4;
-  const GroupEncoder encoder{topo_, cfg};
+  const TreeEncoder encoder{topo_, cfg};
   SRuleSpace space{topo_, 10};
   const auto enc = encoder.encode(tree_, &space);
   ASSERT_FALSE(enc.leaf.s_rules.empty());

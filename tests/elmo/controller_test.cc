@@ -468,7 +468,6 @@ void expect_incremental_reencode_matches_scratch(EncoderKind kind,
     const auto& g = controller.group(id);
     const SRuleSpace space_before = controller.srule_space();
     const GroupEncoding encoding_before = g.encoding;
-    const MulticastTree tree_before = *g.tree;
 
     bool receives = false;
     if (g.members.size() > 3 && rng.uniform_int(0, 1) == 0) {
@@ -488,7 +487,7 @@ void expect_incremental_reencode_matches_scratch(EncoderKind kind,
     GroupEncoding expected = encoding_before;
     if (receives) {
       ++receiver_events;
-      controller.encoder().release(encoding_before, tree_before, space);
+      controller.encoder().release(encoding_before, space);
       expected = controller.encoder().encode(scratch, &space, legacy_mask);
     }
     ASSERT_EQ(g.encoding, expected) << "step " << step;

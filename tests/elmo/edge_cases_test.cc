@@ -6,7 +6,7 @@
 #include <set>
 
 #include "cloud/cloud.h"
-#include "elmo/encoder.h"
+#include "elmo/tree_encoder.h"
 #include "elmo/evaluator.h"
 #include "net/bitmap.h"
 #include "testutil.h"
@@ -79,7 +79,7 @@ TEST(GroupEdge, EmptyGroupEncodesToNothing) {
   const topo::ClosTopology t{topo::ClosParams::small_test()};
   const MulticastTree tree{t, std::vector<topo::HostId>{}};
   EXPECT_EQ(tree.num_members(), 0u);
-  const GroupEncoder encoder{t, EncoderConfig{}};
+  const TreeEncoder encoder{t, EncoderConfig{}};
   const auto enc = encoder.encode(tree, nullptr);
   EXPECT_EQ(enc.p_rule_count(), 0u);
   EXPECT_EQ(enc.s_rule_count(), 0u);
@@ -96,7 +96,7 @@ TEST(GroupEdge, SelfOnlyGroupDeliversNothing) {
   const topo::ClosTopology t{topo::ClosParams::small_test()};
   const std::vector<topo::HostId> members{5};
   const MulticastTree tree{t, members};
-  const GroupEncoder encoder{t, EncoderConfig{}};
+  const TreeEncoder encoder{t, EncoderConfig{}};
   const auto enc = encoder.encode(tree, nullptr);
   const TrafficEvaluator evaluator{t};
   const auto report = evaluator.evaluate(tree, enc, 5, 100);
@@ -118,14 +118,14 @@ TEST(GroupEdge, FullFabricBroadcastGroup) {
   for (const std::size_t r : {0u, 12u}) {
     EncoderConfig cfg;
     cfg.redundancy_limit = r;
-    const GroupEncoder encoder{t, cfg};
+    const TreeEncoder encoder{t, cfg};
     SRuleSpace space{t, 1000};
     const auto enc = encoder.encode(tree, &space);
     const TrafficEvaluator evaluator{t};
     const auto report = evaluator.evaluate(tree, enc, 0, 1500);
     EXPECT_TRUE(report.delivery.exactly_once()) << "R=" << r;
     EXPECT_EQ(report.delivery.members_expected, t.num_hosts() - 1);
-    encoder.release(enc, tree, space);
+    encoder.release(enc, space);
   }
 }
 
@@ -156,7 +156,7 @@ TEST(PlacementProperty, TenantsStayPodLocalWhenTheyFit) {
 
 TEST(HeaderProperty, EncodingIsDeterministic) {
   const topo::ClosTopology t{topo::ClosParams::small_test()};
-  const GroupEncoder encoder{t, EncoderConfig{}};
+  const TreeEncoder encoder{t, EncoderConfig{}};
   util::Rng rng{88};
   for (int trial = 0; trial < 30; ++trial) {
     const auto hosts = test::random_hosts(t, 4 + rng.index(20), rng);

@@ -1,4 +1,4 @@
-#include "elmo/encoder.h"
+#include "elmo/tree_encoder.h"
 
 #include <gtest/gtest.h>
 
@@ -23,7 +23,7 @@ TEST_P(EncoderProperty, HeadersAlwaysWithinBudget) {
   EncoderConfig cfg;
   cfg.header_budget_bytes = GetParam().budget;
   cfg.redundancy_limit = GetParam().redundancy;
-  const GroupEncoder encoder{t, cfg};
+  const TreeEncoder encoder{t, cfg};
   SRuleSpace space{t, 100};
 
   for (int trial = 0; trial < 60; ++trial) {
@@ -40,7 +40,7 @@ TEST_P(EncoderProperty, HeadersAlwaysWithinBudget) {
       EXPECT_LE(encoder.header_bytes(tree, encoding, sender),
                 cfg.header_budget_bytes);
     }
-    encoder.release(encoding, tree, space);
+    encoder.release(encoding, space);
   }
 
   // All reservations returned.
@@ -58,7 +58,7 @@ INSTANTIATE_TEST_SUITE_P(Sweep, EncoderProperty,
 TEST(GroupEncoder, CoversEveryTreeSwitch) {
   const topo::ClosTopology t{topo::ClosParams::small_test()};
   util::Rng rng{888};
-  const GroupEncoder encoder{t, EncoderConfig{}};
+  const TreeEncoder encoder{t, EncoderConfig{}};
   SRuleSpace space{t, 100};
 
   const auto members = test::random_hosts(t, 20, rng);
@@ -91,7 +91,7 @@ TEST(GroupEncoder, NoSpaceMeansDefaultRulesNotSRules) {
   EncoderConfig cfg;
   cfg.hmax_leaf_override = 1;
   cfg.hmax_spine = 1;
-  const GroupEncoder encoder{t, cfg};
+  const TreeEncoder encoder{t, cfg};
 
   const auto members = test::random_hosts(t, 30, rng);
   const MulticastTree tree{t, members};
@@ -108,7 +108,7 @@ TEST(GroupEncoder, SRuleCapacityZeroBehavesLikeNoSpace) {
   EncoderConfig cfg;
   cfg.hmax_leaf_override = 1;
   cfg.srule_capacity = 0;
-  const GroupEncoder encoder{t, cfg};
+  const TreeEncoder encoder{t, cfg};
   SRuleSpace space{t, cfg.srule_capacity};
 
   const auto members = test::random_hosts(t, 30, rng);
@@ -120,7 +120,7 @@ TEST(GroupEncoder, SRuleCapacityZeroBehavesLikeNoSpace) {
 
 TEST(GroupEncoder, SmallGroupNeedsNoSRulesOrDefaults) {
   const topo::ClosTopology t{topo::ClosParams::small_test()};
-  const GroupEncoder encoder{t, EncoderConfig{}};
+  const TreeEncoder encoder{t, EncoderConfig{}};
   SRuleSpace space{t, 100};
   const std::vector<topo::HostId> members{0, 1, 5};
   const MulticastTree tree{t, members};
@@ -141,7 +141,7 @@ TEST(GroupEncoder, HigherRNeverIncreasesPRuleCount) {
     for (const std::size_t r : {0u, 4u, 12u}) {
       EncoderConfig cfg;
       cfg.redundancy_limit = r;
-      const GroupEncoder encoder{t, cfg};
+      const TreeEncoder encoder{t, cfg};
       const auto encoding = encoder.encode(tree, nullptr);
       const auto rules = encoding.leaf.p_rules.size();
       EXPECT_LE(rules, prev_rules)
@@ -153,7 +153,7 @@ TEST(GroupEncoder, HigherRNeverIncreasesPRuleCount) {
 
 TEST(GroupEncoder, HeaderBytesTrackGroupSpread) {
   const topo::ClosTopology t{topo::ClosParams::small_test()};
-  const GroupEncoder encoder{t, EncoderConfig{}};
+  const TreeEncoder encoder{t, EncoderConfig{}};
   const std::vector<topo::HostId> tight{0, 1, 2};        // one rack
   const std::vector<topo::HostId> spread{0, 8, 16, 24, 32, 40, 48, 56};
   const MulticastTree tight_tree{t, tight};

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "elmo/tree_encoder.h"
 #include "testutil.h"
 #include "util/rng.h"
 
@@ -51,7 +52,7 @@ TEST_P(EvaluatorProperty, ExactlyOnceDeliveryAndSaneOverhead) {
   util::Rng rng{GetParam()};
   EncoderConfig cfg;
   cfg.redundancy_limit = GetParam() % 13;
-  const GroupEncoder encoder{t, cfg};
+  const TreeEncoder encoder{t, cfg};
   SRuleSpace space{t, 1000};
 
   for (int trial = 0; trial < 80; ++trial) {
@@ -71,7 +72,7 @@ TEST_P(EvaluatorProperty, ExactlyOnceDeliveryAndSaneOverhead) {
     EXPECT_GE(report.elmo_link_transmissions,
               report.ideal_link_transmissions);
     EXPECT_GT(report.header_bytes_at_source, 0u);
-    encoder.release(encoding, tree, space);
+    encoder.release(encoding, space);
   }
 }
 
@@ -86,7 +87,7 @@ TEST(Evaluator, RZeroWithAmpleSRulesIsIdealTraffic) {
   util::Rng rng{42};
   EncoderConfig cfg;
   cfg.redundancy_limit = 0;
-  const GroupEncoder encoder{t, cfg};
+  const TreeEncoder encoder{t, cfg};
   SRuleSpace space{t, 100000};
 
   for (int trial = 0; trial < 40; ++trial) {
@@ -98,7 +99,7 @@ TEST(Evaluator, RZeroWithAmpleSRulesIsIdealTraffic) {
     EXPECT_EQ(report.elmo_link_transmissions,
               report.ideal_link_transmissions);
     EXPECT_EQ(report.delivery.spurious_deliveries, 0u);
-    encoder.release(encoding, tree, space);
+    encoder.release(encoding, space);
   }
 }
 
@@ -106,7 +107,7 @@ TEST(Evaluator, HeaderOverheadShrinksWithLargerPayload) {
   const auto t = small();
   const TrafficEvaluator evaluator{t};
   util::Rng rng{77};
-  const GroupEncoder encoder{t, EncoderConfig{}};
+  const TreeEncoder encoder{t, EncoderConfig{}};
   const auto members = test::random_hosts(t, 24, rng);
   const MulticastTree tree{t, members};
   const auto encoding = encoder.encode(tree, nullptr);
@@ -123,7 +124,7 @@ TEST(Evaluator, DefaultRulesCauseSpuriousDeliveriesButReachEveryone) {
   EncoderConfig cfg;
   cfg.hmax_leaf_override = 1;
   cfg.hmax_spine = 1;
-  const GroupEncoder encoder{t, cfg};
+  const TreeEncoder encoder{t, cfg};
 
   const auto members = test::random_hosts(t, 30, rng);
   const MulticastTree tree{t, members};
@@ -142,7 +143,7 @@ TEST(Evaluator, MultipathHashSelectsDifferentPlanes) {
   const TrafficEvaluator evaluator{t};
   const std::vector<topo::HostId> members{0, 16};
   const MulticastTree tree{t, members};
-  const GroupEncoder encoder{t, EncoderConfig{}};
+  const TreeEncoder encoder{t, EncoderConfig{}};
   const auto encoding = encoder.encode(tree, nullptr);
 
   // Different flow hashes must still deliver exactly once.
@@ -157,7 +158,7 @@ TEST(Evaluator, SpineFailureWithStaleEncodingLosesTraffic) {
   const TrafficEvaluator evaluator{t};
   const std::vector<topo::HostId> members{0, 16};
   const MulticastTree tree{t, members};
-  const GroupEncoder encoder{t, EncoderConfig{}};
+  const TreeEncoder encoder{t, EncoderConfig{}};
   const auto encoding = encoder.encode(tree, nullptr);
 
   // Hash 0 picks plane 0; failing that spine with multipath still on (the

@@ -3,7 +3,7 @@
 // {Ha, Hb, Hk, Hm, Hn, Hp}, under the design points D1-D5.
 #include <gtest/gtest.h>
 
-#include "elmo/encoder.h"
+#include "elmo/tree_encoder.h"
 #include "elmo/evaluator.h"
 
 namespace elmo {
@@ -23,7 +23,7 @@ class RunningExample : public ::testing::Test {
     cfg.hmax_leaf_override = 2;  // the figure's budget: two rules per layer
     cfg.kmax = 2;                // "max two switches per p-rule"
     cfg.kmax_spine = 2;
-    const GroupEncoder encoder{topo_, cfg};
+    const TreeEncoder encoder{topo_, cfg};
     space_ = std::make_unique<SRuleSpace>(topo_, srule_capacity);
     return encoder.encode(tree_, space_.get());
   }
@@ -132,7 +132,7 @@ TEST_F(RunningExample, DesignProgressionShrinksHeaders) {
   EncoderConfig cfg;
   cfg.hmax_spine = 2;
   cfg.hmax_leaf_override = 2;
-  const GroupEncoder encoder{topo_, cfg};
+  const TreeEncoder encoder{topo_, cfg};
   const auto header_bytes = encoder.header_bytes(tree_, enc, /*Ha=*/0);
   EXPECT_LT(header_bytes * 8, naive_bits);
   EXPECT_LE(header_bytes, 16u);  // compact: tens of bits, not hundreds

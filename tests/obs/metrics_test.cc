@@ -134,8 +134,7 @@ TEST(MetricsTest, PrometheusExpositionGolden) {
   auto snap = reg.snapshot();
   snap.uptime_seconds = 1.5;  // pin the only wall-clock-dependent line
   EXPECT_EQ(snap.prometheus(),
-            "# HELP elmo_uptime_seconds Seconds since registry creation or "
-            "reset\n"
+            "# HELP elmo_uptime_seconds Seconds since registry creation\n"
             "# TYPE elmo_uptime_seconds gauge\n"
             "elmo_uptime_seconds 1.5\n"
             "# TYPE depth gauge\n"

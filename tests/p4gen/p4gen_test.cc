@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "elmo/encoder.h"
+#include "elmo/tree_encoder.h"
 
 namespace elmo::p4gen {
 namespace {
@@ -24,7 +24,7 @@ topo::ClosTopology fabric() {
 TEST(P4Options, DerivesFromEncoderConfig) {
   const auto t = fabric();
   EncoderConfig cfg;
-  const GroupEncoder encoder{t, cfg};
+  const TreeEncoder encoder{t, cfg};
   const auto opt = P4Options::from_config(cfg, encoder.hmax_leaf());
   EXPECT_EQ(opt.hmax_spine, cfg.hmax_spine);
   EXPECT_EQ(opt.hmax_leaf, encoder.hmax_leaf());

@@ -173,6 +173,27 @@ TEST(Shrink, ProducesMinimalFixtureForSeededFault) {
   EXPECT_NE(fixture.find("run_scenario"), std::string::npos) << fixture;
 }
 
+// The fixture names its scheme through the scheme table, and a P3FA class
+// count only when it differs from the default.
+TEST(Shrink, FixtureNamesEveryEncoderKind) {
+  auto scenario = generate_scenario(1);
+  for (const auto kind : kAllEncoderKinds) {
+    scenario.config.encoder = kind;
+    scenario.config.p3fa_egress_classes = 2;
+    const auto fixture = to_fixture(scenario);
+    const std::string line = std::string{"elmo::parse_encoder_kind(\""} +
+                             to_string(kind) + "\")";
+    EXPECT_EQ(fixture.find(line) != std::string::npos,
+              kind != EncoderConfig{}.encoder)
+        << fixture;
+    EXPECT_NE(fixture.find("sc.config.p3fa_egress_classes = 2;"),
+              std::string::npos);
+  }
+  scenario.config.p3fa_egress_classes = EncoderConfig{}.p3fa_egress_classes;
+  EXPECT_EQ(to_fixture(scenario).find("p3fa_egress_classes"),
+            std::string::npos);
+}
+
 // Oracle semantics pinned directly: the sender's own host never appears in
 // the expected set (local delivery bypasses the fabric) and the receiving-VM
 // counts mirror co-located membership.
