@@ -2,8 +2,9 @@
 //
 // Loads one workload into a fresh controller once per thread count and
 // reports groups/sec for the whole create_groups pass (tree build +
-// Algorithm 1 + s-rule merge), plus the encode/merge split from
-// Controller::BulkLoadStats. Every parallel run's p/s-rule output is
+// Algorithm 1 + s-rule merge), plus the encode/merge split that
+// TreeEncoder::encode_batch, the one bulk encode create_groups calls,
+// records in BulkLoadStats. Every parallel run's p/s-rule output is
 // compared against the serial run's encodings — the determinism contract
 // (DESIGN.md §5) says they must be byte-identical, and the bench fails
 // loudly if they are not.

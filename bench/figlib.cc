@@ -135,20 +135,17 @@ double FigureResult::overhead_without_popping(std::size_t payload) const {
 
 namespace {
 
-// Per-group state carried from the parallel phase into the merge pass.
+// Per-group state carried from the parallel passes into the in-order
+// accumulation.
 struct StagedGroup {
   std::unique_ptr<elmo::MulticastTree> tree;
-  elmo::GroupEncoding encoding;
-  bool denied = false;  // a speculative s-rule reservation was refused
-  topo::HostId sender = 0;
-  std::uint64_t eval_seed = 0;
   elmo::TrafficReport report;
   std::uint64_t unicast_tx = 0;
   std::uint64_t overlay_tx = 0;
   std::optional<baselines::LiTree> li_tree;
 };
 
-// Groups per speculative chunk. Like cloud::kPlacementRound this is a fixed
+// Groups per encode_batch call. Like cloud::kPlacementRound this is a fixed
 // constant, never derived from the thread count, so the merge sees the same
 // chunk boundaries (and produces the same output) at any parallelism.
 constexpr std::size_t kFigureChunk = 4096;
@@ -167,21 +164,14 @@ FigureResult run_figure(const FigureInputs& inputs) {
   const bool report_progress = groups.size() >= 200'000;
   std::size_t next_progress = groups.size() / 10;
 
-  auto parallel_for = [&](std::size_t begin, std::size_t end, auto&& body) {
-    if (inputs.pool != nullptr) {
-      inputs.pool->parallel_for(begin, end, body);
-    } else {
-      for (std::size_t i = begin; i < end; ++i) body(i);
-    }
-  };
-
   // Accumulates one group's contribution; called in group order only.
-  auto accumulate = [&](const StagedGroup& sg) {
-    if (!sg.encoding.uses_default() && sg.encoding.s_rule_count() == 0) {
+  auto accumulate = [&](const StagedGroup& sg,
+                        const elmo::GroupEncoding& encoding) {
+    if (!encoding.uses_default() && encoding.s_rule_count() == 0) {
       ++result.covered_p_rules_only;  // the Fig. 4/5 left-panel metric
     }
-    if (!sg.encoding.uses_default()) ++result.covered_without_default;
-    if (sg.encoding.s_rule_count() > 0) ++result.groups_with_srules;
+    if (!encoding.uses_default()) ++result.covered_without_default;
+    if (encoding.s_rule_count() > 0) ++result.groups_with_srules;
     if (!sg.report.delivery.exactly_once()) ++result.delivery_failures;
 
     const auto& d = sg.report.delivery;
@@ -200,8 +190,8 @@ FigureResult run_figure(const FigureInputs& inputs) {
         }
         distinct.push_back(&bm);
       };
-      for (const auto& rule : sg.encoding.leaf.p_rules) note(rule.bitmap);
-      if (sg.encoding.leaf.default_rule) note(*sg.encoding.leaf.default_rule);
+      for (const auto& rule : encoding.leaf.p_rules) note(rule.bitmap);
+      if (encoding.leaf.default_rule) note(*encoding.leaf.default_rule);
       result.leaf_egress_diversity.add(static_cast<double>(distinct.size()));
     }
 
@@ -216,33 +206,6 @@ FigureResult run_figure(const FigureInputs& inputs) {
     result.overlay_transmissions += sg.overlay_tx;
   };
 
-  // Replays an encoding's s-rule reservations against the authoritative
-  // space; on failure rolls back and reports false.
-  auto try_apply = [&](const elmo::GroupEncoding& enc) {
-    std::size_t spines = 0;
-    for (const auto& [pod, bitmap] : enc.spine.s_rules) {
-      (void)bitmap;
-      if (!space.try_reserve_pod_spines(pod)) break;
-      ++spines;
-    }
-    std::size_t leaves = 0;
-    if (spines == enc.spine.s_rules.size()) {
-      for (const auto& [leaf, bitmap] : enc.leaf.s_rules) {
-        (void)bitmap;
-        if (!space.try_reserve_leaf(leaf)) break;
-        ++leaves;
-      }
-      if (leaves == enc.leaf.s_rules.size()) return true;
-    }
-    for (std::size_t i = 0; i < leaves; ++i) {
-      space.release_leaf(enc.leaf.s_rules[i].first);
-    }
-    for (std::size_t i = 0; i < spines; ++i) {
-      space.release_pod_spines(enc.spine.s_rules[i].first);
-    }
-    return false;
-  };
-
   std::vector<StagedGroup> staged;
   for (std::size_t chunk = 0; chunk < groups.size(); chunk += kFigureChunk) {
     const std::size_t chunk_end =
@@ -250,43 +213,38 @@ FigureResult run_figure(const FigureInputs& inputs) {
     staged.clear();
     staged.resize(chunk_end - chunk);
 
-    // --- parallel phase: tree build, Algorithm 1 against speculative Fmax
-    // counters, traffic walk, baselines -----------------------------------
+    // --- tree build and encode, committed in group order against `space`
+    elmo::BulkLoadStats bulk;
+    const auto encodings = encoder.encode_batch(
+        chunk_end - chunk,
+        [&](std::size_t i) -> const elmo::MulticastTree& {
+          auto& tree = staged[i].tree;
+          tree = std::make_unique<elmo::MulticastTree>(
+              topology, groups[chunk + i].member_hosts);
+          return *tree;
+        },
+        space, inputs.pool, /*legacy_leaf=*/nullptr, &bulk);
+
+    // --- parallel phase: traffic walk of the committed encodings,
+    // baselines --------------------------------------------------------
     const auto t0 = std::chrono::steady_clock::now();
-    elmo::ConcurrentSRuleCounters speculative{space};
-    parallel_for(chunk, chunk_end, [&](std::size_t g) {
+    util::parallel_for(inputs.pool, chunk, chunk_end, [&](std::size_t g) {
       const auto& group = groups[g];
       auto& sg = staged[g - chunk];
       auto rng = util::Rng::stream(inputs.seed, g);
 
-      sg.tree =
-          std::make_unique<elmo::MulticastTree>(topology, group.member_hosts);
-      elmo::TreeEncoder::SRuleReservers reservers;
-      reservers.leaf = [&](std::uint32_t leaf) {
-        if (speculative.try_reserve_leaf(leaf)) return true;
-        sg.denied = true;
-        return false;
-      };
-      reservers.pod_spines = [&](std::uint32_t pod) {
-        if (speculative.try_reserve_pod_spines(pod)) return true;
-        sg.denied = true;
-        return false;
-      };
-      sg.encoding = encoder.encode_with(*sg.tree, reservers);
-
-      sg.sender = group.member_hosts[rng.index(group.member_hosts.size())];
-      sg.eval_seed = rng();
+      const auto sender =
+          group.member_hosts[rng.index(group.member_hosts.size())];
+      const auto eval_seed = rng();
       // payload 0: report factors as transmissions + header bytes, so any
       // packet size can be derived afterwards.
-      sg.report = evaluator.evaluate(*sg.tree, sg.encoding, sg.sender,
-                                     /*payload=*/0, sg.eval_seed);
+      sg.report = evaluator.evaluate(*sg.tree, encodings[g - chunk], sender,
+                                     /*payload=*/0, eval_seed);
       sg.unicast_tx =
-          baselines::unicast_traffic(topology, group.member_hosts, sg.sender,
-                                     1)
+          baselines::unicast_traffic(topology, group.member_hosts, sender, 1)
               .link_transmissions;
       sg.overlay_tx =
-          baselines::overlay_traffic(topology, group.member_hosts, sg.sender,
-                                     1)
+          baselines::overlay_traffic(topology, group.member_hosts, sender, 1)
               .link_transmissions;
       if (inputs.li != nullptr) {
         sg.li_tree = inputs.li->build_tree(*sg.tree, rng());
@@ -294,26 +252,19 @@ FigureResult run_figure(const FigureInputs& inputs) {
     });
     const auto t1 = std::chrono::steady_clock::now();
 
-    // --- serial in-order merge: commit reservations against the
-    // authoritative space, re-encode on speculative disagreement ----------
+    // --- serial in-order accumulation ----------------------------------
     for (std::size_t g = chunk; g < chunk_end; ++g) {
-      auto& sg = staged[g - chunk];
-      if (!sg.denied && try_apply(sg.encoding)) {
-        ++result.speculative_commits;
-      } else {
-        ++result.serial_reencodes;
-        sg.encoding = encoder.encode(*sg.tree, &space);
-        sg.report = evaluator.evaluate(*sg.tree, sg.encoding, sg.sender,
-                                       /*payload=*/0, sg.eval_seed);
-      }
-      accumulate(sg);
+      const auto& sg = staged[g - chunk];
+      accumulate(sg, encodings[g - chunk]);
       if (sg.li_tree) inputs.li->install(*sg.li_tree);
-      // Keep the s-rule reservations: the occupancy after all groups is the
-      // figure's center panel. (Encodings themselves are discarded.)
+      // The s-rule reservations stay in `space`: the occupancy after all
+      // groups is the figure's center panel. (Encodings are discarded.)
     }
     const auto t2 = std::chrono::steady_clock::now();
-    result.parallel_seconds += std::chrono::duration<double>(t1 - t0).count();
-    result.merge_seconds += std::chrono::duration<double>(t2 - t1).count();
+    result.parallel_seconds +=
+        bulk.encode_seconds + std::chrono::duration<double>(t1 - t0).count();
+    result.merge_seconds +=
+        bulk.merge_seconds + std::chrono::duration<double>(t2 - t1).count();
 
     if (report_progress && chunk_end >= next_progress) {
       std::fprintf(stderr, "  [run_figure] %zu/%zu groups (%.0f%%)\n",

@@ -94,12 +94,10 @@ struct FigureResult {
   // D2d ablation: traffic overhead if p-rules were NOT popped hop by hop.
   double overhead_without_popping(std::size_t payload) const;
 
-  // Wall-time breakdown of the pass (parallel encode+evaluate vs the
-  // serial in-order merge) and how the merge resolved each group.
+  // Wall-time breakdown of the pass: the parallel encode and evaluate
+  // phases vs the serial in-order merge and accumulation.
   double parallel_seconds = 0;
   double merge_seconds = 0;
-  std::size_t speculative_commits = 0;
-  std::size_t serial_reencodes = 0;
 };
 
 struct FigureInputs {
@@ -112,7 +110,7 @@ struct FigureInputs {
   // Runs the per-group encode/evaluate work on this pool (nullptr =
   // serial). Output is bit-identical either way: every group draws from
   // util::Rng::stream(seed, group index) and s-rule reservations are
-  // committed by a serial in-order merge (DESIGN.md §5).
+  // committed in group order by TreeEncoder::encode_batch (DESIGN.md §5).
   util::ThreadPool* pool = nullptr;
 };
 

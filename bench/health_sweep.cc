@@ -19,7 +19,7 @@
 //
 // Output is JSON on stdout (recorded as bench/results/BENCH_health_sweep.json)
 // closed by a `RUN {...}` metadata line on stderr so a stdout redirect
-// captures clean JSON.
+// captures clean JSON. Both carry the host block (benchx::host_json).
 #include <algorithm>
 #include <array>
 #include <chrono>
@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "elmo/controller.h"
+#include "figlib.h"
 #include "elmo/stream.h"
 #include "obs/health.h"
 #include "obs/timeseries.h"
@@ -205,11 +206,14 @@ int main(int argc, char** argv) {
   const auto overhead_iters = static_cast<std::size_t>(
       std::max<std::int64_t>(64, flags.get_int("OVERHEAD_ITERS", 192)));
 
-  std::printf("{\n  \"bench\": \"health_sweep\",\n  \"fanout\": %zu,\n"
+  const auto host = benchx::host_json();
+  std::printf("{\n  \"bench\": \"health_sweep\",\n  %s,\n"
+              "  \"fanout\": %zu,\n"
               "  \"seeds\": %zu,\n  \"windows\": %zu,\n"
               "  \"sends_per_window\": %zu,\n  \"inject_at\": %zu,\n"
               "  \"arms\": [\n",
-              fanout, seeds, windows, sends_per_window, inject_at);
+              host.c_str(), fanout, seeds, windows, sends_per_window,
+              inject_at);
 
   bool ok = true;
   for (std::size_t a = 0; a < std::size(kArms); ++a) {
@@ -261,7 +265,7 @@ int main(int argc, char** argv) {
               ok ? "true" : "false");
   std::fprintf(stderr,
                "RUN {\"bench\": \"health_sweep\", \"fanout\": %zu, "
-               "\"seeds\": %zu, \"windows\": %zu, \"ok\": %s}\n",
-               fanout, seeds, windows, ok ? "true" : "false");
+               "\"seeds\": %zu, \"windows\": %zu, \"ok\": %s, %s}\n",
+               fanout, seeds, windows, ok ? "true" : "false", host.c_str());
   return ok ? 0 : 1;
 }

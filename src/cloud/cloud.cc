@@ -54,17 +54,9 @@ Cloud::Cloud(const topo::ClosTopology& topology, const CloudParams& params,
   ELMO_METRIC(reg.add(cloud_metric_ids().tenants_placed, params.tenants));
 
   const std::uint64_t seed = rng();
-  auto parallel_for = [&](std::size_t begin, std::size_t end, auto&& body) {
-    if (pool != nullptr) {
-      pool->parallel_for(begin, end, body);
-    } else {
-      for (std::size_t i = begin; i < end; ++i) body(i);
-    }
-  };
-
   // Tenant sizes first (stream per tenant), so placement knows every count.
   std::vector<std::size_t> sizes(params.tenants, 0);
-  parallel_for(0, params.tenants, [&](std::size_t t) {
+  util::parallel_for(pool, 0, params.tenants, [&](std::size_t t) {
     auto trng = util::Rng::stream(seed, t);
     sizes[t] = sample_tenant_size(trng);
   });
@@ -84,7 +76,7 @@ Cloud::Cloud(const topo::ClosTopology& topology, const CloudParams& params,
     const auto snapshot_hosts = host_load_;
     const auto snapshot_leaves = leaf_free_slots_;
 
-    parallel_for(round, round_end, [&](std::size_t t) {
+    util::parallel_for(pool, round, round_end, [&](std::size_t t) {
       auto prng = util::Rng::stream(seed ^ kPlaceSalt, t);
       auto hosts = snapshot_hosts;   // per-tenant mutable view
       auto leaves = snapshot_leaves;
@@ -353,11 +345,7 @@ GroupWorkload::GroupWorkload(const Cloud& cloud, const WorkloadParams& params,
       group.member_hosts.push_back(tenant.vm_hosts[vm]);
     }
   };
-  if (pool != nullptr) {
-    pool->parallel_for(0, params.total_groups, sample_group);
-  } else {
-    for (std::size_t g = 0; g < params.total_groups; ++g) sample_group(g);
-  }
+  util::parallel_for(pool, 0, params.total_groups, sample_group);
 }
 
 }  // namespace elmo::cloud

@@ -1,7 +1,6 @@
 #include "elmo/controller.h"
 
 #include <algorithm>
-#include <chrono>
 #include <optional>
 #include <stdexcept>
 #include <utility>
@@ -266,7 +265,6 @@ RuleSlots Controller::rule_slots(GroupId group) const {
 std::vector<GroupId> Controller::create_groups(
     std::span<const GroupSpec> specs, util::ThreadPool* pool,
     BulkLoadStats* stats) {
-  using clock = std::chrono::steady_clock;
   std::vector<GroupId> ids;
   ids.reserve(specs.size());
   if (specs.empty()) return ids;
@@ -278,126 +276,47 @@ std::vector<GroupId> Controller::create_groups(
     ids.push_back(static_cast<GroupId>(base + i));
   }
 
-  // Per-group staging produced by the parallel phase. `denied` records any
-  // speculative reservation refusal: the encoding then contains a
-  // capacity-forced default (or an uncovered legacy leaf) the serial order
-  // might not have produced, so the merge pass must not trust it.
-  struct Staged {
-    GroupEncoding encoding;
-    bool denied = false;
-  };
-  std::vector<Staged> staged(specs.size());
-  ConcurrentSRuleCounters speculative{srule_space_};
-  const auto* legacy = this->legacy();
-
-  const auto encode_start = clock::now();
-  auto encode_one = [&](std::size_t i) {
-    const auto& spec = specs[i];
-    auto& slot = groups_[base + i].emplace();
-    slot.tenant = spec.tenant;
-    slot.address =
-        net::Ipv4Address::multicast_group(static_cast<GroupId>(base + i));
-    slot.members.assign(spec.members.begin(), spec.members.end());
-    {
-      std::optional<obs::Span> tree_span;
-      obs::arm_phase_span(tree_span, "controller:tree",
-                          controller_metric_ids().tree_seconds);
-      slot.tree =
-          std::make_unique<MulticastTree>(*topo_, slot.receiver_hosts());
-    }
-
-    auto& st = staged[i];
-    TreeEncoder::SRuleReservers reservers;
-    reservers.leaf = [&speculative, &st](std::uint32_t leaf) {
-      const bool ok = speculative.try_reserve_leaf(leaf);
-      if (!ok) st.denied = true;
-      return ok;
-    };
-    reservers.pod_spines = [&speculative, &st](std::uint32_t pod) {
-      const bool ok = speculative.try_reserve_pod_spines(pod);
-      if (!ok) st.denied = true;
-      return ok;
-    };
-    st.encoding = encoder_.encode_with(*slot.tree, reservers, legacy);
-  };
-  if (pool != nullptr) {
-    pool->parallel_for(0, specs.size(), encode_one);
-  } else {
-    for (std::size_t i = 0; i < specs.size(); ++i) encode_one(i);
-  }
-  const auto merge_start = clock::now();
-
-  // Deterministic merge: in group-id order, commit each speculative
-  // encoding by replaying its reservations against the authoritative
-  // space. Any disagreement (denial during the parallel phase, or a
-  // reservation the serial order cannot grant) falls back to a plain
-  // serial encode — at that point the space state equals what a pure
-  // serial run would have seen for this group, so the fallback result is
-  // the serial result.
-  auto try_apply = [&](const GroupEncoding& enc) {
-    std::size_t pods_done = 0;
-    for (const auto& [pod, bitmap] : enc.spine.s_rules) {
-      (void)bitmap;
-      if (!srule_space_.try_reserve_pod_spines(pod)) break;
-      ++pods_done;
-    }
-    std::size_t leaves_done = 0;
-    if (pods_done == enc.spine.s_rules.size()) {
-      for (const auto& [leaf, bitmap] : enc.leaf.s_rules) {
-        (void)bitmap;
-        if (!srule_space_.try_reserve_leaf(leaf)) break;
-        ++leaves_done;
-      }
-      if (leaves_done == enc.leaf.s_rules.size()) return true;
-    }
-    for (std::size_t p = 0; p < pods_done; ++p) {
-      srule_space_.release_pod_spines(enc.spine.s_rules[p].first);
-    }
-    for (std::size_t l = 0; l < leaves_done; ++l) {
-      srule_space_.release_leaf(enc.leaf.s_rules[l].first);
-    }
-    return false;
-  };
-
-  std::size_t commits = 0;
-  std::size_t reencodes = 0;
+  BulkLoadStats batch;
+  auto encodings = encoder_.encode_batch(
+      specs.size(),
+      [&](std::size_t i) -> const MulticastTree& {
+        const auto& spec = specs[i];
+        auto& slot = groups_[base + i].emplace();
+        slot.tenant = spec.tenant;
+        slot.address =
+            net::Ipv4Address::multicast_group(static_cast<GroupId>(base + i));
+        slot.members.assign(spec.members.begin(), spec.members.end());
+        std::optional<obs::Span> tree_span;
+        obs::arm_phase_span(tree_span, "controller:tree",
+                            controller_metric_ids().tree_seconds);
+        slot.tree =
+            std::make_unique<MulticastTree>(*topo_, slot.receiver_hosts());
+        return *slot.tree;
+      },
+      srule_space_, pool, legacy(), &batch);
   for (std::size_t i = 0; i < specs.size(); ++i) {
-    auto& g = *groups_[base + i];
-    auto& st = staged[i];
-    if (!st.denied && try_apply(st.encoding)) {
-      g.encoding = std::move(st.encoding);
-      ++commits;
-    } else {
-      g.encoding = encoder_.encode(*g.tree, &srule_space_, legacy);
-      ++reencodes;
-    }
-    ++live_groups_;
+    groups_[base + i]->encoding = std::move(encodings[i]);
   }
+  live_groups_ += specs.size();
   // A bulk load is synced (stream::ControlPlane::sync), so it records an
   // empty change set: building the union of its groups' change sets in
   // this serial pass made the merge several times slower.
   last_change_ = {};
-  const auto merge_end = clock::now();
 
   if (stats != nullptr) {
-    stats->groups += specs.size();
-    stats->speculative_commits += commits;
-    stats->serial_reencodes += reencodes;
-    stats->encode_seconds +=
-        std::chrono::duration<double>(merge_start - encode_start).count();
-    stats->merge_seconds +=
-        std::chrono::duration<double>(merge_end - merge_start).count();
+    stats->groups += batch.groups;
+    stats->speculative_commits += batch.speculative_commits;
+    stats->serial_reencodes += batch.serial_reencodes;
+    stats->encode_seconds += batch.encode_seconds;
+    stats->merge_seconds += batch.merge_seconds;
   }
   ELMO_METRIC({
     const auto& m = controller_metric_ids();
-    reg.observe(m.encode_seconds, std::chrono::duration<double>(
-                                      merge_start - encode_start)
-                                      .count());
-    reg.observe(m.merge_seconds,
-                std::chrono::duration<double>(merge_end - merge_start).count());
+    reg.observe(m.encode_seconds, batch.encode_seconds);
+    reg.observe(m.merge_seconds, batch.merge_seconds);
     reg.add(m.groups_created, specs.size());
-    reg.add(m.speculative_commits, commits);
-    reg.add(m.serial_reencodes, reencodes);
+    reg.add(m.speculative_commits, batch.speculative_commits);
+    reg.add(m.serial_reencodes, batch.serial_reencodes);
   });
   return ids;
 }

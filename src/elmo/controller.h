@@ -106,25 +106,14 @@ class Controller {
     std::span<const Member> members;
   };
 
-  struct BulkLoadStats {
-    std::size_t groups = 0;
-    // Groups whose speculative encoding committed verbatim vs. groups the
-    // merge pass re-encoded serially (speculative Fmax disagreement — only
-    // possible with a finite srule_capacity near exhaustion).
-    std::size_t speculative_commits = 0;
-    std::size_t serial_reencodes = 0;
-    double encode_seconds = 0;  // parallel phase (tree build + Algorithm 1)
-    double merge_seconds = 0;   // deterministic in-order reconciliation
-  };
+  using BulkLoadStats = elmo::BulkLoadStats;
 
-  // Creates all `specs` as consecutive group ids. Per-group tree
-  // construction and Algorithm 1 run in parallel on `pool` against
-  // speculative sharded Fmax counters; a serial in-order merge pass then
-  // commits reservations against the authoritative SRuleSpace, re-encoding
-  // any group whose speculative capacity decisions cannot be reproduced.
-  // The resulting p-rules, s-rules and occupancies are bit-identical to
-  // calling create_group in a loop, at any thread count (pool == nullptr or
-  // 1 thread included); see DESIGN.md §5 for the argument.
+  // Creates all `specs` as consecutive group ids through one
+  // TreeEncoder::encode_batch: the per-group trees are built in its
+  // parallel phase on `pool`. The resulting p-rules, s-rules and
+  // occupancies are bit-identical to calling create_group in a loop, at any
+  // thread count (pool == nullptr or 1 thread included); see DESIGN.md §5
+  // for the argument. Adds to `stats` when it is non-null.
   std::vector<GroupId> create_groups(std::span<const GroupSpec> specs,
                                      util::ThreadPool* pool = nullptr,
                                      BulkLoadStats* stats = nullptr);

@@ -46,47 +46,6 @@ void SRuleSpace::release_pod_spines(topo::PodId pod) {
   }
 }
 
-ConcurrentSRuleCounters::ConcurrentSRuleCounters(const SRuleSpace& space)
-    : topo_{&space.topology()},
-      fmax_{space.fmax()},
-      leaf_rules_(space.leaf_occupancies().size()),
-      spine_rules_(space.spine_occupancies().size()) {
-  for (std::size_t i = 0; i < leaf_rules_.size(); ++i) {
-    leaf_rules_[i].store(space.leaf_occupancies()[i],
-                         std::memory_order_relaxed);
-  }
-  for (std::size_t i = 0; i < spine_rules_.size(); ++i) {
-    spine_rules_[i].store(space.spine_occupancies()[i],
-                          std::memory_order_relaxed);
-  }
-}
-
-bool ConcurrentSRuleCounters::try_reserve_leaf(topo::LeafId leaf) noexcept {
-  auto& used = leaf_rules_[leaf];
-  if (used.fetch_add(1, std::memory_order_relaxed) >= fmax_) {
-    used.fetch_sub(1, std::memory_order_relaxed);
-    return false;
-  }
-  return true;
-}
-
-bool ConcurrentSRuleCounters::try_reserve_pod_spines(
-    topo::PodId pod) noexcept {
-  const auto planes = topo_->params().spines_per_pod;
-  for (std::size_t plane = 0; plane < planes; ++plane) {
-    auto& used = spine_rules_[topo_->spine_at(pod, plane)];
-    if (used.fetch_add(1, std::memory_order_relaxed) >= fmax_) {
-      used.fetch_sub(1, std::memory_order_relaxed);
-      for (std::size_t undo = 0; undo < plane; ++undo) {
-        spine_rules_[topo_->spine_at(pod, undo)].fetch_sub(
-            1, std::memory_order_relaxed);
-      }
-      return false;
-    }
-  }
-  return true;
-}
-
 util::OnlineStats SRuleSpace::leaf_stats() const {
   util::OnlineStats stats;
   for (const auto used : leaf_rules_) stats.add(used);

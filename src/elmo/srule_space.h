@@ -5,9 +5,13 @@
 // may arrive at any physical spine of the pod depending on the multipath
 // hash — so reserving a pod's spine rule consumes one entry in *every*
 // physical spine of that pod.
+//
+// SRuleSpace is the authoritative, single-threaded count. The parallel bulk
+// encode (TreeEncoder::encode_batch) speculates against its own atomic
+// snapshot of it and then commits in order here through
+// TreeEncoder::reserve, all of an encoding's s-rules or none (DESIGN.md §5).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -53,32 +57,6 @@ class SRuleSpace {
   std::size_t fmax_;
   std::vector<std::uint32_t> leaf_rules_;
   std::vector<std::uint32_t> spine_rules_;
-};
-
-// Thread-safe *speculative* Fmax accounting for the parallel encode phase
-// (DESIGN.md §5). Counters are sharded per switch (one atomic each), seeded
-// from a snapshot of the authoritative SRuleSpace, and admit with fetch-add
-// (over-admissions rolled back). The view is advisory only: because worker
-// interleaving is arbitrary, a speculative admit/deny may disagree with what
-// the serial group order would have decided, so the deterministic merge pass
-// re-validates every reservation against the authoritative space and
-// serially re-encodes any group whose speculative decisions cannot be
-// committed verbatim. Final occupancies are therefore bit-identical to a
-// serial run at any thread count.
-class ConcurrentSRuleCounters {
- public:
-  explicit ConcurrentSRuleCounters(const SRuleSpace& space);
-
-  std::size_t fmax() const noexcept { return fmax_; }
-
-  bool try_reserve_leaf(topo::LeafId leaf) noexcept;
-  bool try_reserve_pod_spines(topo::PodId pod) noexcept;
-
- private:
-  const topo::ClosTopology* topo_;
-  std::size_t fmax_;
-  std::vector<std::atomic<std::uint32_t>> leaf_rules_;
-  std::vector<std::atomic<std::uint32_t>> spine_rules_;
 };
 
 }  // namespace elmo

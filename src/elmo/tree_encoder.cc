@@ -1,5 +1,8 @@
 #include "elmo/tree_encoder.h"
 
+#include <atomic>
+#include <chrono>
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 
@@ -12,6 +15,62 @@ const EncoderScheme* find_scheme(EncoderKind kind) noexcept {
   }
   return nullptr;
 }
+
+// Thread-safe *speculative* Fmax accounting for encode_batch's parallel
+// phase (DESIGN.md §5): one atomic per switch, seeded from a snapshot of
+// the authoritative SRuleSpace, admitting with fetch-add (over-admissions
+// rolled back). The view is advisory only: worker interleaving is
+// arbitrary, so a speculative admit or deny may disagree with what the
+// serial order would have decided, and the merge re-validates every
+// reservation against the authoritative space.
+class ConcurrentSRuleCounters {
+ public:
+  explicit ConcurrentSRuleCounters(const SRuleSpace& space)
+      : topo_{&space.topology()},
+        fmax_{space.fmax()},
+        leaf_rules_(space.leaf_occupancies().size()),
+        spine_rules_(space.spine_occupancies().size()) {
+    for (std::size_t i = 0; i < leaf_rules_.size(); ++i) {
+      leaf_rules_[i].store(space.leaf_occupancies()[i],
+                           std::memory_order_relaxed);
+    }
+    for (std::size_t i = 0; i < spine_rules_.size(); ++i) {
+      spine_rules_[i].store(space.spine_occupancies()[i],
+                            std::memory_order_relaxed);
+    }
+  }
+
+  bool try_reserve_leaf(topo::LeafId leaf) noexcept {
+    auto& used = leaf_rules_[leaf];
+    if (used.fetch_add(1, std::memory_order_relaxed) >= fmax_) {
+      used.fetch_sub(1, std::memory_order_relaxed);
+      return false;
+    }
+    return true;
+  }
+
+  bool try_reserve_pod_spines(topo::PodId pod) noexcept {
+    const auto planes = topo_->params().spines_per_pod;
+    for (std::size_t plane = 0; plane < planes; ++plane) {
+      auto& used = spine_rules_[topo_->spine_at(pod, plane)];
+      if (used.fetch_add(1, std::memory_order_relaxed) >= fmax_) {
+        used.fetch_sub(1, std::memory_order_relaxed);
+        for (std::size_t undo = 0; undo < plane; ++undo) {
+          spine_rules_[topo_->spine_at(pod, undo)].fetch_sub(
+              1, std::memory_order_relaxed);
+        }
+        return false;
+      }
+    }
+    return true;
+  }
+
+ private:
+  const topo::ClosTopology* topo_;
+  std::size_t fmax_;
+  std::vector<std::atomic<std::uint32_t>> leaf_rules_;
+  std::vector<std::atomic<std::uint32_t>> spine_rules_;
+};
 
 }  // namespace
 
@@ -60,6 +119,88 @@ GroupEncoding TreeEncoder::encode_with(
   out.spine = encode_spine(tree, reservers.pod_spines);
   out.leaf = encode_leaf(tree, reservers, legacy_leaf);
   return out;
+}
+
+std::vector<GroupEncoding> TreeEncoder::encode_batch(
+    std::size_t count, const BatchTree& tree, SRuleSpace& space,
+    util::ThreadPool* pool, const std::vector<bool>* legacy_leaf,
+    BulkLoadStats* stats) const {
+  using clock = std::chrono::steady_clock;
+  const auto encode_start = clock::now();
+  std::vector<GroupEncoding> encodings(count);
+  std::vector<const MulticastTree*> trees(count);
+  // Whether tree i met a speculative refusal: its encoding then holds a
+  // capacity-forced default (or an uncovered legacy leaf) the serial order
+  // might not have produced, so the merge must not trust it.
+  std::vector<std::uint8_t> denied(count, 0);
+  ConcurrentSRuleCounters speculative{space};
+  util::parallel_for(pool, 0, count, [&](std::size_t i) {
+    trees[i] = &tree(i);
+    SRuleReservers reservers;
+    reservers.leaf = [&speculative, &denied, i](std::uint32_t leaf) {
+      if (speculative.try_reserve_leaf(leaf)) return true;
+      denied[i] = 1;
+      return false;
+    };
+    reservers.pod_spines = [&speculative, &denied, i](std::uint32_t pod) {
+      if (speculative.try_reserve_pod_spines(pod)) return true;
+      denied[i] = 1;
+      return false;
+    };
+    encodings[i] = encode_with(*trees[i], reservers, legacy_leaf);
+  });
+  const auto merge_start = clock::now();
+
+  // In tree order, commit each speculative encoding by reserving its
+  // s-rules in the authoritative space. On any disagreement the space
+  // holds exactly what a serial run would hold before tree i, so a plain
+  // encode here gives the serial result.
+  std::size_t commits = 0;
+  for (std::size_t i = 0; i < count; ++i) {
+    if (denied[i] == 0 && reserve(encodings[i], space)) {
+      ++commits;
+    } else {
+      encodings[i] = encode(*trees[i], &space, legacy_leaf);
+    }
+  }
+  const auto merge_end = clock::now();
+
+  if (stats != nullptr) {
+    stats->groups += count;
+    stats->speculative_commits += commits;
+    stats->serial_reencodes += count - commits;
+    stats->encode_seconds +=
+        std::chrono::duration<double>(merge_start - encode_start).count();
+    stats->merge_seconds +=
+        std::chrono::duration<double>(merge_end - merge_start).count();
+  }
+  return encodings;
+}
+
+bool TreeEncoder::reserve(const GroupEncoding& encoding,
+                          SRuleSpace& space) const {
+  const auto& pods = encoding.spine.s_rules;
+  const auto& leaves = encoding.leaf.s_rules;
+  std::size_t pods_done = 0;
+  while (pods_done < pods.size() &&
+         space.try_reserve_pod_spines(pods[pods_done].first)) {
+    ++pods_done;
+  }
+  std::size_t leaves_done = 0;
+  if (pods_done == pods.size()) {
+    while (leaves_done < leaves.size() &&
+           space.try_reserve_leaf(leaves[leaves_done].first)) {
+      ++leaves_done;
+    }
+    if (leaves_done == leaves.size()) return true;
+  }
+  for (std::size_t p = 0; p < pods_done; ++p) {
+    space.release_pod_spines(pods[p].first);
+  }
+  for (std::size_t l = 0; l < leaves_done; ++l) {
+    space.release_leaf(leaves[l].first);
+  }
+  return false;
 }
 
 void TreeEncoder::release(const GroupEncoding& encoding,

@@ -3,9 +3,11 @@
 //
 // A tree encoder turns the downstream layers of a MulticastTree into the
 // sender-independent GroupEncoding (p-rules, s-rules, default p-rule). All
-// schemes share the wire format (header.h), the Fmax accounting hooks
-// (SRuleReservers), and the §7 legacy-leaf semantics; they differ only in
-// the layer function that packs one layer's switches into p-rules:
+// schemes share the wire format (header.h), the Fmax accounting (one
+// reservation per s-rule, through a layer's SRuleReserver), the bulk
+// speculate-then-merge encode (encode_batch) and the §7 legacy-leaf
+// semantics; they differ only in the layer function that packs one layer's
+// switches into p-rules:
 //
 //   elmo — Algorithm 1: exact-bitmap sharing, extra traffic bounded by R;
 //   bert — member clustering (arXiv 2008.04454 flavour): greedy smallest-
@@ -29,12 +31,13 @@
 //     Fmax watermark;
 //   * determinism — the output is a pure function of (tree, config, legacy
 //     mask, reservation outcomes); no iteration-order or clock dependence.
-//     This is what lets the controller encode speculatively in parallel and
+//     This is what lets encode_batch encode speculatively in parallel and
 //     merge deterministically (DESIGN.md §5).
 #pragma once
 
 #include <array>
 #include <cstddef>
+#include <functional>
 #include <string_view>
 #include <vector>
 
@@ -43,6 +46,7 @@
 #include "elmo/rules.h"
 #include "elmo/srule_space.h"
 #include "elmo/tree.h"
+#include "util/thread_pool.h"
 
 namespace elmo {
 
@@ -95,6 +99,18 @@ inline constexpr auto kAllEncoderKinds = [] {
   return kinds;
 }();
 
+// What TreeEncoder::encode_batch did; each call adds to the fields.
+struct BulkLoadStats {
+  std::size_t groups = 0;
+  // Trees whose speculative encoding committed verbatim vs. trees the merge
+  // pass re-encoded serially (speculative Fmax disagreement — only possible
+  // with a finite srule_capacity near exhaustion).
+  std::size_t speculative_commits = 0;
+  std::size_t serial_reencodes = 0;
+  double encode_seconds = 0;  // parallel phase (tree build + encode)
+  double merge_seconds = 0;   // deterministic in-order reconciliation
+};
+
 class TreeEncoder {
  public:
   // Validates `config` against the topology (throws std::invalid_argument
@@ -107,18 +123,10 @@ class TreeEncoder {
   std::size_t hmax_leaf() const noexcept { return hmax_leaf_; }
   std::size_t hmax_spine() const noexcept { return config_.hmax_spine; }
 
-  // Capacity hooks for encode_with: how spill-over switches reserve their
-  // group-table entry. Empty functions disable s-rules (as a null space
-  // does). The parallel pipelines pass ConcurrentSRuleCounters-backed
-  // lambdas here and reconcile against the authoritative space afterwards.
-  struct SRuleReservers {
-    SRuleReserver leaf;        // called with a global leaf id
-    SRuleReserver pod_spines;  // called with a pod id
-  };
-
   // Encodes the downstream layers of `tree`. When `space` is non-null,
   // spill-over switches reserve s-rule entries against Fmax; a null space
   // disables s-rules entirely (ablation of design D5: default-p-rule only).
+  // The spine layer is encoded (and reserves) first, then the leaf layer.
   //
   // `legacy_leaf` (optional, indexed by global leaf id) marks leaves whose
   // switches cannot parse Elmo headers (paper §7, incremental deployment):
@@ -127,13 +135,28 @@ class TreeEncoder {
   GroupEncoding encode(const MulticastTree& tree, SRuleSpace* space,
                        const std::vector<bool>* legacy_leaf = nullptr) const;
 
-  // encode() with caller-supplied reservation hooks; encode(space, ...) is
-  // exactly encode_with over the space's own try_reserve methods. The spine
-  // layer is encoded (and reserves) first, then the leaf layer.
-  GroupEncoding encode_with(const MulticastTree& tree,
-                            const SRuleReservers& reservers,
-                            const std::vector<bool>* legacy_leaf
-                            = nullptr) const;
+  // Tree i of a batch; encode_batch calls it once per i, concurrently on
+  // the pool, and the tree must stay alive and unchanged until it returns.
+  using BatchTree = std::function<const MulticastTree&(std::size_t)>;
+
+  // Encodes trees 0..count-1 exactly as encode(tree(i), &space,
+  // legacy_leaf) run for i = 0, 1, ... in order would: the same encodings
+  // and the same final occupancies, at any thread count (pool == nullptr
+  // included). A parallel phase builds and encodes every tree against
+  // speculative atomic Fmax counters seeded from `space`; a serial
+  // in-order merge then reserves each encoding's s-rules in `space` and
+  // re-encodes serially any tree whose speculative reservations cannot be
+  // reproduced (DESIGN.md §5). Adds to `stats` when it is non-null.
+  std::vector<GroupEncoding> encode_batch(
+      std::size_t count, const BatchTree& tree, SRuleSpace& space,
+      util::ThreadPool* pool,
+      const std::vector<bool>* legacy_leaf = nullptr,
+      BulkLoadStats* stats = nullptr) const;
+
+  // Reserves one slot per s-rule of `encoding` in `space`, all or none:
+  // on a refusal it releases what it took and returns false. release's
+  // inverse.
+  bool reserve(const GroupEncoding& encoding, SRuleSpace& space) const;
 
   // Releases the s-rule reservations a previous encode() made (controller
   // re-encoding path under churn): one slot per recorded s-rule, which the
@@ -146,6 +169,20 @@ class TreeEncoder {
                            topo::HostId sender) const;
 
  private:
+  // How spill-over switches reserve their group-table entry. Empty
+  // functions disable s-rules (as a null space does).
+  struct SRuleReservers {
+    SRuleReserver leaf;        // called with a global leaf id
+    SRuleReserver pod_spines;  // called with a pod id
+  };
+
+  // encode() with caller-supplied reservation hooks: encode passes the
+  // space's own try_reserve methods, encode_batch's parallel phase its
+  // speculative counters.
+  GroupEncoding encode_with(const MulticastTree& tree,
+                            const SRuleReservers& reservers,
+                            const std::vector<bool>* legacy_leaf) const;
+
   // The layers, each over inputs all schemes share. The leaf layer applies
   // the §7 legacy policy: legacy leaves are reserved first (exact bitmaps),
   // pulled out of the packing inputs, and appended after the scheme's own

@@ -72,4 +72,17 @@ class ThreadPool {
   std::mutex submit_mutex_;  // one top-level loop at a time
 };
 
+// Runs body(i) for every i in [begin, end): on `pool` when it is non-null,
+// else inline in ascending order, calling `body` directly (no
+// std::function), so a serial caller pays nothing for the option.
+template <typename Body>
+void parallel_for(ThreadPool* pool, std::size_t begin, std::size_t end,
+                  Body&& body) {
+  if (pool != nullptr) {
+    pool->parallel_for(begin, end, body);
+  } else {
+    for (std::size_t i = begin; i < end; ++i) body(i);
+  }
+}
+
 }  // namespace elmo::util

@@ -333,7 +333,7 @@ TEST(EncoderMatrix, EncodingsMatchRecordedDigest) {
 
 // P3FA's defining bound: at most E distinct egress bitmaps per downstream
 // layer, counting p-rules and the default rule.
-TEST(P3faEncoder, BoundsDistinctEgressBitmaps) {
+TEST(P3faScheme, BoundsDistinctEgressBitmaps) {
   const auto& t = small_topology();
   util::Rng rng{4747};
   EncoderConfig cfg;

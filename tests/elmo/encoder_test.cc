@@ -55,7 +55,7 @@ INSTANTIATE_TEST_SUITE_P(Sweep, EncoderProperty,
                                            EncoderParam{12, 325},
                                            EncoderParam{12, 125}));
 
-TEST(GroupEncoder, CoversEveryTreeSwitch) {
+TEST(ElmoScheme, CoversEveryTreeSwitch) {
   const topo::ClosTopology t{topo::ClosParams::small_test()};
   util::Rng rng{888};
   const TreeEncoder encoder{t, EncoderConfig{}};
@@ -85,7 +85,7 @@ TEST(GroupEncoder, CoversEveryTreeSwitch) {
   }
 }
 
-TEST(GroupEncoder, NoSpaceMeansDefaultRulesNotSRules) {
+TEST(ElmoScheme, NoSpaceMeansDefaultRulesNotSRules) {
   const topo::ClosTopology t{topo::ClosParams::small_test()};
   util::Rng rng{999};
   EncoderConfig cfg;
@@ -102,7 +102,7 @@ TEST(GroupEncoder, NoSpaceMeansDefaultRulesNotSRules) {
   EXPECT_TRUE(encoding.uses_default());
 }
 
-TEST(GroupEncoder, SRuleCapacityZeroBehavesLikeNoSpace) {
+TEST(ElmoScheme, SRuleCapacityZeroBehavesLikeNoSpace) {
   const topo::ClosTopology t{topo::ClosParams::small_test()};
   util::Rng rng{1001};
   EncoderConfig cfg;
@@ -118,7 +118,7 @@ TEST(GroupEncoder, SRuleCapacityZeroBehavesLikeNoSpace) {
   EXPECT_TRUE(encoding.uses_default());
 }
 
-TEST(GroupEncoder, SmallGroupNeedsNoSRulesOrDefaults) {
+TEST(ElmoScheme, SmallGroupNeedsNoSRulesOrDefaults) {
   const topo::ClosTopology t{topo::ClosParams::small_test()};
   const TreeEncoder encoder{t, EncoderConfig{}};
   SRuleSpace space{t, 100};
@@ -130,7 +130,7 @@ TEST(GroupEncoder, SmallGroupNeedsNoSRulesOrDefaults) {
   EXPECT_GT(encoding.p_rule_count(), 0u);
 }
 
-TEST(GroupEncoder, HigherRNeverIncreasesPRuleCount) {
+TEST(ElmoScheme, HigherRNeverIncreasesPRuleCount) {
   const topo::ClosTopology t{topo::ClosParams::small_test()};
   util::Rng rng{1003};
   for (int trial = 0; trial < 20; ++trial) {
@@ -151,7 +151,7 @@ TEST(GroupEncoder, HigherRNeverIncreasesPRuleCount) {
   }
 }
 
-TEST(GroupEncoder, HeaderBytesTrackGroupSpread) {
+TEST(ElmoScheme, HeaderBytesTrackGroupSpread) {
   const topo::ClosTopology t{topo::ClosParams::small_test()};
   const TreeEncoder encoder{t, EncoderConfig{}};
   const std::vector<topo::HostId> tight{0, 1, 2};        // one rack

@@ -1,6 +1,7 @@
 // The determinism contract (DESIGN.md §5): every parallel path — cloud
-// placement, workload generation, bulk group encoding — must produce output
-// bit-identical to its serial execution at any thread count.
+// placement, workload generation, bulk group encoding (one batch, or chunk
+// after chunk on one SRuleSpace) — must produce output bit-identical to its
+// serial execution at any thread count.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,6 +12,9 @@
 
 #include "cloud/cloud.h"
 #include "elmo/controller.h"
+#include "elmo/srule_space.h"
+#include "elmo/tree.h"
+#include "elmo/tree_encoder.h"
 #include "topology/clos.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -185,6 +189,77 @@ TEST(ParallelDeterminismStats, TightFmaxActuallyExercisesTheFallback) {
   controller.create_groups(specs, &pool, &stats);
   EXPECT_GT(stats.serial_reencodes, 0u);
   EXPECT_GT(stats.speculative_commits, 0u);
+}
+
+TEST(ParallelDeterminismChunks, ConsecutiveBatchesMatchSerialEncodeLoop) {
+  // The figure harness calls encode_batch chunk after chunk on one
+  // SRuleSpace, so each batch's speculation starts from the occupancy the
+  // batches before it left. Under tight Fmax, with and without legacy
+  // leaves, the encodings and occupancies must equal a serial encode loop.
+  const auto topology = small_fabric();
+  const auto built = build(topology, 1, cloud::GroupSizeDist::kWve, nullptr);
+  std::vector<MulticastTree> trees;
+  trees.reserve(built.groups.size());
+  for (const auto& g : built.groups) {
+    trees.emplace_back(topology, g.member_hosts);
+  }
+  EncoderConfig config;
+  config.hmax_leaf_override = 2;
+  config.srule_capacity = 8;
+  const TreeEncoder encoder{topology, config};
+  std::vector<bool> legacy_mask(topology.num_leaves(), false);
+  for (std::size_t leaf = 0; leaf < legacy_mask.size(); leaf += 3) {
+    legacy_mask[leaf] = true;
+  }
+  constexpr std::size_t kBatch = 500;  // four batches of the 2,000 groups
+
+  const std::vector<bool>* const masks[] = {nullptr, &legacy_mask};
+  for (const auto* legacy : masks) {
+    const std::string mask = legacy != nullptr ? "legacy" : "no legacy";
+    SRuleSpace serial_space{topology, config.srule_capacity};
+    std::vector<GroupEncoding> serial;
+    for (const auto& tree : trees) {
+      serial.push_back(encoder.encode(tree, &serial_space, legacy));
+    }
+
+    for (const std::size_t threads : {1u, 2u, 4u}) {
+      util::ThreadPool pool{threads};
+      SRuleSpace space{topology, config.srule_capacity};
+      BulkLoadStats stats;
+      std::vector<GroupEncoding> batched;
+      for (std::size_t first = 0; first < trees.size(); first += kBatch) {
+        const auto count = std::min(kBatch, trees.size() - first);
+        auto encodings = encoder.encode_batch(
+            count,
+            [&](std::size_t i) -> const MulticastTree& {
+              return trees[first + i];
+            },
+            space, &pool, legacy, &stats);
+        for (auto& e : encodings) batched.push_back(std::move(e));
+      }
+      const auto where = mask + ", " + std::to_string(threads) + " threads";
+      ASSERT_EQ(batched.size(), serial.size()) << where;
+      for (std::size_t i = 0; i < serial.size(); ++i) {
+        ASSERT_TRUE(batched[i] == serial[i]) << where << ", group " << i;
+      }
+      const auto leaf = space.leaf_occupancies();
+      const auto serial_leaf = serial_space.leaf_occupancies();
+      EXPECT_TRUE(std::equal(leaf.begin(), leaf.end(), serial_leaf.begin(),
+                             serial_leaf.end()))
+          << where << ": leaf occupancies differ";
+      const auto spine = space.spine_occupancies();
+      const auto serial_spine = serial_space.spine_occupancies();
+      EXPECT_TRUE(std::equal(spine.begin(), spine.end(),
+                             serial_spine.begin(), serial_spine.end()))
+          << where << ": spine occupancies differ";
+      EXPECT_EQ(stats.groups, trees.size()) << where;
+      EXPECT_EQ(stats.speculative_commits + stats.serial_reencodes,
+                trees.size())
+          << where;
+      EXPECT_GT(stats.speculative_commits, 0u) << where;
+      EXPECT_GT(stats.serial_reencodes, 0u) << where;
+    }
+  }
 }
 
 }  // namespace
