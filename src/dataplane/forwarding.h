@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "elmo/header.h"
+#include "net/headers.h"
 #include "net/packet_view.h"
 #include "topology/clos.h"
 
@@ -37,35 +38,67 @@ struct Emission {
   net::PacketView packet;
 };
 
-// Per-walk memo of HeaderCodec::index_layer: every switch of a layer that
-// a send reaches sees the same frozen Elmo tail (the sender's buffer, popped
-// to the same section), so the first one indexes it and the rest look their
-// p-rule up. An entry is keyed by (buffer, the tail's offset and length in
-// it, layer); one cache serves the switches of one topology. It holds the
-// buffer by weak_ptr: caching never changes a view's use_count(), and since
-// a weak_ptr keeps its buffer's control block allocated, an entry whose
-// buffer died never matches, even a new buffer at the same address.
+// Per-walk memo of the network switches' parser. Every switch of a layer
+// that a send reaches sees the same outer header and the same frozen Elmo
+// tail (the sender's buffer, popped to the same section), so the first one
+// parses them and the rest read that parse by reference: the outer
+// destination (the group) and the tail's index for the layer
+// (HeaderCodec::index_layer). At leaves the entry also keeps the host
+// template, the packet stripped for host delivery: one deep copy per walk
+// (per entry, while a host copy of it lives), not one per delivering leaf.
+//
+// An entry is keyed by (buffer, the view's head in it, the tail's offset
+// and length in it, layer). The head fixes which bytes are the outer
+// header: two views of one buffer can share a tail range yet start at
+// different heads (one with a popped hole behind its outer header, one
+// advanced past those bytes), and only the head tells their outer headers
+// apart. The tail range fixes the Elmo bytes and so the payload behind
+// them; with the head it fixes every byte of the host template. One cache
+// serves the switches of one topology.
+//
+// The cache holds the buffer, and the template, by weak_ptr: caching never
+// pins a buffer or changes a view's use_count(), and since a weak_ptr keeps
+// its buffer's control block allocated, an entry whose buffer died never
+// matches, even a new buffer at the same address. A template is shared
+// while any host copy of it lives and re-stripped after the last one died.
 class SectionCache {
  public:
-  // The index of the Elmo tail of `packet` (its bytes behind the outer
-  // header) for `layer`, built on first use. Throws what index_layer throws,
-  // leaving no entry behind. Valid until the next index() or clear().
-  const elmo::SectionIndex& index(const elmo::HeaderCodec& codec,
-                                  const net::PacketView& packet,
-                                  topo::Layer layer);
+  class Entry {
+   public:
+    net::Ipv4Address outer_dst() const noexcept { return outer_dst_; }
+    const elmo::SectionIndex& index() const noexcept { return index_; }
+
+    // `packet` (the view this entry was found for) stripped for host
+    // delivery: its outer header with the VXLAN "Elmo present" flag
+    // cleared, then its payload. The first call, and the first after every
+    // view of the last template died, makes it (one counted deep copy);
+    // the others share it.
+    net::PacketView host_template(const net::PacketView& packet);
+
+   private:
+    friend class SectionCache;
+    std::weak_ptr<const net::PacketBuffer> buffer_;
+    std::size_t head_ = 0;
+    std::size_t offset_ = 0;
+    std::size_t length_ = 0;
+    topo::Layer layer_ = topo::Layer::kHost;
+    net::Ipv4Address outer_dst_;
+    elmo::SectionIndex index_;
+    std::weak_ptr<const net::PacketBuffer> host_template_;
+  };
+
+  // The parse of `packet` for `layer`, made on first use. Throws
+  // std::invalid_argument for a runt or non-IPv4 packet and what
+  // index_layer throws for its Elmo tail, leaving no entry behind. Valid
+  // until the next parse() or clear().
+  Entry& parse(const elmo::HeaderCodec& codec, const net::PacketView& packet,
+               topo::Layer layer);
 
   // Drops every entry; the entries' storage is kept for reuse.
   void clear() noexcept;
   std::size_t size() const noexcept { return size_; }
 
  private:
-  struct Entry {
-    std::weak_ptr<const net::PacketBuffer> buffer;
-    std::size_t offset = 0;
-    std::size_t length = 0;
-    topo::Layer layer = topo::Layer::kHost;
-    elmo::SectionIndex index;
-  };
   std::vector<Entry> entries_;  // [0, size_) are live
   std::size_t size_ = 0;
 };

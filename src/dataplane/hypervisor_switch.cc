@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "obs/provenance.h"
 
@@ -99,16 +100,16 @@ std::span<Emission> HypervisorSwitch::process(const net::PacketView& packet,
   // Decapsulation is a cursor advance: one payload view, shared per VM.
   net::PacketView payload = packet;
   payload.pop_front(net::kOuterHeaderBytes + elmo_bytes);
+  stats_.delivered_to_vms += vm_count;
+  stats_.delivered_bytes += std::uint64_t{vm_count} * payload.size();
   if (vm_count == 1) {
-    arena.emit(static_cast<std::uint32_t>(summary), payload);
+    arena.emit(static_cast<std::uint32_t>(summary), std::move(payload));
   } else {
     // Co-located members (P > 1): only these hosts load the flow entry.
     for (const auto vm : flows_.find(ip.dst.value)->local_vms) {
       arena.emit(vm, payload);
     }
   }
-  stats_.delivered_to_vms += vm_count;
-  stats_.delivered_bytes += std::uint64_t{vm_count} * payload.size();
   const auto out = arena.since(mark);
   if (decision != nullptr) {
     decision->rule = obs::RuleClass::kHostDeliver;

@@ -1,6 +1,6 @@
 #include "dataplane/network_switch.h"
 
-#include <algorithm>
+#include <optional>
 #include <stdexcept>
 
 #include "obs/provenance.h"
@@ -64,32 +64,6 @@ std::size_t NetworkSwitch::upstream_ports() const noexcept {
   }
 }
 
-const NetworkSwitch::ParseResult& NetworkSwitch::parse(
-    const net::PacketView& packet, EmissionArena& arena) {
-  if (packet.size() < net::kOuterHeaderBytes) {
-    throw std::invalid_argument{"NetworkSwitch: runt packet"};
-  }
-  ParseResult& result = parsed_;
-
-  // The outer encapsulation is always the contiguous front of the view; the
-  // Elmo sections are the contiguous tail behind it (any popped sections are
-  // the view's hole in between).
-  const auto outer = packet.front(net::kOuterHeaderBytes);
-  const auto eth = net::EthernetHeader::parse(outer);
-  if (eth.ether_type != net::kEtherTypeIpv4) {
-    throw std::invalid_argument{"NetworkSwitch: not IPv4"};
-  }
-  const auto ip = net::Ipv4Header::parse(outer.subspan(net::EthernetHeader::kSize));
-  result.outer_dst = ip.dst;
-  // (UDP/VXLAN validated structurally by the offsets below.)
-
-  // The Elmo sections are scanned by the first switch of this layer the
-  // walk reaches; the rest find their p-rule in that scan's index.
-  arena.section_cache().index(codec_, packet, layer_).lookup(match_id_,
-                                                             result);
-  return result;
-}
-
 std::size_t NetworkSwitch::pop_offset(
     const std::vector<elmo::SectionExtent>& sections,
     elmo::SectionTag first_needed) const {
@@ -100,26 +74,6 @@ std::size_t NetworkSwitch::pop_offset(
     }
   }
   return 0;
-}
-
-net::PacketView NetworkSwitch::strip_for_host(
-    const net::PacketView& packet,
-    const std::vector<elmo::SectionExtent>& sections) const {
-  const std::size_t elmo_bytes = sections.back().end;
-  const auto outer = packet.front(net::kOuterHeaderBytes);
-  const auto payload =
-      packet.from(net::kOuterHeaderBytes).subspan(elmo_bytes);
-
-  net::Packet stripped =
-      net::Packet::with_size(outer.size() + payload.size(), /*headroom=*/0);
-  const auto out = stripped.mutable_bytes();
-  std::copy(outer.begin(), outer.end(), out.begin());
-  std::copy(payload.begin(), payload.end(), out.begin() + outer.size());
-  // Deparser clears the VXLAN "Elmo present" flag.
-  out[net::EthernetHeader::kSize + net::Ipv4Header::kSize +
-      net::UdpHeader::kSize] &= ~std::uint8_t{0x01};
-  net::count_copy(out.size());
-  return net::PacketView{std::move(stripped)};
 }
 
 std::span<Emission> NetworkSwitch::process(const net::PacketView& packet,
@@ -183,7 +137,13 @@ std::span<Emission> NetworkSwitch::process(const net::PacketView& packet,
     return out;
   }
 
-  const auto& pr = parse(packet, arena);
+  // The first switch of this layer the walk reaches parses the outer header
+  // and scans the Elmo sections; the rest read that parse in place.
+  auto& parsed = arena.section_cache().parse(codec_, packet, layer_);
+  const auto& index = parsed.index();
+  const auto& sections = index.sections();
+  const auto& upstream = index.upstream();
+  const auto* prule = index.find(match_id_);
 
   // Where do downstream copies point, and which section does the next hop
   // still need?
@@ -193,21 +153,21 @@ std::span<Emission> NetworkSwitch::process(const net::PacketView& packet,
                                : elmo::SectionTag::kLeafRules;
   auto emit_down = [&](const net::PortBitmap& bitmap) {
     if (down_to_hosts) {
-      // One stripped template, shared (refcounted) by every host copy.
+      // The walk's one stripped template, shared by every host copy.
       net::PacketView host_copy;
       bool built = false;
       bitmap.for_each_set([&](std::size_t port) {
         if (!built) {
-          host_copy = strip_for_host(packet, pr.sections);
+          host_copy = parsed.host_template(packet);
           built = true;
           ++stats_.header_pops;
-          stats_.header_pop_bytes += pr.sections.back().end;
+          stats_.header_pop_bytes += sections.back().end;
         }
         arena.emit(port, host_copy);
       });
       return;
     }
-    const std::size_t drop = pop_offset(pr.sections, down_needed);
+    const std::size_t drop = pop_offset(sections, down_needed);
     net::PacketView down_copy = packet;
     if (drop > 0) {
       down_copy.erase(net::kOuterHeaderBytes, drop);
@@ -221,19 +181,20 @@ std::span<Emission> NetworkSwitch::process(const net::PacketView& packet,
   obs::RuleClass cls = obs::RuleClass::kDrop;
   const net::PortBitmap* chosen = nullptr;
   const elmo::UpstreamRule* chosen_up = nullptr;
+  std::optional<net::PortBitmap> matched;  // decoded only when it is used
 
-  if (pr.upstream) {
+  if (upstream) {
     ++stats_.upstream_matches;
     cls = obs::RuleClass::kUpstream;
-    chosen = &pr.upstream->down;
-    chosen_up = &*pr.upstream;
-    emit_down(pr.upstream->down);
+    chosen = &upstream->down;
+    chosen_up = &*upstream;
+    emit_down(upstream->down);
     // Upward copies: everything before the *next layer's* upstream/core
     // section is invalidated.
     const auto up_needed = layer_ == topo::Layer::kLeaf
                                ? elmo::SectionTag::kUSpine
                                : elmo::SectionTag::kCore;
-    const std::size_t drop = pop_offset(pr.sections, up_needed);
+    const std::size_t drop = pop_offset(sections, up_needed);
     net::PacketView up_copy = packet;
     if (drop > 0) {
       up_copy.erase(net::kOuterHeaderBytes, drop);
@@ -241,34 +202,36 @@ std::span<Emission> NetworkSwitch::process(const net::PacketView& packet,
       stats_.header_pop_bytes += drop;
     }
     const std::size_t base = downstream_ports();
-    if (pr.upstream->multipath) {
+    if (upstream->multipath) {
       // Per group: every sender of the group takes the group's plane, the
       // one the controller's failure predicate reads.
-      arena.emit(base + pick_uplink(topo::group_hash(pr.outer_dst)), up_copy);
+      arena.emit(base + pick_uplink(topo::group_hash(parsed.outer_dst())),
+                 up_copy);
     } else {
-      pr.upstream->up.for_each_set(
+      upstream->up.for_each_set(
           [&](std::size_t port) { arena.emit(base + port, up_copy); });
     }
-  } else if (layer_ == topo::Layer::kCore && pr.core_bitmap) {
+  } else if (layer_ == topo::Layer::kCore && index.core_bitmap()) {
     ++stats_.prule_matches;
     cls = obs::RuleClass::kPRule;
-    chosen = &*pr.core_bitmap;
-    emit_down(*pr.core_bitmap);
-  } else if (pr.matched) {
+    chosen = &*index.core_bitmap();
+    emit_down(*chosen);
+  } else if (prule != nullptr) {
     ++stats_.prule_matches;
     cls = obs::RuleClass::kPRule;
-    chosen = &*pr.matched;
-    emit_down(*pr.matched);
-  } else if (const auto* srule = group_table_.find(pr.outer_dst.value)) {
+    chosen = &matched.emplace(index.bitmap(*prule));
+    emit_down(*chosen);
+  } else if (const auto* srule =
+                 group_table_.find(parsed.outer_dst().value)) {
     ++stats_.srule_matches;
     cls = obs::RuleClass::kSRule;
     chosen = srule;
     emit_down(*srule);
-  } else if (pr.default_rule) {
+  } else if (index.default_rule()) {
     ++stats_.default_matches;
     cls = obs::RuleClass::kDefault;
-    chosen = &*pr.default_rule;
-    emit_down(*pr.default_rule);
+    chosen = &*index.default_rule();
+    emit_down(*chosen);
   } else {
     ++stats_.drops;
   }
@@ -276,7 +239,8 @@ std::span<Emission> NetworkSwitch::process(const net::PacketView& packet,
   const auto out = arena.since(mark);
   stats_.copies_out += out.size();
   for (const auto& e : out) stats_.bytes_out += e.packet.size();
-  record(cls, chosen, chosen_up, pr.matched_shared, pr.matched_index);
+  record(cls, chosen, chosen_up, prule != nullptr && prule->shared,
+         prule != nullptr ? static_cast<int>(prule->rule) : -1);
   return out;
 }
 

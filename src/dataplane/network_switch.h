@@ -8,15 +8,17 @@
 //      storing the matched bitmap (and the default bitmap) as metadata. No
 //      match-action stage is spent on p-rule lookup (see Appendix A for why
 //      that would be prohibitively expensive).
-//      In software the section walk is done once per (Elmo tail, layer) per
-//      fabric walk, not once per hop: the first switch of a layer indexes
-//      the tail (HeaderCodec::index_layer) into the walk's SectionCache and
-//      every later one looks its p-rule up (SectionIndex::lookup). The
-//      cache is keyed by the buffer held as a weak_ptr, so it never pins a
-//      buffer or moves a view's use_count(). A memo on the buffer itself was
-//      rejected: it allocated per tail and decoded every bitmap eagerly,
-//      which costs more than it saves when a tail is read once (DESIGN.md
-//      §4).
+//      In software the parse is done once per (packet, layer) per fabric
+//      walk, not once per hop: the first switch of a layer parses the outer
+//      header and indexes the Elmo tail (HeaderCodec::index_layer) into the
+//      walk's SectionCache, and every later one reads that entry by
+//      reference: the upstream rule, default and core bitmaps and section
+//      extents in place, and only its own p-rule's bitmap decoded
+//      (SectionIndex::find). The cache is keyed by the buffer held as a
+//      weak_ptr, so it never pins a buffer or moves a view's use_count(). A
+//      memo on the buffer itself was rejected: it allocated per tail and
+//      decoded every bitmap eagerly, which costs more than it saves when a
+//      tail is read once (DESIGN.md §4).
 //   2. *Ingress* — control flow: upstream rule if the packet still carries
 //      this layer's upstream section; otherwise matched p-rule bitmap;
 //      otherwise group-table (s-rule) lookup on the outer destination IP;
@@ -29,14 +31,15 @@
 //
 // Replication is zero-copy: popping consumed sections is PacketView cursor
 // arithmetic, so all switch-to-switch copies of one packet share the sender's
-// buffer. The only bytes copied per process() call are the single stripped
-// host-delivery template (outer header with the Elmo flag cleared + payload),
-// which every host-bound emission then shares.
+// buffer. The only bytes copied are the stripped host-delivery template
+// (outer header with the Elmo flag cleared + payload): one deep copy per
+// walk, kept in the walk's SectionCache entry and shared by the host copies
+// of every delivering leaf while any of them lives.
 //
-// The switch holds forwarding state only: tables, mode flags, counters and
-// parse scratch. Decision provenance is not switch state — a fabric walk
-// that records it hands process() the hop's obs::HopDecision slot, and a
-// call without one (null) records nothing (DESIGN.md §10).
+// The switch holds forwarding state only: tables, mode flags and counters.
+// Decision provenance is not switch state — a fabric walk that records it
+// hands process() the hop's obs::HopDecision slot, and a call without one
+// (null) records nothing (DESIGN.md §10).
 #pragma once
 
 #include <cstdint>
@@ -152,27 +155,10 @@ class NetworkSwitch {
   const SwitchStats& stats() const noexcept { return stats_; }
 
  private:
-  // The parser's metadata for one packet: this switch's layer of the Elmo
-  // header (SectionIndex::lookup) plus the outer destination, the group.
-  struct ParseResult : elmo::LayerParse {
-    net::Ipv4Address outer_dst;
-  };
-
-  // Parses into parsed_, which is reused so that a hop allocates nothing.
-  // The Elmo tail's index comes from the walk's SectionCache in `arena`.
-  const ParseResult& parse(const net::PacketView& packet,
-                           EmissionArena& arena);
-
   // Bytes (from the start of the Elmo header) to drop so the copy starts at
   // the first section the receiver still needs.
   std::size_t pop_offset(const std::vector<elmo::SectionExtent>& sections,
                          elmo::SectionTag first_needed) const;
-
-  // The one deep copy of the pipeline: outer header with the VXLAN
-  // "Elmo present" flag cleared + payload, shared by every host-bound copy.
-  net::PacketView strip_for_host(
-      const net::PacketView& packet,
-      const std::vector<elmo::SectionExtent>& sections) const;
 
   std::size_t downstream_ports() const noexcept;
   std::size_t upstream_ports() const noexcept;
@@ -193,7 +179,6 @@ class NetworkSwitch {
   SwitchStats stats_;
   bool legacy_ = false;
   bool down_ = false;
-  ParseResult parsed_;  // scratch for parse()
 };
 
 }  // namespace elmo::dp

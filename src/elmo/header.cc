@@ -334,26 +334,35 @@ void HeaderCodec::index_layer(std::span<const std::uint8_t> data,
   walk(*topo_, data, own);
 }
 
-void SectionIndex::lookup(std::uint32_t match_id, LayerParse& out) const {
-  out.upstream = upstream_;
-  out.default_rule = default_rule_;
-  out.core_bitmap = core_bitmap_;
-  out.sections = sections_;
-  // The first id in header order belongs to the first p-rule naming
-  // match_id: the parser keeps the first match.
+const SectionIndex::RuleRef* SectionIndex::find(
+    std::uint32_t match_id) const noexcept {
+  // The first id in header order belongs to the first p-rule naming it.
   const auto it = std::find(ids_.begin(), ids_.end(), match_id);
-  if (it == ids_.end()) {
+  if (it == ids_.end()) return nullptr;
+  return &refs_[static_cast<std::size_t>(it - ids_.begin())];
+}
+
+net::PortBitmap SectionIndex::bitmap(const RuleRef& rule) const {
+  net::BitReader in{data_};
+  in.skip(rule.bitmap_bit);
+  return read_bitmap(in, rule_ports_);
+}
+
+void SectionIndex::lookup(std::uint32_t match_id, LayerParse& out) const {
+  out.upstream = upstream();
+  out.default_rule = default_rule();
+  out.core_bitmap = core_bitmap();
+  out.sections = sections();
+  const auto* ref = find(match_id);
+  if (ref == nullptr) {
     out.matched.reset();
     out.matched_index = -1;
     out.matched_shared = false;
     return;
   }
-  const auto& ref = refs_[static_cast<std::size_t>(it - ids_.begin())];
-  net::BitReader in{data_};
-  in.skip(ref.bitmap_bit);
-  out.matched = read_bitmap(in, rule_ports_);
-  out.matched_index = static_cast<int>(ref.rule);
-  out.matched_shared = ref.shared;
+  out.matched = bitmap(*ref);
+  out.matched_index = static_cast<int>(ref->rule);
+  out.matched_shared = ref->shared;
 }
 
 void HeaderCodec::parse_layer(std::span<const std::uint8_t> data,

@@ -87,18 +87,13 @@ struct LayerParse {
 // One layer's view of a header, indexed by a single pass of the section
 // grammar (HeaderCodec::index_layer): the layer's upstream rule, default
 // and core bitmap decoded, every section's extent, and each p-rule id of the
-// layer in header order with where its bitmap starts. A switch then finds
-// its p-rule with lookup() instead of re-reading the header; only the
-// matched bitmap is decoded, and only when asked. The index refers to the
-// bytes it was built from, which must outlive it (or be re-indexed).
+// layer in header order with where its bitmap starts. A switch reads that
+// state in place through the accessors and finds its p-rule with find()
+// instead of re-reading the header; only the matched bitmap is decoded,
+// and only when asked. The index refers to the bytes it was built from,
+// which must outlive it (or be re-indexed).
 class SectionIndex {
  public:
-  // Fills `out` as parse_layer(data, layer, match_id, out) would.
-  void lookup(std::uint32_t match_id, LayerParse& out) const;
-
- private:
-  friend class HeaderCodec;
-
   // Where one p-rule id sits: its rule's number within the layer (across
   // sections), the rule bitmap's first bit, and whether the rule lists
   // more than one switch id.
@@ -107,6 +102,32 @@ class SectionIndex {
     std::uint32_t rule = 0;
     bool shared = false;
   };
+
+  const std::optional<UpstreamRule>& upstream() const noexcept {
+    return upstream_;
+  }
+  const std::optional<net::PortBitmap>& default_rule() const noexcept {
+    return default_rule_;
+  }
+  const std::optional<net::PortBitmap>& core_bitmap() const noexcept {
+    return core_bitmap_;
+  }
+  const std::vector<SectionExtent>& sections() const noexcept {
+    return sections_;
+  }
+
+  // The first p-rule in header order naming `match_id` (the parser keeps
+  // the first match), or nullptr. Valid until the index is refilled.
+  const RuleRef* find(std::uint32_t match_id) const noexcept;
+  // That rule's bitmap, decoded from the indexed bytes.
+  net::PortBitmap bitmap(const RuleRef& rule) const;
+
+  // Fills `out` as parse_layer(data, layer, match_id, out) would: a copy of
+  // the accessors' state and find(match_id)'s decoded bitmap.
+  void lookup(std::uint32_t match_id, LayerParse& out) const;
+
+ private:
+  friend class HeaderCodec;
 
   std::span<const std::uint8_t> data_;
   std::size_t rule_ports_ = 0;  // bitmap width of this layer's p-rules

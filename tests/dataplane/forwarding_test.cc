@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -14,6 +17,12 @@
 
 namespace elmo::dp {
 namespace {
+
+std::vector<std::uint8_t> bytes_of(const net::PacketView& view) {
+  std::vector<std::uint8_t> out(view.size());
+  view.copy_to(out);
+  return out;
+}
 
 class ForwardingTest : public ::testing::Test {
  protected:
@@ -30,7 +39,8 @@ class ForwardingTest : public ::testing::Test {
   }
 
   net::Packet encapsulate(topo::HostId sender, const MulticastTree& tree,
-                          std::size_t payload_bytes = 64) {
+                          std::size_t payload_bytes = 64,
+                          std::uint8_t fill = 0x77) {
     const auto enc = encode(tree);
     HypervisorSwitch hv{topo_, sender};
     HypervisorSwitch::GroupFlow flow;
@@ -38,12 +48,13 @@ class ForwardingTest : public ::testing::Test {
     flow.elmo_header = codec_.serialize(tree.sender_encoding(sender), enc);
     hv.install_flow(group_addr_, flow);
     return *hv.encapsulate(group_addr_,
-                           std::vector<std::uint8_t>(payload_bytes, 0x77));
+                           std::vector<std::uint8_t>(payload_bytes, fill));
   }
 
   net::PacketView packet_from(topo::HostId sender, const MulticastTree& tree,
-                              std::size_t payload_bytes = 64) {
-    return net::PacketView{encapsulate(sender, tree, payload_bytes)};
+                              std::size_t payload_bytes = 64,
+                              std::uint8_t fill = 0x77) {
+    return net::PacketView{encapsulate(sender, tree, payload_bytes, fill)};
   }
 
   // Sender 0's packet as it arrives at leaf 1: leaf 0 -> spine -> leaf 1,
@@ -281,8 +292,286 @@ TEST_F(ForwardingTest, TruncatedHeaderLeavesNoSectionCacheEntry) {
                std::out_of_range);
   EXPECT_EQ(arena.section_cache().size(), 0u);
   arena.clear();
+
+  // The outer header's checks run before the entry is made, too: a runt
+  // and a non-IPv4 frame throw std::invalid_argument and leave nothing.
+  const auto message_of = [&](const net::PacketView& packet) {
+    try {
+      leaf0.process(packet, arena);
+    } catch (const std::invalid_argument& e) {
+      return std::string{e.what()};
+    }
+    return std::string{"no std::invalid_argument"};
+  };
+  const std::vector<std::uint8_t> runt{flat.begin(),
+                                       flat.begin() + net::kOuterHeaderBytes -
+                                           1};
+  EXPECT_EQ(message_of(net::PacketView{std::span{runt}}),
+            "NetworkSwitch: runt packet");
+  EXPECT_EQ(arena.section_cache().size(), 0u);
+  std::vector<std::uint8_t> ipv6{flat.begin(), flat.end()};
+  ipv6[12] = 0x86;  // EtherType 0x86DD
+  ipv6[13] = 0xDD;
+  EXPECT_EQ(message_of(net::PacketView{std::span{ipv6}}),
+            "NetworkSwitch: not IPv4");
+  EXPECT_EQ(arena.section_cache().size(), 0u);
+  arena.clear();
   EXPECT_EQ(leaf0.process(good, arena).size(), 2u);  // host 1 + uplink
   EXPECT_EQ(arena.section_cache().size(), 1u);
+}
+
+// Two views of one buffer can share a tail range yet not an outer header:
+// one with a popped hole behind its outer header, one whose head was
+// advanced over the popped bytes. The second is parsed on its own (its
+// "outer header" is Elmo bytes, not an IPv4 frame), never served the
+// first's entry.
+TEST_F(ForwardingTest, SectionCacheKeysTheViewsHead) {
+  const auto sent =
+      packet_from(0, MulticastTree{topo_, std::vector<topo::HostId>{0, 2}});
+  const auto holed = arriving_at_leaf1(sent);
+  ASSERT_FALSE(holed.contiguous());
+  const net::PacketView advanced{holed.buffer(),
+                                 tail_offset(holed) - net::kOuterHeaderBytes,
+                                 holed.buffer()->size()};
+  ASSERT_EQ(tail_offset(advanced), tail_offset(holed));
+  ASSERT_EQ(advanced.size(), holed.size());
+
+  NetworkSwitch leaf1{topo_, topo::Layer::kLeaf, 1};
+  EmissionArena arena;
+  EXPECT_EQ(ports_of(leaf1.process(holed, arena)),
+            std::vector<std::size_t>{0});
+  arena.clear();
+  EXPECT_THROW(leaf1.process(advanced, arena), std::invalid_argument);
+  EXPECT_EQ(arena.section_cache().size(), 1u);
+}
+
+// A leaf re-strips only after every view of its last template died, and a
+// dead template never stands in for a new one. A dead source never matches
+// either, even while its template lives: a new packet of the same shape but
+// other payload bytes, built right after the old one is freed (so an
+// allocator that reuses blocks hands it the old addresses), gets its own
+// template with its own bytes.
+TEST_F(ForwardingTest, HostTemplateOfAFreedBufferNeverMatches) {
+  NetworkSwitch leaf1{topo_, topo::Layer::kLeaf, 1};
+  const MulticastTree tree{topo_, std::vector<topo::HostId>{0, 2}};
+  EmissionArena arena;
+  const auto strip_of = [&](const net::PacketView& at_leaf1) {
+    auto out = leaf1.process(at_leaf1, arena);
+    EXPECT_EQ(ports_of(out), std::vector<std::size_t>{0});
+    return out.empty() ? net::PacketView{} : out[0].packet;
+  };
+
+  const auto a = arriving_at_leaf1(packet_from(0, tree, 64, 0x11));
+  net::reset_copy_stats();
+  auto first = strip_of(a);
+  arena.clear();
+  EXPECT_EQ(strip_of(a).buffer(), first.buffer());  // shared while alive
+  EXPECT_EQ(net::copy_stats().copies, 1u);
+  const auto a_bytes = bytes_of(first);
+  arena.clear();
+  first = net::PacketView{};  // the template's last view dies
+  const net::PacketView stranger{
+      std::vector<std::uint8_t>(a_bytes.size(), 0xEE)};
+  const auto again = strip_of(a);
+  EXPECT_NE(again.buffer(), stranger.buffer());
+  EXPECT_EQ(bytes_of(again), a_bytes);
+  EXPECT_EQ(net::copy_stats().copies, 3u);  // `stranger`, then the re-strip
+  arena.clear();
+
+  for (int round = 0; round < 4; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    const auto fill = static_cast<std::uint8_t>(0x20 + round);
+    const auto old_fill = static_cast<std::uint8_t>(0x60 + round);
+    auto next = encapsulate(0, tree, 64, fill);
+    net::PacketView kept;
+    {
+      const auto old = arriving_at_leaf1(packet_from(0, tree, 64, old_fill));
+      kept = strip_of(old);
+      arena.clear();
+    }  // the old source dies; its template lives on in `kept`
+    EXPECT_EQ(kept.at(net::kOuterHeaderBytes), old_fill);
+    const net::PacketView sent{std::move(next)};
+    const auto b = arriving_at_leaf1(sent);
+    const auto copy = strip_of(b);
+    EXPECT_NE(copy.buffer(), kept.buffer());
+    EXPECT_EQ(copy.size(), net::kOuterHeaderBytes + 64);
+    EXPECT_EQ(copy.at(net::kOuterHeaderBytes), fill);
+    EXPECT_EQ(copy.at(copy.size() - 1), fill);
+    arena.clear();
+  }
+}
+
+// A whole walk over small_test, mirroring sim::Fabric::send: one arena, its
+// SectionCache cleared once, a FIFO of (node, view). Receivers sit on four
+// leaves in three pods; every host copy is kept until the walk ends.
+class HostTemplateWalk : public ::testing::Test {
+ protected:
+  struct Node {
+    topo::Layer layer;
+    std::uint32_t id;
+  };
+  struct Delivery {
+    topo::HostId host;
+    net::PacketView packet;
+  };
+
+  HostTemplateWalk()
+      : topo_{topo::ClosParams::small_test()}, codec_{topo_} {
+    for (std::uint32_t i = 0; i < topo_.num_leaves(); ++i) {
+      leaves_.emplace_back(topo_, topo::Layer::kLeaf, i);
+    }
+    for (std::uint32_t i = 0; i < topo_.num_spines(); ++i) {
+      spines_.emplace_back(topo_, topo::Layer::kSpine, i);
+    }
+    for (std::uint32_t i = 0; i < topo_.num_cores(); ++i) {
+      cores_.emplace_back(topo_, topo::Layer::kCore, i);
+    }
+  }
+
+  net::PacketView send(topo::HostId sender,
+                       const std::vector<topo::HostId>& members) {
+    const MulticastTree tree{topo_, members};
+    const TreeEncoder encoder{topo_, EncoderConfig{}};
+    HypervisorSwitch hv{topo_, sender};
+    HypervisorSwitch::GroupFlow flow;
+    flow.vni = 1;
+    flow.elmo_header = codec_.serialize(tree.sender_encoding(sender),
+                                        encoder.encode(tree, nullptr));
+    const auto group = net::Ipv4Address::multicast_group(5);
+    hv.install_flow(group, flow);
+    std::vector<std::uint8_t> payload(100);
+    for (std::size_t i = 0; i < payload.size(); ++i) {
+      payload[i] = static_cast<std::uint8_t>(i);
+    }
+    return net::PacketView{*hv.encapsulate(group, payload)};
+  }
+
+  std::vector<Delivery> walk(const net::PacketView& sent,
+                             topo::HostId sender, EmissionArena& arena) {
+    std::vector<Delivery> delivered;
+    std::vector<std::pair<Node, net::PacketView>> queue;
+    queue.push_back({Node{topo::Layer::kLeaf, topo_.leaf_of_host(sender)},
+                     sent});
+    arena.section_cache().clear();
+    for (std::size_t head = 0; head < queue.size(); ++head) {
+      const auto [at, packet] = queue[head];
+      arena.clear();
+      for (const auto& e : element(at).process(packet, arena)) {
+        const auto next = neighbor_of(at, e.out_port);
+        if (next.layer == topo::Layer::kHost) {
+          delivered.push_back({next.id, e.packet});
+        } else {
+          queue.push_back({next, e.packet});
+        }
+      }
+    }
+    arena.clear();
+    return delivered;
+  }
+
+  NetworkSwitch& element(const Node& node) {
+    switch (node.layer) {
+      case topo::Layer::kLeaf:
+        return leaves_[node.id];
+      case topo::Layer::kSpine:
+        return spines_[node.id];
+      default:
+        return cores_[node.id];
+    }
+  }
+
+  Node neighbor_of(const Node& node, std::size_t port) const {
+    switch (node.layer) {
+      case topo::Layer::kLeaf:
+        if (port < topo_.leaf_down_ports()) {
+          return {topo::Layer::kHost, topo_.host_at(node.id, port)};
+        }
+        return {topo::Layer::kSpine,
+                topo_.spine_at(topo_.pod_of_leaf(node.id),
+                               port - topo_.leaf_down_ports())};
+      case topo::Layer::kSpine:
+        if (port < topo_.spine_down_ports()) {
+          return {topo::Layer::kLeaf,
+                  topo_.leaf_at(topo_.pod_of_spine(node.id), port)};
+        }
+        return {topo::Layer::kCore,
+                topo_.core_behind_spine_port(
+                    node.id, port - topo_.spine_down_ports())};
+      default:
+        return {topo::Layer::kSpine,
+                topo_.spine_behind_core_port(
+                    node.id, static_cast<topo::PodId>(port))};
+    }
+  }
+
+  // What a leaf delivers to a host: the sender's outer header with the VXLAN
+  // Elmo flag cleared, then its payload.
+  std::vector<std::uint8_t> stripped(const net::PacketView& sent) const {
+    const auto flat = bytes_of(sent);
+    const auto elmo_bytes = codec_.header_length(
+        std::span{flat}.subspan(net::kOuterHeaderBytes));
+    std::vector<std::uint8_t> out{flat.begin(),
+                                  flat.begin() + net::kOuterHeaderBytes};
+    out.insert(out.end(),
+               flat.begin() + static_cast<std::ptrdiff_t>(
+                                  net::kOuterHeaderBytes + elmo_bytes),
+               flat.end());
+    out[net::EthernetHeader::kSize + net::Ipv4Header::kSize +
+        net::UdpHeader::kSize] &= ~std::uint8_t{0x01};
+    return out;
+  }
+
+  topo::ClosTopology topo_;
+  elmo::HeaderCodec codec_;
+  std::vector<NetworkSwitch> leaves_;
+  std::vector<NetworkSwitch> spines_;
+  std::vector<NetworkSwitch> cores_;
+};
+
+// Hosts 4h..4h+3 sit on leaf h; leaf l is in pod l / 4. The sender's leaf 0
+// delivers to host 1; leaves 1 (pod 0), 5 (pod 1) and 9 (pod 2) see the
+// same popped tail and share its one template.
+TEST_F(HostTemplateWalk, EveryHostCopyIsTheOneStripOfTheSendersPacket) {
+  const std::vector<topo::HostId> members{0, 1, 5, 6, 20, 37};
+  EmissionArena arena;
+  auto sent = send(0, members);
+  const auto want = stripped(sent);
+  ASSERT_EQ(want.size(), net::kOuterHeaderBytes + 100);
+
+  net::reset_copy_stats();
+  auto delivered = walk(sent, 0, arena);
+  // One template for the sender's leaf (the full tail) and one for every
+  // other leaf (the tail popped to LEAF_RULES).
+  EXPECT_EQ(net::copy_stats().copies, 2u);
+  EXPECT_EQ(net::copy_stats().bytes, 2 * want.size());
+
+  std::vector<topo::HostId> hosts;
+  std::set<const net::PacketBuffer*> templates;
+  for (const auto& d : delivered) {
+    hosts.push_back(d.host);
+    EXPECT_EQ(bytes_of(d.packet), want) << "host " << d.host;
+    EXPECT_FALSE(net::VxlanHeader::parse(d.packet.front(net::kOuterHeaderBytes)
+                                             .subspan(net::EthernetHeader::kSize +
+                                                      net::Ipv4Header::kSize +
+                                                      net::UdpHeader::kSize))
+                     .elmo_present);
+    templates.insert(d.packet.buffer().get());
+  }
+  std::sort(hosts.begin(), hosts.end());
+  EXPECT_EQ(hosts, (std::vector<topo::HostId>{1, 5, 6, 20, 37}));
+  EXPECT_EQ(templates.size(), 2u);
+
+  // The memo pins nothing: once the walk's views are gone, the sender's
+  // buffer and both templates are freed although the cache still holds
+  // their entries.
+  std::vector<std::weak_ptr<const net::PacketBuffer>> buffers{sent.buffer()};
+  for (const auto& d : delivered) buffers.push_back(d.packet.buffer());
+  // Two leaf entries (unpopped and popped tail), two spine, one core.
+  EXPECT_EQ(arena.section_cache().size(), 5u);
+  sent = net::PacketView{};
+  delivered.clear();
+  for (const auto& b : buffers) EXPECT_TRUE(b.expired());
+  EXPECT_EQ(arena.section_cache().size(), 5u);
 }
 
 TEST(EmissionArena, MarkSinceRewind) {

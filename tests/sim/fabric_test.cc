@@ -61,6 +61,23 @@ TEST_F(FabricFixture, CrossPodDelivery) {
   EXPECT_GE(result.max_hops, 4u);  // leaf-spine-core-spine-leaf
 }
 
+// The walk strips the Elmo header once per SectionCache entry while a host
+// copy of the template lives, not once per delivering leaf. Receivers on
+// leaves 0, 1, 5 and 9 (pods 0, 1, 2): leaf 0 strips the unpopped tail for
+// host 1, whose delivery then frees it; leaf 1 strips the popped tail for
+// hosts 5 and 6; both are delivered before the far pods' spines run, so
+// leaf 5 strips again and leaf 9 shares that template with it.
+TEST_F(FabricFixture, WalkStripsOneTemplatePerLiveEntry) {
+  const auto id = make_group({0, 1, 5, 6, 20, 37});
+  net::reset_copy_stats();
+  const auto result = fabric.send(0, controller.group(id).address, 200);
+  EXPECT_EQ(net::copy_stats().copies, 3u);
+  EXPECT_EQ(result.vm_deliveries, 5u);
+  for (const topo::HostId host : {1, 5, 6, 20, 37}) {
+    EXPECT_EQ(result.host_copies.at(host), 1u) << "host " << host;
+  }
+}
+
 TEST_F(FabricFixture, EverySenderReachesEveryoneElse) {
   util::Rng rng{4711};
   const auto hosts = test::random_hosts(topology, 12, rng);
